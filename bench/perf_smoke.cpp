@@ -253,43 +253,22 @@ int main(int argc, char** argv) {
     row("fattree_loop/K=8 shards=2", verifier.verify(policy));
   }
   {
-    // Intra-PEC work export: the fig9 worst-case single monster PEC through
-    // the shard coordinator with split export armed, next to the identical
-    // in-process frontier-engine run. All three rows are deliberately capped
-    // ("capped" in the name, explore.max_states on every exploration) so the
-    // trajectory tracks the export machinery — bootstrap, split
-    // serialization, subtask dispatch, seed-path replay — at bounded cost.
-    // The gap is the honest 1-hardware-thread bracket: donated frontier
-    // halves lose the donor's visited table and source-set context, so
-    // subtasks re-explore shared descendants (this diamond-heavy SPVP graph
-    // duplicates ~7x with 4 subtasks). The >=2x multicore target from the
-    // cluster-sharding ROADMAP item needs workloads with near-disjoint
-    // subtrees or cross-process visited sharing; see docs/architecture.md
-    // "Cluster-scale sharding".
+    // The fig9 worst-case single monster PEC under the BFS frontier engine,
+    // capped (explore.max_states) so the row tracks frontier snapshot and
+    // replay cost at bounded time.
     FatTreeOptions o;
     o.k = 4;
     o.routing = FatTreeOptions::Routing::kBgpRfc7938;
     const FatTree ft = make_fat_tree(o);
     const WaypointPolicy policy({ft.edges.back()}, ft.aggs);
-    for (const int shards : {0, 2, 4}) {
-      VerifyOptions vo;
-      vo.cores = 1;
-      vo.explore.det_nodes_bgp = false;
-      vo.explore.engine_kind = SearchEngineKind::kBfs;
-      vo.explore.max_states = 50000;
-      if (shards != 0) {
-        vo.shards = shards;
-        vo.shard_split_export = true;
-        vo.shard_export_check_every = 4096;
-        vo.shard_export_min_frontier = 256;
-        vo.shard_export_max_per_pec = 2;
-      }
-      Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-      row(shards == 0 ? std::string("bgp_dc_worstcase/K=4 bfs capped")
-                      : "bgp_dc_worstcase/K=4 shards=" +
-                            std::to_string(shards) + " split-export capped",
-          verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
-    }
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.det_nodes_bgp = false;
+    vo.explore.engine_kind = SearchEngineKind::kBfs;
+    vo.explore.max_states = 50000;
+    Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
+    row("bgp_dc_worstcase/K=4 bfs capped",
+        verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
   }
 
   std::printf("\nwrote perf trajectory records (bench=perf_smoke)\n");

@@ -26,7 +26,6 @@
 //   --all-violations   keep searching after the first counterexample
 //   --trails           print counterexample event traces
 //   --visited <kind>   visited backend: exact | hash-compact | bitstate
-//   --scheduler <s>    PEC scheduler: steal (work-stealing) | pool (fixed)
 //   --engine <e>       exploration strategy: dfs | bfs | priority |
 //                      random-restart | single (single-execution simulation)
 //   --engine-seed <n>  seed for the random-restart engine (default 1)
@@ -46,14 +45,11 @@
 //                      plankton_worker daemons; shard workers connect there
 //                      instead of forking (falls back to fork if the policy
 //                      has no spec form)
-//   --split-export     intra-PEC work export: big PECs donate frontier
-//                      halves back to the coordinator for re-dispatch to
-//                      idle shards. Verdicts and the deduplicated violation
-//                      set are preserved; state counts are not bit-identical
 //
 // Exit code: 0 = policy holds (exhaustive), 1 = violated,
-//            2 = inconclusive (budget tripped / lossy search; no violation
-//                found but the search was partial), 3 = usage/config error.
+//            2 = inconclusive (budget tripped / lossy search / approximated
+//                cyclic SCC; no violation found but the search was not a
+//                proof), 3 = usage/config error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,12 +83,12 @@ int usage() {
                "[--cores n] [--shards n] [--address ip] [--no-pec-dedup] "
                "[--no-por] [--all-violations] "
                "[--trails] "
-               "[--visited exact|hash-compact|bitstate] [--scheduler steal|pool] "
+               "[--visited exact|hash-compact|bitstate] "
                "[--engine dfs|bfs|priority|random-restart|single] "
                "[--engine-seed n] [--simulation] "
                "[--deadline-ms t] [--budget-states n] [--budget-bytes n] "
                "[--degrade-visited] [--fault-plan p] "
-               "[--tcp-workers host:port[,...]] [--split-export]\n"
+               "[--tcp-workers host:port[,...]]\n"
                "policies: reach <srcs> | loop | blackhole [srcs] | "
                "bounded <limit> <srcs> | waypoint <srcs> <wps>\n");
   return 3;
@@ -132,7 +128,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--shards" && i + 1 < argc) {
         opts.shards = std::atoi(argv[++i]);
         if (opts.shards < 1) throw std::runtime_error("bad --shards");
-        opts.scheduler = sched::SchedulerKind::kMultiProcess;
       } else if (arg == "--address" && i + 1 < argc) {
         address = IpAddr::parse(argv[++i]);
         if (!address) throw std::runtime_error("bad --address");
@@ -186,8 +181,6 @@ int main(int argc, char** argv) {
           throw std::runtime_error("bad --tcp-workers");
         }
         opts.shard_transport = ShardTransportKind::kTcp;
-      } else if (arg == "--split-export") {
-        opts.shard_split_export = true;
       } else if (arg == "--fault-plan" && i + 1 < argc) {
         std::string perr;
         if (!sched::parse_fault_plan(argv[++i], opts.shard_fault_plan, perr)) {
@@ -204,15 +197,6 @@ int main(int argc, char** argv) {
           opts.explore.visited = VisitedKind::kBitstate;
         } else {
           throw std::runtime_error("bad --visited '" + kind + "'");
-        }
-      } else if (arg == "--scheduler" && i + 1 < argc) {
-        const std::string s = argv[++i];
-        if (s == "steal") {
-          opts.scheduler = sched::SchedulerKind::kWorkStealing;
-        } else if (s == "pool") {
-          opts.scheduler = sched::SchedulerKind::kFixedPool;
-        } else {
-          throw std::runtime_error("bad --scheduler '" + s + "'");
         }
       } else if (arg.rfind("--", 0) == 0) {
         return usage();
@@ -276,10 +260,11 @@ int main(int argc, char** argv) {
                 static_cast<double>(result.total.model_bytes()) / 1e6);
     if (result.verdict == Verdict::kInconclusive) {
       std::printf("inconclusive: budget tripped = %s, %zu PEC(s) partial, "
-                  "search %s, %llu budget checks\n",
+                  "search %s%s, %llu budget checks\n",
                   to_string(result.budget_tripped),
                   result.pecs_inconclusive,
                   result.exhaustive ? "exhaustive" : "non-exhaustive",
+                  result.unsupported_scc ? " (approximated cyclic SCC)" : "",
                   static_cast<unsigned long long>(result.total.budget_checks));
     }
     if (result.total.por_pruned + result.total.por_source_sets > 0) {
@@ -311,14 +296,6 @@ int main(int argc, char** argv) {
                                       sh.outcome_bytes_received) / 1e3,
                   static_cast<unsigned long long>(sh.tasks_reassigned),
                   static_cast<unsigned long long>(sh.workers_respawned));
-      if (sh.splits_exported + sh.subtasks_dispatched > 0) {
-        std::printf("split export: %llu frontier splits, %llu subtasks "
-                    "dispatched, %llu completed, %llu stale\n",
-                    static_cast<unsigned long long>(sh.splits_exported),
-                    static_cast<unsigned long long>(sh.subtasks_dispatched),
-                    static_cast<unsigned long long>(sh.subtasks_completed),
-                    static_cast<unsigned long long>(sh.subtasks_stale));
-      }
       for (std::size_t w = 0; w < sh.tasks_per_shard.size(); ++w) {
         std::printf("  shard %zu: %llu tasks\n", w,
                     static_cast<unsigned long long>(sh.tasks_per_shard[w]));

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <limits>
 #include <memory>
 
 #include "checker/budget.hpp"
@@ -62,16 +61,15 @@ struct ShardPlan {
   std::size_t pec_classes = 0;
   std::size_t pecs_deduped = 0;
   std::chrono::nanoseconds dedup_fingerprint_time{0};
-  bool unsupported_scc = false;
+  /// Per PEC: its exploration cannot be exhaustive under the RPVP model. Set
+  /// for every mate of a cyclic (multi-PEC) SCC task — each mate runs
+  /// without the outcomes of the mates scheduled after it — and for every
+  /// needed transitive dependent of such a mate, which consumes those
+  /// approximated outcomes. run_pec_core reports flagged PECs with
+  /// exhaustive == false, so they can never yield kHolds. Empty when the
+  /// plan has no multi-PEC SCC (the common case).
+  std::vector<std::uint8_t> approximated;
 };
-
-/// True for engines whose outermost invocation runs on a Frontier — the
-/// only structure the intra-PEC export mechanism can split and reseed.
-[[nodiscard]] bool export_capable_engine(const ExploreOptions& eo) {
-  const SearchEngineKind k = eo.engine();
-  return k == SearchEngineKind::kBfs || k == SearchEngineKind::kPriority ||
-         k == SearchEngineKind::kRandomRestart;
-}
 
 ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
                            const PecDependencies& deps, const Policy& policy,
@@ -131,6 +129,7 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
 
   plan.graph.dependents.resize(plan.tasks.size());
   plan.graph.waiting_on.assign(plan.tasks.size(), 0);
+  std::vector<PecId> approx;  // seeds of ShardPlan::approximated
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
     for (const std::uint32_t dep : deps.scc_deps[plan.tasks[i].scc]) {
       const std::int32_t j = task_of_scc[dep];
@@ -138,7 +137,20 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
       ++plan.graph.waiting_on[i];
       plan.graph.dependents[static_cast<std::size_t>(j)].push_back(i);
     }
-    if (plan.tasks[i].pecs.size() > 1) plan.unsupported_scc = true;
+    const auto& mates = plan.tasks[i].pecs;
+    if (mates.size() > 1) {
+      approx.insert(approx.end(), mates.begin(), mates.end());
+    }
+  }
+  if (!approx.empty()) plan.approximated.assign(pecs.pecs.size(), 0);
+  while (!approx.empty()) {
+    const PecId p = approx.back();
+    approx.pop_back();
+    if (plan.approximated[p] != 0) continue;
+    plan.approximated[p] = 1;
+    for (const PecId q : deps.dependents[p]) {
+      if (plan.needed[q] != 0) approx.push_back(q);
+    }
   }
 
   plan.needed_dependents.assign(pecs.pecs.size(), 0);
@@ -150,9 +162,6 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
 
   // Wire task specs for the shard coordinator (also the structure the plan
   // hash covers).
-  const bool export_base_ok = opts.shard_split_export &&
-                              opts.explore.max_failures == 0 &&
-                              export_capable_engine(opts.explore);
   plan.specs.resize(plan.tasks.size());
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
     sched::ShardTaskSpec& spec = plan.specs[i];
@@ -178,25 +187,14 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
         }
       }
     }
-    // Export eligibility (intra-PEC work export): only a single-phase,
-    // self-contained exploration can hand frontier halves to another
-    // process — one target PEC, nothing upstream or downstream of it, no
-    // class members to translate from its (now partial) result.
-    const PecId p0 = plan.tasks[i].pecs.front();
-    spec.export_eligible =
-        export_base_ok && plan.tasks[i].pecs.size() == 1 &&
-        spec.deps.empty() && plan.tasks[i].is_target &&
-        plan.is_target[p0] != 0 && plan.needed_dependents[p0] == 0 &&
-        (!plan.dedup_on || plan.classes.members_of[p0].empty());
   }
   return plan;
 }
 
 /// FNV-1a over the plan structure. Covers everything that must agree between
 /// coordinator and remote worker for the wire protocol to be meaningful:
-/// PEC count, tasks (pecs + targeting + export arming), dependency edges,
-/// dedup classing. Exploration knobs travel in the bootstrap itself and
-/// need no cross-check.
+/// PEC count, tasks (pecs + targeting), dependency edges, dedup classing.
+/// Exploration knobs travel in the bootstrap itself and need no cross-check.
 std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix = [&h](std::uint64_t v) {
@@ -213,7 +211,6 @@ std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
     mix(t.pecs.size());
     for (const PecId p : t.pecs) mix(p);
     mix(t.is_target ? 1 : 0);
-    mix(spec.export_eligible ? 1 : 0);
     mix(spec.deps.size());
     for (const PecId d : spec.deps) mix(d);
     mix(spec.class_members.size());
@@ -255,26 +252,18 @@ class ShardExecution {
     // shard workers each sees only its own copy-on-write increments, which
     // *under*-counts started PECs and therefore only makes slices more
     // conservative — never unfair. `scheduled_pecs` is atomic because dedup
-    // member reruns and export subtasks are scheduled dynamically.
+    // member reruns are scheduled dynamically.
     std::size_t statically_scheduled = 0;
     for (const SccTask& t : plan.tasks) statically_scheduled += t.pecs.size();
     scheduled_pecs.store(statically_scheduled, std::memory_order_relaxed);
   }
-
-  /// Worker-side binding of the intra-PEC export machinery for one run:
-  /// the sink plus the frontier seed of an export subtask.
-  struct ExportBinding {
-    std::function<bool(std::vector<StateSnapshot>&&)> fn;
-    std::vector<StateSnapshot> seed;
-  };
 
   /// Shared per-PEC execution. `has_dependents` is passed in because the
   /// execution paths track it differently (runtime atomics vs the static
   /// count); recorded outcomes stay in the returned report for the caller
   /// to store or ship.
   PecReport run_pec_core(PecId pec_id, bool target, bool has_dependents,
-                         const OutcomeStore& store,
-                         ExportBinding* eb = nullptr) {
+                         const OutcomeStore& store) {
     const Pec& pec = pecs_.pecs[pec_id];
     ExploreOptions eo = opts_.explore;
     const bool has_deps = !deps_.depends_on[pec_id].empty();
@@ -282,12 +271,6 @@ class ShardExecution {
     // §4.3: DEC-based failure choice only without cross-PEC dependencies
     // (failure sets must coordinate exactly across PEC runs).
     if (cross_deps_ && (has_deps || has_dependents)) eo.lec_failures = false;
-    if (eb != nullptr) {
-      eo.engine_export_fn = eb->fn;
-      eo.engine_export_check_every = opts_.shard_export_check_every;
-      eo.engine_export_min_frontier = opts_.shard_export_min_frontier;
-      eo.engine_seed_frontier = std::move(eb->seed);
-    }
     // State/memory caps and the degradation opt-in apply per exploration;
     // the deadline is replaced by this PEC's fair-share slice below.
     eo.budget = opts_.budget;
@@ -330,6 +313,11 @@ class ShardExecution {
     rep.pec = pec_id;
     rep.pec_str = pec.str();
     rep.result = explorer.run();
+    // A cyclic-SCC approximation (ShardPlan::approximated) is a coverage
+    // gap, not a proof: the verdict degrades to kInconclusive.
+    if (!plan_.approximated.empty() && plan_.approximated[pec_id] != 0) {
+      rep.result.exhaustive = false;
+    }
     return rep;
   }
 
@@ -350,11 +338,8 @@ class ShardExecution {
     if (!plan_.dedup_on) return;
     const auto& members = plan_.classes.members_of[rep.pec];
     if (members.empty()) return;
-    const bool clean = rep.result.holds && !rep.result.timed_out &&
-                       !rep.result.state_limit_hit &&
-                       !rep.result.memory_limit_hit &&
-                       rep.result.budget_tripped == BudgetKind::kNone &&
-                       rep.result.exhaustive && rep.result.violations.empty();
+    const bool clean = rep.result.verdict() == Verdict::kHolds &&
+                       rep.result.violations.empty();
     if (clean) {
       for (const PecId m : members) {
         PecReport t;
@@ -380,12 +365,10 @@ class ShardExecution {
   /// The shard worker body: runs one task's PECs (plus class tails) and
   /// converts reports to wire results. Runs inside forked workers and
   /// bootstrapped TCP workers alike.
-  std::vector<sched::ShardPecResult> run_worker_task(
-      std::size_t task_idx, OutcomeStore& upstream,
-      const sched::SplitExporter& exporter) {
+  std::vector<sched::ShardPecResult> run_worker_task(std::size_t task_idx,
+                                                     OutcomeStore& upstream) {
     std::vector<sched::ShardPecResult> out;
     const SccTask& task = plan_.tasks[task_idx];
-    const sched::ShardTaskSpec& spec = plan_.specs[task_idx];
     for (std::size_t mi = 0; mi < task.pecs.size(); ++mi) {
       const PecId p = task.pecs[mi];
       const bool target = task.is_target && plan_.is_target[p] != 0;
@@ -403,13 +386,7 @@ class ShardExecution {
         }
       }
       const bool has_dependents = pending > 0;
-      ExportBinding eb;
-      ExportBinding* ebp = nullptr;
-      if (spec.export_eligible) {
-        eb.fn = make_export_fn(p, exporter);
-        ebp = &eb;
-      }
-      PecReport rep = run_pec_core(p, target, has_dependents, upstream, ebp);
+      PecReport rep = run_pec_core(p, target, has_dependents, upstream);
       // Publish into the worker-local store like the in-process run_pec
       // does: later mates of a cyclic SCC resolve against them there, and
       // the worker ships the same single copy back when `record` is set.
@@ -426,47 +403,11 @@ class ShardExecution {
     return out;
   }
 
-  /// One export subtask: explore a donated frontier half of `pec` under the
-  /// same options the donor ran, seeding the engine instead of starting at
-  /// the root. Eligible PECs have no upstream dependencies, so an empty
-  /// store suffices; sub-donations ride the same exporter.
-  sched::ShardPecResult run_export_subtask(PecId pec,
-                                           std::vector<StateSnapshot>&& snaps,
-                                           const sched::SplitExporter& exporter) {
-    // Dynamic work the static divisor never saw (mirrors expand_class).
-    scheduled_pecs.fetch_add(1, std::memory_order_relaxed);
-    OutcomeStore store(net_, pecs_);
-    ExportBinding eb;
-    eb.fn = make_export_fn(pec, exporter);
-    eb.seed = std::move(snaps);
-    std::vector<sched::ShardPecResult> out;
-    to_shard_result(run_pec_core(pec, true, false, store, &eb), false, out);
-    return std::move(out.front());
-  }
-
   std::atomic<std::size_t> scheduled_pecs{0};
   std::atomic<std::size_t> pecs_started{0};
   std::atomic<std::uint64_t> dedup_reruns{0};
 
  private:
-  [[nodiscard]] std::function<bool(std::vector<StateSnapshot>&&)>
-  make_export_fn(PecId pec, const sched::SplitExporter& exporter) const {
-    int exports_left = opts_.shard_export_max_per_pec > 0
-                           ? opts_.shard_export_max_per_pec
-                           : std::numeric_limits<int>::max();
-    // Engine contract: returning false leaves the offered vector intact so
-    // the engine re-injects it; the session-side exporter upholds the same
-    // contract on send failure. The counter is the worker-side per-run cap
-    // (the coordinator separately caps cumulative accepts per PEC).
-    return [&exporter, exports_left,
-            pec](std::vector<StateSnapshot>&& snaps) mutable {
-      if (exports_left <= 0) return false;
-      if (!exporter(pec, std::move(snaps))) return false;
-      --exports_left;
-      return true;
-    };
-  }
-
   static void to_shard_result(PecReport&& pr, bool record,
                               std::vector<sched::ShardPecResult>& out) {
     sched::ShardPecResult r;
@@ -559,7 +500,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   result.pecs_deduped = plan.pecs_deduped;
   result.dedup_fingerprint_time = plan.dedup_fingerprint_time;
   result.scc_count = plan.tasks.size();
-  result.unsupported_scc = plan.unsupported_scc;
+  result.unsupported_scc = !plan.approximated.empty();
   const auto& is_target = plan.is_target;
 
   ShardExecution ctx(net_, pecs_, deps_, opts_, policy, plan, start);
@@ -614,10 +555,10 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // default, TCP-bootstrapped plankton_worker processes on request), streams
   // upstream outcomes to them in the OutcomeStore wire format, and merges
   // their verdicts. Exploration is deterministic per PEC, so the merged
-  // result is bit-identical to the in-process run at any shard count (with
-  // split export off). Returns false only on a coordinator-level failure
-  // (fork exhaustion, poisoned task), in which case the in-process path
-  // below recovers the verdict.
+  // result is bit-identical to the in-process run at any shard count.
+  // Returns false only on a coordinator-level failure (fork exhaustion,
+  // poisoned task), in which case the in-process path below recovers the
+  // verdict.
   auto try_sharded = [&]() -> bool {
     sched::ShardRunOptions so;
     so.shards = std::max(1, opts_.shards);
@@ -628,23 +569,9 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     so.soft_deadline_ms = opts_.shard_soft_deadline_ms;
     so.hard_deadline_ms = opts_.shard_hard_deadline_ms;
     so.fault_plan = opts_.shard_fault_plan;
-    so.split_export = opts_.shard_split_export;
-    so.export_max_per_pec = opts_.shard_export_max_per_pec;
 
-    const auto body = [&](std::size_t task_idx, OutcomeStore& upstream)
-        -> std::vector<sched::ShardPecResult> {
-      const sched::SplitExporter no_export =
-          [](PecId, std::vector<StateSnapshot>&&) { return false; };
-      return ctx.run_worker_task(task_idx, upstream, no_export);
-    };
-    sched::ShardExportHooks hooks;
-    hooks.run_task = [&](std::size_t task_idx, OutcomeStore& upstream,
-                         const sched::SplitExporter& exporter) {
-      return ctx.run_worker_task(task_idx, upstream, exporter);
-    };
-    hooks.run_subtask = [&](PecId pec, std::vector<StateSnapshot>&& snaps,
-                            const sched::SplitExporter& exporter) {
-      return ctx.run_export_subtask(pec, std::move(snaps), exporter);
+    const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {
+      return ctx.run_worker_task(task_idx, upstream);
     };
 
     // TCP transport: ship the plan as a bootstrap blob. Falls back to fork
@@ -711,10 +638,6 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
             static_cast<std::uint8_t>(eo.engine_restart_policy);
         bm.heartbeat_interval_ms = so.heartbeat_interval_ms;
         bm.max_frame_payload = so.max_frame_payload;
-        bm.split_export = opts_.shard_split_export ? 1 : 0;
-        bm.export_check_every = opts_.shard_export_check_every;
-        bm.export_min_frontier = opts_.shard_export_min_frontier;
-        bm.export_max_per_run = opts_.shard_export_max_per_pec;
         // The remote session runs as slot 0 / generation 1 locally, so the
         // coordinator resolves its FaultPlan per incarnation here and ships
         // the resolved faults with gen* (fire at any local generation). A
@@ -743,7 +666,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     }
 
     sched::ShardRunResult rr = sched::run_sharded_task_graph(
-        net_, pecs_, so, plan.graph, plan.specs, body, tcp.get(), &hooks);
+        net_, pecs_, so, plan.graph, plan.specs, body, tcp.get());
     if (!rr.ok) {
       std::fprintf(stderr,
                    "plankton: sharded run failed (%s); retrying in-process\n",
@@ -783,8 +706,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     return true;
   };
 
-  if (opts_.shards > 0 ||
-      opts_.scheduler == sched::SchedulerKind::kMultiProcess) {
+  if (opts_.shards > 0) {
     if (try_sharded()) {
       finalize_verdict();
       return result;
@@ -842,7 +764,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   std::vector<WorkerBuffer> buffers(static_cast<std::size_t>(threads));
 
   sched::run_task_graph(
-      opts_.scheduler, threads, plan.graph, [&](sched::TaskContext& tc) {
+      threads, plan.graph, [&](sched::TaskContext& tc) {
         const SccTask& task = plan.tasks[tc.task()];
         if (stop.load(std::memory_order_relaxed)) return;
         // SCCs are verified as one unit; our prototype runs multi-PEC SCCs
@@ -968,10 +890,6 @@ int serve_shard_worker_session(int fd) {
   vo.budget.degrade_visited = bm.budget_degrade_visited != 0;
   vo.budget.deadline = std::chrono::milliseconds(bm.budget_deadline_ms);
   vo.wall_limit = std::chrono::milliseconds(bm.wall_remaining_ms);
-  vo.shard_split_export = bm.split_export != 0;
-  vo.shard_export_check_every = bm.export_check_every;
-  vo.shard_export_min_frontier = bm.export_min_frontier;
-  vo.shard_export_max_per_pec = bm.export_max_per_run;
 
   Verifier verifier(pn.net, vo);
   const std::unique_ptr<Policy> policy =
@@ -1016,29 +934,14 @@ int serve_shard_worker_session(int fd) {
   so.stop_on_violation = bm.stop_on_violation != 0;
   so.heartbeat_interval_ms = bm.heartbeat_interval_ms;
   if (bm.max_frame_payload != 0) so.max_frame_payload = bm.max_frame_payload;
-  so.split_export = bm.split_export != 0;
-  so.export_max_per_pec = bm.export_max_per_run;
   so.fault_plan = session_faults;
 
-  const auto body = [&](std::size_t task_idx, OutcomeStore& upstream)
-      -> std::vector<sched::ShardPecResult> {
-    const sched::SplitExporter no_export =
-        [](PecId, std::vector<StateSnapshot>&&) { return false; };
-    return ctx.run_worker_task(task_idx, upstream, no_export);
+  const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {
+    return ctx.run_worker_task(task_idx, upstream);
   };
-  sched::ShardExportHooks hooks;
-  hooks.run_task = [&](std::size_t task_idx, OutcomeStore& upstream,
-                       const sched::SplitExporter& exporter) {
-    return ctx.run_worker_task(task_idx, upstream, exporter);
-  };
-  hooks.run_subtask = [&](PecId pec, std::vector<StateSnapshot>&& snaps,
-                          const sched::SplitExporter& exporter) {
-    return ctx.run_export_subtask(pec, std::move(snaps), exporter);
-  };
-
   return sched::run_worker_session(fd, /*slot=*/0, /*generation=*/1, pn.net,
                                    verifier.pecs(), plan.tasks.size(), so,
-                                   body, &hooks);
+                                   body);
 }
 
 }  // namespace plankton

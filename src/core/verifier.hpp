@@ -35,10 +35,6 @@ enum class ShardTransportKind : std::uint8_t {
 struct VerifyOptions {
   ExploreOptions explore;
   int cores = 1;                             ///< worker threads for PEC runs
-  /// Parallel strategy for the SCC task graph; kFixedPool is the baseline
-  /// single-ready-list pool kept for comparison; kMultiProcess shards the
-  /// graph across forked worker processes (implied by shards > 0).
-  sched::SchedulerKind scheduler = sched::SchedulerKind::kWorkStealing;
   /// Worker *processes* for the multi-process shard coordinator
   /// (sched/shard.hpp). 0 = in-process scheduling (the default); N >= 1
   /// forks N workers and streams outcomes/verdicts over the wire protocol.
@@ -85,18 +81,6 @@ struct VerifyOptions {
   ShardTransportKind shard_transport = ShardTransportKind::kFork;
   std::vector<std::string> shard_workers;
   int shard_connect_timeout_ms = 5000;
-
-  /// Intra-PEC work export: workers on export-eligible tasks (single PEC, no
-  /// deps/dependents/class members, max_failures == 0, a frontier engine)
-  /// periodically split half their pending frontier back to the coordinator
-  /// for re-dispatch to idle workers as dynamic subtasks. Verdicts and the
-  /// deduplicated violation set are preserved; state counts are not
-  /// bit-identical (subtasks re-visit states the donor also reaches), which
-  /// is why this is off by default.
-  bool shard_split_export = false;
-  std::uint32_t shard_export_check_every = 2048;  ///< offer cadence (pops)
-  std::size_t shard_export_min_frontier = 16;     ///< don't split tiny frontiers
-  int shard_export_max_per_pec = 64;              ///< coordinator arming cap
 };
 
 struct PecReport {
@@ -118,9 +102,13 @@ struct VerifyResult {
   Verdict verdict = Verdict::kHolds;
   /// First budget axis that ended a PEC search early (kNone = none did).
   BudgetKind budget_tripped = BudgetKind::kNone;
-  std::size_t pecs_inconclusive = 0;  ///< PEC runs ended by a budget
-  /// False when any PEC's coverage was probabilistic (lossy visited backend
-  /// or the memory-pressure exact→compact degradation).
+  /// Native PEC runs whose ExploreResult::verdict() is kInconclusive: ended
+  /// by a budget, or not exhaustive (lossy visited backend, memory-pressure
+  /// degradation, approximated cyclic SCC).
+  std::size_t pecs_inconclusive = 0;
+  /// False when any PEC's coverage was not a proof: probabilistic (lossy
+  /// visited backend or the memory-pressure exact→compact degradation) or
+  /// approximated (a cyclic SCC or a dependent of one).
   bool exhaustive = true;
   std::vector<PecReport> reports;   ///< one per verified (target) PEC
   SearchStats total;                ///< aggregated over all runs
@@ -129,7 +117,9 @@ struct VerifyResult {
   std::size_t pecs_verified = 0;    ///< target PECs model-checked
   std::size_t pecs_support = 0;     ///< upstream PECs run only for outcomes
   std::size_t scc_count = 0;
-  bool unsupported_scc = false;     ///< an SCC with >1 PEC was approximated
+  /// An SCC with >1 PEC was approximated: its PECs, and every needed
+  /// dependent of them, report exhaustive == false (never kHolds).
+  bool unsupported_scc = false;
   /// Batch PEC verification counters (VerifyOptions::pec_dedup). The
   /// class-compression ratio is pecs_verified / pec_classes when every
   /// target PEC is classed; pecs_deduped counts member PECs whose verdicts

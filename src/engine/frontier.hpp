@@ -30,9 +30,17 @@
 
 namespace plankton {
 
-// StateSnapshot itself lives in engine/search.hpp: work-export plumbing
-// (SearchEngineConfig::export_fn, the shard wire codecs) needs the type
-// without pulling in the full Frontier.
+/// A self-contained, restorable position in one phase's move tree: the move
+/// path from the phase-entry root, in application order. `key` carries the
+/// StateCodec key used by priority ordering (0 when not computed). `sleep`
+/// is the snapshot's DPOR sleep mask (empty when POR is off) — split-off
+/// work inherits it, so spawned subtasks keep pruning exactly what the
+/// donor would have pruned.
+struct StateSnapshot {
+  std::vector<SearchMove> path;
+  std::uint64_t key = 0;
+  std::vector<std::uint64_t> sleep;
+};
 
 /// Pending-state ordering policy of a frontier engine.
 enum class FrontierOrder : std::uint8_t {

@@ -106,11 +106,6 @@ class FrontierEngine final : public SearchEngine {
     }
     PhaseState& ps = *pool_[depth_];
     ++depth_;
-    // Export/seed apply only to the outermost invocation: nested phase
-    // searches sit below a parked converged prefix of an outer frontier
-    // engine, which a snapshot (a path from *this phase's* root) cannot
-    // describe to a remote worker.
-    const bool outermost = depth_ == 1;
     ps.frontier.reset(config_.seed + 0x9e3779b97f4a7c15ull * ++invocations_);
     ps.moves.clear();
     ps.backlog.clear();
@@ -131,23 +126,7 @@ class FrontierEngine final : public SearchEngine {
     std::int32_t cur = Frontier::kRoot;
     std::uint64_t pops = 0;
     SearchFlow flow = SearchFlow::kContinue;
-    if (outermost && !config_.seed_frontier.empty() && !seeded_) {
-      // Receiving side of a work export: start from the donated snapshots,
-      // not the phase root — the donor retains everything it did not ship.
-      // Donated snapshots arrive in portable form; a failed import means
-      // the dictionary does not describe this model's world and replaying
-      // the path would corrupt it — abort the run (the coordinator keeps
-      // its copy of the snapshots and reassigns the subtask).
-      seeded_ = true;
-      for (StateSnapshot& s : config_.seed_frontier) {
-        if (!model.import_snapshot(s)) {
-          throw std::runtime_error("seed snapshot import failed");
-        }
-        frontier.inject(s);
-      }
-    } else {
-      frontier.push_root();
-    }
+    frontier.push_root();
     while (flow == SearchFlow::kContinue) {
       if (frontier.empty()) {
         if (backlog.empty()) break;
@@ -200,29 +179,6 @@ class FrontierEngine final : public SearchEngine {
       }
       if (config_.split_every != 0 && pops % config_.split_every == 0) {
         frontier.split(backlog);
-      }
-      if (outermost && config_.export_fn && config_.export_check_every != 0 &&
-          pops % config_.export_check_every == 0 &&
-          frontier.size() >= config_.export_min_frontier) {
-        export_scratch_.clear();
-        if (frontier.split(export_scratch_) != 0) {
-          // Portable form before the offer: route ids become dictionary
-          // slots backed by serialized route contents.
-          for (StateSnapshot& s : export_scratch_) model.export_snapshot(s);
-          if (!config_.export_fn(std::move(export_scratch_))) {
-            // Declined (export window closed, send failure): the callback
-            // left the snapshots intact, so the donor keeps them. The
-            // import round trip restores the original local route ids
-            // (re-interning existing content is the identity).
-            for (StateSnapshot& s : export_scratch_) {
-              if (!model.import_snapshot(s)) {
-                throw std::runtime_error("declined export re-import failed");
-              }
-              frontier.inject(s);
-            }
-          }
-        }
-        export_scratch_.clear();
       }
     }
     // Unwind to the phase-entry state — also on kStop, and with the pending
@@ -279,13 +235,10 @@ class FrontierEngine final : public SearchEngine {
   std::uint64_t invocations_ = 0;
   std::uint64_t peak_ = 0;
   std::size_t depth_ = 0;
-  bool seeded_ = false;  ///< seed_frontier consumed (first outermost entry)
   std::vector<std::unique_ptr<PhaseState>> pool_;
   // goto_state never re-enters the engine, so one scratch is safe across
   // the nested per-phase invocations.
   std::vector<std::int32_t> replay_scratch_;
-  // Export offers only happen in the outermost invocation; one scratch.
-  std::vector<StateSnapshot> export_scratch_;
 };
 
 }  // namespace

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -47,26 +46,6 @@ struct SearchMove {
   NodeId peer = kNoNode;        ///< advertising peer (kNoNode when merged)
   RouteId route = kNoRoute;
   RouteId prev = kNoRoute;      ///< filled by apply(); consumed by undo()
-};
-
-/// A self-contained, restorable position in one phase's move tree: the move
-/// path from the phase-entry root, in application order. `key` carries the
-/// StateCodec key used by priority ordering (0 when not computed). `sleep`
-/// is the snapshot's DPOR sleep mask (empty when POR is off) — split-off
-/// work inherits it, so spawned subtasks keep pruning exactly what the
-/// donor would have pruned. Snapshots are also what crosses process (and
-/// host) boundaries for intra-PEC work export (sched/shard.*).
-struct StateSnapshot {
-  std::vector<SearchMove> path;
-  std::uint64_t key = 0;
-  std::vector<std::uint64_t> sleep;
-  /// Model-opaque route dictionary (see SearchModel::export_snapshot): the
-  /// moves' RouteId fields are indexes into the donor's interned route
-  /// table, meaningless in another process. An exported snapshot carries
-  /// the referenced route *contents* here and its moves are rewritten to
-  /// 1-based dictionary slots; import_snapshot() re-interns them locally.
-  /// Empty for snapshots that never leave the donor process.
-  std::string route_dict;
 };
 
 /// The model side of the search: protocol semantics + pruning, no strategy.
@@ -131,27 +110,6 @@ class SearchModel {
     (void)phase;
     (void)m;
     return 0;
-  }
-
-  // -- cross-process snapshot portability (optional) ------------------------
-  // RouteIds inside SearchMoves index the model's process-local interned
-  // route table, so a raw snapshot cannot be replayed elsewhere. Engines
-  // call export_snapshot() on every split-off snapshot before offering it
-  // to an export sink, and import_snapshot() before injecting donated (or
-  // declined-and-returned) snapshots. The round trip must be the identity
-  // on content: re-interning an exported route in the donor yields its
-  // original id. Models without interned state keep the no-op defaults.
-
-  /// Rewrites `s` into its portable form: route contents serialized into
-  /// s.route_dict, move route fields turned into dictionary slots.
-  virtual void export_snapshot(StateSnapshot& s) { (void)s; }
-
-  /// Translates a portable snapshot back into process-local RouteIds,
-  /// interning the dictionary's routes. False = the dictionary is corrupt
-  /// or inconsistent with this model; the snapshot must not be replayed.
-  [[nodiscard]] virtual bool import_snapshot(StateSnapshot& s) {
-    (void)s;
-    return true;
   }
 
   // -- partial-order reduction hooks (optional) -----------------------------
@@ -249,26 +207,6 @@ struct SearchEngineConfig {
   /// exercises the split()/inject() work-sharing path (tests, bench).
   std::uint32_t split_every = 0;
 
-  // -- intra-PEC work export (frontier engines only) -------------------------
-  // When export_fn is set, the *outermost* phase search periodically offers
-  // half of its pending frontier to the callback as self-contained snapshots
-  // (the donor keeps exploring the rest). A true return means the recipient
-  // now owns those states; on false the donor re-injects them and keeps
-  // them local — the callback must leave the vector intact in that case.
-  // Only the outermost invocation exports: nested phase searches (advance()
-  // re-entering the engine) sit below a parked converged prefix that a
-  // remote worker could not reconstruct from the snapshot alone.
-  std::function<bool(std::vector<StateSnapshot>&&)> export_fn;
-  /// Pops between export offers (0 disables even with export_fn set).
-  std::uint32_t export_check_every = 0;
-  /// Minimum pending-frontier size before an offer is made — exporting a
-  /// near-empty frontier ships more framing than work.
-  std::size_t export_min_frontier = 8;
-  /// When non-empty, the outermost phase search seeds its frontier from
-  /// these snapshots *instead of* the phase-entry root: the receiving side
-  /// of an export replays exactly the donated states (and everything below
-  /// them). Consumed once, by the first outermost invocation.
-  std::vector<StateSnapshot> seed_frontier;
 };
 
 [[nodiscard]] const char* to_string(SearchEngineKind kind);

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <string_view>
-#include <unordered_map>
 
 #include "checker/progress.hpp"
-#include "sched/wire.hpp"
 #include "protocols/bgp.hpp"
 #include "protocols/ospf.hpp"
 
@@ -568,114 +565,6 @@ void Explorer::undo(std::size_t task_idx, const SearchMove& m) {
   rib[m.node] = m.prev;
   codec_.record(task_idx, m.node, m.route, m.prev);
   refresh_around(task_idx, m.node);
-}
-
-namespace {
-/// Wire sentinel for Route.path == kNoPath in a snapshot route dictionary
-/// (a real path length cannot reach 2^32 - 1 moves).
-constexpr std::uint32_t kWireNoPath = 0xffffffffu;
-}  // namespace
-
-void Explorer::export_snapshot(StateSnapshot& s) {
-  // RouteIds are slots in this process's interning tables (route.hpp): a
-  // remote worker replaying the path would index its own, differently
-  // populated tables. Ship the referenced route *contents* as a dictionary
-  // and rewrite the moves to 1-based dictionary slots (0 stays ⊥).
-  std::vector<RouteId> order;
-  std::unordered_map<RouteId, std::uint32_t> slots;
-  for (SearchMove& m : s.path) {
-    m.prev = kNoRoute;  // apply() recomputes it; a donor-local id must not leak
-    if (m.route == kNoRoute) continue;
-    const auto [it, fresh] = slots.try_emplace(
-        m.route, static_cast<std::uint32_t>(order.size()) + 1);
-    if (fresh) order.push_back(m.route);
-    m.route = it->second;
-  }
-  std::string dict;
-  wire::put_int(dict, static_cast<std::uint32_t>(order.size()));
-  for (const RouteId id : order) {
-    const Route& r = ctx_.routes.get(id);
-    if (r.path == kNoPath) {
-      wire::put_int(dict, kWireNoPath);
-    } else {
-      const std::vector<NodeId> nodes = ctx_.paths.to_vector(r.path);
-      wire::put_int(dict, static_cast<std::uint32_t>(nodes.size()));
-      for (const NodeId n : nodes) wire::put_int(dict, n);
-    }
-    wire::put_int(dict, r.metric);
-    wire::put_int(dict, r.local_pref);
-    wire::put_int(dict, r.as_path_len);
-    wire::put_int(dict, static_cast<std::uint8_t>(r.learned_ibgp ? 1 : 0));
-    wire::put_int(dict, r.egress);
-    wire::put_int(dict, r.communities);
-    wire::put_int(dict, static_cast<std::uint32_t>(r.ecmp.size()));
-    for (const NodeId n : r.ecmp) wire::put_int(dict, n);
-  }
-  s.route_dict = std::move(dict);
-}
-
-bool Explorer::import_snapshot(StateSnapshot& s) {
-  // Inverse of export_snapshot: intern the dictionary's routes into the
-  // local tables and rewrite the moves' dictionary slots to the resulting
-  // ids. Re-importing content this process already holds is the identity
-  // (interning is content-addressed), which is what the declined-export
-  // path in the engine relies on. Corrupt dictionaries fail closed.
-  std::string_view in = s.route_dict;
-  const auto node_count = static_cast<std::uint32_t>(net_.topo.node_count());
-  std::uint32_t count = 0;
-  if (!wire::get_int(in, count) || !wire::fits(in, count, 4)) return false;
-  std::vector<RouteId> local;
-  local.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Route r;
-    std::uint32_t plen = 0;
-    if (!wire::get_int(in, plen)) return false;
-    if (plen == kWireNoPath) {
-      r.path = kNoPath;
-    } else {
-      if (!wire::fits(in, plen, sizeof(NodeId))) return false;
-      // to_vector() order is next-hop first, origin last; cons cells chain
-      // [head | rest], so rebuild from the origin end.
-      std::vector<NodeId> nodes(plen, kNoNode);
-      for (std::uint32_t j = 0; j < plen; ++j) {
-        if (!wire::get_int(in, nodes[j]) || nodes[j] >= node_count) {
-          return false;
-        }
-      }
-      PathId p = kEmptyPath;
-      for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-        p = ctx_.paths.cons(*it, p);
-      }
-      r.path = p;
-    }
-    std::uint8_t ibgp = 0;
-    std::uint32_t ecmp = 0;
-    if (!wire::get_int(in, r.metric) || !wire::get_int(in, r.local_pref) ||
-        !wire::get_int(in, r.as_path_len) || !wire::get_int(in, ibgp) ||
-        ibgp > 1 || !wire::get_int(in, r.egress) ||
-        (r.egress != kNoNode && r.egress >= node_count) ||
-        !wire::get_int(in, r.communities) || !wire::get_int(in, ecmp) ||
-        !wire::fits(in, ecmp, sizeof(NodeId))) {
-      return false;
-    }
-    r.learned_ibgp = ibgp != 0;
-    r.ecmp.resize(ecmp);
-    for (std::uint32_t j = 0; j < ecmp; ++j) {
-      if (!wire::get_int(in, r.ecmp[j]) || r.ecmp[j] >= node_count) {
-        return false;
-      }
-    }
-    local.push_back(ctx_.routes.intern(std::move(r)));
-  }
-  if (!in.empty()) return false;  // trailing garbage
-  for (SearchMove& m : s.path) {
-    if (m.node >= node_count) return false;
-    if (m.route == kNoRoute) continue;
-    if (m.route > local.size()) return false;
-    m.route = local[m.route - 1];
-  }
-  s.route_dict.clear();
-  return true;
 }
 
 Explorer::Step Explorer::expand(std::size_t task_idx,

@@ -123,18 +123,6 @@ struct ExploreOptions {
   /// the original every-N-pops behavior.
   RestartPolicy engine_restart_policy = RestartPolicy::kLuby;
 
-  // Intra-PEC work export (SearchEngineConfig's export block; the sink is
-  // bound by the shard worker — see sched::ShardExportHooks). Only sound
-  // for single-phase explorations: the verifier arms these exclusively when
-  // max_failures == 0 and the PEC has no upstream choice, so the outermost
-  // engine invocation is the entire search.
-  std::function<bool(std::vector<StateSnapshot>&&)> engine_export_fn;
-  std::uint32_t engine_export_check_every = 0;  ///< 0 disables export offers
-  std::size_t engine_export_min_frontier = 8;
-  /// Receiving side of an export: seed the outermost frontier from these
-  /// snapshots instead of the phase root.
-  std::vector<StateSnapshot> engine_seed_frontier;
-
   [[nodiscard]] SearchEngineKind engine() const {
     return simulation ? SearchEngineKind::kSingleExecution : engine_kind;
   }
@@ -144,10 +132,6 @@ struct ExploreOptions {
     c.seed = engine_seed;
     c.split_every = engine_split_every;
     c.restart_policy = engine_restart_policy;
-    c.export_fn = engine_export_fn;
-    c.export_check_every = engine_export_check_every;
-    c.export_min_frontier = engine_export_min_frontier;
-    c.seed_frontier = engine_seed_frontier;
     return c;
   }
 
@@ -202,22 +186,24 @@ struct ExploreResult {
   bool memory_limit_hit = false;
   /// Which budget axis ended the search early (kNone = ran to completion).
   BudgetKind budget_tripped = BudgetKind::kNone;
-  /// False when coverage was probabilistic: a lossy visited backend was
-  /// selected up front, or the memory-pressure degradation migrated the
-  /// exact store to hash compaction mid-run. A `holds` with
-  /// exhaustive == false is a coverage claim, not a proof.
+  /// False when coverage was not a proof: a lossy visited backend was
+  /// selected up front, the memory-pressure degradation migrated the exact
+  /// store to hash compaction mid-run, or (set by the verifier) the PEC
+  /// belongs to or depends on an approximated cyclic SCC. A `holds` with
+  /// exhaustive == false is a coverage claim; verdict() is kInconclusive.
   bool exhaustive = true;
   std::vector<Violation> violations;
   std::vector<PecOutcome> outcomes;
   SearchStats stats;
 
   /// Sound classification: a found violation is conclusive even from a
-  /// partial search; a completed search holds; an exhausted budget is
-  /// inconclusive — never reported as a hold.
+  /// partial search; a completed exhaustive search holds; an exhausted
+  /// budget or a non-exhaustive search is inconclusive — never reported as
+  /// a hold.
   [[nodiscard]] Verdict verdict() const {
     if (!holds) return Verdict::kViolated;
     if (budget_tripped != BudgetKind::kNone || timed_out || state_limit_hit ||
-        memory_limit_hit) {
+        memory_limit_hit || !exhaustive) {
       return Verdict::kInconclusive;
     }
     return Verdict::kHolds;
@@ -260,8 +246,6 @@ class Explorer final : public SearchModel {
                                               const SearchMove& m) const override {
     return codec_.preview_key(task_idx, m.node, rib_[task_idx][m.node], m.route);
   }
-  void export_snapshot(StateSnapshot& s) override;
-  [[nodiscard]] bool import_snapshot(StateSnapshot& s) override;
   [[nodiscard]] std::size_t por_words() const override;
   void por_attach_sleep(const std::uint64_t* sleep) override;
   void por_child_sleep(std::size_t task_idx, const SearchMove& m,

@@ -18,7 +18,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <tuple>
 
 #include "checker/progress.hpp"
 #include "config/network.hpp"
@@ -203,7 +202,7 @@ FrameDecoder::Status FrameDecoder::next(Frame& out) {
   if (magic != kFrameMagic) return poison("bad frame magic");
   if (version != kFrameVersion) return poison("unsupported frame version");
   if (type < static_cast<std::uint16_t>(MsgType::kTaskAssign) ||
-      type > static_cast<std::uint16_t>(MsgType::kSubtaskDone)) {
+      type > static_cast<std::uint16_t>(MsgType::kBootstrapAck)) {
     return poison("unknown message type");
   }
   // Stream-state machine: kShutdown is terminal. Anything framed after it
@@ -229,7 +228,6 @@ std::string encode_task_assign(const TaskAssignMsg& m) {
   put_int(out, m.task);
   put_int(out, static_cast<std::uint32_t>(m.evict.size()));
   for (const PecId p : m.evict) put_int(out, p);
-  put_int(out, m.export_ok);
   return out;
 }
 
@@ -247,9 +245,7 @@ bool decode_task_assign(std::string_view in, TaskAssignMsg& out) {
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!get_int(in, out.evict[i])) return fail();
   }
-  if (!get_int(in, out.export_ok) || out.export_ok > 1 || !in.empty()) {
-    return fail();
-  }
+  if (!in.empty()) return fail();
   return true;
 }
 
@@ -333,61 +329,6 @@ bool get_pec_done(std::string_view& in, PecDoneMsg& p) {
          p.budget_tripped <= static_cast<std::uint8_t>(BudgetKind::kMemory);
 }
 
-// Minimum wire size of a StateSnapshot: path count (4) + key (8) + sleep
-// word count (4) + route dictionary length (8) with all three empty.
-constexpr std::size_t kSnapshotMinWireBytes = 4 + 8 + 4 + 8;
-// One serialized SearchMove: kind (1) + four 32-bit ids.
-constexpr std::size_t kMoveWireBytes = 1 + 4 * 4;
-
-void put_snapshot(std::string& out, const StateSnapshot& s) {
-  put_int(out, static_cast<std::uint32_t>(s.path.size()));
-  for (const SearchMove& m : s.path) {
-    put_int(out, static_cast<std::uint8_t>(m.kind));
-    put_int(out, static_cast<std::uint32_t>(m.node));
-    put_int(out, static_cast<std::uint32_t>(m.peer));
-    put_int(out, static_cast<std::uint32_t>(m.route));
-    put_int(out, static_cast<std::uint32_t>(m.prev));
-  }
-  put_int(out, s.key);
-  put_int(out, static_cast<std::uint32_t>(s.sleep.size()));
-  for (const std::uint64_t w : s.sleep) put_int(out, w);
-  put_string(out, s.route_dict);
-}
-
-bool get_snapshot(std::string_view& in, StateSnapshot& s) {
-  std::uint32_t moves = 0;
-  if (!get_int(in, moves) || !fits(in, moves, kMoveWireBytes)) return false;
-  s.path.resize(moves);
-  for (std::uint32_t i = 0; i < moves; ++i) {
-    SearchMove& m = s.path[i];
-    std::uint8_t kind = 0;
-    std::uint32_t node = 0;
-    std::uint32_t peer = 0;
-    std::uint32_t route = 0;
-    std::uint32_t prev = 0;
-    if (!get_int(in, kind) || !get_int(in, node) || !get_int(in, peer) ||
-        !get_int(in, route) || !get_int(in, prev) ||
-        kind > static_cast<std::uint8_t>(SearchMove::Kind::kWithdraw)) {
-      return false;
-    }
-    m.kind = static_cast<SearchMove::Kind>(kind);
-    m.node = static_cast<NodeId>(node);
-    m.peer = static_cast<NodeId>(peer);
-    m.route = static_cast<RouteId>(route);
-    m.prev = static_cast<RouteId>(prev);
-  }
-  std::uint32_t words = 0;
-  if (!get_int(in, s.key) || !get_int(in, words) ||
-      !fits(in, words, sizeof(std::uint64_t))) {
-    return false;
-  }
-  s.sleep.resize(words);
-  for (std::uint32_t i = 0; i < words; ++i) {
-    if (!get_int(in, s.sleep[i])) return false;
-  }
-  return get_string(in, s.route_dict);
-}
-
 }  // namespace
 
 std::string encode_task_done(const TaskDoneMsg& m) {
@@ -430,79 +371,6 @@ bool decode_bootstrap_ack(std::string_view in, BootstrapAckMsg& out) {
   if (!get_int(in, out.ok) || out.ok > 1 || !get_string(in, out.error) ||
       !get_int(in, out.plan_hash) || !in.empty()) {
     out = BootstrapAckMsg{};
-    return false;
-  }
-  return true;
-}
-
-std::string encode_split_export(const SplitExportMsg& m) {
-  std::string out;
-  put_int(out, m.pec);
-  put_int(out, static_cast<std::uint32_t>(m.snaps.size()));
-  for (const StateSnapshot& s : m.snaps) put_snapshot(out, s);
-  return out;
-}
-
-bool decode_split_export(std::string_view in, SplitExportMsg& out) {
-  out = SplitExportMsg{};
-  const auto fail = [&out] {
-    out = SplitExportMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_int(in, out.pec) || !get_int(in, n) ||
-      !fits(in, n, kSnapshotMinWireBytes)) {
-    return fail();
-  }
-  out.snaps.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_snapshot(in, out.snaps[i])) return fail();
-  }
-  if (!in.empty()) return fail();
-  return true;
-}
-
-std::string encode_subtask_assign(const SubtaskAssignMsg& m) {
-  std::string out;
-  put_int(out, m.id);
-  put_int(out, m.pec);
-  put_int(out, m.export_ok);
-  put_int(out, static_cast<std::uint32_t>(m.snaps.size()));
-  for (const StateSnapshot& s : m.snaps) put_snapshot(out, s);
-  return out;
-}
-
-bool decode_subtask_assign(std::string_view in, SubtaskAssignMsg& out) {
-  out = SubtaskAssignMsg{};
-  const auto fail = [&out] {
-    out = SubtaskAssignMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_int(in, out.id) || !get_int(in, out.pec) ||
-      !get_int(in, out.export_ok) || out.export_ok > 1 || !get_int(in, n) ||
-      !fits(in, n, kSnapshotMinWireBytes)) {
-    return fail();
-  }
-  out.snaps.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_snapshot(in, out.snaps[i])) return fail();
-  }
-  if (!in.empty()) return fail();
-  return true;
-}
-
-std::string encode_subtask_done(const SubtaskDoneMsg& m) {
-  std::string out;
-  put_int(out, m.id);
-  put_pec_done(out, m.pec);
-  return out;
-}
-
-bool decode_subtask_done(std::string_view in, SubtaskDoneMsg& out) {
-  out = SubtaskDoneMsg{};
-  if (!get_int(in, out.id) || !get_pec_done(in, out.pec) || !in.empty()) {
-    out = SubtaskDoneMsg{};
     return false;
   }
   return true;
@@ -632,8 +500,7 @@ int run_worker_session(
     int fd, int slot, int generation, const Network& net, const PecSet& pecs,
     std::size_t task_count, const ShardRunOptions& opts,
     const std::function<std::vector<ShardPecResult>(std::size_t,
-                                                    OutcomeStore&)>& body,
-    const ShardExportHooks* hooks) {
+                                                    OutcomeStore&)>& body) {
   WorkerIo io;
   io.fd = fd;
   io.faults = opts.fault_plan.for_worker(slot, generation);
@@ -673,24 +540,6 @@ int run_worker_session(
     return code;
   };
 
-  // Split-export sink, bound into explorations by the hooks. Armed per
-  // (sub)task by the coordinator's export_ok flag; on decline or send
-  // failure the snapshots are handed back so the donor keeps them local.
-  bool export_armed = false;
-  const SplitExporter exporter = [&io, &export_armed](
-                                     PecId pec,
-                                     std::vector<StateSnapshot>&& snaps) {
-    if (!export_armed || snaps.empty()) return false;
-    SplitExportMsg m;
-    m.pec = pec;
-    m.snaps = std::move(snaps);
-    if (send_data_frame(io, MsgType::kSplitExport, encode_split_export(m))) {
-      return true;
-    }
-    snaps = std::move(m.snaps);  // transport gone: donor keeps the states
-    return false;
-  };
-
   OutcomeStore store(net, pecs);
   FrameDecoder decoder(opts.max_frame_payload);
   char buf[1 << 16];
@@ -723,18 +572,12 @@ int run_worker_session(
             usleep(static_cast<useconds_t>(opts.test_worker_task_delay_ms) *
                    1000);
           }
-          const bool hooked = hooks != nullptr && hooks->run_task != nullptr;
-          export_armed = hooked && msg.export_ok != 0;
           std::vector<ShardPecResult> results;
           try {
-            results = hooked ? hooks->run_task(
-                                   static_cast<std::size_t>(msg.task), store,
-                                   exporter)
-                             : body(static_cast<std::size_t>(msg.task), store);
+            results = body(static_cast<std::size_t>(msg.task), store);
           } catch (...) {
             return finish(4);
           }
-          export_armed = false;
           TaskDoneMsg done;
           done.task = msg.task;
           for (ShardPecResult& r : results) {
@@ -760,40 +603,6 @@ int run_worker_session(
           }
           if (!send_data_frame(io, MsgType::kTaskDone,
                                encode_task_done(done))) {
-            return finish(2);
-          }
-          break;
-        }
-        case MsgType::kSubtaskAssign: {
-          SubtaskAssignMsg msg;
-          if (!decode_subtask_assign(frame.payload, msg)) return finish(3);
-          if (msg.pec >= pecs.pecs.size()) return finish(3);
-          if (hooks == nullptr || hooks->run_subtask == nullptr) {
-            return finish(3);  // coordinator armed export we cannot serve
-          }
-          if (opts.test_worker_task_delay_ms > 0) {
-            usleep(static_cast<useconds_t>(opts.test_worker_task_delay_ms) *
-                   1000);
-          }
-          export_armed = msg.export_ok != 0;
-          ShardPecResult r;
-          try {
-            r = hooks->run_subtask(msg.pec, std::move(msg.snaps), exporter);
-          } catch (...) {
-            return finish(4);
-          }
-          export_armed = false;
-          for (const ViolationMsg& v : r.violations) {
-            if (!send_data_frame(io, MsgType::kViolationReport,
-                                 encode_violation(v))) {
-              return finish(2);
-            }
-          }
-          SubtaskDoneMsg done;
-          done.id = msg.id;
-          done.pec = to_pec_done(r);
-          if (!send_data_frame(io, MsgType::kSubtaskDone,
-                               encode_subtask_done(done))) {
             return finish(2);
           }
           break;
@@ -833,8 +642,6 @@ int compute_respawn_backoff_ms(int base_ms, int deaths) {
 
 namespace {
 
-constexpr std::size_t kNoSub = std::numeric_limits<std::size_t>::max();
-
 /// The built-in default transport: fork + socketpair, children inheriting
 /// the whole plan by copy-on-write. Lives here rather than transport.cpp
 /// because start() must close the coordinator's other live worker fds inside
@@ -846,13 +653,12 @@ class ForkWorkerTransport final : public WorkerTransport {
       const ShardRunOptions& opts,
       const std::function<std::vector<ShardPecResult>(std::size_t,
                                                       OutcomeStore&)>& body,
-      const ShardExportHooks* hooks, std::function<std::vector<int>()> open_fds)
+      std::function<std::vector<int>()> open_fds)
       : net_(net),
         pecs_(pecs),
         task_count_(task_count),
         opts_(opts),
         body_(body),
-        hooks_(hooks),
         open_fds_(std::move(open_fds)) {}
 
   [[nodiscard]] const char* name() const override { return "fork"; }
@@ -872,7 +678,7 @@ class ForkWorkerTransport final : public WorkerTransport {
       close(sv[0]);
       for (const int fd : open_fds_()) close(fd);  // not ours to hold
       _exit(run_worker_session(sv[1], static_cast<int>(slot), generation, net_,
-                               pecs_, task_count_, opts_, body_, hooks_));
+                               pecs_, task_count_, opts_, body_));
     }
     close(sv[1]);
     pid = child;
@@ -897,7 +703,6 @@ class ForkWorkerTransport final : public WorkerTransport {
   const ShardRunOptions& opts_;
   const std::function<std::vector<ShardPecResult>(std::size_t, OutcomeStore&)>&
       body_;
-  const ShardExportHooks* hooks_;
   std::function<std::vector<int>()> open_fds_;
 };
 
@@ -906,8 +711,6 @@ struct WorkerSlot {
   int fd = -1;
   bool alive = false;
   std::size_t current = kNoTask;
-  std::size_t current_sub = kNoSub;  ///< in-flight export subtask index
-  bool export_armed = false;  ///< current (sub)task may send kSplitExport
   std::vector<std::uint8_t> delivered;  ///< per-PecId: outcomes on the worker
   std::deque<PecId> pending_evictions;  ///< piggybacked on the next assign
   std::vector<ViolationMsg> stash;      ///< violations of the in-flight task
@@ -938,7 +741,7 @@ ShardRunResult run_sharded_task_graph(
     const TaskGraph& graph, const std::vector<ShardTaskSpec>& tasks,
     const std::function<std::vector<ShardPecResult>(
         std::size_t task, OutcomeStore& upstream)>& body,
-    WorkerTransport* transport, const ShardExportHooks* hooks) {
+    WorkerTransport* transport) {
   ShardRunResult result;
   const std::size_t total = graph.size();
   const int shards = std::max(1, opts.shards);
@@ -971,7 +774,7 @@ ShardRunResult run_sharded_task_graph(
   std::vector<int> reassignments(total, 0);
 
   ForkWorkerTransport fork_transport(
-      net, pecs, total, opts, body, hooks, [&workers]() {
+      net, pecs, total, opts, body, [&workers]() {
         std::vector<int> fds;
         for (const WorkerSlot& w : workers) {
           if (w.alive && w.fd >= 0) fds.push_back(w.fd);
@@ -992,8 +795,6 @@ ShardRunResult run_sharded_task_graph(
     w.fd = fd;
     w.alive = true;
     w.current = kNoTask;
-    w.current_sub = kNoSub;
-    w.export_armed = false;
     w.delivered.assign(pecs.pecs.size(), 0);
     w.pending_evictions.clear();
     w.stash.clear();
@@ -1011,80 +812,6 @@ ShardRunResult run_sharded_task_graph(
   std::size_t completed = 0;
   std::size_t inflight = 0;
   bool stopping = false;
-
-  // -- intra-PEC work export bookkeeping -------------------------------------
-  // A worker on an export-armed single-PEC task may donate frontier halves
-  // (kSplitExport); each donation becomes an ExportSubtask redispatched to an
-  // idle worker. The donor removed those states from its own frontier, so an
-  // accepted export is load-bearing: the PEC's verdict is the fold of the
-  // donor's base result and every subtask result, emitted only once all of
-  // them landed. Donor death invalidates the current epoch — the re-run base
-  // explores from the root again, so old-epoch subtasks are redundant and
-  // their results are dropped as stale rather than double-counted.
-  struct ExportSubtask {
-    PecId pec = 0;
-    std::uint32_t epoch = 0;
-    std::vector<StateSnapshot> snaps;
-    int reassignments = 0;
-  };
-  struct PecExport {
-    std::uint32_t epoch = 0;
-    std::size_t outstanding = 0;  ///< current-epoch subtasks queued + running
-    bool base_done = false;
-    std::uint64_t accepted = 0;  ///< lifetime accepts, for the arming cap
-    ShardPecResult merged;
-  };
-  std::vector<ExportSubtask> subtasks;
-  std::deque<std::size_t> sub_ready;
-  std::size_t sub_inflight = 0;
-  std::map<PecId, PecExport> exports;
-
-  const std::uint64_t export_cap =
-      opts.export_max_per_pec > 0
-          ? static_cast<std::uint64_t>(opts.export_max_per_pec)
-          : std::numeric_limits<std::uint64_t>::max();
-  const auto may_arm = [&](PecId pec) -> bool {
-    if (!opts.split_export) return false;
-    const auto it = exports.find(pec);
-    return it == exports.end() || it->second.accepted < export_cap;
-  };
-
-  const auto fold_pec_result = [](ShardPecResult& into,
-                                  const ShardPecResult& sub) {
-    into.holds = into.holds && sub.holds;
-    into.timed_out |= sub.timed_out;
-    into.state_limit_hit |= sub.state_limit_hit;
-    into.memory_limit_hit |= sub.memory_limit_hit;
-    if (into.budget_tripped == BudgetKind::kNone) {
-      into.budget_tripped = sub.budget_tripped;
-    }
-    into.exhaustive = into.exhaustive && sub.exhaustive;
-    into.stats.absorb(sub.stats);
-    for (const ViolationMsg& v : sub.violations) into.violations.push_back(v);
-  };
-
-  const auto emit_export = [&](PecId pec) {
-    const auto it = exports.find(pec);
-    PecExport& ex = it->second;
-    // Donor and subtasks each run a fresh visited set, so both sides can
-    // rediscover the same violation through sleep-covered siblings — emit a
-    // deduplicated set, sorted for a completion-order-independent report.
-    auto& vs = ex.merged.violations;
-    const auto key = [](const ViolationMsg& v) {
-      return std::tie(v.failed_links, v.message, v.trail_text);
-    };
-    std::sort(vs.begin(), vs.end(),
-              [&key](const ViolationMsg& a, const ViolationMsg& b) {
-                return key(a) < key(b);
-              });
-    vs.erase(std::unique(vs.begin(), vs.end(),
-                         [&key](const ViolationMsg& a, const ViolationMsg& b) {
-                           return key(a) == key(b);
-                         }),
-             vs.end());
-    result.reports.push_back(std::move(ex.merged));
-    exports.erase(it);
-  };
 
   const auto handle_worker_death = [&](std::size_t slot) {
     WorkerSlot& w = workers[slot];
@@ -1104,45 +831,8 @@ ShardRunResult run_sharded_task_graph(
       } else {
         ready.push_front(w.current);  // rescue the in-flight task
       }
-      // The donor of an exporting PEC died: its re-run explores from the
-      // root, covering everything the lost run and its subtasks would have.
-      // Bump the epoch so current subtasks turn stale (queued entries are
-      // skipped lazily at dispatch; running ones at completion).
-      const ShardTaskSpec& spec = tasks[w.current];
-      if (spec.pecs.size() == 1) {
-        const auto it = exports.find(spec.pecs[0]);
-        if (it != exports.end() && !it->second.base_done) {
-          PecExport& ex = it->second;
-          ++ex.epoch;
-          ex.outstanding = 0;
-          ex.merged = ShardPecResult{};
-          ex.merged.pec = spec.pecs[0];
-        }
-      }
       w.current = kNoTask;
     }
-    if (w.current_sub != kNoSub) {
-      --sub_inflight;
-      ExportSubtask& sub = subtasks[w.current_sub];
-      const auto it = exports.find(sub.pec);
-      if (it != exports.end() && it->second.epoch == sub.epoch) {
-        // A live subtask died with its worker; the coordinator still holds
-        // the snapshots, so requeue under the same reassignment cap tasks
-        // get — losing it would silently drop coverage of the donor PEC.
-        ++result.stats.tasks_reassigned;
-        if (++sub.reassignments > opts.max_reassignments_per_task) {
-          stopping = true;
-          result.error = "export subtask of pec " + std::to_string(sub.pec) +
-                         " exceeded the reassignment cap (worker keeps dying)";
-        } else {
-          sub_ready.push_front(w.current_sub);
-        }
-      } else {
-        ++result.stats.subtasks_stale;
-      }
-      w.current_sub = kNoSub;
-    }
-    w.export_armed = false;
     w.stash.clear();
     // Exponential respawn backoff: the k-th death of this slot gates its
     // respawn by base << min(k-1, 6), saturating and capped at 2 s, so a
@@ -1200,11 +890,6 @@ ShardRunResult run_sharded_task_graph(
     }
     TaskAssignMsg assign;
     assign.task = task;
-    assign.export_ok = tasks[task].export_eligible &&
-                               tasks[task].pecs.size() == 1 &&
-                               may_arm(tasks[task].pecs[0])
-                           ? 1
-                           : 0;
     while (!w.pending_evictions.empty()) {
       const PecId p = w.pending_evictions.front();
       w.pending_evictions.pop_front();
@@ -1221,7 +906,6 @@ ShardRunResult run_sharded_task_graph(
       return false;
     }
     w.current = task;
-    w.export_armed = assign.export_ok != 0;
     const auto now = std::chrono::steady_clock::now();
     w.assigned_at = now;
     w.last_progress_time = now;  // the progress clock restarts per task
@@ -1275,8 +959,7 @@ ShardRunResult run_sharded_task_graph(
           for (const LinkId l : v.failed_links) {
             links_ok = links_ok && l < net.topo.link_count();
           }
-          if (!links_ok || v.pec >= pecs.pecs.size() ||
-              (w.current == kNoTask && w.current_sub == kNoSub)) {
+          if (!links_ok || v.pec >= pecs.pecs.size() || w.current == kNoTask) {
             poison_worker(slot, "bad violation report");
             return false;
           }
@@ -1373,23 +1056,10 @@ ShardRunResult run_sharded_task_graph(
               if (v.pec == p.pec) rep.violations.push_back(std::move(v));
             }
             if (!rep.holds && opts.stop_on_violation) stopping = true;
-            const auto ex_it = exports.find(p.pec);
-            if (ex_it != exports.end() && tasks[task].export_eligible) {
-              // Base completion of an exporting PEC: fold it into the
-              // pending merge instead of emitting — the PEC's report
-              // surfaces only once every current-epoch subtask landed.
-              PecExport& ex = ex_it->second;
-              fold_pec_result(ex.merged, rep);
-              ex.merged.translated = rep.translated;
-              ex.base_done = true;
-              if (ex.outstanding == 0) emit_export(p.pec);
-            } else {
-              result.reports.push_back(std::move(rep));
-            }
+            result.reports.push_back(std::move(rep));
           }
           w.stash.clear();
           w.current = kNoTask;
-          w.export_armed = false;
           --inflight;
           ++completed;
           ++result.stats.tasks_per_shard[slot];
@@ -1397,98 +1067,6 @@ ShardRunResult run_sharded_task_graph(
             if (--waiting[d] == 0) ready.push_back(d);
           }
           for (const PecId dep : tasks[task].deps) release_dep_ref(dep);
-          break;
-        }
-        case MsgType::kSplitExport: {
-          SplitExportMsg se;
-          if (!decode_split_export(frame.payload, se) ||
-              se.pec >= pecs.pecs.size()) {
-            poison_worker(slot, "bad split export");
-            return false;
-          }
-          // Only an armed worker running that very PEC may donate; anything
-          // else is protocol abuse (an unarmed or idle worker has no
-          // frontier the coordinator agreed to track).
-          bool valid = w.export_armed;
-          bool stale = false;
-          if (valid && w.current != kNoTask) {
-            valid = tasks[w.current].pecs.size() == 1 &&
-                    tasks[w.current].pecs[0] == se.pec;
-          } else if (valid && w.current_sub != kNoSub) {
-            const ExportSubtask& sub = subtasks[w.current_sub];
-            valid = sub.pec == se.pec;
-            const auto it = exports.find(se.pec);
-            stale = valid &&
-                    (it == exports.end() || it->second.epoch != sub.epoch);
-          } else {
-            valid = false;
-          }
-          if (!valid) {
-            poison_worker(slot, "unexpected split export");
-            return false;
-          }
-          if (stale) {
-            // The donor base already re-ran; this sub-donation's states are
-            // covered by the fresh epoch. Dropping it is safe, not lossy.
-            ++result.stats.subtasks_stale;
-            break;
-          }
-          PecExport& ex = exports[se.pec];  // created on first donation
-          if (ex.merged.pec != se.pec) ex.merged.pec = se.pec;
-          ++ex.accepted;
-          ++result.stats.splits_exported;
-          if (se.snaps.empty()) break;
-          // Queue even under early stop: the donor shed these states, so an
-          // undispatched subtask must keep its PEC's merge pending (the
-          // partial verdict would otherwise read as a clean exhaustive
-          // hold). Under `stopping` the merge simply never emits, exactly
-          // like any unscheduled task's missing report.
-          std::uint32_t epoch = ex.epoch;
-          if (w.current_sub != kNoSub) epoch = subtasks[w.current_sub].epoch;
-          subtasks.push_back(
-              ExportSubtask{se.pec, epoch, std::move(se.snaps), 0});
-          sub_ready.push_back(subtasks.size() - 1);
-          ++ex.outstanding;
-          break;
-        }
-        case MsgType::kSubtaskDone: {
-          SubtaskDoneMsg sd;
-          if (!decode_subtask_done(frame.payload, sd) ||
-              w.current_sub == kNoSub || sd.id != w.current_sub ||
-              sd.pec.pec != subtasks[w.current_sub].pec) {
-            poison_worker(slot, "bad subtask completion");
-            return false;
-          }
-          const std::size_t id = w.current_sub;
-          const ExportSubtask& sub = subtasks[id];
-          w.current_sub = kNoSub;
-          w.export_armed = false;
-          --sub_inflight;
-          ShardPecResult rep;
-          rep.pec = sd.pec.pec;
-          rep.holds = sd.pec.holds != 0;
-          rep.timed_out = sd.pec.timed_out != 0;
-          rep.state_limit_hit = sd.pec.state_limit_hit != 0;
-          rep.memory_limit_hit = sd.pec.memory_limit_hit != 0;
-          rep.budget_tripped = static_cast<BudgetKind>(sd.pec.budget_tripped);
-          rep.exhaustive = sd.pec.exhaustive != 0;
-          rep.stats = sd.pec.stats;
-          for (ViolationMsg& v : w.stash) {
-            if (v.pec == rep.pec) rep.violations.push_back(std::move(v));
-          }
-          w.stash.clear();
-          ++result.stats.tasks_per_shard[slot];
-          const auto it = exports.find(sub.pec);
-          if (it == exports.end() || it->second.epoch != sub.epoch) {
-            ++result.stats.subtasks_stale;  // donor re-ran from the root
-            break;
-          }
-          if (!rep.holds && opts.stop_on_violation) stopping = true;
-          PecExport& ex = it->second;
-          fold_pec_result(ex.merged, rep);
-          ++result.stats.subtasks_completed;
-          --ex.outstanding;
-          if (ex.base_done && ex.outstanding == 0) emit_export(sub.pec);
           break;
         }
         default:
@@ -1534,59 +1112,7 @@ ShardRunResult run_sharded_task_graph(
       if (!try_dispatch(task, best)) ready.push_front(task);
     }
 
-    // Export subtasks fill in behind the task queue: donated frontier halves
-    // go to whichever worker is idle (lowest slot; no upstream outcomes to
-    // colocate). Stale entries — their donor died and re-ran — drain here.
-    while (!stopping && !sub_ready.empty()) {
-      const std::size_t id = sub_ready.front();
-      const auto ex_it = exports.find(subtasks[id].pec);
-      if (ex_it == exports.end() ||
-          ex_it->second.epoch != subtasks[id].epoch) {
-        sub_ready.pop_front();
-        ++result.stats.subtasks_stale;
-        continue;
-      }
-      std::size_t best = workers.size();
-      for (std::size_t s = 0; s < workers.size(); ++s) {
-        const WorkerSlot& w = workers[s];
-        if (w.alive && w.current == kNoTask && w.current_sub == kNoSub) {
-          best = s;
-          break;
-        }
-      }
-      if (best == workers.size()) break;  // everyone busy (or dead)
-      sub_ready.pop_front();
-      WorkerSlot& w = workers[best];
-      SubtaskAssignMsg sa;
-      sa.id = id;
-      sa.pec = subtasks[id].pec;
-      sa.export_ok = may_arm(sa.pec) ? 1 : 0;
-      sa.snaps = subtasks[id].snaps;  // keep a copy for crash reassignment
-      std::string out;
-      encode_frame(out, MsgType::kSubtaskAssign, encode_subtask_assign(sa));
-      ++result.stats.frames_sent;
-      result.stats.bytes_sent += out.size();
-      bool stalled = false;
-      if (!write_all(w.fd, out, &stalled)) {
-        if (stalled) ++result.stats.write_timeouts;
-        handle_worker_death(best);
-        sub_ready.push_front(id);  // never reached the worker: not a death
-        continue;
-      }
-      w.current_sub = id;
-      w.export_armed = sa.export_ok != 0;
-      const auto now = std::chrono::steady_clock::now();
-      w.assigned_at = now;
-      w.last_progress_time = now;
-      w.probed = false;
-      ++sub_inflight;
-      ++result.stats.subtasks_dispatched;
-    }
-
-    if (inflight == 0 && sub_inflight == 0 &&
-        ((ready.empty() && sub_ready.empty()) || stopping)) {
-      break;
-    }
+    if (inflight == 0 && (ready.empty() || stopping)) break;
 
     // Supervision: the escalation ladder over every in-flight task. With
     // heartbeats on, liveness has two independent signals — the beacon
@@ -1602,20 +1128,15 @@ ShardRunResult run_sharded_task_graph(
       const auto hard = std::chrono::milliseconds(opts.hard_deadline_ms);
       for (std::size_t s = 0; s < workers.size(); ++s) {
         WorkerSlot& w = workers[s];
-        if (!w.alive || (w.current == kNoTask && w.current_sub == kNoSub)) {
-          continue;
-        }
-        const std::size_t label = w.current != kNoTask ? w.current
-                                                       : w.current_sub;
-        const char* kind = w.current != kNoTask ? "task" : "subtask";
+        if (!w.alive || w.current == kNoTask) continue;
         const auto beat_age = now - w.last_beat;
         const auto progress_age = now - w.last_progress_time;
         if (beat_age > hard || progress_age > hard) {
           ++result.stats.hang_kills;
           std::fprintf(stderr,
-                       "plankton shard coordinator: worker %zu stuck on %s "
+                       "plankton shard coordinator: worker %zu stuck on task "
                        "%zu (%s for %lldms), killing\n",
-                       s, kind, label,
+                       s, w.current,
                        beat_age > hard ? "no heartbeat" : "no progress",
                        static_cast<long long>(
                            std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -1629,9 +1150,9 @@ ShardRunResult run_sharded_task_graph(
           w.probed = true;
           ++result.stats.progress_probes;
           std::fprintf(stderr,
-                       "plankton shard coordinator: worker %zu slow on %s "
+                       "plankton shard coordinator: worker %zu slow on task "
                        "%zu (probe; hard deadline %dms)\n",
-                       s, kind, label, opts.hard_deadline_ms);
+                       s, w.current, opts.hard_deadline_ms);
         }
       }
       if (!result.error.empty()) break;  // a hang-kill exhausted the cap
@@ -1647,10 +1168,7 @@ ShardRunResult run_sharded_task_graph(
         any_alive = true;
         continue;
       }
-      if (ready.empty() && inflight == 0 && sub_ready.empty() &&
-          sub_inflight == 0) {
-        continue;
-      }
+      if (ready.empty() && inflight == 0) continue;
       if (respawn_now < workers[s].respawn_after) {
         any_backing_off = true;
         continue;

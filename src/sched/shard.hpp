@@ -81,16 +81,11 @@ enum class MsgType : std::uint16_t {
   kCacheStats = 11,      ///< empty payload: probe; non-empty: counter reply
 
   // Cluster-scale sharding frames: TCP workers (examples/plankton_worker)
-  // bootstrap from a serialized plan instead of fork-inherited memory, and
-  // any worker can export half of a monster PEC's pending frontier back to
-  // the coordinator for re-dispatch as dynamic subtasks.
+  // bootstrap from a serialized plan instead of fork-inherited memory.
   kBootstrap = 12,       ///< coordinator → worker: serialized net/policy/plan
                          ///< blob (codec in serve/serve.hpp — render_config +
                          ///< options flattening live with the daemon)
   kBootstrapAck = 13,    ///< worker → coordinator: plan hash or refusal
-  kSplitExport = 14,     ///< worker → coordinator: Frontier::split snapshots
-  kSubtaskAssign = 15,   ///< coordinator → worker: re-dispatched snapshots
-  kSubtaskDone = 16,     ///< worker → coordinator: subtask verdict + stats
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
@@ -152,11 +147,6 @@ struct TaskAssignMsg {
   /// PECs whose outcomes the receiving worker may release: no incomplete
   /// task depends on them anymore (coordinator-side refcount hit zero).
   std::vector<PecId> evict;
-  /// Intra-PEC work export armed for this task: the worker may ship
-  /// kSplitExport frames while it runs (the coordinator accepts them
-  /// unconditionally from an armed worker — the donor already removed the
-  /// states from its frontier, so dropping one would lose coverage).
-  std::uint8_t export_ok = 0;
 };
 
 struct OutcomeDeliveryMsg {
@@ -232,39 +222,6 @@ struct BootstrapAckMsg {
 [[nodiscard]] std::string encode_bootstrap_ack(const BootstrapAckMsg& m);
 [[nodiscard]] bool decode_bootstrap_ack(std::string_view in, BootstrapAckMsg& out);
 
-/// Half of a worker's pending frontier for `pec`, detached by
-/// Frontier::split() and shipped for re-dispatch. The donor keeps exploring
-/// the other half; ownership of these states transfers with the frame.
-struct SplitExportMsg {
-  PecId pec = 0;
-  std::vector<StateSnapshot> snaps;
-};
-
-/// One re-dispatched slice of an exported PEC. `id` names the coordinator's
-/// bookkeeping slot (echoed in kSubtaskDone); `export_ok` arms recursive
-/// re-export from the subtask's own frontier.
-struct SubtaskAssignMsg {
-  std::uint64_t id = 0;
-  PecId pec = 0;
-  std::uint8_t export_ok = 0;
-  std::vector<StateSnapshot> snaps;
-};
-
-/// Subtask completion: the per-PEC verdict/stats of exploring the donated
-/// snapshots (violations ride ahead as ordinary kViolationReport frames).
-struct SubtaskDoneMsg {
-  std::uint64_t id = 0;
-  PecDoneMsg pec;
-};
-
-[[nodiscard]] std::string encode_split_export(const SplitExportMsg& m);
-[[nodiscard]] bool decode_split_export(std::string_view in, SplitExportMsg& out);
-[[nodiscard]] std::string encode_subtask_assign(const SubtaskAssignMsg& m);
-[[nodiscard]] bool decode_subtask_assign(std::string_view in,
-                                         SubtaskAssignMsg& out);
-[[nodiscard]] std::string encode_subtask_done(const SubtaskDoneMsg& m);
-[[nodiscard]] bool decode_subtask_done(std::string_view in, SubtaskDoneMsg& out);
-
 // ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
@@ -285,11 +242,6 @@ struct ShardStats {
   std::uint64_t progress_probes = 0;     ///< soft-deadline probes of slow tasks
   std::uint64_t hang_kills = 0;          ///< hard-deadline SIGKILLs of stuck workers
   std::uint64_t write_timeouts = 0;      ///< bounded write_all gave up on a peer
-  // -- intra-PEC work export ------------------------------------------------
-  std::uint64_t splits_exported = 0;     ///< kSplitExport frames accepted
-  std::uint64_t subtasks_dispatched = 0; ///< kSubtaskAssign frames sent
-  std::uint64_t subtasks_completed = 0;  ///< kSubtaskDone results merged
-  std::uint64_t subtasks_stale = 0;      ///< discarded: donor died, base re-ran
   /// tasks_per_shard[w] = tasks completed by worker slot w.
   std::vector<std::uint64_t> tasks_per_shard;
 };
@@ -309,11 +261,6 @@ struct ShardTaskSpec {
   /// when dedup is off or the class is a singleton. (Specs are inherited by
   /// fork, so this ships with the task at no wire cost.)
   std::vector<std::vector<PecId>> class_members;
-  /// Intra-PEC work export may be armed for this task: single PEC, no
-  /// upstream deps, no dependents, no class tail — the cases where a
-  /// donated frontier snapshot is self-contained (the verifier decides
-  /// this; the coordinator only arms eligible tasks).
-  bool export_eligible = false;
 };
 
 /// Worker-side product of one PEC run. When `record` is set (some incomplete
@@ -366,16 +313,6 @@ struct ShardRunOptions {
   /// (saturating — see compute_respawn_backoff_ms).
   int respawn_backoff_ms = 25;
 
-  // -- intra-PEC work export ------------------------------------------------
-  /// Arm export_eligible tasks: their workers may split half of a pending
-  /// frontier back to the coordinator for re-dispatch as dynamic subtasks.
-  bool split_export = false;
-  /// Stop arming further (sub)tasks of a PEC once this many splits have been
-  /// accepted for it — bounds the subtask fan-out of one pathological PEC
-  /// (already-armed donors finish their current exploration; the worker-side
-  /// per-run cap bounds those).
-  int export_max_per_pec = 64;
-
   /// Deterministic fault injection (sched/fault.hpp) consulted by the
   /// worker loop and transport at instrumented points. Empty = no faults.
   FaultPlan fault_plan;
@@ -402,30 +339,10 @@ struct ShardRunResult {
 /// negative gate (which would turn the backoff into a busy fork loop).
 [[nodiscard]] int compute_respawn_backoff_ms(int base_ms, int deaths);
 
-/// Worker-side sink for Frontier::split snapshots, bound to the PEC being
-/// explored. true = the coordinator now owns the states; false = export
-/// declined (unarmed, cap hit, transport gone) and the vector is untouched —
-/// the donor keeps them.
-using SplitExporter =
-    std::function<bool(PecId pec, std::vector<StateSnapshot>&& snaps)>;
-
-/// Worker-side execution hooks for intra-PEC work export. When provided,
-/// run_task replaces the plain `body` (same contract, plus the exporter to
-/// bind into the exploration), and run_subtask explores a donated snapshot
-/// slice of `pec` to a single ShardPecResult (record/translated unused).
-struct ShardExportHooks {
-  std::function<std::vector<ShardPecResult>(
-      std::size_t task, OutcomeStore& upstream, const SplitExporter& sink)>
-      run_task;
-  std::function<ShardPecResult(PecId pec, std::vector<StateSnapshot>&& snaps,
-                               const SplitExporter& sink)>
-      run_subtask;
-};
-
 /// One worker's whole session over an established coordinator socket: the
-/// kTaskAssign/kSubtaskAssign/kOutcomeDelivery/kShutdown loop, with a
-/// heartbeat beacon thread that is stopped and joined before returning (so
-/// nothing can write to `fd` after the session ends). Returns the worker
+/// kTaskAssign/kOutcomeDelivery/kShutdown loop, with a heartbeat beacon
+/// thread that is stopped and joined before returning (so nothing can write
+/// to `fd` after the session ends). Returns the worker
 /// exit code: 0 orderly (kShutdown or coordinator EOF), 2 transport error,
 /// 3 protocol error, 4 body exception. Fork workers _exit() with it; TCP
 /// workers (examples/plankton_worker) return to their accept loop.
@@ -433,8 +350,7 @@ int run_worker_session(
     int fd, int slot, int generation, const Network& net, const PecSet& pecs,
     std::size_t task_count, const ShardRunOptions& opts,
     const std::function<std::vector<ShardPecResult>(
-        std::size_t task, OutcomeStore& upstream)>& body,
-    const ShardExportHooks* hooks = nullptr);
+        std::size_t task, OutcomeStore& upstream)>& body);
 
 class WorkerTransport;  // sched/transport.hpp
 
@@ -448,16 +364,13 @@ class WorkerTransport;  // sched/transport.hpp
 /// process must be effectively single-threaded at the first fork (workers
 /// are spawned lazily, including respawns after crashes). A non-null
 /// `transport` replaces fork entirely (e.g. TcpWorkerTransport: remote
-/// plankton_worker processes that bootstrapped their own plan — `body` and
-/// `hooks` then never run in this process). `hooks`, when given, replace
-/// `body` in fork workers and additionally enable intra-PEC work export
-/// (opts.split_export) on export_eligible tasks.
+/// plankton_worker processes that bootstrapped their own plan — `body` then
+/// never runs in this process).
 ShardRunResult run_sharded_task_graph(
     const Network& net, const PecSet& pecs, const ShardRunOptions& opts,
     const TaskGraph& graph, const std::vector<ShardTaskSpec>& tasks,
     const std::function<std::vector<ShardPecResult>(
         std::size_t task, OutcomeStore& upstream)>& body,
-    WorkerTransport* transport = nullptr,
-    const ShardExportHooks* hooks = nullptr);
+    WorkerTransport* transport = nullptr);
 
 }  // namespace plankton::sched

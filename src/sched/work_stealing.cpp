@@ -248,118 +248,19 @@ class WorkStealingRun {
   std::condition_variable sleep_cv_;
 };
 
-// ---------------------------------------------------------------------------
-// Fixed pool (baseline): one ready list behind one mutex + cv.
-// ---------------------------------------------------------------------------
-
-void run_fixed_pool(int workers, const TaskGraph& graph, const Body& body) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Job> ready;
-  std::vector<std::size_t> waiting = graph.waiting_on;
-  std::size_t unfinished = graph.size();
-  DynSlab dyn;
-  for (std::size_t i = 0; i < graph.size(); ++i) {
-    if (waiting[i] == 0) ready.push_back(static_cast<Job>(i));
-  }
-
-  class Ctx final : public TaskContext {
-   public:
-    Ctx(std::size_t task, int worker, std::mutex& mu, std::condition_variable& cv,
-        std::vector<Job>& ready, std::size_t& unfinished, DynSlab& dyn)
-        : task_(task), worker_(worker), mu_(mu), cv_(cv), ready_(ready),
-          unfinished_(unfinished), dyn_(dyn) {}
-    [[nodiscard]] std::size_t task() const override { return task_; }
-    [[nodiscard]] int worker() const override { return worker_; }
-    void spawn(Body fn) override {
-      const Job job = encode_dynamic(dyn_.add(std::move(fn)));
-      {
-        std::scoped_lock lock(mu_);
-        ++unfinished_;
-        ready_.push_back(job);
-      }
-      cv_.notify_one();
-    }
-
-   private:
-    std::size_t task_;
-    int worker_;
-    std::mutex& mu_;
-    std::condition_variable& cv_;
-    std::vector<Job>& ready_;
-    std::size_t& unfinished_;
-    DynSlab& dyn_;
-  };
-
-  auto worker = [&](int w) {
-    while (true) {
-      Job job;
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] { return !ready.empty() || unfinished == 0; });
-        if (ready.empty()) return;
-        job = ready.back();
-        ready.pop_back();
-      }
-      if (job >= 0) {
-        Ctx ctx(static_cast<std::size_t>(job), w, mu, cv, ready, unfinished, dyn);
-        body(ctx);
-      } else {
-        Ctx ctx(kDynamicTask, w, mu, cv, ready, unfinished, dyn);
-        dyn.take(decode_dynamic(job))(ctx);
-      }
-      {
-        std::scoped_lock lock(mu);
-        if (job >= 0) {
-          for (const std::size_t d :
-               graph.dependents[static_cast<std::size_t>(job)]) {
-            if (--waiting[d] == 0) ready.push_back(static_cast<Job>(d));
-          }
-        }
-        --unfinished;
-      }
-      cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) threads.emplace_back(worker, w);
-  for (auto& t : threads) t.join();
-}
-
 }  // namespace
 
-const char* to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kWorkStealing: return "work-stealing";
-    case SchedulerKind::kFixedPool: return "fixed-pool";
-    case SchedulerKind::kMultiProcess: return "multi-process";
-  }
-  return "?";
-}
-
-void run_task_graph(SchedulerKind kind, int workers, const TaskGraph& graph,
+void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(TaskContext&)>& body) {
-  if (workers < 1) workers = 1;
-  if (workers == 1) {
+  if (workers <= 1) {
     run_inline(graph, body);
     return;
   }
-  switch (kind) {
-    case SchedulerKind::kWorkStealing:
-    case SchedulerKind::kMultiProcess: {  // in-process fallback (see header)
-      WorkStealingRun run(workers, graph, body);
-      run.run();
-      break;
-    }
-    case SchedulerKind::kFixedPool:
-      run_fixed_pool(workers, graph, body);
-      break;
-  }
+  WorkStealingRun run(workers, graph, body);
+  run.run();
 }
 
-void run_task_graph(SchedulerKind kind, int workers, const TaskGraph& graph,
+void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(std::size_t, int)>& body) {
   const auto wrapper = [&body](TaskContext& ctx) {
     body(ctx.task(), ctx.worker());
@@ -372,7 +273,7 @@ void run_task_graph(SchedulerKind kind, int workers, const TaskGraph& graph,
     run_inline(graph, wrapper);
     return;
   }
-  run_task_graph(kind, workers, graph, wrapper);
+  run_task_graph(workers, graph, wrapper);
 }
 
 }  // namespace plankton::sched

@@ -2,30 +2,23 @@
 //
 // PEC verification jobs form a DAG (the SCC condensation of the PEC
 // dependency graph); each job becomes runnable when its dependencies have
-// completed. Two strategies run such a graph:
-//
-//   kWorkStealing  per-worker deques: a worker pushes jobs it unblocks onto
-//                  its own deque (locality: a dependent PEC reads the
-//                  converged outcomes its dependency just produced) and pops
-//                  LIFO; idle workers steal FIFO from the opposite end.
-//                  Per-task ready-counters are atomics, so completing a task
-//                  releases dependents without any global lock; workers park
-//                  on a condition variable only when every deque is empty.
-//
-//   kFixedPool     the original single ready-list behind one mutex +
-//                  condition variable — kept as the comparison baseline
-//                  (bench/fig7b_large_fattrees prints both).
+// completed. The graph runs under work stealing: per-worker deques, where a
+// worker pushes jobs it unblocks onto its own deque (locality: a dependent
+// PEC reads the converged outcomes its dependency just produced) and pops
+// LIFO, while idle workers steal FIFO from the opposite end. Per-task
+// ready-counters are atomics, so completing a task releases dependents
+// without any global lock; workers park on a condition variable only when
+// every deque is empty.
 //
 // The scheduler is deliberately generic (task indices + dependents lists):
-// Verifier feeds it SCC tasks today; multi-process sharding can feed it
-// shard-level jobs later.
+// the Verifier feeds it SCC tasks; the multi-process shard coordinator
+// (sched/shard.hpp) runs the same TaskGraph across worker processes.
 //
 // Spawn-capable bodies (the TaskContext overload) may additionally inject
 // *dynamic* subtasks mid-run: a spawned job lands on the spawning worker's
-// own deque and is stolen by idle workers like any static task. This is the
-// scheduler side of splittable intra-PEC exploration — a frontier engine
-// splits off half its pending states (engine/frontier.hpp, Frontier::split)
-// and a shard coordinator turns each batch into a spawned job.
+// own deque and is stolen by idle workers like any static task. The
+// Verifier spawns one job per dedup class member that must be re-explored
+// natively after its representative's run.
 #pragma once
 
 #include <cstdint>
@@ -45,18 +38,6 @@ struct TaskGraph {
   [[nodiscard]] std::size_t size() const { return waiting_on.size(); }
 };
 
-enum class SchedulerKind : std::uint8_t {
-  kWorkStealing = 0,
-  kFixedPool = 1,
-  /// Shard the task graph across forked worker processes (sched/shard.hpp).
-  /// Only the Verifier can honor this kind — results must cross an explicit
-  /// wire protocol, which a generic in-process body cannot. run_task_graph
-  /// treats it as kWorkStealing so generic callers degrade gracefully.
-  kMultiProcess = 2,
-};
-
-[[nodiscard]] const char* to_string(SchedulerKind kind);
-
 /// Task id reported by TaskContext::task() for dynamically spawned subtasks
 /// (they have no slot in the static graph).
 inline constexpr std::size_t kDynamicTask = std::numeric_limits<std::size_t>::max();
@@ -70,8 +51,8 @@ class TaskContext {
   [[nodiscard]] virtual std::size_t task() const = 0;
   [[nodiscard]] virtual int worker() const = 0;
   /// Enqueues a dynamic subtask. It is immediately runnable (no
-  /// dependencies), lands on this worker's deque (work-stealing) or the
-  /// shared ready list (fixed pool), and may be stolen by any idle worker.
+  /// dependencies), lands on this worker's deque, and may be stolen by any
+  /// idle worker.
   /// The run does not return until every spawned subtask completed. Safe to
   /// call from static and dynamic task bodies alike.
   virtual void spawn(std::function<void(TaskContext&)> fn) = 0;
@@ -82,12 +63,12 @@ class TaskContext {
 /// are 0..workers-1; workers == 1 runs inline on the calling thread). The
 /// graph must be acyclic. `body` must be safe to call concurrently for
 /// distinct tasks.
-void run_task_graph(SchedulerKind kind, int workers, const TaskGraph& graph,
+void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(std::size_t task, int worker)>& body);
 
 /// Spawn-capable variant: the body receives a TaskContext and may inject
 /// dynamic subtasks via spawn().
-void run_task_graph(SchedulerKind kind, int workers, const TaskGraph& graph,
+void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(TaskContext&)>& body);
 
 }  // namespace plankton::sched

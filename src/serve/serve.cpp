@@ -74,10 +74,6 @@ std::string encode_bootstrap(const BootstrapMsg& m) {
   put_int(out, m.engine_restart_policy);
   put_int(out, m.heartbeat_interval_ms);
   put_int(out, m.max_frame_payload);
-  put_int(out, m.split_export);
-  put_int(out, m.export_check_every);
-  put_int(out, m.export_min_frontier);
-  put_int(out, m.export_max_per_run);
   put_string(out, m.fault_plan);
   return out;
 }
@@ -117,11 +113,8 @@ bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
       get_int(in, out.engine_seed) && get_int(in, out.engine_split_every) &&
       get_int(in, out.engine_restart_policy) &&
       get_int(in, out.heartbeat_interval_ms) &&
-      get_int(in, out.max_frame_payload) && get_int(in, out.split_export) &&
-      get_int(in, out.export_check_every) &&
-      get_int(in, out.export_min_frontier) &&
-      get_int(in, out.export_max_per_run) &&
-      get_string(in, out.fault_plan) && in.empty();
+      get_int(in, out.max_frame_payload) && get_string(in, out.fault_plan) &&
+      in.empty();
   const auto flag_ok = [](std::uint8_t f) { return f <= 1; };
   if (!fields_ok || !flag_ok(out.pec_dedup) ||
       !flag_ok(out.stop_on_violation) || out.max_failures < 0 ||
@@ -139,8 +132,7 @@ bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
           static_cast<std::uint8_t>(SearchEngineKind::kRandomRestart) ||
       out.engine_restart_policy >
           static_cast<std::uint8_t>(RestartPolicy::kLuby) ||
-      out.heartbeat_interval_ms < 0 || !flag_ok(out.split_export) ||
-      out.export_max_per_run < 0) {
+      out.heartbeat_interval_ms < 0) {
     return fail();
   }
   return true;
@@ -711,13 +703,7 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
   const VerifyResult result = verifier.verify_pecs(misses, *policy);
   for (const PecReport& rep : result.reports) {
     CacheEntry entry;
-    Verdict v = rep.result.verdict();
-    // ExploreResult::verdict() does not consider `exhaustive`; a hold with
-    // probabilistic coverage must never become a clean cached hold.
-    if (v == Verdict::kHolds && !rep.result.exhaustive) {
-      v = Verdict::kInconclusive;
-    }
-    entry.verdict = static_cast<std::uint8_t>(v);
+    entry.verdict = static_cast<std::uint8_t>(rep.result.verdict());
     entry.translated = rep.translated_from != kNoPec ? 1 : 0;
     entry.states_explored = rep.result.stats.states_explored;
     entry.states_stored = rep.result.stats.states_stored;

@@ -136,12 +136,6 @@ struct BootstrapMsg {
   std::int32_t heartbeat_interval_ms = 0;
   std::uint64_t max_frame_payload = 0;  ///< 0 = the PKS1 default
 
-  // Intra-PEC work export (0 = disabled on this worker):
-  std::uint8_t split_export = 0;
-  std::uint32_t export_check_every = 0;
-  std::uint64_t export_min_frontier = 0;
-  std::int32_t export_max_per_run = 0;
-
   /// Pre-resolved FaultPlan string this worker incarnation must act out
   /// (empty = no faults). The coordinator resolves its plan per slot +
   /// generation before shipping, because the remote session always runs as

@@ -115,6 +115,13 @@ TEST(BudgetTaxonomy, VerdictClassification) {
   // A violation is sound even from a partial search: it always wins.
   r.holds = false;
   EXPECT_EQ(r.verdict(), Verdict::kViolated);
+  // A completed but non-exhaustive search (lossy visited store, approximated
+  // cyclic SCC) is a coverage claim, not a proof.
+  r = {};
+  r.exhaustive = false;
+  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
+  r.holds = false;
+  EXPECT_EQ(r.verdict(), Verdict::kViolated);
 
   EXPECT_STREQ(to_string(BudgetKind::kNone), "none");
   EXPECT_STREQ(to_string(BudgetKind::kDeadline), "deadline");

@@ -207,45 +207,39 @@ TEST(WorkStealing, StressDependencyOrderAcrossWorkerCounts) {
     }
   }
 
-  for (const auto kind : {sched::SchedulerKind::kWorkStealing,
-                          sched::SchedulerKind::kFixedPool}) {
-    for (const int workers : {1, 4, 8}) {
-      std::mutex mu;
-      std::vector<std::uint8_t> done(kTasks, 0);
-      std::atomic<std::size_t> executions{0};
-      bool order_ok = true;
-      sched::run_task_graph(kind, workers, graph,
-                            [&](std::size_t task, int worker) {
-                              ASSERT_GE(worker, 0);
-                              ASSERT_LT(worker, workers);
-                              executions.fetch_add(1);
-                              std::scoped_lock lock(mu);
-                              if (task >= kWidth) {
-                                const std::size_t layer = task / kWidth;
-                                const std::size_t i = task % kWidth;
-                                const std::size_t d1 = (layer - 1) * kWidth + i;
-                                const std::size_t d2 =
-                                    (layer - 1) * kWidth + (i + 1) % kWidth;
-                                order_ok = order_ok && done[d1] && done[d2];
-                              }
-                              done[task] = 1;
-                            });
-      EXPECT_EQ(executions.load(), kTasks)
-          << sched::to_string(kind) << " workers=" << workers;
-      EXPECT_TRUE(order_ok) << sched::to_string(kind)
-                            << " ran a task before its dependencies,"
-                            << " workers=" << workers;
-      for (std::size_t t = 0; t < kTasks; ++t) {
-        ASSERT_TRUE(done[t]) << "task " << t << " never ran";
-      }
+  for (const int workers : {1, 4, 8}) {
+    std::mutex mu;
+    std::vector<std::uint8_t> done(kTasks, 0);
+    std::atomic<std::size_t> executions{0};
+    bool order_ok = true;
+    sched::run_task_graph(workers, graph,
+                          [&](std::size_t task, int worker) {
+                            ASSERT_GE(worker, 0);
+                            ASSERT_LT(worker, workers);
+                            executions.fetch_add(1);
+                            std::scoped_lock lock(mu);
+                            if (task >= kWidth) {
+                              const std::size_t layer = task / kWidth;
+                              const std::size_t i = task % kWidth;
+                              const std::size_t d1 = (layer - 1) * kWidth + i;
+                              const std::size_t d2 =
+                                  (layer - 1) * kWidth + (i + 1) % kWidth;
+                              order_ok = order_ok && done[d1] && done[d2];
+                            }
+                            done[task] = 1;
+                          });
+    EXPECT_EQ(executions.load(), kTasks) << "workers=" << workers;
+    EXPECT_TRUE(order_ok) << "ran a task before its dependencies, workers="
+                          << workers;
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      ASSERT_TRUE(done[t]) << "task " << t << " never ran";
     }
   }
 }
 
 TEST(WorkStealing, VerifierResultsDeterministicAcrossWorkerCounts) {
   // With find_all_violations (no early stop) every PEC is fully explored, so
-  // reports and aggregate stats must be identical for 1, 4, and 8 workers
-  // under both schedulers.
+  // reports and aggregate stats must be identical for 1, 4, and 8 workers.
   const Enterprise ent = make_enterprise("VII");
   const LoopFreedomPolicy policy;
   struct Snapshot {
@@ -254,23 +248,19 @@ TEST(WorkStealing, VerifierResultsDeterministicAcrossWorkerCounts) {
     std::vector<std::pair<PecId, bool>> reports;
   };
   std::vector<Snapshot> snaps;
-  for (const auto kind : {sched::SchedulerKind::kWorkStealing,
-                          sched::SchedulerKind::kFixedPool}) {
-    for (const int workers : {1, 4, 8}) {
-      VerifyOptions vo;
-      vo.cores = workers;
-      vo.scheduler = kind;
-      vo.explore.find_all_violations = true;
-      const VerifyResult r = Verifier(ent.net, vo).verify(policy);
-      Snapshot s;
-      s.verified = r.pecs_verified;
-      s.support = r.pecs_support;
-      s.states = r.total.states_explored;
-      for (const auto& rep : r.reports) {
-        s.reports.emplace_back(rep.pec, rep.result.holds);
-      }
-      snaps.push_back(std::move(s));
+  for (const int workers : {1, 4, 8}) {
+    VerifyOptions vo;
+    vo.cores = workers;
+    vo.explore.find_all_violations = true;
+    const VerifyResult r = Verifier(ent.net, vo).verify(policy);
+    Snapshot s;
+    s.verified = r.pecs_verified;
+    s.support = r.pecs_support;
+    s.states = r.total.states_explored;
+    for (const auto& rep : r.reports) {
+      s.reports.emplace_back(rep.pec, rep.result.holds);
     }
+    snaps.push_back(std::move(s));
   }
   for (std::size_t i = 1; i < snaps.size(); ++i) {
     EXPECT_EQ(snaps[i].verified, snaps[0].verified) << "config " << i;
@@ -280,11 +270,10 @@ TEST(WorkStealing, VerifierResultsDeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(SchedulerSpawn, DynamicSubtasksAllRunAcrossSchedulers) {
-  // Spawn-capable bodies inject dynamic subtasks mid-run (the scheduler side
-  // of frontier split() work-sharing): every spawned job — including nested
-  // spawns from dynamic tasks — must run before run_task_graph returns, on
-  // any scheduler and worker count.
+TEST(SchedulerSpawn, DynamicSubtasksAllRunAcrossWorkerCounts) {
+  // Spawn-capable bodies inject dynamic subtasks mid-run: every spawned job —
+  // including nested spawns from dynamic tasks — must run before
+  // run_task_graph returns, at any worker count.
   constexpr std::size_t kStatic = 6;
   constexpr int kChildren = 8;
   sched::TaskGraph graph;
@@ -295,33 +284,29 @@ TEST(SchedulerSpawn, DynamicSubtasksAllRunAcrossSchedulers) {
     graph.waiting_on[t] = 1;
   }
 
-  for (const auto kind : {sched::SchedulerKind::kWorkStealing,
-                          sched::SchedulerKind::kFixedPool}) {
-    for (const int workers : {1, 4}) {
-      std::atomic<int> children{0};
-      std::atomic<int> grandchildren{0};
-      std::atomic<bool> ids_ok{true};
-      sched::run_task_graph(
-          kind, workers, graph, [&](sched::TaskContext& ctx) {
-            if (ctx.task() == sched::kDynamicTask) return;  // child body below
-            if (ctx.worker() < 0 || ctx.worker() >= workers) ids_ok = false;
-            for (int c = 0; c < kChildren; ++c) {
-              ctx.spawn([&](sched::TaskContext& child) {
-                if (child.task() != sched::kDynamicTask) ids_ok = false;
-                children.fetch_add(1);
-                child.spawn([&](sched::TaskContext& grand) {
-                  if (grand.task() != sched::kDynamicTask) ids_ok = false;
-                  grandchildren.fetch_add(1);
-                });
-              });
-            }
+  for (const int workers : {1, 4}) {
+    std::atomic<int> children{0};
+    std::atomic<int> grandchildren{0};
+    std::atomic<bool> ids_ok{true};
+    sched::run_task_graph(workers, graph, [&](sched::TaskContext& ctx) {
+      if (ctx.task() == sched::kDynamicTask) return;  // child body below
+      if (ctx.worker() < 0 || ctx.worker() >= workers) ids_ok = false;
+      for (int c = 0; c < kChildren; ++c) {
+        ctx.spawn([&](sched::TaskContext& child) {
+          if (child.task() != sched::kDynamicTask) ids_ok = false;
+          children.fetch_add(1);
+          child.spawn([&](sched::TaskContext& grand) {
+            if (grand.task() != sched::kDynamicTask) ids_ok = false;
+            grandchildren.fetch_add(1);
           });
-      EXPECT_EQ(children.load(), static_cast<int>(kStatic) * kChildren)
-          << sched::to_string(kind) << " workers=" << workers;
-      EXPECT_EQ(grandchildren.load(), static_cast<int>(kStatic) * kChildren)
-          << sched::to_string(kind) << " workers=" << workers;
-      EXPECT_TRUE(ids_ok.load());
-    }
+        });
+      }
+    });
+    EXPECT_EQ(children.load(), static_cast<int>(kStatic) * kChildren)
+        << "workers=" << workers;
+    EXPECT_EQ(grandchildren.load(), static_cast<int>(kStatic) * kChildren)
+        << "workers=" << workers;
+    EXPECT_TRUE(ids_ok.load());
   }
 }
 
@@ -335,8 +320,7 @@ TEST(SchedulerSpawn, SpawnedWorkIsStolenByIdleWorkers) {
   std::mutex mu;
   std::set<int> executed_by;
   sched::run_task_graph(
-      sched::SchedulerKind::kWorkStealing, 4, graph,
-      [&](sched::TaskContext& ctx) {
+      4, graph, [&](sched::TaskContext& ctx) {
         if (ctx.task() == sched::kDynamicTask) return;
         for (int c = 0; c < 64; ++c) {
           ctx.spawn([&](sched::TaskContext& child) {
@@ -386,50 +370,47 @@ TEST(SchedulerSpawn, SpawnUnderContentionSeesCompletedDependencies) {
   }
 
   std::vector<std::atomic<std::uint64_t>> value(kTasks);  // 0 = unwritten
-  for (const auto kind : {sched::SchedulerKind::kWorkStealing,
-                          sched::SchedulerKind::kFixedPool}) {
-    for (const int workers : {1, 4, 8}) {
-      for (auto& v : value) v.store(0);
-      std::atomic<std::size_t> child_runs{0};
-      std::atomic<bool> deps_visible{true};
-      sched::run_task_graph(
-          kind, workers, graph, [&](sched::TaskContext& ctx) {
-            if (ctx.task() == sched::kDynamicTask) return;
-            const std::size_t task = ctx.task();
-            std::uint64_t v = 1 + task;
-            if (task >= kWidth) {
-              const auto [d1, d2] = deps_of(task);
-              const std::uint64_t a = value[d1].load(std::memory_order_acquire);
-              const std::uint64_t b = value[d2].load(std::memory_order_acquire);
-              if (a == 0 || b == 0) deps_visible = false;
-              v += a + b;
-            }
-            value[task].store(v, std::memory_order_release);
-            for (int c = 0; c < kChildren; ++c) {
-              ctx.spawn([&, task](sched::TaskContext&) {
-                child_runs.fetch_add(1);
-                if (task >= kWidth) {
-                  // The child inherits its spawner's cross-PEC dependencies:
-                  // wherever it gets stolen to, the dependency results must
-                  // already be visible there.
-                  const auto [d1, d2] = deps_of(task);
-                  if (value[d1].load(std::memory_order_acquire) == 0 ||
-                      value[d2].load(std::memory_order_acquire) == 0) {
-                    deps_visible = false;
-                  }
+  for (const int workers : {1, 4, 8}) {
+    for (auto& v : value) v.store(0);
+    std::atomic<std::size_t> child_runs{0};
+    std::atomic<bool> deps_visible{true};
+    sched::run_task_graph(
+        workers, graph, [&](sched::TaskContext& ctx) {
+          if (ctx.task() == sched::kDynamicTask) return;
+          const std::size_t task = ctx.task();
+          std::uint64_t v = 1 + task;
+          if (task >= kWidth) {
+            const auto [d1, d2] = deps_of(task);
+            const std::uint64_t a = value[d1].load(std::memory_order_acquire);
+            const std::uint64_t b = value[d2].load(std::memory_order_acquire);
+            if (a == 0 || b == 0) deps_visible = false;
+            v += a + b;
+          }
+          value[task].store(v, std::memory_order_release);
+          for (int c = 0; c < kChildren; ++c) {
+            ctx.spawn([&, task](sched::TaskContext&) {
+              child_runs.fetch_add(1);
+              if (task >= kWidth) {
+                // The child inherits its spawner's cross-PEC dependencies:
+                // wherever it gets stolen to, the dependency results must
+                // already be visible there.
+                const auto [d1, d2] = deps_of(task);
+                if (value[d1].load(std::memory_order_acquire) == 0 ||
+                    value[d2].load(std::memory_order_acquire) == 0) {
+                  deps_visible = false;
                 }
-              });
-            }
-          });
-      EXPECT_EQ(child_runs.load(), kTasks * kChildren)
-          << sched::to_string(kind) << " workers=" << workers;
-      EXPECT_TRUE(deps_visible.load())
-          << sched::to_string(kind) << " workers=" << workers
-          << ": a spawned subtask ran before its dependencies' results "
-             "were visible";
-      for (std::size_t t = 0; t < kTasks; ++t) {
-        ASSERT_NE(value[t].load(), 0u) << "task " << t << " never ran";
-      }
+              }
+            });
+          }
+        });
+    EXPECT_EQ(child_runs.load(), kTasks * kChildren)
+        << "workers=" << workers;
+    EXPECT_TRUE(deps_visible.load())
+        << "workers=" << workers
+        << ": a spawned subtask ran before its dependencies' results "
+           "were visible";
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      ASSERT_NE(value[t].load(), 0u) << "task " << t << " never ran";
     }
   }
 }

@@ -418,6 +418,46 @@ TEST(ServeStateCache, InconclusiveIsNeverServedAsHold) {
   EXPECT_EQ(second.reverified, 4u);
 }
 
+TEST(ServeStateCache, ApproximatedCyclicSccIsNeverCachedAsHold) {
+  // Mutual recursive statics put the next-hop PECs 10.0.0.1 and 20.0.0.1
+  // into one cyclic SCC: each mate explores without the other's outcomes, so
+  // their holds are approximations, and so are the holds of the four other
+  // /17 PECs that resolve through them. All six must reach the cache as
+  // inconclusive and re-verify on every query, while the two unrelated
+  // upper /17 halves stay warm.
+  const std::string cyclic = R"(
+node a loopback 1.1.1.1
+node b loopback 2.2.2.2
+node c loopback 3.3.3.3
+link a b
+link b c
+ospf a no-loopback
+ospf b no-loopback
+ospf c no-loopback
+ospf a originate 10.0.0.0/16
+ospf c originate 20.0.0.0/16
+static a 20.0.0.0/17 via-ip 10.0.0.1
+static c 10.0.0.0/17 via-ip 20.0.0.1
+)";
+  ServeState state{VerifyOptions{}};
+  std::string error;
+  ASSERT_TRUE(state.load(cyclic, error)) << error;
+
+  const VerdictReplyMsg first = state.query(loop_query());
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(static_cast<Verdict>(first.verdict), Verdict::kInconclusive);
+  EXPECT_EQ(first.cache_hits, 0u);
+  ASSERT_EQ(first.targets, 8u);
+
+  const VerdictReplyMsg second = state.query(loop_query());
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(static_cast<Verdict>(second.verdict), Verdict::kInconclusive);
+  EXPECT_EQ(second.reverified, 6u)
+      << "approximated PECs must re-verify, never hit the cache";
+  EXPECT_EQ(second.cache_hits, 2u)
+      << "the PECs outside the SCC's cone are clean holds and stay warm";
+}
+
 TEST(ServeStateCache, WarmStartsFromDiskAcrossRestart) {
   const std::string path = tmp_path("serve_warm.pkc");
   {

@@ -1,8 +1,7 @@
 // Cluster-scale sharding (sched/transport.*, core/verifier.cpp,
 // serve_shard_worker_session): TCP-bootstrapped remote workers against the
 // fork-transport and in-process oracles, bootstrap handshake hardening,
-// SIGKILL failover, intra-PEC split export, and the serve daemon's
-// disconnect-mid-reply survival.
+// SIGKILL failover, and the serve daemon's disconnect-mid-reply survival.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -25,7 +24,6 @@
 #include "support/figure6.hpp"
 #include "support/random_net.hpp"
 #include "workload/enterprise.hpp"
-#include "workload/fat_tree.hpp"
 
 namespace plankton {
 namespace {
@@ -127,19 +125,6 @@ Fingerprint fingerprint(const VerifyResult& r) {
     }
   }
   return fp;
-}
-
-/// The split-export comparison: verdicts plus the *deduplicated* violation
-/// set (state counts are not bit-identical with export on, by design).
-std::set<std::string> violation_set(const VerifyResult& r) {
-  std::set<std::string> out;
-  for (const auto& rep : r.reports) {
-    for (const auto& v : rep.result.violations) {
-      out.insert(rep.pec_str + "|" + std::to_string(v.failures.hash()) + "|" +
-                 v.message + "|" + v.trail_text);
-    }
-  }
-  return out;
 }
 
 VerifyResult run_verify(const Network& net, const Policy& policy,
@@ -470,79 +455,6 @@ TEST(TcpRecovery, SeededSocketPlansMatchOverTcpTransport) {
         << "tcp run fell back to in-process (bootstrap refused?)";
   }
   ASSERT_GE(eligible, 3) << "corpus must exercise spec-able policies";
-}
-
-// ---------------------------------------------------------------------------
-// Intra-PEC work export
-// ---------------------------------------------------------------------------
-
-TEST(SplitExport, VerdictsAndViolationSetMatchInProcess) {
-  // The bgp_dc_worstcase family: eBGP fat-tree where SPVP activation orders
-  // genuinely branch, so the BFS frontier grows and aggressive export
-  // settings (offer every pop, split tiny frontiers) make the mechanism
-  // fire. Verdicts and the deduplicated violation set must match the
-  // in-process run; state counts are legitimately different (subtasks
-  // re-visit donor states).
-  FatTreeOptions o;
-  o.k = 4;
-  o.routing = FatTreeOptions::Routing::kBgpRfc7938;
-  const FatTree ft = make_fat_tree(o);
-  const WaypointPolicy policy({ft.edges.back()}, ft.aggs);
-  VerifyOptions vo;
-  vo.explore.find_all_violations = true;
-  vo.explore.suppress_equivalent = false;
-  vo.explore.det_nodes_bgp = false;  // deterministic nodes never branch
-  vo.explore.max_states = 3000;
-  vo.explore.engine_kind = SearchEngineKind::kBfs;
-  vo.pec_dedup = false;  // class members make a task export-ineligible
-  const VerifyResult ref =
-      Verifier(ft.net, vo).verify_address(ft.edge_prefixes[0].addr(), policy);
-
-  for (const int shards : {2, 4}) {
-    VerifyOptions sv = vo;
-    sv.shards = shards;
-    sv.shard_split_export = true;
-    sv.shard_export_check_every = 64;
-    sv.shard_export_min_frontier = 4;
-    sv.shard_export_max_per_pec = 8;
-    const VerifyResult r =
-        Verifier(ft.net, sv).verify_address(ft.edge_prefixes[0].addr(),
-                                            policy);
-    EXPECT_EQ(r.holds, ref.holds) << "shards=" << shards;
-    EXPECT_EQ(r.verdict, ref.verdict) << "shards=" << shards;
-    EXPECT_EQ(r.pecs_verified, ref.pecs_verified) << "shards=" << shards;
-    EXPECT_EQ(violation_set(r), violation_set(ref)) << "shards=" << shards;
-    EXPECT_GT(r.shard.splits_exported, 0u)
-        << "export settings this aggressive must fire (shards=" << shards
-        << ")";
-    EXPECT_EQ(r.shard.subtasks_dispatched,
-              r.shard.subtasks_completed + r.shard.subtasks_stale)
-        << "every dispatched subtask must be accounted for";
-  }
-}
-
-TEST(SplitExport, CleanHoldWorkloadStaysCleanWithExportOn) {
-  FatTreeOptions o;
-  o.k = 4;
-  const FatTree ft = make_fat_tree(o);
-  const LoopFreedomPolicy policy;
-  VerifyOptions vo;
-  vo.explore.find_all_violations = true;
-  vo.explore.engine_kind = SearchEngineKind::kBfs;
-  vo.pec_dedup = false;
-  const VerifyResult ref = run_verify(ft.net, policy, vo);
-  ASSERT_TRUE(ref.holds);
-  VerifyOptions sv = vo;
-  sv.shards = 2;
-  sv.shard_split_export = true;
-  sv.shard_export_check_every = 1;
-  sv.shard_export_min_frontier = 2;
-  const VerifyResult r = run_verify(ft.net, policy, sv);
-  EXPECT_TRUE(r.holds);
-  EXPECT_EQ(r.verdict, Verdict::kHolds)
-      << "export must not degrade a clean exhaustive hold";
-  EXPECT_EQ(r.pecs_verified, ref.pecs_verified);
-  EXPECT_TRUE(violation_set(r).empty());
 }
 
 // ---------------------------------------------------------------------------
