@@ -34,6 +34,7 @@ inline double ms(std::chrono::nanoseconds d) {
 inline double mb(std::size_t bytes) { return static_cast<double>(bytes) / 1e6; }
 
 /// "12.34 ms" or "TIMEOUT" — the paper prints timeouts as bars at the cap.
+/// Verifier rows pass `budget_tripped == BudgetKind::kDeadline`.
 inline std::string time_cell(std::chrono::nanoseconds d, bool timed_out) {
   if (timed_out) return "TIMEOUT";
   char buf[64];
@@ -141,16 +142,16 @@ inline void emit(const char* bench, const std::string& row, double time_ms,
   JsonSink::instance().add(JsonRecord{bench, row, time_ms, states, bytes});
 }
 
-/// Guards a timed row against accidental resource-governance budgets
-/// (VerifyOptions::budget, checker/budget.hpp): a tripped budget stops the
-/// exploration early, and a silently-truncated row would enter the committed
-/// trajectory as a fake speedup. Figure-intrinsic caps (wall_limit timeout
-/// bars, the fig9 state caps) are part of a row's definition and stay
-/// allowed. Deliberately budgeted rows must label themselves and skip this
-/// guard (the perf_smoke "budgeted" rows).
+/// Guards a timed row against accidental resource budgets
+/// (VerifyOptions::explore.budget, checker/budget.hpp): a tripped budget
+/// stops the exploration early, and a silently-truncated row would enter the
+/// committed trajectory as a fake speedup. Rows whose cap or timeout defines
+/// them (the fig9 and fig_engine_matrix state caps, the perf_smoke "capped"
+/// and "budget-*" rows, the fig8/fig7g timeout bars) set the budget on
+/// purpose and skip this guard.
 template <typename VerifyOptionsT>
 inline const VerifyOptionsT& assert_unbudgeted(const VerifyOptionsT& vo) {
-  if (vo.budget.any()) {
+  if (vo.explore.budget.any()) {
     std::fprintf(stderr,
                  "bench: an unlabelled trajectory row carries a resource "
                  "budget; budgeted rows must say so in their name\n");

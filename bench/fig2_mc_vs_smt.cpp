@@ -43,7 +43,7 @@ int main() {
     const auto smt_time = smt_timer.elapsed();
 
     // Cross-check the two computations agree (when the solver finished).
-    if (!sr.timed_out && mc.holds) {
+    if (!sr.timed_out && mc.verdict == Verdict::kHolds) {
       const std::vector<NodeId> origins{origin};
       const auto expected =
           shortest_path_costs(ft.net.topo, origins, ft.net.topo.no_failures());

@@ -58,7 +58,9 @@ int main() {
         std::printf("  Plankton (%2d core%s)      %14s  mem %8.2f MB  %s %s\n", c,
                     c == 1 ? ") " : "s)", bench::time_cell(r.wall, false).c_str(),
                     bench::mb(r.total.model_bytes()), classes,
-                    r.holds == expected ? "" : "VERDICT MISMATCH");
+                    (r.verdict == Verdict::kHolds) == expected
+                        ? ""
+                        : "VERDICT MISMATCH");
         bench::emit("fig7a_fattree_loop",
                     "K=" + std::to_string(k) + (fail_case ? " fail" : " pass") +
                         " cores=" + std::to_string(c),

@@ -32,10 +32,11 @@ int main() {
       Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
       const LoopFreedomPolicy policy;
       const VerifyResult r = verifier.verify(policy);
-      const bool ok = r.holds == !fail_case;
+      const bool ok = (r.verdict == Verdict::kHolds) == !fail_case;
       std::printf("N=%-8zu Loop(%s) %16s %12.2f  classes %zu (%zu translated) %s\n",
                   ft.size(), fail_case ? "Fail" : "Pass",
-                  bench::time_cell(r.wall, r.timed_out).c_str(),
+                  bench::time_cell(r.wall, r.budget_tripped == BudgetKind::kDeadline)
+                      .c_str(),
                   bench::mb(r.total.model_bytes()), r.pec_classes,
                   r.pecs_deduped, ok ? "" : "VERDICT MISMATCH");
       bench::emit("fig7b_large_fattrees",
@@ -51,7 +52,10 @@ int main() {
         Verifier off_verifier(ft.net, ov);
         const VerifyResult off = off_verifier.verify(policy);
         std::printf("N=%-8zu Loop(Pass, no dedup) %9s %12.2f  dedup speedup %.2fx\n",
-                    ft.size(), bench::time_cell(off.wall, off.timed_out).c_str(),
+                    ft.size(),
+                    bench::time_cell(off.wall,
+                                     off.budget_tripped == BudgetKind::kDeadline)
+                        .c_str(),
                     bench::mb(off.total.model_bytes()),
                     bench::ms(r.wall) > 0 ? bench::ms(off.wall) / bench::ms(r.wall)
                                           : 0.0);
@@ -73,8 +77,10 @@ int main() {
     const VerifyResult r =
         verifier.verify_address(ft.edge_prefixes.back().addr(), policy);
     std::printf("N=%-8zu SingleIP   %16s %12.2f %s\n", ft.size(),
-                bench::time_cell(r.wall, r.timed_out).c_str(),
-                bench::mb(r.total.model_bytes()), r.holds ? "" : "VERDICT MISMATCH");
+                bench::time_cell(r.wall, r.budget_tripped == BudgetKind::kDeadline)
+                    .c_str(),
+                bench::mb(r.total.model_bytes()),
+                r.verdict == Verdict::kHolds ? "" : "VERDICT MISMATCH");
     bench::emit("fig7b_large_fattrees", "N=" + std::to_string(ft.size()) + " singleip",
                 bench::ms(r.wall), r.total.states_explored,
                 r.total.model_bytes());
@@ -93,8 +99,9 @@ int main() {
     Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
     const VerifyResult r = verifier.verify(policy);
     std::printf("N=%-8zu %-14s %16s %s\n", ft.size(), "work-stealing",
-                bench::time_cell(r.wall, r.timed_out).c_str(),
-                r.holds ? "" : "VERDICT MISMATCH");
+                bench::time_cell(r.wall, r.budget_tripped == BudgetKind::kDeadline)
+                    .c_str(),
+                r.verdict == Verdict::kHolds ? "" : "VERDICT MISMATCH");
     bench::emit("fig7b_large_fattrees",
                 "N=" + std::to_string(ft.size()) + " sched=work-stealing",
                 bench::ms(r.wall), r.total.states_explored,
@@ -128,10 +135,12 @@ int main() {
                       ms_one_shard / bench::ms(r.wall));
       }
       std::printf("N=%-8zu %-10d %16s %10s %12.2f %s\n", ft.size(), shards,
-                  bench::time_cell(r.wall, r.timed_out).c_str(), speedup,
+                  bench::time_cell(r.wall, r.budget_tripped == BudgetKind::kDeadline)
+                      .c_str(),
+                  speedup,
                   static_cast<double>(r.shard.bytes_sent +
                                       r.shard.bytes_received) / 1e3,
-                  r.holds ? "" : "VERDICT MISMATCH");
+                  r.verdict == Verdict::kHolds ? "" : "VERDICT MISMATCH");
       bench::emit("fig7b_large_fattrees",
                   "N=" + std::to_string(ft.size()) + " shards=" +
                       std::to_string(shards),

@@ -50,7 +50,7 @@ int main() {
       Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
       const VerifyResult r =
           verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
-      if (!r.holds) ++violations;
+      if (r.verdict == Verdict::kViolated) ++violations;
       const double t = bench::ms(r.wall);
       const double m = bench::mb(r.total.model_bytes());
       max_ms = std::max(max_ms, t);

@@ -55,8 +55,12 @@ int main() {
       const ReachabilityPolicy policy({ingress});
       const VerifyResult r = verifier.verify(policy);
       std::printf("  Plankton (%2d core%s)      %14s  mem %8.2f MB  holds=%s\n", c,
-                  c == 1 ? ") " : "s)", bench::time_cell(r.wall, r.timed_out).c_str(),
-                  bench::mb(r.total.model_bytes()), r.holds ? "yes" : "no");
+                  c == 1 ? ") " : "s)",
+                  bench::time_cell(r.wall,
+                                   r.budget_tripped == BudgetKind::kDeadline)
+                      .c_str(),
+                  bench::mb(r.total.model_bytes()),
+                  r.verdict == Verdict::kHolds ? "yes" : "no");
       bench::emit("fig7d_as_failures", name + " cores=" + std::to_string(c),
                   bench::ms(r.wall), r.total.states_explored,
                   r.total.model_bytes());

@@ -47,8 +47,11 @@ int main() {
       std::printf(
           "  Plankton (%2d core%s)      %14s  mem %8.2f MB  holds=%s "
           "(%zu upstream PECs)\n",
-          c, c == 1 ? ") " : "s)", bench::time_cell(r.wall, r.timed_out).c_str(),
-          bench::mb(r.total.model_bytes()), r.holds ? "yes" : "no",
+          c, c == 1 ? ") " : "s)",
+          bench::time_cell(r.wall, r.budget_tripped == BudgetKind::kDeadline)
+              .c_str(),
+          bench::mb(r.total.model_bytes()),
+          r.verdict == Verdict::kHolds ? "yes" : "no",
           r.pecs_support);
       bench::emit("fig7e_ibgp", name + " cores=" + std::to_string(c),
                   bench::ms(r.wall), r.total.states_explored,

@@ -71,8 +71,8 @@ int main() {
       VerifyOptions vo;
       vo.cores = 8;
       vo.explore.max_failures = k;
-      vo.wall_limit = std::chrono::milliseconds(60000);
-      Verifier verifier(w.net, bench::assert_unbudgeted(vo));
+      vo.explore.budget.deadline = std::chrono::milliseconds(60000);
+      Verifier verifier(w.net, vo);
       // Same pairs as ARC: every host must reach every host destination.
       std::vector<PecId> targets;
       for (const IpAddr a : w.host_addrs) targets.push_back(verifier.pecs().find(a));
@@ -83,8 +83,12 @@ int main() {
 
       std::printf("%-28s <=%-6d %14s %14s %10s\n", w.name.c_str(), k,
                   bench::time_cell(arc_time, false).c_str(),
-                  bench::time_cell(pk_time, pr.timed_out).c_str(),
-                  pr.timed_out ? "?" : ar.holds == pr.holds ? "agree" : "DISAGREE");
+                  bench::time_cell(pk_time,
+                                   pr.budget_tripped == BudgetKind::kDeadline)
+                      .c_str(),
+                  pr.verdict == Verdict::kInconclusive             ? "?"
+                  : ar.holds == (pr.verdict == Verdict::kHolds) ? "agree"
+                                                                : "DISAGREE");
       bench::emit("fig7g_arc", w.name + " k=" + std::to_string(k),
                   bench::ms(pk_time), pr.total.states_explored,
                   pr.total.model_bytes());

@@ -39,7 +39,8 @@ int main() {
                   info.name + " " + policy.name() + " k=" + std::to_string(k),
                   bench::ms(r.wall), r.total.states_explored,
                   r.total.model_bytes());
-      return bench::time_cell(r.wall, r.timed_out);
+      return bench::time_cell(r.wall,
+                              r.budget_tripped == BudgetKind::kDeadline);
     };
 
     const ReachabilityPolicy reach(sources);

@@ -24,21 +24,19 @@ struct Row {
 };
 
 void print_row(const Row& r) {
+  const bool timed_out = r.result.budget_tripped == BudgetKind::kDeadline;
   std::printf("%-34s %-28s %14s %10.2f MB %12llu states%s\n", r.experiment.c_str(),
-              r.opts.c_str(),
-              bench::time_cell(r.result.wall,
-                               r.result.timed_out ||
-                                   r.result.total.states_stored == 0 && false)
-                  .c_str(),
+              r.opts.c_str(), bench::time_cell(r.result.wall, timed_out).c_str(),
               bench::mb(r.result.total.model_bytes()),
               static_cast<unsigned long long>(r.result.total.states_stored),
-              r.result.timed_out ? "  (budget hit)" : "");
+              timed_out ? "  (budget hit)" : "");
 }
 
 VerifyResult run(const Network& net, const Policy& policy, VerifyOptions vo,
                  std::optional<IpAddr> addr = std::nullopt) {
-  vo.wall_limit = std::chrono::milliseconds(15000);  // the paper's "> 5 min" cap
-  Verifier verifier(net, bench::assert_unbudgeted(vo));
+  // The paper's "> 5 min" cap: a timeout bar is part of the row's definition.
+  vo.explore.budget.deadline = std::chrono::milliseconds(15000);
+  Verifier verifier(net, vo);
   return addr ? verifier.verify_address(*addr, policy) : verifier.verify(policy);
 }
 

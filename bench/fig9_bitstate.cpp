@@ -31,10 +31,10 @@ void run_case(const char* label, const Network& net, const Policy& policy,
     vo.explore.visited =
         bitstate ? VisitedKind::kBitstate : VisitedKind::kExact;
     vo.explore.bloom_bits = std::size_t{1} << 22;
-    vo.explore.max_states = state_cap;
-    Verifier verifier(net, bench::assert_unbudgeted(vo));
+    vo.explore.budget.max_states = state_cap;
+    Verifier verifier(net, vo);
     const VerifyResult r = verifier.verify_address(addr, policy);
-    verdict[bitstate ? 1 : 0] = r.holds;
+    verdict[bitstate ? 1 : 0] = r.verdict != Verdict::kViolated;
     visited_mb[bitstate ? 1 : 0] = bench::mb(r.total.bytes_visited);
     time_ms[bitstate ? 1 : 0] = bench::ms(r.wall);
     states[bitstate ? 1 : 0] = r.total.states_stored;

@@ -108,9 +108,9 @@ int main(int argc, char** argv) {
     vo.cores = 1;
     vo.explore.det_nodes_bgp = false;
     vo.explore.suppress_equivalent = false;
-    vo.explore.max_states = 50000;
+    vo.explore.budget.max_states = 50000;
     apply_engine(vo, kind);
-    Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
+    Verifier verifier(ft.net, vo);
     row("bgp_dc/K=4", kind,
         verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
   }

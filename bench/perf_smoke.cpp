@@ -8,23 +8,24 @@
 //   fattree_loop/K=8        fig7a: OSPF fat tree, loop policy, all PECs
 //   as_failures/AS1755      fig7d: OSPF AS topology, reachability, <=1 failure
 //   bgp_dc_worstcase/K=4    fig9:  BGP DC waypoint, det-node detection off,
-//                                  capped state count (pure hot-path churn)
+//                                  the uncapped interleaving explosion with
+//                                  dynamic partial-order reduction on
 //   fattree_loop/K=8 bfs    the BFS frontier engine on the first workload —
 //                                  tracks the snapshot-restore overhead of
 //                                  the frontier layer in the trajectory
 //   fattree_loop/K=8 shards=2      the same workload through the 2-shard
 //                                  multi-process coordinator — tracks the
 //                                  fork + wire-protocol overhead
-//   bgp_dc_worstcase/K=4 por[-off] the uncapped interleaving-explosion
-//                                  workload with dynamic partial-order
-//                                  reduction on vs off — the por-off/por
-//                                  time ratio is the DPOR win in the
-//                                  trajectory (verdicts identical)
+//   bgp_dc_worstcase/K=4 por-off   the bgp_dc_worstcase/K=4 row with
+//                                  partial-order reduction off — the
+//                                  por-off / default time ratio is the DPOR
+//                                  win in the trajectory (verdicts identical)
 //   bgp_dc_worstcase/K=4 budget-*  the same workload under resource budgets:
 //                                  budget-slack never trips (its delta vs
-//                                  the por row is the governance overhead,
-//                                  < 2%), budget-trip is time-to-inconclusive
-//                                  under a 100 ms deadline
+//                                  the bgp_dc_worstcase/K=4 row is the
+//                                  governance overhead, < 2%), budget-trip
+//                                  is time-to-inconclusive under a 100 ms
+//                                  deadline
 //
 // The ad-cache/dirty-set off rows measure the same workloads with the PR-2
 // hot-path optimizations disabled, so their effect is visible inside one
@@ -110,11 +111,15 @@ int main(int argc, char** argv) {
       vo.cores = 1;
       vo.explore.det_nodes_bgp = false;
       vo.explore.suppress_equivalent = false;
-      vo.explore.max_states = 200000;
       apply_mode(vo, optimized);
       Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-      row(std::string("bgp_dc_worstcase/K=4") + mode_tag(optimized),
-          verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
+      const VerifyResult r =
+          verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
+      row(std::string("bgp_dc_worstcase/K=4") + mode_tag(optimized), r);
+      std::printf("%-36s %10llu pruned  %10llu source sets\n",
+                  "  (reduction counters)",
+                  static_cast<unsigned long long>(r.total.por_pruned),
+                  static_cast<unsigned long long>(r.total.por_source_sets));
     }
   }
 
@@ -147,8 +152,8 @@ int main(int argc, char** argv) {
   }
 
   {
-    // The DPOR pair: the fig9 worst-case BGP workload uncapped, por on vs
-    // off. This is the interleaving explosion the sleep/source-set reduction
+    // The DPOR pair's off arm: the bgp_dc_worstcase/K=4 row with por off.
+    // This is the interleaving explosion the sleep/source-set reduction
     // targets; both rows must report the same verdict, and the time ratio is
     // the reduction factor tracked in the trajectory.
     FatTreeOptions o;
@@ -156,27 +161,18 @@ int main(int argc, char** argv) {
     o.routing = FatTreeOptions::Routing::kBgpRfc7938;
     const FatTree ft = make_fat_tree(o);
     const WaypointPolicy policy({ft.edges.back()}, ft.aggs);
-    for (const bool por : {true, false}) {
-      VerifyOptions vo;
-      vo.cores = 1;
-      vo.explore.det_nodes_bgp = false;
-      vo.explore.suppress_equivalent = false;
-      vo.explore.por = por;
-      Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-      const VerifyResult r =
-          verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
-      row(std::string("bgp_dc_worstcase/K=4 por") + (por ? "" : "-off"), r);
-      if (por) {
-        std::printf("%-36s %10llu pruned  %10llu source sets\n",
-                    "  (reduction counters)",
-                    static_cast<unsigned long long>(r.total.por_pruned),
-                    static_cast<unsigned long long>(r.total.por_source_sets));
-      }
-    }
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.det_nodes_bgp = false;
+    vo.explore.suppress_equivalent = false;
+    vo.explore.por = false;
+    Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
+    row("bgp_dc_worstcase/K=4 por-off",
+        verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
   }
   {
     // Resource-governance rows (checker/budget.hpp), deliberately budgeted
-    // and labelled so (assert_unbudgeted guards every other row):
+    // and labelled so (assert_unbudgeted guards every unlabelled row):
     //   budget-slack — the fig9 worst-case workload under budgets wide
     //                  enough to never trip. Its delta vs the plain
     //                  bgp_dc_worstcase row is the governance overhead of
@@ -201,9 +197,9 @@ int main(int argc, char** argv) {
         vo.explore.det_nodes_bgp = false;
         vo.explore.suppress_equivalent = false;
         if (budgeted) {
-          vo.budget.deadline = std::chrono::minutes(10);
-          vo.budget.max_states = 100000000;
-          vo.budget.max_bytes = std::size_t{4} << 30;
+          vo.explore.budget.deadline = std::chrono::minutes(10);
+          vo.explore.budget.max_states = 100000000;
+          vo.explore.budget.max_bytes = std::size_t{4} << 30;
         }
         Verifier verifier(ft.net, vo);
         return verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
@@ -230,7 +226,7 @@ int main(int argc, char** argv) {
       vo.cores = 1;
       vo.explore.det_nodes_bgp = false;
       vo.explore.suppress_equivalent = false;
-      vo.budget.deadline = std::chrono::milliseconds(100);
+      vo.explore.budget.deadline = std::chrono::milliseconds(100);
       Verifier verifier(ft.net, vo);
       const VerifyResult r =
           verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
@@ -254,8 +250,8 @@ int main(int argc, char** argv) {
   }
   {
     // The fig9 worst-case single monster PEC under the BFS frontier engine,
-    // capped (explore.max_states) so the row tracks frontier snapshot and
-    // replay cost at bounded time.
+    // capped (explore.budget.max_states) so the row tracks frontier snapshot
+    // and replay cost at bounded time.
     FatTreeOptions o;
     o.k = 4;
     o.routing = FatTreeOptions::Routing::kBgpRfc7938;
@@ -265,8 +261,8 @@ int main(int argc, char** argv) {
     vo.cores = 1;
     vo.explore.det_nodes_bgp = false;
     vo.explore.engine_kind = SearchEngineKind::kBfs;
-    vo.explore.max_states = 50000;
-    Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
+    vo.explore.budget.max_states = 50000;
+    Verifier verifier(ft.net, vo);
     row("bgp_dc_worstcase/K=4 bfs capped",
         verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
   }

@@ -41,7 +41,8 @@ int main() {
   const VerifyResult r = verifier.verify_address(ft.edge_prefixes[0].addr(), policy);
 
   std::printf("policy 'all paths to %s cross a waypoint': %s\n",
-              ft.edge_prefixes[0].str().c_str(), r.holds ? "HOLDS" : "VIOLATED");
+              ft.edge_prefixes[0].str().c_str(),
+              r.verdict == Verdict::kHolds ? "HOLDS" : "VIOLATED");
   std::printf("converged states checked: %llu (suppressed as equivalent: %llu)\n",
               static_cast<unsigned long long>(r.total.policy_checks),
               static_cast<unsigned long long>(r.total.suppressed_checks));

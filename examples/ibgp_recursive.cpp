@@ -35,8 +35,8 @@ int main() {
       {overlay.speakers.begin(), overlay.speakers.end()});
   const VerifyResult r = verifier.verify_address(overlay.external.addr(), policy);
   std::printf("external prefix delivered from every speaker: %s\n",
-              r.holds ? "YES" : "NO");
-  if (!r.holds) {
+              r.verdict == Verdict::kHolds ? "YES" : "NO");
+  if (r.verdict == Verdict::kViolated) {
     std::printf("  %s\n", r.first_violation(topo.net.topo).c_str());
   }
   std::printf("PECs verified: %zu (+%zu upstream support runs)\n",
@@ -50,9 +50,9 @@ int main() {
   Verifier v2(topo.net, vo);
   const VerifyResult r2 = v2.verify_address(overlay.external.addr(), policy);
   std::printf("\nunder any single link failure: %s (wall %.2f ms)\n",
-              r2.holds ? "STILL DELIVERED" : "VIOLATED",
+              r2.verdict == Verdict::kHolds ? "STILL DELIVERED" : "VIOLATED",
               static_cast<double>(r2.wall.count()) / 1e6);
-  if (!r2.holds) {
+  if (r2.verdict == Verdict::kViolated) {
     std::printf("  %s\n", r2.first_violation(topo.net.topo).c_str());
   }
   return 0;

@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
   std::printf("failure scenarios explored: %llu\n",
               static_cast<unsigned long long>(r.total.failure_sets));
   std::printf("all destinations reachable under any 1 failure: %s\n",
-              r.holds ? "YES" : "NO");
-  if (!r.holds) {
+              r.verdict == Verdict::kHolds ? "YES" : "NO");
+  if (r.verdict == Verdict::kViolated) {
     std::printf("  first violation: %s\n", r.first_violation(topo.net.topo).c_str());
   }
   std::printf("wall time: %.2f ms, model memory: %.2f MB\n",

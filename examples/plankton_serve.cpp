@@ -78,9 +78,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-por") {
       opts.verify.explore.por = false;
     } else if (arg == "--deadline-ms") {
-      opts.verify.budget.deadline = std::chrono::milliseconds(std::atol(value()));
+      opts.verify.explore.budget.deadline =
+          std::chrono::milliseconds(std::atol(value()));
     } else if (arg == "--budget-states") {
-      opts.verify.budget.max_states = std::strtoull(value(), nullptr, 10);
+      opts.verify.explore.budget.max_states =
+          std::strtoull(value(), nullptr, 10);
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -160,17 +160,17 @@ int main(int argc, char** argv) {
       } else if (arg == "--deadline-ms" && i + 1 < argc) {
         const long long ms = std::atoll(argv[++i]);
         if (ms <= 0) throw std::runtime_error("bad --deadline-ms");
-        opts.budget.deadline = std::chrono::milliseconds(ms);
+        opts.explore.budget.deadline = std::chrono::milliseconds(ms);
       } else if (arg == "--budget-states" && i + 1 < argc) {
         const long long n = std::atoll(argv[++i]);
         if (n <= 0) throw std::runtime_error("bad --budget-states");
-        opts.budget.max_states = static_cast<std::uint64_t>(n);
+        opts.explore.budget.max_states = static_cast<std::uint64_t>(n);
       } else if (arg == "--budget-bytes" && i + 1 < argc) {
         const long long n = std::atoll(argv[++i]);
         if (n <= 0) throw std::runtime_error("bad --budget-bytes");
-        opts.budget.max_bytes = static_cast<std::size_t>(n);
+        opts.explore.budget.max_bytes = static_cast<std::size_t>(n);
       } else if (arg == "--degrade-visited") {
-        opts.budget.degrade_visited = true;
+        opts.explore.budget.degrade_visited = true;
       } else if (arg == "--tcp-workers" && i + 1 < argc) {
         std::stringstream ss(argv[++i]);
         std::string addr;
@@ -250,8 +250,7 @@ int main(int argc, char** argv) {
     } else if (result.verdict == Verdict::kInconclusive) {
       verdict_text = "INCONCLUSIVE";
     }
-    std::printf("policy %s: %s%s\n", policy->name().c_str(), verdict_text,
-                result.timed_out ? " (incomplete: timed out)" : "");
+    std::printf("policy %s: %s\n", policy->name().c_str(), verdict_text);
     std::printf("PECs verified: %zu (+%zu support), converged states: %llu, "
                 "wall: %.2f ms, model memory: %.2f MB\n",
                 result.pecs_verified, result.pecs_support,

@@ -42,12 +42,15 @@ ospf r2 originate 192.168.7.0/24
 
 void report(const char* what, const plankton::VerifyResult& r,
             const plankton::Network& net) {
-  std::printf("%-34s %s", what, r.holds ? "HOLDS" : "VIOLATED");
+  std::printf("%-34s %s", what,
+              r.verdict == plankton::Verdict::kHolds ? "HOLDS" : "VIOLATED");
   std::printf("  [%zu/%zu PECs checked, %llu converged states, %.2f ms]\n",
               r.pecs_verified, r.pecs_total,
               static_cast<unsigned long long>(r.total.converged_states),
               static_cast<double>(r.wall.count()) / 1e6);
-  if (!r.holds) std::printf("    -> %s\n", r.first_violation(net.topo).c_str());
+  if (r.verdict == plankton::Verdict::kViolated) {
+    std::printf("    -> %s\n", r.first_violation(net.topo).c_str());
+  }
 }
 
 }  // namespace

@@ -9,10 +9,14 @@
 // together with which budget tripped and how far exploration got (the
 // SearchStats). Exhaustion is never reported as a hold.
 //
-// Budgets thread through VerifyOptions -> Verifier -> ExploreOptions ->
-// Explorer::budget_exhausted. The Verifier derives per-PEC deadlines from the
-// global one (a fair share of the remaining time over the remaining PECs),
-// so a monster PEC trips its own slice instead of starving the rest.
+// There is exactly one budget: ExploreOptions::budget. Handed to a bare
+// Explorer it bounds that one exploration; handed to the Verifier (as
+// VerifyOptions::explore.budget) its deadline is the whole-run budget, which
+// the Verifier slices into per-PEC deadlines (a fair share of the remaining
+// time over the remaining PECs), so a monster PEC trips its own slice
+// instead of starving the rest. The verdict rule is classify() below, the
+// one place every result type (ExploreResult, VerifyResult) derives its
+// verdict from.
 #pragma once
 
 #include <chrono>
@@ -46,10 +50,25 @@ enum class Verdict : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Verdict verdict);
 
+/// The verdict rule, written once. A found violation is conclusive even
+/// from a partial search; a search that ran to completion (no budget
+/// tripped) with exhaustive coverage holds; anything else is inconclusive —
+/// never a hold.
+[[nodiscard]] constexpr Verdict classify(bool violated, BudgetKind budget_tripped,
+                                         bool exhaustive) {
+  if (violated) return Verdict::kViolated;
+  if (budget_tripped != BudgetKind::kNone || !exhaustive) {
+    return Verdict::kInconclusive;
+  }
+  return Verdict::kHolds;
+}
+
 /// Resource bounds for one verification. Zero on any axis means "no bound"
-/// (the seed behaviour). `deadline` is the whole-run wall budget: the
-/// Verifier converts it into per-PEC slices. `max_states` / `max_bytes`
-/// bound each single PEC exploration (states stored; visited + arena bytes).
+/// (the seed behaviour). `deadline` is the wall budget of whatever runs it:
+/// one Explorer run, or the whole verification when the Verifier holds it
+/// (the Verifier converts it into per-PEC slices). `max_states` /
+/// `max_bytes` bound each single PEC exploration (states stored; visited +
+/// arena bytes).
 struct ResourceBudget {
   std::chrono::milliseconds deadline{0};
   std::uint64_t max_states = 0;

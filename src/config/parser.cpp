@@ -1,6 +1,8 @@
 #include "config/parser.hpp"
 
 #include <charconv>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace plankton {
@@ -54,9 +56,11 @@ class Parser {
   }
 
   NodeId node_of(std::string_view name) const {
-    const auto id = result_.net.find_device(name);
-    if (!id) throw ConfigParseError(line_no_, "unknown node '" + std::string(name) + "'");
-    return *id;
+    const auto it = node_ids_.find(name);
+    if (it == node_ids_.end()) {
+      throw ConfigParseError(line_no_, "unknown node '" + std::string(name) + "'");
+    }
+    return it->second;
   }
 
   IpAddr ip_of(std::string_view text) const {
@@ -117,13 +121,14 @@ class Parser {
 
   void handle_node(const std::vector<std::string_view>& t) {
     if (t.size() != 2 && t.size() != 4) fail("usage: node <name> [loopback <ip>]");
-    if (result_.net.find_device(t[1])) fail("duplicate node '" + std::string(t[1]) + "'");
+    const std::string_view name = t[1];
+    if (node_ids_.contains(name)) fail("duplicate node '" + std::string(name) + "'");
     IpAddr loopback;
     if (t.size() == 4) {
       if (t[2] != "loopback") fail("expected 'loopback'");
       loopback = ip_of(t[3]);
     }
-    result_.net.add_device(std::string(t[1]), loopback);
+    node_ids_.emplace(name, result_.net.add_device(std::string(name), loopback));
   }
 
   void handle_link(const std::vector<std::string_view>& t) {
@@ -285,6 +290,16 @@ class Parser {
 
   ParsedNetwork result_;
   std::size_t line_no_ = 0;
+  /// Device name -> id. Every link/ospf/static/bgp line names devices; a
+  /// Network::find_device scan per name would make parsing quadratic in the
+  /// device count. Transparent hashing looks tokens up without a copy.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> node_ids_;
 };
 
 }  // namespace

@@ -241,10 +241,8 @@ class ShardExecution {
         policy_(policy),
         plan_(plan),
         cross_deps_(deps.has_cross_pec_deps()),
-        has_wall_limit_(opts.wall_limit.count() > 0),
-        wall_deadline_(start + opts.wall_limit),
-        has_budget_deadline_(opts.budget.deadline.count() > 0),
-        budget_deadline_(start + opts.budget.deadline) {
+        has_deadline_(opts.explore.budget.deadline.count() > 0),
+        deadline_(start + opts.explore.budget.deadline) {
     // Budget deadline fair-sharing: the global deadline is split into
     // per-PEC slices of remaining_time / remaining_unstarted_pecs, so one
     // monster PEC trips its own slice instead of starving everything
@@ -272,35 +270,20 @@ class ShardExecution {
     // (failure sets must coordinate exactly across PEC runs).
     if (cross_deps_ && (has_deps || has_dependents)) eo.lec_failures = false;
     // State/memory caps and the degradation opt-in apply per exploration;
-    // the deadline is replaced by this PEC's fair-share slice below.
-    eo.budget = opts_.budget;
-    eo.budget.deadline = std::chrono::milliseconds(0);
-    const auto deadline_exhausted = [&]() {
-      PecReport rep;
-      rep.pec = pec_id;
-      rep.pec_str = pec.str();
-      rep.result.timed_out = true;
-      rep.result.budget_tripped = BudgetKind::kDeadline;
-      return rep;
-    };
-    if (has_wall_limit_) {
-      const auto now = std::chrono::steady_clock::now();
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(wall_deadline_ -
-                                                                now);
-      if (remaining.count() <= 0) return deadline_exhausted();
-      if (eo.time_limit.count() == 0 || remaining < eo.time_limit) {
-        eo.time_limit = remaining;
-      }
-    }
-    if (has_budget_deadline_) {
+    // the whole-run deadline is replaced by this PEC's fair-share slice.
+    if (has_deadline_) {
       const std::size_t started =
           pecs_started.fetch_add(1, std::memory_order_relaxed);
-      const auto now = std::chrono::steady_clock::now();
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
-              budget_deadline_ - now);
-      if (remaining.count() <= 0) return deadline_exhausted();
+              deadline_ - std::chrono::steady_clock::now());
+      if (remaining.count() <= 0) {
+        PecReport rep;
+        rep.pec = pec_id;
+        rep.pec_str = pec.str();
+        rep.result.budget_tripped = BudgetKind::kDeadline;
+        return rep;
+      }
       eo.budget.deadline = fair_share_slice(
           remaining, scheduled_pecs.load(std::memory_order_relaxed), started);
     }
@@ -338,21 +321,20 @@ class ShardExecution {
     if (!plan_.dedup_on) return;
     const auto& members = plan_.classes.members_of[rep.pec];
     if (members.empty()) return;
-    const bool clean = rep.result.verdict() == Verdict::kHolds &&
-                       rep.result.violations.empty();
-    if (clean) {
+    if (rep.result.verdict() == Verdict::kHolds) {
       for (const PecId m : members) {
         PecReport t;
         t.pec = m;
         t.pec_str = pecs_.pecs[m].str();
         t.translated_from = rep.pec;
-        t.result.holds = true;
         t.result.stats = rep.result.stats;
         emit(std::move(t));
       }
       return;
     }
-    if (!rep.result.holds && !opts_.explore.find_all_violations) return;
+    if (!rep.result.violations.empty() && !opts_.explore.find_all_violations) {
+      return;
+    }
     for (const PecId m : members) {
       dedup_reruns.fetch_add(1, std::memory_order_relaxed);
       // Reruns are scheduled work the static count never saw; register them
@@ -412,10 +394,6 @@ class ShardExecution {
                               std::vector<sched::ShardPecResult>& out) {
     sched::ShardPecResult r;
     r.pec = pr.pec;
-    r.holds = pr.result.holds;
-    r.timed_out = pr.result.timed_out;
-    r.state_limit_hit = pr.result.state_limit_hit;
-    r.memory_limit_hit = pr.result.memory_limit_hit;
     r.budget_tripped = pr.result.budget_tripped;
     r.exhaustive = pr.result.exhaustive;
     r.stats = pr.result.stats;
@@ -440,10 +418,8 @@ class ShardExecution {
   const ShardPlan& plan_;
   TruePolicy true_policy_;
   const bool cross_deps_;
-  const bool has_wall_limit_;
-  const std::chrono::steady_clock::time_point wall_deadline_;
-  const bool has_budget_deadline_;
-  const std::chrono::steady_clock::time_point budget_deadline_;
+  const bool has_deadline_;  ///< explore.budget carries a whole-run deadline
+  const std::chrono::steady_clock::time_point deadline_;
 };
 
 /// Blocking full-frame write for the bootstrap handshake (MSG_NOSIGNAL: a
@@ -508,12 +484,12 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // Folds one per-PEC report into the aggregate result — the single
   // definition both execution paths use, so the sharded and in-process
   // merges cannot drift (the bit-identical invariant the shard tests pin).
+  bool violated = false;
   auto merge_report = [&](PecReport&& rep) {
     // Translated reports repeat their representative's stats; the aggregate
     // counts only exploration that actually happened.
     if (rep.translated_from == kNoPec) result.total.absorb(rep.result.stats);
-    if (rep.result.timed_out) result.timed_out = true;
-    if (!rep.result.holds) result.holds = false;
+    if (!rep.result.violations.empty()) violated = true;
     if (rep.result.budget_tripped != BudgetKind::kNone &&
         result.budget_tripped == BudgetKind::kNone) {
       result.budget_tripped = rep.result.budget_tripped;
@@ -531,22 +507,12 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     }
   };
 
-  // Verdict taxonomy (checker/budget.hpp): a violation is sound even from a
-  // partial search, so it always wins; any exhaustion or lossy search mode
-  // degrades a would-be hold to kInconclusive — never to a spurious kHolds.
+  // The same classify() every ExploreResult uses, over the merged facts: a
+  // PEC counted in pecs_inconclusive tripped a budget or was not exhaustive,
+  // and both are already folded into the aggregate.
   auto finalize_verdict = [&]() {
-    if (!result.holds) {
-      result.verdict = Verdict::kViolated;
-    } else if (result.timed_out ||
-               result.budget_tripped != BudgetKind::kNone ||
-               result.pecs_inconclusive > 0 || !result.exhaustive) {
-      result.verdict = Verdict::kInconclusive;
-      if (result.budget_tripped == BudgetKind::kNone && result.timed_out) {
-        result.budget_tripped = BudgetKind::kDeadline;
-      }
-    } else {
-      result.verdict = Verdict::kHolds;
-    }
+    result.verdict =
+        classify(violated, result.budget_tripped, result.exhaustive);
     result.wall = std::chrono::steady_clock::now() - start;
   };
 
@@ -614,22 +580,13 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
         bm.simulation = eo.simulation ? 1 : 0;
         bm.visited = static_cast<std::uint8_t>(eo.visited);
         bm.bloom_bits = eo.bloom_bits;
-        bm.max_states = eo.max_states;
-        bm.time_limit_ms = eo.time_limit.count();
-        bm.budget_max_states = opts_.budget.max_states;
-        bm.budget_max_bytes = opts_.budget.max_bytes;
-        bm.budget_degrade_visited = opts_.budget.degrade_visited ? 1 : 0;
-        const auto remaining_ms = [&](std::chrono::steady_clock::time_point
-                                          deadline) -> std::int64_t {
+        bm.budget_max_states = eo.budget.max_states;
+        bm.budget_max_bytes = eo.budget.max_bytes;
+        bm.budget_degrade_visited = eo.budget.degrade_visited ? 1 : 0;
+        if (eo.budget.deadline.count() > 0) {
           const auto rem = std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now());
-          return std::max<std::int64_t>(1, rem.count());
-        };
-        if (opts_.budget.deadline.count() > 0) {
-          bm.budget_deadline_ms = remaining_ms(start + opts_.budget.deadline);
-        }
-        if (opts_.wall_limit.count() > 0) {
-          bm.wall_remaining_ms = remaining_ms(start + opts_.wall_limit);
+              start + eo.budget.deadline - std::chrono::steady_clock::now());
+          bm.budget_deadline_ms = std::max<std::int64_t>(1, rem.count());
         }
         bm.engine_kind = static_cast<std::uint8_t>(eo.engine_kind);
         bm.engine_seed = eo.engine_seed;
@@ -684,10 +641,6 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
       } else if (plan.dedup_on && plan.classes.is_translated_member(sr.pec)) {
         ++result.dedup_reruns;  // member explored natively in the worker
       }
-      rep.result.holds = sr.holds;
-      rep.result.timed_out = sr.timed_out;
-      rep.result.state_limit_hit = sr.state_limit_hit;
-      rep.result.memory_limit_hit = sr.memory_limit_hit;
       rep.result.budget_tripped = sr.budget_tripped;
       rep.result.exhaustive = sr.exhaustive;
       rep.result.stats = sr.stats;
@@ -744,8 +697,8 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     return rep;
   };
 
-  // Runs after every run_pec return — including the wall-limit timeout path,
-  // so time-limited runs still release exhausted dependencies.
+  // Runs after every run_pec return — including the exhausted-deadline path,
+  // so deadline-limited runs still release exhausted dependencies.
   auto release_dependencies = [&](PecId pec_id) {
     for (const PecId d : deps_.depends_on[pec_id]) {
       if (pending_dependents[d].fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -772,7 +725,8 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
         for (const PecId p : task.pecs) {
           PecReport rep = run_pec(p, task.is_target && is_target[p] != 0);
           release_dependencies(p);
-          if (!rep.result.holds && !opts_.explore.find_all_violations) {
+          if (!rep.result.violations.empty() &&
+              !opts_.explore.find_all_violations) {
             stop.store(true, std::memory_order_relaxed);
           }
           auto& buf = buffers[static_cast<std::size_t>(tc.worker())].reports;
@@ -877,19 +831,16 @@ int serve_shard_worker_session(int fd) {
   eo.simulation = bm.simulation != 0;
   eo.visited = static_cast<VisitedKind>(bm.visited);
   eo.bloom_bits = bm.bloom_bits;
-  eo.max_states = bm.max_states;
-  eo.time_limit = std::chrono::milliseconds(bm.time_limit_ms);
+  eo.budget.max_states = bm.budget_max_states;
+  eo.budget.max_bytes = bm.budget_max_bytes;
+  eo.budget.degrade_visited = bm.budget_degrade_visited != 0;
+  eo.budget.deadline = std::chrono::milliseconds(bm.budget_deadline_ms);
   eo.engine_kind = static_cast<SearchEngineKind>(bm.engine_kind);
   eo.engine_seed = bm.engine_seed;
   eo.engine_split_every = bm.engine_split_every;
   eo.engine_restart_policy =
       static_cast<RestartPolicy>(bm.engine_restart_policy);
   vo.pec_dedup = bm.pec_dedup != 0;
-  vo.budget.max_states = bm.budget_max_states;
-  vo.budget.max_bytes = bm.budget_max_bytes;
-  vo.budget.degrade_visited = bm.budget_degrade_visited != 0;
-  vo.budget.deadline = std::chrono::milliseconds(bm.budget_deadline_ms);
-  vo.wall_limit = std::chrono::milliseconds(bm.wall_remaining_ms);
 
   Verifier verifier(pn.net, vo);
   const std::unique_ptr<Policy> policy =

@@ -33,6 +33,13 @@ enum class ShardTransportKind : std::uint8_t {
 };
 
 struct VerifyOptions {
+  /// Exploration knobs for every PEC run. `explore.budget` is the resource
+  /// budget of the whole verification (checker/budget.hpp): its deadline
+  /// bounds the run and is split into per-PEC slices (a fair share of the
+  /// remaining time over the PECs still unstarted) so one monster PEC cannot
+  /// starve the rest; the state and memory caps apply to each PEC
+  /// exploration. Exhaustion yields Verdict::kInconclusive with the tripped
+  /// axis recorded — never a spurious hold.
   ExploreOptions explore;
   int cores = 1;                             ///< worker threads for PEC runs
   /// Worker *processes* for the multi-process shard coordinator
@@ -48,15 +55,6 @@ struct VerifyOptions {
   /// trail text stay bit-identical to a dedup-off run. Default on;
   /// `plankton_verify --no-pec-dedup` turns it off.
   bool pec_dedup = true;
-  std::chrono::milliseconds wall_limit{0};   ///< 0 = none (whole verification)
-
-  /// Resource governance (checker/budget.hpp). `budget.deadline` bounds the
-  /// whole verification like `wall_limit`, but is split into per-PEC slices
-  /// (a fair share of the remaining time over the PECs still unstarted) so
-  /// one monster PEC cannot starve the rest; the state and memory caps apply
-  /// to each PEC exploration. Exhaustion yields Verdict::kInconclusive with
-  /// the tripped axis recorded — never a spurious hold.
-  ResourceBudget budget;
 
   /// Shard supervision (sched/shard.hpp): worker heartbeat cadence and the
   /// coordinator's escalation ladder (soft deadline → progress probe, hard
@@ -95,10 +93,9 @@ struct PecReport {
 };
 
 struct VerifyResult {
-  bool holds = true;
-  bool timed_out = false;
-  /// Sound whole-run classification: kViolated on any violation, kHolds only
-  /// when every PEC ran to completion within budget, kInconclusive otherwise.
+  /// Whole-run classify(): kViolated on any violation, kHolds only when
+  /// every PEC ran to completion within budget with exhaustive coverage,
+  /// kInconclusive otherwise.
   Verdict verdict = Verdict::kHolds;
   /// First budget axis that ended a PEC search early (kNone = none did).
   BudgetKind budget_tripped = BudgetKind::kNone;

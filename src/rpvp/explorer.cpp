@@ -124,20 +124,8 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
 
 ExploreResult Explorer::run() {
   const auto start = std::chrono::steady_clock::now();
-  // The legacy time_limit and the budget deadline compose: earliest wins.
-  for (const auto limit : {opts_.time_limit, opts_.budget.deadline}) {
-    if (limit.count() <= 0) continue;
-    const auto candidate = start + limit;
-    if (!has_deadline_ || candidate < deadline_) deadline_ = candidate;
-    has_deadline_ = true;
-  }
-  // Smaller non-zero state cap wins between the legacy knob and the budget.
-  effective_max_states_ = opts_.max_states;
-  if (opts_.budget.max_states != 0 &&
-      (effective_max_states_ == 0 ||
-       opts_.budget.max_states < effective_max_states_)) {
-    effective_max_states_ = opts_.budget.max_states;
-  }
+  has_deadline_ = opts_.budget.deadline.count() > 0;
+  deadline_ = start + opts_.budget.deadline;
   explore_failures(0);
   result_.stats.states_stored = stored_states();
   result_.stats.frontier_peak = engine_->frontier_peak();
@@ -195,8 +183,8 @@ bool Explorer::budget_exhausted() {
   // The state cap is checked on every call: trip points are a deterministic
   // function of the exploration order, so two runs with the same budget stop
   // at the same state (the budget-determinism tests pin this down).
-  if (effective_max_states_ != 0 && stored_states() > effective_max_states_) {
-    result_.state_limit_hit = true;
+  if (opts_.budget.max_states != 0 &&
+      stored_states() > opts_.budget.max_states) {
     result_.budget_tripped = BudgetKind::kStates;
     return true;
   }
@@ -206,14 +194,12 @@ bool Explorer::budget_exhausted() {
   ++result_.stats.budget_checks;
   progress_tick();
   if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
-    result_.timed_out = true;
     result_.budget_tripped = BudgetKind::kDeadline;
     return true;
   }
   if (opts_.budget.max_bytes != 0 &&
       current_model_bytes() > opts_.budget.max_bytes) {
     if (!try_degrade_visited()) {
-      result_.memory_limit_hit = true;
       result_.budget_tripped = BudgetKind::kMemory;
       return true;
     }
@@ -1131,7 +1117,6 @@ Explorer::Flow Explorer::handle_converged() {
   const ConvergedView view{net_, pec_, failures_, dp, ribs, ctx_};
   std::string why;
   if (!policy_.check(view, why)) {
-    result_.holds = false;
     Violation v;
     v.failures = failures_;
     v.trail = trail_;

@@ -89,15 +89,12 @@ struct ExploreOptions {
   /// of rescanning every process member (engine/active_set.hpp).
   bool incremental_expand = true;
 
-  std::uint64_t max_states = 0;               ///< 0 = unlimited
-  std::chrono::milliseconds time_limit{0};    ///< 0 = none
-  /// Resource governance for this exploration (checker/budget.hpp). The
-  /// deadline composes with `time_limit` (whichever is earlier wins); the
-  /// state cap composes with `max_states` (smaller non-zero wins); the
-  /// memory cap is checked against the checker's own deterministic byte
-  /// accounting every 256 steps. Exhaustion sets ExploreResult::
-  /// budget_tripped and the verdict degrades to kInconclusive — never a
-  /// hold.
+  /// Resource governance (checker/budget.hpp) — the only limit. The state
+  /// cap is checked on every step, the deadline and the memory cap (against
+  /// the checker's own deterministic byte accounting) every 256 steps.
+  /// Exhaustion sets ExploreResult::budget_tripped and the verdict degrades
+  /// to kInconclusive — never a hold. Under the Verifier the deadline is the
+  /// whole-run budget, sliced per PEC.
   ResourceBudget budget;
   bool find_all_violations = false;
   bool record_outcomes = false;  ///< keep converged states for dependent PECs
@@ -180,33 +177,22 @@ struct PecOutcome {
 };
 
 struct ExploreResult {
-  bool holds = true;
-  bool timed_out = false;
-  bool state_limit_hit = false;
-  bool memory_limit_hit = false;
   /// Which budget axis ended the search early (kNone = ran to completion).
   BudgetKind budget_tripped = BudgetKind::kNone;
   /// False when coverage was not a proof: a lossy visited backend was
   /// selected up front, the memory-pressure degradation migrated the exact
   /// store to hash compaction mid-run, or (set by the verifier) the PEC
-  /// belongs to or depends on an approximated cyclic SCC. A `holds` with
-  /// exhaustive == false is a coverage claim; verdict() is kInconclusive.
+  /// belongs to or depends on an approximated cyclic SCC. A violation-free
+  /// search with exhaustive == false is a coverage claim, not a hold.
   bool exhaustive = true;
+  /// Every counterexample found (the first only, unless
+  /// find_all_violations). Non-empty means violated.
   std::vector<Violation> violations;
   std::vector<PecOutcome> outcomes;
   SearchStats stats;
 
-  /// Sound classification: a found violation is conclusive even from a
-  /// partial search; a completed exhaustive search holds; an exhausted
-  /// budget or a non-exhaustive search is inconclusive — never reported as
-  /// a hold.
   [[nodiscard]] Verdict verdict() const {
-    if (!holds) return Verdict::kViolated;
-    if (budget_tripped != BudgetKind::kNone || timed_out || state_limit_hit ||
-        memory_limit_hit || !exhaustive) {
-      return Verdict::kInconclusive;
-    }
-    return Verdict::kHolds;
+    return classify(!violations.empty(), budget_tripped, exhaustive);
   }
 };
 
@@ -407,7 +393,6 @@ class Explorer final : public SearchModel {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   std::uint64_t limit_check_counter_ = 0;
-  std::uint64_t effective_max_states_ = 0;  ///< min non-zero of the two caps
   bool degraded_visited_ = false;           ///< exact→compact migration done
 
   /// Deterministic model-memory accounting for the budget check (the same

@@ -299,17 +299,8 @@ bool decode_violation(std::string_view in, ViolationMsg& out) {
 
 namespace {
 
-// One PecDoneMsg's exact wire size: pec (4) + 7 flag bytes + the SearchStats
-// block (25 x 8). Using the full size matters: fits() with a smaller stride
-// would let a lying count amplify resize() far past the bytes present.
-constexpr std::size_t kPecDoneWireBytes = 4 + 7 + 25 * 8;
-
 void put_pec_done(std::string& out, const PecDoneMsg& p) {
   put_int(out, p.pec);
-  put_int(out, p.holds);
-  put_int(out, p.timed_out);
-  put_int(out, p.state_limit_hit);
-  put_int(out, p.memory_limit_hit);
   put_int(out, p.budget_tripped);
   put_int(out, p.exhaustive);
   put_int(out, p.translated);
@@ -317,15 +308,12 @@ void put_pec_done(std::string& out, const PecDoneMsg& p) {
 }
 
 bool get_pec_done(std::string_view& in, PecDoneMsg& p) {
-  if (!get_int(in, p.pec) || !get_int(in, p.holds) ||
-      !get_int(in, p.timed_out) || !get_int(in, p.state_limit_hit) ||
-      !get_int(in, p.memory_limit_hit) || !get_int(in, p.budget_tripped) ||
+  if (!get_int(in, p.pec) || !get_int(in, p.budget_tripped) ||
       !get_int(in, p.exhaustive) || !get_int(in, p.translated) ||
       !get_stats(in, p.stats)) {
     return false;
   }
-  return p.holds <= 1 && p.timed_out <= 1 && p.state_limit_hit <= 1 &&
-         p.memory_limit_hit <= 1 && p.exhaustive <= 1 && p.translated <= 1 &&
+  return p.exhaustive <= 1 && p.translated <= 1 &&
          p.budget_tripped <= static_cast<std::uint8_t>(BudgetKind::kMemory);
 }
 
@@ -478,10 +466,6 @@ bool send_data_frame(WorkerIo& io, MsgType type, const std::string& payload) {
 PecDoneMsg to_pec_done(const ShardPecResult& r) {
   PecDoneMsg pd;
   pd.pec = r.pec;
-  pd.holds = r.holds ? 1 : 0;
-  pd.timed_out = r.timed_out ? 1 : 0;
-  pd.state_limit_hit = r.state_limit_hit ? 1 : 0;
-  pd.memory_limit_hit = r.memory_limit_hit ? 1 : 0;
   pd.budget_tripped = static_cast<std::uint8_t>(r.budget_tripped);
   pd.exhaustive = r.exhaustive ? 1 : 0;
   pd.translated = r.translated ? 1 : 0;
@@ -1018,18 +1002,16 @@ ShardRunResult run_sharded_task_graph(
               pecs_ok = present(spec.pecs[i]);
               if (!pecs_ok || i >= spec.class_members.size()) continue;
               // Members are optional only under early stop with a violated
-              // representative; every other mode must report them
-              // (translated clean holds or native re-runs).
-              const PecDoneMsg* rep_done = nullptr;
-              for (const PecDoneMsg& p : done.pecs) {
-                if (p.pec == spec.pecs[i]) {
-                  rep_done = &p;
-                  break;
-                }
-              }
+              // representative (one that sent a kViolationReport); every
+              // other mode must report them (translated clean holds or
+              // native re-runs).
+              const PecId rep_pec = spec.pecs[i];
               const bool members_optional =
-                  opts.stop_on_violation && rep_done != nullptr &&
-                  rep_done->holds == 0;
+                  opts.stop_on_violation &&
+                  std::any_of(w.stash.begin(), w.stash.end(),
+                              [rep_pec](const ViolationMsg& v) {
+                                return v.pec == rep_pec;
+                              });
               if (members_optional) continue;
               for (const PecId m : spec.class_members[i]) {
                 pecs_ok = pecs_ok && present(m);
@@ -1044,10 +1026,6 @@ ShardRunResult run_sharded_task_graph(
           for (const PecDoneMsg& p : done.pecs) {
             ShardPecResult rep;
             rep.pec = p.pec;
-            rep.holds = p.holds != 0;
-            rep.timed_out = p.timed_out != 0;
-            rep.state_limit_hit = p.state_limit_hit != 0;
-            rep.memory_limit_hit = p.memory_limit_hit != 0;
             rep.budget_tripped = static_cast<BudgetKind>(p.budget_tripped);
             rep.exhaustive = p.exhaustive != 0;
             rep.translated = p.translated != 0;
@@ -1055,7 +1033,9 @@ ShardRunResult run_sharded_task_graph(
             for (ViolationMsg& v : w.stash) {
               if (v.pec == p.pec) rep.violations.push_back(std::move(v));
             }
-            if (!rep.holds && opts.stop_on_violation) stopping = true;
+            if (!rep.violations.empty() && opts.stop_on_violation) {
+              stopping = true;
+            }
             result.reports.push_back(std::move(rep));
           }
           w.stash.clear();

@@ -89,7 +89,8 @@ enum class MsgType : std::uint16_t {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
-inline constexpr std::uint16_t kFrameVersion = 1;
+/// Bumped on every payload layout change (2: the three-flag PecDoneMsg).
+inline constexpr std::uint16_t kFrameVersion = 2;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
 /// Default ceiling for one frame's payload. Anything larger is treated as a
@@ -162,12 +163,11 @@ struct ViolationMsg {
   std::string trail_text;
 };
 
+/// Per-PEC completion. "Violated" does not travel here: it is derived from
+/// the kViolationReport frames the worker sent for the PEC ahead of its
+/// kTaskDone (the coordinator stashes them per PEC).
 struct PecDoneMsg {
   PecId pec = 0;
-  std::uint8_t holds = 1;
-  std::uint8_t timed_out = 0;
-  std::uint8_t state_limit_hit = 0;
-  std::uint8_t memory_limit_hit = 0;
   /// BudgetKind of the budget that ended the search early (0 = none).
   std::uint8_t budget_tripped = 0;
   /// 0 when coverage was probabilistic (lossy/degraded visited backend).
@@ -178,6 +178,12 @@ struct PecDoneMsg {
   std::uint8_t translated = 0;
   SearchStats stats;
 };
+
+/// One PecDoneMsg's exact wire size: pec (4) + 3 flag bytes + the
+/// SearchStats block (25 x 8). The decoder sizes by the full stride: fits()
+/// with a smaller one would let a lying count amplify resize() far past the
+/// bytes present.
+inline constexpr std::size_t kPecDoneWireBytes = 4 + 3 + 25 * 8;
 
 struct TaskDoneMsg {
   std::uint64_t task = 0;
@@ -269,14 +275,10 @@ struct ShardTaskSpec {
 /// content for `pec` back to the coordinator (no second copy travels here).
 struct ShardPecResult {
   PecId pec = 0;
-  bool holds = true;
-  bool timed_out = false;
-  bool state_limit_hit = false;
-  bool memory_limit_hit = false;
   BudgetKind budget_tripped = BudgetKind::kNone;
   bool exhaustive = true;
   SearchStats stats;
-  std::vector<ViolationMsg> violations;
+  std::vector<ViolationMsg> violations;  ///< non-empty = violated
   bool record = false;
   /// See PecDoneMsg::translated.
   bool translated = false;
@@ -284,8 +286,8 @@ struct ShardPecResult {
 
 struct ShardRunOptions {
   int shards = 2;
-  /// Stop dispatching new tasks once any report arrives !holds (the
-  /// in-process early-stop behaviour); in-flight tasks still complete.
+  /// Stop dispatching new tasks once any report arrives with a violation
+  /// (the in-process early-stop behaviour); in-flight tasks still complete.
   bool stop_on_violation = false;
   std::uint64_t max_frame_payload = kDefaultMaxFramePayload;
   /// Give up on a task after this many worker deaths while it was in flight

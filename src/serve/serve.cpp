@@ -61,13 +61,10 @@ std::string encode_bootstrap(const BootstrapMsg& m) {
   put_int(out, m.simulation);
   put_int(out, m.visited);
   put_int(out, m.bloom_bits);
-  put_int(out, m.max_states);
-  put_int(out, m.time_limit_ms);
   put_int(out, m.budget_max_states);
   put_int(out, m.budget_max_bytes);
   put_int(out, m.budget_degrade_visited);
   put_int(out, m.budget_deadline_ms);
-  put_int(out, m.wall_remaining_ms);
   put_int(out, m.engine_kind);
   put_int(out, m.engine_seed);
   put_int(out, m.engine_split_every);
@@ -104,12 +101,10 @@ bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
       get_int(in, out.incremental_expand) &&
       get_int(in, out.find_all_violations) && get_int(in, out.simulation) &&
       get_int(in, out.visited) && get_int(in, out.bloom_bits) &&
-      get_int(in, out.max_states) && get_int(in, out.time_limit_ms) &&
       get_int(in, out.budget_max_states) &&
       get_int(in, out.budget_max_bytes) &&
       get_int(in, out.budget_degrade_visited) &&
-      get_int(in, out.budget_deadline_ms) &&
-      get_int(in, out.wall_remaining_ms) && get_int(in, out.engine_kind) &&
+      get_int(in, out.budget_deadline_ms) && get_int(in, out.engine_kind) &&
       get_int(in, out.engine_seed) && get_int(in, out.engine_split_every) &&
       get_int(in, out.engine_restart_policy) &&
       get_int(in, out.heartbeat_interval_ms) &&
@@ -126,8 +121,7 @@ bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
       !flag_ok(out.incremental_expand) || !flag_ok(out.find_all_violations) ||
       !flag_ok(out.simulation) ||
       out.visited > static_cast<std::uint8_t>(VisitedKind::kBitstate) ||
-      out.time_limit_ms < 0 || !flag_ok(out.budget_degrade_visited) ||
-      out.budget_deadline_ms < 0 || out.wall_remaining_ms < 0 ||
+      !flag_ok(out.budget_degrade_visited) || out.budget_deadline_ms < 0 ||
       out.engine_kind >
           static_cast<std::uint8_t>(SearchEngineKind::kRandomRestart) ||
       out.engine_restart_policy >

@@ -118,15 +118,12 @@ struct BootstrapMsg {
   std::uint8_t simulation = 0;
   std::uint8_t visited = 0;           ///< VisitedKind, <= kBitstate
   std::uint64_t bloom_bits = 0;
-  std::uint64_t max_states = 0;
-  std::int64_t time_limit_ms = 0;
   std::uint64_t budget_max_states = 0;
   std::uint64_t budget_max_bytes = 0;
   std::uint8_t budget_degrade_visited = 0;
-  /// Budget/wall deadlines travel as *remaining* milliseconds (0 = none):
+  /// The budget deadline travels as *remaining* milliseconds (0 = none):
   /// absolute time points do not survive a host boundary.
   std::int64_t budget_deadline_ms = 0;
-  std::int64_t wall_remaining_ms = 0;
   std::uint8_t engine_kind = 0;       ///< SearchEngineKind, validated in decode
   std::uint64_t engine_seed = 1;
   std::uint32_t engine_split_every = 0;

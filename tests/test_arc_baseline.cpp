@@ -91,7 +91,7 @@ TEST(ArcBaseline, AgreesWithPlanktonOnFatTree) {
     Verifier verifier(ft.net, vo);
     const ReachabilityPolicy policy({ft.edges.begin(), ft.edges.end()});
     const VerifyResult pr = verifier.verify(policy);
-    EXPECT_EQ(ar.holds, pr.holds) << "k=" << k;
+    EXPECT_EQ(ar.holds, pr.verdict == Verdict::kHolds) << "k=" << k;
   }
 }
 

@@ -94,7 +94,7 @@ TEST(Figure6, ExplorationCountsMatchNarrative) {
   opts.record_outcomes = true;
   Explorer ex(fx.net, pec, make_tasks(fx.net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.verdict(), Verdict::kHolds);
   // R4 picks between R2/R3 and R6 between R4/R5: up to 4 distinct converged
   // data planes, all loop-free.
   EXPECT_GE(r.outcomes.size(), 2u);

@@ -65,7 +65,7 @@ TEST(BgpSemantics, DisagreeHasTwoConvergedStates) {
   const Network net = make_disagree();
   const LoopFreedomPolicy policy;
   const ExploreResult r = explore_all(net, policy);
-  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.verdict(), Verdict::kHolds);
   // Exactly two distinct converged data planes: r1 via r2 or r2 via r1
   // (both choosing "through the other" simultaneously is not stable).
   EXPECT_EQ(r.outcomes.size(), 2u);
@@ -76,7 +76,7 @@ TEST(BgpSemantics, DisagreeNaiveModeAgrees) {
   const LoopFreedomPolicy policy;
   const ExploreResult fast = explore_all(net, policy);
   const ExploreResult naive = explore_all(net, policy, ExploreOptions::naive());
-  EXPECT_TRUE(naive.holds);
+  EXPECT_EQ(naive.verdict(), Verdict::kHolds);
   // Naive full-RPVP exploration (including withdraw transitions) reaches the
   // same converged set.
   EXPECT_EQ(naive.outcomes.size(), fast.outcomes.size());
@@ -133,7 +133,7 @@ TEST(BgpSemantics, WedgieHasTwoConvergedStates) {
   const Network net = make_wedgie(pri, bak, cust);
   const LoopFreedomPolicy policy;
   const ExploreResult r = explore_all(net, policy);
-  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.verdict(), Verdict::kHolds);
   EXPECT_EQ(r.outcomes.size(), 2u) << "wedgie must have exactly 2 stable states";
 }
 
@@ -147,7 +147,8 @@ TEST(BgpSemantics, WedgieViolationFoundWithTrail) {
   const Pec& pec = pecs.pecs[pecs.routed()[0]];
   Explorer ex(net, pec, make_tasks(net, pec), policy, {});
   const ExploreResult r = ex.run();
-  EXPECT_FALSE(r.holds) << "the wedged state must be found";
+  EXPECT_EQ(r.verdict(), Verdict::kViolated)
+      << "the wedged state must be found";
   ASSERT_FALSE(r.violations.empty());
   EXPECT_FALSE(r.violations[0].trail.events.empty());
 }
@@ -161,7 +162,7 @@ TEST(BgpSemantics, IbgpOverOspfDelivers) {
   Verifier verifier(topo.net, opts);
   const VerifyResult r =
       verifier.verify_address(overlay.external.addr(), policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(topo.net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(topo.net.topo);
   EXPECT_GT(r.pecs_support, 0u)
       << "loopback PECs must be scheduled before the iBGP PEC";
 }

@@ -19,6 +19,7 @@
 
 #include "core/verifier.hpp"
 #include "engine/visited.hpp"
+#include "support/thread_worker.hpp"
 #include "workload/fat_tree.hpp"
 
 namespace plankton {
@@ -87,10 +88,13 @@ struct WorstCase {
         addr(ft.edge_prefixes[0].addr()) {}
 
   [[nodiscard]] VerifyResult run(VerifyOptions vo) const {
+    return run(vo, policy);
+  }
+  [[nodiscard]] VerifyResult run(VerifyOptions vo, const Policy& p) const {
     vo.explore.det_nodes_bgp = false;
     vo.explore.suppress_equivalent = false;
     Verifier verifier(ft.net, vo);
-    return verifier.verify_address(addr, policy);
+    return verifier.verify_address(addr, p);
   }
 };
 
@@ -99,29 +103,42 @@ struct WorstCase {
 // ---------------------------------------------------------------------------
 
 TEST(BudgetTaxonomy, VerdictClassification) {
-  ExploreResult r;
-  EXPECT_EQ(r.verdict(), Verdict::kHolds);
-  r.timed_out = true;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  r = {};
-  r.state_limit_hit = true;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  r = {};
-  r.memory_limit_hit = true;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  r = {};
-  r.budget_tripped = BudgetKind::kStates;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  // A violation is sound even from a partial search: it always wins.
-  r.holds = false;
-  EXPECT_EQ(r.verdict(), Verdict::kViolated);
-  // A completed but non-exhaustive search (lossy visited store, approximated
-  // cyclic SCC) is a coverage claim, not a proof.
-  r = {};
-  r.exhaustive = false;
-  EXPECT_EQ(r.verdict(), Verdict::kInconclusive);
-  r.holds = false;
-  EXPECT_EQ(r.verdict(), Verdict::kViolated);
+  // Every row of classify(): a violation is sound even from a partial
+  // search, so it always wins; a tripped budget or a non-exhaustive search
+  // (lossy visited store, approximated cyclic SCC) is a coverage claim, not
+  // a proof; only a completed exhaustive search holds.
+  using enum BudgetKind;
+  constexpr Verdict H = Verdict::kHolds;
+  constexpr Verdict V = Verdict::kViolated;
+  constexpr Verdict I = Verdict::kInconclusive;
+  struct Row {
+    bool violated;
+    BudgetKind tripped;
+    bool exhaustive;
+    Verdict want;
+  };
+  constexpr Row kRows[] = {
+      {false, kNone, true, H},     {false, kNone, false, I},
+      {false, kDeadline, true, I}, {false, kDeadline, false, I},
+      {false, kStates, true, I},   {false, kStates, false, I},
+      {false, kMemory, true, I},   {false, kMemory, false, I},
+      {true, kNone, true, V},      {true, kNone, false, V},
+      {true, kDeadline, true, V},  {true, kDeadline, false, V},
+      {true, kStates, true, V},    {true, kStates, false, V},
+      {true, kMemory, true, V},    {true, kMemory, false, V},
+  };
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(std::string("violated=") + (row.violated ? "1" : "0") +
+                 " tripped=" + to_string(row.tripped) +
+                 " exhaustive=" + (row.exhaustive ? "1" : "0"));
+    EXPECT_EQ(classify(row.violated, row.tripped, row.exhaustive), row.want);
+    // ExploreResult::verdict() is the same rule over its own fields.
+    ExploreResult r;
+    if (row.violated) r.violations.emplace_back();
+    r.budget_tripped = row.tripped;
+    r.exhaustive = row.exhaustive;
+    EXPECT_EQ(r.verdict(), row.want);
+  }
 
   EXPECT_STREQ(to_string(BudgetKind::kNone), "none");
   EXPECT_STREQ(to_string(BudgetKind::kDeadline), "deadline");
@@ -136,13 +153,13 @@ TEST(BudgetTaxonomy, VerdictClassification) {
 TEST(BudgetTaxonomy, UnbudgetedRunIsExhaustiveHold) {
   const WorstCase wc;
   VerifyOptions vo;
-  vo.explore.max_states = 50000;  // under the ~180k full exploration: trips
+  vo.explore.budget.max_states = 50000;  // under the ~180k full run: trips
   const VerifyResult capped = wc.run(vo);
   EXPECT_EQ(capped.verdict, Verdict::kInconclusive)
       << "a state-cap stop must not report a hold";
 
   VerifyOptions unbudgeted;
-  EXPECT_FALSE(unbudgeted.budget.any());
+  EXPECT_FALSE(unbudgeted.explore.budget.any());
   FatTreeOptions o;
   o.k = 4;
   const FatTree ft = make_fat_tree(o);
@@ -163,11 +180,10 @@ TEST(BudgetTaxonomy, UnbudgetedRunIsExhaustiveHold) {
 TEST(BudgetDeterminism, StateBudgetTripsIdenticallyTwice) {
   const WorstCase wc;
   VerifyOptions vo;
-  vo.budget.max_states = 5000;
+  vo.explore.budget.max_states = 5000;
   const VerifyResult first = wc.run(vo);
   ASSERT_EQ(first.verdict, Verdict::kInconclusive);
   EXPECT_EQ(first.budget_tripped, BudgetKind::kStates);
-  EXPECT_TRUE(first.holds) << "no spurious violation from a partial search";
   EXPECT_EQ(first.pecs_inconclusive, 1u);
   EXPECT_TRUE(first.exhaustive)
       << "a state-cap stop with the exact backend is partial, not lossy";
@@ -181,11 +197,10 @@ TEST(BudgetDeterminism, StateBudgetTripsIdenticallyTwice) {
 TEST(BudgetDeterminism, MemoryBudgetTripsIdenticallyTwice) {
   const WorstCase wc;
   VerifyOptions vo;
-  vo.budget.max_bytes = 2u << 20;  // the uncapped run stores ~10 MB
+  vo.explore.budget.max_bytes = 2u << 20;  // the uncapped run stores ~10 MB
   const VerifyResult first = wc.run(vo);
   ASSERT_EQ(first.verdict, Verdict::kInconclusive);
   EXPECT_EQ(first.budget_tripped, BudgetKind::kMemory);
-  EXPECT_TRUE(first.holds);
   EXPECT_TRUE(first.exhaustive) << "without the degradation opt-in the "
                                    "exact backend stays exact";
   EXPECT_GT(first.total.budget_checks, 0u);
@@ -203,12 +218,11 @@ TEST(BudgetDeterminism, DeadlineClassifiesIdenticallyAcrossRuns) {
   // no spurious violation (the partial stats legitimately differ).
   const WorstCase wc;
   VerifyOptions vo;
-  vo.budget.deadline = std::chrono::milliseconds(25);
+  vo.explore.budget.deadline = std::chrono::milliseconds(25);
   for (int run = 0; run < 2; ++run) {
     const VerifyResult r = wc.run(vo);
     EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "run " << run;
     EXPECT_EQ(r.budget_tripped, BudgetKind::kDeadline) << "run " << run;
-    EXPECT_TRUE(r.holds) << "run " << run;
   }
 }
 
@@ -226,7 +240,7 @@ TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndShards) {
     for (const int shards : {0, 1, 2}) {
       VerifyOptions vo;
       vo.explore.engine_kind = engine;
-      vo.budget.deadline = std::chrono::milliseconds(25);
+      vo.explore.budget.deadline = std::chrono::milliseconds(25);
       if (shards > 0) vo.shards = shards;
       const VerifyResult r = wc.run(vo);
       EXPECT_NE(r.verdict, Verdict::kHolds)
@@ -245,7 +259,7 @@ TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {
   // sharded budget-tripped run reports the same taxonomy as in-process.
   const WorstCase wc;
   VerifyOptions vo;
-  vo.budget.max_states = 5000;
+  vo.explore.budget.max_states = 5000;
   const Fingerprint ref = fingerprint(wc.run(vo));
   for (const int shards : {1, 2}) {
     VerifyOptions sv = vo;
@@ -257,6 +271,34 @@ TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {
         << "shards=" << shards
         << ": budget trip diverged from the in-process run";
   }
+}
+
+TEST(BudgetSoundness, ExploreBudgetIsHonoredByVerifier) {
+  // VerifyOptions::explore.budget is the one budget: a state cap set there
+  // must reach every PEC exploration in-process, in forked shard workers,
+  // and in TCP-bootstrapped workers (which rebuild it from kBootstrap). The
+  // TCP arm needs a policy with a spec form, so the whole test checks loop
+  // freedom on the worst-case PEC.
+  const WorstCase wc;
+  const LoopFreedomPolicy loop;
+  testsupport::ThreadWorker workers[2];
+  VerifyOptions vo;
+  vo.explore.budget.max_states = 5000;
+  for (const int shards : {0, 2}) {
+    VerifyOptions sv = vo;
+    sv.shards = shards;
+    const VerifyResult r = wc.run(sv, loop);
+    EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "shards=" << shards;
+    EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "shards=" << shards;
+  }
+  VerifyOptions tcp = vo;
+  tcp.shards = 2;
+  tcp.shard_transport = ShardTransportKind::kTcp;
+  for (const auto& w : workers) tcp.shard_workers.push_back(w.address());
+  const VerifyResult r = wc.run(tcp, loop);
+  EXPECT_GT(r.shard.frames_sent, 0u) << "tcp run fell back to in-process";
+  EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "tcp transport";
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "tcp transport";
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +344,7 @@ TEST(FairShareSlice, DedupRerunsDoNotStarveTheFinalPec) {
   const LoopFreedomPolicy policy;
   VerifyOptions vo;
   vo.pec_dedup = true;
-  vo.budget.deadline = std::chrono::seconds(60);
+  vo.explore.budget.deadline = std::chrono::seconds(60);
   Verifier verifier(ft.net, vo);
   const VerifyResult r = verifier.verify(policy);
   EXPECT_EQ(r.verdict, Verdict::kHolds);
@@ -347,8 +389,8 @@ TEST(VisitedDegradation, DegradedRunSelfReportsNonExhaustive) {
   const WorstCase wc;
   VerifyOptions vo;
   vo.explore.por = false;
-  vo.budget.max_bytes = 2u << 20;
-  vo.budget.degrade_visited = true;
+  vo.explore.budget.max_bytes = 2u << 20;
+  vo.explore.budget.degrade_visited = true;
   const VerifyResult first = wc.run(vo);
   ASSERT_EQ(first.verdict, Verdict::kInconclusive);
   EXPECT_FALSE(first.exhaustive)
@@ -361,7 +403,7 @@ TEST(VisitedDegradation, DegradedRunSelfReportsNonExhaustive) {
   // Contrast: without the opt-in the same budget trips earlier but the
   // search stays exact (partial, not lossy).
   VerifyOptions plain = vo;
-  plain.budget.degrade_visited = false;
+  plain.explore.budget.degrade_visited = false;
   const VerifyResult r = wc.run(plain);
   EXPECT_EQ(r.verdict, Verdict::kInconclusive);
   EXPECT_TRUE(r.exhaustive);

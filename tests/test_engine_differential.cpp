@@ -67,7 +67,7 @@ std::vector<EngineSetup> exhaustive_matrix(std::uint64_t instance_seed) {
 /// the frontier high-water mark (telemetry only — engines differ on it by
 /// design, so it is excluded from the equality used by the matrix).
 struct Fingerprint {
-  bool holds = true;
+  Verdict verdict = Verdict::kHolds;
   std::uint64_t states_stored = 0;
   std::uint64_t converged_states = 0;
   std::uint64_t failure_sets = 0;
@@ -76,7 +76,7 @@ struct Fingerprint {
   std::uint64_t frontier_peak = 0;
 
   friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.holds == b.holds && a.states_stored == b.states_stored &&
+    return a.verdict == b.verdict && a.states_stored == b.states_stored &&
            a.converged_states == b.converged_states &&
            a.failure_sets == b.failure_sets &&
            a.policy_checks == b.policy_checks && a.violations == b.violations;
@@ -117,7 +117,7 @@ Fingerprint fingerprint(const RandomInstance& inst, const EngineSetup& es,
   const VerifyResult r = verifier.verify(*inst.policy);
   if (por_pruned != nullptr) *por_pruned += r.total.por_pruned;
   Fingerprint fp;
-  fp.holds = r.holds;
+  fp.verdict = r.verdict;
   fp.states_stored = r.total.states_stored;
   fp.converged_states = r.total.converged_states;
   fp.failure_sets = r.total.failure_sets;
@@ -190,7 +190,8 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
     for (const EngineSetup& es : engines) {
       const Fingerprint off = fingerprint(inst, es, false);
       Fingerprint on = fingerprint(inst, es, true, true, &pruned);
-      EXPECT_EQ(on.holds, off.holds) << "por changed the verdict under " << es.label;
+      EXPECT_EQ(on.verdict, off.verdict)
+          << "por changed the verdict under " << es.label;
       EXPECT_EQ(on.violations, off.violations)
           << "por changed the violation multiset under " << es.label;
       EXPECT_EQ(on.converged_states, off.converged_states)
@@ -207,7 +208,8 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
         fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, false, false);
     const Fingerprint on1 = fingerprint(
         inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, true, false, &pruned);
-    EXPECT_EQ(on1.holds, off1.holds) << "por changed the first-violation verdict";
+    EXPECT_EQ(on1.verdict, off1.verdict)
+        << "por changed the first-violation verdict";
   }
   // The reduction must actually fire across the corpus, or the oracle above
   // is vacuous.
@@ -219,14 +221,14 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
 /// verification promises stays bit-identical to a dedup-off run. (State
 /// counts are deliberately absent: dedup exists to change them.)
 struct DedupView {
-  bool holds = true;
+  Verdict verdict = Verdict::kHolds;
   std::size_t reports = 0;
   std::multiset<std::string> pec_strs;
   std::multiset<std::string> violations;
   std::size_t pecs_deduped = 0;
 
   friend bool operator==(const DedupView& a, const DedupView& b) {
-    return a.holds == b.holds && a.reports == b.reports &&
+    return a.verdict == b.verdict && a.reports == b.reports &&
            a.pec_strs == b.pec_strs && a.violations == b.violations;
   }
 };
@@ -239,7 +241,7 @@ DedupView dedup_view(const RandomInstance& inst, SearchEngineKind kind,
   Verifier verifier(inst.net, vo);
   const VerifyResult r = verifier.verify(*inst.policy);
   DedupView v;
-  v.holds = r.holds;
+  v.verdict = r.verdict;
   v.reports = r.reports.size();
   v.pecs_deduped = r.pecs_deduped;
   for (const auto& rep : r.reports) {
@@ -293,8 +295,9 @@ TEST(EngineDifferential, SingleExecutionIsSoundOnRandomInstances) {
     EXPECT_LE(sim.converged_states, full.converged_states);
     EXPECT_EQ(sim.failure_sets, full.failure_sets)
         << "failure enumeration is model-driven, not engine-driven";
-    if (full.holds) {
-      EXPECT_TRUE(sim.holds) << "simulation reported a phantom violation";
+    if (full.verdict != Verdict::kViolated) {
+      EXPECT_NE(sim.verdict, Verdict::kViolated)
+          << "simulation reported a phantom violation";
     }
     for (const std::string& v : sim.violations) {
       EXPECT_TRUE(full.violations.contains(v))
@@ -325,7 +328,7 @@ TEST(EngineDifferential, SingleExecutionOutcomesAreSubsetPerPec) {
       opts.simulation = sim;
       Explorer ex(inst.net, pec, make_tasks(inst.net, pec), *inst.policy, opts);
       const ExploreResult r = ex.run();
-      ASSERT_FALSE(r.timed_out);
+      ASSERT_EQ(r.budget_tripped, BudgetKind::kNone);
       for (const auto& o : r.outcomes) sets[sim ? 1 : 0].insert(o.hash);
     }
     EXPECT_TRUE(std::includes(sets[0].begin(), sets[0].end(), sets[1].begin(),
@@ -385,7 +388,7 @@ TEST(EngineDifferential, AllEnginesMatchSpvpOracleOnPureBgp) {
       const CollectorPolicy collector;
       Explorer ex(inst.net, pec, make_tasks(inst.net, pec), collector, opts);
       const ExploreResult r = ex.run();
-      ASSERT_FALSE(r.timed_out);
+      ASSERT_EQ(r.budget_tripped, BudgetKind::kNone);
       EXPECT_EQ(collector.collected, oracle.converged)
           << "engine " << es.label << " disagrees with the SPVP oracle";
     }

@@ -69,15 +69,15 @@ TEST(Bonsai, PreservesReachabilityVerdict) {
     // Original verdict.
     Verifier orig(ft.net, {});
     const ReachabilityPolicy orig_policy({src});
-    const bool orig_holds =
-        orig.verify_address(ft.edge_prefixes[dst].addr(), orig_policy).holds;
+    const Verdict orig_verdict =
+        orig.verify_address(ft.edge_prefixes[dst].addr(), orig_policy).verdict;
     // Compressed verdict.
     Verifier comp(b.net, {});
     const ReachabilityPolicy comp_policy({b.abstract_of(src)});
-    const bool comp_holds =
-        comp.verify_address(ft.edge_prefixes[dst].addr(), comp_policy).holds;
-    EXPECT_EQ(orig_holds, comp_holds);
-    EXPECT_TRUE(comp_holds);
+    const Verdict comp_verdict =
+        comp.verify_address(ft.edge_prefixes[dst].addr(), comp_policy).verdict;
+    EXPECT_EQ(orig_verdict, comp_verdict);
+    EXPECT_EQ(comp_verdict, Verdict::kHolds);
   }
 }
 
@@ -92,8 +92,8 @@ TEST(Bonsai, PreservesPathLength) {
     const BoundedPathLengthPolicy op({src}, limit);
     Verifier comp(b.net, {});
     const BoundedPathLengthPolicy cp({b.abstract_of(src)}, limit);
-    EXPECT_EQ(orig.verify_address(ft.edge_prefixes[0].addr(), op).holds,
-              comp.verify_address(ft.edge_prefixes[0].addr(), cp).holds)
+    EXPECT_EQ(orig.verify_address(ft.edge_prefixes[0].addr(), op).verdict,
+              comp.verify_address(ft.edge_prefixes[0].addr(), cp).verdict)
         << "limit " << limit;
   }
 }

@@ -41,7 +41,7 @@ std::set<std::uint64_t> converged_set(const Network& net, ExploreOptions opts,
   const TruePolicy policy;
   Explorer ex(net, pec, make_tasks(net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  EXPECT_FALSE(r.timed_out);
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kNone);
   std::set<std::uint64_t> out;
   for (const auto& o : r.outcomes) out.insert(o.hash);
   return out;
@@ -324,7 +324,7 @@ TEST(HotPathOptMatrix, Figure6NaiveModeIdenticalAcrossMatrix) {
   VerifyOptions vo;
   vo.cores = 1;
   vo.explore = ExploreOptions::naive();
-  vo.explore.max_states = 200000;
+  vo.explore.budget.max_states = 200000;
   const ReachabilityPolicy policy({5});
   expect_matrix_identical(net, policy, vo);
 }
@@ -339,7 +339,7 @@ TEST(HotPathOptMatrix, Fig9BgpDcWorstCaseIdenticalAcrossMatrix) {
   vo.cores = 1;
   vo.explore.det_nodes_bgp = false;
   vo.explore.suppress_equivalent = false;
-  vo.explore.max_states = 20000;
+  vo.explore.budget.max_states = 20000;
   const IpAddr addr = ft.edge_prefixes[0].addr();
   expect_matrix_identical(ft.net, policy, vo, &addr);
 }
@@ -397,7 +397,7 @@ TEST(EngineOptMatrix, SingleExecutionIdenticalAcrossMatrixOnFig9Workload) {
   vo.cores = 1;
   vo.explore.det_nodes_bgp = false;
   vo.explore.suppress_equivalent = false;
-  vo.explore.max_states = 20000;
+  vo.explore.budget.max_states = 20000;
   const IpAddr addr = ft.edge_prefixes[0].addr();
   expect_matrix_identical(ft.net, policy, vo, &addr,
                           SearchEngineKind::kSingleExecution);
@@ -481,14 +481,14 @@ TEST(FailureEquivalence, LecVerdictMatchesExhaustive) {
     const Network net = random_ospf_network(rng, 5 + static_cast<int>(rng() % 4));
     const NodeId src = 1 + rng() % (net.topo.node_count() - 1);
     for (const int k : {1, 2}) {
-      bool verdicts[2];
+      Verdict verdicts[2];
       for (const bool lec : {false, true}) {
         VerifyOptions vo;
         vo.explore.max_failures = k;
         vo.explore.lec_failures = lec;
         Verifier verifier(net, vo);
         const ReachabilityPolicy policy({src});
-        verdicts[lec ? 1 : 0] = verifier.verify(policy).holds;
+        verdicts[lec ? 1 : 0] = verifier.verify(policy).verdict;
       }
       EXPECT_EQ(verdicts[0], verdicts[1]) << "iter " << iter << " k=" << k;
     }

@@ -19,16 +19,18 @@ TEST(ExplorerOptions, BitstateVerdictAgreesOnWorkloads) {
                        : FatTreeOptions::CoreStatics::kMatching;
     const FatTree ft = make_fat_tree(o);
     const LoopFreedomPolicy policy;
-    bool verdicts[2];
+    bool violated[2];
     for (const bool bitstate : {false, true}) {
       VerifyOptions vo;
       vo.explore.visited =
           bitstate ? VisitedKind::kBitstate : VisitedKind::kExact;
       vo.explore.bloom_bits = 1 << 22;
       Verifier v(ft.net, vo);
-      verdicts[bitstate ? 1 : 0] = v.verify(policy).holds;
+      // A lossy Bloom store never yields a hold: compare violations only.
+      violated[bitstate ? 1 : 0] =
+          v.verify(policy).verdict == Verdict::kViolated;
     }
-    EXPECT_EQ(verdicts[0], verdicts[1]) << "broken=" << broken;
+    EXPECT_EQ(violated[0], violated[1]) << "broken=" << broken;
   }
 }
 
@@ -40,11 +42,11 @@ TEST(ExplorerOptions, StateLimitReportsIncomplete) {
   const Pec& pec = pecs.pecs[pecs.routed()[0]];
   ExploreOptions opts = ExploreOptions::naive();
   opts.merge_updates = false;
-  opts.max_states = 500;
+  opts.budget.max_states = 500;
   const LoopFreedomPolicy policy;
   Explorer ex(ft.net, pec, make_tasks(ft.net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  EXPECT_TRUE(r.state_limit_hit);
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kStates);
 }
 
 TEST(ExplorerOptions, TimeLimitReportsTimeout) {
@@ -55,11 +57,11 @@ TEST(ExplorerOptions, TimeLimitReportsTimeout) {
   const Pec& pec = pecs.pecs[pecs.routed()[0]];
   ExploreOptions opts = ExploreOptions::naive();
   opts.merge_updates = false;
-  opts.time_limit = std::chrono::milliseconds(20);
+  opts.budget.deadline = std::chrono::milliseconds(20);
   const LoopFreedomPolicy policy;
   Explorer ex(ft.net, pec, make_tasks(ft.net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kDeadline);
 }
 
 TEST(ExplorerOptions, PerPeerUpdatesMatchMergedVerdicts) {
@@ -69,13 +71,13 @@ TEST(ExplorerOptions, PerPeerUpdatesMatchMergedVerdicts) {
   for (const int n : {4, 5, 6}) {
     const Network net = make_ring(n);
     const ReachabilityPolicy policy({static_cast<NodeId>(n / 2)});
-    bool verdicts[2];
+    Verdict verdicts[2];
     for (const bool merge : {true, false}) {
       VerifyOptions vo;
       vo.explore = merge ? ExploreOptions{} : ExploreOptions::naive();
       vo.explore.merge_updates = merge;
       Verifier v(net, vo);
-      verdicts[merge ? 1 : 0] = v.verify(policy).holds;
+      verdicts[merge ? 1 : 0] = v.verify(policy).verdict;
     }
     EXPECT_EQ(verdicts[0], verdicts[1]) << "ring " << n;
   }
@@ -95,8 +97,7 @@ TEST(ExplorerOptions, NaiveModeHandlesWithdrawals) {
   const ReachabilityPolicy policy({2});
   Explorer ex(net, pec, make_tasks(net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  EXPECT_FALSE(r.timed_out);
-  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.verdict(), Verdict::kHolds);
   EXPECT_GT(r.outcomes.size(), 1u) << "per-failure-set outcomes";
 }
 
@@ -109,7 +110,7 @@ TEST(ExplorerOptions, FindAllViolationsCollectsSeveral) {
   Verifier v(net, vo);
   const ReachabilityPolicy policy({4});
   const VerifyResult r = v.verify(policy);
-  ASSERT_FALSE(r.holds);
+  ASSERT_EQ(r.verdict, Verdict::kViolated);
   std::size_t total = 0;
   for (const auto& rep : r.reports) total += rep.result.violations.size();
   EXPECT_GT(total, 1u);
@@ -127,7 +128,7 @@ TEST(ExplorerOptions, SuppressionReducesPolicyChecks) {
   const ReachabilityPolicy policy({5});
   const VerifyResult a = Verifier(net, with).verify(policy);
   const VerifyResult b = Verifier(net, without).verify(policy);
-  EXPECT_EQ(a.holds, b.holds);
+  EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_GT(a.total.suppressed_checks, 0u);
   EXPECT_LT(a.total.policy_checks, b.total.policy_checks);
 }
@@ -150,7 +151,8 @@ TEST(ExplorerOptions, EmptyTaskListStillChecksStatics) {
   const BlackholeFreedomPolicy policy({a});
   Explorer ex(net, pec, std::move(tasks), policy, {});
   const ExploreResult r = ex.run();
-  EXPECT_FALSE(r.holds) << "traffic forwarded to b is dropped there";
+  EXPECT_EQ(r.verdict(), Verdict::kViolated)
+      << "traffic forwarded to b is dropped there";
 }
 
 }  // namespace

@@ -155,7 +155,6 @@ TEST(FaultPlan, HeartbeatFrameRoundTrips) {
 /// Verdict + violation multiset + the exploration counters (the
 /// test_shard_coordinator.cpp fingerprint, reused for fault runs).
 struct Fingerprint {
-  bool holds = true;
   Verdict verdict = Verdict::kHolds;
   std::size_t pecs_verified = 0;
   std::uint64_t states_explored = 0;
@@ -163,8 +162,7 @@ struct Fingerprint {
   std::multiset<std::string> violations;
 
   friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.holds == b.holds && a.verdict == b.verdict &&
-           a.pecs_verified == b.pecs_verified &&
+    return a.verdict == b.verdict && a.pecs_verified == b.pecs_verified &&
            a.states_explored == b.states_explored &&
            a.converged_states == b.converged_states &&
            a.violations == b.violations;
@@ -173,7 +171,6 @@ struct Fingerprint {
 
 Fingerprint fingerprint(const VerifyResult& r) {
   Fingerprint fp;
-  fp.holds = r.holds;
   fp.verdict = r.verdict;
   fp.pecs_verified = r.pecs_verified;
   fp.states_explored = r.total.states_explored;

@@ -103,7 +103,7 @@ TEST(HotPathAlloc, BgpDcSteadyStateIsAllocationFree) {
   o.routing = FatTreeOptions::Routing::kBgpRfc7938;
   const FatTree ft = make_fat_tree(o);
   ExploreOptions opts;
-  opts.max_states = 20000;  // bounded warm-up; cycles below stay warm
+  opts.budget.max_states = 20000;  // bounded warm-up; cycles below stay warm
   expect_zero_alloc_cycles(ft.net, opts);
 }
 

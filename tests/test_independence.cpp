@@ -131,7 +131,7 @@ void fuzz_instance_pairs(const RandomInstance& inst, std::uint64_t& pairs) {
   ExploreOptions opts = ExploreOptions::naive();
   opts.merge_updates = inst.explore.merge_updates;
   opts.max_failures = 0;      // the walk probes the failure-free tree
-  opts.max_states = 20000;    // bounded warm-up run
+  opts.budget.max_states = 20000;    // bounded warm-up run
   const TruePolicy policy;
   Explorer ex(inst.net, pec, std::move(tasks), policy, opts);
   (void)ex.run();  // prepare() the process and park at the phase-0 root

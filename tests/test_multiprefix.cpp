@@ -35,10 +35,13 @@ ospf cover originate 10.0.0.0/8
   EXPECT_EQ(v.pecs().pecs[pec_cover].prefixes.size(), 1u);
 
   const WaypointPolicy to_spec({hub}, {*net.find_device("spec")});
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 1, 2, 3), to_spec).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 1, 2, 3), to_spec).verdict,
+            Verdict::kHolds);
   const WaypointPolicy to_cover({hub}, {*net.find_device("cover")});
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 200, 0, 1), to_cover).holds);
-  EXPECT_FALSE(v.verify_address(IpAddr(10, 1, 2, 3), to_cover).holds)
+  EXPECT_EQ(v.verify_address(IpAddr(10, 200, 0, 1), to_cover).verdict,
+            Verdict::kHolds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 1, 2, 3), to_cover).verdict,
+            Verdict::kViolated)
       << "/16 PEC must use the more specific route";
 }
 
@@ -59,10 +62,12 @@ static hub 10.0.0.0/8 via sink
   // 10.1.x: the /16 OSPF route (more specific) shadows the /8 static despite
   // the static's lower admin distance.
   const WaypointPolicy to_spec({hub}, {*net.find_device("spec")});
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 1, 9, 9), to_spec).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 1, 9, 9), to_spec).verdict,
+            Verdict::kHolds);
   // 10.200.x: only the static applies; traffic goes to sink and blackholes.
   const BlackholeFreedomPolicy no_drop({hub});
-  EXPECT_FALSE(v.verify_address(IpAddr(10, 200, 0, 1), no_drop).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 200, 0, 1), no_drop).verdict,
+            Verdict::kViolated);
 }
 
 TEST(MultiPrefix, OspfAndBgpOnSamePrefixPreferEbgpByAdminDistance) {
@@ -85,7 +90,8 @@ bgp ebgp1 originate 10.5.0.0/16
   const NodeId border = *net.find_device("border");
   Verifier v(net, {});
   const WaypointPolicy via_bgp({border}, {*net.find_device("ebgp1")});
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 5, 1, 1), via_bgp).holds)
+  EXPECT_EQ(v.verify_address(IpAddr(10, 5, 1, 1), via_bgp).verdict,
+            Verdict::kHolds)
       << "eBGP admin distance must beat OSPF for the same prefix";
 }
 
@@ -110,8 +116,10 @@ ospf c originate 10.1.0.0/16
   const NodeId a = *net.find_device("a");
   const ReachabilityPolicy reach({a});
   // Both destinations stay reachable under any single failure (triangle).
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 1, 0, 1), reach).holds);
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 200, 0, 1), reach).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 1, 0, 1), reach).verdict,
+            Verdict::kHolds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 200, 0, 1), reach).verdict,
+            Verdict::kHolds);
 }
 
 TEST(MultiPrefix, AnycastPrefixDeliversToNearestOrigin) {
@@ -131,7 +139,8 @@ ospf r originate 10.9.9.0/24
   Verifier v(net, {});
   const NodeId m = *net.find_device("m");
   const BoundedPathLengthPolicy one_hop({m}, 1);
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 9, 9, 1), one_hop).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 9, 9, 1), one_hop).verdict,
+            Verdict::kHolds);
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ TEST(OutcomeStoreEviction, VerifierWithDependenciesStaysCorrect) {
     results[cores == 1 ? 0 : 1] =
         Verifier(ent.net, vo).verify_address(IpAddr(10, 200, 0, 1), policy);
   }
-  EXPECT_EQ(results[0].holds, results[1].holds);
+  EXPECT_EQ(results[0].verdict, results[1].verdict);
   EXPECT_EQ(results[0].pecs_verified, results[1].pecs_verified);
   EXPECT_EQ(results[0].pecs_support, results[1].pecs_support);
   EXPECT_EQ(results[0].total.states_explored, results[1].total.states_explored);

@@ -73,8 +73,8 @@ TEST(PecDedup, RenamingInvarianceMergesSymmetricPair) {
 
   const VerifyResult on = run(net, policy, true);
   const VerifyResult off = run(net, policy, false);
-  EXPECT_TRUE(on.holds);
-  EXPECT_EQ(on.holds, off.holds);
+  EXPECT_EQ(on.verdict, Verdict::kHolds);
+  EXPECT_EQ(on.verdict, off.verdict);
   EXPECT_EQ(on.pec_classes, 1u);
   EXPECT_EQ(on.pecs_deduped, 1u);
   EXPECT_EQ(on.pecs_verified, off.pecs_verified);
@@ -100,8 +100,8 @@ TEST(PecDedup, FatTreeAllPairsCollapsesToOneClass) {
 
   const VerifyResult on = run(ft.net, policy, true);
   const VerifyResult off = run(ft.net, policy, false);
-  EXPECT_TRUE(on.holds);
-  EXPECT_EQ(on.holds, off.holds);
+  EXPECT_EQ(on.verdict, Verdict::kHolds);
+  EXPECT_EQ(on.verdict, off.verdict);
   EXPECT_EQ(on.reports.size(), off.reports.size());
   // The win the bench measures: one exploration instead of eight.
   EXPECT_LE(on.total.states_explored * 4, off.total.states_explored);
@@ -127,7 +127,7 @@ TEST(PecDedup, PolicySourcesPinTheRenaming) {
   EXPECT_LT(cs.stats.classes, ft.edges.size());
   const VerifyResult on = run(ft.net, policy, true);
   const VerifyResult off = run(ft.net, policy, false);
-  EXPECT_EQ(on.holds, off.holds);
+  EXPECT_EQ(on.verdict, off.verdict);
   EXPECT_EQ(violation_multiset(on), violation_multiset(off));
 }
 
@@ -216,8 +216,8 @@ TEST(PecDedup, ViolationFallbackKeepsTrailsBitIdentical) {
   const LoopFreedomPolicy policy;
   const VerifyResult on = run(ft.net, policy, true, /*find_all=*/true);
   const VerifyResult off = run(ft.net, policy, false, /*find_all=*/true);
-  EXPECT_FALSE(on.holds);
-  EXPECT_EQ(on.holds, off.holds);
+  EXPECT_EQ(on.verdict, Verdict::kViolated);
+  EXPECT_EQ(on.verdict, off.verdict);
   EXPECT_EQ(on.reports.size(), off.reports.size());
   EXPECT_EQ(violation_multiset(on), violation_multiset(off));
 
@@ -229,7 +229,7 @@ TEST(PecDedup, ViolationFallbackKeepsTrailsBitIdentical) {
   vo.explore.find_all_violations = true;
   Verifier verifier(ft.net, vo);
   const VerifyResult par = verifier.verify(policy);
-  EXPECT_EQ(par.holds, off.holds);
+  EXPECT_EQ(par.verdict, off.verdict);
   EXPECT_EQ(par.reports.size(), off.reports.size());
   EXPECT_EQ(violation_multiset(par), violation_multiset(off));
   EXPECT_EQ(par.dedup_reruns, on.dedup_reruns);
@@ -243,8 +243,8 @@ TEST(PecDedup, EarlyStopViolationVerdictMatches) {
   const LoopFreedomPolicy policy;
   const VerifyResult on = run(ft.net, policy, true, /*find_all=*/false);
   const VerifyResult off = run(ft.net, policy, false, /*find_all=*/false);
-  EXPECT_FALSE(on.holds);
-  EXPECT_EQ(on.holds, off.holds);
+  EXPECT_EQ(on.verdict, Verdict::kViolated);
+  EXPECT_EQ(on.verdict, off.verdict);
 }
 
 TEST(PecDedup, AsymmetricWorkloadFallsBackToSingletons) {
@@ -272,7 +272,7 @@ TEST(PecDedup, AsymmetricWorkloadFallsBackToSingletons) {
 
   const VerifyResult on = run(net, policy, true);
   const VerifyResult off = run(net, policy, false);
-  EXPECT_EQ(on.holds, off.holds);
+  EXPECT_EQ(on.verdict, off.verdict);
   EXPECT_EQ(on.pecs_deduped, 0u);
   EXPECT_EQ(on.total.states_explored, off.total.states_explored);
 }
@@ -313,7 +313,7 @@ TEST(PecDedup, DedupOffSmoke) {
   const FatTree ft = make_fat_tree(o);
   const LoopFreedomPolicy policy;
   const VerifyResult off = run(ft.net, policy, false);
-  EXPECT_TRUE(off.holds);
+  EXPECT_EQ(off.verdict, Verdict::kHolds);
   EXPECT_EQ(off.pec_classes, 0u);
   EXPECT_EQ(off.pecs_deduped, 0u);
   for (const auto& rep : off.reports) {

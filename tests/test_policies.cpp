@@ -30,7 +30,7 @@ TEST(Policies, ReachabilityPassAndFail) {
   {
     Verifier v(net, {});
     const ReachabilityPolicy p({0});
-    EXPECT_TRUE(v.verify(p).holds);
+    EXPECT_EQ(v.verify(p).verdict, Verdict::kHolds);
   }
   {
     StaticRoute sr;
@@ -40,7 +40,7 @@ TEST(Policies, ReachabilityPassAndFail) {
     Verifier v(net, {});
     const ReachabilityPolicy p({0});
     const VerifyResult r = v.verify(p);
-    EXPECT_FALSE(r.holds);
+    EXPECT_EQ(r.verdict, Verdict::kViolated);
     EXPECT_NE(r.first_violation(net.topo).find("a"), std::string::npos);
   }
 }
@@ -50,7 +50,7 @@ TEST(Policies, BlackholeFreedom) {
   {
     Verifier v(net, {});
     const BlackholeFreedomPolicy p({0, 1});
-    EXPECT_TRUE(v.verify(p).holds);
+    EXPECT_EQ(v.verify(p).verdict, Verdict::kHolds);
   }
   {
     // Under one failure the line partitions: black hole appears.
@@ -58,7 +58,7 @@ TEST(Policies, BlackholeFreedom) {
     vo.explore.max_failures = 1;
     Verifier v(net, vo);
     const BlackholeFreedomPolicy p({0, 1});
-    EXPECT_FALSE(v.verify(p).holds);
+    EXPECT_EQ(v.verify(p).verdict, Verdict::kViolated);
   }
 }
 
@@ -66,18 +66,18 @@ TEST(Policies, BoundedPathLength) {
   const Network net = line3();
   Verifier v(net, {});
   const BoundedPathLengthPolicy ok({0}, 2);
-  EXPECT_TRUE(v.verify(ok).holds);
+  EXPECT_EQ(v.verify(ok).verdict, Verdict::kHolds);
   const BoundedPathLengthPolicy tight({0}, 1);
-  EXPECT_FALSE(v.verify(tight).holds);
+  EXPECT_EQ(v.verify(tight).verdict, Verdict::kViolated);
 }
 
 TEST(Policies, WaypointOnLine) {
   const Network net = line3();
   Verifier v(net, {});
   const WaypointPolicy through_b({0}, {1});
-  EXPECT_TRUE(v.verify(through_b).holds);
+  EXPECT_EQ(v.verify(through_b).verdict, Verdict::kHolds);
   const WaypointPolicy through_a({1}, {0});  // b's path to c never crosses a
-  EXPECT_FALSE(v.verify(through_a).holds);
+  EXPECT_EQ(v.verify(through_a).verdict, Verdict::kViolated);
 }
 
 TEST(Policies, MultipathConsistencyFailsOnDivergentEcmp) {
@@ -100,7 +100,8 @@ TEST(Policies, MultipathConsistencyFailsOnDivergentEcmp) {
   {
     Verifier v(net, {});
     const MultipathConsistencyPolicy p({s});
-    EXPECT_TRUE(v.verify(p).holds) << "symmetric diamond is consistent";
+    EXPECT_EQ(v.verify(p).verdict, Verdict::kHolds)
+        << "symmetric diamond is consistent";
   }
   {
     StaticRoute drop;
@@ -109,7 +110,7 @@ TEST(Policies, MultipathConsistencyFailsOnDivergentEcmp) {
     net.device(r).statics.push_back(drop);
     Verifier v(net, {});
     const MultipathConsistencyPolicy p({s});
-    EXPECT_FALSE(v.verify(p).holds);
+    EXPECT_EQ(v.verify(p).verdict, Verdict::kViolated);
   }
 }
 
@@ -121,13 +122,15 @@ TEST(Policies, PathConsistencyAcrossSymmetricDevices) {
   {
     Verifier v(ft.net, {});
     const PathConsistencyPolicy p({ft.edge_at(1, 0), ft.edge_at(2, 0)});
-    EXPECT_TRUE(v.verify_address(ft.edge_prefixes[0].addr(), p).holds);
+    EXPECT_EQ(v.verify_address(ft.edge_prefixes[0].addr(), p).verdict,
+              Verdict::kHolds);
   }
   // Edge in the destination pod vs a remote pod: different path lengths.
   {
     Verifier v(ft.net, {});
     const PathConsistencyPolicy p({ft.edge_at(0, 1), ft.edge_at(2, 0)});
-    EXPECT_FALSE(v.verify_address(ft.edge_prefixes[0].addr(), p).holds);
+    EXPECT_EQ(v.verify_address(ft.edge_prefixes[0].addr(), p).verdict,
+              Verdict::kViolated);
   }
 }
 
@@ -151,7 +154,7 @@ TEST(Policies, LoopPolicyConsidersAllSources) {
   Verifier v(net, {});
   const LoopFreedomPolicy p;
   const VerifyResult r = v.verify(p);
-  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.verdict, Verdict::kViolated);
 }
 
 TEST(Policies, ViolationCarriesTrailAndFailureSet) {
@@ -161,7 +164,7 @@ TEST(Policies, ViolationCarriesTrailAndFailureSet) {
   Verifier v(net, vo);
   const ReachabilityPolicy p({3});
   const VerifyResult r = v.verify(p);
-  ASSERT_FALSE(r.holds);
+  ASSERT_EQ(r.verdict, Verdict::kViolated);
   ASSERT_FALSE(r.reports.empty());
   const auto& violations = r.reports[0].result.violations;
   ASSERT_FALSE(violations.empty());

@@ -34,7 +34,7 @@ static gw 10.50.0.0/16 via srv
   EXPECT_GT(r.pecs_verified, 0u);
   // Core's behavior is visible via the violation (srv drops) naming srv,
   // not core: the packet made it across the OSPF domain.
-  if (!r.holds) {
+  if (r.verdict == Verdict::kViolated) {
     EXPECT_EQ(r.first_violation(net.topo).find("core"), std::string::npos)
         << r.first_violation(net.topo);
   }
@@ -62,7 +62,7 @@ static gw 10.60.0.0/16 drop
   const VerifyResult r = v.verify_address(IpAddr(10, 60, 0, 1), policy);
   // b forwards a -> gw (2 hops, within bound). The traffic is then null
   // routed at gw, but bounded-path-length only inspects path length.
-  EXPECT_TRUE(r.holds) << r.first_violation(net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(net.topo);
 }
 
 TEST(Redistribution, OspfIntoBgp) {
@@ -94,7 +94,7 @@ bgp b1 redistribute-ospf
   const NodeId y = *net.find_device("y");
   const ReachabilityPolicy policy({y});
   const VerifyResult r = v.verify_address(IpAddr(10, 70, 0, 1), policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(net.topo);
 }
 
 TEST(Redistribution, ParserRejectsExtraArgs) {

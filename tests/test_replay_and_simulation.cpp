@@ -53,7 +53,7 @@ TEST(Replay, ReproducesWedgieViolation) {
   const BoundedPathLengthPolicy policy({2 /* primary */}, 1);
   Explorer ex(net, pec, make_tasks(net, pec), policy, {});
   const ExploreResult r = ex.run();
-  ASSERT_FALSE(r.holds);
+  ASSERT_EQ(r.verdict(), Verdict::kViolated);
   ASSERT_FALSE(r.violations.empty());
 
   const ReplayResult replay = replay_trail(net, pec, r.violations[0].trail);
@@ -74,7 +74,7 @@ TEST(Replay, ReproducesFailureInducedViolation) {
   opts.max_failures = 2;
   Explorer ex(net, pec, make_tasks(net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  ASSERT_FALSE(r.holds);
+  ASSERT_EQ(r.verdict(), Verdict::kViolated);
   ASSERT_FALSE(r.violations.empty());
 
   const ReplayResult replay = replay_trail(net, pec, r.violations[0].trail);
@@ -110,7 +110,8 @@ TEST(Simulation, MissesWedgieThatModelCheckingFinds) {
 
   ExploreOptions full;
   Explorer model_checker(net, pec, make_tasks(net, pec), policy, full);
-  EXPECT_FALSE(model_checker.run().holds) << "model checking finds the wedgie";
+  EXPECT_EQ(model_checker.run().verdict(), Verdict::kViolated)
+      << "model checking finds the wedgie";
 
   // Simulation explores exactly one execution; across both det-node pick
   // orders at least one lands in the intended state. We assert the weaker,
@@ -133,8 +134,8 @@ TEST(Simulation, AgreesOnDeterministicNetworks) {
   VerifyOptions full;
   VerifyOptions sim;
   sim.explore.simulation = true;
-  EXPECT_EQ(Verifier(ft.net, full).verify(policy).holds,
-            Verifier(ft.net, sim).verify(policy).holds);
+  EXPECT_EQ(Verifier(ft.net, full).verify(policy).verdict,
+            Verifier(ft.net, sim).verify(policy).verdict);
 }
 
 TEST(ExternalPeer, StubOriginatesAndSteers) {
@@ -169,7 +170,7 @@ TEST(ExternalPeer, StubOriginatesAndSteers) {
   // All internal traffic must exit via b1's customer peer.
   Verifier v(net, {});
   const WaypointPolicy policy({b2}, {cust});
-  EXPECT_TRUE(v.verify_address(ext.addr(), policy).holds);
+  EXPECT_EQ(v.verify_address(ext.addr(), policy).verdict, Verdict::kHolds);
 }
 
 TEST(ExternalPeer, RequiresBgpAttachment) {

@@ -44,33 +44,34 @@ TEST(RouteMaps, WithoutSteeringEitherSideCanWin) {
   const ParsedNetwork parsed = diamond("");
   // Ties everywhere: some convergence goes left, some right — a waypoint
   // through either single side must be violable.
-  EXPECT_FALSE(check_waypoint(parsed.net, "left").holds);
-  EXPECT_FALSE(check_waypoint(parsed.net, "right").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "left").verdict, Verdict::kViolated);
+  EXPECT_EQ(check_waypoint(parsed.net, "right").verdict, Verdict::kViolated);
 }
 
 TEST(RouteMaps, LocalPrefSteersAllTraffic) {
   const ParsedNetwork parsed = diamond(
       "route-map src left import permit set-local-pref 200\n");
-  EXPECT_TRUE(check_waypoint(parsed.net, "left").holds);
-  EXPECT_FALSE(check_waypoint(parsed.net, "right").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "left").verdict, Verdict::kHolds);
+  EXPECT_EQ(check_waypoint(parsed.net, "right").verdict, Verdict::kViolated);
 }
 
 TEST(RouteMaps, PrependMakesPathLoseOnLength) {
   const ParsedNetwork parsed = diamond(
       "route-map right dst import permit prepend 3\n");
   // Routes via right carry +3 AS hops: src deterministically prefers left.
-  EXPECT_TRUE(check_waypoint(parsed.net, "left").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "left").verdict, Verdict::kHolds);
 }
 
 TEST(RouteMaps, DenyFilterRemovesPath) {
   const ParsedNetwork parsed = diamond(
       "route-map-default left dst import deny\n");
   // Left never learns the prefix: all traffic goes right.
-  EXPECT_TRUE(check_waypoint(parsed.net, "right").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "right").verdict, Verdict::kHolds);
   const NodeId src = *parsed.net.find_device("src");
   Verifier v(parsed.net, {});
   const ReachabilityPolicy reach({src});
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 9, 1, 1), reach).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 9, 1, 1), reach).verdict,
+            Verdict::kHolds);
 }
 
 TEST(RouteMaps, CommunityTagTriggersRemotePolicy) {
@@ -80,7 +81,7 @@ TEST(RouteMaps, CommunityTagTriggersRemotePolicy) {
       "route-map dst right export permit add-community BACKUP\n"
       "route-map src right import permit match-community BACKUP "
       "set-local-pref 50\n");
-  EXPECT_TRUE(check_waypoint(parsed.net, "left").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "left").verdict, Verdict::kHolds);
 }
 
 TEST(RouteMaps, ExactPrefixMatchDoesNotCatchOthers) {
@@ -88,11 +89,12 @@ TEST(RouteMaps, ExactPrefixMatchDoesNotCatchOthers) {
       "bgp dst originate 172.20.0.0/16\n"
       "route-map src right import deny match-prefix 10.9.0.0/16\n");
   // 10.9/16 can only arrive via left; 172.20/16 is unaffected.
-  EXPECT_TRUE(check_waypoint(parsed.net, "left").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "left").verdict, Verdict::kHolds);
   const NodeId src = *parsed.net.find_device("src");
   Verifier v(parsed.net, {});
   const WaypointPolicy via_right({src}, {*parsed.net.find_device("right")});
-  EXPECT_FALSE(v.verify_address(IpAddr(172, 20, 0, 1), via_right).holds)
+  EXPECT_EQ(v.verify_address(IpAddr(172, 20, 0, 1), via_right).verdict,
+            Verdict::kViolated)
       << "172.20/16 is not filtered, so right remains possible";
 }
 
@@ -104,7 +106,8 @@ TEST(RouteMaps, OrLongerMatchCoversSubPrefixes) {
   Verifier v(parsed.net, {});
   const NodeId src = *parsed.net.find_device("src");
   const WaypointPolicy via_left({src}, {*parsed.net.find_device("left")});
-  EXPECT_TRUE(v.verify_address(IpAddr(10, 9, 200, 1), via_left).holds);
+  EXPECT_EQ(v.verify_address(IpAddr(10, 9, 200, 1), via_left).verdict,
+            Verdict::kHolds);
 }
 
 TEST(RouteMaps, MaxPathLenFilterCutsLongRoutes) {
@@ -115,7 +118,7 @@ TEST(RouteMaps, MaxPathLenFilterCutsLongRoutes) {
   // Hmm: deny clause matches routes with as_path_len <= 10 — i.e. it blocks
   // the (short) legitimate route too... the semantics under test: the right
   // route (len 1+4=5 <= 10) is denied; left wins.
-  EXPECT_TRUE(check_waypoint(parsed.net, "left").holds);
+  EXPECT_EQ(check_waypoint(parsed.net, "left").verdict, Verdict::kHolds);
 }
 
 }  // namespace

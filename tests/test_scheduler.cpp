@@ -182,7 +182,7 @@ TEST(Scheduler, ParallelAndSerialAgreeOnEnterprise) {
   parallel.cores = 8;
   const VerifyResult a = Verifier(ent.net, serial).verify(policy);
   const VerifyResult b = Verifier(ent.net, parallel).verify(policy);
-  EXPECT_EQ(a.holds, b.holds);
+  EXPECT_EQ(a.verdict, b.verdict);
   EXPECT_EQ(a.pecs_verified, b.pecs_verified);
 }
 
@@ -245,7 +245,7 @@ TEST(WorkStealing, VerifierResultsDeterministicAcrossWorkerCounts) {
   struct Snapshot {
     std::size_t verified, support;
     std::uint64_t states;
-    std::vector<std::pair<PecId, bool>> reports;
+    std::vector<std::pair<PecId, Verdict>> reports;
   };
   std::vector<Snapshot> snaps;
   for (const int workers : {1, 4, 8}) {
@@ -258,7 +258,7 @@ TEST(WorkStealing, VerifierResultsDeterministicAcrossWorkerCounts) {
     s.support = r.pecs_support;
     s.states = r.total.states_explored;
     for (const auto& rep : r.reports) {
-      s.reports.emplace_back(rep.pec, rep.result.holds);
+      s.reports.emplace_back(rep.pec, rep.result.verdict());
     }
     snaps.push_back(std::move(s));
   }
@@ -419,11 +419,12 @@ TEST(Scheduler, WallLimitStopsGracefully) {
   const Enterprise ent = make_enterprise("III");
   VerifyOptions vo;
   vo.explore.max_failures = 2;  // expensive
-  vo.wall_limit = std::chrono::milliseconds(30);
+  vo.explore.budget.deadline = std::chrono::milliseconds(30);
   Verifier v(ent.net, vo);
   const LoopFreedomPolicy policy;
   const VerifyResult r = v.verify(policy);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.verdict, Verdict::kInconclusive);
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kDeadline);
 }
 
 }  // namespace

@@ -400,7 +400,7 @@ TEST(ServeStateCache, CacheHitNeverMasksViolation) {
 
 TEST(ServeStateCache, InconclusiveIsNeverServedAsHold) {
   VerifyOptions opts;
-  opts.budget.max_states = 1;  // every PEC trips immediately
+  opts.explore.budget.max_states = 1;  // every PEC trips immediately
   ServeState state{opts};
   std::string error;
   ASSERT_TRUE(state.load(kRing, error)) << error;

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -58,14 +59,16 @@ sched::TaskDoneMsg sample_done() {
   d.task = 42;
   sched::PecDoneMsg p;
   p.pec = 7;
-  p.holds = 0;
+  p.budget_tripped = static_cast<std::uint8_t>(BudgetKind::kStates);
+  p.exhaustive = 0;
   p.stats.states_explored = 1234;
   p.stats.states_stored = 99;
   p.stats.bytes_visited = 4096;
   p.stats.elapsed = std::chrono::nanoseconds(5555);
   d.pecs.push_back(p);
   p.pec = 8;
-  p.holds = 1;
+  p.budget_tripped = 0;
+  p.exhaustive = 1;
   d.pecs.push_back(p);
   return d;
 }
@@ -127,7 +130,10 @@ TEST(ShardFraming, RoundTripsByteByByte) {
   const sched::TaskDoneMsg dref = sample_done();
   ASSERT_EQ(d.pecs.size(), dref.pecs.size());
   EXPECT_EQ(d.task, dref.task);
-  EXPECT_EQ(d.pecs[0].holds, 0);
+  EXPECT_EQ(d.pecs[0].budget_tripped,
+            static_cast<std::uint8_t>(BudgetKind::kStates));
+  EXPECT_EQ(d.pecs[0].exhaustive, 0);
+  EXPECT_EQ(d.pecs[1].exhaustive, 1);
   EXPECT_EQ(d.pecs[0].stats.states_explored, 1234u);
   EXPECT_EQ(d.pecs[0].stats.bytes_visited, 4096u);
   EXPECT_EQ(d.pecs[0].stats.elapsed.count(), 5555);
@@ -339,10 +345,8 @@ serve::BootstrapMsg sample_bootstrap() {
   bm.lec_failures = 1;
   bm.visited = 1;
   bm.bloom_bits = 1u << 20;
-  bm.max_states = 12345;
-  bm.time_limit_ms = 777;
+  bm.budget_max_states = 12345;
   bm.budget_deadline_ms = 1500;
-  bm.wall_remaining_ms = 9000;
   bm.engine_kind = 2;
   bm.engine_seed = 42;
   bm.por = 0;
@@ -381,8 +385,8 @@ TEST(ShardFraming, ClusterFrameTypesRoundTrip) {
   EXPECT_EQ(bm.targets, ref.targets);
   EXPECT_EQ(bm.max_failures, ref.max_failures);
   EXPECT_EQ(bm.visited, ref.visited);
+  EXPECT_EQ(bm.budget_max_states, ref.budget_max_states);
   EXPECT_EQ(bm.budget_deadline_ms, ref.budget_deadline_ms);
-  EXPECT_EQ(bm.wall_remaining_ms, ref.wall_remaining_ms);
   EXPECT_EQ(bm.engine_kind, ref.engine_kind);
   EXPECT_EQ(bm.engine_seed, ref.engine_seed);
   EXPECT_EQ(bm.por, ref.por);
@@ -391,6 +395,43 @@ TEST(ShardFraming, ClusterFrameTypesRoundTrip) {
   ASSERT_TRUE(sched::decode_bootstrap_ack(frames[1].payload, a2));
   EXPECT_EQ(a2.ok, 1);
   EXPECT_EQ(a2.plan_hash, ack.plan_hash);
+
+  // PecDone's three flag bytes: every BudgetKind x exhaustive x translated
+  // combination survives the kTaskDone round trip.
+  sched::TaskDoneMsg done;
+  done.task = 9;
+  for (std::uint8_t kind = 0;
+       kind <= static_cast<std::uint8_t>(BudgetKind::kMemory); ++kind) {
+    for (const std::uint8_t exhaustive : {0, 1}) {
+      for (const std::uint8_t translated : {0, 1}) {
+        sched::PecDoneMsg p;
+        p.pec = static_cast<PecId>(done.pecs.size());
+        p.budget_tripped = kind;
+        p.exhaustive = exhaustive;
+        p.translated = translated;
+        p.stats.states_explored = 100 + done.pecs.size();
+        done.pecs.push_back(p);
+      }
+    }
+  }
+  std::string done_stream;
+  sched::encode_frame(done_stream, sched::MsgType::kTaskDone,
+                      sched::encode_task_done(done));
+  sched::FrameDecoder done_dec;
+  done_dec.feed(done_stream.data(), done_stream.size());
+  sched::Frame f;
+  ASSERT_EQ(done_dec.next(f), sched::FrameDecoder::Status::kFrame);
+  sched::TaskDoneMsg got;
+  ASSERT_TRUE(sched::decode_task_done(f.payload, got));
+  ASSERT_EQ(got.pecs.size(), 16u);
+  for (std::size_t i = 0; i < got.pecs.size(); ++i) {
+    EXPECT_EQ(got.pecs[i].pec, done.pecs[i].pec);
+    EXPECT_EQ(got.pecs[i].budget_tripped, done.pecs[i].budget_tripped);
+    EXPECT_EQ(got.pecs[i].exhaustive, done.pecs[i].exhaustive);
+    EXPECT_EQ(got.pecs[i].translated, done.pecs[i].translated);
+    EXPECT_EQ(got.pecs[i].stats.states_explored,
+              done.pecs[i].stats.states_explored);
+  }
 }
 
 TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
@@ -430,6 +471,46 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
   bad = sample_bootstrap();
   bad.max_failures = -1;
   EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
+
+  // PecDone (kTaskDone payload): a budget kind past kMemory, a flag byte
+  // above 1, or a PEC entry one byte short of kPecDoneWireBytes is refused.
+  const auto done_with = [](auto mutate) {
+    sched::TaskDoneMsg d;
+    d.task = 1;
+    sched::PecDoneMsg p;
+    p.pec = 3;
+    mutate(p);
+    d.pecs.push_back(p);
+    return sched::encode_task_done(d);
+  };
+  sched::TaskDoneMsg d;
+  const std::string ok_done = done_with([](sched::PecDoneMsg&) {});
+  ASSERT_TRUE(sched::decode_task_done(ok_done, d));
+  ASSERT_EQ(ok_done.size(), 8 + 4 + sched::kPecDoneWireBytes)
+      << "task + count + one PEC entry";
+  EXPECT_FALSE(sched::decode_task_done(
+      done_with([](sched::PecDoneMsg& p) {
+        p.budget_tripped = static_cast<std::uint8_t>(BudgetKind::kMemory) + 1;
+      }),
+      d));
+  EXPECT_FALSE(sched::decode_task_done(
+      done_with([](sched::PecDoneMsg& p) { p.exhaustive = 2; }), d));
+  EXPECT_FALSE(sched::decode_task_done(
+      done_with([](sched::PecDoneMsg& p) { p.translated = 2; }), d));
+  EXPECT_TRUE(d.pecs.empty()) << "failed decode must reset output";
+  EXPECT_FALSE(
+      sched::decode_task_done(ok_done.substr(0, ok_done.size() - 1), d));
+
+  // A version-1 frame header (the 7-flag PecDone layout) is refused.
+  std::string v1;
+  sched::encode_frame(v1, sched::MsgType::kTaskDone, ok_done);
+  const std::uint16_t old_version = 1;
+  std::memcpy(&v1[4], &old_version, sizeof(old_version));
+  sched::FrameDecoder v1_dec;
+  v1_dec.feed(v1.data(), v1.size());
+  sched::Frame f;
+  EXPECT_EQ(v1_dec.next(f), sched::FrameDecoder::Status::kError);
+  EXPECT_NE(v1_dec.error().find("version"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -581,9 +662,10 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
         r.record = true;
       } else {
         const auto got = upstream.get(producer);
-        r.holds = got.size() == 2 && got[0].hash == 0xabc &&
-                  got[1].hash == 0xdef &&
-                  got[0].igp_cost.size() == net.topo.node_count();
+        // The exhaustive flag travels in PecDone: it carries the check back.
+        r.exhaustive = got.size() == 2 && got[0].hash == 0xabc &&
+                       got[1].hash == 0xdef &&
+                       got[0].igp_cost.size() == net.topo.node_count();
       }
       return {r};
     };
@@ -592,8 +674,8 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
     ASSERT_TRUE(rr.ok) << rr.error;
     ASSERT_EQ(rr.reports.size(), 2u);
     for (const auto& rep : rr.reports) {
-      EXPECT_TRUE(rep.holds) << "dependent worker did not see the outcomes "
-                             << "(shards=" << shards << ")";
+      EXPECT_TRUE(rep.exhaustive) << "dependent worker did not see the "
+                                  << "outcomes (shards=" << shards << ")";
     }
     EXPECT_EQ(rr.stats.frames_received, 3u + (shards > 0 ? 0u : 0u))
         << "2 done frames + 1 outcome delivery";
@@ -640,7 +722,7 @@ TEST(ShardCoordinator, DeterministicallyCrashingTaskErrorsOut) {
 /// multiset (message, failure set, and rendered trail all cross the wire),
 /// and the aggregate state counters.
 struct Fingerprint {
-  bool holds = true;
+  Verdict verdict = Verdict::kHolds;
   std::size_t pecs_verified = 0;
   std::size_t pecs_support = 0;
   std::uint64_t states_explored = 0;
@@ -651,7 +733,7 @@ struct Fingerprint {
   std::multiset<std::string> violations;
 
   friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.holds == b.holds && a.pecs_verified == b.pecs_verified &&
+    return a.verdict == b.verdict && a.pecs_verified == b.pecs_verified &&
            a.pecs_support == b.pecs_support &&
            a.states_explored == b.states_explored &&
            a.states_stored == b.states_stored &&
@@ -663,7 +745,7 @@ struct Fingerprint {
 
 Fingerprint fingerprint(const VerifyResult& r) {
   Fingerprint fp;
-  fp.holds = r.holds;
+  fp.verdict = r.verdict;
   fp.pecs_verified = r.pecs_verified;
   fp.pecs_support = r.pecs_support;
   fp.states_explored = r.total.states_explored;
@@ -758,7 +840,7 @@ TEST(ShardDeterminism, DedupAcrossShardsMatchesDedupOffInProcess) {
       const VerifyResult r = run_verify(inst.net, *inst.policy, sv);
       merged += r.pecs_deduped;
       const Fingerprint fp = fingerprint(r);
-      EXPECT_EQ(fp.holds, ref_fp.holds) << "shards=" << shards;
+      EXPECT_EQ(fp.verdict, ref_fp.verdict) << "shards=" << shards;
       EXPECT_EQ(fp.pecs_verified, ref_fp.pecs_verified) << "shards=" << shards;
       EXPECT_EQ(fp.pecs_support, ref_fp.pecs_support) << "shards=" << shards;
       EXPECT_EQ(fp.violations, ref_fp.violations) << "shards=" << shards;
@@ -906,7 +988,6 @@ TEST(ShardDeterminism, CyclicSccTaskMatchesInProcess) {
     sv.shards = shards;
     const VerifyResult r = run_verify(net, policy, sv);
     EXPECT_EQ(fingerprint(r), fingerprint(ref)) << "shards=" << shards;
-    EXPECT_TRUE(r.holds) << "shards=" << shards;
     EXPECT_NE(r.verdict, Verdict::kHolds)
         << "approximated cyclic SCC reported as a hold, shards=" << shards;
     EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "shards=" << shards;
@@ -926,12 +1007,12 @@ TEST(ShardDeterminism, ViolationVerdictSurvivesEarlyStop) {
   const LoopFreedomPolicy policy;
   VerifyOptions vo;
   const VerifyResult ref = run_verify(ft.net, policy, vo);
-  ASSERT_FALSE(ref.holds);
+  ASSERT_EQ(ref.verdict, Verdict::kViolated);
 
   VerifyOptions sv = vo;
   sv.shards = 2;
   const VerifyResult r = run_verify(ft.net, policy, sv);
-  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.verdict, Verdict::kViolated);
   ASSERT_FALSE(r.reports.empty());
   bool found = false;
   for (const auto& rep : r.reports) found = found || !rep.result.violations.empty();
@@ -1008,7 +1089,7 @@ TEST(ShardSmoke, TwoShardFatTreeLoopCheck) {
   sv.shards = 2;
   const VerifyResult r = run_verify(ft.net, policy, sv);
   EXPECT_EQ(fingerprint(r), ref);
-  EXPECT_TRUE(r.holds);
+  EXPECT_EQ(r.verdict, Verdict::kHolds);
   EXPECT_GT(r.shard.frames_sent, 0u);
 }
 

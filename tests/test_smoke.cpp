@@ -15,7 +15,7 @@ TEST(Smoke, RingReachabilityNoFailures) {
   for (NodeId n = 0; n < net.topo.node_count(); ++n) sources.push_back(n);
   const ReachabilityPolicy policy(sources);
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(net.topo);
   EXPECT_EQ(r.pecs_verified, 1u);
 }
 
@@ -26,7 +26,7 @@ TEST(Smoke, RingReachabilitySurvivesOneFailure) {
   Verifier verifier(net, opts);
   const ReachabilityPolicy policy({3});
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(net.topo);
   EXPECT_GE(r.total.failure_sets, 2u);  // no-failure case + at least one failure
 }
 
@@ -37,7 +37,8 @@ TEST(Smoke, RingReachabilityFailsWithTwoFailures) {
   Verifier verifier(net, opts);
   const ReachabilityPolicy policy({3});
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_FALSE(r.holds);  // two failures can cut node 3 from the origin
+  // two failures can cut node 3 from the origin
+  EXPECT_EQ(r.verdict, Verdict::kViolated);
 }
 
 TEST(Smoke, FatTreeOspfLoopFree) {
@@ -47,7 +48,7 @@ TEST(Smoke, FatTreeOspfLoopFree) {
   Verifier verifier(ft.net, {});
   const LoopFreedomPolicy policy;
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(ft.net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(ft.net.topo);
   EXPECT_EQ(r.pecs_verified, ft.edges.size());
 }
 
@@ -59,7 +60,7 @@ TEST(Smoke, FatTreeMatchingStaticsStillLoopFree) {
   Verifier verifier(ft.net, {});
   const LoopFreedomPolicy policy;
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(ft.net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(ft.net.topo);
 }
 
 TEST(Smoke, FatTreeBrokenStaticsCreateLoop) {
@@ -70,7 +71,7 @@ TEST(Smoke, FatTreeBrokenStaticsCreateLoop) {
   Verifier verifier(ft.net, {});
   const LoopFreedomPolicy policy;
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.verdict, Verdict::kViolated);
   ASSERT_FALSE(r.reports.empty());
 }
 
@@ -81,7 +82,7 @@ TEST(Smoke, FatTreeReachabilityAllEdges) {
   Verifier verifier(ft.net, {});
   const ReachabilityPolicy policy({ft.edges.begin(), ft.edges.end()});
   const VerifyResult r = verifier.verify(policy);
-  EXPECT_TRUE(r.holds) << r.first_violation(ft.net.topo);
+  EXPECT_EQ(r.verdict, Verdict::kHolds) << r.first_violation(ft.net.topo);
 }
 
 TEST(Smoke, MultiCoreMatchesSingleCore) {
@@ -96,7 +97,7 @@ TEST(Smoke, MultiCoreMatchesSingleCore) {
   const LoopFreedomPolicy policy;
   const VerifyResult r1 = Verifier(ft.net, one).verify(policy);
   const VerifyResult r4 = Verifier(ft.net, four).verify(policy);
-  EXPECT_EQ(r1.holds, r4.holds);
+  EXPECT_EQ(r1.verdict, r4.verdict);
 }
 
 }  // namespace

@@ -108,7 +108,8 @@ TEST_P(CrossTool, ReachabilityVerdictsAgree) {
       vo.explore.max_failures = k;
       Verifier verifier(net, vo);
       const ReachabilityPolicy policy({src});
-      const bool pk_holds = verifier.verify(policy).holds;
+      const bool pk_holds =
+          verifier.verify(policy).verdict == Verdict::kHolds;
       EXPECT_EQ(ms_holds, pk_holds)
           << "seed " << GetParam() << " iter " << iter << " k=" << k;
     }

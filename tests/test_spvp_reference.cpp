@@ -45,7 +45,7 @@ std::set<spvp::ConvergedState> rpvp_converged(const Network& net) {
   const CollectorPolicy policy;
   Explorer ex(net, pec, make_tasks(net, pec), policy, opts);
   const ExploreResult r = ex.run();
-  EXPECT_FALSE(r.timed_out);
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kNone);
   return std::move(policy.collected);
 }
 

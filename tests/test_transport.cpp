@@ -23,6 +23,7 @@
 #include "serve/serve.hpp"
 #include "support/figure6.hpp"
 #include "support/random_net.hpp"
+#include "support/thread_worker.hpp"
 #include "workload/enterprise.hpp"
 
 namespace plankton {
@@ -30,71 +31,13 @@ namespace {
 
 using testsupport::Figure6;
 using testsupport::RandomInstance;
+using testsupport::ThreadWorker;
 using testsupport::make_random_instance;
-
-/// A plankton_worker stand-in living on a thread of the test process:
-/// ephemeral loopback listener, one bootstrap session served at a time.
-class ThreadWorker {
- public:
-  ThreadWorker() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(listen_fd_, 0);
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;  // ephemeral
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    EXPECT_EQ(::listen(listen_fd_, 8), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                            &len),
-              0);
-    port_ = ntohs(addr.sin_port);
-    thread_ = std::thread([this] {
-      for (;;) {
-        const int conn = ::accept(listen_fd_, nullptr, nullptr);
-        if (conn < 0) return;
-        if (stop_.load(std::memory_order_acquire)) {
-          ::close(conn);
-          return;
-        }
-        sessions_.fetch_add(1, std::memory_order_relaxed);
-        serve_shard_worker_session(conn);
-        ::close(conn);
-      }
-    });
-  }
-  ~ThreadWorker() {
-    stop_.store(true, std::memory_order_release);
-    std::string err;
-    const int wake = serve::connect_tcp(port_, err);  // unblock accept
-    if (wake >= 0) ::close(wake);
-    thread_.join();
-    ::close(listen_fd_);
-  }
-  [[nodiscard]] std::string address() const {
-    return "127.0.0.1:" + std::to_string(port_);
-  }
-  [[nodiscard]] int sessions() const {
-    return sessions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::atomic<int> sessions_{0};
-  std::thread thread_;
-};
 
 /// The acceptance-criteria fingerprint: verdict, per-PEC counts, aggregate
 /// state counters, and the violation multiset with rendered trails.
 struct Fingerprint {
-  bool holds = true;
+  Verdict verdict = Verdict::kHolds;
   std::size_t pecs_verified = 0;
   std::size_t pecs_support = 0;
   std::uint64_t states_explored = 0;
@@ -102,7 +45,7 @@ struct Fingerprint {
   std::multiset<std::string> violations;
 
   friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.holds == b.holds && a.pecs_verified == b.pecs_verified &&
+    return a.verdict == b.verdict && a.pecs_verified == b.pecs_verified &&
            a.pecs_support == b.pecs_support &&
            a.states_explored == b.states_explored &&
            a.converged_states == b.converged_states &&
@@ -112,7 +55,7 @@ struct Fingerprint {
 
 Fingerprint fingerprint(const VerifyResult& r) {
   Fingerprint fp;
-  fp.holds = r.holds;
+  fp.verdict = r.verdict;
   fp.pecs_verified = r.pecs_verified;
   fp.pecs_support = r.pecs_support;
   fp.states_explored = r.total.states_explored;

@@ -80,7 +80,7 @@ TEST(VisitedBackends, ParityOnFig9DcWaypoint) {
   const FatTree ft = make_fat_tree(o);
   const WaypointPolicy policy({ft.edges.back()}, ft.aggs);
   std::vector<std::vector<std::string>> sets;
-  std::vector<bool> verdicts;
+  std::vector<Verdict> verdicts;
   for (const VisitedKind kind : kAllKinds) {
     VerifyOptions vo;
     vo.explore.visited = kind;
@@ -90,7 +90,7 @@ TEST(VisitedBackends, ParityOnFig9DcWaypoint) {
     Verifier v(ft.net, vo);
     const VerifyResult r = v.verify_address(ft.edge_prefixes[0].addr(), policy);
     sets.push_back(violation_set(r));
-    verdicts.push_back(r.holds);
+    verdicts.push_back(r.verdict);
   }
   ASSERT_FALSE(sets[0].empty()) << "workload must produce violations";
   EXPECT_EQ(verdicts[0], verdicts[1]) << "hash-compact";
