@@ -39,11 +39,7 @@ void apply_engine(VerifyOptions& vo, SearchEngineKind kind) {
   // set; POR reduces that set differently per engine (DFS runs source sets,
   // frontier engines sleep masks), so it is pinned off here.
   vo.explore.por = false;
-  if (kind == SearchEngineKind::kSingleExecution) {
-    vo.explore.simulation = true;
-  } else {
-    vo.explore.engine_kind = kind;
-  }
+  vo.explore.engine_kind = kind;
   vo.explore.engine_seed = 42;
 }
 

@@ -30,7 +30,8 @@
 //                      random-restart | single (single-execution simulation)
 //   --engine-seed <n>  seed for the random-restart engine (default 1)
 //   --simulation       follow one execution path (Batfish-style; may miss
-//                      order-dependent violations); alias for --engine single
+//                      order-dependent violations, so no violation found is
+//                      INCONCLUSIVE); alias for --engine single
 //   --deadline-ms <t>  whole-run wall-clock budget; tripping it yields the
 //                      INCONCLUSIVE verdict (exit 2), never a spurious hold
 //   --budget-states <n> cap stored states per PEC exploration
@@ -47,9 +48,10 @@
 //                      has no spec form)
 //
 // Exit code: 0 = policy holds (exhaustive), 1 = violated,
-//            2 = inconclusive (budget tripped / lossy search / approximated
-//                cyclic SCC; no violation found but the search was not a
-//                proof), 3 = usage/config error.
+//            2 = inconclusive (budget tripped / lossy search /
+//                --simulation or --engine single / approximated cyclic SCC;
+//                no violation found but the search was not a proof),
+//            3 = usage/config error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -140,19 +142,10 @@ int main(int argc, char** argv) {
       } else if (arg == "--trails") {
         trails = true;
       } else if (arg == "--simulation") {
-        opts.explore.simulation = true;
+        opts.explore.engine_kind = SearchEngineKind::kSingleExecution;
       } else if (arg == "--engine" && i + 1 < argc) {
-        SearchEngineKind kind;
-        if (!parse_search_engine(argv[++i], kind)) {
+        if (!parse_search_engine(argv[++i], opts.explore.engine_kind)) {
           throw std::runtime_error(std::string("bad --engine '") + argv[i] + "'");
-        }
-        // Last --engine wins: a non-simulation engine clears a previous
-        // `single` (ExploreOptions::simulation takes precedence otherwise).
-        if (kind == SearchEngineKind::kSingleExecution) {
-          opts.explore.simulation = true;
-        } else {
-          opts.explore.simulation = false;
-          opts.explore.engine_kind = kind;
         }
       } else if (arg == "--engine-seed" && i + 1 < argc) {
         opts.explore.engine_seed =
@@ -180,7 +173,6 @@ int main(int argc, char** argv) {
         if (opts.shard_workers.empty()) {
           throw std::runtime_error("bad --tcp-workers");
         }
-        opts.shard_transport = ShardTransportKind::kTcp;
       } else if (arg == "--fault-plan" && i + 1 < argc) {
         std::string perr;
         if (!sched::parse_fault_plan(argv[++i], opts.shard_fault_plan, perr)) {
@@ -259,10 +251,12 @@ int main(int argc, char** argv) {
                 static_cast<double>(result.total.model_bytes()) / 1e6);
     if (result.verdict == Verdict::kInconclusive) {
       std::printf("inconclusive: budget tripped = %s, %zu PEC(s) partial, "
-                  "search %s%s, %llu budget checks\n",
+                  "search %s%s%s, %llu budget checks\n",
                   to_string(result.budget_tripped),
                   result.pecs_inconclusive,
                   result.exhaustive ? "exhaustive" : "non-exhaustive",
+                  is_exhaustive(opts.explore.engine_kind) ? ""
+                                                          : " (single execution)",
                   result.unsupported_scc ? " (approximated cyclic SCC)" : "",
                   static_cast<unsigned long long>(result.total.budget_checks));
     }

@@ -1,7 +1,6 @@
 #include "core/verifier.hpp"
 
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -422,23 +421,6 @@ class ShardExecution {
   const std::chrono::steady_clock::time_point deadline_;
 };
 
-/// Blocking full-frame write for the bootstrap handshake (MSG_NOSIGNAL: a
-/// coordinator gone mid-handshake is an EPIPE, not a dead worker daemon).
-bool send_all_blocking(int fd, const std::string& data) {
-  const char* p = data.data();
-  std::size_t n = data.size();
-  while (n > 0) {
-    const ssize_t w = send(fd, p, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 }  // namespace
 
 std::string VerifyResult::first_violation(const Topology& topo) const {
@@ -529,8 +511,6 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     sched::ShardRunOptions so;
     so.shards = std::max(1, opts_.shards);
     so.stop_on_violation = !opts_.explore.find_all_violations;
-    so.test_on_assign = opts_.shard_test_on_assign;
-    so.test_worker_task_delay_ms = opts_.shard_test_worker_delay_ms;
     so.heartbeat_interval_ms = opts_.shard_heartbeat_interval_ms;
     so.soft_deadline_ms = opts_.shard_soft_deadline_ms;
     so.hard_deadline_ms = opts_.shard_hard_deadline_ms;
@@ -540,18 +520,14 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
       return ctx.run_worker_task(task_idx, upstream);
     };
 
-    // TCP transport: ship the plan as a bootstrap blob. Falls back to fork
-    // when the policy cannot be rendered into the make_policy grammar —
-    // remote workers rebuild the policy from its spec line, so a spec-less
-    // policy cannot travel.
+    // TCP transport (a worker list is given): ship the plan as a bootstrap
+    // blob. Falls back to fork when the policy cannot be rendered into the
+    // make_policy grammar — remote workers rebuild the policy from its spec
+    // line, so a spec-less policy cannot travel.
     std::unique_ptr<sched::TcpWorkerTransport> tcp;
-    if (opts_.shard_transport == ShardTransportKind::kTcp) {
+    if (!opts_.shard_workers.empty()) {
       const std::string policy_spec = policy.spec(net_);
-      if (opts_.shard_workers.empty()) {
-        std::fprintf(stderr,
-                     "plankton: tcp shard transport needs worker addresses; "
-                     "using fork transport\n");
-      } else if (policy_spec.empty()) {
+      if (policy_spec.empty()) {
         std::fprintf(stderr,
                      "plankton: policy '%s' has no spec form for tcp "
                      "bootstrap; using fork transport\n",
@@ -561,40 +537,16 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
         bm.config_text = serve::render_config(net_);
         bm.policy_spec = policy_spec;
         bm.targets.assign(targets.begin(), targets.end());
-        bm.pec_dedup = opts_.pec_dedup ? 1 : 0;
-        bm.stop_on_violation = so.stop_on_violation ? 1 : 0;
-        const ExploreOptions& eo = opts_.explore;
-        bm.max_failures = eo.max_failures;
-        bm.consistent_only = eo.consistent_only ? 1 : 0;
-        bm.deterministic_nodes = eo.deterministic_nodes ? 1 : 0;
-        bm.det_nodes_bgp = eo.det_nodes_bgp ? 1 : 0;
-        bm.decision_independence = eo.decision_independence ? 1 : 0;
-        bm.lec_failures = eo.lec_failures ? 1 : 0;
-        bm.policy_pruning = eo.policy_pruning ? 1 : 0;
-        bm.suppress_equivalent = eo.suppress_equivalent ? 1 : 0;
-        bm.merge_updates = eo.merge_updates ? 1 : 0;
-        bm.ad_cache = eo.ad_cache ? 1 : 0;
-        bm.por = eo.por ? 1 : 0;
-        bm.incremental_expand = eo.incremental_expand ? 1 : 0;
-        bm.find_all_violations = eo.find_all_violations ? 1 : 0;
-        bm.simulation = eo.simulation ? 1 : 0;
-        bm.visited = static_cast<std::uint8_t>(eo.visited);
-        bm.bloom_bits = eo.bloom_bits;
-        bm.budget_max_states = eo.budget.max_states;
-        bm.budget_max_bytes = eo.budget.max_bytes;
-        bm.budget_degrade_visited = eo.budget.degrade_visited ? 1 : 0;
-        if (eo.budget.deadline.count() > 0) {
-          const auto rem = std::chrono::duration_cast<std::chrono::milliseconds>(
-              start + eo.budget.deadline - std::chrono::steady_clock::now());
-          bm.budget_deadline_ms = std::max<std::int64_t>(1, rem.count());
+        bm.pec_dedup = opts_.pec_dedup;
+        bm.explore = opts_.explore;
+        auto& deadline = bm.explore.budget.deadline;
+        if (deadline.count() > 0) {
+          deadline = std::max(
+              std::chrono::milliseconds(1),
+              std::chrono::duration_cast<std::chrono::milliseconds>(
+                  start + deadline - std::chrono::steady_clock::now()));
         }
-        bm.engine_kind = static_cast<std::uint8_t>(eo.engine_kind);
-        bm.engine_seed = eo.engine_seed;
-        bm.engine_split_every = eo.engine_split_every;
-        bm.engine_restart_policy =
-            static_cast<std::uint8_t>(eo.engine_restart_policy);
         bm.heartbeat_interval_ms = so.heartbeat_interval_ms;
-        bm.max_frame_payload = so.max_frame_payload;
         // The remote session runs as slot 0 / generation 1 locally, so the
         // coordinator resolves its FaultPlan per incarnation here and ships
         // the resolved faults with gen* (fire at any local generation). A
@@ -793,7 +745,7 @@ int serve_shard_worker_session(int fd) {
     std::string out;
     sched::encode_frame(out, sched::MsgType::kBootstrapAck,
                         sched::encode_bootstrap_ack(ack));
-    (void)send_all_blocking(fd, out);
+    (void)sched::write_all(fd, out);
     return 3;
   };
   if (frame.type != sched::MsgType::kBootstrap) {
@@ -814,33 +766,8 @@ int serve_shard_worker_session(int fd) {
   }
 
   VerifyOptions vo;
-  ExploreOptions& eo = vo.explore;
-  eo.max_failures = bm.max_failures;
-  eo.consistent_only = bm.consistent_only != 0;
-  eo.deterministic_nodes = bm.deterministic_nodes != 0;
-  eo.det_nodes_bgp = bm.det_nodes_bgp != 0;
-  eo.decision_independence = bm.decision_independence != 0;
-  eo.lec_failures = bm.lec_failures != 0;
-  eo.policy_pruning = bm.policy_pruning != 0;
-  eo.suppress_equivalent = bm.suppress_equivalent != 0;
-  eo.merge_updates = bm.merge_updates != 0;
-  eo.ad_cache = bm.ad_cache != 0;
-  eo.por = bm.por != 0;
-  eo.incremental_expand = bm.incremental_expand != 0;
-  eo.find_all_violations = bm.find_all_violations != 0;
-  eo.simulation = bm.simulation != 0;
-  eo.visited = static_cast<VisitedKind>(bm.visited);
-  eo.bloom_bits = bm.bloom_bits;
-  eo.budget.max_states = bm.budget_max_states;
-  eo.budget.max_bytes = bm.budget_max_bytes;
-  eo.budget.degrade_visited = bm.budget_degrade_visited != 0;
-  eo.budget.deadline = std::chrono::milliseconds(bm.budget_deadline_ms);
-  eo.engine_kind = static_cast<SearchEngineKind>(bm.engine_kind);
-  eo.engine_seed = bm.engine_seed;
-  eo.engine_split_every = bm.engine_split_every;
-  eo.engine_restart_policy =
-      static_cast<RestartPolicy>(bm.engine_restart_policy);
-  vo.pec_dedup = bm.pec_dedup != 0;
+  vo.explore = bm.explore;
+  vo.pec_dedup = bm.pec_dedup;
 
   Verifier verifier(pn.net, vo);
   const std::unique_ptr<Policy> policy =
@@ -879,12 +806,10 @@ int serve_shard_worker_session(int fd) {
   std::string out;
   sched::encode_frame(out, sched::MsgType::kBootstrapAck,
                       sched::encode_bootstrap_ack(ack));
-  if (!send_all_blocking(fd, out)) return 2;
+  if (!sched::write_all(fd, out)) return 2;
 
   sched::ShardRunOptions so;
-  so.stop_on_violation = bm.stop_on_violation != 0;
   so.heartbeat_interval_ms = bm.heartbeat_interval_ms;
-  if (bm.max_frame_payload != 0) so.max_frame_payload = bm.max_frame_payload;
   so.fault_plan = session_faults;
 
   const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {

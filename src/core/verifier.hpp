@@ -25,13 +25,6 @@
 
 namespace plankton {
 
-/// How the shard coordinator reaches its workers (VerifyOptions below).
-enum class ShardTransportKind : std::uint8_t {
-  kFork = 0,  ///< fork + socketpair children (default; plan shared by COW)
-  kTcp = 1,   ///< pre-started plankton_worker processes, plan shipped as a
-              ///< kBootstrap blob (requires a policy with a spec() form)
-};
-
 struct VerifyOptions {
   /// Exploration knobs for every PEC run. `explore.budget` is the resource
   /// budget of the whole verification (checker/budget.hpp): its deadline
@@ -64,19 +57,15 @@ struct VerifyOptions {
   int shard_hard_deadline_ms = 30000;
   /// Deterministic fault injection for the shard transport and worker loop
   /// (sched/fault.hpp); empty = no faults. CLI --fault-plan / env
-  /// PLANKTON_FAULT_PLAN.
+  /// PLANKTON_FAULT_PLAN. Fork workers inherit the plan; TCP workers get
+  /// their incarnation's faults inside kBootstrap.
   sched::FaultPlan shard_fault_plan;
 
-  // Test-only fault injection, forwarded to ShardRunOptions (the
-  // crash-recovery suite kills workers mid-task through these).
-  std::function<void(int shard, pid_t pid, std::size_t task)> shard_test_on_assign;
-  int shard_test_worker_delay_ms = 0;
-
-  /// Worker transport for the shard coordinator. kTcp connects worker slot s
-  /// to shard_workers[s % n] ("host:port" plankton_worker listeners) and
-  /// bootstraps each from a rendered-config + policy-spec blob; it falls
-  /// back to fork (with a stderr note) when the policy has no spec() form.
-  ShardTransportKind shard_transport = ShardTransportKind::kFork;
+  /// Worker transport for the shard coordinator: empty = fork workers.
+  /// Otherwise worker slot s connects to shard_workers[s % n] ("host:port"
+  /// plankton_worker listeners) and bootstraps from a rendered-config +
+  /// policy-spec blob, falling back to fork (with a stderr note) when the
+  /// policy has no spec() form.
   std::vector<std::string> shard_workers;
   int shard_connect_timeout_ms = 5000;
 };

@@ -171,7 +171,8 @@ enum class SearchEngineKind : std::uint8_t {
 };
 
 /// True for strategies that explore the complete move tree (everything
-/// except single-execution simulation).
+/// except single-execution simulation). The Explorer reports a run of a
+/// non-exhaustive strategy with ExploreResult::exhaustive == false.
 [[nodiscard]] constexpr bool is_exhaustive(SearchEngineKind kind) {
   return kind != SearchEngineKind::kSingleExecution;
 }

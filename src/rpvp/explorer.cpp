@@ -43,7 +43,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
       upstream_provider_(upstream),
       visited_(make_visited_backend(opts.visited,
                                     VisitedConfig{opts.bloom_bits, 4})),
-      engine_(make_search_engine(opts.engine(), opts.engine_config())) {
+      engine_(make_search_engine(opts.engine_kind, opts.engine_config())) {
   ctx_.net = &net_;
   const std::size_t n = net.topo.node_count();
   const std::size_t t = tasks_.size();
@@ -113,7 +113,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
                          opts_.find_all_violations);
   if (opts_.por && opts_.visited == VisitedKind::kExact &&
       !cut_states_observed) {
-    const SearchEngineKind ek = opts_.engine();
+    const SearchEngineKind ek = opts_.engine_kind;
     if (ek == SearchEngineKind::kDfs) {
       por_mode_ = PorMode::kDfs;
     } else if (is_frontier(ek)) {
@@ -148,7 +148,11 @@ ExploreResult Explorer::run() {
       rib_bytes + result_.stats.max_depth * sizeof(TrailEvent) * 2;
   result_.stats.bytes_ad_cache = ad_cache_.bytes();
   result_.stats.elapsed = std::chrono::steady_clock::now() - start;
-  if (!visited_->exhaustive()) result_.exhaustive = false;
+  // A lossy visited store or a single followed execution covers only part
+  // of the state space: no violation then is not a proof.
+  if (!visited_->exhaustive() || !is_exhaustive(opts_.engine_kind)) {
+    result_.exhaustive = false;
+  }
   return std::move(result_);
 }
 

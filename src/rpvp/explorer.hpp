@@ -99,17 +99,15 @@ struct ExploreOptions {
   bool find_all_violations = false;
   bool record_outcomes = false;  ///< keep converged states for dependent PECs
 
-  /// Batfish-style simulation (paper Fig. 1, "all data planes" row): follow
-  /// a single non-deterministic execution path instead of exploring all of
-  /// them — the kSingleExecution search engine. Sound for violations it
-  /// finds, but misses violations that only occur under other advertisement
-  /// orderings (e.g. BGP wedgies). Takes precedence over `engine_kind`.
-  bool simulation = false;
-
   /// Exploration strategy for the per-prefix move tree (engine/search.hpp):
   /// kDfs (the paper's strategy) or one of the frontier engines. Every
   /// exhaustive engine visits the same state set; the frontier engines only
-  /// reorder it (tests/test_engine_differential.cpp).
+  /// reorder it (tests/test_engine_differential.cpp). kSingleExecution is
+  /// Batfish-style simulation (paper Fig. 1, "all data planes" row): one
+  /// non-deterministic execution path instead of all of them. Its violations
+  /// are real, but it misses those that only occur under other
+  /// advertisement orderings (e.g. BGP wedgies), so a violation-free run is
+  /// not exhaustive and never a hold.
   SearchEngineKind engine_kind = SearchEngineKind::kDfs;
   /// Seeds kRandomRestart's pop order; a failing fuzz instance reproduces
   /// from (topology seed, engine seed) alone.
@@ -119,10 +117,6 @@ struct ExploreOptions {
   /// kRandomRestart restart schedule: Luby by default, kFixedPeriod keeps
   /// the original every-N-pops behavior.
   RestartPolicy engine_restart_policy = RestartPolicy::kLuby;
-
-  [[nodiscard]] SearchEngineKind engine() const {
-    return simulation ? SearchEngineKind::kSingleExecution : engine_kind;
-  }
 
   [[nodiscard]] SearchEngineConfig engine_config() const {
     SearchEngineConfig c;
@@ -179,10 +173,11 @@ struct PecOutcome {
 struct ExploreResult {
   /// Which budget axis ended the search early (kNone = ran to completion).
   BudgetKind budget_tripped = BudgetKind::kNone;
-  /// False when coverage was not a proof: a lossy visited backend was
-  /// selected up front, the memory-pressure degradation migrated the exact
-  /// store to hash compaction mid-run, or (set by the verifier) the PEC
-  /// belongs to or depends on an approximated cyclic SCC. A violation-free
+  /// False when coverage was not a proof: the single-execution engine
+  /// followed one path, a lossy visited backend was selected up front, the
+  /// memory-pressure degradation migrated the exact store to hash
+  /// compaction mid-run, or (set by the verifier) the PEC belongs to or
+  /// depends on an approximated cyclic SCC. A violation-free
   /// search with exhaustive == false is a coverage claim, not a hold.
   bool exhaustive = true;
   /// Every counterexample found (the first only, unless

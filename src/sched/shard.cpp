@@ -101,16 +101,13 @@ constexpr int kWritePollSliceMs = 100;
 /// unbounded retry loop either.
 constexpr int kMaxEintrRetries = 1024;
 
-/// Writes everything, riding out EINTR/EAGAIN with *bounded* retries (the
-/// coordinator keeps its ends non-blocking so it can also drain without
-/// blocking). MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the
-/// process. On failure, `stalled` (when given) reports whether the give-up
-/// was a retry-budget exhaustion rather than a hard socket error.
-/// `synthetic_eintr` injects that many fake EINTR results before the first
-/// real send — the FaultPlan eintr@N storm, driving the same retry
+}  // namespace
+
+/// Bounded retries (the coordinator keeps its ends non-blocking so it can
+/// also drain without blocking). The synthetic EINTRs drive the same retry
 /// accounting a real signal storm would.
-bool write_all(int fd, const char* data, std::size_t n, bool* stalled = nullptr,
-               std::uint32_t synthetic_eintr = 0) {
+bool write_all(int fd, const char* data, std::size_t n, bool* stalled,
+               std::uint32_t synthetic_eintr) {
   if (stalled != nullptr) *stalled = false;
   int stalled_ms = 0;
   int eintr_count = 0;
@@ -152,12 +149,6 @@ bool write_all(int fd, const char* data, std::size_t n, bool* stalled = nullptr,
   }
   return true;
 }
-
-bool write_all(int fd, const std::string& s, bool* stalled = nullptr) {
-  return write_all(fd, s.data(), s.size(), stalled);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -209,7 +200,7 @@ FrameDecoder::Status FrameDecoder::next(Frame& out) {
   // (a late kHeartbeat from a confused worker, injected bytes on the serve
   // socket) is a protocol violation, not data to process.
   if (shutdown_seen_) return poison("frame after shutdown");
-  if (len > max_payload_) return poison("frame payload exceeds limit");
+  if (len > kMaxFramePayload) return poison("frame payload exceeds limit");
   if (avail - kFrameHeaderBytes < len) return Status::kNeedMore;
   out.type = static_cast<MsgType>(type);
   if (out.type == MsgType::kShutdown) shutdown_seen_ = true;
@@ -525,7 +516,7 @@ int run_worker_session(
   };
 
   OutcomeStore store(net, pecs);
-  FrameDecoder decoder(opts.max_frame_payload);
+  FrameDecoder decoder;
   char buf[1 << 16];
   std::uint64_t reads = 0;  // 1-based read index slow-read@F keys on
   for (;;) {
@@ -551,10 +542,6 @@ int run_worker_session(
           for (const PecId p : msg.evict) {
             if (p >= pecs.pecs.size()) return finish(3);
             store.evict(p);
-          }
-          if (opts.test_worker_task_delay_ms > 0) {
-            usleep(static_cast<useconds_t>(opts.test_worker_task_delay_ms) *
-                   1000);
           }
           std::vector<ShardPecResult> results;
           try {
@@ -698,7 +685,7 @@ struct WorkerSlot {
   std::vector<std::uint8_t> delivered;  ///< per-PecId: outcomes on the worker
   std::deque<PecId> pending_evictions;  ///< piggybacked on the next assign
   std::vector<ViolationMsg> stash;      ///< violations of the in-flight task
-  FrameDecoder decoder{kDefaultMaxFramePayload};
+  FrameDecoder decoder;
 
   // -- supervision ----------------------------------------------------------
   int generation = 0;  ///< respawn count of this slot (FaultPlan scoping)
@@ -782,7 +769,7 @@ ShardRunResult run_sharded_task_graph(
     w.delivered.assign(pecs.pecs.size(), 0);
     w.pending_evictions.clear();
     w.stash.clear();
-    w.decoder = FrameDecoder(opts.max_frame_payload);
+    w.decoder = FrameDecoder();
     ++w.generation;
     const auto now = std::chrono::steady_clock::now();
     w.assigned_at = now;
@@ -895,9 +882,6 @@ ShardRunResult run_sharded_task_graph(
     w.last_progress_time = now;  // the progress clock restarts per task
     w.probed = false;
     ++inflight;
-    if (opts.test_on_assign) {
-      opts.test_on_assign(static_cast<int>(slot), w.pid, task);
-    }
     return true;
   };
 

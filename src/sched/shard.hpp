@@ -45,7 +45,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <sys/types.h>
 #include <vector>
 
 #include "checker/stats.hpp"
@@ -89,14 +88,15 @@ enum class MsgType : std::uint16_t {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
-/// Bumped on every payload layout change (2: the three-flag PecDoneMsg).
-inline constexpr std::uint16_t kFrameVersion = 2;
+/// Bumped on every payload layout change (2: the three-flag PecDoneMsg; 3:
+/// kBootstrap carries ExploreOptions whole).
+inline constexpr std::uint16_t kFrameVersion = 3;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
-/// Default ceiling for one frame's payload. Anything larger is treated as a
-/// corrupt length field (a single PEC's outcome batch is orders of magnitude
-/// smaller on every workload we run).
-inline constexpr std::uint64_t kDefaultMaxFramePayload = std::uint64_t{1} << 30;
+/// Ceiling for one frame's payload. Anything larger is treated as a corrupt
+/// length field (a single PEC's outcome batch is orders of magnitude smaller
+/// on every workload we run).
+inline constexpr std::uint64_t kMaxFramePayload = std::uint64_t{1} << 30;
 
 struct Frame {
   MsgType type = MsgType::kShutdown;
@@ -106,15 +106,28 @@ struct Frame {
 /// Appends one framed message to `out`.
 void encode_frame(std::string& out, MsgType type, std::string_view payload);
 
+/// Writes all `n` bytes to a socket — the one send loop behind every PKS1
+/// writer (shard coordinator and workers, TCP bootstrap, serve daemon).
+/// MSG_NOSIGNAL: a dead peer surfaces as EPIPE, never SIGPIPE. EINTR and
+/// EAGAIN are retried under bounds (1024 EINTRs in a row; 10 s without
+/// progress on a non-blocking fd), so a wedged peer or a signal storm
+/// degrades to a failed write instead of a hang. On failure, `stalled`
+/// (when given) reports whether a retry bound ran out rather than a hard
+/// socket error. `synthetic_eintr` injects that many fake EINTR results
+/// before the first real send (the FaultPlan eintr@N storm).
+bool write_all(int fd, const char* data, std::size_t n, bool* stalled = nullptr,
+               std::uint32_t synthetic_eintr = 0);
+inline bool write_all(int fd, std::string_view s, bool* stalled = nullptr) {
+  return write_all(fd, s.data(), s.size(), stalled);
+}
+
 /// Incremental, bounds-checked frame parser over a byte stream. feed() bytes
 /// as they arrive; next() pops complete frames. A malformed header (bad
-/// magic/version, unknown type, oversized length) moves the decoder into a
-/// permanent error state — the stream cannot be trusted past the first lie.
+/// magic/version, unknown type, a length above kMaxFramePayload) moves the
+/// decoder into a permanent error state — the stream cannot be trusted past
+/// the first lie.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::uint64_t max_payload = kDefaultMaxFramePayload)
-      : max_payload_(max_payload) {}
-
   void feed(const char* data, std::size_t n);
 
   enum class Status : std::uint8_t {
@@ -130,7 +143,6 @@ class FrameDecoder {
  private:
   std::string buf_;
   std::size_t pos_ = 0;
-  std::uint64_t max_payload_;
   bool failed_ = false;
   bool shutdown_seen_ = false;  ///< kShutdown is terminal; later frames poison
   std::string error_;
@@ -289,7 +301,6 @@ struct ShardRunOptions {
   /// Stop dispatching new tasks once any report arrives with a violation
   /// (the in-process early-stop behaviour); in-flight tasks still complete.
   bool stop_on_violation = false;
-  std::uint64_t max_frame_payload = kDefaultMaxFramePayload;
   /// Give up on a task after this many worker deaths while it was in flight
   /// (a deterministically-crashing task must not fork forever).
   int max_reassignments_per_task = 3;
@@ -318,13 +329,6 @@ struct ShardRunOptions {
   /// Deterministic fault injection (sched/fault.hpp) consulted by the
   /// worker loop and transport at instrumented points. Empty = no faults.
   FaultPlan fault_plan;
-
-  // Test hooks (fault injection for the crash-recovery suite):
-  /// Called right after a task assignment has been written to a worker.
-  std::function<void(int shard, pid_t pid, std::size_t task)> test_on_assign;
-  /// Workers sleep this long before running each assigned task, widening the
-  /// window in which test_on_assign can kill them mid-task.
-  int test_worker_task_delay_ms = 0;
 };
 
 struct ShardRunResult {

@@ -16,27 +16,6 @@
 namespace plankton::sched {
 namespace {
 
-/// Blocking full-buffer send with MSG_NOSIGNAL: a worker that dies between
-/// connect and bootstrap must surface as EPIPE, never SIGPIPE.
-bool send_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = send(fd, data, n, MSG_NOSIGNAL);
-    if (w > 0) {
-      data += w;
-      n -= static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd pfd{fd, POLLOUT, 0};
-      (void)poll(&pfd, 1, 100);
-      continue;
-    }
-    return false;
-  }
-  return true;
-}
-
 /// Non-blocking connect bounded by `timeout_ms`, returned as a blocking fd
 /// (the bootstrap handshake is sequential anyway; the coordinator flips it
 /// to O_NONBLOCK once the worker is accepted).
@@ -124,7 +103,9 @@ int TcpWorkerTransport::start(std::size_t slot, int generation, pid_t& pid) {
 #endif
   std::string out;
   encode_frame(out, MsgType::kBootstrap, payload_factory_(slot, generation));
-  if (!send_all(fd, out.data(), out.size())) {
+  // write_all's MSG_NOSIGNAL: a worker that dies between connect and
+  // bootstrap surfaces as EPIPE, never SIGPIPE.
+  if (!write_all(fd, out)) {
     close(fd);
     return -1;
   }

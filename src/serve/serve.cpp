@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <span>
+#include <type_traits>
 
 #include "eqclass/pec_dedup.hpp"
 #include "netbase/hash.hpp"
@@ -37,40 +38,97 @@ bool decode_load_net(std::string_view in, LoadNetMsg& out) {
   return true;
 }
 
+namespace {
+
+/// The ExploreOptions fields kBootstrap ships, in wire order — one list that
+/// both codec directions walk, so a field cannot be encoded without being
+/// decoded. `field` returns false to abort (decode only).
+template <typename Explore, typename Field>
+bool visit_shipped(Explore& eo, Field&& field) {
+  return field(eo.max_failures) && field(eo.consistent_only) &&
+         field(eo.deterministic_nodes) && field(eo.det_nodes_bgp) &&
+         field(eo.decision_independence) && field(eo.lec_failures) &&
+         field(eo.policy_pruning) && field(eo.suppress_equivalent) &&
+         field(eo.visited) && field(eo.bloom_bits) &&
+         field(eo.merge_updates) && field(eo.ad_cache) && field(eo.por) &&
+         field(eo.incremental_expand) && field(eo.budget.deadline) &&
+         field(eo.budget.max_states) && field(eo.budget.max_bytes) &&
+         field(eo.budget.degrade_visited) && field(eo.find_all_violations) &&
+         field(eo.engine_kind) && field(eo.engine_seed) &&
+         field(eo.engine_split_every) && field(eo.engine_restart_policy);
+}
+
+// Wire forms: flags and enums ride as one byte, the deadline as int64
+// milliseconds, integers at their own width.
+template <typename T>
+void put_field(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    put_int(out, static_cast<std::uint8_t>(v ? 1 : 0));
+  } else if constexpr (std::is_enum_v<T>) {
+    put_int(out, static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
+    put_int(out, static_cast<std::int64_t>(v.count()));
+  } else {
+    put_int(out, v);
+  }
+}
+
+/// Decodes one enum byte, refusing values past `last`.
+template <typename E>
+bool get_enum(std::string_view& in, E& v, E last) {
+  std::uint8_t b = 0;
+  if (!get_int(in, b) || b > static_cast<std::uint8_t>(last)) return false;
+  v = static_cast<E>(b);
+  return true;
+}
+
+// Decoders, with every range check: flags are strictly 0/1, enums within
+// their enumerators, max_failures (the only int) and the deadline >= 0.
+bool get_field(std::string_view& in, bool& v) {
+  std::uint8_t b = 0;
+  if (!get_int(in, b) || b > 1) return false;
+  v = b == 1;
+  return true;
+}
+bool get_field(std::string_view& in, VisitedKind& v) {
+  return get_enum(in, v, VisitedKind::kBitstate);
+}
+bool get_field(std::string_view& in, SearchEngineKind& v) {
+  return get_enum(in, v, SearchEngineKind::kRandomRestart);
+}
+bool get_field(std::string_view& in, RestartPolicy& v) {
+  return get_enum(in, v, RestartPolicy::kLuby);
+}
+bool get_field(std::string_view& in, std::chrono::milliseconds& v) {
+  std::int64_t ms = 0;
+  if (!get_int(in, ms) || ms < 0) return false;
+  v = std::chrono::milliseconds(ms);
+  return true;
+}
+bool get_field(std::string_view& in, int& v) {
+  return get_int(in, v) && v >= 0;
+}
+bool get_field(std::string_view& in, std::uint64_t& v) {
+  return get_int(in, v);
+}
+bool get_field(std::string_view& in, std::uint32_t& v) {
+  return get_int(in, v);
+}
+
+}  // namespace
+
 std::string encode_bootstrap(const BootstrapMsg& m) {
   std::string out;
   put_string(out, m.config_text);
   put_string(out, m.policy_spec);
   put_int(out, static_cast<std::uint32_t>(m.targets.size()));
   for (const std::uint32_t t : m.targets) put_int(out, t);
-  put_int(out, m.pec_dedup);
-  put_int(out, m.stop_on_violation);
-  put_int(out, m.max_failures);
-  put_int(out, m.consistent_only);
-  put_int(out, m.deterministic_nodes);
-  put_int(out, m.det_nodes_bgp);
-  put_int(out, m.decision_independence);
-  put_int(out, m.lec_failures);
-  put_int(out, m.policy_pruning);
-  put_int(out, m.suppress_equivalent);
-  put_int(out, m.merge_updates);
-  put_int(out, m.ad_cache);
-  put_int(out, m.por);
-  put_int(out, m.incremental_expand);
-  put_int(out, m.find_all_violations);
-  put_int(out, m.simulation);
-  put_int(out, m.visited);
-  put_int(out, m.bloom_bits);
-  put_int(out, m.budget_max_states);
-  put_int(out, m.budget_max_bytes);
-  put_int(out, m.budget_degrade_visited);
-  put_int(out, m.budget_deadline_ms);
-  put_int(out, m.engine_kind);
-  put_int(out, m.engine_seed);
-  put_int(out, m.engine_split_every);
-  put_int(out, m.engine_restart_policy);
+  put_field(out, m.pec_dedup);
+  (void)visit_shipped(m.explore, [&out](const auto& v) {
+    put_field(out, v);
+    return true;
+  });
   put_int(out, m.heartbeat_interval_ms);
-  put_int(out, m.max_frame_payload);
   put_string(out, m.fault_plan);
   return out;
 }
@@ -90,45 +148,14 @@ bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!get_int(in, out.targets[i])) return fail();
   }
-  const bool fields_ok =
-      get_int(in, out.pec_dedup) && get_int(in, out.stop_on_violation) &&
-      get_int(in, out.max_failures) && get_int(in, out.consistent_only) &&
-      get_int(in, out.deterministic_nodes) && get_int(in, out.det_nodes_bgp) &&
-      get_int(in, out.decision_independence) &&
-      get_int(in, out.lec_failures) && get_int(in, out.policy_pruning) &&
-      get_int(in, out.suppress_equivalent) && get_int(in, out.merge_updates) &&
-      get_int(in, out.ad_cache) && get_int(in, out.por) &&
-      get_int(in, out.incremental_expand) &&
-      get_int(in, out.find_all_violations) && get_int(in, out.simulation) &&
-      get_int(in, out.visited) && get_int(in, out.bloom_bits) &&
-      get_int(in, out.budget_max_states) &&
-      get_int(in, out.budget_max_bytes) &&
-      get_int(in, out.budget_degrade_visited) &&
-      get_int(in, out.budget_deadline_ms) && get_int(in, out.engine_kind) &&
-      get_int(in, out.engine_seed) && get_int(in, out.engine_split_every) &&
-      get_int(in, out.engine_restart_policy) &&
+  const bool ok =
+      get_field(in, out.pec_dedup) &&
+      visit_shipped(out.explore,
+                    [&in](auto& v) { return get_field(in, v); }) &&
       get_int(in, out.heartbeat_interval_ms) &&
-      get_int(in, out.max_frame_payload) && get_string(in, out.fault_plan) &&
+      out.heartbeat_interval_ms >= 0 && get_string(in, out.fault_plan) &&
       in.empty();
-  const auto flag_ok = [](std::uint8_t f) { return f <= 1; };
-  if (!fields_ok || !flag_ok(out.pec_dedup) ||
-      !flag_ok(out.stop_on_violation) || out.max_failures < 0 ||
-      !flag_ok(out.consistent_only) || !flag_ok(out.deterministic_nodes) ||
-      !flag_ok(out.det_nodes_bgp) || !flag_ok(out.decision_independence) ||
-      !flag_ok(out.lec_failures) || !flag_ok(out.policy_pruning) ||
-      !flag_ok(out.suppress_equivalent) || !flag_ok(out.merge_updates) ||
-      !flag_ok(out.ad_cache) || !flag_ok(out.por) ||
-      !flag_ok(out.incremental_expand) || !flag_ok(out.find_all_violations) ||
-      !flag_ok(out.simulation) ||
-      out.visited > static_cast<std::uint8_t>(VisitedKind::kBitstate) ||
-      !flag_ok(out.budget_degrade_visited) || out.budget_deadline_ms < 0 ||
-      out.engine_kind >
-          static_cast<std::uint8_t>(SearchEngineKind::kRandomRestart) ||
-      out.engine_restart_policy >
-          static_cast<std::uint8_t>(RestartPolicy::kLuby) ||
-      out.heartbeat_interval_ms < 0) {
-    return fail();
-  }
+  if (!ok) return fail();
   return true;
 }
 
@@ -554,7 +581,6 @@ void ServeState::recompute_cones() {
 
 bool ServeState::load(const std::string& config_text, std::string& error) {
   if (!make_resident(config_text, error)) return false;
-  prev_cones_.clear();
   last_moved_ = 0;
   if (!warm_started_ && !cache_path_.empty()) {
     warm_started_ = true;
@@ -628,7 +654,6 @@ bool ServeState::apply_delta(const ApplyDeltaMsg& delta, std::string& error) {
     }
   }
   moved += before.size() - matched;  // vanished PECs
-  prev_cones_ = std::move(before);
   last_moved_ = moved;
   if (journal_.is_open() && !replaying_ &&
       !journal_.append(JournalRecord::kApplyDelta, encode_apply_delta(delta),

@@ -90,49 +90,21 @@ struct CacheStatsMsg {
 /// kBootstrap: everything a remote shard worker (plankton_worker) needs to
 /// rebuild the coordinator's verification plan from scratch — the network as
 /// render_config text, the policy in make_policy grammar, the target PECs,
-/// and the flattened exploration/supervision knobs. PEC partitioning,
-/// dependency analysis, and dedup classing are deterministic functions of
-/// the parsed network, so both sides derive the same task graph
-/// independently; the kBootstrapAck plan hash proves they actually did.
+/// and the options its sessions read. PEC partitioning, dependency analysis,
+/// and dedup classing are deterministic functions of the parsed network, so
+/// both sides derive the same task graph independently; the kBootstrapAck
+/// plan hash proves they actually did.
 struct BootstrapMsg {
   std::string config_text;            ///< render_config output
   std::string policy_spec;            ///< make_policy grammar
   std::vector<std::uint32_t> targets; ///< PecIds the query policy-checks
-  std::uint8_t pec_dedup = 1;
-  std::uint8_t stop_on_violation = 0;
-
-  // VerifyOptions::explore, field-for-field (bools ride as u8 in {0,1}):
-  std::int32_t max_failures = 0;
-  std::uint8_t consistent_only = 1;
-  std::uint8_t deterministic_nodes = 1;
-  std::uint8_t det_nodes_bgp = 1;
-  std::uint8_t decision_independence = 1;
-  std::uint8_t lec_failures = 1;
-  std::uint8_t policy_pruning = 1;
-  std::uint8_t suppress_equivalent = 1;
-  std::uint8_t merge_updates = 1;
-  std::uint8_t ad_cache = 1;
-  std::uint8_t por = 1;
-  std::uint8_t incremental_expand = 1;
-  std::uint8_t find_all_violations = 0;
-  std::uint8_t simulation = 0;
-  std::uint8_t visited = 0;           ///< VisitedKind, <= kBitstate
-  std::uint64_t bloom_bits = 0;
-  std::uint64_t budget_max_states = 0;
-  std::uint64_t budget_max_bytes = 0;
-  std::uint8_t budget_degrade_visited = 0;
-  /// The budget deadline travels as *remaining* milliseconds (0 = none):
-  /// absolute time points do not survive a host boundary.
-  std::int64_t budget_deadline_ms = 0;
-  std::uint8_t engine_kind = 0;       ///< SearchEngineKind, validated in decode
-  std::uint64_t engine_seed = 1;
-  std::uint32_t engine_split_every = 0;
-  std::uint8_t engine_restart_policy = 0;  ///< RestartPolicy, <= kFixedPeriod
-
-  // Worker-side shard session knobs (sched::ShardRunOptions subset):
+  bool pec_dedup = true;              ///< VerifyOptions::pec_dedup
+  /// VerifyOptions::explore, every field but record_outcomes (run_pec_core
+  /// sets that per PEC). The budget deadline travels as the *remaining*
+  /// milliseconds: absolute time points do not survive a host boundary.
+  ExploreOptions explore;
+  /// ShardRunOptions::heartbeat_interval_ms for the worker's session.
   std::int32_t heartbeat_interval_ms = 0;
-  std::uint64_t max_frame_payload = 0;  ///< 0 = the PKS1 default
-
   /// Pre-resolved FaultPlan string this worker incarnation must act out
   /// (empty = no faults). The coordinator resolves its plan per slot +
   /// generation before shipping, because the remote session always runs as
@@ -243,8 +215,6 @@ class ServeState {
   ParsedNetwork parsed_;
   std::unique_ptr<Verifier> verifier_;
   std::vector<std::uint64_t> cones_;  ///< per-PEC dependency-cone hash
-  /// pec.str() -> cone hash before the last delta (moved-PEC accounting).
-  std::unordered_map<std::string, std::uint64_t> prev_cones_;
   std::uint64_t last_moved_ = 0;
   VerdictCache cache_;
   Journal journal_;

@@ -74,22 +74,6 @@ int listen_tcp(int port, std::string& error) {
   return fd;
 }
 
-bool write_all_fd(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: a client that disconnected mid-reply must surface as
-    // EPIPE (drop the connection, keep the daemon), not SIGPIPE (whose
-    // default disposition kills the whole process).
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 using Clock = std::chrono::steady_clock;
 
 /// One multiplexed client connection.
@@ -118,11 +102,14 @@ bool send_client_frame(ClientConn& c, const sched::WorkerFaults& wf,
     return false;
   }
   if (wf.torn_tcp_at_frame != 0 && c.reply_frames == wf.torn_tcp_at_frame) {
-    (void)write_all_fd(c.fd, out.data(), out.size() / 2);
+    (void)sched::write_all(c.fd, out.data(), out.size() / 2);
     ::shutdown(c.fd, SHUT_RDWR);
     return false;
   }
-  return write_all_fd(c.fd, out.data(), out.size());
+  // sched::write_all sends with MSG_NOSIGNAL: a client that disconnected
+  // mid-reply surfaces as EPIPE (drop the connection, keep the daemon), not
+  // SIGPIPE (whose default disposition kills the whole process).
+  return sched::write_all(c.fd, out);
 }
 
 enum class Dispatch { kKeep, kClose, kShutdown };
@@ -321,7 +308,7 @@ int run_server(const ServerOptions& opts) {
         std::string out;
         sched::encode_frame(out, sched::MsgType::kVerdictReply,
                             encode_verdict_reply(refuse));
-        (void)write_all_fd(conn, out.data(), out.size());
+        (void)sched::write_all(conn, out);
         ::close(conn);
         continue;
       }
@@ -455,7 +442,7 @@ int connect_tcp(int port, std::string& error) {
 bool send_frame(int fd, sched::MsgType type, std::string_view payload) {
   std::string out;
   sched::encode_frame(out, type, payload);
-  return write_all_fd(fd, out.data(), out.size());
+  return sched::write_all(fd, out);
 }
 
 bool recv_frame(int fd, sched::FrameDecoder& dec, sched::Frame& out,

@@ -293,7 +293,6 @@ TEST(BudgetSoundness, ExploreBudgetIsHonoredByVerifier) {
   }
   VerifyOptions tcp = vo;
   tcp.shards = 2;
-  tcp.shard_transport = ShardTransportKind::kTcp;
   for (const auto& w : workers) tcp.shard_workers.push_back(w.address());
   const VerifyResult r = wc.run(tcp, loop);
   EXPECT_GT(r.shard.frames_sent, 0u) << "tcp run fell back to in-process";

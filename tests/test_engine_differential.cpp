@@ -102,15 +102,13 @@ VerifyOptions base_options(const RandomInstance& inst) {
 
 Fingerprint fingerprint(const RandomInstance& inst, const EngineSetup& es,
                         bool por = false, bool find_all = true,
-                        std::uint64_t* por_pruned = nullptr) {
+                        std::uint64_t* por_pruned = nullptr,
+                        bool pec_dedup = true) {
   VerifyOptions vo = base_options(inst);
+  vo.pec_dedup = pec_dedup;
   vo.explore.por = por;
   vo.explore.find_all_violations = find_all;
-  if (es.kind == SearchEngineKind::kSingleExecution) {
-    vo.explore.simulation = true;
-  } else {
-    vo.explore.engine_kind = es.kind;
-  }
+  vo.explore.engine_kind = es.kind;
   vo.explore.engine_seed = es.seed;
   vo.explore.engine_split_every = es.split_every;
   Verifier verifier(inst.net, vo);
@@ -285,8 +283,14 @@ TEST(EngineDifferential, SingleExecutionIsSoundOnRandomInstances) {
   for (int seed = 1; seed <= count; ++seed) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind + ")");
+    // Single execution is never a clean hold, so dedup re-explores every
+    // class member natively and the simulation totals count every PEC. The
+    // exhaustive reference runs dedup-off so that its totals count every PEC
+    // too; its verdict and violation multiset do not depend on dedup
+    // (DedupOnMatchesDedupOffOnRandomInstances).
     const Fingerprint full =
-        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0});
+        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, false, true,
+                    nullptr, /*pec_dedup=*/false);
     const Fingerprint sim =
         fingerprint(inst, {"single", SearchEngineKind::kSingleExecution, 1, 0});
     // Simulation follows one execution per root: it can never check more
@@ -299,6 +303,10 @@ TEST(EngineDifferential, SingleExecutionIsSoundOnRandomInstances) {
       EXPECT_NE(sim.verdict, Verdict::kViolated)
           << "simulation reported a phantom violation";
     }
+    // One followed execution is never a proof: without a violation the
+    // verdict is inconclusive, whatever the exhaustive engine concluded.
+    EXPECT_NE(sim.verdict, Verdict::kHolds)
+        << "single execution reported a hold";
     for (const std::string& v : sim.violations) {
       EXPECT_TRUE(full.violations.contains(v))
           << "simulation-only violation: " << v;
@@ -325,7 +333,7 @@ TEST(EngineDifferential, SingleExecutionOutcomesAreSubsetPerPec) {
       ExploreOptions opts = inst.explore;
       opts.find_all_violations = true;
       opts.record_outcomes = true;
-      opts.simulation = sim;
+      if (sim) opts.engine_kind = SearchEngineKind::kSingleExecution;
       Explorer ex(inst.net, pec, make_tasks(inst.net, pec), *inst.policy, opts);
       const ExploreResult r = ex.run();
       ASSERT_EQ(r.budget_tripped, BudgetKind::kNone);

@@ -219,11 +219,7 @@ RunFingerprint fingerprint(const Network& net, const Policy& policy,
                            SearchEngineKind engine = SearchEngineKind::kDfs) {
   vo.explore.ad_cache = ad_cache;
   vo.explore.incremental_expand = incremental;
-  if (engine == SearchEngineKind::kSingleExecution) {
-    vo.explore.simulation = true;
-  } else {
-    vo.explore.engine_kind = engine;
-  }
+  vo.explore.engine_kind = engine;
   vo.explore.find_all_violations = true;
   Verifier verifier(net, vo);
   const VerifyResult r = addr != nullptr ? verifier.verify_address(*addr, policy)

@@ -243,11 +243,14 @@ TEST(FaultInjectionSweep, TransportFaultsAreInvisibleInTheResult) {
     const char* plan;
     bool kills;  ///< the fault kills a worker (vs degrades the wire)
   };
+  // Each plan also holds the task in flight (hang@1:25) long enough for at
+  // least one beacon beat (10 ms cadence) before the task's frames go out;
+  // the hang@1:30 row already does.
   const Case cases[] = {
-      {"crash@1", true},     {"torn@1", true},
-      {"shortw", false},     {"eintr@3", false},
-      {"hang@1:30", false},  {"crash@1;slot=0", true},
-      {"shortw;eintr@2", false},
+      {"crash@1;hang@1:25", true},        {"torn@1;hang@1:25", true},
+      {"shortw;hang@1:25", false},        {"eintr@3;hang@1:25", false},
+      {"hang@1:30", false},               {"crash@1;slot=0;hang@1:25", true},
+      {"shortw;eintr@2;hang@1:25", false},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.plan);
@@ -255,9 +258,6 @@ TEST(FaultInjectionSweep, TransportFaultsAreInvisibleInTheResult) {
     sv.shards = 2;
     sv.shard_fault_plan = parse_plan(c.plan);
     sv.shard_heartbeat_interval_ms = 10;
-    // Hold each task in flight long enough for at least one beacon beat
-    // (10 ms cadence) before the task's frames go out.
-    sv.shard_test_worker_delay_ms = 25;
     const VerifyResult r = run_verify(fx.net, policy, sv);
     EXPECT_EQ(fingerprint(r), ref) << "verdict diverged under '" << c.plan
                                    << "'";

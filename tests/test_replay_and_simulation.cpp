@@ -2,6 +2,9 @@
 // (Fig. 1: single-execution tools miss multi-stable-state violations).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/verifier.hpp"
 #include "pec/pec.hpp"
 #include "rpvp/replay.hpp"
@@ -117,25 +120,43 @@ TEST(Simulation, MissesWedgieThatModelCheckingFinds) {
   // orders at least one lands in the intended state. We assert the weaker,
   // deterministic property: simulation checks exactly one converged state.
   ExploreOptions sim;
-  sim.simulation = true;
+  sim.engine_kind = SearchEngineKind::kSingleExecution;
   Explorer simulator(net, pec, make_tasks(net, pec), policy, sim);
   const ExploreResult r = simulator.run();
   EXPECT_EQ(r.stats.converged_states, 1u);
   EXPECT_EQ(r.stats.policy_checks + r.stats.suppressed_checks, 1u);
+  // Whichever state the one execution lands in, it is not a proof: never
+  // the hold that would mask the wedgie.
+  EXPECT_NE(r.verdict(), Verdict::kHolds);
+  EXPECT_FALSE(r.exhaustive);
 }
 
 TEST(Simulation, AgreesOnDeterministicNetworks) {
-  // On OSPF (deterministic convergence) simulation and full exploration are
-  // equivalent.
+  // On OSPF (deterministic convergence) simulation finds exactly the
+  // violations full exploration finds — but only the full exploration is a
+  // proof, so a violation-free simulation is inconclusive.
   FatTreeOptions o;
   o.k = 4;
   const FatTree ft = make_fat_tree(o);
   const LoopFreedomPolicy policy;
   VerifyOptions full;
-  VerifyOptions sim;
-  sim.explore.simulation = true;
-  EXPECT_EQ(Verifier(ft.net, full).verify(policy).verdict,
-            Verifier(ft.net, sim).verify(policy).verdict);
+  full.explore.find_all_violations = true;
+  VerifyOptions sim = full;
+  sim.explore.engine_kind = SearchEngineKind::kSingleExecution;
+  const VerifyResult rf = Verifier(ft.net, full).verify(policy);
+  const VerifyResult rs = Verifier(ft.net, sim).verify(policy);
+  const auto violation_set = [](const VerifyResult& r) {
+    std::multiset<std::string> out;
+    for (const auto& rep : r.reports) {
+      for (const auto& v : rep.result.violations) {
+        out.insert(rep.pec_str + "|" + v.message);
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(violation_set(rs), violation_set(rf));
+  EXPECT_EQ(rf.verdict, Verdict::kHolds);
+  EXPECT_EQ(rs.verdict, Verdict::kInconclusive);
 }
 
 TEST(ExternalPeer, StubOriginatesAndSteers) {

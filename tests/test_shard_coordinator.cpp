@@ -6,17 +6,15 @@
 //     multisets, and state counts bit-identical to the in-process
 //     scheduler, on the seeded random_net corpus and on the paper's Fig. 6
 //     and fat-tree workloads (corpus scales with PLANKTON_DIFF_SEEDS);
-//   · a worker SIGKILLed mid-task is detected, its task reassigned, and the
-//     run still converges to the identical result;
+//   · a worker that dies mid-task (FaultPlan crash@F) is detected, its task
+//     reassigned, and the run still converges to the identical result;
 //   · the framing decoder survives truncated, corrupt, and hostile-length
 //     input without crashing or allocating absurd buffers (the
 //     test_outcome_store.cpp corrupt-input pattern, extended to frames).
 #include <gtest/gtest.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -341,15 +339,15 @@ serve::BootstrapMsg sample_bootstrap() {
   bm.config_text = "network sample\n";
   bm.policy_spec = "reach r1 r2";
   bm.targets = {0, 3, 7};
-  bm.max_failures = 2;
-  bm.lec_failures = 1;
-  bm.visited = 1;
-  bm.bloom_bits = 1u << 20;
-  bm.budget_max_states = 12345;
-  bm.budget_deadline_ms = 1500;
-  bm.engine_kind = 2;
-  bm.engine_seed = 42;
-  bm.por = 0;
+  bm.explore.max_failures = 2;
+  bm.explore.lec_failures = true;
+  bm.explore.visited = VisitedKind::kHashCompact;
+  bm.explore.bloom_bits = 1u << 20;
+  bm.explore.budget.max_states = 12345;
+  bm.explore.budget.deadline = std::chrono::milliseconds(1500);
+  bm.explore.engine_kind = SearchEngineKind::kBfs;
+  bm.explore.engine_seed = 42;
+  bm.explore.por = false;
   return bm;
 }
 
@@ -383,13 +381,13 @@ TEST(ShardFraming, ClusterFrameTypesRoundTrip) {
   EXPECT_EQ(bm.config_text, ref.config_text);
   EXPECT_EQ(bm.policy_spec, ref.policy_spec);
   EXPECT_EQ(bm.targets, ref.targets);
-  EXPECT_EQ(bm.max_failures, ref.max_failures);
-  EXPECT_EQ(bm.visited, ref.visited);
-  EXPECT_EQ(bm.budget_max_states, ref.budget_max_states);
-  EXPECT_EQ(bm.budget_deadline_ms, ref.budget_deadline_ms);
-  EXPECT_EQ(bm.engine_kind, ref.engine_kind);
-  EXPECT_EQ(bm.engine_seed, ref.engine_seed);
-  EXPECT_EQ(bm.por, ref.por);
+  EXPECT_EQ(bm.explore.max_failures, ref.explore.max_failures);
+  EXPECT_EQ(bm.explore.visited, ref.explore.visited);
+  EXPECT_EQ(bm.explore.budget.max_states, ref.explore.budget.max_states);
+  EXPECT_EQ(bm.explore.budget.deadline, ref.explore.budget.deadline);
+  EXPECT_EQ(bm.explore.engine_kind, ref.explore.engine_kind);
+  EXPECT_EQ(bm.explore.engine_seed, ref.explore.engine_seed);
+  EXPECT_EQ(bm.explore.por, ref.explore.por);
 
   sched::BootstrapAckMsg a2;
   ASSERT_TRUE(sched::decode_bootstrap_ack(frames[1].payload, a2));
@@ -460,16 +458,30 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
   // Out-of-range enum bytes inside the bootstrap must be rejected even when
   // the byte layout is otherwise intact.
   serve::BootstrapMsg bad = sample_bootstrap();
-  bad.engine_kind = 99;
+  bad.explore.engine_kind = static_cast<SearchEngineKind>(99);
   EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
   bad = sample_bootstrap();
-  bad.visited = 7;
+  bad.explore.visited = static_cast<VisitedKind>(7);
   EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
+  // Flags are strictly 0/1. A bool cannot hold 2, so the por byte of the
+  // encoded payload is patched: it is the one byte where the por-on and
+  // por-off encodings differ.
   bad = sample_bootstrap();
-  bad.por = 2;  // flags are strictly 0/1
-  EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
+  bad.explore.por = true;
+  std::string por_byte_2 = serve::encode_bootstrap(bad);
+  const std::string por_off = serve::encode_bootstrap(sample_bootstrap());
+  ASSERT_EQ(por_byte_2.size(), por_off.size());
+  std::size_t por_at = 0;
+  while (por_at < por_off.size() && por_byte_2[por_at] == por_off[por_at]) {
+    ++por_at;
+  }
+  ASSERT_LT(por_at, por_off.size());
+  ASSERT_EQ(por_byte_2[por_at], 1);
+  ASSERT_TRUE(serve::decode_bootstrap(por_byte_2, bm));
+  por_byte_2[por_at] = 2;
+  EXPECT_FALSE(serve::decode_bootstrap(por_byte_2, bm));
   bad = sample_bootstrap();
-  bad.max_failures = -1;
+  bad.explore.max_failures = -1;
   EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
 
   // PecDone (kTaskDone payload): a budget kind past kMemory, a flag byte
@@ -501,16 +513,99 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
   EXPECT_FALSE(
       sched::decode_task_done(ok_done.substr(0, ok_done.size() - 1), d));
 
-  // A version-1 frame header (the 7-flag PecDone layout) is refused.
-  std::string v1;
-  sched::encode_frame(v1, sched::MsgType::kTaskDone, ok_done);
-  const std::uint16_t old_version = 1;
-  std::memcpy(&v1[4], &old_version, sizeof(old_version));
-  sched::FrameDecoder v1_dec;
-  v1_dec.feed(v1.data(), v1.size());
-  sched::Frame f;
-  EXPECT_EQ(v1_dec.next(f), sched::FrameDecoder::Status::kError);
-  EXPECT_NE(v1_dec.error().find("version"), std::string::npos);
+  // Older frame headers are refused: version 1 (the 7-flag PecDone
+  // layout) and version 2 (the mirrored-field kBootstrap layout).
+  for (const std::uint16_t old_version : {1, 2}) {
+    SCOPED_TRACE("version " + std::to_string(old_version));
+    std::string old;
+    sched::encode_frame(old, sched::MsgType::kTaskDone, ok_done);
+    std::memcpy(&old[4], &old_version, sizeof(old_version));
+    sched::FrameDecoder old_dec;
+    old_dec.feed(old.data(), old.size());
+    sched::Frame f;
+    EXPECT_EQ(old_dec.next(f), sched::FrameDecoder::Status::kError);
+    EXPECT_NE(old_dec.error().find("version"), std::string::npos);
+  }
+}
+
+TEST(ShardFraming, BootstrapCarriesEveryShippedExploreOption) {
+  // Each ExploreOptions field kBootstrap ships, set away from its default,
+  // must decode to the value sent: a remote worker explores under exactly
+  // the coordinator's options, with no mirror field to forget.
+  serve::BootstrapMsg sent;
+  sent.config_text = "node r1\nnode r2\n";
+  sent.policy_spec = "loop";
+  sent.targets = {1, 2};
+  sent.pec_dedup = false;
+  const ExploreOptions defaults;
+  ExploreOptions& eo = sent.explore;
+  eo.max_failures = 3;
+  eo.consistent_only = false;
+  eo.deterministic_nodes = false;
+  eo.det_nodes_bgp = false;
+  eo.decision_independence = false;
+  eo.lec_failures = false;
+  eo.policy_pruning = false;
+  eo.suppress_equivalent = false;
+  eo.visited = VisitedKind::kBitstate;
+  eo.bloom_bits = 12345;
+  eo.merge_updates = false;
+  eo.ad_cache = false;
+  eo.por = false;
+  eo.incremental_expand = false;
+  eo.budget.deadline = std::chrono::milliseconds(777);
+  eo.budget.max_states = 4242;
+  eo.budget.max_bytes = std::size_t{1} << 22;
+  eo.budget.degrade_visited = true;
+  eo.find_all_violations = true;
+  eo.engine_kind = SearchEngineKind::kRandomRestart;
+  eo.engine_seed = 99;
+  eo.engine_split_every = 5;
+  eo.engine_restart_policy = RestartPolicy::kFixedPeriod;
+  sent.heartbeat_interval_ms = 17;
+  sent.fault_plan = "crash@1;gen*";
+  ASSERT_NE(eo.bloom_bits, defaults.bloom_bits);
+  ASSERT_NE(eo.engine_seed, defaults.engine_seed);
+  ASSERT_NE(eo.engine_restart_policy, defaults.engine_restart_policy);
+
+  serve::BootstrapMsg got;
+  ASSERT_TRUE(serve::decode_bootstrap(serve::encode_bootstrap(sent), got));
+  EXPECT_EQ(got.config_text, sent.config_text);
+  EXPECT_EQ(got.policy_spec, sent.policy_spec);
+  EXPECT_EQ(got.targets, sent.targets);
+  EXPECT_EQ(got.pec_dedup, sent.pec_dedup);
+  const ExploreOptions& ge = got.explore;
+  EXPECT_EQ(ge.max_failures, eo.max_failures);
+  EXPECT_EQ(ge.consistent_only, eo.consistent_only);
+  EXPECT_EQ(ge.deterministic_nodes, eo.deterministic_nodes);
+  EXPECT_EQ(ge.det_nodes_bgp, eo.det_nodes_bgp);
+  EXPECT_EQ(ge.decision_independence, eo.decision_independence);
+  EXPECT_EQ(ge.lec_failures, eo.lec_failures);
+  EXPECT_EQ(ge.policy_pruning, eo.policy_pruning);
+  EXPECT_EQ(ge.suppress_equivalent, eo.suppress_equivalent);
+  EXPECT_EQ(ge.visited, eo.visited);
+  EXPECT_EQ(ge.bloom_bits, eo.bloom_bits);
+  EXPECT_EQ(ge.merge_updates, eo.merge_updates);
+  EXPECT_EQ(ge.ad_cache, eo.ad_cache);
+  EXPECT_EQ(ge.por, eo.por);
+  EXPECT_EQ(ge.incremental_expand, eo.incremental_expand);
+  EXPECT_EQ(ge.budget.deadline, eo.budget.deadline);
+  EXPECT_EQ(ge.budget.max_states, eo.budget.max_states);
+  EXPECT_EQ(ge.budget.max_bytes, eo.budget.max_bytes);
+  EXPECT_EQ(ge.budget.degrade_visited, eo.budget.degrade_visited);
+  EXPECT_EQ(ge.find_all_violations, eo.find_all_violations);
+  EXPECT_EQ(ge.engine_kind, eo.engine_kind);
+  EXPECT_EQ(ge.engine_seed, eo.engine_seed);
+  EXPECT_EQ(ge.engine_split_every, eo.engine_split_every);
+  EXPECT_EQ(ge.engine_restart_policy, eo.engine_restart_policy);
+  EXPECT_EQ(got.heartbeat_interval_ms, sent.heartbeat_interval_ms);
+  EXPECT_EQ(got.fault_plan, sent.fault_plan);
+
+  // record_outcomes is per-PEC state run_pec_core sets on the worker; it
+  // does not travel.
+  sent.explore.record_outcomes = true;
+  ASSERT_TRUE(serve::decode_bootstrap(serve::encode_bootstrap(sent), got));
+  EXPECT_FALSE(got.explore.record_outcomes);
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,10 +1120,10 @@ TEST(ShardDeterminism, ViolationVerdictSurvivesEarlyStop) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardCrashRecovery, SigkilledWorkerIsReplacedAndResultIsIdentical) {
-  // Kill the first two workers mid-task (the delay guarantees the SIGKILL
-  // lands while the task is in flight, before any result bytes are
-  // written). The coordinator must reassign both tasks, respawn workers,
-  // and converge to the bit-identical verdict.
+  // Kill the first two workers mid-task: crash@1 makes each slot's first
+  // incarnation die after running its task but before its first result
+  // frame, so no result bytes are written. The coordinator must reassign
+  // both tasks, respawn workers, and converge to the bit-identical verdict.
   const Enterprise ent = make_enterprise("VII");
   const ReachabilityPolicy policy({ent.access.front()});
   VerifyOptions vo;
@@ -1038,11 +1133,9 @@ TEST(ShardCrashRecovery, SigkilledWorkerIsReplacedAndResultIsIdentical) {
 
   VerifyOptions sv = vo;
   sv.shards = 2;
-  sv.shard_test_worker_delay_ms = 50;
-  std::atomic<int> kills{0};
-  sv.shard_test_on_assign = [&kills](int, pid_t pid, std::size_t) {
-    if (kills.fetch_add(1) < 2) kill(pid, SIGKILL);
-  };
+  std::string err;
+  ASSERT_TRUE(sched::parse_fault_plan("crash@1", sv.shard_fault_plan, err))
+      << err;
   const VerifyResult r =
       Verifier(ent.net, sv).verify_address(IpAddr(10, 200, 0, 1), policy);
   EXPECT_EQ(fingerprint(r), ref)
@@ -1062,11 +1155,9 @@ TEST(ShardCrashRecovery, SoleWorkerKilledStillConverges) {
 
   VerifyOptions sv = vo;
   sv.shards = 1;
-  sv.shard_test_worker_delay_ms = 50;
-  std::atomic<bool> killed{false};
-  sv.shard_test_on_assign = [&killed](int, pid_t pid, std::size_t) {
-    if (!killed.exchange(true)) kill(pid, SIGKILL);
-  };
+  std::string err;
+  ASSERT_TRUE(sched::parse_fault_plan("crash@1", sv.shard_fault_plan, err))
+      << err;
   const VerifyResult r = run_verify(fx.net, policy, sv);
   EXPECT_EQ(fingerprint(r), ref);
   EXPECT_GE(r.shard.tasks_reassigned, 1u);

@@ -1,16 +1,15 @@
 // Cluster-scale sharding (sched/transport.*, core/verifier.cpp,
 // serve_shard_worker_session): TCP-bootstrapped remote workers against the
 // fork-transport and in-process oracles, bootstrap handshake hardening,
-// SIGKILL failover, and the serve daemon's disconnect-mid-reply survival.
+// mid-task worker death failover, and the serve daemon's
+// disconnect-mid-reply survival.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
-#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -112,7 +111,6 @@ TEST(TcpTransport, RandomCorpusMatchesForkAndInProcess) {
       EXPECT_EQ(fingerprint(run_verify(inst.net, *inst.policy, forkv)), ref)
           << "fork transport, shards=" << shards;
       VerifyOptions tcpv = forkv;
-      tcpv.shard_transport = ShardTransportKind::kTcp;
       tcpv.shard_workers = addrs;
       const VerifyResult r = run_verify(inst.net, *inst.policy, tcpv);
       EXPECT_EQ(fingerprint(r), ref) << "tcp transport, shards=" << shards;
@@ -140,7 +138,6 @@ TEST(TcpTransport, Figure6MatchesAtEveryShardCount) {
   for (const int shards : {1, 2, 4}) {
     VerifyOptions sv = vo;
     sv.shards = shards;
-    sv.shard_transport = ShardTransportKind::kTcp;
     sv.shard_workers = addrs;
     const VerifyResult r = run_verify(fx.net, policy, sv);
     EXPECT_EQ(fingerprint(r), ref) << "shards=" << shards;
@@ -160,7 +157,6 @@ TEST(TcpTransport, SpeclessPolicyFallsBackToForkWithIdenticalResult) {
   const Fingerprint ref = fingerprint(run_verify(fx.net, policy, vo));
   VerifyOptions sv = vo;
   sv.shards = 2;
-  sv.shard_transport = ShardTransportKind::kTcp;
   sv.shard_workers = {"127.0.0.1:1"};  // never dialed: fork fallback
   const VerifyResult r = run_verify(fx.net, policy, sv);
   EXPECT_EQ(fingerprint(r), ref);
@@ -251,15 +247,15 @@ TEST(TcpBootstrap, EofBeforeBootstrapIsOrderly) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGKILL failover: a real remote worker process dies mid-task
+// Failover: a real remote worker process dies mid-task
 // ---------------------------------------------------------------------------
 
 TEST(TcpRecovery, SigkilledWorkerFailsOverToSurvivor) {
-  // Worker 0 is a real forked process (SIGKILL must hit a separate address
-  // space, like a crashed remote host); worker 1 is a surviving thread
-  // worker. Killing 0 mid-run must reassign its task to 1 and converge to
-  // the reference verdict — reconnection attempts to the dead address keep
-  // failing and must not wedge the run.
+  // Worker 0 is a real forked process (its death must take a separate
+  // address space with it, like a crashed remote host); worker 1 is a
+  // surviving thread worker. Worker 0 dying mid-run must reassign its task
+  // to 1 and converge to the reference verdict — reconnection attempts to
+  // the dead address keep failing and must not wedge the run.
   int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listen_fd, 0);
   sockaddr_in addr{};
@@ -296,24 +292,23 @@ TEST(TcpRecovery, SigkilledWorkerFailsOverToSurvivor) {
 
   VerifyOptions sv = vo;
   sv.shards = 2;
-  sv.shard_transport = ShardTransportKind::kTcp;
   sv.shard_workers = {"127.0.0.1:" + std::to_string(child_port),
                       survivor.address()};
-  std::atomic<bool> killed{false};
-  sv.shard_test_on_assign = [&](int slot, pid_t, std::size_t) {
-    // Slot 0 dialed the child (slot s -> workers[s % n]). The kill lands
-    // while the assign is in flight: the coordinator thread issues it
-    // before the worker process gets scheduled to answer.
-    if (slot == 0 && !killed.exchange(true)) kill(child, SIGKILL);
-  };
+  // Slot 0 dialed the child (slot s -> workers[s % n]) and gets the first
+  // task. The coordinator ships crash@1 inside the child's kBootstrap, so
+  // the child process exits mid-task, before its first result frame.
+  std::string err;
+  ASSERT_TRUE(sched::parse_fault_plan("crash@1;slot=0", sv.shard_fault_plan,
+                                      err))
+      << err;
   const VerifyResult r =
       Verifier(ent.net, sv).verify_address(IpAddr(10, 200, 0, 1), policy);
   EXPECT_EQ(fingerprint(r), ref) << "failover changed the merged verdict";
-  EXPECT_TRUE(killed.load());
   EXPECT_GE(r.shard.tasks_reassigned, 1u);
   int status = 0;
   EXPECT_EQ(waitpid(child, &status, 0), child);
-  EXPECT_TRUE(WIFSIGNALED(status));
+  ASSERT_TRUE(WIFEXITED(status)) << "the child died by a signal, not crash@1";
+  EXPECT_EQ(WEXITSTATUS(status), 9) << "crash@F exits with code 9";
 }
 
 // ---------------------------------------------------------------------------
@@ -339,7 +334,6 @@ TEST(TcpRecovery, DroppedConnectionReconnectsAndReBootstraps) {
 
   VerifyOptions sv = vo;
   sv.shards = 2;
-  sv.shard_transport = ShardTransportKind::kTcp;
   sv.shard_workers = addrs;
   std::string err;
   ASSERT_TRUE(sched::parse_fault_plan("drop-conn@1", sv.shard_fault_plan, err))
@@ -388,7 +382,6 @@ TEST(TcpRecovery, SeededSocketPlansMatchOverTcpTransport) {
 
     VerifyOptions sv = vo;
     sv.shards = 2;
-    sv.shard_transport = ShardTransportKind::kTcp;
     sv.shard_workers = addrs;
     sv.shard_fault_plan = plan;
     const VerifyResult r = run_verify(inst.net, *inst.policy, sv);
@@ -405,7 +398,7 @@ TEST(TcpRecovery, SeededSocketPlansMatchOverTcpTransport) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeDaemon, SurvivesClientDisconnectMidReply) {
-  // The regression: write_all_fd used plain write(); a client that closed
+  // The regression: the reply writer used plain write(); a client that closed
   // its socket while replies were still being flushed raised SIGPIPE in the
   // daemon, whose default disposition kills the process. With the fix
   // (MSG_NOSIGNAL + SIG_IGN) the daemon sheds the connection and keeps

@@ -165,10 +165,6 @@ TEST(SearchEngines, FactoryProvidesStrategies) {
   ASSERT_NE(sim, nullptr);
   EXPECT_STREQ(dfs->name(), "dfs");
   EXPECT_STREQ(sim->name(), "single-execution");
-  ExploreOptions opts;
-  EXPECT_EQ(opts.engine(), SearchEngineKind::kDfs);
-  opts.simulation = true;
-  EXPECT_EQ(opts.engine(), SearchEngineKind::kSingleExecution);
 }
 
 }  // namespace
