@@ -54,10 +54,15 @@ struct SearchMove {
 /// discipline — apply() and undo() come in LIFO pairs, expand() is called
 /// at most once between them, and no other mutation happens in between.
 /// A model may therefore maintain its enabled/conflict bookkeeping
-/// *incrementally*: every apply/undo names the move's node, which together
-/// with its peers is the complete dirty set of nodes whose status can have
+/// *incrementally*: every apply names the move's node, which together with
+/// its peers is the complete dirty set of nodes whose status can have
 /// changed, so expand() can consume a maintained active set
-/// (engine/active_set.hpp) instead of rescanning all members. Engines must
+/// (engine/active_set.hpp) instead of rescanning all members. The LIFO
+/// order also lets undo() restore the dirty set's statuses from a log that
+/// apply() pushed, instead of recomputing them: the statuses that held
+/// before a move are exactly the ones that hold again after its undo
+/// (the RPVP Explorer does this; it relies on the purity contract of
+/// RoutingProcess::advertised, protocols/process.hpp). Engines must
 /// not teleport between states behind the model's back: frontier engines,
 /// which logically jump around the move tree, physically travel between
 /// snapshots through LIFO undo of the current path and replay of the target

@@ -99,7 +99,10 @@ class RoutingProcess {
   /// `p`, or kNoRoute when filtered/rejected.
   ///
   /// Purity contract (relied on by the explorer's AdCache memoization,
-  /// rpvp/ad_cache.hpp): between two prepare() calls and for a fixed
+  /// rpvp/ad_cache.hpp, and by its undo(), which restores the node statuses
+  /// logged at apply() instead of recomputing them; that is exact only
+  /// because, under this contract, a status is a function of the RIB
+  /// entries alone): between two prepare() calls and for a fixed
   /// ctx.upstream binding, the result is a pure function of
   /// (p, n, peer_route) — same inputs, same interned RouteId, no observable
   /// side effects beyond interning that same route/path. In particular

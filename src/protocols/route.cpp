@@ -9,15 +9,12 @@ PathTable::PathTable() {
 }
 
 PathId PathTable::cons(NodeId head, PathId rest) {
-  const std::uint64_t key = hash_combine(hash_mix(head), rest);
-  auto& bucket = index_[key];
-  for (const PathId id : bucket) {
-    const Cell& cell = cells_[id];
-    if (cell.head == head && cell.rest == rest) return id;
-  }
-  const auto id = static_cast<PathId>(cells_.size());
-  cells_.push_back(Cell{head, rest, cells_[rest].length + 1});
-  bucket.push_back(id);
+  const auto fresh = static_cast<PathId>(cells_.size());
+  const PathId id = index_.find_or_insert(
+      hash_combine(hash_mix(head), rest), fresh, [&](PathId c) {
+        return cells_[c].head == head && cells_[c].rest == rest;
+      });
+  if (id == fresh) cells_.push_back(Cell{head, rest, cells_[rest].length + 1});
   return id;
 }
 
@@ -51,8 +48,7 @@ std::string PathTable::str(PathId p, const Topology* topo) const {
 }
 
 std::size_t PathTable::bytes() const {
-  return cells_.size() * sizeof(Cell) +
-         index_.size() * (sizeof(std::uint64_t) + sizeof(PathId) + 24);
+  return cells_.capacity() * sizeof(Cell) + index_.bytes();
 }
 
 RouteTable::RouteTable() {
@@ -60,24 +56,18 @@ RouteTable::RouteTable() {
 }
 
 RouteId RouteTable::intern(Route r) {
-  const std::uint64_t key = r.hash();
-  auto& bucket = index_[key];
-  for (const RouteId id : bucket) {
-    if (routes_[id] == r) return id;
+  const auto fresh = static_cast<RouteId>(routes_.size());
+  const RouteId id = index_.find_or_insert(
+      r.hash(), fresh, [&](RouteId c) { return routes_[c] == r; });
+  if (id == fresh) {
+    ecmp_bytes_ += r.ecmp.capacity() * sizeof(NodeId);
+    routes_.push_back(std::move(r));
   }
-  const auto id = static_cast<RouteId>(routes_.size());
-  routes_.push_back(std::move(r));
-  bucket.push_back(id);
   return id;
 }
 
 RouteId RouteTable::find(const Route& r) const {
-  const auto it = index_.find(r.hash());
-  if (it == index_.end()) return kNoRoute;
-  for (const RouteId id : it->second) {
-    if (routes_[id] == r) return id;
-  }
-  return kNoRoute;
+  return index_.find(r.hash(), [&](RouteId c) { return routes_[c] == r; });
 }
 
 void RouteTable::nexthops(RouteId id, const PathTable& paths,
@@ -93,13 +83,7 @@ void RouteTable::nexthops(RouteId id, const PathTable& paths,
 }
 
 std::size_t RouteTable::bytes() const {
-  std::size_t total = routes_.size() * sizeof(Route);
-  for (const auto& r : routes_) total += r.ecmp.capacity() * sizeof(NodeId);
-  for (const auto& [k, v] : index_) {
-    (void)k;
-    total += sizeof(std::uint64_t) + v.capacity() * sizeof(RouteId) + 16;
-  }
-  return total;
+  return routes_.capacity() * sizeof(Route) + ecmp_bytes_ + index_.bytes();
 }
 
 }  // namespace plankton

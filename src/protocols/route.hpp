@@ -14,10 +14,10 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "config/types.hpp"
+#include "netbase/flat_index.hpp"
 #include "netbase/hash.hpp"
 #include "netbase/topology.hpp"
 
@@ -61,7 +61,7 @@ class PathTable {
     std::uint32_t length = 0;
   };
   std::vector<Cell> cells_;
-  std::unordered_map<std::uint64_t, std::vector<PathId>> index_;
+  FlatIndex index_;  ///< hash(head, rest) -> cell id
 };
 
 /// A best-route candidate as held by a node during RPVP execution.
@@ -109,6 +109,7 @@ class RouteTable {
 
   [[nodiscard]] const Route& get(RouteId id) const { return routes_[id]; }
   [[nodiscard]] std::size_t size() const { return routes_.size(); }
+  /// O(1): ECMP heap bytes are tallied at intern time.
   [[nodiscard]] std::size_t bytes() const;
 
   /// Next hops of a route: its ECMP set if present, else the path head.
@@ -117,7 +118,8 @@ class RouteTable {
 
  private:
   std::vector<Route> routes_;
-  std::unordered_map<std::uint64_t, std::vector<RouteId>> index_;
+  FlatIndex index_;              ///< Route::hash() -> route id
+  std::size_t ecmp_bytes_ = 0;   ///< heap bytes of the interned ECMP sets
 };
 
 }  // namespace plankton

@@ -4,8 +4,9 @@
 // directed session edge and the peer's current best route, given the
 // prepared failure set and the bound upstream outcome (the purity contract
 // in protocols/process.hpp). The explorer consults it for every peer of
-// every refreshed node on every apply/undo — but a peer's best route only
-// changes when a move touches that peer, so the result for (edge, route) is
+// every node it refreshes on apply() and at phase entry (undo() restores the
+// logged statuses and asks nothing) — but a peer's best route only changes
+// when a move touches that peer, so the result for (edge, route) is
 // recomputed identically millions of times. The AdCache keeps one entry per
 // directed live session edge: the last (input route, output route) pair,
 // valid while the cache generation matches.

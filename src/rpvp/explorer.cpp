@@ -41,8 +41,6 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
       policy_(policy),
       opts_(opts),
       upstream_provider_(upstream),
-      visited_(make_visited_backend(opts.visited,
-                                    VisitedConfig{opts.bloom_bits, 4})),
       engine_(make_search_engine(opts.engine_kind, opts.engine_config())) {
   ctx_.net = &net_;
   const std::size_t n = net.topo.node_count();
@@ -78,6 +76,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   filtered_scratch_.reserve(n);
   bfs_queue_.reserve(n);
   ribs_scratch_.reserve(t);
+  status_log_.reserve(n);
   sources_ = policy_.sources();
 
   // §4.2 applicability: the paper applies source early-stop and influence
@@ -120,6 +119,12 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
       por_mode_ = PorMode::kFrontierSleep;
     }
   }
+  // The sleep-aware store replaces the visited backend under POR; build the
+  // backend only when it is the store the search probes.
+  if (por_mode_ == PorMode::kOff) {
+    visited_ = make_visited_backend(opts_.visited,
+                                    VisitedConfig{opts_.bloom_bits, 4});
+  }
 }
 
 ExploreResult Explorer::run() {
@@ -129,44 +134,37 @@ ExploreResult Explorer::run() {
   explore_failures(0);
   result_.stats.states_stored = stored_states();
   result_.stats.frontier_peak = engine_->frontier_peak();
-  result_.stats.bytes_paths = ctx_.paths.bytes();
-  result_.stats.bytes_routes = ctx_.routes.bytes();
-  result_.stats.bytes_visited = visited_->bytes() + failure_sets_seen_.bytes() +
-                                signatures_seen_.bytes();
-  if (por_mode_ != PorMode::kOff) {
-    result_.stats.bytes_visited +=
-        por_pool_.capacity() * sizeof(std::uint64_t) +
-        por_entries_.capacity() * sizeof(PorEntry) +
-        por_index_.size() *
-            (sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(void*)) +
-        indep_.bytes();
-  }
-  std::size_t rib_bytes = 0;
-  for (const auto& r : rib_) rib_bytes += r.capacity() * sizeof(RouteId);
-  for (const auto& s : status_) rib_bytes += s.capacity() * sizeof(NodeStatus);
-  result_.stats.bytes_stack_peak =
-      rib_bytes + result_.stats.max_depth * sizeof(TrailEvent) * 2;
-  result_.stats.bytes_ad_cache = ad_cache_.bytes();
+  account_model_bytes();
   result_.stats.elapsed = std::chrono::steady_clock::now() - start;
   // A lossy visited store or a single followed execution covers only part
   // of the state space: no violation then is not a proof.
-  if (!visited_->exhaustive() || !is_exhaustive(opts_.engine_kind)) {
+  if ((visited_ != nullptr && !visited_->exhaustive()) ||
+      !is_exhaustive(opts_.engine_kind)) {
     result_.exhaustive = false;
   }
   return std::move(result_);
 }
 
-std::size_t Explorer::current_model_bytes() const {
-  std::size_t b = ctx_.paths.bytes() + ctx_.routes.bytes() +
-                  visited_->bytes() + failure_sets_seen_.bytes() +
-                  signatures_seen_.bytes() + ad_cache_.bytes();
-  if (por_mode_ != PorMode::kOff) {
-    b += por_pool_.capacity() * sizeof(std::uint64_t) +
-         por_entries_.capacity() * sizeof(PorEntry) +
-         por_index_.size() *
-             (sizeof(std::uint64_t) + sizeof(std::uint32_t) + sizeof(void*));
+std::size_t Explorer::account_model_bytes() {
+  SearchStats& s = result_.stats;
+  s.bytes_paths = ctx_.paths.bytes();
+  s.bytes_routes = ctx_.routes.bytes();
+  s.bytes_visited = failure_sets_seen_.bytes() + signatures_seen_.bytes();
+  if (por_mode_ == PorMode::kOff) {
+    s.bytes_visited += visited_->bytes();
+  } else {
+    s.bytes_visited += por_index_.bytes() +
+                       por_entries_.capacity() * sizeof(PorEntry) +
+                       por_pool_.capacity() * sizeof(std::uint64_t) +
+                       indep_.bytes();
   }
-  return b;
+  s.bytes_ad_cache = ad_cache_.bytes();
+  std::size_t stack = status_log_.capacity() * sizeof(NodeStatus) +
+                      s.max_depth * sizeof(TrailEvent) * 2;
+  for (const auto& r : rib_) stack += r.capacity() * sizeof(RouteId);
+  for (const auto& st : status_) stack += st.capacity() * sizeof(NodeStatus);
+  s.bytes_stack_peak = stack;
+  return s.model_bytes();
 }
 
 bool Explorer::try_degrade_visited() {
@@ -179,7 +177,7 @@ bool Explorer::try_degrade_visited() {
   visited_ = std::move(compact);
   degraded_visited_ = true;
   result_.exhaustive = false;  // self-reported loss of exhaustiveness
-  return current_model_bytes() <= opts_.budget.max_bytes;
+  return account_model_bytes() <= opts_.budget.max_bytes;
 }
 
 bool Explorer::budget_exhausted() {
@@ -202,7 +200,7 @@ bool Explorer::budget_exhausted() {
     return true;
   }
   if (opts_.budget.max_bytes != 0 &&
-      current_model_bytes() > opts_.budget.max_bytes) {
+      account_model_bytes() > opts_.budget.max_bytes) {
     if (!try_degrade_visited()) {
       result_.budget_tripped = BudgetKind::kMemory;
       return true;
@@ -446,13 +444,6 @@ void Explorer::refresh_node(std::size_t task_idx, NodeId n) {
   }
 }
 
-void Explorer::refresh_around(std::size_t task_idx, NodeId n) {
-  refresh_node(task_idx, n);
-  for (const NodeId p : tasks_[task_idx].process->peers(n)) {
-    refresh_node(task_idx, p);
-  }
-}
-
 void Explorer::collect_updates(std::size_t task_idx, NodeId n) {
   updates_scratch_.clear();
   update_peers_scratch_.clear();
@@ -543,18 +534,46 @@ void Explorer::apply(std::size_t task_idx, SearchMove& m) {
   ev.peer = m.peer;
   ev.route = m.route;
   trail_.events.push_back(ev);
-  refresh_around(task_idx, m.node);
+  // The dirty set is the move's node and its peers. Log their pre-move
+  // statuses as one frame, then recompute them for the new RIB.
+  const std::span<const NodeId> peers = tasks_[task_idx].process->peers(m.node);
+  const auto& status = status_[task_idx];
+  status_log_.push_back(status[m.node]);
+  for (const NodeId p : peers) status_log_.push_back(status[p]);
+  refresh_node(task_idx, m.node);
+  for (const NodeId p : peers) refresh_node(task_idx, p);
   if (por_mode_ == PorMode::kDfs) por_on_apply(task_idx, m);
   ++result_.stats.states_explored;
 }
 
 void Explorer::undo(std::size_t task_idx, const SearchMove& m) {
   if (por_mode_ == PorMode::kDfs) por_on_undo(task_idx, m);
-  auto& rib = rib_[task_idx];
   trail_.events.pop_back();
-  rib[m.node] = m.prev;
+  rib_[task_idx][m.node] = m.prev;
   codec_.record(task_idx, m.node, m.route, m.prev);
-  refresh_around(task_idx, m.node);
+  // Pop apply()'s frame in reverse. A status is a pure function of the
+  // node's and its peers' RIB entries (protocols/process.hpp), and moves
+  // undo in LIFO order (engine/search.hpp), so the logged statuses are
+  // exactly what a recomputation would return here.
+  const std::span<const NodeId> peers = tasks_[task_idx].process->peers(m.node);
+  for (std::size_t i = peers.size(); i-- > 0;) {
+    restore_status(task_idx, peers[i]);
+  }
+  restore_status(task_idx, m.node);
+}
+
+void Explorer::restore_status(std::size_t task_idx, NodeId n) {
+  const NodeStatus saved = status_log_.back();
+  status_log_.pop_back();
+  NodeStatus& st = status_[task_idx][n];
+  if (saved.enabled != st.enabled) {
+    if (saved.enabled) {
+      active_[task_idx].insert(n);
+    } else {
+      active_[task_idx].erase(n);
+    }
+  }
+  st = saved;
 }
 
 Explorer::Step Explorer::expand(std::size_t task_idx,
@@ -773,12 +792,14 @@ bool Explorer::por_mark_visited(std::size_t task_idx) {
   // The re-exploration restriction (difference rule below) applies only to
   // the expand() that immediately follows; every visit starts unrestricted.
   por_mask_scratch_.clear();
-  const auto [it, fresh] = por_index_.try_emplace(
-      codec_.state_key(task_idx), static_cast<std::uint32_t>(0));
-  if (fresh) {
-    const auto idx = static_cast<std::uint32_t>(por_entries_.size());
-    it->second = idx;
+  const std::uint64_t key = codec_.state_key(task_idx);
+  const auto fresh = static_cast<std::uint32_t>(por_entries_.size() + 1);
+  const std::uint32_t id = por_index_.find_or_insert(
+      key, fresh, [&](std::uint32_t c) { return por_entries_[c - 1].key == key; });
+  const std::uint32_t idx = id - 1;  // index ids are entry index + 1
+  if (id == fresh) {
     PorEntry e;
+    e.key = key;
     e.off = static_cast<std::uint32_t>(por_pool_.size());
     por_entries_.push_back(e);
     por_pool_.insert(por_pool_.end(), cur, cur + w);  // the arrival sleep set
@@ -789,7 +810,6 @@ bool Explorer::por_mark_visited(std::size_t task_idx) {
         std::max<std::uint64_t>(result_.stats.max_depth, trail_.events.size());
     return true;
   }
-  const std::uint32_t idx = it->second;
   PorEntry& e = por_entries_[idx];
   if ((e.flags & kPorTerminal) != 0) {
     // Converged or inconsistency-pruned: the classification is independent

@@ -24,7 +24,6 @@
 
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "checker/stats.hpp"
@@ -36,6 +35,7 @@
 #include "engine/state_codec.hpp"
 #include "engine/visited.hpp"
 #include "eqclass/dec.hpp"
+#include "netbase/flat_index.hpp"
 #include "pec/pec.hpp"
 #include "policy/policy.hpp"
 #include "protocols/process.hpp"
@@ -250,7 +250,8 @@ class Explorer final : public SearchModel {
 
   // per-node status maintenance
   void refresh_node(std::size_t task_idx, NodeId n);
-  void refresh_around(std::size_t task_idx, NodeId n);
+  /// Pops the newest status_log_ entry into n's status (undo()).
+  void restore_status(std::size_t task_idx, NodeId n);
   void collect_updates(std::size_t task_idx, NodeId n);
   [[nodiscard]] bool influence_allows(std::size_t task_idx, NodeId n) const;
   void compute_influencers(std::size_t task_idx);
@@ -278,7 +279,9 @@ class Explorer final : public SearchModel {
   ModelContext ctx_;
   FailureSet failures_;
   StateCodec codec_;                        ///< canonical state identity
-  std::unique_ptr<VisitedBackend> visited_; ///< pluggable visited storage
+  /// Pluggable visited storage; null under POR, whose sleep-aware store
+  /// replaces it.
+  std::unique_ptr<VisitedBackend> visited_;
   std::unique_ptr<SearchEngine> engine_;    ///< pluggable search strategy
   VisitedSet failure_sets_seen_;
   VisitedSet signatures_seen_;
@@ -297,6 +300,9 @@ class Explorer final : public SearchModel {
   /// Nodes with status enabled, maintained incrementally by refresh_node
   /// (dirty-set protocol, engine/search.hpp) — what expand() consumes.
   std::vector<IncrementalActiveSet> active_;        ///< [task]
+  /// Pre-move statuses: apply() pushes one frame (the move's node, then its
+  /// peers) and undo() pops it in reverse, restoring instead of recomputing.
+  std::vector<NodeStatus> status_log_;
   StampSet influencer_;                             ///< per node, current task
   bool influence_active_ = false;                   ///< §4.2 influence pruning usable
   bool early_stop_ok_ = false;                      ///< §4.2 source early-stop usable
@@ -329,12 +335,13 @@ class Explorer final : public SearchModel {
   // (the ⊆-rule needs the stored sleep mask; the DFS race replay needs the
   // subtree summary; terminal states are skipped under any sleep set):
   struct PorEntry {
+    std::uint64_t key = 0;  ///< full state key: the index's equality test
     std::uint32_t flags = 0;
     std::uint32_t off = 0;  ///< index into por_pool_
   };
   static constexpr std::uint32_t kPorTerminal = 1;
   static constexpr std::uint32_t kPorNoEntry = 0xffffffffu;
-  std::unordered_map<std::uint64_t, std::uint32_t> por_index_;
+  FlatIndex por_index_;  ///< state key -> entry index + 1
   std::vector<PorEntry> por_entries_;
   std::vector<std::uint64_t> por_pool_;  ///< per entry: sleep [+ summary]
   std::uint32_t por_cur_entry_ = kPorNoEntry;  ///< entry of the state being expanded
@@ -344,7 +351,7 @@ class Explorer final : public SearchModel {
   std::vector<std::uint64_t> por_mask_scratch_;
   std::vector<std::uint64_t> por_dep_scratch_;  ///< replay dep-row union
   [[nodiscard]] std::uint64_t stored_states() const {
-    return por_mode_ == PorMode::kOff ? visited_->stored() : por_index_.size();
+    return por_mode_ == PorMode::kOff ? visited_->stored() : por_entries_.size();
   }
   /// collect_updates(n) + emit its moves (or the naive-mode withdraw).
   void emit_node_moves(std::size_t task_idx, NodeId n,
@@ -390,9 +397,11 @@ class Explorer final : public SearchModel {
   std::uint64_t limit_check_counter_ = 0;
   bool degraded_visited_ = false;           ///< exact→compact migration done
 
-  /// Deterministic model-memory accounting for the budget check (the same
-  /// structures run() reports, minus the end-of-run stack peak).
-  [[nodiscard]] std::size_t current_model_bytes() const;
+  /// The one model-memory rule: fills the bytes_* fields of result_.stats
+  /// from the structures the search holds now and returns their sum
+  /// (SearchStats::model_bytes()). The memory-budget check and run()'s
+  /// report both call it.
+  std::size_t account_model_bytes();
   /// Memory-pressure relief: migrate exact→hash-compact when permitted.
   /// Returns true when the migration brought usage back under the cap.
   bool try_degrade_visited();

@@ -15,14 +15,19 @@
 //     execution per (failure set × upstream outcome) root;
 //   · on pure single-prefix eBGP instances, every exhaustive engine's
 //     converged path set equals the SPVP message-passing oracle's
-//     (Theorem 1, Appendix A).
+//     (Theorem 1, Appendix A);
+//   · undo() leaves the model exactly as it was before the move: driven by
+//     hand, every state expands to the same moves and state keys after each
+//     apply/expand/undo of each of its moves, and undo interns nothing.
 //
 // Reproduction workflow: every assertion names the instance seed; rebuild
 // the instance with make_random_instance(seed) and re-run one engine. The
 // instance count scales with PLANKTON_DIFF_SEEDS (nightly CI runs more).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -403,6 +408,205 @@ TEST(EngineDifferential, AllEnginesMatchSpvpOracleOnPureBgp) {
     ++checked;
   }
   EXPECT_GT(checked, 0);
+}
+
+/// Accepts every converged state: the undo walk checks the model, not a
+/// property.
+class AcceptAllPolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "accept-all"; }
+  [[nodiscard]] bool check(const ConvergedView&, std::string&) const override {
+    return true;
+  }
+};
+
+bool same_moves(const std::vector<SearchMove>& a,
+                const std::vector<SearchMove>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].kind != b[i].kind || a[i].node != b[i].node ||
+        a[i].peer != b[i].peer || a[i].route != b[i].route) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Hand-driven DFS over phase 0 of a prepared Explorer. At every state each
+/// move goes apply -> expand -> undo (descending into children not seen
+/// before, while the state allowance lasts), and after every undo the state
+/// must expand to the identical step, move list and state_key_after values,
+/// with no route or path interned by the undo itself.
+struct UndoWalk {
+  explicit UndoWalk(Explorer& e, bool nested) : ex(e), nested_phases(nested) {}
+
+  Explorer& ex;
+  bool nested_phases;  ///< advance() at converged states runs phases 1..n
+  std::set<std::uint64_t> seen;
+  std::size_t states_left = 300;
+  std::uint64_t moves_checked = 0;
+  std::uint64_t advances = 0;
+
+  SearchModel::Step expand(std::vector<SearchMove>& moves) {
+    moves.clear();
+    return ex.expand(0, moves, SIZE_MAX);
+  }
+
+  void walk() {
+    SearchModel& model = ex;
+    std::vector<SearchMove> moves;
+    const SearchModel::Step step = expand(moves);
+    std::vector<SearchMove> again;
+    if (step == SearchModel::Step::kConverged && nested_phases) {
+      // The later phases push and pop their own frames above this path's.
+      (void)model.advance(0);
+      ++advances;
+      ASSERT_EQ(expand(again), step) << "a nested phase disturbed phase 0";
+    }
+    if (step != SearchModel::Step::kBranch) return;
+    std::vector<std::uint64_t> keys;
+    for (const SearchMove& m : moves) keys.push_back(model.state_key_after(0, m));
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      SearchMove m = moves[i];
+      model.apply(0, m);
+      if (states_left > 0 && seen.insert(keys[i]).second) {
+        --states_left;
+        walk();
+        if (::testing::Test::HasFatalFailure()) return;
+      } else {
+        (void)expand(again);
+      }
+      const std::size_t routes = ex.context().routes.size();
+      const std::size_t paths = ex.context().paths.size();
+      model.undo(0, m);
+      EXPECT_EQ(ex.context().routes.size(), routes) << "undo interned a route";
+      EXPECT_EQ(ex.context().paths.size(), paths) << "undo interned a path";
+      ASSERT_EQ(expand(again), step)
+          << "undo of the move at node " << m.node << " changed the step";
+      ASSERT_TRUE(same_moves(again, moves))
+          << "undo of the move at node " << m.node << " changed the move list";
+      for (std::size_t j = 0; j < moves.size(); ++j) {
+        ASSERT_EQ(model.state_key_after(0, moves[j]), keys[j])
+            << "undo of the move at node " << m.node << " changed a key";
+      }
+      ++moves_checked;
+    }
+  }
+};
+
+/// `net` plus the more-specific half of its first originated prefix,
+/// originated by another device over the same protocol. The more-specific
+/// PEC then holds two prefixes, i.e. two phases, so the walk also covers
+/// nested phases pushing and popping their frames above phase 0's.
+std::optional<Network> with_nested_prefix(const Network& net) {
+  const std::size_t n = net.topo.node_count();
+  for (NodeId o = 0; o < n; ++o) {
+    const DeviceConfig& dev = net.device(o);
+    const bool ospf = !dev.ospf.originated.empty();
+    const bool bgp = dev.bgp && !dev.bgp->originated.empty();
+    if (!ospf && !bgp) continue;
+    const Prefix p = ospf ? dev.ospf.originated.front() : dev.bgp->originated.front();
+    if (p.length() >= 32) continue;
+    const Prefix half(p.addr(), static_cast<std::uint8_t>(p.length() + 1));
+    for (NodeId d = 0; d < n; ++d) {
+      const DeviceConfig& other = net.device(d);
+      if (d == o || !(ospf ? other.ospf.enabled : other.bgp.has_value())) continue;
+      Network out = net;
+      DeviceConfig& dst = out.device(d);
+      (ospf ? dst.ospf.originated : dst.bgp->originated).push_back(half);
+      return out;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(EngineDifferential, UndoRestoresStateOnRandomInstances) {
+  // Pins the invariant undo() rests on, whatever its mechanism: the model
+  // after apply + undo is the model before apply. POR is off because the
+  // walk expands each state more than once, which the DFS reduction's
+  // per-depth frames do not allow.
+  ExploreOptions base;
+  base.por = false;
+  base.budget.max_states = 20000;  // bounded warm-up run
+  struct Arm {
+    std::string label;
+    ExploreOptions opts;
+    /// Differs from the first ("default") arm only in hot-path mechanics,
+    /// which are exploration-neutral: its warm-up run and the root it parks
+    /// at must be the default arm's. This also catches an undo that breaks
+    /// the model consistently, which the walk alone, comparing the model
+    /// with itself, would take for the truth.
+    bool neutral = false;
+  };
+  std::vector<Arm> arms(5, Arm{"default", base});
+  arms[1].label = "merge_updates=false";
+  arms[1].opts.merge_updates = false;
+  arms[2].label = "naive";
+  arms[2].opts = ExploreOptions::naive();
+  arms[2].opts.budget = base.budget;
+  arms[3].label = "ad_cache=false";
+  arms[3].opts.ad_cache = false;
+  arms[3].neutral = true;
+  arms[4].label = "incremental_expand=false";
+  arms[4].opts.incremental_expand = false;
+  arms[4].neutral = true;
+
+  const int count = instance_count();
+  std::uint64_t moves_checked = 0;
+  std::uint64_t advances = 0;
+  for (int seed = 1; seed <= count; ++seed) {
+    const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
+    SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
+                 ", k=" + std::to_string(inst.max_failures) + ")");
+    std::vector<Network> nets{inst.net};
+    if (auto nested = with_nested_prefix(inst.net)) nets.push_back(std::move(*nested));
+    for (const Network& net : nets) {
+      const PecSet pecs = compute_pecs(net);
+      for (const std::size_t pi : pecs.routed()) {
+        const Pec& pec = pecs.pecs[pi];
+        std::uint64_t ref_states = 0;
+        SearchModel::Step ref_step{};
+        std::vector<SearchMove> ref_root;
+        for (const Arm& arm : arms) {
+          SCOPED_TRACE("pec " + pec.str() + ", arm " + arm.label);
+          ExploreOptions opts = arm.opts;
+          opts.max_failures = inst.max_failures;
+          std::vector<PrefixTask> tasks = make_tasks(net, pec);
+          const bool multi_phase = tasks.size() > 1;
+          const AcceptAllPolicy policy;
+          Explorer ex(net, pec, std::move(tasks), policy, opts);
+          // run() prepares the processes and parks phase 0 at the root of
+          // the last explored failure set. A tripped budget makes advance()
+          // a no-op, so nested phases are walked only after a complete run.
+          const ExploreResult warm = ex.run();
+          UndoWalk w(ex, multi_phase && warm.budget_tripped == BudgetKind::kNone);
+          std::vector<SearchMove> root;
+          const SearchModel::Step root_step = w.expand(root);
+          if (&arm == &arms.front()) {
+            ref_states = warm.stats.states_explored;
+            ref_step = root_step;
+            ref_root = root;
+          } else if (arm.neutral) {
+            EXPECT_EQ(warm.stats.states_explored, ref_states);
+            EXPECT_EQ(root_step, ref_step);
+            EXPECT_TRUE(same_moves(root, ref_root))
+                << "the warm-up run parked at another root than the default arm";
+          }
+          w.walk();
+          if (::testing::Test::HasFatalFailure()) return;
+          moves_checked += w.moves_checked;
+          advances += w.advances;
+        }
+      }
+    }
+  }
+  std::printf("undo walk: %llu moves checked, %llu nested-phase advances\n",
+              static_cast<unsigned long long>(moves_checked),
+              static_cast<unsigned long long>(advances));
+  // The walk must reach real branching and the nested-phase path, or it
+  // checks nothing.
+  EXPECT_GT(moves_checked, static_cast<std::uint64_t>(count) * 10);
+  EXPECT_GT(advances, 0u) << "no multi-prefix PEC reached a converged state";
 }
 
 }  // namespace
