@@ -1,14 +1,14 @@
-// Engine matrix bench: every search engine over a fixed workload basket,
-// one timed row per (workload, engine), all reported through the
+// Engine matrix bench: the three search engines over a fixed workload
+// basket, one timed row per (workload, engine), all reported through the
 // PLANKTON_BENCH_JSON emitter (like every bench) so engine-order cost can be
 // tracked as part of the perf trajectory.
 //
-// The exhaustive engines explore the same state set by construction (the
-// differential harness proves it); what this bench measures is the *price of
-// order*: DFS pays nothing for movement (one apply/undo per tree edge),
-// frontier engines pay path replay per pop plus frontier memory. Rows print
-// states, transitions (apply count — the replay overhead shows up here), and
-// the pending-frontier high-water mark.
+// DFS and BFS explore the same state set by construction (the differential
+// harness proves it); what this bench measures is the *price of order*: DFS
+// pays nothing for movement (one apply/undo per tree edge), BFS pays path
+// replay per pop plus frontier memory, in exchange for the shortest
+// counterexample trails. Rows print states, transitions (apply count — the
+// replay overhead shows up here), and the pending-frontier high-water mark.
 //
 //   fattree_loop/K=4      OSPF fat tree, loop-freedom policy, all PECs
 //   as_failures/AS1755    OSPF AS topology, reachability, <=1 link failure
@@ -29,18 +29,15 @@ using namespace plankton;
 constexpr SearchEngineKind kEngines[] = {
     SearchEngineKind::kDfs,
     SearchEngineKind::kBfs,
-    SearchEngineKind::kPriority,
-    SearchEngineKind::kRandomRestart,
     SearchEngineKind::kSingleExecution,
 };
 
 void apply_engine(VerifyOptions& vo, SearchEngineKind kind) {
   // The matrix measures engine order/replay overhead over one fixed state
   // set; POR reduces that set differently per engine (DFS runs source sets,
-  // frontier engines sleep masks), so it is pinned off here.
+  // BFS sleep masks), so it is pinned off here.
   vo.explore.por = false;
   vo.explore.engine_kind = kind;
-  vo.explore.engine_seed = 42;
 }
 
 void row(const std::string& workload, SearchEngineKind kind,
@@ -60,7 +57,7 @@ void row(const std::string& workload, SearchEngineKind kind,
 int main(int argc, char** argv) {
   if (argc > 1) bench::JsonSink::instance().set_path(argv[1]);
   bench::header("fig_engine_matrix",
-                "search-engine matrix: DFS vs frontier orders vs simulation");
+                "search-engine matrix: DFS vs BFS vs simulation");
   const int k = bench::full_scale() ? 6 : 4;
 
   for (const SearchEngineKind kind : kEngines) {
@@ -111,10 +108,10 @@ int main(int argc, char** argv) {
         verifier.verify_address(ft.edge_prefixes[0].addr(), policy));
   }
 
-  std::printf("\npaper_shape: on uncapped rows all exhaustive engines visit\n"
-              "identical state counts; frontier engines trade transitions\n"
-              "(path replay) and frontier memory for restart/priority order\n"
-              "control; the state-capped bgp_dc rows truncate at different\n"
-              "frontiers by design.\n");
+  std::printf("\npaper_shape: on uncapped rows DFS and BFS visit identical\n"
+              "state counts; BFS trades transitions (path replay) and\n"
+              "frontier memory for the shortest counterexample trails; the\n"
+              "state-capped bgp_dc rows truncate at different frontiers by\n"
+              "design.\n");
   return 0;
 }

@@ -26,9 +26,9 @@
 //   --all-violations   keep searching after the first counterexample
 //   --trails           print counterexample event traces
 //   --visited <kind>   visited backend: exact | hash-compact | bitstate
-//   --engine <e>       exploration strategy: dfs | bfs | priority |
-//                      random-restart | single (single-execution simulation)
-//   --engine-seed <n>  seed for the random-restart engine (default 1)
+//   --engine <e>       exploration strategy: dfs (default) | bfs (shortest
+//                      counterexample trails) | single (single-execution
+//                      simulation)
 //   --simulation       follow one execution path (Batfish-style; may miss
 //                      order-dependent violations, so no violation found is
 //                      INCONCLUSIVE); alias for --engine single
@@ -86,8 +86,7 @@ int usage() {
                "[--no-por] [--all-violations] "
                "[--trails] "
                "[--visited exact|hash-compact|bitstate] "
-               "[--engine dfs|bfs|priority|random-restart|single] "
-               "[--engine-seed n] [--simulation] "
+               "[--engine dfs|bfs|single] [--simulation] "
                "[--deadline-ms t] [--budget-states n] [--budget-bytes n] "
                "[--degrade-visited] [--fault-plan p] "
                "[--tcp-workers host:port[,...]]\n"
@@ -147,9 +146,6 @@ int main(int argc, char** argv) {
         if (!parse_search_engine(argv[++i], opts.explore.engine_kind)) {
           throw std::runtime_error(std::string("bad --engine '") + argv[i] + "'");
         }
-      } else if (arg == "--engine-seed" && i + 1 < argc) {
-        opts.explore.engine_seed =
-            static_cast<std::uint64_t>(std::atoll(argv[++i]));
       } else if (arg == "--deadline-ms" && i + 1 < argc) {
         const long long ms = std::atoll(argv[++i]);
         if (ms <= 0) throw std::runtime_error("bad --deadline-ms");

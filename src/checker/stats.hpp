@@ -1,8 +1,8 @@
 // Search statistics: the counters behind the paper's time/memory figures.
 //
 // Memory is accounted deterministically from the checker's own structures
-// (path/route tables, visited store, DFS stack high-water) instead of
-// process RSS, so bench output is reproducible.
+// (path/route tables, visited store, search stack high-water and the BFS
+// frontier) instead of process RSS, so bench output is reproducible.
 #pragma once
 
 #include <chrono>
@@ -30,13 +30,13 @@ struct SearchStats {
   std::uint64_t por_pruned = 0;         ///< sleep-set-pruned moves (DPOR)
   std::uint64_t por_source_sets = 0;    ///< states whose move set was sleep-narrowed
   std::chrono::nanoseconds por_footprint_time{0};  ///< footprint mask builds
-  std::uint64_t frontier_peak = 0;      ///< pending-state high-water (frontier engines)
+  std::uint64_t frontier_peak = 0;      ///< pending-state high-water (BFS)
   std::uint64_t budget_checks = 0;      ///< periodic budget/liveness ticks
   std::uint64_t max_depth = 0;
   std::size_t bytes_paths = 0;
   std::size_t bytes_routes = 0;
   std::size_t bytes_visited = 0;
-  std::size_t bytes_stack_peak = 0;
+  std::size_t bytes_stack_peak = 0;     ///< RIBs, statuses, undo log, trail, BFS frontier
   std::size_t bytes_ad_cache = 0;       ///< advertisement memo tables
   std::chrono::nanoseconds elapsed{0};
 

@@ -5,159 +5,37 @@
 
 namespace plankton {
 
-// ---------------------------------------------------------------------------
-// Frontier
-// ---------------------------------------------------------------------------
-
-void Frontier::add_entry(Entry e) {
-  if (order_ == FrontierOrder::kFifo) {
-    // Reclaim the consumed prefix wholesale once it dominates the vector;
-    // amortized O(1) per push, no deque indirection.
-    if (head_ > 64 && head_ * 2 > pending_.size()) {
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-    pending_.push_back(e);
-  } else if (order_ == FrontierOrder::kPriority) {
-    pending_.push_back(e);
-    std::push_heap(pending_.begin(), pending_.end(), heap_after);
-  } else {
-    pending_.push_back(e);
+void Frontier::enqueue(std::int32_t id) {
+  // Reclaim the consumed prefix wholesale once it dominates the vector;
+  // amortized O(1) per push, no deque indirection.
+  if (head_ > 64 && head_ * 2 > pending_.size()) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
-  ++live_;
-  peak_ = std::max(peak_, live_);
+  pending_.push_back(id);
+  peak_ = std::max(peak_, pending_.size() - head_);
 }
 
-std::int32_t Frontier::push(std::int32_t parent, const SearchMove& move,
-                            std::uint64_t key) {
+std::int32_t Frontier::push(std::int32_t parent, const SearchMove& move) {
   PathNode node;
   node.parent = parent;
   node.depth = depth(parent) + 1;
   node.move = move;
   const auto id = static_cast<std::int32_t>(arena_.size());
   arena_.push_back(node);
-  add_entry(Entry{id, key, node.depth, next_seq_++});
+  enqueue(id);
   return id;
 }
 
-void Frontier::push_root() { add_entry(Entry{kRoot, 0, 0, next_seq_++}); }
-
 std::int32_t Frontier::pop() {
-  assert(live_ > 0);
-  --live_;
-  ++pops_;
-  switch (order_) {
-    case FrontierOrder::kFifo:
-      return pending_[head_++].id;
-    case FrontierOrder::kPriority: {
-      std::pop_heap(pending_.begin(), pending_.end(), heap_after);
-      const std::int32_t id = pending_.back().id;
-      pending_.pop_back();
-      return id;
-    }
-    case FrontierOrder::kRandomRestart: {
-      bool restart = false;
-      if (restart_interval_ != 0) {
-        if (restart_policy_ == RestartPolicy::kFixedPeriod) {
-          restart = pops_ % restart_interval_ == 0;
-        } else if (pops_ >= next_restart_) {
-          // Luby schedule: successive restart gaps of interval × u_k where
-          // u = 1,1,2,1,1,2,4,… — log-optimal for unknown runtime
-          // distributions, and far less periodic than the fixed schedule.
-          restart = true;
-          next_restart_ +=
-              std::uint64_t{restart_interval_} * luby_value(++luby_index_);
-        }
-      }
-      std::size_t pick;
-      if (restart) {
-        // Restart: jump to the shallowest pending state (nearest the phase
-        // root), diversifying away from the current deep region.
-        pick = 0;
-        for (std::size_t i = 1; i < pending_.size(); ++i) {
-          if (pending_[i].depth < pending_[pick].depth) pick = i;
-        }
-      } else {
-        pick = static_cast<std::size_t>(rng_() % pending_.size());
-      }
-      const std::int32_t id = pending_[pick].id;
-      pending_[pick] = pending_.back();
-      pending_.pop_back();
-      return id;
-    }
-  }
-  return kRoot;  // unreachable
-}
-
-void Frontier::path_to(std::int32_t id, std::vector<SearchMove>& out) const {
-  out.clear();
-  for (std::int32_t n = id; n != kRoot; n = arena_[static_cast<std::size_t>(n)].parent) {
-    out.push_back(arena_[static_cast<std::size_t>(n)].move);
-  }
-  std::reverse(out.begin(), out.end());
-}
-
-std::size_t Frontier::split(std::vector<StateSnapshot>& out) {
-  const std::size_t take = live_ / 2;
-  if (take == 0) return 0;
-  // Detach the most recently discovered end (for kFifo the back of the
-  // queue, i.e. the states a thief would steal; for the others an arbitrary
-  // but deterministic half — ordering across a split is not part of any
-  // engine's contract).
-  for (std::size_t i = 0; i < take; ++i) {
-    const Entry e = pending_.back();
-    pending_.pop_back();
-    StateSnapshot snap;
-    snap.key = e.key;
-    path_to(e.id, snap.path);
-    if (sleep_words_ != 0 && e.id != kRoot) {
-      // Detached work inherits its DPOR sleep mask (ISSUE: spawned subtasks
-      // must keep pruning what the donor's path already covered).
-      const std::uint64_t* m = sleep_slot(e.id);
-      snap.sleep.assign(m, m + sleep_words_);
-    }
-    out.push_back(std::move(snap));
-  }
-  if (order_ == FrontierOrder::kPriority) {
-    std::make_heap(pending_.begin(), pending_.end(), heap_after);
-  }
-  live_ -= take;
-  return take;
-}
-
-void Frontier::inject(const StateSnapshot& snap) {
-  // Rebuild the snapshot's path as a fresh arena chain from the root. The
-  // interior nodes are not pending — only the endpoint is re-admitted.
-  std::int32_t at = kRoot;
-  for (std::size_t i = 0; i < snap.path.size(); ++i) {
-    PathNode node;
-    node.parent = at;
-    node.depth = depth(at) + 1;
-    node.move = snap.path[i];
-    at = static_cast<std::int32_t>(arena_.size());
-    arena_.push_back(node);
-  }
-  if (sleep_words_ != 0 && at != kRoot && !snap.sleep.empty()) {
-    std::copy(snap.sleep.begin(), snap.sleep.end(), sleep_slot(at));
-  }
-  add_entry(Entry{at, snap.key, depth(at), next_seq_++});
-}
-
-std::uint32_t luby_value(std::uint32_t i) {
-  // u_i = 2^(k-1) when i == 2^k - 1; else u_{i - 2^(k-1) + 1} for the k
-  // with 2^(k-1) <= i < 2^k - 1 (Luby, Sinclair & Zuckerman 1993).
-  for (std::uint32_t k = 1; k < 32; ++k) {
-    const std::uint32_t pow = std::uint32_t{1} << k;
-    if (i == pow - 1) return pow >> 1;
-    if (i < pow - 1) return luby_value(i - (pow >> 1) + 1);
-  }
-  return 1;
+  assert(!empty());
+  return pending_[head_++];
 }
 
 std::size_t Frontier::bytes() const {
   return arena_.capacity() * sizeof(PathNode) +
-         pending_.capacity() * sizeof(Entry) +
+         pending_.capacity() * sizeof(std::int32_t) +
          sleep_pool_.capacity() * sizeof(std::uint64_t);
 }
 

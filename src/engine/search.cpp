@@ -69,54 +69,40 @@ class SingleExecutionEngine final : public DfsEngine {
   [[nodiscard]] const char* name() const override { return "single-execution"; }
 };
 
-/// Frontier-driven exhaustive search (engine/frontier.hpp): keeps pending
-/// states as restorable snapshots and expands them in the order the Frontier
-/// dictates — FIFO (BFS), priority over StateCodec keys, or seeded random
-/// with periodic restarts. Physically the model still moves one apply/undo
-/// at a time: switching snapshots undoes the current path to the lowest
-/// common ancestor and replays the target suffix, so the model's incremental
-/// dirty-set bookkeeping stays valid.
-class FrontierEngine final : public SearchEngine {
+/// Breadth-first exhaustive search (engine/frontier.hpp): keeps pending
+/// states as arena ids in a FIFO and expands them in discovery order.
+/// Physically the model still moves one apply/undo at a time: switching
+/// states undoes the current path to the lowest common ancestor and replays
+/// the target suffix, so the model's incremental dirty-set bookkeeping stays
+/// valid.
+class BfsEngine final : public SearchEngine {
  public:
-  FrontierEngine(FrontierOrder order, const SearchEngineConfig& config)
-      : order_(order), config_(config) {}
-
-  [[nodiscard]] const char* name() const override {
-    switch (order_) {
-      case FrontierOrder::kFifo: return "bfs";
-      case FrontierOrder::kPriority: return "priority";
-      case FrontierOrder::kRandomRestart: return "random-restart";
-    }
-    return "frontier";
-  }
+  [[nodiscard]] const char* name() const override { return "bfs"; }
 
   [[nodiscard]] std::uint64_t frontier_peak() const override { return peak_; }
 
+  [[nodiscard]] std::size_t bytes() const override {
+    std::size_t b = 0;
+    for (const auto& ps : pool_) b += ps->frontier.bytes();
+    return b;
+  }
+
   SearchFlow search(SearchModel& model, std::size_t phase) override {
     // advance() re-enters this engine for the next phase while this
-    // invocation is parked at a converged snapshot, so search state lives in
-    // a per-recursion-depth pool (reset-and-reuse, like DfsEngine::pool_ —
-    // no per-root allocation churn across the failure tree). unique_ptr
-    // slots keep PhaseState addresses stable while nested calls grow the
-    // pool. The seed folds in an invocation counter so each phase entry
-    // gets a distinct (but reproducible) pop order.
-    if (pool_.size() <= depth_) {
-      pool_.push_back(std::make_unique<PhaseState>(
-          order_, config_.restart_interval, config_.restart_policy));
-    }
+    // invocation is parked at a converged state, so search state lives in a
+    // per-recursion-depth pool (reset-and-reuse, like DfsEngine::pool_ — no
+    // per-root allocation churn across the failure tree). unique_ptr slots
+    // keep PhaseState addresses stable while nested calls grow the pool.
+    if (pool_.size() <= depth_) pool_.push_back(std::make_unique<PhaseState>());
     PhaseState& ps = *pool_[depth_];
     ++depth_;
-    ps.frontier.reset(config_.seed + 0x9e3779b97f4a7c15ull * ++invocations_);
+    ps.frontier.reset();
     ps.moves.clear();
-    ps.backlog.clear();
     Frontier& frontier = ps.frontier;
     std::vector<SearchMove>& moves = ps.moves;
-    std::vector<StateSnapshot>& backlog = ps.backlog;
-    // Sleep-set DPOR (when the model opts in): every pending snapshot keeps
-    // the sleep mask it was pushed with; the model gets it re-attached on
-    // pop and computes each child's mask at push time, so the reduction
-    // survives the engine's arbitrary pop order and split()/inject() round
-    // trips (spawned subtasks inherit their masks with the snapshot).
+    // Sleep-set DPOR (when the model opts in): every pending state keeps the
+    // sleep mask it was pushed with; the model gets it re-attached on pop
+    // and computes each child's mask at push time.
     const std::size_t pw = model.por_words();
     if (pw != 0) {
       frontier.enable_sleep(pw);
@@ -124,24 +110,14 @@ class FrontierEngine final : public SearchEngine {
       ps.prior.assign(pw, 0);
     }
     std::int32_t cur = Frontier::kRoot;
-    std::uint64_t pops = 0;
     SearchFlow flow = SearchFlow::kContinue;
     frontier.push_root();
-    while (flow == SearchFlow::kContinue) {
-      if (frontier.empty()) {
-        if (backlog.empty()) break;
-        // Deferred split-off work comes back once the local frontier drains
-        // (the single-threaded image of steal-and-return work sharing).
-        for (const StateSnapshot& s : backlog) frontier.inject(s);
-        backlog.clear();
-        continue;
-      }
+    while (flow == SearchFlow::kContinue && !frontier.empty()) {
       if (model.budget_exhausted()) {
         flow = SearchFlow::kStop;
         break;
       }
       const std::int32_t id = frontier.pop();
-      ++pops;
       cur = goto_state(model, phase, frontier, cur, id);
       if (pw != 0) {
         if (id == Frontier::kRoot) {
@@ -152,33 +128,25 @@ class FrontierEngine final : public SearchEngine {
         }
         model.por_attach_sleep(ps.cur_sleep.data());
       }
-      if (model.mark_visited(phase)) {
-        moves.clear();
-        switch (model.expand(phase, moves, SIZE_MAX)) {
-          case SearchModel::Step::kPruned:
-            break;
-          case SearchModel::Step::kConverged:
-            flow = model.advance(phase);
-            break;
-          case SearchModel::Step::kBranch:
-            if (pw != 0) std::fill(ps.prior.begin(), ps.prior.end(), 0);
-            for (const SearchMove& m : moves) {
-              const std::uint64_t key =
-                  order_ == FrontierOrder::kPriority
-                      ? model.state_key_after(phase, m)  // Zobrist preview
-                      : 0;
-              const std::int32_t child = frontier.push(cur, m, key);
-              if (pw != 0) {
-                model.por_child_sleep(phase, m, ps.prior.data(),
-                                      frontier.sleep_slot(child));
-                mask_set(ps.prior.data(), m.node);
-              }
+      if (!model.mark_visited(phase)) continue;
+      moves.clear();
+      switch (model.expand(phase, moves, SIZE_MAX)) {
+        case SearchModel::Step::kPruned:
+          break;
+        case SearchModel::Step::kConverged:
+          flow = model.advance(phase);
+          break;
+        case SearchModel::Step::kBranch:
+          if (pw != 0) std::fill(ps.prior.begin(), ps.prior.end(), 0);
+          for (const SearchMove& m : moves) {
+            const std::int32_t child = frontier.push(cur, m);
+            if (pw != 0) {
+              model.por_child_sleep(phase, m, ps.prior.data(),
+                                    frontier.sleep_slot(child));
+              mask_set(ps.prior.data(), m.node);
             }
-            break;
-        }
-      }
-      if (config_.split_every != 0 && pops % config_.split_every == 0) {
-        frontier.split(backlog);
+          }
+          break;
       }
     }
     // Unwind to the phase-entry state — also on kStop, and with the pending
@@ -190,8 +158,8 @@ class FrontierEngine final : public SearchEngine {
   }
 
  private:
-  /// Moves the model from snapshot `from` to snapshot `to`: LIFO-undoes up
-  /// to their lowest common ancestor, then replays down to `to`.
+  /// Moves the model from pending state `from` to `to`: LIFO-undoes up to
+  /// their lowest common ancestor, then replays down to `to`.
   std::int32_t goto_state(SearchModel& model, std::size_t phase, Frontier& frontier,
                           std::int32_t from, std::int32_t to) {
     replay_scratch_.clear();
@@ -222,17 +190,10 @@ class FrontierEngine final : public SearchEngine {
   struct PhaseState {
     Frontier frontier;
     std::vector<SearchMove> moves;
-    std::vector<StateSnapshot> backlog;
-    std::vector<std::uint64_t> cur_sleep;  ///< popped snapshot's sleep mask
+    std::vector<std::uint64_t> cur_sleep;  ///< popped state's sleep mask
     std::vector<std::uint64_t> prior;      ///< earlier-sibling mask at push
-    PhaseState(FrontierOrder order, std::uint32_t restart_interval,
-               RestartPolicy restart_policy)
-        : frontier(order, 0, restart_interval, restart_policy) {}
   };
 
-  FrontierOrder order_;
-  SearchEngineConfig config_;
-  std::uint64_t invocations_ = 0;
   std::uint64_t peak_ = 0;
   std::size_t depth_ = 0;
   std::vector<std::unique_ptr<PhaseState>> pool_;
@@ -248,23 +209,19 @@ const char* to_string(SearchEngineKind kind) {
     case SearchEngineKind::kDfs: return "dfs";
     case SearchEngineKind::kSingleExecution: return "single-execution";
     case SearchEngineKind::kBfs: return "bfs";
-    case SearchEngineKind::kPriority: return "priority";
-    case SearchEngineKind::kRandomRestart: return "random-restart";
   }
   return "?";
 }
 
 bool parse_search_engine(const char* name, SearchEngineKind& out) {
-  for (const auto kind :
-       {SearchEngineKind::kDfs, SearchEngineKind::kSingleExecution,
-        SearchEngineKind::kBfs, SearchEngineKind::kPriority,
-        SearchEngineKind::kRandomRestart}) {
+  for (const auto kind : {SearchEngineKind::kDfs, SearchEngineKind::kSingleExecution,
+                          SearchEngineKind::kBfs}) {
     if (std::strcmp(name, to_string(kind)) == 0) {
       out = kind;
       return true;
     }
   }
-  // Convenience aliases for the CLI.
+  // Convenience alias for the CLI.
   if (std::strcmp(name, "single") == 0) {
     out = SearchEngineKind::kSingleExecution;
     return true;
@@ -272,18 +229,12 @@ bool parse_search_engine(const char* name, SearchEngineKind& out) {
   return false;
 }
 
-std::unique_ptr<SearchEngine> make_search_engine(SearchEngineKind kind,
-                                                 const SearchEngineConfig& config) {
+std::unique_ptr<SearchEngine> make_search_engine(SearchEngineKind kind) {
   switch (kind) {
     case SearchEngineKind::kDfs: return std::make_unique<DfsEngine>();
     case SearchEngineKind::kSingleExecution:
       return std::make_unique<SingleExecutionEngine>();
-    case SearchEngineKind::kBfs:
-      return std::make_unique<FrontierEngine>(FrontierOrder::kFifo, config);
-    case SearchEngineKind::kPriority:
-      return std::make_unique<FrontierEngine>(FrontierOrder::kPriority, config);
-    case SearchEngineKind::kRandomRestart:
-      return std::make_unique<FrontierEngine>(FrontierOrder::kRandomRestart, config);
+    case SearchEngineKind::kBfs: return std::make_unique<BfsEngine>();
   }
   return std::make_unique<DfsEngine>();
 }

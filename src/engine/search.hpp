@@ -11,17 +11,14 @@
 //   kSingleExecution  follows the first move at every branch point: one
 //                     non-deterministic execution, i.e. Batfish-style
 //                     simulation (paper Fig. 1, "all data planes" row);
-//   kBfs              exhaustive breadth-first search over a snapshot
-//                     frontier (engine/frontier.hpp);
-//   kPriority         exhaustive best-first search ordered by StateCodec
-//                     keys (a deterministic shuffle of the move tree);
-//   kRandomRestart    exhaustive seeded random exploration with periodic
-//                     restarts to the shallowest pending state.
+//   kBfs              exhaustive breadth-first search over a FIFO frontier
+//                     (engine/frontier.hpp): the shortest counterexample
+//                     trails.
 //
-// The frontier strategies visit exactly the same state set as kDfs — they
-// only reorder it — so every exhaustive engine must produce identical
-// violation sets (tests/test_engine_differential.cpp enforces this on
-// randomized topologies).
+// kBfs visits exactly the same state set as kDfs — it only reorders it — so
+// both exhaustive engines must produce identical violation sets
+// (tests/test_engine_differential.cpp enforces this on randomized
+// topologies).
 #pragma once
 
 #include <cstdint>
@@ -63,10 +60,10 @@ struct SearchMove {
 /// before a move are exactly the ones that hold again after its undo
 /// (the RPVP Explorer does this; it relies on the purity contract of
 /// RoutingProcess::advertised, protocols/process.hpp). Engines must
-/// not teleport between states behind the model's back: frontier engines,
-/// which logically jump around the move tree, physically travel between
-/// snapshots through LIFO undo of the current path and replay of the target
-/// path (engine/frontier.hpp), so the discipline — and with it the
+/// not teleport between states behind the model's back: the BFS engine,
+/// which logically jumps around the move tree, physically travels between
+/// pending states through LIFO undo of the current path and replay of the
+/// target path (engine/frontier.hpp), so the discipline — and with it the
 /// incremental bookkeeping — holds move by move; phase entry itself goes
 /// through the advance()/begin-phase path, which rebuilds the model's sets
 /// from scratch.
@@ -105,37 +102,25 @@ class SearchModel {
   /// engine) or, after the last phase, the converged-state handler.
   virtual SearchFlow advance(std::size_t phase) = 0;
 
-  /// Canonical StateCodec key the state of `phase` would have after taking
-  /// `m` from the current state — the ordering heuristic of priority
-  /// frontier engines, computable without mutating the model (Zobrist
-  /// preview). Models without a codec may keep the default (priority then
-  /// degrades to discovery order).
-  [[nodiscard]] virtual std::uint64_t state_key_after(std::size_t phase,
-                                                      const SearchMove& m) const {
-    (void)phase;
-    (void)m;
-    return 0;
-  }
-
   // -- partial-order reduction hooks (optional) -----------------------------
   // A model that returns nonzero por_words() runs sleep-set DPOR (see
   // docs/architecture.md "Partial-order reduction"). DFS engines keep the
   // sleep sets implicit in the model's LIFO path and only provide the
-  // source-set backtrack hook; frontier engines store one sleep mask per
-  // pending snapshot and thread it through attach/child-sleep.
+  // source-set backtrack hook; the BFS engine stores one sleep mask per
+  // pending state and threads it through attach/child-sleep.
 
   /// Mask width (64-bit words) of this model's sleep sets; 0 = POR off.
   [[nodiscard]] virtual std::size_t por_words() const { return 0; }
 
-  /// Frontier engines: hands the model the sleep mask (`por_words()` words,
-  /// engine-owned, valid until the next call) of the snapshot just restored,
-  /// before its mark_visited()/expand(). Never called by DFS engines.
+  /// BFS engine: hands the model the sleep mask (`por_words()` words,
+  /// engine-owned, valid until the next call) of the pending state just
+  /// restored, before its mark_visited()/expand(). Never called by DFS.
   virtual void por_attach_sleep(const std::uint64_t* sleep) { (void)sleep; }
 
-  /// Frontier engines: computes into `out` the sleep mask of the child
-  /// reached by `m` from the current state — (sleep ∪ prior) ∖ dep(m.node),
-  /// where `prior` marks the siblings pushed before `m` and the state's own
-  /// sleep mask is whatever por_attach_sleep() installed.
+  /// BFS engine: computes into `out` the sleep mask of the child reached by
+  /// `m` from the current state — (sleep ∪ prior) ∖ dep(m.node), where
+  /// `prior` marks the siblings pushed before `m` and the state's own sleep
+  /// mask is whatever por_attach_sleep() installed.
   virtual void por_child_sleep(std::size_t phase, const SearchMove& m,
                                const std::uint64_t* prior, std::uint64_t* out) {
     (void)phase;
@@ -165,14 +150,16 @@ class SearchEngine {
   /// High-water mark of pending frontier states across all phase searches
   /// (0 for stackless strategies like DFS) — feeds SearchStats.
   [[nodiscard]] virtual std::uint64_t frontier_peak() const { return 0; }
+
+  /// Bytes of search state the engine holds (0 for DFS, whose recursion
+  /// keeps no states) — part of the model-memory rule the budget checks.
+  [[nodiscard]] virtual std::size_t bytes() const { return 0; }
 };
 
 enum class SearchEngineKind : std::uint8_t {
   kDfs = 0,
   kSingleExecution = 1,
   kBfs = 2,
-  kPriority = 3,
-  kRandomRestart = 4,
 };
 
 /// True for strategies that explore the complete move tree (everything
@@ -182,46 +169,13 @@ enum class SearchEngineKind : std::uint8_t {
   return kind != SearchEngineKind::kSingleExecution;
 }
 
-/// True for strategies driven by a snapshot frontier rather than the LIFO
-/// recursion stack.
-[[nodiscard]] constexpr bool is_frontier(SearchEngineKind kind) {
-  return kind == SearchEngineKind::kBfs || kind == SearchEngineKind::kPriority ||
-         kind == SearchEngineKind::kRandomRestart;
-}
-
-/// When kRandomRestart jumps back to the shallowest pending state.
-enum class RestartPolicy : std::uint8_t {
-  kFixedPeriod,  ///< every `restart_interval` pops (the original behavior)
-  kLuby,         ///< after restart_interval × u_k pops, u = Luby sequence
-                 ///< 1,1,2,1,1,2,4,… (OEIS A182105) — the universal optimal
-                 ///< schedule for restart-based search
-};
-
-/// u_i of the Luby restart sequence, 1-indexed: 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,…
-[[nodiscard]] std::uint32_t luby_value(std::uint32_t i);
-
-struct SearchEngineConfig {
-  /// Seeds kRandomRestart's pop order (fuzz harnesses reproduce a failing
-  /// exploration from the seed alone; see docs/architecture.md).
-  std::uint64_t seed = 1;
-  /// kRandomRestart: base unit of pops between restarts to the shallowest
-  /// pending state (scaled by the Luby sequence under RestartPolicy::kLuby).
-  std::uint32_t restart_interval = 64;
-  RestartPolicy restart_policy = RestartPolicy::kLuby;
-  /// Frontier engines: when nonzero, auto-split the frontier every N pops
-  /// into a deferred backlog that is re-injected once the frontier drains —
-  /// exercises the split()/inject() work-sharing path (tests, bench).
-  std::uint32_t split_every = 0;
-
-};
-
 [[nodiscard]] const char* to_string(SearchEngineKind kind);
 
-/// Parses "dfs" | "single-execution" | "bfs" | "priority" | "random-restart"
-/// (the CLI --engine vocabulary); returns false on unknown names.
+/// Parses "dfs" | "single-execution" (alias "single") | "bfs", the CLI
+/// --engine vocabulary; returns false on unknown names.
 [[nodiscard]] bool parse_search_engine(const char* name, SearchEngineKind& out);
 
 [[nodiscard]] std::unique_ptr<SearchEngine> make_search_engine(
-    SearchEngineKind kind, const SearchEngineConfig& config = {});
+    SearchEngineKind kind);
 
 }  // namespace plankton

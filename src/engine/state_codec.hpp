@@ -54,17 +54,6 @@ class StateCodec {
     return hash_combine(ctx_hash_[t], hash_combine(rib_hash_[t], t + 1));
   }
 
-  /// Key the state *would* have after node `n`'s entry changed old -> now —
-  /// the Zobrist XOR makes the successor key computable without mutating
-  /// anything (priority engines rank children this way, sparing a full
-  /// apply/undo probe per child).
-  [[nodiscard]] std::uint64_t preview_key(std::size_t t, NodeId n,
-                                          RouteId old_route,
-                                          RouteId new_route) const {
-    const std::uint64_t rib = rib_hash_[t] ^ zob(n, old_route) ^ zob(n, new_route);
-    return hash_combine(ctx_hash_[t], hash_combine(rib, t + 1));
-  }
-
  private:
   /// Zobrist contribution of (node, route) to the order-independent hash.
   [[nodiscard]] static std::uint64_t zob(NodeId n, RouteId r) {

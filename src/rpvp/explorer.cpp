@@ -41,7 +41,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
       policy_(policy),
       opts_(opts),
       upstream_provider_(upstream),
-      engine_(make_search_engine(opts.engine_kind, opts.engine_config())) {
+      engine_(make_search_engine(opts.engine_kind)) {
   ctx_.net = &net_;
   const std::size_t n = net.topo.node_count();
   const std::size_t t = tasks_.size();
@@ -115,7 +115,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
     const SearchEngineKind ek = opts_.engine_kind;
     if (ek == SearchEngineKind::kDfs) {
       por_mode_ = PorMode::kDfs;
-    } else if (is_frontier(ek)) {
+    } else if (ek == SearchEngineKind::kBfs) {
       por_mode_ = PorMode::kFrontierSleep;
     }
   }
@@ -163,7 +163,7 @@ std::size_t Explorer::account_model_bytes() {
                       s.max_depth * sizeof(TrailEvent) * 2;
   for (const auto& r : rib_) stack += r.capacity() * sizeof(RouteId);
   for (const auto& st : status_) stack += st.capacity() * sizeof(NodeStatus);
-  s.bytes_stack_peak = stack;
+  s.bytes_stack_peak = stack + engine_->bytes();
   return s.model_bytes();
 }
 

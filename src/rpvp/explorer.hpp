@@ -100,31 +100,15 @@ struct ExploreOptions {
   bool record_outcomes = false;  ///< keep converged states for dependent PECs
 
   /// Exploration strategy for the per-prefix move tree (engine/search.hpp):
-  /// kDfs (the paper's strategy) or one of the frontier engines. Every
-  /// exhaustive engine visits the same state set; the frontier engines only
-  /// reorder it (tests/test_engine_differential.cpp). kSingleExecution is
+  /// kDfs (the paper's strategy) or kBfs (shortest counterexample trails).
+  /// Both visit the same state set; kBfs only reorders it
+  /// (tests/test_engine_differential.cpp). kSingleExecution is
   /// Batfish-style simulation (paper Fig. 1, "all data planes" row): one
   /// non-deterministic execution path instead of all of them. Its violations
   /// are real, but it misses those that only occur under other
   /// advertisement orderings (e.g. BGP wedgies), so a violation-free run is
   /// not exhaustive and never a hold.
   SearchEngineKind engine_kind = SearchEngineKind::kDfs;
-  /// Seeds kRandomRestart's pop order; a failing fuzz instance reproduces
-  /// from (topology seed, engine seed) alone.
-  std::uint64_t engine_seed = 1;
-  /// Frontier work-sharing exercise knob (SearchEngineConfig::split_every).
-  std::uint32_t engine_split_every = 0;
-  /// kRandomRestart restart schedule: Luby by default, kFixedPeriod keeps
-  /// the original every-N-pops behavior.
-  RestartPolicy engine_restart_policy = RestartPolicy::kLuby;
-
-  [[nodiscard]] SearchEngineConfig engine_config() const {
-    SearchEngineConfig c;
-    c.seed = engine_seed;
-    c.split_every = engine_split_every;
-    c.restart_policy = engine_restart_policy;
-    return c;
-  }
 
   [[nodiscard]] static ExploreOptions naive() {
     ExploreOptions o;
@@ -215,6 +199,12 @@ class Explorer final : public SearchModel {
   /// The interning context (exposed so callers can render trails).
   [[nodiscard]] const ModelContext& context() const { return ctx_; }
 
+  /// Canonical key of the current state of phase `task_idx` — the key the
+  /// visited store records.
+  [[nodiscard]] std::uint64_t state_key(std::size_t task_idx) const {
+    return codec_.state_key(task_idx);
+  }
+
   // -- SearchModel (driven by the SearchEngine) -----------------------------
   bool budget_exhausted() override;
   bool mark_visited(std::size_t task_idx) override;
@@ -223,10 +213,6 @@ class Explorer final : public SearchModel {
   void apply(std::size_t task_idx, SearchMove& m) override;
   void undo(std::size_t task_idx, const SearchMove& m) override;
   SearchFlow advance(std::size_t task_idx) override;
-  [[nodiscard]] std::uint64_t state_key_after(std::size_t task_idx,
-                                              const SearchMove& m) const override {
-    return codec_.preview_key(task_idx, m.node, rib_[task_idx][m.node], m.route);
-  }
   [[nodiscard]] std::size_t por_words() const override;
   void por_attach_sleep(const std::uint64_t* sleep) override;
   void por_child_sleep(std::size_t task_idx, const SearchMove& m,
@@ -313,8 +299,8 @@ class Explorer final : public SearchModel {
   // -- dynamic partial-order reduction (sleep + source sets) ---------------
   // docs/architecture.md "Partial-order reduction". kDfs mode runs the full
   // reduction (sleep sets, source-set lazy sibling emission with race-driven
-  // backtracking, subtree summaries); frontier mode runs sleep sets only,
-  // with masks stored per pending snapshot by the engine.
+  // backtracking, subtree summaries); frontier mode (kBfs) runs sleep sets
+  // only, with masks stored per pending state by the engine.
   enum class PorMode : std::uint8_t { kOff, kDfs, kFrontierSleep };
   PorMode por_mode_ = PorMode::kOff;
   std::size_t sleep_words_ = 0;               ///< ceil(nodes / 64)

@@ -89,8 +89,9 @@ enum class MsgType : std::uint16_t {
 
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
 /// Bumped on every payload layout change (2: the three-flag PecDoneMsg; 3:
-/// kBootstrap carries ExploreOptions whole).
-inline constexpr std::uint16_t kFrameVersion = 3;
+/// kBootstrap carries ExploreOptions whole; 4: its explore block drops the
+/// retired engine seed, split and restart fields).
+inline constexpr std::uint16_t kFrameVersion = 4;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
 /// Ceiling for one frame's payload. Anything larger is treated as a corrupt

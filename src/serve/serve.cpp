@@ -54,8 +54,7 @@ bool visit_shipped(Explore& eo, Field&& field) {
          field(eo.incremental_expand) && field(eo.budget.deadline) &&
          field(eo.budget.max_states) && field(eo.budget.max_bytes) &&
          field(eo.budget.degrade_visited) && field(eo.find_all_violations) &&
-         field(eo.engine_kind) && field(eo.engine_seed) &&
-         field(eo.engine_split_every) && field(eo.engine_restart_policy);
+         field(eo.engine_kind);
 }
 
 // Wire forms: flags and enums ride as one byte, the deadline as int64
@@ -94,10 +93,7 @@ bool get_field(std::string_view& in, VisitedKind& v) {
   return get_enum(in, v, VisitedKind::kBitstate);
 }
 bool get_field(std::string_view& in, SearchEngineKind& v) {
-  return get_enum(in, v, SearchEngineKind::kRandomRestart);
-}
-bool get_field(std::string_view& in, RestartPolicy& v) {
-  return get_enum(in, v, RestartPolicy::kLuby);
+  return get_enum(in, v, SearchEngineKind::kBfs);
 }
 bool get_field(std::string_view& in, std::chrono::milliseconds& v) {
   std::int64_t ms = 0;
@@ -109,9 +105,6 @@ bool get_field(std::string_view& in, int& v) {
   return get_int(in, v) && v >= 0;
 }
 bool get_field(std::string_view& in, std::uint64_t& v) {
-  return get_int(in, v);
-}
-bool get_field(std::string_view& in, std::uint32_t& v) {
   return get_int(in, v);
 }
 

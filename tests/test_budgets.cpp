@@ -233,10 +233,8 @@ TEST(BudgetDeterminism, DeadlineClassifiesIdenticallyAcrossRuns) {
 
 TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndShards) {
   const WorstCase wc;
-  const SearchEngineKind engines[] = {SearchEngineKind::kDfs,
-                                      SearchEngineKind::kBfs,
-                                      SearchEngineKind::kPriority};
-  for (const SearchEngineKind engine : engines) {
+  for (const SearchEngineKind engine :
+       {SearchEngineKind::kDfs, SearchEngineKind::kBfs}) {
     for (const int shards : {0, 1, 2}) {
       VerifyOptions vo;
       vo.explore.engine_kind = engine;
@@ -252,6 +250,44 @@ TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndShards) {
           << "engine=" << to_string(engine) << " shards=" << shards;
     }
   }
+}
+
+TEST(BudgetSoundness, MemoryBudgetCountsTheBfsFrontier) {
+  // BFS's largest structure is its frontier: the path arena, the pending
+  // queue and the sleep masks. The model-memory rule counts it, so a byte
+  // budget halfway between DFS's and BFS's footprint on the same capped
+  // state set (the fig_engine_matrix bgp_dc/K=4 row) stops BFS on memory
+  // while DFS still reaches the state cap.
+  const WorstCase wc;
+  VerifyOptions vo;
+  vo.cores = 1;
+  vo.explore.por = false;
+  vo.explore.budget.max_states = 50000;
+  VerifyOptions dfs = vo;
+  VerifyOptions bfs = vo;
+  bfs.explore.engine_kind = SearchEngineKind::kBfs;
+  const VerifyResult dfs_free = wc.run(dfs);
+  const VerifyResult bfs_free = wc.run(bfs);
+  ASSERT_EQ(dfs_free.budget_tripped, BudgetKind::kStates);
+  ASSERT_EQ(bfs_free.budget_tripped, BudgetKind::kStates);
+  const std::size_t dfs_bytes = dfs_free.total.model_bytes();
+  const std::size_t bfs_bytes = bfs_free.total.model_bytes();
+  // Every pending state is an arena node holding its move, so BFS holds at
+  // least one SearchMove per pending state on top of what DFS holds.
+  ASSERT_GE(bfs_bytes,
+            dfs_bytes + bfs_free.total.frontier_peak * sizeof(SearchMove))
+      << "the BFS frontier went unaccounted";
+
+  const std::size_t budget = dfs_bytes + (bfs_bytes - dfs_bytes) / 2;
+  dfs.explore.budget.max_bytes = budget;
+  bfs.explore.budget.max_bytes = budget;
+  const VerifyResult bfs_capped = wc.run(bfs);
+  EXPECT_EQ(bfs_capped.verdict, Verdict::kInconclusive);
+  EXPECT_EQ(bfs_capped.budget_tripped, BudgetKind::kMemory)
+      << "a " << budget << "-byte budget did not bound a " << bfs_bytes
+      << "-byte BFS run";
+  EXPECT_EQ(wc.run(dfs).budget_tripped, BudgetKind::kStates)
+      << "DFS, at " << dfs_bytes << " bytes, must stay under the budget";
 }
 
 TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {

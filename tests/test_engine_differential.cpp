@@ -6,10 +6,11 @@
 // random_net.hpp: rings, fat-trees, random OSPF/BGP graphs, protocol+static
 // mixes, with failure budgets) and checks, per instance:
 //
-//   · kDfs, kBfs, kBfs+split, kPriority, and kRandomRestart (two seeds)
-//     produce identical verdicts, violation multisets, and state-count
-//     invariants (states stored, converged states, failure sets, policy
-//     checks) — the frontier engines reorder the search, never change it;
+//   · kDfs and kBfs produce identical verdicts, violation multisets, and
+//     state-count invariants (states stored, converged states, failure sets,
+//     policy checks) — BFS reorders the search, never changes it;
+//   · BFS's first counterexample trail is never longer than DFS's — the
+//     reason the second exhaustive engine exists;
 //   · kSingleExecution (Batfish-style simulation) is sound: its violations
 //     and converged outcomes are subsets of the exhaustive ones, one
 //     execution per (failure set × upstream outcome) root;
@@ -17,14 +18,16 @@
 //     converged path set equals the SPVP message-passing oracle's
 //     (Theorem 1, Appendix A);
 //   · undo() leaves the model exactly as it was before the move: driven by
-//     hand, every state expands to the same moves and state keys after each
-//     apply/expand/undo of each of its moves, and undo interns nothing.
+//     hand, every state expands to the same moves and has the same state key
+//     after each apply/expand/undo of each of its moves, and undo interns
+//     nothing.
 //
 // Reproduction workflow: every assertion names the instance seed; rebuild
 // the instance with make_random_instance(seed) and re-run one engine. The
 // instance count scales with PLANKTON_DIFF_SEEDS (nightly CI runs more).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -36,6 +39,7 @@
 #include "protocols/spvp.hpp"
 #include "rpvp/explorer.hpp"
 #include "support/random_net.hpp"
+#include "workload/fat_tree.hpp"
 
 namespace plankton {
 namespace {
@@ -49,24 +53,9 @@ int instance_count() {
   return 220;
 }
 
-/// One engine configuration of the differential matrix.
-struct EngineSetup {
-  std::string label;
-  SearchEngineKind kind = SearchEngineKind::kDfs;
-  std::uint64_t seed = 1;
-  std::uint32_t split_every = 0;
-};
-
-std::vector<EngineSetup> exhaustive_matrix(std::uint64_t instance_seed) {
-  return {
-      {"dfs", SearchEngineKind::kDfs, 1, 0},
-      {"bfs", SearchEngineKind::kBfs, 1, 0},
-      {"bfs+split", SearchEngineKind::kBfs, 1, 2},
-      {"priority", SearchEngineKind::kPriority, 1, 0},
-      {"random-restart/a", SearchEngineKind::kRandomRestart, instance_seed, 0},
-      {"random-restart/b", SearchEngineKind::kRandomRestart, instance_seed + 7777, 0},
-  };
-}
+/// The exhaustive engines, DFS first: the differential reference.
+constexpr SearchEngineKind kExhaustive[] = {SearchEngineKind::kDfs,
+                                            SearchEngineKind::kBfs};
 
 /// Everything engine-order-independent a full verification observes, plus
 /// the frontier high-water mark (telemetry only — engines differ on it by
@@ -105,7 +94,7 @@ VerifyOptions base_options(const RandomInstance& inst) {
   return vo;
 }
 
-Fingerprint fingerprint(const RandomInstance& inst, const EngineSetup& es,
+Fingerprint fingerprint(const RandomInstance& inst, SearchEngineKind kind,
                         bool por = false, bool find_all = true,
                         std::uint64_t* por_pruned = nullptr,
                         bool pec_dedup = true) {
@@ -113,9 +102,7 @@ Fingerprint fingerprint(const RandomInstance& inst, const EngineSetup& es,
   vo.pec_dedup = pec_dedup;
   vo.explore.por = por;
   vo.explore.find_all_violations = find_all;
-  vo.explore.engine_kind = es.kind;
-  vo.explore.engine_seed = es.seed;
-  vo.explore.engine_split_every = es.split_every;
+  vo.explore.engine_kind = kind;
   Verifier verifier(inst.net, vo);
   const VerifyResult r = verifier.verify(*inst.policy);
   if (por_pruned != nullptr) *por_pruned += r.total.por_pruned;
@@ -143,30 +130,112 @@ TEST(EngineDifferential, ExhaustiveEnginesAgreeOnRandomInstances) {
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
                  ", k=" + std::to_string(inst.max_failures) + ", policy " +
                  inst.policy->name() + ")");
-    Fingerprint ref;
-    bool have_ref = false;
-    for (const EngineSetup& es : exhaustive_matrix(static_cast<std::uint64_t>(seed))) {
-      const Fingerprint fp = fingerprint(inst, es);
-      if (!have_ref) {
-        ref = fp;
-        have_ref = true;
-        EXPECT_GT(ref.converged_states, 0u);
-        continue;
-      }
-      EXPECT_EQ(fp, ref) << "engine " << es.label << " diverged from dfs";
-      // Widening telemetry, free from the matrix run: did any frontier ever
-      // hold more than one pending state on this instance?
-      if (es.kind == SearchEngineKind::kBfs && es.split_every == 0 &&
-          fp.frontier_peak > 1) {
-        ++widened;
-      }
-    }
+    const Fingerprint ref = fingerprint(inst, SearchEngineKind::kDfs);
+    EXPECT_GT(ref.converged_states, 0u);
+    const Fingerprint bfs = fingerprint(inst, SearchEngineKind::kBfs);
+    EXPECT_EQ(bfs, ref) << "bfs diverged from dfs";
+    // Widening telemetry, free from the matrix run: did the frontier ever
+    // hold more than one pending state on this instance?
+    if (bfs.frontier_peak > 1) ++widened;
   }
   // The corpus must include genuinely non-deterministic searches, otherwise
   // the differential result is vacuous (everything trivially agrees on
   // deterministic move trees).
   EXPECT_GT(widened, static_cast<std::uint64_t>(count) / 20)
       << "corpus too deterministic: frontier never widened";
+}
+
+/// RPVP move events (kSelect + kWithdraw) of a trail: its length as a
+/// counterexample, without the failure, upstream and phase markers.
+std::size_t move_events(const Trail& trail) {
+  return static_cast<std::size_t>(std::count_if(
+      trail.events.begin(), trail.events.end(), [](const TrailEvent& e) {
+        return e.kind == TrailEvent::Kind::kSelect ||
+               e.kind == TrailEvent::Kind::kWithdraw;
+      }));
+}
+
+/// Where a first-violation run stopped: the PEC and failure set of its
+/// counterexample, and that trail's length in events and in move events.
+struct FirstTrail {
+  std::string pec;
+  std::uint64_t failures = 0;
+  std::size_t events = 0;
+  std::size_t moves = 0;
+};
+
+std::optional<FirstTrail> first_trail(const Network& net, const Policy& policy,
+                                      VerifyOptions vo, SearchEngineKind kind,
+                                      const IpAddr* address = nullptr) {
+  vo.explore.engine_kind = kind;
+  vo.explore.find_all_violations = false;
+  Verifier verifier(net, vo);
+  const VerifyResult r = address != nullptr
+                             ? verifier.verify_address(*address, policy)
+                             : verifier.verify(policy);
+  for (const auto& rep : r.reports) {
+    if (rep.result.violations.empty()) continue;
+    const Violation& v = rep.result.violations.front();
+    return FirstTrail{rep.pec_str, v.failures.hash(), v.trail.events.size(),
+                      move_events(v.trail)};
+  }
+  return std::nullopt;
+}
+
+TEST(EngineDifferential, BfsTrailIsNeverLongerThanDfs) {
+  // BFS stays for one reason: it reports the shortest counterexample. On
+  // every violating instance, in first-violation mode with POR on and off,
+  // it must stop at the same PEC and failure set as DFS with a trail of no
+  // more RPVP moves.
+  const int count = instance_count();
+  std::uint64_t violating = 0;
+  std::uint64_t shorter = 0;
+  for (int seed = 1; seed <= count; ++seed) {
+    const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
+    SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
+                 ", k=" + std::to_string(inst.max_failures) + ", policy " +
+                 inst.policy->name() + ")");
+    for (const bool por : {false, true}) {
+      VerifyOptions vo = base_options(inst);
+      vo.explore.por = por;
+      const auto dfs = first_trail(inst.net, *inst.policy, vo, SearchEngineKind::kDfs);
+      const auto bfs = first_trail(inst.net, *inst.policy, vo, SearchEngineKind::kBfs);
+      ASSERT_EQ(bfs.has_value(), dfs.has_value()) << "por=" << por;
+      if (!dfs) continue;
+      ++violating;
+      EXPECT_EQ(bfs->pec, dfs->pec) << "por=" << por;
+      EXPECT_EQ(bfs->failures, dfs->failures) << "por=" << por;
+      EXPECT_LE(bfs->moves, dfs->moves) << "por=" << por;
+      if (bfs->moves < dfs->moves) ++shorter;
+    }
+  }
+  std::printf("first violations: %llu, bfs strictly shorter on %llu\n",
+              static_cast<unsigned long long>(violating),
+              static_cast<unsigned long long>(shorter));
+  EXPECT_GT(violating, 0u) << "the corpus produced no violation";
+
+  // Most corpus trails tie, so a pinned case where BFS is strictly shorter
+  // keeps the comparison from passing vacuously: a bounded-length check on
+  // the RFC 7938 BGP fat tree with BGP deterministic-node detection off.
+  FatTreeOptions o;
+  o.k = 4;
+  o.routing = FatTreeOptions::Routing::kBgpRfc7938;
+  const FatTree ft = make_fat_tree(o);
+  const BoundedPathLengthPolicy policy({ft.edges.back()}, 3);
+  const IpAddr address = ft.edge_prefixes[0].addr();
+  for (const bool por : {false, true}) {
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.det_nodes_bgp = false;
+    vo.explore.por = por;
+    const auto dfs = first_trail(ft.net, policy, vo, SearchEngineKind::kDfs, &address);
+    const auto bfs = first_trail(ft.net, policy, vo, SearchEngineKind::kBfs, &address);
+    ASSERT_TRUE(dfs.has_value()) << "por=" << por;
+    ASSERT_TRUE(bfs.has_value()) << "por=" << por;
+    EXPECT_EQ(dfs->events, 15u) << "por=" << por;
+    EXPECT_EQ(bfs->events, 5u) << "por=" << por;
+    EXPECT_LT(bfs->moves, dfs->moves) << "por=" << por;
+  }
 }
 
 TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
@@ -176,29 +245,23 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
   // surviving path to it, so verdicts, violation multisets, converged-state
   // counts, failure sets, and policy checks are all invariants — only
   // states_stored legitimately drops. Checked per engine (kDfs runs the
-  // source-set reduction, the frontier engines the sleep-mask one, in two
-  // different visit orders).
+  // source-set reduction, kBfs the sleep-mask one).
   const int count = instance_count();
   std::uint64_t pruned = 0;
-  const std::vector<EngineSetup> engines = {
-      {"dfs", SearchEngineKind::kDfs, 1, 0},
-      {"bfs", SearchEngineKind::kBfs, 1, 0},
-      {"random-restart", SearchEngineKind::kRandomRestart, 42, 0},
-  };
   for (int seed = 1; seed <= count; ++seed) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
                  ", k=" + std::to_string(inst.max_failures) + ", policy " +
                  inst.policy->name() + ")");
-    for (const EngineSetup& es : engines) {
-      const Fingerprint off = fingerprint(inst, es, false);
-      Fingerprint on = fingerprint(inst, es, true, true, &pruned);
+    for (const SearchEngineKind kind : kExhaustive) {
+      const Fingerprint off = fingerprint(inst, kind, false);
+      Fingerprint on = fingerprint(inst, kind, true, true, &pruned);
       EXPECT_EQ(on.verdict, off.verdict)
-          << "por changed the verdict under " << es.label;
+          << "por changed the verdict under " << to_string(kind);
       EXPECT_EQ(on.violations, off.violations)
-          << "por changed the violation multiset under " << es.label;
+          << "por changed the violation multiset under " << to_string(kind);
       EXPECT_EQ(on.converged_states, off.converged_states)
-          << "por lost a converged data plane under " << es.label;
+          << "por lost a converged data plane under " << to_string(kind);
       EXPECT_EQ(on.failure_sets, off.failure_sets);
       EXPECT_EQ(on.policy_checks, off.policy_checks);
       EXPECT_LE(on.states_stored, off.states_stored)
@@ -208,9 +271,9 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
     // counts at order-dependent cut states); the first-violation arm keeps
     // the reduction active there, so the corpus also exercises that regime.
     const Fingerprint off1 =
-        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, false, false);
-    const Fingerprint on1 = fingerprint(
-        inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, true, false, &pruned);
+        fingerprint(inst, SearchEngineKind::kDfs, false, false);
+    const Fingerprint on1 =
+        fingerprint(inst, SearchEngineKind::kDfs, true, false, &pruned);
     EXPECT_EQ(on1.verdict, off1.verdict)
         << "por changed the first-violation verdict";
   }
@@ -293,11 +356,10 @@ TEST(EngineDifferential, SingleExecutionIsSoundOnRandomInstances) {
     // exhaustive reference runs dedup-off so that its totals count every PEC
     // too; its verdict and violation multiset do not depend on dedup
     // (DedupOnMatchesDedupOffOnRandomInstances).
-    const Fingerprint full =
-        fingerprint(inst, {"dfs", SearchEngineKind::kDfs, 1, 0}, false, true,
-                    nullptr, /*pec_dedup=*/false);
+    const Fingerprint full = fingerprint(inst, SearchEngineKind::kDfs, false,
+                                         true, nullptr, /*pec_dedup=*/false);
     const Fingerprint sim =
-        fingerprint(inst, {"single", SearchEngineKind::kSingleExecution, 1, 0});
+        fingerprint(inst, SearchEngineKind::kSingleExecution);
     // Simulation follows one execution per root: it can never check more
     // converged states than the exhaustive engine, and every violation it
     // reports must be one the exhaustive engine also found.
@@ -390,20 +452,18 @@ TEST(EngineDifferential, AllEnginesMatchSpvpOracleOnPureBgp) {
     if (oracle.state_limit_hit) continue;  // too big to enumerate, skip
     const PecSet pecs = compute_pecs(inst.net);
     const Pec& pec = pecs.pecs[pecs.routed()[0]];
-    for (const EngineSetup& es : exhaustive_matrix(static_cast<std::uint64_t>(seed))) {
+    for (const SearchEngineKind kind : kExhaustive) {
       ExploreOptions opts = inst.explore;
       opts.max_failures = 0;  // the SPVP oracle explores the failure-free net
       opts.find_all_violations = true;
       opts.suppress_equivalent = false;
-      opts.engine_kind = es.kind;
-      opts.engine_seed = es.seed;
-      opts.engine_split_every = es.split_every;
+      opts.engine_kind = kind;
       const CollectorPolicy collector;
       Explorer ex(inst.net, pec, make_tasks(inst.net, pec), collector, opts);
       const ExploreResult r = ex.run();
       ASSERT_EQ(r.budget_tripped, BudgetKind::kNone);
       EXPECT_EQ(collector.collected, oracle.converged)
-          << "engine " << es.label << " disagrees with the SPVP oracle";
+          << "engine " << to_string(kind) << " disagrees with the SPVP oracle";
     }
     ++checked;
   }
@@ -435,8 +495,8 @@ bool same_moves(const std::vector<SearchMove>& a,
 /// Hand-driven DFS over phase 0 of a prepared Explorer. At every state each
 /// move goes apply -> expand -> undo (descending into children not seen
 /// before, while the state allowance lasts), and after every undo the state
-/// must expand to the identical step, move list and state_key_after values,
-/// with no route or path interned by the undo itself.
+/// must expand to the identical step and move list and have the state key it
+/// had before the apply, with no route or path interned by the undo itself.
 struct UndoWalk {
   explicit UndoWalk(Explorer& e, bool nested) : ex(e), nested_phases(nested) {}
 
@@ -464,12 +524,11 @@ struct UndoWalk {
       ASSERT_EQ(expand(again), step) << "a nested phase disturbed phase 0";
     }
     if (step != SearchModel::Step::kBranch) return;
-    std::vector<std::uint64_t> keys;
-    for (const SearchMove& m : moves) keys.push_back(model.state_key_after(0, m));
+    const std::uint64_t key = ex.state_key(0);
     for (std::size_t i = 0; i < moves.size(); ++i) {
       SearchMove m = moves[i];
       model.apply(0, m);
-      if (states_left > 0 && seen.insert(keys[i]).second) {
+      if (states_left > 0 && seen.insert(ex.state_key(0)).second) {
         --states_left;
         walk();
         if (::testing::Test::HasFatalFailure()) return;
@@ -485,10 +544,8 @@ struct UndoWalk {
           << "undo of the move at node " << m.node << " changed the step";
       ASSERT_TRUE(same_moves(again, moves))
           << "undo of the move at node " << m.node << " changed the move list";
-      for (std::size_t j = 0; j < moves.size(); ++j) {
-        ASSERT_EQ(model.state_key_after(0, moves[j]), keys[j])
-            << "undo of the move at node " << m.node << " changed a key";
-      }
+      ASSERT_EQ(ex.state_key(0), key)
+          << "undo of the move at node " << m.node << " changed the state key";
       ++moves_checked;
     }
   }

@@ -364,10 +364,9 @@ TEST(HotPathOptMatrix, OspfFailuresIdenticalAcrossMatrix) {
 
 // ---------------------------------------------------------------------------
 // Engine matrix: the search engines against the opt-matrix workloads.
-// kSingleExecution and the frontier engines must each be bit-identical
-// across the hot-path (ad-cache × incremental-expand) matrix, and every
-// exhaustive engine must agree with kDfs on all order-independent counters
-// and verdicts.
+// kSingleExecution and kBfs must each be bit-identical across the hot-path
+// (ad-cache × incremental-expand) matrix, and kBfs must agree with kDfs on
+// all order-independent counters and verdicts.
 // ---------------------------------------------------------------------------
 
 TEST(EngineOptMatrix, SingleExecutionIdenticalAcrossMatrix) {
@@ -399,25 +398,20 @@ TEST(EngineOptMatrix, SingleExecutionIdenticalAcrossMatrixOnFig9Workload) {
                           SearchEngineKind::kSingleExecution);
 }
 
-TEST(EngineOptMatrix, FrontierEnginesIdenticalAcrossMatrix) {
-  // A frontier engine's exploration order depends only on the model's move
-  // enumeration and codec keys, both of which the hot-path mechanics leave
-  // bit-identical — so each engine must fingerprint identically across the
-  // ad-cache × incremental matrix.
+TEST(EngineOptMatrix, BfsIdenticalAcrossMatrix) {
+  // BFS's exploration order depends only on the model's move enumeration,
+  // which the hot-path mechanics leave bit-identical — so it must
+  // fingerprint identically across the ad-cache × incremental matrix.
   const Network net = figure6_network();
   VerifyOptions vo;
   vo.cores = 1;
   vo.explore.max_failures = 1;
   vo.explore.lec_failures = false;
   const ReachabilityPolicy policy({5});
-  for (const auto engine :
-       {SearchEngineKind::kBfs, SearchEngineKind::kPriority,
-        SearchEngineKind::kRandomRestart}) {
-    expect_matrix_identical(net, policy, vo, nullptr, engine);
-  }
+  expect_matrix_identical(net, policy, vo, nullptr, SearchEngineKind::kBfs);
 }
 
-TEST(EngineOptMatrix, FrontierEnginesMatchDfsOnOptMatrixWorkloads) {
+TEST(EngineOptMatrix, BfsMatchesDfsOnOptMatrixWorkloads) {
   // Cross-engine agreement on the uncapped opt-matrix workloads: same
   // verdicts, violations, branch/prune/convergence counters — only the raw
   // transition count (path replay) may differ.
@@ -458,13 +452,9 @@ TEST(EngineOptMatrix, FrontierEnginesMatchDfsOnOptMatrixWorkloads) {
     const RunFingerprint ref = order_independent(
         fingerprint(w.net, *w.policy, w.vo, true, true, nullptr,
                     SearchEngineKind::kDfs));
-    for (const auto engine :
-         {SearchEngineKind::kBfs, SearchEngineKind::kPriority,
-          SearchEngineKind::kRandomRestart}) {
-      const RunFingerprint fp = order_independent(
-          fingerprint(w.net, *w.policy, w.vo, true, true, nullptr, engine));
-      EXPECT_EQ(fp, ref) << "workload " << i << " engine " << to_string(engine);
-    }
+    const RunFingerprint fp = order_independent(fingerprint(
+        w.net, *w.policy, w.vo, true, true, nullptr, SearchEngineKind::kBfs));
+    EXPECT_EQ(fp, ref) << "workload " << i << " engine bfs";
   }
 }
 

@@ -346,7 +346,6 @@ serve::BootstrapMsg sample_bootstrap() {
   bm.explore.budget.max_states = 12345;
   bm.explore.budget.deadline = std::chrono::milliseconds(1500);
   bm.explore.engine_kind = SearchEngineKind::kBfs;
-  bm.explore.engine_seed = 42;
   bm.explore.por = false;
   return bm;
 }
@@ -386,7 +385,6 @@ TEST(ShardFraming, ClusterFrameTypesRoundTrip) {
   EXPECT_EQ(bm.explore.budget.max_states, ref.explore.budget.max_states);
   EXPECT_EQ(bm.explore.budget.deadline, ref.explore.budget.deadline);
   EXPECT_EQ(bm.explore.engine_kind, ref.explore.engine_kind);
-  EXPECT_EQ(bm.explore.engine_seed, ref.explore.engine_seed);
   EXPECT_EQ(bm.explore.por, ref.explore.por);
 
   sched::BootstrapAckMsg a2;
@@ -456,10 +454,14 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
   EXPECT_FALSE(sched::decode_bootstrap_ack(ackb + "x", am));
 
   // Out-of-range enum bytes inside the bootstrap must be rejected even when
-  // the byte layout is otherwise intact.
+  // the byte layout is otherwise intact. Engine bytes 3 and 4 were the
+  // retired priority and random-restart engines.
   serve::BootstrapMsg bad = sample_bootstrap();
-  bad.explore.engine_kind = static_cast<SearchEngineKind>(99);
-  EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
+  for (const int engine : {3, 4, 99}) {
+    SCOPED_TRACE("engine byte " + std::to_string(engine));
+    bad.explore.engine_kind = static_cast<SearchEngineKind>(engine);
+    EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
+  }
   bad = sample_bootstrap();
   bad.explore.visited = static_cast<VisitedKind>(7);
   EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
@@ -514,8 +516,10 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
       sched::decode_task_done(ok_done.substr(0, ok_done.size() - 1), d));
 
   // Older frame headers are refused: version 1 (the 7-flag PecDone
-  // layout) and version 2 (the mirrored-field kBootstrap layout).
-  for (const std::uint16_t old_version : {1, 2}) {
+  // layout), version 2 (the mirrored-field kBootstrap layout) and version 3
+  // (the explore block with the retired engine seed, split and restart
+  // fields).
+  for (const std::uint16_t old_version : {1, 2, 3}) {
     SCOPED_TRACE("version " + std::to_string(old_version));
     std::string old;
     sched::encode_frame(old, sched::MsgType::kTaskDone, ok_done);
@@ -558,15 +562,11 @@ TEST(ShardFraming, BootstrapCarriesEveryShippedExploreOption) {
   eo.budget.max_bytes = std::size_t{1} << 22;
   eo.budget.degrade_visited = true;
   eo.find_all_violations = true;
-  eo.engine_kind = SearchEngineKind::kRandomRestart;
-  eo.engine_seed = 99;
-  eo.engine_split_every = 5;
-  eo.engine_restart_policy = RestartPolicy::kFixedPeriod;
+  eo.engine_kind = SearchEngineKind::kBfs;
   sent.heartbeat_interval_ms = 17;
   sent.fault_plan = "crash@1;gen*";
   ASSERT_NE(eo.bloom_bits, defaults.bloom_bits);
-  ASSERT_NE(eo.engine_seed, defaults.engine_seed);
-  ASSERT_NE(eo.engine_restart_policy, defaults.engine_restart_policy);
+  ASSERT_NE(eo.engine_kind, defaults.engine_kind);
 
   serve::BootstrapMsg got;
   ASSERT_TRUE(serve::decode_bootstrap(serve::encode_bootstrap(sent), got));
@@ -595,9 +595,6 @@ TEST(ShardFraming, BootstrapCarriesEveryShippedExploreOption) {
   EXPECT_EQ(ge.budget.degrade_visited, eo.budget.degrade_visited);
   EXPECT_EQ(ge.find_all_violations, eo.find_all_violations);
   EXPECT_EQ(ge.engine_kind, eo.engine_kind);
-  EXPECT_EQ(ge.engine_seed, eo.engine_seed);
-  EXPECT_EQ(ge.engine_split_every, eo.engine_split_every);
-  EXPECT_EQ(ge.engine_restart_policy, eo.engine_restart_policy);
   EXPECT_EQ(got.heartbeat_interval_ms, sent.heartbeat_interval_ms);
   EXPECT_EQ(got.fault_plan, sent.fault_plan);
 
@@ -866,16 +863,15 @@ VerifyResult run_verify(const Network& net, const Policy& policy,
 
 TEST(ShardDeterminism, RandomCorpusMatchesInProcessAcrossShardsAndEngines) {
   // Corpus scaling: PLANKTON_DIFF_SEEDS drives the differential harness at
-  // ~10x this suite's default (each instance here is 12 full verifications,
-  // 9 of them forking worker pools).
+  // ~10x this suite's default (each instance here is 8 full verifications,
+  // 6 of them forking worker pools).
   int count = 18;
   if (const char* v = std::getenv("PLANKTON_DIFF_SEEDS");
       v != nullptr && std::atoi(v) > 0) {
     count = std::max(6, std::atoi(v) / 10);
   }
   const SearchEngineKind engines[] = {SearchEngineKind::kDfs,
-                                      SearchEngineKind::kBfs,
-                                      SearchEngineKind::kPriority};
+                                      SearchEngineKind::kBfs};
   for (int seed = 1; seed <= count; ++seed) {
     const RandomInstance inst =
         make_random_instance(static_cast<std::uint64_t>(seed));
