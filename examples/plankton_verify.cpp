@@ -12,10 +12,12 @@
 // Options:
 //   --failures <k>     verify under at most k link failures (default 0)
 //   --cores <n>        worker threads (default 1)
-//   --shards <n>       worker *processes*: fork n shard workers and stream
-//                      PEC outcomes/verdicts over the coordinator wire
-//                      protocol (default 0 = in-process). Verdicts are
-//                      bit-identical to the in-process run at any n.
+//   --shards <n>       worker *processes*: start n shard workers (forked, or
+//                      the --tcp-workers daemons), bootstrap each from the
+//                      rendered config and policy spec, and stream PEC
+//                      outcomes/verdicts over the coordinator wire protocol
+//                      (default 0 = in-process). Verdicts are bit-identical
+//                      to the in-process run at any n.
 //   --address <ip>     verify only the PEC containing <ip> (default: all)
 //   --no-pec-dedup     disable batch PEC verification (exploring one
 //                      representative per isomorphic PEC class; on by
@@ -44,8 +46,7 @@
 //                      PLANKTON_FAULT_PLAN when the flag is absent
 //   --tcp-workers <a>  comma-separated host:port list of pre-started
 //                      plankton_worker daemons; shard workers connect there
-//                      instead of forking (falls back to fork if the policy
-//                      has no spec form)
+//                      instead of forking
 //
 // Exit code: 0 = policy holds (exhaustive), 1 = violated,
 //            2 = inconclusive (budget tripped / lossy search /

@@ -1,10 +1,11 @@
 // plankton_worker: remote shard worker daemon. Listens on a loopback TCP
-// port and serves one shard-coordinator connection at a time: each
-// connection bootstraps the verification plan from the coordinator's
-// kBootstrap blob (rendered config + policy spec + exploration options),
-// answers with the locally derived plan hash, then runs the ordinary shard
-// worker session until kShutdown/EOF. Point a coordinator at it with
-// `plankton_verify --shards N --tcp-workers host:port[,host:port...]`.
+// port and serves one shard-coordinator connection at a time through
+// serve_shard_worker_session, the entry point forked shard workers run too:
+// each connection bootstraps the verification plan from the coordinator's
+// kBootstrap blob (rendered config + policy spec + dedup classes +
+// exploration options), answers with the locally derived plan hash, then
+// runs the shard worker session until kShutdown/EOF. Point a coordinator at
+// it with `plankton_verify --shards N --tcp-workers host:port[,host:port...]`.
 //
 //   plankton_worker --tcp 7421
 //   plankton_worker --tcp 7421 --once       # serve one session, then exit

@@ -37,15 +37,14 @@ struct SccTask {
 };
 
 /// The verification plan: everything downstream of (network, policy,
-/// targets, options) that both the coordinator and a bootstrapped remote
-/// worker must agree on. Built by build_shard_plan as a deterministic
-/// function of its inputs, so two hosts that parsed the same rendered
-/// config derive the same plan independently — shard_plan_hash() is the
-/// proof exchanged in the bootstrap handshake.
+/// targets, options) that the coordinator and a bootstrapped worker must
+/// agree on. It is a deterministic function of its inputs and the dedup
+/// classes the coordinator ships in kBootstrap, so a worker that parsed the
+/// same rendered config derives the same plan; shard_plan_hash() proves it.
 struct ShardPlan {
   std::vector<std::uint8_t> needed;     ///< dependency closure of targets
   std::vector<std::uint8_t> is_target;  ///< policy-checked PECs
-  bool dedup_on = false;
+  /// Batch PEC verification classes (empty with dedup off).
   PecClassSet classes;
   std::vector<SccTask> tasks;
   sched::TaskGraph graph;
@@ -55,11 +54,6 @@ struct ShardPlan {
   /// eviction there).
   std::vector<std::ptrdiff_t> needed_dependents;
   std::vector<sched::ShardTaskSpec> specs;
-
-  // Bookkeeping verify_pecs copies into VerifyResult:
-  std::size_t pec_classes = 0;
-  std::size_t pecs_deduped = 0;
-  std::chrono::nanoseconds dedup_fingerprint_time{0};
   /// Per PEC: its exploration cannot be exhaustive under the RPVP model. Set
   /// for every mate of a cyclic (multi-PEC) SCC task — each mate runs
   /// without the outcomes of the mates scheduled after it — and for every
@@ -70,15 +64,11 @@ struct ShardPlan {
   std::vector<std::uint8_t> approximated;
 };
 
-ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
-                           const PecDependencies& deps, const Policy& policy,
-                           const VerifyOptions& opts,
-                           const std::vector<PecId>& targets) {
-  (void)net;
+/// The plan's masks: every upstream PEC of a target must be run (for
+/// outcomes) before its dependents.
+ShardPlan plan_closure(const PecSet& pecs, const PecDependencies& deps,
+                       const std::vector<PecId>& targets) {
   ShardPlan plan;
-
-  // Dependency closure: every upstream PEC must be run (for outcomes) before
-  // its dependents.
   plan.needed.assign(pecs.pecs.size(), 0);
   plan.is_target.assign(pecs.pecs.size(), 0);
   std::vector<PecId> frontier = targets;
@@ -90,30 +80,25 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
     plan.needed[p] = 1;
     for (const PecId q : deps.depends_on[p]) frontier.push_back(q);
   }
+  return plan;
+}
 
-  // Batch PEC verification (eqclass/pec_dedup.hpp): group isomorphic target
-  // PECs and schedule one representative per class. Members are excluded
-  // from the task graph; their reports are produced when their
+/// Completes a plan whose masks and classes are set: the SCC task graph,
+/// eviction counts, approximation flags and wire task specs.
+void finish_plan(ShardPlan& plan, const PecSet& pecs,
+                 const PecDependencies& deps) {
+  // Build the SCC task graph restricted to needed PECs, minus class members:
+  // batch PEC verification (eqclass/pec_dedup.hpp) schedules one
+  // representative per class, and a member's report is produced when its
   // representative finishes — translated on a clean hold, re-explored
   // natively otherwise.
-  plan.dedup_on = opts.pec_dedup;
-  if (plan.dedup_on) {
-    plan.classes = compute_pec_classes(net, pecs, deps, policy, plan.needed,
-                                       plan.is_target);
-    plan.pec_classes = plan.classes.stats.classes;
-    plan.pecs_deduped = plan.classes.stats.deduped;
-    plan.dedup_fingerprint_time = plan.classes.stats.fingerprint_time;
-  }
-
-  // Build the SCC task graph restricted to needed PECs (minus class members,
-  // which ride on their representative's task).
   std::vector<std::int32_t> task_of_scc(deps.sccs.size(), -1);
   for (std::uint32_t s = 0; s < deps.sccs.size(); ++s) {
     std::vector<PecId> members;
     bool target = false;
     for (const PecId p : deps.sccs[s]) {
       if (plan.needed[p] == 0) continue;
-      if (plan.dedup_on && plan.classes.is_translated_member(p)) continue;
+      if (plan.classes.is_translated_member(p)) continue;
       members.push_back(p);
       target = target || plan.is_target[p] != 0;
     }
@@ -125,7 +110,6 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
     t.is_target = target;
     plan.tasks.push_back(std::move(t));
   }
-
   plan.graph.dependents.resize(plan.tasks.size());
   plan.graph.waiting_on.assign(plan.tasks.size(), 0);
   std::vector<PecId> approx;  // seeds of ShardPlan::approximated
@@ -161,18 +145,18 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
 
   // Wire task specs for the shard coordinator (also the structure the plan
   // hash covers).
+  const auto& members_of = plan.classes.members_of;
   plan.specs.resize(plan.tasks.size());
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
     sched::ShardTaskSpec& spec = plan.specs[i];
     spec.pecs = plan.tasks[i].pecs;
-    if (plan.dedup_on) {
-      // Ship class membership with the task: the worker produces the
-      // members' reports (translated or natively re-run) itself, so only
-      // results ever cross the wire.
-      spec.class_members.resize(plan.tasks[i].pecs.size());
-      for (std::size_t mi = 0; mi < plan.tasks[i].pecs.size(); ++mi) {
-        spec.class_members[mi] =
-            plan.classes.members_of[plan.tasks[i].pecs[mi]];
+    // Class membership: the worker produces the members' reports
+    // (translated or natively re-run) itself, so only results cross the wire.
+    for (std::size_t mi = 0; mi < spec.pecs.size(); ++mi) {
+      const PecId p = spec.pecs[mi];
+      if (p < members_of.size() && !members_of[p].empty()) {
+        spec.class_members.resize(spec.pecs.size());
+        spec.class_members[mi] = members_of[p];
       }
     }
     for (const PecId p : plan.tasks[i].pecs) {
@@ -187,11 +171,46 @@ ShardPlan build_shard_plan(const Network& net, const PecSet& pecs,
       }
     }
   }
-  return plan;
+}
+
+/// Rebuilds the coordinator's classes from their kBootstrap list (sized to
+/// `is_target`), refusing any list compute_pec_classes could never emit.
+bool classes_from_wire(const std::vector<serve::BootstrapClass>& wire,
+                       const std::vector<std::uint8_t>& is_target,
+                       PecClassSet& out, std::string& error) {
+  out = PecClassSet{};
+  if (wire.empty()) return true;
+  out.rep_of.assign(is_target.size(), kNoPec);
+  out.members_of.resize(is_target.size());
+  for (const serve::BootstrapClass& c : wire) {
+    if (c.members.empty()) {
+      error = "class " + std::to_string(c.rep) + " has no members";
+      return false;
+    }
+    for (std::size_t i = 0; i <= c.members.size(); ++i) {
+      const std::uint32_t id = i == 0 ? c.rep : c.members[i - 1];
+      const std::string pec = "pec " + std::to_string(id);
+      if (id >= is_target.size()) {
+        error = pec + " is out of range";
+      } else if (is_target[id] == 0) {
+        error = pec + " is not a target";
+      } else if (i > 0 && id == c.rep) {
+        error = pec + " is listed as its own member";
+      } else if (out.rep_of[id] != kNoPec) {
+        error = pec + " is in two classes";
+      } else {
+        out.rep_of[id] = c.rep;
+        continue;
+      }
+      return false;
+    }
+    out.members_of[c.rep].assign(c.members.begin(), c.members.end());
+  }
+  return true;
 }
 
 /// FNV-1a over the plan structure. Covers everything that must agree between
-/// coordinator and remote worker for the wire protocol to be meaningful:
+/// coordinator and worker for the wire protocol to be meaningful:
 /// PEC count, tasks (pecs + targeting), dependency edges, dedup classing.
 /// Exploration knobs travel in the bootstrap itself and need no cross-check.
 std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
@@ -224,9 +243,8 @@ std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
 }
 
 /// The per-PEC execution engine shared by every scheduling path: the
-/// in-process pool, forked shard workers, and TCP-bootstrapped remote
-/// workers all run PECs through here, which is what keeps their verdicts
-/// bit-identical (and lets serve_shard_worker_session exist at all).
+/// in-process pool and every bootstrapped shard worker run PECs through
+/// here, which is what keeps their verdicts bit-identical.
 class ShardExecution {
  public:
   ShardExecution(const Network& net, const PecSet& pecs,
@@ -245,11 +263,11 @@ class ShardExecution {
     // Budget deadline fair-sharing: the global deadline is split into
     // per-PEC slices of remaining_time / remaining_unstarted_pecs, so one
     // monster PEC trips its own slice instead of starving everything
-    // scheduled after it. `pecs_started` is exact in-process; in forked
-    // shard workers each sees only its own copy-on-write increments, which
-    // *under*-counts started PECs and therefore only makes slices more
-    // conservative — never unfair. `scheduled_pecs` is atomic because dedup
-    // member reruns are scheduled dynamically.
+    // scheduled after it. `pecs_started` is exact in-process; a shard
+    // worker counts only the PECs it started itself, which *under*-counts
+    // started PECs and therefore only makes slices more conservative —
+    // never unfair. `scheduled_pecs` is atomic because dedup member reruns
+    // are scheduled dynamically.
     std::size_t statically_scheduled = 0;
     for (const SccTask& t : plan.tasks) statically_scheduled += t.pecs.size();
     scheduled_pecs.store(statically_scheduled, std::memory_order_relaxed);
@@ -317,9 +335,9 @@ class ShardExecution {
   /// members up in parallel (what dedup-off parallelism would have done).
   template <typename Emit, typename Rerun>
   void expand_class(const PecReport& rep, Emit&& emit, Rerun&& rerun) {
-    if (!plan_.dedup_on) return;
-    const auto& members = plan_.classes.members_of[rep.pec];
-    if (members.empty()) return;
+    const auto& members_of = plan_.classes.members_of;
+    if (rep.pec >= members_of.size() || members_of[rep.pec].empty()) return;
+    const auto& members = members_of[rep.pec];
     if (rep.result.verdict() == Verdict::kHolds) {
       for (const PecId m : members) {
         PecReport t;
@@ -344,8 +362,7 @@ class ShardExecution {
   }
 
   /// The shard worker body: runs one task's PECs (plus class tails) and
-  /// converts reports to wire results. Runs inside forked workers and
-  /// bootstrapped TCP workers alike.
+  /// converts reports to wire results inside every shard worker.
   std::vector<sched::ShardPecResult> run_worker_task(std::size_t task_idx,
                                                      OutcomeStore& upstream) {
     std::vector<sched::ShardPecResult> out;
@@ -452,16 +469,18 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   VerifyResult result;
   result.pecs_total = pecs_.pecs.size();
 
-  const ShardPlan plan =
-      build_shard_plan(net_, pecs_, deps_, policy, opts_, targets);
-  result.pec_classes = plan.pec_classes;
-  result.pecs_deduped = plan.pecs_deduped;
-  result.dedup_fingerprint_time = plan.dedup_fingerprint_time;
+  ShardPlan plan = plan_closure(pecs_, deps_, targets);
+  if (opts_.pec_dedup) {
+    plan.classes = compute_pec_classes(net_, pecs_, deps_, policy, plan.needed,
+                                       plan.is_target);
+  }
+  finish_plan(plan, pecs_, deps_);
+  result.pec_classes = plan.classes.stats.classes;
+  result.pecs_deduped = plan.classes.stats.deduped;
+  result.dedup_fingerprint_time = plan.classes.stats.fingerprint_time;
   result.scc_count = plan.tasks.size();
   result.unsupported_scc = !plan.approximated.empty();
   const auto& is_target = plan.is_target;
-
-  ShardExecution ctx(net_, pecs_, deps_, opts_, policy, plan, start);
 
   // Folds one per-PEC report into the aggregate result — the single
   // definition both execution paths use, so the sharded and in-process
@@ -499,83 +518,63 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   };
 
   // ---- multi-process sharding (sched/shard.hpp) ---------------------------
-  // The coordinator spawns workers through a transport (fork children by
-  // default, TCP-bootstrapped plankton_worker processes on request), streams
-  // upstream outcomes to them in the OutcomeStore wire format, and merges
-  // their verdicts. Exploration is deterministic per PEC, so the merged
-  // result is bit-identical to the in-process run at any shard count.
-  // Returns false only on a coordinator-level failure (fork exhaustion,
-  // poisoned task), in which case the in-process path below recovers the
-  // verdict.
+  // The coordinator bootstraps every worker (forked, or plankton_worker
+  // daemons over TCP) from the same kBootstrap blob, streams upstream
+  // outcomes to them in the OutcomeStore wire format, and merges their
+  // verdicts, bit-identical to the in-process run at any shard count.
+  // Returns false for a policy without a spec form or on a coordinator-level
+  // failure; the in-process path below then recovers the verdict.
   auto try_sharded = [&]() -> bool {
+    serve::BootstrapMsg bm;
+    bm.policy_spec = policy.spec(net_);
+    if (bm.policy_spec.empty()) {
+      std::fprintf(stderr,
+                   "plankton: policy '%s' has no spec form to bootstrap shard "
+                   "workers from; verifying in-process\n",
+                   policy.name().c_str());
+      return false;
+    }
     sched::ShardRunOptions so;
     so.shards = std::max(1, opts_.shards);
     so.stop_on_violation = !opts_.explore.find_all_violations;
     so.heartbeat_interval_ms = opts_.shard_heartbeat_interval_ms;
     so.soft_deadline_ms = opts_.shard_soft_deadline_ms;
     so.hard_deadline_ms = opts_.shard_hard_deadline_ms;
-    so.fault_plan = opts_.shard_fault_plan;
 
-    const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {
-      return ctx.run_worker_task(task_idx, upstream);
-    };
-
-    // TCP transport (a worker list is given): ship the plan as a bootstrap
-    // blob. Falls back to fork when the policy cannot be rendered into the
-    // make_policy grammar — remote workers rebuild the policy from its spec
-    // line, so a spec-less policy cannot travel.
-    std::unique_ptr<sched::TcpWorkerTransport> tcp;
-    if (!opts_.shard_workers.empty()) {
-      const std::string policy_spec = policy.spec(net_);
-      if (policy_spec.empty()) {
-        std::fprintf(stderr,
-                     "plankton: policy '%s' has no spec form for tcp "
-                     "bootstrap; using fork transport\n",
-                     policy.name().c_str());
-      } else {
-        serve::BootstrapMsg bm;
-        bm.config_text = serve::render_config(net_);
-        bm.policy_spec = policy_spec;
-        bm.targets.assign(targets.begin(), targets.end());
-        bm.pec_dedup = opts_.pec_dedup;
-        bm.explore = opts_.explore;
-        auto& deadline = bm.explore.budget.deadline;
-        if (deadline.count() > 0) {
-          deadline = std::max(
-              std::chrono::milliseconds(1),
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  start + deadline - std::chrono::steady_clock::now()));
-        }
-        bm.heartbeat_interval_ms = so.heartbeat_interval_ms;
-        // The remote session runs as slot 0 / generation 1 locally, so the
-        // coordinator resolves its FaultPlan per incarnation here and ships
-        // the resolved faults with gen* (fire at any local generation). A
-        // healthy incarnation ships an empty plan string.
-        const auto payload_for = [bm, fp = so.fault_plan](
-                                     std::size_t slot,
-                                     int generation) mutable {
-          const sched::WorkerFaults wf =
-              fp.for_worker(static_cast<int>(slot), generation);
-          if (wf.any()) {
-            sched::FaultPlan resolved;
-            resolved.faults = wf;
-            resolved.all_generations = true;
-            bm.fault_plan = resolved.str();
-          } else {
-            bm.fault_plan.clear();
-          }
-          return serve::encode_bootstrap(bm);
-        };
-        tcp = std::make_unique<sched::TcpWorkerTransport>(
-            opts_.shard_workers,
-            sched::TcpWorkerTransport::PayloadFactory(payload_for),
-            shard_plan_hash(plan, pecs_.pecs.size()),
-            opts_.shard_connect_timeout_ms);
+    bm.config_text = serve::render_config(net_);
+    bm.targets.assign(targets.begin(), targets.end());
+    for (PecId r = 0; r < plan.classes.members_of.size(); ++r) {
+      const auto& members = plan.classes.members_of[r];
+      if (!members.empty()) {
+        bm.classes.push_back({r, {members.begin(), members.end()}});
       }
     }
-
+    bm.explore = opts_.explore;
+    bm.heartbeat_interval_ms = so.heartbeat_interval_ms;
+    // Built per incarnation: a worker started late gets only the time left
+    // of the run-start deadline, and its slot's and generation's faults.
+    const auto bootstrap = [&](std::size_t slot, int generation) {
+      auto& deadline = bm.explore.budget.deadline;
+      if (opts_.explore.budget.deadline.count() > 0) {
+        deadline = std::max(
+            std::chrono::milliseconds(1),
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                start + opts_.explore.budget.deadline -
+                std::chrono::steady_clock::now()));
+      }
+      const sched::WorkerFaults faults =
+          opts_.shard_fault_plan.for_worker(static_cast<int>(slot), generation);
+      bm.fault_plan = sched::FaultPlan{.faults = faults}.str();
+      return serve::encode_bootstrap(bm);
+    };
+    sched::ForkWorkerTransport forked(&serve_shard_worker_session);
+    sched::TcpWorkerTransport remote(opts_.shard_workers,
+                                     opts_.shard_connect_timeout_ms);
+    sched::WorkerTransport* transport = &forked;
+    if (!opts_.shard_workers.empty()) transport = &remote;
     sched::ShardRunResult rr = sched::run_sharded_task_graph(
-        net_, pecs_, so, plan.graph, plan.specs, body, tcp.get());
+        net_, pecs_, so, plan.graph, plan.specs, *transport,
+        bootstrap, shard_plan_hash(plan, pecs_.pecs.size()));
     if (!rr.ok) {
       std::fprintf(stderr,
                    "plankton: sharded run failed (%s); retrying in-process\n",
@@ -590,7 +589,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
       rep.pec_str = pecs_.pecs[sr.pec].str();
       if (sr.translated) {
         rep.translated_from = plan.classes.rep_of[sr.pec];
-      } else if (plan.dedup_on && plan.classes.is_translated_member(sr.pec)) {
+      } else if (plan.classes.is_translated_member(sr.pec)) {
         ++result.dedup_reruns;  // member explored natively in the worker
       }
       rep.result.budget_tripped = sr.budget_tripped;
@@ -611,14 +610,13 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     return true;
   };
 
-  if (opts_.shards > 0) {
-    if (try_sharded()) {
-      finalize_verdict();
-      return result;
-    }
-    // Coordinator-level failure: fall back to the in-process scheduler below
-    // rather than losing the verdict.
+  if (opts_.shards > 0 && try_sharded()) {
+    finalize_verdict();
+    return result;
   }
+  // No shards, or the sharded attempt failed: the in-process scheduler below
+  // produces the verdict rather than losing it.
+  ShardExecution ctx(net_, pecs_, deps_, opts_, policy, plan, start);
 
   OutcomeStore store(net_, pecs_);
 
@@ -712,12 +710,13 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
 }
 
 // ---------------------------------------------------------------------------
-// Remote shard worker (plankton_worker)
+// Shard worker entry point (forked workers and plankton_worker alike)
 // ---------------------------------------------------------------------------
 
 int serve_shard_worker_session(int fd) {
   // A coordinator that dies mid-handshake must surface as EPIPE on this
-  // worker, never SIGPIPE (the accept loop serves the next coordinator).
+  // worker, never SIGPIPE (plankton_worker's accept loop serves the next
+  // coordinator).
   ::signal(SIGPIPE, SIG_IGN);
 
   sched::FrameDecoder decoder;
@@ -737,7 +736,7 @@ int serve_shard_worker_session(int fd) {
     }
   }
   const auto nack = [fd](std::string why) {
-    std::fprintf(stderr, "plankton_worker: bootstrap refused: %s\n",
+    std::fprintf(stderr, "plankton shard worker: bootstrap refused: %s\n",
                  why.c_str());
     sched::BootstrapAckMsg ack;
     ack.ok = 0;
@@ -767,26 +766,23 @@ int serve_shard_worker_session(int fd) {
 
   VerifyOptions vo;
   vo.explore = bm.explore;
-  vo.pec_dedup = bm.pec_dedup;
 
   Verifier verifier(pn.net, vo);
+  const PecSet& pecs = verifier.pecs();
   const std::unique_ptr<Policy> policy =
       serve::make_policy(pn.net, bm.policy_spec, err);
   if (policy == nullptr) return nack("policy: " + err);
 
-  // The coordinator pre-resolved its FaultPlan for this incarnation (the
-  // session below always runs as slot 0 / generation 1, so an unresolved
-  // slot/generation-scoped plan would silently never fire here).
-  sched::FaultPlan session_faults;
-  if (!bm.fault_plan.empty() &&
-      !sched::parse_fault_plan(bm.fault_plan, session_faults, err)) {
+  // Resolved by the coordinator for this incarnation: apply as shipped.
+  sched::FaultPlan faults;
+  if (!sched::parse_fault_plan(bm.fault_plan, faults, err)) {
     return nack("fault plan: " + err);
   }
 
   std::vector<PecId> targets;
   targets.reserve(bm.targets.size());
   for (const std::uint32_t t : bm.targets) {
-    if (t >= verifier.pecs().pecs.size()) {
+    if (t >= pecs.pecs.size()) {
       return nack("target pec " + std::to_string(t) +
                   " out of range (network reconstruction diverged?)");
     }
@@ -794,29 +790,26 @@ int serve_shard_worker_session(int fd) {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  const ShardPlan plan = build_shard_plan(pn.net, verifier.pecs(),
-                                          verifier.deps(), *policy, vo,
-                                          targets);
-  ShardExecution ctx(pn.net, verifier.pecs(), verifier.deps(), vo, *policy,
-                     plan, start);
+  ShardPlan plan = plan_closure(pecs, verifier.deps(), targets);
+  if (!classes_from_wire(bm.classes, plan.is_target, plan.classes, err)) {
+    return nack("classes: " + err);
+  }
+  finish_plan(plan, pecs, verifier.deps());
+  ShardExecution ctx(pn.net, pecs, verifier.deps(), vo, *policy, plan, start);
 
   sched::BootstrapAckMsg ack;
   ack.ok = 1;
-  ack.plan_hash = shard_plan_hash(plan, verifier.pecs().pecs.size());
+  ack.plan_hash = shard_plan_hash(plan, pecs.pecs.size());
   std::string out;
   sched::encode_frame(out, sched::MsgType::kBootstrapAck,
                       sched::encode_bootstrap_ack(ack));
   if (!sched::write_all(fd, out)) return 2;
 
-  sched::ShardRunOptions so;
-  so.heartbeat_interval_ms = bm.heartbeat_interval_ms;
-  so.fault_plan = session_faults;
-
   const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {
     return ctx.run_worker_task(task_idx, upstream);
   };
-  return sched::run_worker_session(fd, /*slot=*/0, /*generation=*/1, pn.net,
-                                   verifier.pecs(), plan.tasks.size(), so,
+  return sched::run_worker_session(fd, pn.net, pecs, plan.tasks.size(),
+                                   bm.heartbeat_interval_ms, faults.faults,
                                    body);
 }
 

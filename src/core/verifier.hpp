@@ -37,9 +37,10 @@ struct VerifyOptions {
   int cores = 1;                             ///< worker threads for PEC runs
   /// Worker *processes* for the multi-process shard coordinator
   /// (sched/shard.hpp). 0 = in-process scheduling (the default); N >= 1
-  /// forks N workers and streams outcomes/verdicts over the wire protocol.
-  /// Verdicts, violation multisets, and state counts are bit-identical to
-  /// the in-process run at any shard count.
+  /// starts N workers, bootstraps each from the kBootstrap blob, and streams
+  /// outcomes/verdicts over the wire protocol. Verdicts, violation
+  /// multisets, and state counts are bit-identical to the in-process run at
+  /// any shard count.
   int shards = 0;
   /// Batch PEC verification (eqclass/pec_dedup.hpp): group isomorphic PECs
   /// and explore one representative per class, transferring clean "holds"
@@ -57,15 +58,16 @@ struct VerifyOptions {
   int shard_hard_deadline_ms = 30000;
   /// Deterministic fault injection for the shard transport and worker loop
   /// (sched/fault.hpp); empty = no faults. CLI --fault-plan / env
-  /// PLANKTON_FAULT_PLAN. Fork workers inherit the plan; TCP workers get
-  /// their incarnation's faults inside kBootstrap.
+  /// PLANKTON_FAULT_PLAN. The coordinator resolves it per worker slot and
+  /// generation, and each worker gets its incarnation's faults inside
+  /// kBootstrap.
   sched::FaultPlan shard_fault_plan;
 
-  /// Worker transport for the shard coordinator: empty = fork workers.
+  /// Worker transport for the shard coordinator: empty = forked workers.
   /// Otherwise worker slot s connects to shard_workers[s % n] ("host:port"
-  /// plankton_worker listeners) and bootstraps from a rendered-config +
-  /// policy-spec blob, falling back to fork (with a stderr note) when the
-  /// policy has no spec() form.
+  /// plankton_worker listeners). Either kind bootstraps from the same
+  /// rendered-config + policy-spec blob; a policy with no spec() form runs
+  /// in-process instead (with a stderr note).
   std::vector<std::string> shard_workers;
   int shard_connect_timeout_ms = 5000;
 };
@@ -150,13 +152,14 @@ class Verifier {
   PecDependencies deps_;
 };
 
-/// Serves one shard-coordinator connection on an established socket (the
-/// plankton_worker accept loop calls this per connection): reads the
-/// kBootstrap frame, reconstructs network/policy/plan from it, answers
-/// kBootstrapAck carrying the plan hash, then runs the ordinary shard worker
-/// session until kShutdown/EOF. Returns the run_worker_session exit code
-/// (0 orderly, 2 transport error, 3 protocol/bootstrap error, 4 body
-/// exception); the caller keeps accepting either way.
+/// The one shard worker entry point: serves a shard-coordinator connection
+/// on an established socket. A forked worker runs it on its end of the
+/// socketpair; the plankton_worker accept loop runs it per TCP connection.
+/// Reads the kBootstrap frame, reconstructs network/policy/plan from it
+/// (taking the dedup classes as shipped), answers kBootstrapAck carrying
+/// the plan hash, then runs the shard worker session until kShutdown/EOF.
+/// Returns the run_worker_session exit code (0 orderly, 2 transport error,
+/// 3 protocol/bootstrap error, 4 body exception).
 int serve_shard_worker_session(int fd);
 
 }  // namespace plankton

@@ -164,48 +164,52 @@ bool PathConsistencyPolicy::check(const ConvergedView& view, std::string& why) c
 }
 
 // -- make_policy spec rendering ----------------------------------------------
-// These must stay in lockstep with the serve-layer grammar: a remote shard
+// These must stay in lockstep with the serve-layer grammar: every shard
 // worker rebuilds the policy by feeding this string back through make_policy,
 // and a drifting renderer silently verifies a different property.
 
 namespace {
 
-void append_names(std::string& out, const Network& net,
-                  std::span<const NodeId> nodes) {
-  for (const NodeId n : nodes) {
-    out += ' ';
-    out += net.topo.name(n);
-  }
+/// " name name ...".
+std::string names(const Network& net, std::span<const NodeId> nodes) {
+  std::string out;
+  for (const NodeId n : nodes) out += ' ' + net.topo.name(n);
+  return out;
 }
 
 }  // namespace
 
+// Reach and bounded take the all-nodes empty source list only implicitly,
+// and waypoint names are comma-joined: those cases have no spec form.
 std::string ReachabilityPolicy::spec(const Network& net) const {
-  std::string out = "reach";
-  append_names(out, net, sources_);
-  return out;
+  return sources_.empty() ? "" : "reach" + names(net, sources_);
 }
 
 std::string WaypointPolicy::spec(const Network& net) const {
-  if (waypoints_.size() != 1) return "";
-  std::string out = "waypoint ";
-  out += net.topo.name(waypoints_.front());
-  append_names(out, net, sources_);
-  return out;
+  if (waypoints_.empty() || sources_.empty()) return "";
+  std::string via = names(net, waypoints_);
+  if (via.find(',') != std::string::npos) return "";
+  std::replace(via.begin() + 1, via.end(), ' ', ',');
+  return "waypoint" + via + names(net, sources_);
 }
 
 std::string LoopFreedomPolicy::spec(const Network&) const { return "loop"; }
 
 std::string BlackholeFreedomPolicy::spec(const Network& net) const {
-  std::string out = "blackhole";
-  append_names(out, net, sources_);
-  return out;
+  return "blackhole" + names(net, sources_);
 }
 
 std::string BoundedPathLengthPolicy::spec(const Network& net) const {
-  std::string out = "bounded " + std::to_string(limit_);
-  append_names(out, net, sources_);
-  return out;
+  if (sources_.empty()) return "";
+  return "bounded " + std::to_string(limit_) + names(net, sources_);
+}
+
+std::string MultipathConsistencyPolicy::spec(const Network& net) const {
+  return "multipath" + names(net, sources_);
+}
+
+std::string PathConsistencyPolicy::spec(const Network& net) const {
+  return group_.empty() ? "" : "consistency" + names(net, group_);
 }
 
 }  // namespace plankton

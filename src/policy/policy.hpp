@@ -51,9 +51,10 @@ class Policy {
   [[nodiscard]] virtual bool supports_equivalence() const { return true; }
 
   /// The policy rendered in the serve-layer `make_policy` grammar ("reach
-  /// <node>...", "loop", ...), so a remote shard worker can rebuild it from
-  /// the bootstrap blob. Empty = the policy has no spec form; cluster
-  /// transports fall back to fork for such policies.
+  /// <node>...", "loop", ...), so a shard worker can rebuild it from the
+  /// kBootstrap blob. Every built-in policy has one; empty = no spec form
+  /// (only test-defined policies), and Verifier then runs a sharded request
+  /// in-process with a stderr note.
   [[nodiscard]] virtual std::string spec(const Network& net) const {
     (void)net;
     return "";
@@ -82,8 +83,6 @@ class WaypointPolicy final : public Policy {
   [[nodiscard]] std::span<const NodeId> sources() const override { return sources_; }
   [[nodiscard]] std::span<const NodeId> interesting() const override { return waypoints_; }
   [[nodiscard]] bool check(const ConvergedView& view, std::string& why) const override;
-  /// Only the single-waypoint form exists in the grammar; multi-waypoint
-  /// policies return "" (fork-only).
   [[nodiscard]] std::string spec(const Network& net) const override;
 
  private:
@@ -135,6 +134,7 @@ class MultipathConsistencyPolicy final : public Policy {
   [[nodiscard]] std::string name() const override { return "multipath-consistency"; }
   [[nodiscard]] std::span<const NodeId> sources() const override { return sources_; }
   [[nodiscard]] bool check(const ConvergedView& view, std::string& why) const override;
+  [[nodiscard]] std::string spec(const Network& net) const override;
 
  private:
   std::vector<NodeId> sources_;
@@ -151,6 +151,7 @@ class PathConsistencyPolicy final : public Policy {
   [[nodiscard]] std::span<const NodeId> sources() const override { return group_; }
   [[nodiscard]] bool check(const ConvergedView& view, std::string& why) const override;
   [[nodiscard]] bool supports_equivalence() const override { return false; }
+  [[nodiscard]] std::string spec(const Network& net) const override;
 
  private:
   std::vector<NodeId> group_;

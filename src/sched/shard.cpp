@@ -466,19 +466,16 @@ PecDoneMsg to_pec_done(const ShardPecResult& r) {
 
 }  // namespace
 
-/// One worker's whole session over an established coordinator socket. Exit
-/// codes are diagnostic only — the coordinator treats any death identically
-/// (reassign + respawn). `slot`/`generation` identify this incarnation to
-/// the FaultPlan (a fault fires at generation 0 by default, so the respawn
-/// is healthy).
+/// Exit codes are diagnostic only — the coordinator treats any death
+/// identically (reassign + respawn).
 int run_worker_session(
-    int fd, int slot, int generation, const Network& net, const PecSet& pecs,
-    std::size_t task_count, const ShardRunOptions& opts,
+    int fd, const Network& net, const PecSet& pecs, std::size_t task_count,
+    int heartbeat_interval_ms, const WorkerFaults& faults,
     const std::function<std::vector<ShardPecResult>(std::size_t,
                                                     OutcomeStore&)>& body) {
   WorkerIo io;
   io.fd = fd;
-  io.faults = opts.fault_plan.for_worker(slot, generation);
+  io.faults = faults;
 
   // Heartbeat beacon: liveness + the sampled exploration progress counter on
   // a fixed cadence. It shares the frame write lock with data frames, so a
@@ -489,9 +486,9 @@ int run_worker_session(
   // serve many sessions over their lifetime on recycled descriptors).
   std::atomic<bool> beacon_stop{false};
   std::thread beacon;
-  if (opts.heartbeat_interval_ms > 0) {
+  if (heartbeat_interval_ms > 0) {
     beacon = std::thread([&io, &beacon_stop,
-                          interval = opts.heartbeat_interval_ms] {
+                          interval = heartbeat_interval_ms] {
       const int slice = std::clamp(interval, 1, 10);
       int since_beat = 0;
       for (;;) {
@@ -613,74 +610,11 @@ int compute_respawn_backoff_ms(int base_ms, int deaths) {
 
 namespace {
 
-/// The built-in default transport: fork + socketpair, children inheriting
-/// the whole plan by copy-on-write. Lives here rather than transport.cpp
-/// because start() must close the coordinator's other live worker fds inside
-/// the child — it needs a view of the slot table at fork time.
-class ForkWorkerTransport final : public WorkerTransport {
- public:
-  ForkWorkerTransport(
-      const Network& net, const PecSet& pecs, std::size_t task_count,
-      const ShardRunOptions& opts,
-      const std::function<std::vector<ShardPecResult>(std::size_t,
-                                                      OutcomeStore&)>& body,
-      std::function<std::vector<int>()> open_fds)
-      : net_(net),
-        pecs_(pecs),
-        task_count_(task_count),
-        opts_(opts),
-        body_(body),
-        open_fds_(std::move(open_fds)) {}
-
-  [[nodiscard]] const char* name() const override { return "fork"; }
-
-  int start(std::size_t slot, int generation, pid_t& pid) override {
-    pid = -1;
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return -1;
-    std::fflush(nullptr);  // no duplicated stdio buffers in the child
-    const pid_t child = fork();
-    if (child < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      return -1;
-    }
-    if (child == 0) {
-      close(sv[0]);
-      for (const int fd : open_fds_()) close(fd);  // not ours to hold
-      _exit(run_worker_session(sv[1], static_cast<int>(slot), generation, net_,
-                               pecs_, task_count_, opts_, body_));
-    }
-    close(sv[1]);
-    pid = child;
-    return sv[0];
-  }
-
-  void terminate(std::size_t, pid_t pid) override {
-    if (pid > 0) kill(pid, SIGKILL);
-  }
-
-  void reap(std::size_t, pid_t pid) override {
-    if (pid > 0) {
-      int status = 0;
-      (void)waitpid(pid, &status, 0);
-    }
-  }
-
- private:
-  const Network& net_;
-  const PecSet& pecs_;
-  std::size_t task_count_;
-  const ShardRunOptions& opts_;
-  const std::function<std::vector<ShardPecResult>(std::size_t, OutcomeStore&)>&
-      body_;
-  std::function<std::vector<int>()> open_fds_;
-};
-
 struct WorkerSlot {
   pid_t pid = -1;  ///< -1 for transports without a local process (TCP)
   int fd = -1;
   bool alive = false;
+  bool acked = false;  ///< kBootstrapAck carried the plan hash: takes tasks
   std::size_t current = kNoTask;
   std::vector<std::uint8_t> delivered;  ///< per-PecId: outcomes on the worker
   std::deque<PecId> pending_evictions;  ///< piggybacked on the next assign
@@ -689,13 +623,14 @@ struct WorkerSlot {
 
   // -- supervision ----------------------------------------------------------
   int generation = 0;  ///< respawn count of this slot (FaultPlan scoping)
-  std::chrono::steady_clock::time_point assigned_at{};  ///< current task start
+  /// Current task start; until the ack, when the connection was started.
+  std::chrono::steady_clock::time_point assigned_at{};
   std::chrono::steady_clock::time_point last_beat{};    ///< last kHeartbeat
   std::uint64_t last_progress = 0;  ///< progress counter at last change
   std::chrono::steady_clock::time_point last_progress_time{};
   bool probed = false;  ///< soft-deadline probe already fired for this task
   std::chrono::steady_clock::time_point respawn_after{};  ///< backoff gate
-  /// Consecutive start() failures since the last successful spawn — a remote
+  /// Consecutive failed starts since the last acked incarnation — a remote
   /// worker that is down paces the reconnect attempts up the same
   /// exponential ladder as crash respawns instead of hammering every 200 ms.
   int start_failures = 0;
@@ -710,9 +645,10 @@ struct WorkerSlot {
 ShardRunResult run_sharded_task_graph(
     const Network& net, const PecSet& pecs, const ShardRunOptions& opts,
     const TaskGraph& graph, const std::vector<ShardTaskSpec>& tasks,
-    const std::function<std::vector<ShardPecResult>(
-        std::size_t task, OutcomeStore& upstream)>& body,
-    WorkerTransport* transport) {
+    WorkerTransport& tp,
+    const std::function<std::string(std::size_t slot, int generation)>&
+        bootstrap,
+    std::uint64_t plan_hash) {
   ShardRunResult result;
   const std::size_t total = graph.size();
   const int shards = std::max(1, opts.shards);
@@ -744,27 +680,31 @@ ShardRunResult run_sharded_task_graph(
   std::vector<WorkerSlot> workers(static_cast<std::size_t>(shards));
   std::vector<int> reassignments(total, 0);
 
-  ForkWorkerTransport fork_transport(
-      net, pecs, total, opts, body, [&workers]() {
-        std::vector<int> fds;
-        for (const WorkerSlot& w : workers) {
-          if (w.alive && w.fd >= 0) fds.push_back(w.fd);
-        }
-        return fds;
-      });
-  WorkerTransport* const tp = transport != nullptr ? transport : &fork_transport;
-
+  /// Starts a connection for `slot` and opens it with kBootstrap; the ack
+  /// arrives later in the poll loop. false = a failed start.
   const auto spawn_worker = [&](std::size_t slot) -> bool {
     WorkerSlot& w = workers[slot];
     pid_t pid = -1;
-    const int fd = tp->start(slot, w.generation, pid);
+    const int fd = tp.start(slot, pid);
     if (fd < 0) return false;
-    w.start_failures = 0;
     const int flags = fcntl(fd, F_GETFL, 0);
     (void)fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    std::string out;
+    encode_frame(out, MsgType::kBootstrap, bootstrap(slot, w.generation));
+    bool stalled = false;
+    if (!write_all(fd, out, &stalled)) {
+      if (stalled) ++result.stats.write_timeouts;
+      tp.terminate(slot, pid);
+      close(fd);
+      tp.reap(slot, pid);
+      return false;
+    }
+    ++result.stats.frames_sent;
+    result.stats.bytes_sent += out.size();
     w.pid = pid;
     w.fd = fd;
     w.alive = true;
+    w.acked = false;
     w.current = kNoTask;
     w.delivered.assign(pecs.pecs.size(), 0);
     w.pending_evictions.clear();
@@ -780,18 +720,41 @@ ShardRunResult run_sharded_task_graph(
     return true;
   };
 
+  /// A failed start (no connection, or no ack) climbs the same capped ladder
+  /// as crash respawns: a TCP worker that is down is probed at 200, 400, ...
+  /// 2000 ms, not every poll slice. With no acked worker left, give up.
+  const auto start_failed = [&](std::size_t slot, const char* why) {
+    WorkerSlot& w = workers[slot];
+    w.respawn_after = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(compute_respawn_backoff_ms(
+                          200, ++w.start_failures));
+    const bool any_acked =
+        std::any_of(workers.begin(), workers.end(),
+                    [](const WorkerSlot& o) { return o.alive && o.acked; });
+    if (!any_acked && result.error.empty()) {
+      result.error = "no shard worker started (worker " +
+                     std::to_string(slot) + ": " + why + ")";
+    }
+  };
+
   std::size_t completed = 0;
   std::size_t inflight = 0;
   bool stopping = false;
 
-  const auto handle_worker_death = [&](std::size_t slot) {
+  const auto handle_worker_death =
+      [&](std::size_t slot,
+          const char* why = "closed the connection before its bootstrap ack") {
     WorkerSlot& w = workers[slot];
     if (!w.alive) return;
     w.alive = false;
     close(w.fd);
     w.fd = -1;
-    tp->reap(slot, w.pid);
+    tp.reap(slot, w.pid);
     w.pid = -1;
+    if (!w.acked) {
+      start_failed(slot, why);  // no task was in flight
+      return;
+    }
     if (w.current != kNoTask) {
       --inflight;
       ++result.stats.tasks_reassigned;
@@ -808,8 +771,8 @@ ShardRunResult run_sharded_task_graph(
     // Exponential respawn backoff: the k-th death of this slot gates its
     // respawn by base << min(k-1, 6), saturating and capped at 2 s, so a
     // flapping worker (deterministic crash, bad host) cannot monopolize the
-    // coordinator with fork storms. generation was already bumped at spawn,
-    // so the first death backs off by the base alone.
+    // coordinator with respawn storms. generation was already bumped at
+    // spawn, so the first death backs off by the base alone.
     const int deaths = w.generation;  // spawns so far == deaths now
     const int backoff = compute_respawn_backoff_ms(opts.respawn_backoff_ms,
                                                    deaths);
@@ -821,8 +784,8 @@ ShardRunResult run_sharded_task_graph(
     ++result.stats.decode_errors;
     std::fprintf(stderr, "plankton shard coordinator: worker %zu poisoned (%s)\n",
                  slot, why);
-    tp->terminate(slot, workers[slot].pid);
-    handle_worker_death(slot);
+    tp.terminate(slot, workers[slot].pid);
+    handle_worker_death(slot, why);
   };
 
   const auto release_dep_ref = [&](PecId p) {
@@ -885,10 +848,13 @@ ShardRunResult run_sharded_task_graph(
     return true;
   };
 
-  /// Drains one worker's socket; returns false when the worker died.
+  /// Drains one worker's socket; returns false when the worker died or the
+  /// run hit a coordinator error. Frames ahead of an EOF (a refusal, say)
+  /// are handled before the death.
   const auto drain_worker = [&](std::size_t slot) -> bool {
     WorkerSlot& w = workers[slot];
     char buf[1 << 16];
+    bool closed = false;
     for (;;) {
       const ssize_t r = read(w.fd, buf, sizeof(buf));
       if (r > 0) {
@@ -898,14 +864,36 @@ ShardRunResult run_sharded_task_graph(
       }
       if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (r < 0 && errno == EINTR) continue;
-      handle_worker_death(slot);  // EOF or hard error
-      return false;
+      closed = true;  // EOF or hard error
+      break;
     }
     Frame frame;
     FrameDecoder::Status st;
     while ((st = w.decoder.next(frame)) == FrameDecoder::Status::kFrame) {
       ++result.stats.frames_received;
+      if (!w.acked && frame.type != MsgType::kBootstrapAck) {
+        poison_worker(slot, "sent a frame before its bootstrap ack");
+        return false;
+      }
       switch (frame.type) {
+        case MsgType::kBootstrapAck: {
+          BootstrapAckMsg ack;
+          if (w.acked || !decode_bootstrap_ack(frame.payload, ack)) {
+            poison_worker(slot, "bad bootstrap ack");
+            return false;
+          }
+          if (ack.ok == 0 || ack.plan_hash != plan_hash) {
+            result.error = "worker " + std::to_string(slot) +
+                           " refused its bootstrap (" +
+                           (ack.ok == 0 ? ack.error : "plan hash mismatch") +
+                           ")";
+            return false;
+          }
+          w.acked = true;
+          w.start_failures = 0;
+          w.last_beat = std::chrono::steady_clock::now();  // beacon starts now
+          break;
+        }
         case MsgType::kHeartbeat: {
           HeartbeatMsg hb;
           if (!decode_heartbeat(frame.payload, hb)) {
@@ -1042,26 +1030,34 @@ ShardRunResult run_sharded_task_graph(
       poison_worker(slot, w.decoder.error().c_str());
       return false;
     }
+    if (closed) {
+      handle_worker_death(slot);
+      return false;
+    }
     return true;
   };
 
-  for (std::size_t s = 0; s < workers.size(); ++s) {
-    if (!spawn_worker(s)) {
-      result.error = "failed to spawn shard worker";
-      break;
-    }
+  for (std::size_t s = 0; s < workers.size() && result.error.empty(); ++s) {
+    if (!spawn_worker(s)) start_failed(s, "could not be started");
   }
 
+  // The first dispatch waits until the initial pool has acked or failed its
+  // start, so the first assignments follow slot order, not ack order.
+  bool starting = true;
   while (result.error.empty()) {
+    starting = starting && std::any_of(workers.begin(), workers.end(),
+                                       [](const WorkerSlot& w) {
+                                         return w.alive && !w.acked;
+                                       });
     // Dispatch: lowest-index ready task to the idle worker already holding
     // most of its upstream outcomes (ties to the lowest slot).
-    while (!stopping && !ready.empty()) {
+    while (!stopping && !starting && !ready.empty()) {
       std::size_t best = workers.size();
       std::size_t best_overlap = 0;
       const std::size_t task = ready.front();
       for (std::size_t s = 0; s < workers.size(); ++s) {
         const WorkerSlot& w = workers[s];
-        if (!w.alive || w.current != kNoTask) continue;
+        if (!w.alive || !w.acked || w.current != kNoTask) continue;
         std::size_t overlap = 0;
         for (const PecId dep : tasks[task].deps) {
           overlap += w.delivered[dep] != 0 ? 1 : 0;
@@ -1077,6 +1073,25 @@ ShardRunResult run_sharded_task_graph(
     }
 
     if (inflight == 0 && (ready.empty() || stopping)) break;
+
+    // Bootstrap bound, heartbeats on or off: a connection that has not acked
+    // within kBootstrapAckMs is killed as a failed start.
+    const auto ack_now = std::chrono::steady_clock::now();
+    for (std::size_t s = 0; s < workers.size(); ++s) {
+      WorkerSlot& w = workers[s];
+      if (!w.alive || w.acked ||
+          ack_now - w.assigned_at <=
+              std::chrono::milliseconds(kBootstrapAckMs)) {
+        continue;
+      }
+      std::fprintf(stderr,
+                   "plankton shard coordinator: worker %zu did not ack its "
+                   "bootstrap within %dms, killing\n",
+                   s, kBootstrapAckMs);
+      tp.terminate(s, w.pid);
+      handle_worker_death(s, "did not ack its bootstrap in time");
+    }
+    if (!result.error.empty()) break;
 
     // Supervision: the escalation ladder over every in-flight task. With
     // heartbeats on, liveness has two independent signals — the beacon
@@ -1106,7 +1121,7 @@ ShardRunResult run_sharded_task_graph(
                            std::chrono::duration_cast<std::chrono::milliseconds>(
                                beat_age > hard ? beat_age : progress_age)
                                .count()));
-          tp->terminate(s, w.pid);
+          tp.terminate(s, w.pid);
           handle_worker_death(s);
           continue;
         }
@@ -1124,34 +1139,16 @@ ShardRunResult run_sharded_task_graph(
 
     // Crash recovery: keep the pool at full strength while work remains,
     // honoring each slot's respawn backoff (a flapping slot waits it out).
-    bool any_alive = false;
-    bool any_backing_off = false;
     const auto respawn_now = std::chrono::steady_clock::now();
     for (std::size_t s = 0; s < workers.size() && result.error.empty(); ++s) {
-      if (workers[s].alive) {
-        any_alive = true;
-        continue;
-      }
-      if (ready.empty() && inflight == 0) continue;
-      if (respawn_now < workers[s].respawn_after) {
-        any_backing_off = true;
+      if (workers[s].alive || (ready.empty() && inflight == 0) ||
+          respawn_now < workers[s].respawn_after) {
         continue;
       }
       if (spawn_worker(s)) {
         ++result.stats.workers_respawned;
-        any_alive = true;
       } else {
-        if (!any_alive && !any_backing_off && s + 1 == workers.size()) {
-          result.error = "cannot respawn any shard worker";
-        }
-        // A failed start (fork pressure, remote worker still down) climbs
-        // the same capped exponential ladder as crash respawns: a TCP
-        // worker that is down for a while is probed at 200, 400, ... 2000 ms
-        // instead of hammered every poll slice, and reconnects promptly
-        // once it is back (the cap bounds the worst-case refill delay).
-        workers[s].respawn_after =
-            respawn_now + std::chrono::milliseconds(compute_respawn_backoff_ms(
-                              200, ++workers[s].start_failures));
+        start_failed(s, "could not be restarted");
       }
     }
     if (!result.error.empty()) break;
@@ -1184,14 +1181,14 @@ ShardRunResult run_sharded_task_graph(
   }
 
   // Shutdown: orderly for live workers, forceful on the error path (they may
-  // be mid-task and deaf to the socket).
+  // be mid-task and deaf to the socket) and for workers still bootstrapping.
   std::string bye;
   encode_frame(bye, MsgType::kShutdown, "");
   for (std::size_t s = 0; s < workers.size(); ++s) {
     WorkerSlot& w = workers[s];
     if (!w.alive) continue;
-    if (!result.error.empty()) {
-      tp->terminate(s, w.pid);
+    if (!result.error.empty() || !w.acked) {
+      tp.terminate(s, w.pid);
     } else {
       (void)write_all(w.fd, bye);
       ++result.stats.frames_sent;
@@ -1199,7 +1196,7 @@ ShardRunResult run_sharded_task_graph(
     }
     close(w.fd);
     w.fd = -1;
-    tp->reap(s, w.pid);
+    tp.reap(s, w.pid);
     w.pid = -1;
     w.alive = false;
   }

@@ -3,10 +3,11 @@
 // sharding").
 //
 // The coordinator partitions the SCC-ordered task graph across N worker
-// processes (fork + socketpair on POSIX). Workers are forked from the
-// calling process, so each inherits the network/PEC/task state by copy and
-// only *results* cross the process boundary:
+// processes, forked or remote (sched/transport.hpp). Every worker rebuilds
+// the plan from data and only *results* cross the process boundary after:
 //
+//   coordinator ──kBootstrap─────────▶ worker   config, policy, classes, ...
+//   worker ──kBootstrapAck───────────▶ coordinator   plan hash (or refusal)
 //   coordinator ──kOutcomeDelivery*──▶ worker   upstream PEC outcomes the
 //                                               assigned task depends on
 //                                               (OutcomeStore wire format)
@@ -33,7 +34,7 @@
 // violation multiset, and state counts stay bit-identical to a
 // single-process run regardless of shard count, assignment, or crashes. A
 // per-task reassignment cap turns a deterministically-crashing task into a
-// coordinator-level error rather than a fork loop.
+// coordinator-level error rather than a respawn loop.
 //
 // Assignment is dependency-aware: tasks become eligible in SCC condensation
 // order (sched/deps numbering) and an eligible task prefers the idle worker
@@ -79,8 +80,7 @@ enum class MsgType : std::uint16_t {
   kVerdictReply = 10,    ///< daemon → client: verdict + counters + violations
   kCacheStats = 11,      ///< empty payload: probe; non-empty: counter reply
 
-  // Cluster-scale sharding frames: TCP workers (examples/plankton_worker)
-  // bootstrap from a serialized plan instead of fork-inherited memory.
+  // Worker bootstrap: every shard worker rebuilds its plan from a blob.
   kBootstrap = 12,       ///< coordinator → worker: serialized net/policy/plan
                          ///< blob (codec in serve/serve.hpp — render_config +
                          ///< options flattening live with the daemon)
@@ -90,8 +90,9 @@ enum class MsgType : std::uint16_t {
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
 /// Bumped on every payload layout change (2: the three-flag PecDoneMsg; 3:
 /// kBootstrap carries ExploreOptions whole; 4: its explore block drops the
-/// retired engine seed, split and restart fields).
-inline constexpr std::uint16_t kFrameVersion = 4;
+/// retired engine seed, split and restart fields; 5: kBootstrap ships the
+/// dedup class list in place of the pec_dedup flag).
+inline constexpr std::uint16_t kFrameVersion = 5;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
 /// Ceiling for one frame's payload. Anything larger is treated as a corrupt
@@ -228,10 +229,10 @@ struct HeartbeatMsg {
 [[nodiscard]] std::string encode_heartbeat(const HeartbeatMsg& m);
 [[nodiscard]] bool decode_heartbeat(std::string_view in, HeartbeatMsg& out);
 
-/// Worker's answer to a kBootstrap blob (TCP transport only): either the
-/// fingerprint of the plan it reconstructed — the coordinator refuses the
-/// worker on a mismatch, since a diverging plan would silently verify the
-/// wrong PECs — or a refusal with a human-readable reason.
+/// Worker's answer to a kBootstrap blob: either the fingerprint of the plan
+/// it reconstructed — a mismatch is a coordinator error, since a diverging
+/// plan would silently verify the wrong PECs — or a refusal with a
+/// human-readable reason.
 struct BootstrapAckMsg {
   std::uint8_t ok = 0;
   std::string error;
@@ -277,8 +278,8 @@ struct ShardTaskSpec {
   /// ride on pecs[i] (the class representative). The worker emits one
   /// ShardPecResult per member — translated from the representative's clean
   /// hold or natively re-explored — so only results cross the wire. Empty
-  /// when dedup is off or the class is a singleton. (Specs are inherited by
-  /// fork, so this ships with the task at no wire cost.)
+  /// when no PEC of the task represents a multi-member class. (The worker
+  /// rebuilds the same lists from the kBootstrap class list.)
   std::vector<std::vector<PecId>> class_members;
 };
 
@@ -303,7 +304,7 @@ struct ShardRunOptions {
   /// (the in-process early-stop behaviour); in-flight tasks still complete.
   bool stop_on_violation = false;
   /// Give up on a task after this many worker deaths while it was in flight
-  /// (a deterministically-crashing task must not fork forever).
+  /// (a deterministically-crashing task must not respawn forever).
   int max_reassignments_per_task = 3;
 
   // -- supervision (the hang-detection escalation ladder) -------------------
@@ -323,19 +324,20 @@ struct ShardRunOptions {
   int hard_deadline_ms = 30000;
   /// Base of the exponential respawn backoff for a flapping worker slot:
   /// the k-th respawn of a slot waits base << min(k, 6), capped at 2 s, so
-  /// a crash-looping slot cannot monopolize the coordinator with forks
+  /// a crash-looping slot cannot monopolize the coordinator with respawns
   /// (saturating — see compute_respawn_backoff_ms).
   int respawn_backoff_ms = 25;
-
-  /// Deterministic fault injection (sched/fault.hpp) consulted by the
-  /// worker loop and transport at instrumented points. Empty = no faults.
-  FaultPlan fault_plan;
 };
+
+/// A fresh connection must ack kBootstrap within this long, heartbeats on or
+/// off, or it is killed as a failed start (a rebuild takes a few ms at N=500).
+inline constexpr int kBootstrapAckMs = 10000;
 
 struct ShardRunResult {
   bool ok = false;           ///< coordinator completed (or stopped early by design)
   bool stopped_early = false;
-  std::string error;         ///< set when !ok (fork failure, poisoned task, ...)
+  std::string error;         ///< set when !ok (no worker started, refused
+                             ///< bootstrap, poisoned task, ...)
   std::vector<ShardPecResult> reports;  ///< outcomes stripped; wire order
   ShardStats stats;
 };
@@ -346,38 +348,32 @@ struct ShardRunResult {
 /// negative gate (which would turn the backoff into a busy fork loop).
 [[nodiscard]] int compute_respawn_backoff_ms(int base_ms, int deaths);
 
-/// One worker's whole session over an established coordinator socket: the
-/// kTaskAssign/kOutcomeDelivery/kShutdown loop, with a heartbeat beacon
-/// thread that is stopped and joined before returning (so nothing can write
-/// to `fd` after the session ends). Returns the worker
-/// exit code: 0 orderly (kShutdown or coordinator EOF), 2 transport error,
-/// 3 protocol error, 4 body exception. Fork workers _exit() with it; TCP
-/// workers (examples/plankton_worker) return to their accept loop.
+/// One worker's session after its bootstrap: the kTaskAssign/
+/// kOutcomeDelivery/kShutdown loop, running each task through `body` with
+/// its upstream outcomes in a worker-local store (mutable: a cyclic SCC task
+/// publishes one mate's outcomes for the next). The heartbeat beacon (off at
+/// interval 0) is joined before returning, so nothing writes to `fd` after.
+/// Returns 0 orderly (kShutdown or EOF), 2 transport error, 3 protocol error,
+/// 4 body exception.
 int run_worker_session(
-    int fd, int slot, int generation, const Network& net, const PecSet& pecs,
-    std::size_t task_count, const ShardRunOptions& opts,
+    int fd, const Network& net, const PecSet& pecs, std::size_t task_count,
+    int heartbeat_interval_ms, const WorkerFaults& faults,
     const std::function<std::vector<ShardPecResult>(
         std::size_t task, OutcomeStore& upstream)>& body);
 
 class WorkerTransport;  // sched/transport.hpp
 
-/// Runs `graph` across `opts.shards` workers. With the default (null)
-/// transport, workers are forked children: `body` executes in the *worker*
-/// process with the task's upstream outcomes available in `upstream` (a
-/// worker-local OutcomeStore fed from kOutcomeDelivery frames) and returns
-/// the per-PEC results to ship back. The store is mutable so a multi-PEC
-/// (cyclic SCC) task body can publish one mate's outcomes for the next mate
-/// mid-task, matching the in-process scheduler's behaviour. The calling
-/// process must be effectively single-threaded at the first fork (workers
-/// are spawned lazily, including respawns after crashes). A non-null
-/// `transport` replaces fork entirely (e.g. TcpWorkerTransport: remote
-/// plankton_worker processes that bootstrapped their own plan — `body` then
-/// never runs in this process).
+/// Runs `graph` across `opts.shards` workers from `transport`. Each new
+/// connection gets kBootstrap carrying `bootstrap(slot, generation)`, built
+/// per incarnation, and takes tasks once its ack carries `plan_hash`; a
+/// refusal or mismatch ends the run with ok == false. A forking transport
+/// needs the caller effectively single-threaded (workers start lazily).
 ShardRunResult run_sharded_task_graph(
     const Network& net, const PecSet& pecs, const ShardRunOptions& opts,
     const TaskGraph& graph, const std::vector<ShardTaskSpec>& tasks,
-    const std::function<std::vector<ShardPecResult>(
-        std::size_t task, OutcomeStore& upstream)>& body,
-    WorkerTransport* transport = nullptr);
+    WorkerTransport& transport,
+    const std::function<std::string(std::size_t slot, int generation)>&
+        bootstrap,
+    std::uint64_t plan_hash);
 
 }  // namespace plankton::sched

@@ -5,20 +5,20 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 
 namespace plankton::sched {
 namespace {
 
 /// Non-blocking connect bounded by `timeout_ms`, returned as a blocking fd
-/// (the bootstrap handshake is sequential anyway; the coordinator flips it
-/// to O_NONBLOCK once the worker is accepted).
+/// (the coordinator flips it to O_NONBLOCK with every other worker fd).
 int connect_with_timeout(const std::string& host, const std::string& port,
                          int timeout_ms) {
   addrinfo hints{};
@@ -57,26 +57,49 @@ int connect_with_timeout(const std::string& host, const std::string& port,
 
 }  // namespace
 
-TcpWorkerTransport::TcpWorkerTransport(std::vector<std::string> addresses,
-                                       std::string bootstrap_payload,
-                                       std::uint64_t expected_plan_hash,
-                                       int connect_timeout_ms)
-    : TcpWorkerTransport(
-          std::move(addresses),
-          PayloadFactory([payload = std::move(bootstrap_payload)](
-                             std::size_t, int) { return payload; }),
-          expected_plan_hash, connect_timeout_ms) {}
+int ForkWorkerTransport::start(std::size_t slot, pid_t& pid) {
+  pid = -1;
+  int sv[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return -1;
+  std::fflush(nullptr);  // no duplicated stdio buffers in the child
+  const pid_t child = fork();
+  if (child < 0) {
+    close(sv[0]);
+    close(sv[1]);
+    return -1;
+  }
+  if (child == 0) {
+    close(sv[0]);
+    for (const int fd : fds_) {
+      if (fd >= 0) close(fd);  // other workers' coordinator ends: not ours
+    }
+    _exit(session_(sv[1]));
+  }
+  close(sv[1]);
+  if (fds_.size() <= slot) fds_.resize(slot + 1, -1);
+  fds_[slot] = sv[0];
+  pid = child;
+  return sv[0];
+}
+
+void ForkWorkerTransport::terminate(std::size_t, pid_t pid) {
+  if (pid > 0) kill(pid, SIGKILL);
+}
+
+void ForkWorkerTransport::reap(std::size_t slot, pid_t pid) {
+  if (slot < fds_.size()) fds_[slot] = -1;  // the coordinator closed it
+  if (pid > 0) {
+    int status = 0;
+    (void)waitpid(pid, &status, 0);
+  }
+}
 
 TcpWorkerTransport::TcpWorkerTransport(std::vector<std::string> addresses,
-                                       PayloadFactory payload_factory,
-                                       std::uint64_t expected_plan_hash,
                                        int connect_timeout_ms)
     : addrs_(std::move(addresses)),
-      payload_factory_(std::move(payload_factory)),
-      expected_plan_hash_(expected_plan_hash),
       connect_timeout_ms_(std::max(connect_timeout_ms, 1)) {}
 
-int TcpWorkerTransport::start(std::size_t slot, int generation, pid_t& pid) {
+int TcpWorkerTransport::start(std::size_t slot, pid_t& pid) {
   pid = -1;
   if (addrs_.empty()) return -1;
   const std::string& addr = addrs_[slot % addrs_.size()];
@@ -101,60 +124,6 @@ int TcpWorkerTransport::start(std::size_t slot, int generation, pid_t& pid) {
   setsockopt(fd, IPPROTO_TCP, TCP_KEEPINTVL, &intvl, sizeof(intvl));
   setsockopt(fd, IPPROTO_TCP, TCP_KEEPCNT, &cnt, sizeof(cnt));
 #endif
-  std::string out;
-  encode_frame(out, MsgType::kBootstrap, payload_factory_(slot, generation));
-  // write_all's MSG_NOSIGNAL: a worker that dies between connect and
-  // bootstrap surfaces as EPIPE, never SIGPIPE.
-  if (!write_all(fd, out)) {
-    close(fd);
-    return -1;
-  }
-  // Block for the ack under a budget generous enough for the worker to
-  // parse the config and rebuild the plan before answering.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(connect_timeout_ms_) * 4;
-  FrameDecoder decoder;
-  Frame frame;
-  char buf[4096];
-  for (;;) {
-    const FrameDecoder::Status st = decoder.next(frame);
-    if (st == FrameDecoder::Status::kFrame) break;
-    if (st == FrameDecoder::Status::kError ||
-        std::chrono::steady_clock::now() >= deadline) {
-      close(fd);
-      return -1;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    const int pr = poll(&pfd, 1, 100);
-    if (pr < 0 && errno != EINTR) {
-      close(fd);
-      return -1;
-    }
-    if (pr <= 0) continue;
-    const ssize_t r = recv(fd, buf, sizeof(buf), 0);
-    if (r > 0) {
-      decoder.feed(buf, static_cast<std::size_t>(r));
-    } else if (r == 0 || errno != EINTR) {
-      close(fd);
-      return -1;
-    }
-  }
-  BootstrapAckMsg ack;
-  if (frame.type != MsgType::kBootstrapAck ||
-      !decode_bootstrap_ack(frame.payload, ack) || decoder.buffered() != 0) {
-    std::fprintf(stderr,
-                 "plankton tcp transport: worker %s spoke a bad handshake\n",
-                 addr.c_str());
-    close(fd);
-    return -1;
-  }
-  if (ack.ok == 0 || ack.plan_hash != expected_plan_hash_) {
-    std::fprintf(
-        stderr, "plankton tcp transport: worker %s refused bootstrap (%s)\n",
-        addr.c_str(), ack.ok == 0 ? ack.error.c_str() : "plan hash mismatch");
-    close(fd);
-    return -1;
-  }
   return fd;
 }
 

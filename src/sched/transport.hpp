@@ -1,25 +1,19 @@
 // Worker transports for the shard coordinator (ROADMAP "cluster-scale
 // sharding"): how run_sharded_task_graph obtains, stops, and reaps worker
-// connections. The protocol on the wire is identical for every transport —
-// the same PKS1 frames, the same supervision ladder, the same crash
-// recovery — so the coordinator is transport-agnostic past start().
+// connections. A transport only provides a connected stream; the kBootstrap
+// handshake, the frames, supervision and recovery belong to the coordinator
+// and are identical for both:
 //
-//   fork (default, internal to shard.cpp)   children inherit the plan by
-//                                           copy-on-write; only results
-//                                           cross the socketpair
-//   tcp (TcpWorkerTransport)                workers are pre-started
-//                                           plankton_worker processes, on
-//                                           this or other hosts, that
-//                                           reconstruct the plan from a
-//                                           kBootstrap blob (serve/serve.hpp
-//                                           codec) and prove it with a plan
-//                                           hash in kBootstrapAck
+//   fork (ForkWorkerTransport)   a child on the other end of a socketpair
+//   tcp (TcpWorkerTransport)     pre-started plankton_worker processes, on
+//                                this or other hosts
+//
+// Both run the same worker entry point, serve_shard_worker_session; a forked
+// child inherits the coordinator's memory but reads nothing from it.
 #pragma once
 
 #include <sys/types.h>
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,17 +24,16 @@ namespace plankton::sched {
 class WorkerTransport {
  public:
   virtual ~WorkerTransport() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Establishes the worker for `slot` (its generation-th incarnation,
-  /// counting respawns) and returns a connected stream fd, or -1 on failure
-  /// — the coordinator's respawn backoff paces the retries. `pid` reports
-  /// the local process id when the transport spawned one, -1 otherwise.
-  virtual int start(std::size_t slot, int generation, pid_t& pid) = 0;
+  /// Returns a connected stream fd for worker `slot`, or -1 on failure (the
+  /// coordinator's backoff paces retries). `pid` reports the local process
+  /// id when the transport spawned one, -1 otherwise.
+  virtual int start(std::size_t slot, pid_t& pid) = 0;
 
   /// Forcefully stops a worker the coordinator gave up on (hang kill,
-  /// poisoned stream), before its fd is closed. Local transports SIGKILL;
-  /// remote workers notice the close instead and recycle the session.
+  /// poisoned stream, missing bootstrap ack), before its fd is closed. Local
+  /// transports SIGKILL; remote workers notice the close instead and
+  /// recycle the session.
   virtual void terminate(std::size_t slot, pid_t pid) = 0;
 
   /// Disposes of the stopped worker after its fd was closed (waitpid for
@@ -48,41 +41,39 @@ class WorkerTransport {
   virtual void reap(std::size_t slot, pid_t pid) = 0;
 };
 
+/// Local workers: fork + socketpair. The child closes the other workers'
+/// coordinator ends (so each sees EOF when the coordinator drops it) and
+/// _exits with `session`'s code on its own end — serve_shard_worker_session,
+/// passed in so sched/ does not depend on core/.
+class ForkWorkerTransport final : public WorkerTransport {
+ public:
+  explicit ForkWorkerTransport(int (*session)(int fd)) : session_(session) {}
+
+  int start(std::size_t slot, pid_t& pid) override;
+  void terminate(std::size_t slot, pid_t pid) override;
+  void reap(std::size_t slot, pid_t pid) override;
+
+ private:
+  int (*session_)(int fd);
+  std::vector<int> fds_;  ///< per slot: the coordinator end handed out, or -1
+};
+
 /// Remote workers over TCP. Slot s connects to addresses[s % n] (each
-/// "host:port", typically one per plankton_worker process), ships the
-/// kBootstrap blob, and blocks for a kBootstrapAck whose plan hash matches
-/// `expected_plan_hash` — a worker that reconstructed a diverging plan would
-/// silently verify the wrong PECs, so it is refused like a connect failure.
-/// A respawn is simply a reconnect: while the remote process is down start()
-/// fails fast and surviving workers absorb the reassigned tasks; once it is
-/// back (plankton_worker serves sessions in an accept loop) the slot refills.
+/// "host:port", typically one per plankton_worker process). A respawn is
+/// simply a reconnect: while the remote process is down start() fails fast
+/// and surviving workers absorb the reassigned tasks; once it is back
+/// (plankton_worker serves sessions in an accept loop) the slot refills.
 class TcpWorkerTransport final : public WorkerTransport {
  public:
-  /// Builds the kBootstrap payload for one (slot, generation) incarnation —
-  /// the coordinator resolves per-incarnation state (e.g. which FaultPlan
-  /// faults this incarnation must act out) into the blob it ships.
-  using PayloadFactory =
-      std::function<std::string(std::size_t slot, int generation)>;
+  explicit TcpWorkerTransport(std::vector<std::string> addresses,
+                              int connect_timeout_ms = 5000);
 
-  TcpWorkerTransport(std::vector<std::string> addresses,
-                     std::string bootstrap_payload,
-                     std::uint64_t expected_plan_hash,
-                     int connect_timeout_ms = 5000);
-
-  TcpWorkerTransport(std::vector<std::string> addresses,
-                     PayloadFactory payload_factory,
-                     std::uint64_t expected_plan_hash,
-                     int connect_timeout_ms = 5000);
-
-  [[nodiscard]] const char* name() const override { return "tcp"; }
-  int start(std::size_t slot, int generation, pid_t& pid) override;
+  int start(std::size_t slot, pid_t& pid) override;
   void terminate(std::size_t, pid_t) override {}
   void reap(std::size_t, pid_t) override {}
 
  private:
   std::vector<std::string> addrs_;
-  PayloadFactory payload_factory_;
-  std::uint64_t expected_plan_hash_ = 0;
   int connect_timeout_ms_ = 5000;
 };
 

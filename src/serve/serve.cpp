@@ -116,7 +116,12 @@ std::string encode_bootstrap(const BootstrapMsg& m) {
   put_string(out, m.policy_spec);
   put_int(out, static_cast<std::uint32_t>(m.targets.size()));
   for (const std::uint32_t t : m.targets) put_int(out, t);
-  put_field(out, m.pec_dedup);
+  put_int(out, static_cast<std::uint32_t>(m.classes.size()));
+  for (const BootstrapClass& c : m.classes) {
+    put_int(out, c.rep);
+    put_int(out, static_cast<std::uint32_t>(c.members.size()));
+    for (const std::uint32_t p : c.members) put_int(out, p);
+  }
   (void)visit_shipped(m.explore, [&out](const auto& v) {
     put_field(out, v);
     return true;
@@ -141,8 +146,19 @@ bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
   for (std::uint32_t i = 0; i < n; ++i) {
     if (!get_int(in, out.targets[i])) return fail();
   }
+  // A class is at least its representative and a member count.
+  if (!get_int(in, n) || !fits(in, n, 4 + 4)) return fail();
+  out.classes.resize(n);
+  for (BootstrapClass& c : out.classes) {
+    if (!get_int(in, c.rep) || !get_int(in, n) || !fits(in, n, 4)) {
+      return fail();
+    }
+    c.members.resize(n);
+    for (std::uint32_t& p : c.members) {
+      if (!get_int(in, p)) return fail();
+    }
+  }
   const bool ok =
-      get_field(in, out.pec_dedup) &&
       visit_shipped(out.explore,
                     [&in](auto& v) { return get_field(in, v); }) &&
       get_int(in, out.heartbeat_interval_ms) &&
@@ -274,13 +290,14 @@ bool decode_cache_stats(std::string_view in, CacheStatsMsg& out) {
 
 namespace {
 
-std::vector<std::string_view> split_tokens(std::string_view s) {
+std::vector<std::string_view> split_tokens(std::string_view s,
+                                           char sep = ' ') {
   std::vector<std::string_view> out;
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && s[i] == ' ') ++i;
+    while (i < s.size() && s[i] == sep) ++i;
     const std::size_t start = i;
-    while (i < s.size() && s[i] != ' ') ++i;
+    while (i < s.size() && s[i] != sep) ++i;
     if (i > start) out.push_back(s.substr(start, i - start));
   }
   return out;
@@ -348,13 +365,25 @@ std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
   }
   if (kind == "waypoint") {
     if (rest.size() < 2) {
-      error = "usage: waypoint <via> <source>...";
+      error = "usage: waypoint <via>[,<via>...] <source>...";
       return nullptr;
     }
     std::vector<NodeId> via;
-    if (!nodes_of(net, rest.subspan(0, 1), via, error)) return nullptr;
+    if (!nodes_of(net, split_tokens(rest[0], ','), via, error)) return nullptr;
     if (!nodes_of(net, rest.subspan(1), nodes, error)) return nullptr;
     return std::make_unique<WaypointPolicy>(std::move(nodes), std::move(via));
+  }
+  if (kind == "multipath") {
+    if (!nodes_of(net, rest, nodes, error)) return nullptr;
+    return std::make_unique<MultipathConsistencyPolicy>(std::move(nodes));
+  }
+  if (kind == "consistency") {
+    if (rest.empty()) {
+      error = "consistency needs at least one node";
+      return nullptr;
+    }
+    if (!nodes_of(net, rest, nodes, error)) return nullptr;
+    return std::make_unique<PathConsistencyPolicy>(std::move(nodes));
   }
   error = "unknown policy '" + std::string(kind) + "'";
   return nullptr;

@@ -87,29 +87,32 @@ struct CacheStatsMsg {
   std::uint64_t entries = 0;
 };
 
-/// kBootstrap: everything a remote shard worker (plankton_worker) needs to
-/// rebuild the coordinator's verification plan from scratch — the network as
+/// One dedup class in kBootstrap: a representative and its other members.
+struct BootstrapClass {
+  std::uint32_t rep = 0;
+  std::vector<std::uint32_t> members;
+};
+
+/// kBootstrap: everything a shard worker (forked or plankton_worker) needs to
+/// rebuild the coordinator's verification plan — the network as
 /// render_config text, the policy in make_policy grammar, the target PECs,
-/// and the options its sessions read. PEC partitioning, dependency analysis,
-/// and dedup classing are deterministic functions of the parsed network, so
-/// both sides derive the same task graph independently; the kBootstrapAck
-/// plan hash proves they actually did.
+/// the dedup classes, and the options its session reads. PEC partitioning
+/// and dependency analysis are deterministic functions of the parsed
+/// network; the kBootstrapAck plan hash proves the worker's plan matches.
 struct BootstrapMsg {
   std::string config_text;            ///< render_config output
   std::string policy_spec;            ///< make_policy grammar
   std::vector<std::uint32_t> targets; ///< PecIds the query policy-checks
-  bool pec_dedup = true;              ///< VerifyOptions::pec_dedup
+  /// The coordinator's multi-member dedup classes (none with dedup off).
+  std::vector<BootstrapClass> classes;
   /// VerifyOptions::explore, every field but record_outcomes (run_pec_core
   /// sets that per PEC). The budget deadline travels as the *remaining*
   /// milliseconds: absolute time points do not survive a host boundary.
   ExploreOptions explore;
   /// ShardRunOptions::heartbeat_interval_ms for the worker's session.
   std::int32_t heartbeat_interval_ms = 0;
-  /// Pre-resolved FaultPlan string this worker incarnation must act out
-  /// (empty = no faults). The coordinator resolves its plan per slot +
-  /// generation before shipping, because the remote session always runs as
-  /// slot 0 / generation 1 locally — shipping the raw plan would silently
-  /// mis-target every slot-scoped fault.
+  /// This incarnation's faults, resolved by the coordinator for its slot and
+  /// generation (FaultPlan syntax; empty = no faults).
   std::string fault_plan;
 };
 
@@ -133,8 +136,10 @@ bool decode_cache_stats(std::string_view in, CacheStatsMsg& out);
 
 /// Builds a policy from a one-line spec: `reach <node>...`, `loop`,
 /// `blackhole [<node>...]`, `bounded <limit> <node>...`,
-/// `waypoint <via> <source>...`. Returns nullptr and fills `error` on an
-/// unknown form or node name.
+/// `waypoint <via>[,<via>...] <source>...`, `multipath [<node>...]`,
+/// `consistency <node>...`. Returns nullptr and fills `error` on an unknown
+/// form or node name. Policy::spec() renders every built-in policy back
+/// into this grammar.
 std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
                                     std::string& error);
 

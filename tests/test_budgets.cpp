@@ -90,11 +90,20 @@ struct WorstCase {
   [[nodiscard]] VerifyResult run(VerifyOptions vo) const {
     return run(vo, policy);
   }
+  /// A sharded run must have run its tasks in workers: a refused bootstrap
+  /// falls back to the in-process scheduler, the very oracle compared
+  /// against.
   [[nodiscard]] VerifyResult run(VerifyOptions vo, const Policy& p) const {
     vo.explore.det_nodes_bgp = false;
     vo.explore.suppress_equivalent = false;
     Verifier verifier(ft.net, vo);
-    return verifier.verify_address(addr, p);
+    VerifyResult r = verifier.verify_address(addr, p);
+    if (vo.shards > 0) {
+      std::uint64_t ran = 0;
+      for (const std::uint64_t n : r.shard.tasks_per_shard) ran += n;
+      EXPECT_GT(ran, 0u) << "the sharded run fell back to in-process";
+    }
+    return r;
   }
 };
 
@@ -311,10 +320,9 @@ TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {
 
 TEST(BudgetSoundness, ExploreBudgetIsHonoredByVerifier) {
   // VerifyOptions::explore.budget is the one budget: a state cap set there
-  // must reach every PEC exploration in-process, in forked shard workers,
-  // and in TCP-bootstrapped workers (which rebuild it from kBootstrap). The
-  // TCP arm needs a policy with a spec form, so the whole test checks loop
-  // freedom on the worst-case PEC.
+  // must reach every PEC exploration in-process and in forked and TCP shard
+  // workers (which all rebuild it from kBootstrap). The whole test checks
+  // loop freedom on the worst-case PEC.
   const WorstCase wc;
   const LoopFreedomPolicy loop;
   testsupport::ThreadWorker workers[2];

@@ -18,12 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "core/verifier.hpp"
 #include "sched/fault.hpp"
 #include "sched/shard.hpp"
+#include "support/body_transport.hpp"
 #include "support/figure6.hpp"
 #include "support/random_net.hpp"
 #include "workload/enterprise.hpp"
@@ -185,10 +187,23 @@ Fingerprint fingerprint(const VerifyResult& r) {
   return fp;
 }
 
+/// One verification; `addr` narrows it to the PEC holding that address. A
+/// sharded run must have run its tasks in workers: a refused bootstrap falls
+/// back to the in-process scheduler, which is the very oracle these tests
+/// compare against. (The unrecoverable cases below expect that fallback and
+/// call Verifier themselves.)
 VerifyResult run_verify(const Network& net, const Policy& policy,
-                        VerifyOptions vo) {
+                        VerifyOptions vo,
+                        std::optional<IpAddr> addr = std::nullopt) {
   Verifier verifier(net, vo);
-  return verifier.verify(policy);
+  VerifyResult r =
+      addr ? verifier.verify_address(*addr, policy) : verifier.verify(policy);
+  if (vo.shards > 0) {
+    std::uint64_t ran = 0;
+    for (const std::uint64_t n : r.shard.tasks_per_shard) ran += n;
+    EXPECT_GT(ran, 0u) << "the sharded run fell back to in-process";
+  }
+  return r;
 }
 
 TEST(FaultInjectionSweep, SeededPlansMatchTheInProcessOracle) {
@@ -413,7 +428,7 @@ TEST(SocketFaultUnrecoverable, PersistentDropConnNeverYieldsAFalseHold) {
   sv.shards = 2;
   sv.shard_fault_plan = parse_plan("drop-conn@1;gen*");
   sv.shard_heartbeat_interval_ms = 10;
-  const VerifyResult r = run_verify(fx.net, policy, sv);
+  const VerifyResult r = Verifier(fx.net, sv).verify(policy);
   EXPECT_EQ(fingerprint(r), ref)
       << "the in-process fallback verdict must match the oracle";
   EXPECT_TRUE(r.shard.tasks_per_shard.empty())
@@ -434,8 +449,8 @@ TEST(FaultInjectionHangs, WedgedWorkerIsKilledAndReassigned) {
   const ReachabilityPolicy policy({ent.access.front()});
   VerifyOptions vo;
   vo.explore.find_all_violations = true;
-  const Fingerprint ref = fingerprint(
-      Verifier(ent.net, vo).verify_address(IpAddr(10, 200, 0, 1), policy));
+  const IpAddr dc(10, 200, 0, 1);
+  const Fingerprint ref = fingerprint(run_verify(ent.net, policy, vo, dc));
 
   VerifyOptions sv = vo;
   sv.shards = 2;
@@ -443,8 +458,7 @@ TEST(FaultInjectionHangs, WedgedWorkerIsKilledAndReassigned) {
   sv.shard_heartbeat_interval_ms = 10;
   sv.shard_soft_deadline_ms = 60;
   sv.shard_hard_deadline_ms = 250;
-  const VerifyResult r =
-      Verifier(ent.net, sv).verify_address(IpAddr(10, 200, 0, 1), policy);
+  const VerifyResult r = run_verify(ent.net, policy, sv, dc);
   EXPECT_EQ(fingerprint(r), ref)
       << "hang recovery changed the merged verdict";
   EXPECT_GE(r.shard.hang_kills, 1u) << "the wedge was never detected";
@@ -499,7 +513,7 @@ TEST(FaultInjectionUnrecoverable, PersistentCrashExhaustsTheCapCleanly) {
   sv.shards = 2;
   sv.shard_fault_plan = parse_plan("crash@1;gen*");
   sv.shard_heartbeat_interval_ms = 10;
-  const VerifyResult r = run_verify(fx.net, policy, sv);
+  const VerifyResult r = Verifier(fx.net, sv).verify(policy);
   EXPECT_EQ(fingerprint(r), ref)
       << "the in-process fallback verdict must match the oracle";
   // Shard stats stay empty: the sharded attempt failed before producing a
@@ -521,15 +535,15 @@ TEST(FaultInjectionUnrecoverable, CoordinatorReportsTheCapError) {
   opts.shards = 2;
   opts.max_reassignments_per_task = 2;
   opts.respawn_backoff_ms = 1;  // keep the exponential backoff sweep fast
-  std::string err;
-  EXPECT_TRUE(sched::parse_fault_plan("crash@1;gen*", opts.fault_plan, err))
-      << err;
-  const auto body = [](std::size_t, OutcomeStore&)
-      -> std::vector<sched::ShardPecResult> {
-    return {};
-  };
-  const sched::ShardRunResult rr =
-      sched::run_sharded_task_graph(net, pecs, opts, graph, specs, body);
+  testsupport::BodyTransport tp(net, pecs, graph.size(),
+                                [](std::size_t, OutcomeStore&)
+                                    -> std::vector<sched::ShardPecResult> {
+                                  return {};
+                                });
+  const sched::ShardRunResult rr = sched::run_sharded_task_graph(
+      net, pecs, opts, graph, specs, tp,
+      testsupport::BodyTransport::payload(opts, parse_plan("crash@1;gen*")),
+      testsupport::BodyTransport::kPlanHash);
   EXPECT_FALSE(rr.ok);
   EXPECT_NE(rr.error.find("reassignment cap"), std::string::npos) << rr.error;
   EXPECT_GE(rr.stats.tasks_reassigned, 2u);

@@ -2,10 +2,11 @@
 // coordinator data flow, cross-process determinism, and crash recovery.
 //
 // The headline guarantees under test:
-//   · --shards {1,2,4} × {dfs, bfs, priority} produce verdicts, violation
-//     multisets, and state counts bit-identical to the in-process
-//     scheduler, on the seeded random_net corpus and on the paper's Fig. 6
-//     and fat-tree workloads (corpus scales with PLANKTON_DIFF_SEEDS);
+//   · --shards {1,2,4} × {dfs, bfs} produce verdicts, violation multisets,
+//     and state counts bit-identical to the in-process scheduler, on the
+//     seeded random_net corpus and on the paper's Fig. 6 and fat-tree
+//     workloads (corpus scales with PLANKTON_DIFF_SEEDS), every sharded run
+//     through workers bootstrapped from kBootstrap;
 //   · a worker that dies mid-task (FaultPlan crash@F) is detected, its task
 //     reassigned, and the run still converges to the identical result;
 //   · the framing decoder survives truncated, corrupt, and hostile-length
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "pec/pec.hpp"
 #include "sched/shard.hpp"
 #include "serve/serve.hpp"
+#include "support/body_transport.hpp"
 #include "support/figure6.hpp"
 #include "support/random_net.hpp"
 #include "workload/enterprise.hpp"
@@ -35,6 +38,7 @@
 namespace plankton {
 namespace {
 
+using testsupport::BodyTransport;
 using testsupport::Figure6;
 using testsupport::RandomInstance;
 using testsupport::make_random_instance;
@@ -347,6 +351,7 @@ serve::BootstrapMsg sample_bootstrap() {
   bm.explore.budget.deadline = std::chrono::milliseconds(1500);
   bm.explore.engine_kind = SearchEngineKind::kBfs;
   bm.explore.por = false;
+  bm.classes = {{0, {3, 7}}, {4, {5}}};
   return bm;
 }
 
@@ -380,6 +385,8 @@ TEST(ShardFraming, ClusterFrameTypesRoundTrip) {
   EXPECT_EQ(bm.config_text, ref.config_text);
   EXPECT_EQ(bm.policy_spec, ref.policy_spec);
   EXPECT_EQ(bm.targets, ref.targets);
+  ASSERT_EQ(bm.classes.size(), ref.classes.size());
+  EXPECT_EQ(bm.classes[1].members, ref.classes[1].members);
   EXPECT_EQ(bm.explore.max_failures, ref.explore.max_failures);
   EXPECT_EQ(bm.explore.visited, ref.explore.visited);
   EXPECT_EQ(bm.explore.budget.max_states, ref.explore.budget.max_states);
@@ -486,6 +493,32 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
   bad.explore.max_failures = -1;
   EXPECT_FALSE(serve::decode_bootstrap(serve::encode_bootstrap(bad), bm));
 
+  // The class list: a class count or a member count far beyond the bytes
+  // present is caught by the bounds check, not turned into a huge resize.
+  // The list sits right after the targets.
+  const auto with_class_words = [](std::vector<std::uint32_t> words) {
+    serve::BootstrapMsg b = sample_bootstrap();
+    b.classes.clear();
+    std::string enc = serve::encode_bootstrap(b);
+    const std::size_t at = 8 + b.config_text.size() + 8 +
+                           b.policy_spec.size() + 4 + 4 * b.targets.size();
+    std::string patch(4 * words.size(), '\0');
+    std::memcpy(patch.data(), words.data(), patch.size());
+    return enc.replace(at, 4, patch);
+  };
+  ASSERT_TRUE(serve::decode_bootstrap(with_class_words({0}), bm));
+  EXPECT_TRUE(bm.classes.empty());
+  ASSERT_TRUE(serve::decode_bootstrap(with_class_words({1, 2, 1, 9}), bm));
+  ASSERT_EQ(bm.classes.size(), 1u);
+  EXPECT_EQ(bm.classes[0].rep, 2u);
+  EXPECT_EQ(bm.classes[0].members, (std::vector<std::uint32_t>{9}));
+  EXPECT_FALSE(serve::decode_bootstrap(with_class_words({0xffffffffu}), bm));
+  EXPECT_TRUE(bm.classes.empty()) << "failed decode must reset output";
+  EXPECT_FALSE(
+      serve::decode_bootstrap(with_class_words({1, 2, 0xffffffffu}), bm));
+  EXPECT_FALSE(serve::decode_bootstrap(with_class_words({2, 2, 1, 9}), bm))
+      << "a class count one above the classes present";
+
   // PecDone (kTaskDone payload): a budget kind past kMemory, a flag byte
   // above 1, or a PEC entry one byte short of kPecDoneWireBytes is refused.
   const auto done_with = [](auto mutate) {
@@ -516,10 +549,10 @@ TEST(ShardFraming, ClusterPayloadDecodersRejectCorruptInput) {
       sched::decode_task_done(ok_done.substr(0, ok_done.size() - 1), d));
 
   // Older frame headers are refused: version 1 (the 7-flag PecDone
-  // layout), version 2 (the mirrored-field kBootstrap layout) and version 3
+  // layout), version 2 (the mirrored-field kBootstrap layout), version 3
   // (the explore block with the retired engine seed, split and restart
-  // fields).
-  for (const std::uint16_t old_version : {1, 2, 3}) {
+  // fields) and version 4 (the pec_dedup flag in place of the class list).
+  for (const std::uint16_t old_version : {1, 2, 3, 4}) {
     SCOPED_TRACE("version " + std::to_string(old_version));
     std::string old;
     sched::encode_frame(old, sched::MsgType::kTaskDone, ok_done);
@@ -539,8 +572,8 @@ TEST(ShardFraming, BootstrapCarriesEveryShippedExploreOption) {
   serve::BootstrapMsg sent;
   sent.config_text = "node r1\nnode r2\n";
   sent.policy_spec = "loop";
-  sent.targets = {1, 2};
-  sent.pec_dedup = false;
+  sent.targets = {1, 2, 4, 6};
+  sent.classes = {{1, {2, 6}}, {4, {}}};
   const ExploreOptions defaults;
   ExploreOptions& eo = sent.explore;
   eo.max_failures = 3;
@@ -573,7 +606,11 @@ TEST(ShardFraming, BootstrapCarriesEveryShippedExploreOption) {
   EXPECT_EQ(got.config_text, sent.config_text);
   EXPECT_EQ(got.policy_spec, sent.policy_spec);
   EXPECT_EQ(got.targets, sent.targets);
-  EXPECT_EQ(got.pec_dedup, sent.pec_dedup);
+  ASSERT_EQ(got.classes.size(), sent.classes.size());
+  for (std::size_t i = 0; i < sent.classes.size(); ++i) {
+    EXPECT_EQ(got.classes[i].rep, sent.classes[i].rep);
+    EXPECT_EQ(got.classes[i].members, sent.classes[i].members);
+  }
   const ExploreOptions& ge = got.explore;
   EXPECT_EQ(ge.max_failures, eo.max_failures);
   EXPECT_EQ(ge.consistent_only, eo.consistent_only);
@@ -644,8 +681,7 @@ TEST(ShardWorkerSession, NoStrayFramesAfterSessionReturns) {
   int sv[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
 
-  sched::ShardRunOptions opts;
-  opts.heartbeat_interval_ms = 10;  // several beacons fire during the task
+  const int heartbeat_ms = 10;  // several beacons fire during the task
   const auto body = [](std::size_t, OutcomeStore&)
       -> std::vector<sched::ShardPecResult> {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
@@ -655,8 +691,8 @@ TEST(ShardWorkerSession, NoStrayFramesAfterSessionReturns) {
   };
   int exit_code = -1;
   std::thread session([&] {
-    exit_code =
-        sched::run_worker_session(sv[1], 0, 1, net, pecs, 1, opts, body);
+    exit_code = sched::run_worker_session(sv[1], net, pecs, 1, heartbeat_ms,
+                                          {}, body);
   });
 
   const auto write_frame = [&](sched::MsgType type, std::string_view payload) {
@@ -761,16 +797,19 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
       }
       return {r};
     };
-    const sched::ShardRunResult rr =
-        sched::run_sharded_task_graph(net, pecs, opts, graph, specs, body);
+    BodyTransport tp(net, pecs, graph.size(), body);
+    const sched::ShardRunResult rr = sched::run_sharded_task_graph(
+        net, pecs, opts, graph, specs, tp, BodyTransport::payload(opts),
+        BodyTransport::kPlanHash);
     ASSERT_TRUE(rr.ok) << rr.error;
     ASSERT_EQ(rr.reports.size(), 2u);
     for (const auto& rep : rr.reports) {
       EXPECT_TRUE(rep.exhaustive) << "dependent worker did not see the "
                                   << "outcomes (shards=" << shards << ")";
     }
-    EXPECT_EQ(rr.stats.frames_received, 3u + (shards > 0 ? 0u : 0u))
-        << "2 done frames + 1 outcome delivery";
+    // The first dispatch waits for every worker's ack, so each is counted.
+    EXPECT_EQ(rr.stats.frames_received, 3u + static_cast<unsigned>(shards))
+        << "2 done frames + 1 outcome delivery + one bootstrap ack per worker";
     if (shards >= 2) {
       // The delivery had to cross the wire at least when the dependent landed
       // on a different worker; with locality-preferring assignment it may
@@ -783,7 +822,7 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
 
 TEST(ShardCoordinator, DeterministicallyCrashingTaskErrorsOut) {
   // A body that dies on every attempt must exhaust the per-task
-  // reassignment cap and surface a coordinator error — not fork forever.
+  // reassignment cap and surface a coordinator error — not respawn forever.
   const Network net = make_ring(4);
   const PecSet pecs = compute_pecs(net);
   sched::TaskGraph graph;
@@ -794,15 +833,73 @@ TEST(ShardCoordinator, DeterministicallyCrashingTaskErrorsOut) {
   sched::ShardRunOptions opts;
   opts.shards = 2;
   opts.max_reassignments_per_task = 2;
-  const auto body = [](std::size_t, OutcomeStore&)
-      -> std::vector<sched::ShardPecResult> {
+  BodyTransport tp(net, pecs, graph.size(), [](std::size_t, OutcomeStore&)
+                       -> std::vector<sched::ShardPecResult> {
     throw std::runtime_error("boom");  // worker _exits; coordinator sees EOF
-  };
-  const sched::ShardRunResult rr =
-      sched::run_sharded_task_graph(net, pecs, opts, graph, specs, body);
+  });
+  const sched::ShardRunResult rr = sched::run_sharded_task_graph(
+      net, pecs, opts, graph, specs, tp, BodyTransport::payload(opts),
+      BodyTransport::kPlanHash);
   EXPECT_FALSE(rr.ok);
   EXPECT_NE(rr.error.find("reassignment cap"), std::string::npos) << rr.error;
   EXPECT_GE(rr.stats.tasks_reassigned, 2u);
+}
+
+/// One single-PEC task whose body reports a clean hold.
+struct OneTask {
+  Network net = make_ring(4);
+  PecSet pecs = compute_pecs(net);
+  sched::TaskGraph graph;
+  std::vector<sched::ShardTaskSpec> specs{1};
+  OneTask() {
+    graph.dependents = {{}};
+    graph.waiting_on = {0};
+    specs[0].pecs = {0};
+  }
+  static std::vector<sched::ShardPecResult> body(std::size_t, OutcomeStore&) {
+    sched::ShardPecResult r;
+    r.pec = 0;
+    return {r};
+  }
+};
+
+TEST(ShardCoordinator, WrongPlanHashIsACoordinatorError) {
+  // A worker whose rebuilt plan hashes differently would verify other PECs
+  // than the coordinator schedules: the run must stop with ok == false
+  // (Verifier then recovers the verdict in-process), never dispatch to it.
+  const OneTask t;
+  sched::ShardRunOptions opts;
+  opts.shards = 2;
+  BodyTransport tp(t.net, t.pecs, t.graph.size(), &OneTask::body);
+  tp.ack_hash = BodyTransport::kPlanHash + 1;
+  const sched::ShardRunResult rr = sched::run_sharded_task_graph(
+      t.net, t.pecs, opts, t.graph, t.specs, tp, BodyTransport::payload(opts),
+      BodyTransport::kPlanHash);
+  EXPECT_FALSE(rr.ok);
+  EXPECT_NE(rr.error.find("plan hash"), std::string::npos) << rr.error;
+  EXPECT_TRUE(rr.reports.empty());
+}
+
+TEST(ShardCoordinator, SilentWorkerIsRefusedWithinTheAckBound) {
+  // Workers that read kBootstrap and never answer are killed after
+  // kBootstrapAckMs as failed starts; with no worker started the run ends
+  // with ok == false instead of waiting on them forever. Heartbeats are off:
+  // the bound must not depend on them.
+  const OneTask t;
+  sched::ShardRunOptions opts;
+  opts.shards = 2;
+  opts.heartbeat_interval_ms = 0;
+  BodyTransport tp(t.net, t.pecs, t.graph.size(), &OneTask::body);
+  tp.ack = false;
+  const auto begin = std::chrono::steady_clock::now();
+  const sched::ShardRunResult rr = sched::run_sharded_task_graph(
+      t.net, t.pecs, opts, t.graph, t.specs, tp, BodyTransport::payload(opts),
+      BodyTransport::kPlanHash);
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  EXPECT_FALSE(rr.ok);
+  EXPECT_NE(rr.error.find("bootstrap"), std::string::npos) << rr.error;
+  EXPECT_GE(waited, std::chrono::milliseconds(sched::kBootstrapAckMs));
+  EXPECT_LT(waited, std::chrono::milliseconds(sched::kBootstrapAckMs + 5000));
 }
 
 // ---------------------------------------------------------------------------
@@ -855,10 +952,22 @@ Fingerprint fingerprint(const VerifyResult& r) {
   return fp;
 }
 
+/// One verification; `addr` narrows it to the PEC holding that address. A
+/// sharded run must have run its tasks in workers: a refused bootstrap falls
+/// back to the in-process scheduler, which is the very oracle these tests
+/// compare against.
 VerifyResult run_verify(const Network& net, const Policy& policy,
-                        VerifyOptions vo) {
+                        VerifyOptions vo,
+                        std::optional<IpAddr> addr = std::nullopt) {
   Verifier verifier(net, vo);
-  return verifier.verify(policy);
+  VerifyResult r =
+      addr ? verifier.verify_address(*addr, policy) : verifier.verify(policy);
+  if (vo.shards > 0) {
+    std::uint64_t ran = 0;
+    for (const std::uint64_t n : r.shard.tasks_per_shard) ran += n;
+    EXPECT_GT(ran, 0u) << "the sharded run fell back to in-process";
+  }
+  return r;
 }
 
 TEST(ShardDeterminism, RandomCorpusMatchesInProcessAcrossShardsAndEngines) {
@@ -1019,15 +1128,14 @@ TEST(ShardDeterminism, DependencyHeavyWorkloadStreamsOutcomes) {
   const ReachabilityPolicy policy({ent.access.front()});
   VerifyOptions vo;
   vo.explore.find_all_violations = true;
-  const VerifyResult ref =
-      Verifier(ent.net, vo).verify_address(IpAddr(10, 200, 0, 1), policy);
+  const IpAddr dc(10, 200, 0, 1);
+  const VerifyResult ref = run_verify(ent.net, policy, vo, dc);
   ASSERT_GT(ref.pecs_support, 0u) << "workload must exercise dependencies";
 
   for (const int shards : {1, 2}) {
     VerifyOptions sv = vo;
     sv.shards = shards;
-    const VerifyResult r =
-        Verifier(ent.net, sv).verify_address(IpAddr(10, 200, 0, 1), policy);
+    const VerifyResult r = run_verify(ent.net, policy, sv, dc);
     EXPECT_EQ(fingerprint(r), fingerprint(ref)) << "shards=" << shards;
     EXPECT_GT(r.shard.frames_received, 0u);
     EXPECT_GT(r.shard.outcome_bytes_received, 0u)
@@ -1124,16 +1232,15 @@ TEST(ShardCrashRecovery, SigkilledWorkerIsReplacedAndResultIsIdentical) {
   const ReachabilityPolicy policy({ent.access.front()});
   VerifyOptions vo;
   vo.explore.find_all_violations = true;
-  const Fingerprint ref = fingerprint(
-      Verifier(ent.net, vo).verify_address(IpAddr(10, 200, 0, 1), policy));
+  const IpAddr dc(10, 200, 0, 1);
+  const Fingerprint ref = fingerprint(run_verify(ent.net, policy, vo, dc));
 
   VerifyOptions sv = vo;
   sv.shards = 2;
   std::string err;
   ASSERT_TRUE(sched::parse_fault_plan("crash@1", sv.shard_fault_plan, err))
       << err;
-  const VerifyResult r =
-      Verifier(ent.net, sv).verify_address(IpAddr(10, 200, 0, 1), policy);
+  const VerifyResult r = run_verify(ent.net, policy, sv, dc);
   EXPECT_EQ(fingerprint(r), ref)
       << "crash recovery changed the merged verdict";
   EXPECT_GE(r.shard.tasks_reassigned, 2u);

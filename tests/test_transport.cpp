@@ -1,7 +1,7 @@
 // Cluster-scale sharding (sched/transport.*, core/verifier.cpp,
-// serve_shard_worker_session): TCP-bootstrapped remote workers against the
-// fork-transport and in-process oracles, bootstrap handshake hardening,
-// mid-task worker death failover, and the serve daemon's
+// serve_shard_worker_session): TCP workers against the fork-transport and
+// in-process oracles, bootstrap handshake hardening, the per-incarnation
+// bootstrap deadline, mid-task worker death failover, and the serve daemon's
 // disconnect-mid-reply survival.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "support/random_net.hpp"
 #include "support/thread_worker.hpp"
 #include "workload/enterprise.hpp"
+#include "workload/fat_tree.hpp"
 
 namespace plankton {
 namespace {
@@ -69,10 +71,22 @@ Fingerprint fingerprint(const VerifyResult& r) {
   return fp;
 }
 
+/// One verification; `addr` narrows it to the PEC holding that address. A
+/// sharded run must have run its tasks in workers: a refused bootstrap falls
+/// back to the in-process scheduler, which is the very oracle these tests
+/// compare against.
 VerifyResult run_verify(const Network& net, const Policy& policy,
-                        VerifyOptions vo) {
+                        VerifyOptions vo,
+                        std::optional<IpAddr> addr = std::nullopt) {
   Verifier verifier(net, vo);
-  return verifier.verify(policy);
+  VerifyResult r =
+      addr ? verifier.verify_address(*addr, policy) : verifier.verify(policy);
+  if (vo.shards > 0) {
+    std::uint64_t ran = 0;
+    for (const std::uint64_t n : r.shard.tasks_per_shard) ran += n;
+    EXPECT_GT(ran, 0u) << "the sharded run fell back to in-process";
+  }
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -93,8 +107,8 @@ TEST(TcpTransport, RandomCorpusMatchesForkAndInProcess) {
   for (int seed = 1; seed <= corpus; ++seed) {
     const RandomInstance inst =
         make_random_instance(static_cast<std::uint64_t>(seed));
-    // TCP workers rebuild the policy from its spec line; instances whose
-    // policy has no spec form are fork-only and covered elsewhere.
+    // Workers rebuild the policy from its spec line; an instance whose
+    // policy had no spec form would run in-process.
     if (inst.policy->spec(inst.net).empty()) continue;
     ++eligible;
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
@@ -145,22 +159,33 @@ TEST(TcpTransport, Figure6MatchesAtEveryShardCount) {
   }
 }
 
-TEST(TcpTransport, SpeclessPolicyFallsBackToForkWithIdenticalResult) {
-  // MultipathConsistency has no single-line spec form: the TCP request must
-  // degrade to the fork transport (stderr note) and still produce the
-  // in-process fingerprint — never fail, never silently change semantics.
+TEST(TcpTransport, SpecFormPoliciesShardThroughBootstrap) {
+  // Multipath consistency, path consistency and a multi-waypoint policy
+  // rebuild from their spec lines in every worker, forked or TCP, and match
+  // the in-process fingerprint (run_verify also asserts the workers ran the
+  // tasks, so a refused bootstrap cannot pass as the in-process oracle).
+  ThreadWorker workers[2];
   const Figure6 fx;
-  const MultipathConsistencyPolicy policy({fx.r6});
-  ASSERT_TRUE(policy.spec(fx.net).empty());
-  VerifyOptions vo;
-  vo.explore.find_all_violations = true;
-  const Fingerprint ref = fingerprint(run_verify(fx.net, policy, vo));
-  VerifyOptions sv = vo;
-  sv.shards = 2;
-  sv.shard_workers = {"127.0.0.1:1"};  // never dialed: fork fallback
-  const VerifyResult r = run_verify(fx.net, policy, sv);
-  EXPECT_EQ(fingerprint(r), ref);
-  EXPECT_GT(r.shard.frames_sent, 0u) << "fork fallback must still shard";
+  const MultipathConsistencyPolicy multipath({fx.r6});
+  const PathConsistencyPolicy consistency({fx.r5, fx.r6});
+  const WaypointPolicy waypoint({fx.r6}, {fx.r2, fx.r3});
+  EXPECT_EQ(multipath.spec(fx.net), "multipath R6");
+  EXPECT_EQ(consistency.spec(fx.net), "consistency R5 R6");
+  EXPECT_EQ(waypoint.spec(fx.net), "waypoint R2,R3 R6");
+  for (const Policy* policy :
+       {static_cast<const Policy*>(&multipath),
+        static_cast<const Policy*>(&consistency),
+        static_cast<const Policy*>(&waypoint)}) {
+    SCOPED_TRACE(policy->spec(fx.net));
+    VerifyOptions vo;
+    vo.explore.find_all_violations = true;
+    const Fingerprint ref = fingerprint(run_verify(fx.net, *policy, vo));
+    VerifyOptions sv = vo;
+    sv.shards = 2;
+    EXPECT_EQ(fingerprint(run_verify(fx.net, *policy, sv)), ref) << "fork";
+    sv.shard_workers = {workers[0].address(), workers[1].address()};
+    EXPECT_EQ(fingerprint(run_verify(fx.net, *policy, sv)), ref) << "tcp";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,6 +271,105 @@ TEST(TcpBootstrap, EofBeforeBootstrapIsOrderly) {
   EXPECT_EQ(code, 0);
 }
 
+TEST(TcpBootstrap, ImpossibleClassListsAreNacked) {
+  // The worker takes the coordinator's dedup classes as shipped, so it
+  // refuses any list compute_pec_classes could never emit rather than build
+  // a plan on it. A well-formed list is the control: it gets its ack.
+  FatTreeOptions o;
+  o.k = 4;
+  const FatTree ft = make_fat_tree(o);
+  const PecSet pecs = compute_pecs(ft.net);
+  const auto n = static_cast<std::uint32_t>(pecs.pecs.size());
+  ASSERT_GE(n, 4u);
+  serve::BootstrapMsg bm;
+  bm.config_text = serve::render_config(ft.net);
+  bm.policy_spec = "loop";
+  for (std::uint32_t p = 0; p + 1 < n; ++p) bm.targets.push_back(p);
+  const auto answer = [&](std::vector<serve::BootstrapClass> classes,
+                          int& code) {
+    bm.classes = std::move(classes);
+    sched::BootstrapAckMsg ack;
+    code = drive_session([&](int fd) {
+      ASSERT_TRUE(serve::send_frame(fd, sched::MsgType::kBootstrap,
+                                    serve::encode_bootstrap(bm)));
+      sched::FrameDecoder dec;
+      sched::Frame f;
+      std::string err;
+      ASSERT_TRUE(serve::recv_frame(fd, dec, f, err)) << err;
+      ASSERT_EQ(f.type, sched::MsgType::kBootstrapAck);
+      ASSERT_TRUE(sched::decode_bootstrap_ack(f.payload, ack));
+    });
+    return ack;
+  };
+  const struct {
+    std::vector<serve::BootstrapClass> classes;
+    const char* why;
+  } bad[] = {
+      {{{0, {n + 5}}}, "out of range"},
+      {{{n + 5, {0}}}, "out of range"},
+      {{{0, {1}}, {2, {1}}}, "in two classes"},
+      {{{0, {1}}, {1, {2}}}, "in two classes"},
+      {{{0, {0}}}, "its own member"},
+      {{{0, {n - 1}}}, "not a target"},
+      {{{0, {}}}, "no members"},
+  };
+  for (const auto& c : bad) {
+    SCOPED_TRACE(c.why);
+    int code = -1;
+    const sched::BootstrapAckMsg ack = answer(c.classes, code);
+    EXPECT_EQ(ack.ok, 0);
+    EXPECT_NE(ack.error.find("classes"), std::string::npos) << ack.error;
+    EXPECT_NE(ack.error.find(c.why), std::string::npos) << ack.error;
+    EXPECT_EQ(code, 3);
+  }
+  int code = -1;
+  EXPECT_EQ(answer({{0, {1, 2}}}, code).ok, 1);
+  EXPECT_EQ(code, 0) << "the coordinator hung up after the ack";
+}
+
+// ---------------------------------------------------------------------------
+// The per-incarnation bootstrap deadline
+// ---------------------------------------------------------------------------
+
+TEST(TcpBootstrap, LateIncarnationGetsTheRemainingDeadline) {
+  // The budget deadline travels as the milliseconds left of the run-start
+  // deadline, computed when each kBootstrap is built. drop-conn@1 severs
+  // slot 0's first session, so its reconnect is a later incarnation: its
+  // bootstrap must carry less time than the first, or a worker restarted
+  // late could run past the whole-run deadline.
+  ThreadWorker workers[2] = {ThreadWorker(true), ThreadWorker(true)};
+  FatTreeOptions o;
+  o.k = 16;
+  const FatTree ft = make_fat_tree(o);
+  const LoopFreedomPolicy policy;
+  VerifyOptions vo;
+  // One task per edge prefix: plenty of work left after the drop for slot
+  // 0's respawn backoff to elapse and the slot to come back.
+  vo.pec_dedup = false;
+  vo.explore.find_all_violations = true;
+  vo.explore.budget.deadline = std::chrono::seconds(60);
+  const Fingerprint ref = fingerprint(run_verify(ft.net, policy, vo));
+
+  VerifyOptions sv = vo;
+  sv.shards = 2;
+  sv.shard_workers = {workers[0].address(), workers[1].address()};
+  std::string err;
+  ASSERT_TRUE(sched::parse_fault_plan("drop-conn@1;slot=0",
+                                      sv.shard_fault_plan, err))
+      << err;
+  const VerifyResult r = run_verify(ft.net, policy, sv);
+  EXPECT_EQ(fingerprint(r), ref);
+  EXPECT_GE(r.shard.tasks_reassigned, 1u) << "slot 0 never dropped";
+
+  const std::vector<serve::BootstrapMsg> sent = workers[0].bootstraps();
+  ASSERT_GE(sent.size(), 2u) << "slot 0 never re-bootstrapped";
+  EXPECT_EQ(sent[0].fault_plan, "drop-conn@1") << "resolved for generation 0";
+  EXPECT_EQ(sent[1].fault_plan, "") << "the reconnect is healthy";
+  EXPECT_GT(sent[0].explore.budget.deadline.count(), 0);
+  EXPECT_LT(sent[1].explore.budget.deadline, sent[0].explore.budget.deadline);
+  EXPECT_LE(sent[0].explore.budget.deadline, vo.explore.budget.deadline);
+}
+
 // ---------------------------------------------------------------------------
 // Failover: a real remote worker process dies mid-task
 // ---------------------------------------------------------------------------
@@ -287,8 +411,8 @@ TEST(TcpRecovery, SigkilledWorkerFailsOverToSurvivor) {
   const ReachabilityPolicy policy({ent.access.front()});
   VerifyOptions vo;
   vo.explore.find_all_violations = true;
-  const Fingerprint ref = fingerprint(
-      Verifier(ent.net, vo).verify_address(IpAddr(10, 200, 0, 1), policy));
+  const IpAddr dc(10, 200, 0, 1);
+  const Fingerprint ref = fingerprint(run_verify(ent.net, policy, vo, dc));
 
   VerifyOptions sv = vo;
   sv.shards = 2;
@@ -301,8 +425,7 @@ TEST(TcpRecovery, SigkilledWorkerFailsOverToSurvivor) {
   ASSERT_TRUE(sched::parse_fault_plan("crash@1;slot=0", sv.shard_fault_plan,
                                       err))
       << err;
-  const VerifyResult r =
-      Verifier(ent.net, sv).verify_address(IpAddr(10, 200, 0, 1), policy);
+  const VerifyResult r = run_verify(ent.net, policy, sv, dc);
   EXPECT_EQ(fingerprint(r), ref) << "failover changed the merged verdict";
   EXPECT_GE(r.shard.tasks_reassigned, 1u);
   int status = 0;
@@ -349,10 +472,8 @@ TEST(TcpRecovery, DroppedConnectionReconnectsAndReBootstraps) {
 
 TEST(TcpRecovery, SeededSocketPlansMatchOverTcpTransport) {
   // The serve-side twin of SocketFaultSweep: seeded socket plans against
-  // real TCP worker sessions. The coordinator pre-resolves the plan per
-  // slot + generation and ships it inside kBootstrap (the remote session
-  // runs as slot 0 / generation 1 locally, so an unresolved plan would
-  // silently never fire).
+  // real TCP worker sessions. The coordinator resolves the plan per slot +
+  // generation and ships each incarnation's faults inside kBootstrap.
   ThreadWorker workers[2];
   std::vector<std::string> addrs;
   for (const auto& w : workers) addrs.push_back(w.address());
