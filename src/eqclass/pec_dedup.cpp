@@ -387,21 +387,10 @@ bool validate_isomorphism(const Network& net, const Pec& a, const Pec& b,
 }
 
 // ---------------------------------------------------------------------------
-// Serve-layer fingerprints (PecFingerprint in the header): `canon` reuses
-// pec_shape against an empty policy; `residue` pins the identities canon
-// abstracts away. Everything hashes config *values* through the constexpr
-// mixers so the result is stable across processes and runs.
+// Serve-layer residues (compute_pec_fingerprints in the header). Everything
+// hashes config *values* through the constexpr mixers so the result is
+// stable across processes and runs.
 // ---------------------------------------------------------------------------
-
-/// check() never consulted — fingerprints only read sources()/interesting(),
-/// both empty here so the canon half is policy-independent.
-class NullFingerprintPolicy final : public Policy {
- public:
-  [[nodiscard]] std::string name() const override { return "fingerprint-null"; }
-  [[nodiscard]] bool check(const ConvergedView&, std::string&) const override {
-    return true;
-  }
-};
 
 std::uint64_t hash_str(std::uint64_t h, std::string_view s) {
   h = hash_combine(h, s.size());
@@ -531,21 +520,12 @@ std::uint64_t scoped_residue(const Network& net, std::uint64_t h, IpAddr lo,
 
 }  // namespace
 
-std::uint64_t PecFingerprint::combined() const {
-  return hash_combine(canon, residue);
-}
-
-std::vector<PecFingerprint> compute_pec_fingerprints(const Network& net,
-                                                     const PecSet& pecs) {
-  std::vector<PecFingerprint> out(pecs.pecs.size());
-  const NullFingerprintPolicy null_policy;
-  RouteMapCanon canon;
-  const auto topo_edges = topology_edges(net);
+std::vector<std::uint64_t> compute_pec_fingerprints(const Network& net,
+                                                    const PecSet& pecs) {
+  std::vector<std::uint64_t> out(pecs.pecs.size());
   const std::uint64_t net_res = network_residue(net);
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     const Pec& pec = pecs.pecs[p];
-    out[p].canon =
-        pec_shape(net, pec, null_policy, topo_edges, canon).fingerprint;
     // Per-PEC residue: the address range, concrete prefix values, the
     // identity-bearing slice (who originates, which static routes by value),
     // and the range-intersecting prefix-valued config.
@@ -566,7 +546,7 @@ std::vector<PecFingerprint> compute_pec_fingerprints(const Network& net,
                               net.device(dev).statics[idx]);
       }
     }
-    out[p].residue = scoped_residue(net, h, pec.lo, pec.hi);
+    out[p] = scoped_residue(net, h, pec.lo, pec.hi);
   }
   return out;
 }

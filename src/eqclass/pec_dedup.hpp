@@ -29,6 +29,10 @@
 // produce per-PEC converged outcomes that do not transfer. Failed validation
 // degrades to a singleton class — asymmetric networks pay only the
 // fingerprinting cost.
+//
+// The module also computes the serve cache's per-PEC residue
+// (compute_pec_fingerprints below). That is a plain value hash with no
+// refinement: the colour refinement runs for dedup classing only.
 #pragma once
 
 #include <chrono>
@@ -82,39 +86,33 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
                                 std::span<const std::uint8_t> is_target);
 
 /// Stable per-PEC identity for the serve-layer verdict cache
-/// (src/serve/verdict_cache.hpp). Two halves with opposite invariances:
+/// (src/serve/verdict_cache.hpp): the PEC's *residue*, a hash of every
+/// config value its exploration can read, with device identities, names,
+/// concrete prefix values, ASNs, loopbacks, redistribute flags, route-map
+/// contents and per-direction link costs all included by value.
 ///
-///   · `canon` is the color-refinement canonical fingerprint (the same value
-///     dedup buckets on, computed against an empty policy so it is
-///     policy-independent) — renaming-invariant by construction.
-///   · `residue` pins everything canon deliberately abstracts away: device
-///     identities and names, concrete prefix values, ASNs, loopbacks,
-///     redistribute flags, route-map contents, and per-link costs with
-///     endpoint identities. It is *range-scoped*: globally-routed state
-///     (names, loopbacks, ASNs, session topology, link costs) is shared by
-///     every PEC, but prefix-valued config — originated prefixes, static
-///     routes, route-map clause contents — folds in only where its address
-///     range intersects the PEC's [lo, hi]. A delta touching prefix X moves
-///     exactly the PECs X can influence, which is what keeps the serve
-///     daemon's cache hot across deltas.
+/// The residue is *range-scoped*: globally-routed state (names, loopbacks,
+/// ASNs, protocol roles, session topology, link costs) is shared by every
+/// PEC, but prefix-valued config — originated prefixes, static routes,
+/// route-map clause contents — folds in only where its address range
+/// intersects the PEC's [lo, hi]. A delta touching prefix X moves exactly
+/// the PECs X can influence, which is what keeps the serve daemon's cache
+/// hot across deltas.
 ///
-/// A cache key must combine both: canon alone would let a delta that renames
-/// devices or renumbers an ASN — changing observable behaviour for an
-/// identity-sensitive policy — collide with the pre-delta entry. Both halves
-/// are built exclusively from netbase/hash.hpp constexpr mixers over config
-/// *values* (never pointers), so they are bit-identical across processes,
-/// runs, and ASLR — the property the warm-start disk cache depends on.
-struct PecFingerprint {
-  std::uint64_t canon = 0;
-  std::uint64_t residue = 0;
-
-  [[nodiscard]] std::uint64_t combined() const;
-  bool operator==(const PecFingerprint&) const = default;
-};
-
-/// Computes the fingerprint of every PEC in the partition (index-aligned with
-/// `pecs.pecs`). Deterministic: depends only on the network + PEC contents.
-std::vector<PecFingerprint> compute_pec_fingerprints(const Network& net,
-                                                     const PecSet& pecs);
+/// No renaming-invariant half is needed: everything pec_shape's refinement
+/// reads without a policy (costs, roles, sessions and their fireable
+/// clauses, the PEC's prefixes, origins, statics and /32 loopbacks) is
+/// already hashed here, so a canonical form could never split two equal
+/// residues. A new config field the explorer starts reading must be hashed
+/// here too — network-wide in network_residue, or range-scoped when it is
+/// prefix-valued — or a delta editing it would be served a stale verdict.
+///
+/// Built exclusively from netbase/hash.hpp constexpr mixers over config
+/// *values* (never pointers), so residues are bit-identical across
+/// processes, runs, and ASLR — the property the warm-start disk cache
+/// depends on. Index-aligned with `pecs.pecs`; deterministic in the network
+/// and PEC contents.
+std::vector<std::uint64_t> compute_pec_fingerprints(const Network& net,
+                                                    const PecSet& pecs);
 
 }  // namespace plankton

@@ -568,22 +568,22 @@ bool ServeState::make_resident(std::string config_text, std::string& error) {
 void ServeState::recompute_cones() {
   const PecSet& pecs = verifier_->pecs();
   const PecDependencies& deps = verifier_->deps();
-  const std::vector<PecFingerprint> fps =
+  const std::vector<std::uint64_t> residues =
       compute_pec_fingerprints(parsed_.net, pecs);
   cones_.assign(pecs.pecs.size(), 0);
   std::vector<std::uint8_t> seen(pecs.pecs.size(), 0);
   std::vector<PecId> frontier;
-  std::vector<std::uint64_t> cone_fps;
+  std::vector<std::uint64_t> cone_residues;
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     // BFS over depends_on: everything this PEC's verification can observe.
-    cone_fps.clear();
+    cone_residues.clear();
     frontier.assign(1, p);
     std::fill(seen.begin(), seen.end(), 0);
     seen[p] = 1;
     while (!frontier.empty()) {
       const PecId q = frontier.back();
       frontier.pop_back();
-      cone_fps.push_back(fps[q].combined());
+      cone_residues.push_back(residues[q]);
       for (const PecId d : deps.depends_on[q]) {
         if (seen[d] == 0) {
           seen[d] = 1;
@@ -592,10 +592,10 @@ void ServeState::recompute_cones() {
       }
     }
     // Sort minus the self entry's position: the fold must not depend on BFS
-    // order, only on the multiset of fingerprints in the cone.
-    std::sort(cone_fps.begin(), cone_fps.end());
-    std::uint64_t h = hash_combine(0xC04E, fps[p].combined());
-    for (const std::uint64_t f : cone_fps) h = hash_combine(h, f);
+    // order, only on the multiset of residues in the cone.
+    std::sort(cone_residues.begin(), cone_residues.end());
+    std::uint64_t h = hash_combine(0xC04E, residues[p]);
+    for (const std::uint64_t r : cone_residues) h = hash_combine(h, r);
     h = hash_combine(h, deps.self_loop[p] != 0 ? 2u : 1u);
     cones_[p] = h;
   }
@@ -743,16 +743,7 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
   Verifier verifier(parsed_.net, qopts);
   const VerifyResult result = verifier.verify_pecs(misses, *policy);
   for (const PecReport& rep : result.reports) {
-    CacheEntry entry;
-    entry.verdict = static_cast<std::uint8_t>(rep.result.verdict());
-    entry.translated = rep.translated_from != kNoPec ? 1 : 0;
-    entry.states_explored = rep.result.stats.states_explored;
-    entry.states_stored = rep.result.stats.states_stored;
-    entry.policy_checks = rep.result.stats.policy_checks;
-    std::uint64_t trail = 0;
     for (const Violation& viol : rep.result.violations) {
-      trail = hash_str(hash_str(trail, viol.message), viol.trail_text);
-      trail = hash_combine(trail, viol.failures.hash());
       if (!viol.message.empty() || !viol.trail_text.empty()) {
         if (reply.violations.size() < 64) {
           reply.violations.push_back(
@@ -760,9 +751,9 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
         }
       }
     }
-    entry.trail_hash = trail;
     const CacheKey key{cones_[rep.pec], hash_str(ctx_base, rep.pec_str)};
-    cache_.insert(key, entry);
+    cache_.insert(key,
+                  CacheEntry{static_cast<std::uint8_t>(rep.result.verdict())});
   }
   reply.verdict = static_cast<std::uint8_t>(result.verdict);
   finish();

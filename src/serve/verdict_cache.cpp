@@ -69,29 +69,17 @@ CacheCounters VerdictCache::counters() const {
 
 namespace {
 
-constexpr std::size_t kEntryWireBytes =
-    8 + 8 +              // key
-    1 + 1 +              // verdict, translated
-    8 + 8 + 8 + 8 + 8;   // stats digest + trail hash
+constexpr std::size_t kEntryWireBytes = 8 + 8 + 1;  // cone, ctx, verdict
 
 void put_entry(std::string& out, const CacheKey& key, const CacheEntry& e) {
   put_int(out, key.cone);
   put_int(out, key.ctx);
   put_int(out, e.verdict);
-  put_int(out, e.translated);
-  put_int(out, e.states_explored);
-  put_int(out, e.states_stored);
-  put_int(out, e.policy_checks);
-  put_int(out, e.elapsed_ns);
-  put_int(out, e.trail_hash);
 }
 
 bool get_entry(std::string_view& in, CacheKey& key, CacheEntry& e) {
   return get_int(in, key.cone) && get_int(in, key.ctx) &&
-         get_int(in, e.verdict) && get_int(in, e.translated) &&
-         get_int(in, e.states_explored) && get_int(in, e.states_stored) &&
-         get_int(in, e.policy_checks) && get_int(in, e.elapsed_ns) &&
-         get_int(in, e.trail_hash);
+         get_int(in, e.verdict);
 }
 
 bool read_file(const std::string& path, std::string& out, std::string& error) {
@@ -187,8 +175,7 @@ bool VerdictCache::load(const std::string& path, std::string& error) {
       error = "truncated cache entry in '" + path + "'";
       return false;
     }
-    if (e.verdict > static_cast<std::uint8_t>(Verdict::kError) ||
-        e.translated > 1) {
+    if (e.verdict > static_cast<std::uint8_t>(Verdict::kError)) {
       error = "corrupt cache entry in '" + path + "'";
       return false;
     }

@@ -2,13 +2,14 @@
 //
 // Keyed by (cone, ctx):
 //
-//   · `cone` is the invalidation half — a fold of the PEC's own
-//     PecFingerprint (canon + residue, eqclass/pec_dedup.hpp) with the
-//     fingerprints of every PEC in its transitive outcome-dependency cone.
-//     A config delta that moves any fingerprint the PEC's verification can
-//     observe changes `cone`, so stale entries are never *hit* — they are
-//     simply unreachable under the new key. Invalidation is implicit in the
-//     key, which is what makes the scheme sound under crashes: there is no
+//   · `cone` is the invalidation half — a fold of the PEC's own residue
+//     (compute_pec_fingerprints, eqclass/pec_dedup.hpp) with the residues of
+//     every PEC in its transitive outcome-dependency cone. A residue hashes
+//     every config value the PEC's exploration can read, so a config delta
+//     that moves anything the PEC's verification can observe changes
+//     `cone`, and stale entries are never *hit* — they are simply
+//     unreachable under the new key. Invalidation is implicit in the key,
+//     which is what makes the scheme sound under crashes: there is no
 //     separate invalidation step to lose.
 //   · `ctx` is the question half — the PEC identity string, the policy spec,
 //     and the query knobs that can change a verdict (max failures). Options
@@ -24,10 +25,12 @@
 // re-verify, per the cache-never-masks-a-violation contract.
 //
 // Disk format ("PKC1", versioned like the PKS1 frame header): little-endian
-// magic u32, version u16, reserved u16, entry count u64, then fixed-width
-// entries. load() validates everything and refuses the whole file on any
-// mismatch — a truncated or corrupt cache warm-starts empty instead of
-// half-poisoned.
+// magic u32, version u16 (2), reserved u16, entry count u64, then 17-byte
+// entries: cone u64, ctx u64, verdict u8. load() validates everything and
+// refuses the whole file on any mismatch, an unknown version included — a
+// truncated, corrupt or older-format cache warm-starts empty instead of
+// half-poisoned. Refusing a version-1 file loses nothing: its cones were
+// computed from a different fingerprint, so none of its keys could hit.
 #pragma once
 
 #include <array>
@@ -54,17 +57,10 @@ struct CacheKeyHash {
   }
 };
 
-/// One cached per-PEC outcome: the verdict plus a SearchStats digest and a
-/// hash of the violation trail text (lets a warm hit report how much work it
-/// saved, and differential arms compare trails without storing them).
+/// One cached per-PEC outcome. Only the verdict is kept: a hit serves a
+/// clean hold and nothing else, and every other verdict re-verifies.
 struct CacheEntry {
-  std::uint8_t verdict = 0;     ///< plankton::Verdict
-  std::uint8_t translated = 0;  ///< verdict transferred from a dedup rep
-  std::uint64_t states_explored = 0;
-  std::uint64_t states_stored = 0;
-  std::uint64_t policy_checks = 0;
-  std::int64_t elapsed_ns = 0;
-  std::uint64_t trail_hash = 0;
+  std::uint8_t verdict = 0;  ///< plankton::Verdict
 
   [[nodiscard]] bool clean_hold() const {
     return verdict == static_cast<std::uint8_t>(Verdict::kHolds);
@@ -106,7 +102,7 @@ class VerdictCache {
   bool load(const std::string& path, std::string& error);
 
   static constexpr std::uint32_t kCacheMagic = 0x504b4331;  // "PKC1"
-  static constexpr std::uint16_t kCacheVersion = 1;
+  static constexpr std::uint16_t kCacheVersion = 2;
 
  private:
   static constexpr std::size_t kStripes = 16;

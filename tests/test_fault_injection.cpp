@@ -524,6 +524,11 @@ TEST(FaultInjectionUnrecoverable, PersistentCrashExhaustsTheCapCleanly) {
 TEST(FaultInjectionUnrecoverable, CoordinatorReportsTheCapError) {
   // Same plan, one level down: run_sharded_task_graph itself must return
   // ok=false with the reassignment-cap error (bounded retries, no hang).
+  // One slot makes the sequence deterministic: every reassignment waits for
+  // a respawn of that slot, so the cap of 2 trips on the third death after
+  // exactly two respawns. With two slots the count depended on timing: when
+  // slot 0's respawn acked and crashed inside slot 1's 1 ms backoff, the cap
+  // tripped before slot 1 was ever respawned.
   const Network net = make_enterprise("VII").net;
   const PecSet pecs = compute_pecs(net);
   sched::TaskGraph graph;
@@ -532,7 +537,7 @@ TEST(FaultInjectionUnrecoverable, CoordinatorReportsTheCapError) {
   std::vector<sched::ShardTaskSpec> specs(1);
   specs[0].pecs = {0};
   sched::ShardRunOptions opts;
-  opts.shards = 2;
+  opts.shards = 1;
   opts.max_reassignments_per_task = 2;
   opts.respawn_backoff_ms = 1;  // keep the exponential backoff sweep fast
   testsupport::BodyTransport tp(net, pecs, graph.size(),
@@ -546,8 +551,8 @@ TEST(FaultInjectionUnrecoverable, CoordinatorReportsTheCapError) {
       testsupport::BodyTransport::kPlanHash);
   EXPECT_FALSE(rr.ok);
   EXPECT_NE(rr.error.find("reassignment cap"), std::string::npos) << rr.error;
-  EXPECT_GE(rr.stats.tasks_reassigned, 2u);
-  EXPECT_GE(rr.stats.workers_respawned, 2u);
+  EXPECT_EQ(rr.stats.tasks_reassigned, 3u);
+  EXPECT_EQ(rr.stats.workers_respawned, 2u);
 }
 
 }  // namespace

@@ -69,8 +69,8 @@ QueryMsg loop_query() {
 TEST(ServeFingerprints, BitIdenticalAcrossIndependentParses) {
   // serialize -> deserialize -> recompute: two ServeStates built from the
   // same text (and a third from the rendered round-trip) must agree on every
-  // fingerprint and every dependency-cone hash. This is the property that
-  // lets a disk-persisted cache warm-start a fresh process.
+  // residue and every dependency-cone hash. This is the property that lets
+  // a disk-persisted cache warm-start a fresh process.
   ServeState a{VerifyOptions{}};
   ServeState b{VerifyOptions{}};
   load_ring(a);
@@ -81,8 +81,7 @@ TEST(ServeFingerprints, BitIdenticalAcrossIndependentParses) {
   ASSERT_EQ(fa.size(), fb.size());
   ASSERT_FALSE(fa.empty());
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i].canon, fb[i].canon) << "PEC " << i;
-    EXPECT_EQ(fa[i].residue, fb[i].residue) << "PEC " << i;
+    EXPECT_EQ(fa[i], fb[i]) << "PEC " << i;
     EXPECT_EQ(a.cone_of(i), b.cone_of(i)) << "PEC " << i;
   }
 
@@ -92,8 +91,8 @@ TEST(ServeFingerprints, BitIdenticalAcrossIndependentParses) {
   const auto fc = compute_pec_fingerprints(c.net(), c.verifier().pecs());
   ASSERT_EQ(fc.size(), fa.size());
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fc[i].combined(), fa[i].combined())
-        << "render round-trip moved PEC " << i;
+    EXPECT_EQ(fc[i], fa[i]) << "render round-trip moved PEC " << i;
+    EXPECT_EQ(c.cone_of(i), a.cone_of(i)) << "PEC " << i;
   }
 }
 
@@ -149,7 +148,7 @@ TEST(ServeFingerprints, ResidueScopedToIntersectingRanges) {
   for (std::size_t i = 0; i < bp.pecs.size(); ++i) {
     ASSERT_EQ(bp.pecs[i].str(), ep.pecs[i].str()) << "PEC " << i;
     const bool hit = target.contains(bp.pecs[i].lo);
-    if (fb[i].combined() != fe[i].combined()) {
+    if (fb[i] != fe[i]) {
       ++moved;
       EXPECT_TRUE(hit) << "PEC " << bp.pecs[i].str()
                        << " moved without intersecting the edited range";
@@ -158,8 +157,6 @@ TEST(ServeFingerprints, ResidueScopedToIntersectingRanges) {
                         << " intersects the edit but did not move";
       EXPECT_EQ(base.cone_of(i), edited.cone_of(i));
     }
-    EXPECT_EQ(fb[i].canon == fe[i].canon && fb[i].residue == fe[i].residue,
-              fb[i].combined() == fe[i].combined());
   }
   EXPECT_EQ(moved, 1u);
 }
@@ -168,15 +165,8 @@ TEST(ServeFingerprints, ResidueScopedToIntersectingRanges) {
 // VerdictCache unit behaviour
 // ---------------------------------------------------------------------------
 
-CacheEntry entry_of(Verdict v, std::uint64_t seed = 1) {
-  CacheEntry e;
-  e.verdict = static_cast<std::uint8_t>(v);
-  e.states_explored = seed * 100;
-  e.states_stored = seed * 10;
-  e.policy_checks = seed * 3;
-  e.elapsed_ns = static_cast<std::int64_t>(seed) * 1000;
-  e.trail_hash = seed * 0x9e3779b97f4a7c15ull;
-  return e;
+CacheEntry entry_of(Verdict v) {
+  return CacheEntry{static_cast<std::uint8_t>(v)};
 }
 
 TEST(VerdictCache, LookupServesOnlyCleanHolds) {
@@ -214,16 +204,19 @@ TEST(VerdictCache, DiskRoundTripPreservesEntries) {
   std::vector<std::pair<CacheKey, CacheEntry>> entries;
   for (std::uint64_t i = 0; i < 100; ++i) {
     const CacheKey key{i * 7919, i * 104729};
-    CacheEntry e = entry_of(i % 3 == 0 ? Verdict::kHolds
-                            : i % 3 == 1 ? Verdict::kViolated
-                                         : Verdict::kInconclusive,
-                            i + 1);
-    e.translated = i % 5 == 0 ? 1 : 0;
+    const CacheEntry e = entry_of(i % 3 == 0 ? Verdict::kHolds
+                                  : i % 3 == 1 ? Verdict::kViolated
+                                               : Verdict::kInconclusive);
     entries.emplace_back(key, e);
     cache.insert(key, e);
   }
   std::string error;
   ASSERT_TRUE(cache.save(path, error)) << error;
+  {
+    // Header (16 bytes) plus 17 bytes per entry: cone, ctx, verdict.
+    std::ifstream f(path, std::ios::binary | std::ios::ate);
+    EXPECT_EQ(static_cast<std::size_t>(f.tellg()), 16 + 17 * entries.size());
+  }
 
   VerdictCache restored;
   ASSERT_TRUE(restored.load(path, error)) << error;
@@ -246,7 +239,7 @@ TEST(VerdictCache, RejectsCorruptFiles) {
   const std::string good_path = tmp_path("cache_good.pkc");
   VerdictCache cache;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    cache.insert(CacheKey{i, i + 1}, entry_of(Verdict::kHolds, i + 1));
+    cache.insert(CacheKey{i, i + 1}, entry_of(Verdict::kHolds));
   }
   std::string error;
   ASSERT_TRUE(cache.save(good_path, error)) << error;
@@ -257,7 +250,7 @@ TEST(VerdictCache, RejectsCorruptFiles) {
     ss << f.rdbuf();
     blob = ss.str();
   }
-  ASSERT_GT(blob.size(), 16u);
+  ASSERT_EQ(blob.size(), 16u + 5 * 17u);
 
   const auto rejects = [&](std::string bytes, const char* what) {
     const std::string path = tmp_path("cache_corrupt.pkc");
@@ -288,6 +281,16 @@ TEST(VerdictCache, RejectsCorruptFiles) {
     rejects(bad, "bad version");
   }
   {
+    // A version-1 file (58-byte entries with a stats digest) is refused like
+    // any other unknown version.
+    std::string v1 = blob.substr(0, 8);  // magic, version, reserved
+    v1[4] = 1;
+    v1[5] = 0;
+    v1 += std::string("\x01\0\0\0\0\0\0\0", 8);  // one entry
+    v1 += std::string(58, '\0');
+    rejects(v1, "version 1");
+  }
+  {
     std::string bad = blob;
     bad[16 + 16] = 17;  // first entry's verdict byte: > kError
     rejects(bad, "out-of-range verdict");
@@ -309,7 +312,7 @@ TEST(VerdictCache, ConcurrentHammerKeepsCountsCoherent) {
         // Overlapping key ranges across threads: inserts race with lookups
         // on the same stripes.
         const CacheKey key{i, static_cast<std::uint64_t>(t % 2)};
-        cache.insert(key, entry_of(Verdict::kHolds, i + 1));
+        cache.insert(key, entry_of(Verdict::kHolds));
         CacheEntry out;
         ASSERT_TRUE(cache.lookup(key, out));
       }
