@@ -477,7 +477,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   finish_plan(plan, pecs_, deps_);
   result.pec_classes = plan.classes.stats.classes;
   result.pecs_deduped = plan.classes.stats.deduped;
-  result.dedup_fingerprint_time = plan.classes.stats.fingerprint_time;
+  result.dedup_classing_time = plan.classes.stats.classing_time;
   result.scc_count = plan.tasks.size();
   result.unsupported_scc = !plan.approximated.empty();
   const auto& is_target = plan.is_target;

@@ -116,7 +116,7 @@ struct VerifyResult {
   std::size_t pec_classes = 0;
   std::size_t pecs_deduped = 0;
   std::size_t dedup_reruns = 0;
-  std::chrono::nanoseconds dedup_fingerprint_time{0};
+  std::chrono::nanoseconds dedup_classing_time{0};
   /// Coordinator wire counters (multi-process runs only; empty otherwise).
   sched::ShardStats shard;
 

@@ -50,7 +50,7 @@ std::uint64_t canonical_route_map(const RouteMap& rm, const Pec& pec) {
   return h;
 }
 
-/// Caches canonical_route_map across the many per-PEC fingerprint passes of
+/// Caches canonical_route_map across the many per-PEC refinement passes of
 /// one compute_pec_classes call. A map with no prefix-matching clause has a
 /// PEC-independent canonical form (its footprint bitmask is all-ones for
 /// every PEC) — hash it once; only prefix-matching maps re-canonicalize per
@@ -98,163 +98,262 @@ bool loopback_delivers(const Network& net, const Pec& pec, std::size_t pi,
 // role, its slice of the PEC, the policy salts, and the (recursively hashed)
 // neighborhood — never of the node id — so equal structure yields equal
 // color values across different PECs. That invariance is what makes the
-// sorted color multiset a canonical form, and the (color, id) sort a
-// canonical candidate bijection.
+// color multiset a canonical form, and the (color, id) sort a candidate
+// bijection; its ties break by node id, so unlike the colors the pairing
+// depends on the numbering. Color values are scratch values of one
+// compute_pec_classes call (nothing persists them): only the partitions they
+// induce, within a PEC and across the PECs of the call, are the contract.
 // ---------------------------------------------------------------------------
 
-struct RefineEdge {
+/// One directed topology adjacency by value: neighbor, cost of leaving over
+/// the link, and the link's cost in the other direction.
+struct Arc {
   NodeId to = kNoNode;
-  std::uint64_t label = 0;  ///< costs / session maps / static-via relation
+  std::uint32_t cost = 0;
+  std::uint32_t ret = 0;
+  friend auto operator<=>(const Arc&, const Arc&) = default;
 };
 
-struct PecShape {
-  std::vector<std::uint64_t> colors;  ///< final refined color per node
-  std::uint64_t fingerprint = 0;
-};
-
-/// Topology-link refinement edges — PEC-independent, built once per
-/// compute_pec_classes call and re-used as the base of every PEC's edge set.
-std::vector<std::vector<RefineEdge>> topology_edges(const Network& net) {
-  std::vector<std::vector<RefineEdge>> edges(net.topo.node_count());
-  for (NodeId n = 0; n < edges.size(); ++n) {
-    for (const Adjacency& adj : net.topo.neighbors(n)) {
-      const Link& l = net.topo.link(adj.link);
-      RefineEdge e;
-      e.to = adj.neighbor;
-      e.label = hash_combine(hash_combine(0x701070ull, adj.cost),
-                             l.cost_from(adj.neighbor));
-      edges[n].push_back(e);
-    }
-  }
-  return edges;
+Arc arc_of(const Topology& topo, const Adjacency& adj) {
+  return Arc{adj.neighbor, adj.cost, topo.link(adj.link).cost_from(adj.neighbor)};
 }
 
-PecShape pec_shape(const Network& net, const Pec& pec, const Policy& policy,
-                   const std::vector<std::vector<RefineEdge>>& topo_edges,
-                   RouteMapCanon& canon) {
-  const std::size_t n_nodes = net.topo.node_count();
-  PecShape shape;
+/// A PEC-specific refinement edge: a BGP session (footprint-canonical maps
+/// in the label) or a static via-neighbor relation of the PEC's slice.
+struct OverlayEdge {
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+  std::uint64_t label = 0;
+};
 
-  // Relational edges the refinement (and the exploration) sees: topology
-  // links with per-direction costs, BGP sessions with footprint-canonical
-  // maps, and static-route via-neighbor relations from this PEC's slice.
-  std::vector<std::vector<RefineEdge>> edges = topo_edges;
-  for (NodeId n = 0; n < n_nodes; ++n) {
+/// The refinement and validation machinery of one compute_pec_classes call.
+/// The topology is PEC-independent, so it is flattened once into CSR arrays:
+/// per-node offsets into one array of arc targets, a cost label per arc, and
+/// a per-node "has parallel links" flag. Each PEC adds only its own edges, as
+/// an overlay list. Every buffer is sized once and reused across PECs.
+class Classer {
+ public:
+  Classer(const Network& net, const Policy& policy);
+
+  /// Refines `pec`'s coloring until its partition is stable and returns the
+  /// PEC's fingerprint; the final colors are left in colors().
+  std::uint64_t refine(const Pec& pec);
+  [[nodiscard]] const std::vector<std::uint64_t>& colors() const { return color_; }
+
+  /// Nodes ordered by (color, id): the canonical order used to construct the
+  /// candidate bijection between two PECs with equal fingerprints.
+  void canonical_order(std::span<const std::uint64_t> colors,
+                       std::vector<NodeId>& out);
+
+  /// Proves pi (nodes of `a`'s exploration onto `b`'s) is a configuration
+  /// isomorphism.
+  bool validate(const Pec& a, const Pec& b, std::span<const NodeId> pi);
+
+ private:
+  std::size_t count_distinct(std::span<const std::uint64_t> values);
+  bool same_topology(std::span<const NodeId> pi);
+  std::uint64_t session_hash(const BgpSession& s, std::uint64_t peer,
+                             const Pec& pec) {
+    std::uint64_t h = hash_combine(peer, s.ibgp ? 2u : 1u);
+    h = hash_combine(h, map_canon_.of(s.import, pec));
+    return hash_combine(h, map_canon_.of(s.export_, pec));
+  }
+
+  const Network& net_;
+  const Policy& policy_;
+  const std::size_t n_nodes_;
+  RouteMapCanon map_canon_;
+
+  // Topology CSR: arcs [offset_[n], offset_[n + 1]) leave node n.
+  std::vector<std::uint32_t> offset_;
+  std::vector<NodeId> arc_to_;
+  std::vector<std::uint64_t> arc_label_;  ///< per-direction costs, hashed
+  std::vector<std::uint8_t> parallel_;
+  /// PEC-independent base color: OSPF/BGP role and the policy salts.
+  std::vector<std::uint64_t> base_;
+
+  // Refinement buffers.
+  std::vector<OverlayEdge> overlay_;
+  std::vector<std::uint64_t> color_;
+  std::vector<std::uint64_t> mixed_;  ///< this round's hash_mix(color)
+  /// Per-node sums: a prefix's static-route labels, then a round's edges.
+  std::vector<std::uint64_t> sum_;
+  std::vector<std::uint8_t> slice_flags_;
+  std::vector<std::pair<std::uint64_t, NodeId>> order_;
+
+  // count_distinct's open-addressing set, cleared by bumping its epoch.
+  std::vector<std::uint64_t> set_key_;
+  std::vector<std::uint32_t> set_stamp_;
+  std::uint32_t set_epoch_ = 0;
+
+  // Validation buffers: the image node's arcs, stamped by neighbor per epoch.
+  std::vector<std::uint32_t> adj_stamp_;
+  std::vector<Arc> adj_arc_;
+  std::uint32_t adj_epoch_ = 0;
+  std::vector<Arc> arcs_a_, arcs_b_;
+  std::vector<std::uint64_t> hashes_a_, hashes_b_;
+};
+
+Classer::Classer(const Network& net, const Policy& policy)
+    : net_(net), policy_(policy), n_nodes_(net.topo.node_count()) {
+  offset_.assign(n_nodes_ + 1, 0);
+  arc_to_.reserve(2 * net.topo.link_count());
+  arc_label_.reserve(2 * net.topo.link_count());
+  parallel_.assign(n_nodes_, 0);
+  adj_stamp_.assign(n_nodes_, 0);
+  for (NodeId n = 0; n < n_nodes_; ++n) {
+    ++adj_epoch_;
+    for (const Adjacency& adj : net.topo.neighbors(n)) {
+      const Arc arc = arc_of(net.topo, adj);
+      arc_to_.push_back(arc.to);
+      arc_label_.push_back(
+          hash_combine(hash_combine(0x701070ull, arc.cost), arc.ret));
+      if (adj_stamp_[arc.to] == adj_epoch_) parallel_[n] = 1;
+      adj_stamp_[arc.to] = adj_epoch_;
+    }
+    offset_[n + 1] = static_cast<std::uint32_t>(arc_to_.size());
+  }
+  adj_arc_.resize(n_nodes_);
+
+  base_.resize(n_nodes_);
+  for (NodeId n = 0; n < n_nodes_; ++n) {
     const auto& dev = net.device(n);
-    if (dev.bgp) {
-      for (const BgpSession& s : dev.bgp->sessions) {
-        RefineEdge e;
-        e.to = s.peer;
-        std::uint64_t label = hash_mix(s.ibgp ? 0xB6B1ull : 0xB6B0ull);
-        label = hash_combine(label, canon.of(s.import, pec));
-        label = hash_combine(label, canon.of(s.export_, pec));
-        e.label = label;
-        edges[n].push_back(e);
-      }
+    base_[n] = hash_combine(hash_mix(dev.ospf.enabled ? 2 : 1), dev.bgp ? 2u : 1u);
+  }
+  // Sources and interesting nodes get position-unique salts, so they sit
+  // alone in their color class and the canonical bijection can only map
+  // them to themselves.
+  const auto sources = policy.sources();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    base_[sources[i]] = hash_combine(base_[sources[i]], 0x50AD0000ull + i);
+  }
+  const auto interesting = policy.interesting();
+  for (std::size_t i = 0; i < interesting.size(); ++i) {
+    base_[interesting[i]] = hash_combine(base_[interesting[i]], 0x17770000ull + i);
+  }
+
+  color_.resize(n_nodes_);
+  mixed_.resize(n_nodes_);
+  sum_.assign(n_nodes_, 0);
+  slice_flags_.assign(n_nodes_, 0);
+  std::size_t slots = 16;
+  while (slots < 2 * n_nodes_) slots *= 2;
+  set_key_.resize(slots);
+  set_stamp_.assign(slots, 0);
+}
+
+std::size_t Classer::count_distinct(std::span<const std::uint64_t> values) {
+  ++set_epoch_;
+  const std::size_t mask = set_key_.size() - 1;
+  std::size_t distinct = 0;
+  for (const std::uint64_t v : values) {
+    std::size_t i = v & mask;  // colors are hash_mix outputs: low bits spread
+    while (set_stamp_[i] == set_epoch_ && set_key_[i] != v) i = (i + 1) & mask;
+    if (set_stamp_[i] == set_epoch_) continue;
+    set_stamp_[i] = set_epoch_;
+    set_key_[i] = v;
+    ++distinct;
+  }
+  return distinct;
+}
+
+std::uint64_t Classer::refine(const Pec& pec) {
+  // Relational edges beyond the topology that the refinement (and the
+  // exploration) sees: BGP sessions with footprint-canonical maps, and
+  // static-route via-neighbor relations from this PEC's slice.
+  overlay_.clear();
+  for (NodeId n = 0; n < n_nodes_; ++n) {
+    const auto& dev = net_.device(n);
+    if (!dev.bgp) continue;
+    for (const BgpSession& s : dev.bgp->sessions) {
+      std::uint64_t label = hash_mix(s.ibgp ? 0xB6B1ull : 0xB6B0ull);
+      label = hash_combine(label, map_canon_.of(s.import, pec));
+      label = hash_combine(label, map_canon_.of(s.export_, pec));
+      overlay_.push_back(OverlayEdge{n, s.peer, label});
     }
   }
   for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
     for (const auto& [dev, idx] : pec.prefixes[pi].static_routes) {
-      const StaticRoute& sr = net.device(dev).statics[idx];
+      const StaticRoute& sr = net_.device(dev).statics[idx];
       if (sr.via_neighbor == kNoNode) continue;
-      RefineEdge e;
-      e.to = sr.via_neighbor;
-      e.label = hash_combine(0x57A7ull, pi);
-      edges[dev].push_back(e);
+      overlay_.push_back(OverlayEdge{dev, sr.via_neighbor, hash_combine(0x57A7ull, pi)});
     }
   }
 
-  // Base colors: configuration role + PEC slice + policy salts. Sources and
-  // interesting nodes get position-unique salts, so they sit alone in their
-  // color class and the canonical bijection can only map them to themselves.
-  std::vector<std::uint64_t> color(n_nodes);
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto& dev = net.device(n);
-    std::uint64_t h = hash_mix(dev.ospf.enabled ? 2 : 1);
-    h = hash_combine(h, dev.bgp ? 2u : 1u);
-    for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
-      const PecPrefix& pp = pec.prefixes[pi];
-      if (std::find(pp.ospf_origins.begin(), pp.ospf_origins.end(), n) !=
-          pp.ospf_origins.end()) {
-        h = hash_combine(h, 0x10 + pi * 8);
+  // Base colors: configuration role and policy salts (base_), then the
+  // PEC's slice, prefix by prefix.
+  color_ = base_;
+  for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
+    const PecPrefix& pp = pec.prefixes[pi];
+    for (const NodeId n : pp.ospf_origins) slice_flags_[n] |= 1;
+    for (const NodeId n : pp.bgp_origins) slice_flags_[n] |= 2;
+    if (pp.prefix.length() == 32) {
+      for (NodeId n = 0; n < n_nodes_; ++n) {
+        if (loopback_delivers(net_, pec, pi, n)) slice_flags_[n] |= 4;
       }
-      if (std::find(pp.bgp_origins.begin(), pp.bgp_origins.end(), n) !=
-          pp.bgp_origins.end()) {
-        h = hash_combine(h, 0x11 + pi * 8);
-      }
-      if (loopback_delivers(net, pec, pi, n)) h = hash_combine(h, 0x12 + pi * 8);
-      std::uint64_t statics_h = 0;
-      for (const auto& [dev_id, idx] : pp.static_routes) {
-        if (dev_id != n) continue;
-        const StaticRoute& sr = net.device(n).statics[idx];
-        // via_neighbor is a relation (edge above); drop/forward is a label.
-        statics_h += hash_combine(0x13 + pi * 8, sr.drop ? 2u : 1u);
-      }
-      h = hash_combine(h, statics_h);  // order-free multiset sum
     }
-    const auto sources = policy.sources();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      if (sources[i] == n) h = hash_combine(h, 0x50AD0000ull + i);
+    for (const auto& [dev, idx] : pp.static_routes) {
+      // via_neighbor is a relation (overlay above); drop/forward is a label.
+      const StaticRoute& sr = net_.device(dev).statics[idx];
+      sum_[dev] += hash_combine(0x13 + pi * 8, sr.drop ? 2u : 1u);
     }
-    const auto interesting = policy.interesting();
-    for (std::size_t i = 0; i < interesting.size(); ++i) {
-      if (interesting[i] == n) h = hash_combine(h, 0x17770000ull + i);
+    for (NodeId n = 0; n < n_nodes_; ++n) {
+      std::uint64_t h = color_[n];
+      const std::uint8_t f = slice_flags_[n];
+      if ((f & 1) != 0) h = hash_combine(h, 0x10 + pi * 8);
+      if ((f & 2) != 0) h = hash_combine(h, 0x11 + pi * 8);
+      if ((f & 4) != 0) h = hash_combine(h, 0x12 + pi * 8);
+      color_[n] = hash_combine(h, sum_[n]);  // order-free multiset sum
+      slice_flags_[n] = 0;
+      sum_[n] = 0;
     }
-    color[n] = h;
   }
 
   // Refine until the partition stabilizes. Each round's color is a function
   // of the previous round's, so the partition only ever gets finer; when the
-  // number of distinct colors stops growing, it is stable.
-  std::vector<std::uint64_t> next(n_nodes);
-  std::vector<std::uint64_t> scratch;
+  // number of distinct colors stops growing, it is stable. A node folds its
+  // edges as an order-free sum, so no round sorts anything.
   std::size_t distinct = 0;
-  for (std::size_t round = 0; round <= n_nodes; ++round) {
-    scratch.assign(color.begin(), color.end());
-    std::sort(scratch.begin(), scratch.end());
-    const std::size_t d =
-        static_cast<std::size_t>(std::unique(scratch.begin(), scratch.end()) -
-                                 scratch.begin());
+  for (std::size_t round = 0; round <= n_nodes_; ++round) {
+    const std::size_t d = count_distinct(color_);
     if (round > 0 && d == distinct) break;
     distinct = d;
-    std::vector<std::uint64_t> sig;
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      sig.clear();
-      for (const RefineEdge& e : edges[n]) {
-        sig.push_back(hash_combine(e.label, color[e.to]));
+    for (NodeId n = 0; n < n_nodes_; ++n) mixed_[n] = hash_mix(color_[n]);
+    for (NodeId n = 0; n < n_nodes_; ++n) {
+      std::uint64_t sum = 0;
+      for (std::uint32_t e = offset_[n]; e < offset_[n + 1]; ++e) {
+        sum += hash_mix(arc_label_[e] ^ mixed_[arc_to_[e]]);
       }
-      std::sort(sig.begin(), sig.end());
-      std::uint64_t h = color[n];
-      for (const std::uint64_t s : sig) h = hash_combine(h, s);
-      next[n] = h;
+      sum_[n] = sum;
     }
-    color.swap(next);
+    for (const OverlayEdge& e : overlay_) {
+      sum_[e.from] += hash_mix(e.label ^ mixed_[e.to]);
+    }
+    for (NodeId n = 0; n < n_nodes_; ++n) {
+      color_[n] = hash_combine(color_[n], sum_[n]);
+      sum_[n] = 0;
+    }
   }
 
-  // Canonical form: sorted color multiset + prefix structure. (Prefix
-  // *values* are deliberately absent — only lengths and the footprints
-  // already folded into the colors matter to the exploration.)
-  scratch.assign(color.begin(), color.end());
-  std::sort(scratch.begin(), scratch.end());
-  std::uint64_t fp = hash_span(std::span<const std::uint64_t>(scratch));
+  // Canonical form: the color multiset (an order-free sum) + prefix
+  // structure. Prefix *values* are deliberately absent — only lengths and
+  // the footprints already folded into the colors matter to the exploration.
+  std::uint64_t fp = 0;
+  for (const std::uint64_t c : color_) fp += hash_mix(c);
   fp = hash_combine(fp, pec.prefixes.size());
   for (const PecPrefix& pp : pec.prefixes) {
     fp = hash_combine(fp, pp.prefix.length());
   }
-  shape.colors = std::move(color);
-  shape.fingerprint = fp;
-  return shape;
+  return fp;
 }
 
-/// Nodes ordered by (final color, id): the canonical order used to construct
-/// the candidate bijection between two PECs with equal fingerprints.
-std::vector<NodeId> canonical_order(const std::vector<std::uint64_t>& colors) {
-  std::vector<NodeId> order(colors.size());
-  for (NodeId n = 0; n < order.size(); ++n) order[n] = n;
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return colors[a] != colors[b] ? colors[a] < colors[b] : a < b;
-  });
-  return order;
+void Classer::canonical_order(std::span<const std::uint64_t> colors,
+                              std::vector<NodeId>& out) {
+  order_.clear();
+  for (NodeId n = 0; n < colors.size(); ++n) order_.emplace_back(colors[n], n);
+  std::sort(order_.begin(), order_.end());
+  out.clear();
+  for (const auto& [color, n] : order_) out.push_back(n);
 }
 
 // ---------------------------------------------------------------------------
@@ -264,25 +363,62 @@ std::vector<NodeId> canonical_order(const std::vector<std::uint64_t>& colors) {
 // an unsound verdict transfer.
 // ---------------------------------------------------------------------------
 
-bool sorted_equal_mapped(std::vector<std::uint64_t> a, std::vector<std::uint64_t> b) {
+bool sorted_equal(std::vector<std::uint64_t>& a, std::vector<std::uint64_t>& b) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
 }
 
-/// pi maps nodes of `a`'s exploration onto `b`'s.
-bool validate_isomorphism(const Network& net, const Pec& a, const Pec& b,
-                          const Policy& policy, std::span<const NodeId> pi,
-                          RouteMapCanon& canon) {
-  const std::size_t n_nodes = net.topo.node_count();
+/// Topology automorphism: per node, the multiset of (mapped neighbor,
+/// out-cost, return-cost) must be preserved, compared by value. Without
+/// parallel links a node's neighbors are distinct, so the image node's
+/// adjacency is stamped into per-neighbor arrays and each mapped arc is
+/// looked up; nodes with parallel links compare sorted arc lists instead.
+bool Classer::same_topology(std::span<const NodeId> pi) {
+  for (NodeId n = 0; n < n_nodes_; ++n) {
+    const NodeId m = pi[n];
+    const std::span<const Adjacency> an = net_.topo.neighbors(n);
+    const std::span<const Adjacency> am = net_.topo.neighbors(m);
+    if (an.size() != am.size()) return false;
+    if (parallel_[n] != 0 || parallel_[m] != 0) {
+      arcs_a_.clear();
+      arcs_b_.clear();
+      for (const Adjacency& adj : an) {
+        Arc arc = arc_of(net_.topo, adj);
+        arc.to = pi[arc.to];
+        arcs_a_.push_back(arc);
+      }
+      for (const Adjacency& adj : am) arcs_b_.push_back(arc_of(net_.topo, adj));
+      std::sort(arcs_a_.begin(), arcs_a_.end());
+      std::sort(arcs_b_.begin(), arcs_b_.end());
+      if (arcs_a_ != arcs_b_) return false;
+      continue;
+    }
+    ++adj_epoch_;
+    for (const Adjacency& adj : am) {
+      adj_stamp_[adj.neighbor] = adj_epoch_;
+      adj_arc_[adj.neighbor] = arc_of(net_.topo, adj);
+    }
+    for (const Adjacency& adj : an) {
+      const Arc arc = arc_of(net_.topo, adj);
+      const NodeId x = pi[arc.to];
+      if (adj_stamp_[x] != adj_epoch_ || adj_arc_[x].cost != arc.cost ||
+          adj_arc_[x].ret != arc.ret) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
+bool Classer::validate(const Pec& a, const Pec& b, std::span<const NodeId> pi) {
   // Policy fixed points: declared special nodes must be preserved exactly —
   // the policy predicate is only renaming-invariant over undeclared nodes
   // (the same contract policy pruning and DEC merging already assume).
-  for (const NodeId s : policy.sources()) {
+  for (const NodeId s : policy_.sources()) {
     if (pi[s] != s) return false;
   }
-  for (const NodeId s : policy.interesting()) {
+  for (const NodeId s : policy_.interesting()) {
     if (pi[s] != s) return false;
   }
 
@@ -296,48 +432,24 @@ bool validate_isomorphism(const Network& net, const Pec& a, const Pec& b,
     }
   }
 
-  // Topology automorphism, parallel-link safe: per node, the multiset of
-  // (mapped neighbor, out-cost, return-cost) must be preserved.
-  {
-    std::vector<std::uint64_t> la, lb;
-    for (NodeId n = 0; n < n_nodes; ++n) {
-      la.clear();
-      lb.clear();
-      for (const Adjacency& adj : net.topo.neighbors(n)) {
-        const Link& l = net.topo.link(adj.link);
-        la.push_back(hash_combine(
-            hash_combine(pi[adj.neighbor], adj.cost), l.cost_from(adj.neighbor)));
-      }
-      for (const Adjacency& adj : net.topo.neighbors(pi[n])) {
-        const Link& l = net.topo.link(adj.link);
-        lb.push_back(hash_combine(hash_combine(adj.neighbor, adj.cost),
-                                  l.cost_from(adj.neighbor)));
-      }
-      if (!sorted_equal_mapped(la, lb)) return false;
-    }
-  }
+  if (!same_topology(pi)) return false;
 
   // Device configuration equivalence under pi.
-  for (NodeId n = 0; n < n_nodes; ++n) {
-    const auto& da = net.device(n);
-    const auto& db = net.device(pi[n]);
+  for (NodeId n = 0; n < n_nodes_; ++n) {
+    const auto& da = net_.device(n);
+    const auto& db = net_.device(pi[n]);
     if (da.ospf.enabled != db.ospf.enabled) return false;
     if (da.bgp.has_value() != db.bgp.has_value()) return false;
     if (da.bgp) {
-      std::vector<std::uint64_t> sa, sb;
+      hashes_a_.clear();
+      hashes_b_.clear();
       for (const BgpSession& s : da.bgp->sessions) {
-        std::uint64_t h = hash_combine(pi[s.peer], s.ibgp ? 2u : 1u);
-        h = hash_combine(h, canon.of(s.import, a));
-        h = hash_combine(h, canon.of(s.export_, a));
-        sa.push_back(h);
+        hashes_a_.push_back(session_hash(s, pi[s.peer], a));
       }
       for (const BgpSession& s : db.bgp->sessions) {
-        std::uint64_t h = hash_combine(s.peer, s.ibgp ? 2u : 1u);
-        h = hash_combine(h, canon.of(s.import, b));
-        h = hash_combine(h, canon.of(s.export_, b));
-        sb.push_back(h);
+        hashes_b_.push_back(session_hash(s, s.peer, b));
       }
-      if (!sorted_equal_mapped(std::move(sa), std::move(sb))) return false;
+      if (!sorted_equal(hashes_a_, hashes_b_)) return false;
     }
   }
 
@@ -345,39 +457,34 @@ bool validate_isomorphism(const Network& net, const Pec& a, const Pec& b,
   for (std::size_t i = 0; i < a.prefixes.size(); ++i) {
     const PecPrefix& pa = a.prefixes[i];
     const PecPrefix& pb = b.prefixes[i];
-    auto mapped_set = [&](const std::vector<NodeId>& v) {
-      std::vector<std::uint64_t> out;
-      out.reserve(v.size());
-      for (const NodeId x : v) out.push_back(pi[x]);
-      return out;
+    const auto same_nodes = [&](const std::vector<NodeId>& va,
+                                const std::vector<NodeId>& vb) {
+      hashes_a_.clear();
+      for (const NodeId x : va) hashes_a_.push_back(pi[x]);
+      hashes_b_.assign(vb.begin(), vb.end());
+      return sorted_equal(hashes_a_, hashes_b_);
     };
-    auto raw_set = [](const std::vector<NodeId>& v) {
-      return std::vector<std::uint64_t>(v.begin(), v.end());
-    };
-    if (!sorted_equal_mapped(mapped_set(pa.ospf_origins), raw_set(pb.ospf_origins))) {
-      return false;
-    }
-    if (!sorted_equal_mapped(mapped_set(pa.bgp_origins), raw_set(pb.bgp_origins))) {
-      return false;
-    }
-    std::vector<std::uint64_t> sta, stb;
+    if (!same_nodes(pa.ospf_origins, pb.ospf_origins)) return false;
+    if (!same_nodes(pa.bgp_origins, pb.bgp_origins)) return false;
+    hashes_a_.clear();
+    hashes_b_.clear();
     for (const auto& [dev, idx] : pa.static_routes) {
-      const StaticRoute& sr = net.device(dev).statics[idx];
+      const StaticRoute& sr = net_.device(dev).statics[idx];
       if (sr.via_ip) return false;  // recursive: outcome-coupled, never dedup
-      sta.push_back(hash_combine(hash_combine(pi[dev], sr.drop ? 2u : 1u),
-                                 sr.drop ? kNoNode : pi[sr.via_neighbor]));
+      hashes_a_.push_back(hash_combine(hash_combine(pi[dev], sr.drop ? 2u : 1u),
+                                       sr.drop ? kNoNode : pi[sr.via_neighbor]));
     }
     for (const auto& [dev, idx] : pb.static_routes) {
-      const StaticRoute& sr = net.device(dev).statics[idx];
+      const StaticRoute& sr = net_.device(dev).statics[idx];
       if (sr.via_ip) return false;
-      stb.push_back(hash_combine(hash_combine(std::uint64_t{dev}, sr.drop ? 2u : 1u),
-                                 sr.drop ? kNoNode : sr.via_neighbor));
+      hashes_b_.push_back(hash_combine(hash_combine(std::uint64_t{dev}, sr.drop ? 2u : 1u),
+                                       sr.drop ? kNoNode : sr.via_neighbor));
     }
-    if (!sorted_equal_mapped(std::move(sta), std::move(stb))) return false;
+    if (!sorted_equal(hashes_a_, hashes_b_)) return false;
     // /32 loopback local delivery must be preserved node-by-node.
     if (pa.prefix.length() == 32 || pb.prefix.length() == 32) {
-      for (NodeId n = 0; n < n_nodes; ++n) {
-        if (loopback_delivers(net, a, i, n) != loopback_delivers(net, b, i, pi[n])) {
+      for (NodeId n = 0; n < n_nodes_; ++n) {
+        if (loopback_delivers(net_, a, i, n) != loopback_delivers(net_, b, i, pi[n])) {
           return false;
         }
       }
@@ -557,6 +664,7 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
                                 std::span<const std::uint8_t> needed,
                                 std::span<const std::uint8_t> is_target) {
   const auto start = std::chrono::steady_clock::now();
+  Classer classer(net, policy);
   PecClassSet out;
   out.rep_of.assign(pecs.pecs.size(), kNoPec);
   out.members_of.resize(pecs.pecs.size());
@@ -581,13 +689,12 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
 
   struct Class {
     PecId rep = 0;
-    std::vector<std::uint64_t> colors;   ///< representative's refined colors
-    std::vector<NodeId> canon;           ///< representative's canonical order
+    std::vector<std::uint64_t> colors;  ///< representative's refined colors
+    std::vector<NodeId> canon;          ///< representative's canonical order
   };
   std::unordered_map<std::uint64_t, std::vector<Class>> buckets;
   std::vector<NodeId> pi(net.topo.node_count());
-  RouteMapCanon map_canon;
-  std::vector<std::vector<RefineEdge>> topo_edges;
+  std::vector<NodeId> canon;
 
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     if (needed[p] == 0) continue;
@@ -596,28 +703,24 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
       if (is_target[p] != 0) ++out.stats.classes;  // ineligible target: singleton
       continue;
     }
-    if (topo_edges.empty()) topo_edges = topology_edges(net);
-    PecShape shape = pec_shape(net, pecs.pecs[p], policy, topo_edges, map_canon);
-    auto& bucket = buckets[shape.fingerprint];
-    const std::vector<NodeId> canon = canonical_order(shape.colors);
+    auto& bucket = buckets[classer.refine(pecs.pecs[p])];
+    const std::vector<std::uint64_t>& colors = classer.colors();
+    classer.canonical_order(colors, canon);
     bool joined = false;
-    for (Class& cls : bucket) {
+    for (const Class& cls : bucket) {
       // Candidate bijection: i-th node in the representative's canonical
       // (color, id) order maps to the i-th in the member's. Equal color
       // multisets (same fingerprint) make the pairing color-aligned.
       bool color_aligned = true;
       for (std::size_t i = 0; i < canon.size(); ++i) {
-        if (cls.colors[cls.canon[i]] != shape.colors[canon[i]]) {
+        if (cls.colors[cls.canon[i]] != colors[canon[i]]) {
           color_aligned = false;
           break;
         }
         pi[cls.canon[i]] = canon[i];
       }
       if (!color_aligned) continue;  // hash-collision bucket: not the same shape
-      if (!validate_isomorphism(net, pecs.pecs[cls.rep], pecs.pecs[p], policy,
-                                pi, map_canon)) {
-        continue;
-      }
+      if (!classer.validate(pecs.pecs[cls.rep], pecs.pecs[p], pi)) continue;
       out.rep_of[p] = cls.rep;
       out.members_of[cls.rep].push_back(p);
       ++out.stats.deduped;
@@ -627,8 +730,8 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
     if (!joined) {
       Class cls;
       cls.rep = p;
+      cls.colors = colors;
       cls.canon = canon;
-      cls.colors = std::move(shape.colors);
       bucket.push_back(std::move(cls));
       ++out.stats.classes;
     }
@@ -640,7 +743,7 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
     if (!members.empty()) ++multi;
   }
   out.stats.singletons = out.stats.classes - multi;
-  out.stats.fingerprint_time = std::chrono::steady_clock::now() - start;
+  out.stats.classing_time = std::chrono::steady_clock::now() - start;
   return out;
 }
 

@@ -28,7 +28,19 @@
 // §3.2) or self-loops are never grouped: their explorations consume or
 // produce per-PEC converged outcomes that do not transfer. Failed validation
 // degrades to a singleton class — asymmetric networks pay only the
-// fingerprinting cost.
+// classing cost.
+//
+// Colors are renaming-invariant; the partition is not. The candidate
+// bijection breaks color ties by node id, so one numbering of a fat tree
+// folds it into one class and a shuffled one into one class per pod.
+//
+// Cost: one call flattens the topology once into a CSR arc array (per-node
+// offsets, per-arc costs and refinement labels, a per-node parallel-link
+// flag); each PEC adds only an overlay of its own edges (BGP sessions,
+// static via relations). A refinement round folds a node's edges as an
+// order-free sum, so no round sorts, and validation compares link costs by
+// value through per-neighbor stamp arrays. Color values live for one call:
+// only the partitions they induce are the contract.
 //
 // The module also computes the serve cache's per-PEC residue
 // (compute_pec_fingerprints below). That is a plain value hash with no
@@ -51,9 +63,9 @@ struct PecDedupStats {
   std::size_t classes = 0;     ///< classes over dedup-eligible PECs
   std::size_t deduped = 0;     ///< member PECs riding on a representative
   std::size_t singletons = 0;  ///< classes with exactly one member
-  /// Wall time spent fingerprinting + validating (the dedup overhead a
-  /// fully-asymmetric workload pays for nothing).
-  std::chrono::nanoseconds fingerprint_time{0};
+  /// Wall time spent classing: refinement plus validation (the dedup
+  /// overhead a fully-asymmetric workload pays for nothing).
+  std::chrono::nanoseconds classing_time{0};
 };
 
 /// The class partition over the needed PECs of one verification.
@@ -99,7 +111,7 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
 /// the PECs X can influence, which is what keeps the serve daemon's cache
 /// hot across deltas.
 ///
-/// No renaming-invariant half is needed: everything pec_shape's refinement
+/// No renaming-invariant half is needed: everything the classing refinement
 /// reads without a policy (costs, roles, sessions and their fireable
 /// clauses, the PEC's prefixes, origins, statics and /32 loopbacks) is
 /// already hashed here, so a canonical form could never split two equal

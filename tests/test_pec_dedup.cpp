@@ -1,14 +1,20 @@
 // Batch PEC verification (eqclass/pec_dedup.hpp): fingerprint invariance
 // under node/prefix renaming, collision resistance on near-miss configs,
-// verdict/trail translation, and the singleton fallback on asymmetry.
+// topology validation by value (with and without parallel links), classing
+// on renumbered input, verdict/trail translation, and the singleton
+// fallback on asymmetry.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "config/parser.hpp"
 #include "core/verifier.hpp"
 #include "eqclass/pec_dedup.hpp"
+#include "serve/serve.hpp"
 #include "workload/fat_tree.hpp"
 
 namespace plankton {
@@ -301,6 +307,106 @@ TEST(PecDedup, DependentPecsAreNeverGrouped) {
     if (!cs.is_translated_member(p)) continue;
     EXPECT_NE(p, dependent);
     EXPECT_NE(p, dependency);
+  }
+}
+
+/// An OSPF ring r0-r1-...-r0 of `size` routers at cost 3, each router
+/// originating its own /24. `doubled` ring links (link i joins r<i> and
+/// r<i+1 mod size>) get a second, parallel link at cost 5.
+Network parallel_ring(std::size_t size, const std::vector<NodeId>& doubled) {
+  Network net;
+  for (std::size_t i = 0; i < size; ++i) {
+    const NodeId n = net.add_device("r" + std::to_string(i),
+                                    IpAddr(10, 0, 0, static_cast<std::uint8_t>(1 + i)));
+    net.device(n).ospf.enabled = true;
+    net.device(n).ospf.advertise_loopback = false;
+    net.device(n).ospf.originated.push_back(
+        *Prefix::parse("10." + std::to_string(i + 1) + ".0.0/24"));
+  }
+  const auto next = [size](NodeId i) { return static_cast<NodeId>((i + 1) % size); };
+  for (NodeId i = 0; i < size; ++i) net.topo.add_link(i, next(i), 3);
+  for (const NodeId i : doubled) net.topo.add_link(i, next(i), 5);
+  return net;
+}
+
+TEST(PecDedup, ParallelLinksValidateByValue) {
+  // Parallel links put two arcs to one neighbor in a node's adjacency, so
+  // topology validation cannot look a mapped neighbor up by id and compares
+  // sorted (neighbor, cost, return cost) lists instead.
+  const LoopFreedomPolicy policy;
+  const auto check = [&](const Network& net, std::size_t classes) {
+    EXPECT_EQ(classes_of(net, policy).stats.classes, classes);
+    const VerifyResult on = run(net, policy, true, /*find_all=*/true);
+    const VerifyResult off = run(net, policy, false, /*find_all=*/true);
+    EXPECT_EQ(on.verdict, Verdict::kHolds);
+    EXPECT_EQ(on.verdict, off.verdict);
+    EXPECT_EQ(on.reports.size(), off.reports.size());
+    EXPECT_EQ(violation_multiset(on), violation_multiset(off));
+  };
+  {
+    SCOPED_TRACE("every ring link doubled: all four rotations validate");
+    check(parallel_ring(4, {0, 1, 2, 3}), 1);
+  }
+  {
+    SCOPED_TRACE("one parallel link costs 5 one way and 6 the other");
+    Network net = parallel_ring(4, {0, 1, 2, 3});
+    net.topo.set_link_cost(4, 5, 6);  // the r0-r1 parallel link
+    check(net, 4);
+  }
+  {
+    SCOPED_TRACE("only r0-r1 doubled: the reflection swapping r0/r1 remains");
+    check(parallel_ring(4, {0}), 2);
+  }
+  // On a 6-ring the (color, id) pairing of two adjacent origins maps r1-r2
+  // onto r0-r3, which is no link: validation must reject it, through the
+  // sorted arc lists when every node has parallel links and through the
+  // stamped adjacency when none has.
+  {
+    SCOPED_TRACE("6-ring, every link doubled");
+    check(parallel_ring(6, {0, 1, 2, 3, 4, 5}), 2);
+  }
+  {
+    SCOPED_TRACE("6-ring, no parallel links");
+    check(parallel_ring(6, {}), 2);
+  }
+}
+
+TEST(PecDedup, RenumberedFatTreeKeepsOneClassPerPod) {
+  // Inputs renumber devices freely (the e2e bench shuffles declarations).
+  // Colors are renaming-invariant, but the candidate bijection breaks color
+  // ties by node id, so after a shuffle a cross-pod pairing no longer lines
+  // up: the tree folds into one class per pod, never more.
+  FatTreeOptions o;
+  o.k = 8;
+  const std::string text = serve::render_config(make_fat_tree(o).net);
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = text.find('\n', pos);
+    lines.push_back(text.substr(pos, eol - pos));
+    pos = eol + 1;
+  }
+  std::size_t nodes = 0;  // render_config declares every node first
+  while (nodes < lines.size() && lines[nodes].starts_with("node ")) ++nodes;
+  ASSERT_EQ(nodes, 80u);
+  const LoopFreedomPolicy policy;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("shuffle seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> shuffled = lines;
+    for (std::size_t i = nodes; i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng() % i]);
+    }
+    std::string config;
+    for (const std::string& l : shuffled) config += l + "\n";
+    const Network net = parse_network_config(config).net;
+    ASSERT_EQ(compute_pecs(net).routed().size(), 32u);
+    EXPECT_LE(classes_of(net, policy).stats.classes, 8u);
+    const VerifyResult on = run(net, policy, true);
+    const VerifyResult off = run(net, policy, false);
+    EXPECT_EQ(on.verdict, Verdict::kHolds);
+    EXPECT_EQ(on.verdict, off.verdict);
+    EXPECT_EQ(on.reports.size(), off.reports.size());
+    EXPECT_EQ(violation_multiset(on), violation_multiset(off));
   }
 }
 
