@@ -29,31 +29,25 @@ class TruePolicy final : public Policy {
   }
 };
 
-/// One schedulable unit: an SCC of the PEC dependency graph.
-struct SccTask {
-  std::uint32_t scc = 0;
-  std::vector<PecId> pecs;
-  bool is_target = false;      ///< contains at least one policy-checked PEC
-};
-
 /// The verification plan: everything downstream of (network, policy,
 /// targets, options) that the coordinator and a bootstrapped worker must
 /// agree on. It is a deterministic function of its inputs and the dedup
 /// classes the coordinator ships in kBootstrap, so a worker that parsed the
 /// same rendered config derives the same plan; shard_plan_hash() proves it.
+/// `tasks` is the one task list: the in-process scheduler, every shard
+/// worker and the coordinator all index it by TaskGraph task id.
 struct ShardPlan {
   std::vector<std::uint8_t> needed;     ///< dependency closure of targets
   std::vector<std::uint8_t> is_target;  ///< policy-checked PECs
-  /// Batch PEC verification classes (empty with dedup off).
+  /// Batch PEC verification classes (empty with dedup off, or when the
+  /// options cannot prove a hold: see can_prove).
   PecClassSet classes;
-  std::vector<SccTask> tasks;
+  std::vector<sched::ShardTaskSpec> tasks;
   sched::TaskGraph graph;
   /// Needed dependents per PEC (how many needed PECs will read its
-  /// outcomes). The in-process path seeds its eviction atomics from this;
-  /// the sharded path uses it directly (static — the coordinator owns
-  /// eviction there).
+  /// outcomes). run_task decides from it which outcomes to record; the
+  /// in-process path also seeds its eviction atomics from it.
   std::vector<std::ptrdiff_t> needed_dependents;
-  std::vector<sched::ShardTaskSpec> specs;
   /// Per PEC: its exploration cannot be exhaustive under the RPVP model. Set
   /// for every mate of a cyclic (multi-PEC) SCC task — each mate runs
   /// without the outcomes of the mates scheduled after it — and for every
@@ -83,38 +77,49 @@ ShardPlan plan_closure(const PecSet& pecs, const PecDependencies& deps,
   return plan;
 }
 
-/// Completes a plan whose masks and classes are set: the SCC task graph,
-/// eviction counts, approximation flags and wire task specs.
+/// Completes a plan whose masks and classes are set: the task list and its
+/// graph, eviction counts and approximation flags.
 void finish_plan(ShardPlan& plan, const PecSet& pecs,
                  const PecDependencies& deps) {
-  // Build the SCC task graph restricted to needed PECs, minus class members:
-  // batch PEC verification (eqclass/pec_dedup.hpp) schedules one
-  // representative per class, and a member's report is produced when its
+  // One task per SCC, restricted to needed PECs, minus class members: batch
+  // PEC verification (eqclass/pec_dedup.hpp) schedules one representative
+  // per class, and the task body produces a member's report when its
   // representative finishes — translated on a clean hold, re-explored
   // natively otherwise.
+  const auto& members_of = plan.classes.members_of;
   std::vector<std::int32_t> task_of_scc(deps.sccs.size(), -1);
+  std::vector<std::uint32_t> scc_of_task;
   for (std::uint32_t s = 0; s < deps.sccs.size(); ++s) {
-    std::vector<PecId> members;
-    bool target = false;
+    sched::ShardTaskSpec t;
     for (const PecId p : deps.sccs[s]) {
       if (plan.needed[p] == 0) continue;
       if (plan.classes.is_translated_member(p)) continue;
-      members.push_back(p);
-      target = target || plan.is_target[p] != 0;
+      t.pecs.push_back(p);
     }
-    if (members.empty()) continue;
+    if (t.pecs.empty()) continue;
+    for (std::size_t i = 0; i < t.pecs.size(); ++i) {
+      const PecId p = t.pecs[i];
+      if (p < members_of.size() && !members_of[p].empty()) {
+        t.class_members.resize(t.pecs.size());
+        t.class_members[i] = members_of[p];
+      }
+      for (const PecId d : deps.depends_on[p]) {
+        if (plan.needed[d] == 0) continue;  // outside the closure: never read
+        if (std::find(t.pecs.begin(), t.pecs.end(), d) != t.pecs.end()) continue;
+        if (std::find(t.deps.begin(), t.deps.end(), d) == t.deps.end()) {
+          t.deps.push_back(d);
+        }
+      }
+    }
     task_of_scc[s] = static_cast<std::int32_t>(plan.tasks.size());
-    SccTask t;
-    t.scc = s;
-    t.pecs = std::move(members);
-    t.is_target = target;
+    scc_of_task.push_back(s);
     plan.tasks.push_back(std::move(t));
   }
   plan.graph.dependents.resize(plan.tasks.size());
   plan.graph.waiting_on.assign(plan.tasks.size(), 0);
   std::vector<PecId> approx;  // seeds of ShardPlan::approximated
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-    for (const std::uint32_t dep : deps.scc_deps[plan.tasks[i].scc]) {
+    for (const std::uint32_t dep : deps.scc_deps[scc_of_task[i]]) {
       const std::int32_t j = task_of_scc[dep];
       if (j < 0) continue;  // dependency not needed => its pecs carry no info
       ++plan.graph.waiting_on[i];
@@ -140,35 +145,6 @@ void finish_plan(ShardPlan& plan, const PecSet& pecs,
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     for (const PecId q : deps.dependents[p]) {
       if (plan.needed[q] != 0) ++plan.needed_dependents[p];
-    }
-  }
-
-  // Wire task specs for the shard coordinator (also the structure the plan
-  // hash covers).
-  const auto& members_of = plan.classes.members_of;
-  plan.specs.resize(plan.tasks.size());
-  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-    sched::ShardTaskSpec& spec = plan.specs[i];
-    spec.pecs = plan.tasks[i].pecs;
-    // Class membership: the worker produces the members' reports
-    // (translated or natively re-run) itself, so only results cross the wire.
-    for (std::size_t mi = 0; mi < spec.pecs.size(); ++mi) {
-      const PecId p = spec.pecs[mi];
-      if (p < members_of.size() && !members_of[p].empty()) {
-        spec.class_members.resize(spec.pecs.size());
-        spec.class_members[mi] = members_of[p];
-      }
-    }
-    for (const PecId p : plan.tasks[i].pecs) {
-      for (const PecId d : deps.depends_on[p]) {
-        if (plan.needed[d] == 0) continue;  // outside the closure: never read
-        const auto& mates = plan.tasks[i].pecs;
-        if (std::find(mates.begin(), mates.end(), d) != mates.end()) continue;
-        if (std::find(spec.deps.begin(), spec.deps.end(), d) ==
-            spec.deps.end()) {
-          spec.deps.push_back(d);
-        }
-      }
     }
   }
 }
@@ -224,15 +200,16 @@ std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
   mix(pec_count);
   mix(plan.tasks.size());
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-    const SccTask& t = plan.tasks[i];
-    const sched::ShardTaskSpec& spec = plan.specs[i];
+    const sched::ShardTaskSpec& t = plan.tasks[i];
     mix(t.pecs.size());
-    for (const PecId p : t.pecs) mix(p);
-    mix(t.is_target ? 1 : 0);
-    mix(spec.deps.size());
-    for (const PecId d : spec.deps) mix(d);
-    mix(spec.class_members.size());
-    for (const auto& members : spec.class_members) {
+    for (const PecId p : t.pecs) {
+      mix(p);
+      mix(plan.is_target[p]);
+    }
+    mix(t.deps.size());
+    for (const PecId d : t.deps) mix(d);
+    mix(t.class_members.size());
+    for (const auto& members : t.class_members) {
       mix(members.size());
       for (const PecId m : members) mix(m);
     }
@@ -242,9 +219,9 @@ std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
   return h;
 }
 
-/// The per-PEC execution engine shared by every scheduling path: the
-/// in-process pool and every bootstrapped shard worker run PECs through
-/// here, which is what keeps their verdicts bit-identical.
+/// The per-task execution engine shared by every scheduling path: the
+/// in-process scheduler and every bootstrapped shard worker run each task
+/// through run_task, which is what keeps their verdicts bit-identical.
 class ShardExecution {
  public:
   ShardExecution(const Network& net, const PecSet& pecs,
@@ -263,20 +240,60 @@ class ShardExecution {
     // Budget deadline fair-sharing: the global deadline is split into
     // per-PEC slices of remaining_time / remaining_unstarted_pecs, so one
     // monster PEC trips its own slice instead of starving everything
-    // scheduled after it. `pecs_started` is exact in-process; a shard
+    // scheduled after it. `pecs_started_` is exact in-process; a shard
     // worker counts only the PECs it started itself, which *under*-counts
     // started PECs and therefore only makes slices more conservative —
-    // never unfair. `scheduled_pecs` is atomic because dedup member reruns
+    // never unfair. `scheduled_pecs_` is atomic because dedup member reruns
     // are scheduled dynamically.
     std::size_t statically_scheduled = 0;
-    for (const SccTask& t : plan.tasks) statically_scheduled += t.pecs.size();
-    scheduled_pecs.store(statically_scheduled, std::memory_order_relaxed);
+    for (const sched::ShardTaskSpec& t : plan.tasks) {
+      statically_scheduled += t.pecs.size();
+    }
+    scheduled_pecs_.store(statically_scheduled, std::memory_order_relaxed);
   }
 
-  /// Shared per-PEC execution. `has_dependents` is passed in because the
-  /// execution paths track it differently (runtime atomics vs the static
-  /// count); recorded outcomes stay in the returned report for the caller
-  /// to store or ship.
+  /// The one task body. Runs the task's PECs in order and emits one
+  /// PecReport per PEC and per translated class member, the members ahead of
+  /// their representative. A PEC's outcomes go into `store` when a needed
+  /// dependent may still read them: needed_dependents[p] minus the earlier
+  /// mates of this (cyclic) task that depend on p. Every dependent outside
+  /// the task runs after it, so this static count equals what a runtime
+  /// counter would read. `rerun` dispatches one class member's native re-run
+  /// (rerun_member) and collects its report: the in-process scheduler spawns
+  /// it as a stealable subtask, a single-threaded shard worker runs it
+  /// inline.
+  template <typename Emit, typename Rerun>
+  void run_task(const sched::ShardTaskSpec& task, OutcomeStore& store,
+                Emit&& emit, Rerun&& rerun) {
+    for (std::size_t i = 0; i < task.pecs.size(); ++i) {
+      const PecId p = task.pecs[i];
+      std::ptrdiff_t pending = plan_.needed_dependents[p];
+      for (std::size_t j = 0; j < i; ++j) {
+        const auto& mate_deps = deps_.depends_on[task.pecs[j]];
+        if (std::find(mate_deps.begin(), mate_deps.end(), p) !=
+            mate_deps.end()) {
+          --pending;
+        }
+      }
+      const bool has_dependents = pending > 0;
+      PecReport rep =
+          run_pec_core(p, plan_.is_target[p] != 0, has_dependents, store);
+      if (has_dependents) store.put(p, std::move(rep.result.outcomes));
+      rep.result.outcomes.clear();
+      if (i < task.class_members.size()) {
+        class_tail(rep, task.class_members[i], emit, rerun);
+      }
+      emit(std::move(rep));
+    }
+  }
+
+  /// A class member's native re-run. Classing takes only self-contained
+  /// target PECs, so the member is policy-checked and records nothing.
+  PecReport rerun_member(PecId member, const OutcomeStore& store) {
+    return run_pec_core(member, true, false, store);
+  }
+
+ private:
   PecReport run_pec_core(PecId pec_id, bool target, bool has_dependents,
                          const OutcomeStore& store) {
     const Pec& pec = pecs_.pecs[pec_id];
@@ -290,7 +307,7 @@ class ShardExecution {
     // the whole-run deadline is replaced by this PEC's fair-share slice.
     if (has_deadline_) {
       const std::size_t started =
-          pecs_started.fetch_add(1, std::memory_order_relaxed);
+          pecs_started_.fetch_add(1, std::memory_order_relaxed);
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               deadline_ - std::chrono::steady_clock::now());
@@ -302,7 +319,7 @@ class ShardExecution {
         return rep;
       }
       eo.budget.deadline = fair_share_slice(
-          remaining, scheduled_pecs.load(std::memory_order_relaxed), started);
+          remaining, scheduled_pecs_.load(std::memory_order_relaxed), started);
     }
     StoreProvider provider(store, deps_.depends_on[pec_id], has_dependents);
     Explorer explorer(
@@ -321,23 +338,17 @@ class ShardExecution {
     return rep;
   }
 
-  /// Class tail of a finished representative run (every execution path calls
-  /// this right after run_pec_core on a representative). A clean hold
-  /// transfers to every member — the validated isomorphism guarantees the
-  /// members' exploration state graphs are isomorphic to the
-  /// representative's. Any non-clean result (violation, timeout, state cap)
-  /// re-explores the members natively so that reported trails are the
-  /// members' own, bit-identical to a dedup-off run; under early stop a
-  /// violated representative already decides the verdict and the members are
-  /// skipped like any other unscheduled task. `rerun` dispatches one
-  /// member's native re-exploration: the sharded worker runs it inline, the
-  /// in-process path spawns it as a dynamic subtask so idle workers pick
-  /// members up in parallel (what dedup-off parallelism would have done).
+  /// Class tail of a finished representative run. A clean hold transfers to
+  /// every member — the validated isomorphism guarantees the members'
+  /// exploration state graphs are isomorphic to the representative's. Any
+  /// non-clean result (violation, timeout, state cap) re-explores the
+  /// members natively so that reported trails are the members' own,
+  /// bit-identical to a dedup-off run; under early stop a violated
+  /// representative already decides the verdict and the members are skipped
+  /// like any other unscheduled task.
   template <typename Emit, typename Rerun>
-  void expand_class(const PecReport& rep, Emit&& emit, Rerun&& rerun) {
-    const auto& members_of = plan_.classes.members_of;
-    if (rep.pec >= members_of.size() || members_of[rep.pec].empty()) return;
-    const auto& members = members_of[rep.pec];
+  void class_tail(const PecReport& rep, const std::vector<PecId>& members,
+                  Emit& emit, Rerun& rerun) {
     if (rep.result.verdict() == Verdict::kHolds) {
       for (const PecId m : members) {
         PecReport t;
@@ -353,77 +364,11 @@ class ShardExecution {
       return;
     }
     for (const PecId m : members) {
-      dedup_reruns.fetch_add(1, std::memory_order_relaxed);
       // Reruns are scheduled work the static count never saw; register them
       // before dispatch so the fair-share divisor stays ahead of started.
-      scheduled_pecs.fetch_add(1, std::memory_order_relaxed);
+      scheduled_pecs_.fetch_add(1, std::memory_order_relaxed);
       rerun(m);
     }
-  }
-
-  /// The shard worker body: runs one task's PECs (plus class tails) and
-  /// converts reports to wire results inside every shard worker.
-  std::vector<sched::ShardPecResult> run_worker_task(std::size_t task_idx,
-                                                     OutcomeStore& upstream) {
-    std::vector<sched::ShardPecResult> out;
-    const SccTask& task = plan_.tasks[task_idx];
-    for (std::size_t mi = 0; mi < task.pecs.size(); ++mi) {
-      const PecId p = task.pecs[mi];
-      const bool target = task.is_target && plan_.is_target[p] != 0;
-      // The only decrements that can have landed when a PEC starts come
-      // from already-finished mates of the same (cyclic) SCC task — every
-      // outside dependent is scheduled strictly after this task completes.
-      // Replaying those mate decrements over the static counts reproduces
-      // the in-process runtime value exactly.
-      std::ptrdiff_t pending = plan_.needed_dependents[p];
-      for (std::size_t mj = 0; mj < mi; ++mj) {
-        const auto& mate_deps = deps_.depends_on[task.pecs[mj]];
-        if (std::find(mate_deps.begin(), mate_deps.end(), p) !=
-            mate_deps.end()) {
-          --pending;
-        }
-      }
-      const bool has_dependents = pending > 0;
-      PecReport rep = run_pec_core(p, target, has_dependents, upstream);
-      // Publish into the worker-local store like the in-process run_pec
-      // does: later mates of a cyclic SCC resolve against them there, and
-      // the worker ships the same single copy back when `record` is set.
-      if (has_dependents) upstream.put(p, std::move(rep.result.outcomes));
-      // Class tail before the representative's violations are moved out.
-      // Members re-run inline: the worker process is single-threaded.
-      expand_class(
-          rep, [&](PecReport&& t) { to_shard_result(std::move(t), false, out); },
-          [&](PecId m) {
-            to_shard_result(run_pec_core(m, true, false, upstream), false, out);
-          });
-      to_shard_result(std::move(rep), has_dependents, out);
-    }
-    return out;
-  }
-
-  std::atomic<std::size_t> scheduled_pecs{0};
-  std::atomic<std::size_t> pecs_started{0};
-  std::atomic<std::uint64_t> dedup_reruns{0};
-
- private:
-  static void to_shard_result(PecReport&& pr, bool record,
-                              std::vector<sched::ShardPecResult>& out) {
-    sched::ShardPecResult r;
-    r.pec = pr.pec;
-    r.budget_tripped = pr.result.budget_tripped;
-    r.exhaustive = pr.result.exhaustive;
-    r.stats = pr.result.stats;
-    r.translated = pr.translated_from != kNoPec;
-    for (Violation& v : pr.result.violations) {
-      sched::ViolationMsg vm;
-      vm.pec = pr.pec;
-      vm.failed_links.assign(v.failures.ids().begin(), v.failures.ids().end());
-      vm.message = std::move(v.message);
-      vm.trail_text = std::move(v.trail_text);
-      r.violations.push_back(std::move(vm));
-    }
-    r.record = record;
-    out.push_back(std::move(r));
   }
 
   const Network& net_;
@@ -436,6 +381,8 @@ class ShardExecution {
   const bool cross_deps_;
   const bool has_deadline_;  ///< explore.budget carries a whole-run deadline
   const std::chrono::steady_clock::time_point deadline_;
+  std::atomic<std::size_t> scheduled_pecs_{0};
+  std::atomic<std::size_t> pecs_started_{0};
 };
 
 }  // namespace
@@ -470,7 +417,10 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   result.pecs_total = pecs_.pecs.size();
 
   ShardPlan plan = plan_closure(pecs_, deps_, targets);
-  if (opts_.pec_dedup) {
+  // A representative that cannot end in a clean hold (simulation, a lossy
+  // visited store) transfers nothing: every member would re-run natively,
+  // and sharded, inline on the representative's worker. Skip classing then.
+  if (opts_.pec_dedup && can_prove(opts_.explore)) {
     plan.classes = compute_pec_classes(net_, pecs_, deps_, policy, plan.needed,
                                        plan.is_target);
   }
@@ -480,7 +430,6 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   result.dedup_classing_time = plan.classes.stats.classing_time;
   result.scc_count = plan.tasks.size();
   result.unsupported_scc = !plan.approximated.empty();
-  const auto& is_target = plan.is_target;
 
   // Folds one per-PEC report into the aggregate result — the single
   // definition both execution paths use, so the sharded and in-process
@@ -489,18 +438,20 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   auto merge_report = [&](PecReport&& rep) {
     // Translated reports repeat their representative's stats; the aggregate
     // counts only exploration that actually happened.
-    if (rep.translated_from == kNoPec) result.total.absorb(rep.result.stats);
+    if (rep.translated_from == kNoPec) {
+      result.total.absorb(rep.result.stats);
+      if (plan.classes.is_translated_member(rep.pec)) ++result.dedup_reruns;
+      if (rep.result.verdict() == Verdict::kInconclusive) {
+        ++result.pecs_inconclusive;
+      }
+    }
     if (!rep.result.violations.empty()) violated = true;
     if (rep.result.budget_tripped != BudgetKind::kNone &&
         result.budget_tripped == BudgetKind::kNone) {
       result.budget_tripped = rep.result.budget_tripped;
     }
     if (!rep.result.exhaustive) result.exhaustive = false;
-    if (rep.translated_from == kNoPec &&
-        rep.result.verdict() == Verdict::kInconclusive) {
-      ++result.pecs_inconclusive;
-    }
-    if (is_target[rep.pec] != 0) {
+    if (plan.is_target[rep.pec] != 0) {
       ++result.pecs_verified;
       result.reports.push_back(std::move(rep));
     } else {
@@ -512,6 +463,8 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // PEC counted in pecs_inconclusive tripped a budget or was not exhaustive,
   // and both are already folded into the aggregate.
   auto finalize_verdict = [&]() {
+    std::sort(result.reports.begin(), result.reports.end(),
+              [](const PecReport& x, const PecReport& y) { return x.pec < y.pec; });
     result.verdict =
         classify(violated, result.budget_tripped, result.exhaustive);
     result.wall = std::chrono::steady_clock::now() - start;
@@ -573,7 +526,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
     sched::WorkerTransport* transport = &forked;
     if (!opts_.shard_workers.empty()) transport = &remote;
     sched::ShardRunResult rr = sched::run_sharded_task_graph(
-        net_, pecs_, so, plan.graph, plan.specs, *transport,
+        net_, pecs_, so, plan.graph, plan.tasks, *transport,
         bootstrap, shard_plan_hash(plan, pecs_.pecs.size()));
     if (!rr.ok) {
       std::fprintf(stderr,
@@ -582,31 +535,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
       return false;
     }
     result.shard = std::move(rr.stats);
-    const std::size_t links = net_.topo.link_count();
-    for (sched::ShardPecResult& sr : rr.reports) {
-      PecReport rep;
-      rep.pec = sr.pec;
-      rep.pec_str = pecs_.pecs[sr.pec].str();
-      if (sr.translated) {
-        rep.translated_from = plan.classes.rep_of[sr.pec];
-      } else if (plan.classes.is_translated_member(sr.pec)) {
-        ++result.dedup_reruns;  // member explored natively in the worker
-      }
-      rep.result.budget_tripped = sr.budget_tripped;
-      rep.result.exhaustive = sr.exhaustive;
-      rep.result.stats = sr.stats;
-      for (sched::ViolationMsg& vm : sr.violations) {
-        Violation v;
-        v.failures = FailureSet(links);
-        for (const LinkId l : vm.failed_links) v.failures.fail(l);
-        v.message = std::move(vm.message);
-        v.trail_text = std::move(vm.trail_text);
-        rep.result.violations.push_back(std::move(v));
-      }
-      merge_report(std::move(rep));
-    }
-    std::sort(result.reports.begin(), result.reports.end(),
-              [](const PecReport& x, const PecReport& y) { return x.pec < y.pec; });
+    for (PecReport& rep : rr.reports) merge_report(std::move(rep));
     return true;
   };
 
@@ -623,7 +552,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // Outcome eviction: once the last needed dependent of a PEC completes, its
   // stored outcomes can never be read again — release them so the store stays
   // bounded on long runs (the shard coordinator does the same per worker).
-  // Counters are atomics: the last finishing worker evicts.
+  // Counters are atomics: the last finishing task evicts.
   auto pending_dependents =
       std::make_unique<std::atomic<std::ptrdiff_t>[]>(pecs_.pecs.size());
   for (PecId p = 0; p < pecs_.pecs.size(); ++p) {
@@ -633,78 +562,50 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
 
   std::atomic<bool> stop{false};
 
-  auto run_pec = [&](PecId pec_id, bool target) -> PecReport {
-    // Record outcomes only when a *needed* dependent may still read them.
-    // Acyclic dependents run strictly after this PEC, so the counter is
-    // pristine here; within a cyclic SCC an already-finished mate has
-    // decremented it, which only sharpens the answer (that mate can no
-    // longer read). Dependents outside the needed closure never read.
-    const bool has_dependents =
-        pending_dependents[pec_id].load(std::memory_order_acquire) > 0;
-    PecReport rep = ctx.run_pec_core(pec_id, target, has_dependents, store);
-    if (has_dependents) store.put(pec_id, std::move(rep.result.outcomes));
-    rep.result.outcomes.clear();
-    return rep;
-  };
-
-  // Runs after every run_pec return — including the exhausted-deadline path,
-  // so deadline-limited runs still release exhausted dependencies.
-  auto release_dependencies = [&](PecId pec_id) {
-    for (const PecId d : deps_.depends_on[pec_id]) {
-      if (pending_dependents[d].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        store.evict(d);
-      }
-    }
-  };
-
   // Result aggregation is lock-free: each worker appends to its own buffer
   // (the scheduler never runs two bodies on one worker concurrently) and the
   // buffers are merged after the join. Only the early-stop flag is shared.
   const int threads = std::max(1, opts_.cores);
-  struct WorkerBuffer {
-    std::vector<PecReport> reports;
-  };
-  std::vector<WorkerBuffer> buffers(static_cast<std::size_t>(threads));
+  std::vector<std::vector<PecReport>> buffers(static_cast<std::size_t>(threads));
 
   sched::run_task_graph(
       threads, plan.graph, [&](sched::TaskContext& tc) {
-        const SccTask& task = plan.tasks[tc.task()];
         if (stop.load(std::memory_order_relaxed)) return;
-        // SCCs are verified as one unit; our prototype runs multi-PEC SCCs
-        // sequentially (the paper expects them to "almost never" occur).
-        for (const PecId p : task.pecs) {
-          PecReport rep = run_pec(p, task.is_target && is_target[p] != 0);
-          release_dependencies(p);
-          if (!rep.result.violations.empty() &&
-              !opts_.explore.find_all_violations) {
-            stop.store(true, std::memory_order_relaxed);
-          }
-          auto& buf = buffers[static_cast<std::size_t>(tc.worker())].reports;
-          ctx.expand_class(
-              rep, [&](PecReport&& t) { buf.push_back(std::move(t)); },
-              [&](PecId m) {
-                // Fallback members become dynamic subtasks: they land on
-                // this worker's deque and idle workers steal them, matching
-                // the parallelism of the dedup-off task graph (reruns only
-                // happen in find-all mode, so no stop-flag handling here).
-                tc.spawn([&, m](sched::TaskContext& sub) {
-                  // Verdict folding happens in merge_report after the join.
-                  buffers[static_cast<std::size_t>(sub.worker())]
-                      .reports.push_back(
-                          ctx.run_pec_core(m, true, false, store));
-                });
+        const sched::ShardTaskSpec& task = plan.tasks[tc.task()];
+        auto& buf = buffers[static_cast<std::size_t>(tc.worker())];
+        ctx.run_task(
+            task, store,
+            [&](PecReport&& rep) {
+              if (!rep.result.violations.empty() &&
+                  !opts_.explore.find_all_violations) {
+                stop.store(true, std::memory_order_relaxed);
+              }
+              buf.push_back(std::move(rep));
+            },
+            [&](PecId m) {
+              // Member re-runs become dynamic subtasks: they land on this
+              // worker's deque and idle workers steal them, matching the
+              // parallelism of the dedup-off task graph. Verdict folding
+              // happens in merge_report after the join.
+              tc.spawn([&, m](sched::TaskContext& sub) {
+                buffers[static_cast<std::size_t>(sub.worker())].push_back(
+                    ctx.rerun_member(m, store));
               });
-          buf.push_back(std::move(rep));
+            });
+        // Every PEC of the task has read its upstream outcomes by now.
+        for (const PecId p : task.pecs) {
+          for (const PecId d : deps_.depends_on[p]) {
+            if (pending_dependents[d].fetch_sub(1, std::memory_order_acq_rel) ==
+                1) {
+              store.evict(d);
+            }
+          }
         }
       });
 
   for (auto& buf : buffers) {
-    for (auto& rep : buf.reports) merge_report(std::move(rep));
+    for (auto& rep : buf) merge_report(std::move(rep));
   }
-  result.dedup_reruns = ctx.dedup_reruns.load(std::memory_order_relaxed);
-
-  std::sort(result.reports.begin(), result.reports.end(),
-            [](const PecReport& x, const PecReport& y) { return x.pec < y.pec; });
   finalize_verdict();
   return result;
 }
@@ -806,7 +707,14 @@ int serve_shard_worker_session(int fd) {
   if (!sched::write_all(fd, out)) return 2;
 
   const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {
-    return ctx.run_worker_task(task_idx, upstream);
+    std::vector<PecReport> reports;
+    const auto emit = [&reports](PecReport&& rep) {
+      reports.push_back(std::move(rep));
+    };
+    // Members re-run inline: the worker process is single-threaded.
+    ctx.run_task(plan.tasks[task_idx], upstream, emit,
+                 [&](PecId m) { emit(ctx.rerun_member(m, upstream)); });
+    return reports;
   };
   return sched::run_worker_session(fd, pn.net, pecs, plan.tasks.size(),
                                    bm.heartbeat_interval_ms, faults.faults,

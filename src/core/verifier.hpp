@@ -72,17 +72,6 @@ struct VerifyOptions {
   int shard_connect_timeout_ms = 5000;
 };
 
-struct PecReport {
-  PecId pec = 0;
-  std::string pec_str;
-  ExploreResult result;
-  /// Representative PEC this report was translated from (kNoPec when the PEC
-  /// was explored natively). Translated reports carry the representative's
-  /// stats for reference but are excluded from VerifyResult::total, so the
-  /// aggregate counts only work actually performed.
-  PecId translated_from = kNoPec;
-};
-
 struct VerifyResult {
   /// Whole-run classify(): kViolated on any violation, kHolds only when
   /// every PEC ran to completion within budget with exhaustive coverage,

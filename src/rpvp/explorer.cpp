@@ -138,10 +138,7 @@ ExploreResult Explorer::run() {
   result_.stats.elapsed = std::chrono::steady_clock::now() - start;
   // A lossy visited store or a single followed execution covers only part
   // of the state space: no violation then is not a proof.
-  if ((visited_ != nullptr && !visited_->exhaustive()) ||
-      !is_exhaustive(opts_.engine_kind)) {
-    result_.exhaustive = false;
-  }
+  if (!can_prove(opts_)) result_.exhaustive = false;
   return std::move(result_);
 }
 

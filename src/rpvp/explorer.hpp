@@ -123,6 +123,15 @@ struct ExploreOptions {
   }
 };
 
+/// True when a run under `o` can end in a proof: an exhaustive engine
+/// (is_exhaustive) over the exact visited store. Otherwise no run is
+/// exhaustive, so none is a hold and none can transfer to a dedup class
+/// member. Budgets and the memory-pressure degradation can still cost a run
+/// its proof; this rule is the part known before it starts.
+[[nodiscard]] inline bool can_prove(const ExploreOptions& o) {
+  return is_exhaustive(o.engine_kind) && o.visited == VisitedKind::kExact;
+}
+
 /// One per-prefix control-plane execution (§3.3: "executing the control
 /// plane for each prefix in the PEC separately").
 struct PrefixTask {
@@ -173,6 +182,22 @@ struct ExploreResult {
   [[nodiscard]] Verdict verdict() const {
     return classify(!violations.empty(), budget_tripped, exhaustive);
   }
+};
+
+/// One PEC's result as the verifier merges it. The in-process scheduler and
+/// a shard worker emit it from the same task body; the shard coordinator
+/// rebuilds it from the worker's kTaskDone and kViolationReport frames.
+/// `result.outcomes` is always empty: recorded outcomes go to the
+/// OutcomeStore instead.
+struct PecReport {
+  PecId pec = 0;
+  std::string pec_str;
+  ExploreResult result;
+  /// Representative PEC this report was translated from (kNoPec when the PEC
+  /// was explored natively). Translated reports carry the representative's
+  /// stats for reference but are excluded from VerifyResult::total, so the
+  /// aggregate counts only work actually performed.
+  PecId translated_from = kNoPec;
 };
 
 /// Supplies, per coordinated failure set, the alternative upstream converged

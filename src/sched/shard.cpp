@@ -18,6 +18,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "checker/progress.hpp"
 #include "config/network.hpp"
@@ -454,13 +455,13 @@ bool send_data_frame(WorkerIo& io, MsgType type, const std::string& payload) {
   return true;
 }
 
-PecDoneMsg to_pec_done(const ShardPecResult& r) {
+PecDoneMsg to_pec_done(const PecReport& r) {
   PecDoneMsg pd;
   pd.pec = r.pec;
-  pd.budget_tripped = static_cast<std::uint8_t>(r.budget_tripped);
-  pd.exhaustive = r.exhaustive ? 1 : 0;
-  pd.translated = r.translated ? 1 : 0;
-  pd.stats = r.stats;
+  pd.budget_tripped = static_cast<std::uint8_t>(r.result.budget_tripped);
+  pd.exhaustive = r.result.exhaustive ? 1 : 0;
+  pd.translated = r.translated_from != kNoPec ? 1 : 0;
+  pd.stats = r.result.stats;
   return pd;
 }
 
@@ -471,8 +472,8 @@ PecDoneMsg to_pec_done(const ShardPecResult& r) {
 int run_worker_session(
     int fd, const Network& net, const PecSet& pecs, std::size_t task_count,
     int heartbeat_interval_ms, const WorkerFaults& faults,
-    const std::function<std::vector<ShardPecResult>(std::size_t,
-                                                    OutcomeStore&)>& body) {
+    const std::function<std::vector<PecReport>(std::size_t, OutcomeStore&)>&
+        body) {
   WorkerIo io;
   io.fd = fd;
   io.faults = faults;
@@ -540,7 +541,7 @@ int run_worker_session(
             if (p >= pecs.pecs.size()) return finish(3);
             store.evict(p);
           }
-          std::vector<ShardPecResult> results;
+          std::vector<PecReport> results;
           try {
             results = body(static_cast<std::size_t>(msg.task), store);
           } catch (...) {
@@ -548,14 +549,20 @@ int run_worker_session(
           }
           TaskDoneMsg done;
           done.task = msg.task;
-          for (ShardPecResult& r : results) {
-            for (const ViolationMsg& v : r.violations) {
+          for (PecReport& r : results) {
+            for (Violation& v : r.result.violations) {
+              ViolationMsg vm;
+              vm.pec = r.pec;
+              vm.failed_links.assign(v.failures.ids().begin(),
+                                     v.failures.ids().end());
+              vm.message = std::move(v.message);
+              vm.trail_text = std::move(v.trail_text);
               if (!send_data_frame(io, MsgType::kViolationReport,
-                                   encode_violation(v))) {
+                                   encode_violation(vm))) {
                 return finish(2);
               }
             }
-            if (r.record) {
+            if (store.has(r.pec)) {
               // The body published the outcomes into the local store (where
               // same-task mates and later tasks on this worker read them);
               // ship that single copy back to the coordinator.
@@ -609,6 +616,81 @@ int compute_respawn_backoff_ms(int base_ms, int deaths) {
 }
 
 namespace {
+
+/// Checks one kTaskDone against its task and the violations stashed for it.
+/// The completion must report every PEC of the task once, plus each task
+/// PEC's class members once; a member is legitimately absent only when its
+/// representative reported a violation under early stop (the worker skips
+/// the class tail then, like any unscheduled task). A translated entry is a
+/// hold nobody explored, so it is accepted only for a listed member whose
+/// own entry and whose representative's entry are both clean: exhaustive, no
+/// budget trip, no stashed violation. Anything else (unknown PECs,
+/// duplicates, a dropped mandatory member, a forged translation) would
+/// corrupt the merge or swallow stashed violations, so the caller poisons
+/// the worker. On success `translated_from[k]` is the representative of
+/// entry k when it is translated, kNoPec otherwise. Sorted lookups keep this
+/// O(n log n) per completion.
+bool check_task_done(const ShardTaskSpec& spec, const TaskDoneMsg& done,
+                     const std::vector<ViolationMsg>& stash,
+                     bool stop_on_violation,
+                     std::vector<PecId>& translated_from) {
+  // (pec, its representative) for every PEC the completion may report; a
+  // task PEC is its own representative.
+  std::vector<std::pair<PecId, PecId>> allowed;
+  for (std::size_t i = 0; i < spec.pecs.size(); ++i) {
+    allowed.emplace_back(spec.pecs[i], spec.pecs[i]);
+    if (i >= spec.class_members.size()) continue;
+    for (const PecId m : spec.class_members[i]) {
+      allowed.emplace_back(m, spec.pecs[i]);
+    }
+  }
+  std::sort(allowed.begin(), allowed.end());
+  std::vector<std::pair<PecId, std::size_t>> seen;  // (pec, entry index)
+  seen.reserve(done.pecs.size());
+  for (std::size_t k = 0; k < done.pecs.size(); ++k) {
+    seen.emplace_back(done.pecs[k].pec, k);
+  }
+  std::sort(seen.begin(), seen.end());
+  std::vector<PecId> violated;
+  for (const ViolationMsg& v : stash) violated.push_back(v.pec);
+  std::sort(violated.begin(), violated.end());
+
+  const auto entry = [&](PecId p) -> const PecDoneMsg* {
+    const auto it = std::lower_bound(seen.begin(), seen.end(),
+                                     std::pair<PecId, std::size_t>{p, 0});
+    return it != seen.end() && it->first == p ? &done.pecs[it->second]
+                                              : nullptr;
+  };
+  const auto clean = [&](const PecDoneMsg* d) {
+    return d != nullptr && d->exhaustive == 1 && d->budget_tripped == 0 &&
+           !std::binary_search(violated.begin(), violated.end(), d->pec);
+  };
+  translated_from.assign(done.pecs.size(), kNoPec);
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    const PecId p = seen[k].first;
+    if (k > 0 && seen[k - 1].first == p) return false;  // duplicate
+    const auto it = std::lower_bound(allowed.begin(), allowed.end(),
+                                     std::pair<PecId, PecId>{p, 0});
+    if (it == allowed.end() || it->first != p) return false;  // unknown PEC
+    const PecDoneMsg& d = done.pecs[seen[k].second];
+    if (d.translated == 0) continue;
+    const PecId rep = it->second;
+    if (rep == p || !clean(&d) || !clean(entry(rep))) return false;
+    translated_from[seen[k].second] = rep;
+  }
+  for (std::size_t i = 0; i < spec.pecs.size(); ++i) {
+    if (entry(spec.pecs[i]) == nullptr) return false;
+    if (i >= spec.class_members.size()) continue;
+    if (stop_on_violation &&
+        std::binary_search(violated.begin(), violated.end(), spec.pecs[i])) {
+      continue;  // members optional behind a violated representative
+    }
+    for (const PecId m : spec.class_members[i]) {
+      if (entry(m) == nullptr) return false;
+    }
+  }
+  return true;
+}
 
 struct WorkerSlot {
   pid_t pid = -1;  ///< -1 for transports without a local process (TCP)
@@ -942,70 +1024,35 @@ ShardRunResult run_sharded_task_graph(
           TaskDoneMsg done;
           bool pecs_ok = decode_task_done(frame.payload, done) &&
                          w.current != kNoTask && done.task == w.current;
-          // The completion must cover every PEC of the assigned task exactly
-          // once, plus each task PEC's dedup class members exactly once —
-          // a member is legitimately absent only when its representative
-          // reported a violation under early stop (the worker skips the
-          // class tail then, like any unscheduled task). Anything else —
-          // unknown PECs, duplicates, a silently dropped member whose
-          // verdict is mandatory — would corrupt the merge or swallow
-          // stashed violations, so it poisons like malformed input.
-          // Sorted lookups keep this O(n log n) per completion.
+          std::vector<PecId> translated_from;
           if (pecs_ok) {
-            const ShardTaskSpec& spec = tasks[w.current];
-            std::vector<PecId> allowed = spec.pecs;
-            for (const auto& members : spec.class_members) {
-              allowed.insert(allowed.end(), members.begin(), members.end());
-            }
-            std::sort(allowed.begin(), allowed.end());
-            std::vector<PecId> seen;
-            seen.reserve(done.pecs.size());
-            for (const PecDoneMsg& p : done.pecs) seen.push_back(p.pec);
-            std::sort(seen.begin(), seen.end());
-            pecs_ok = std::adjacent_find(seen.begin(), seen.end()) == seen.end();
-            for (const PecId p : seen) {
-              pecs_ok = pecs_ok &&
-                        std::binary_search(allowed.begin(), allowed.end(), p);
-            }
-            const auto present = [&seen](PecId p) {
-              return std::binary_search(seen.begin(), seen.end(), p);
-            };
-            for (std::size_t i = 0; pecs_ok && i < spec.pecs.size(); ++i) {
-              pecs_ok = present(spec.pecs[i]);
-              if (!pecs_ok || i >= spec.class_members.size()) continue;
-              // Members are optional only under early stop with a violated
-              // representative (one that sent a kViolationReport); every
-              // other mode must report them (translated clean holds or
-              // native re-runs).
-              const PecId rep_pec = spec.pecs[i];
-              const bool members_optional =
-                  opts.stop_on_violation &&
-                  std::any_of(w.stash.begin(), w.stash.end(),
-                              [rep_pec](const ViolationMsg& v) {
-                                return v.pec == rep_pec;
-                              });
-              if (members_optional) continue;
-              for (const PecId m : spec.class_members[i]) {
-                pecs_ok = pecs_ok && present(m);
-              }
-            }
+            pecs_ok = check_task_done(tasks[w.current], done, w.stash,
+                                      opts.stop_on_violation, translated_from);
           }
           if (!pecs_ok) {
             poison_worker(slot, "bad task completion");
             return false;
           }
           const std::size_t task = w.current;
-          for (const PecDoneMsg& p : done.pecs) {
-            ShardPecResult rep;
+          for (std::size_t k = 0; k < done.pecs.size(); ++k) {
+            const PecDoneMsg& p = done.pecs[k];
+            PecReport rep;
             rep.pec = p.pec;
-            rep.budget_tripped = static_cast<BudgetKind>(p.budget_tripped);
-            rep.exhaustive = p.exhaustive != 0;
-            rep.translated = p.translated != 0;
-            rep.stats = p.stats;
+            rep.pec_str = pecs.pecs[p.pec].str();
+            rep.translated_from = translated_from[k];
+            rep.result.budget_tripped = static_cast<BudgetKind>(p.budget_tripped);
+            rep.result.exhaustive = p.exhaustive != 0;
+            rep.result.stats = p.stats;
             for (ViolationMsg& v : w.stash) {
-              if (v.pec == p.pec) rep.violations.push_back(std::move(v));
+              if (v.pec != p.pec) continue;
+              Violation viol;
+              viol.failures = FailureSet(net.topo.link_count());
+              for (const LinkId l : v.failed_links) viol.failures.fail(l);
+              viol.message = std::move(v.message);
+              viol.trail_text = std::move(v.trail_text);
+              rep.result.violations.push_back(std::move(viol));
             }
-            if (!rep.violations.empty() && opts.stop_on_violation) {
+            if (!rep.result.violations.empty() && opts.stop_on_violation) {
               stopping = true;
             }
             result.reports.push_back(std::move(rep));

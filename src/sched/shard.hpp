@@ -4,7 +4,9 @@
 //
 // The coordinator partitions the SCC-ordered task graph across N worker
 // processes, forked or remote (sched/transport.hpp). Every worker rebuilds
-// the plan from data and only *results* cross the process boundary after:
+// the plan from data and runs each task through the task body the
+// in-process scheduler runs, so both produce the same PecReports; only
+// *results* cross the process boundary after the bootstrap:
 //
 //   coordinator ──kBootstrap─────────▶ worker   config, policy, classes, ...
 //   worker ──kBootstrapAck───────────▶ coordinator   plan hash (or refusal)
@@ -266,36 +268,23 @@ struct ShardStats {
   std::vector<std::uint64_t> tasks_per_shard;
 };
 
-/// What the coordinator must know about one schedulable task. The graph
-/// (TaskGraph) carries the dependency edges; the spec carries the PEC-level
-/// payload bookkeeping.
+/// One schedulable task: an SCC of the PEC dependency graph, minus dedup
+/// class members. The Verifier's plan builds the list once; the in-process
+/// scheduler and every shard worker run each task through the same body
+/// (run_task in core/verifier.cpp), and the coordinator reads the same
+/// records to route outcomes and check completions. The TaskGraph carries
+/// the dependency edges.
 struct ShardTaskSpec {
-  std::vector<PecId> pecs;  ///< run in order inside the worker
+  std::vector<PecId> pecs;  ///< run in order by the task body
   /// Upstream PECs whose recorded outcomes must be on the worker before the
   /// task runs (deduplicated, excludes PECs of the task itself).
   std::vector<PecId> deps;
   /// Batch PEC verification: class_members[i] lists the PECs whose verdicts
-  /// ride on pecs[i] (the class representative). The worker emits one
-  /// ShardPecResult per member — translated from the representative's clean
-  /// hold or natively re-explored — so only results cross the wire. Empty
-  /// when no PEC of the task represents a multi-member class. (The worker
-  /// rebuilds the same lists from the kBootstrap class list.)
+  /// ride on pecs[i] (the class representative). The task body emits one
+  /// PecReport per member, translated from the representative's clean hold
+  /// or natively re-explored, so only results cross the wire. Empty when no
+  /// PEC of the task represents a multi-member class.
   std::vector<std::vector<PecId>> class_members;
-};
-
-/// Worker-side product of one PEC run. When `record` is set (some incomplete
-/// task depends on this PEC), the body must have published the PEC's
-/// outcomes into its worker-local store — the worker ships the store's
-/// content for `pec` back to the coordinator (no second copy travels here).
-struct ShardPecResult {
-  PecId pec = 0;
-  BudgetKind budget_tripped = BudgetKind::kNone;
-  bool exhaustive = true;
-  SearchStats stats;
-  std::vector<ViolationMsg> violations;  ///< non-empty = violated
-  bool record = false;
-  /// See PecDoneMsg::translated.
-  bool translated = false;
 };
 
 struct ShardRunOptions {
@@ -338,7 +327,8 @@ struct ShardRunResult {
   bool stopped_early = false;
   std::string error;         ///< set when !ok (no worker started, refused
                              ///< bootstrap, poisoned task, ...)
-  std::vector<ShardPecResult> reports;  ///< outcomes stripped; wire order
+  std::vector<PecReport> reports;  ///< wire order; translated_from derived
+                                   ///< from the task's class_members
   ShardStats stats;
 };
 
@@ -350,24 +340,32 @@ struct ShardRunResult {
 
 /// One worker's session after its bootstrap: the kTaskAssign/
 /// kOutcomeDelivery/kShutdown loop, running each task through `body` with
-/// its upstream outcomes in a worker-local store (mutable: a cyclic SCC task
-/// publishes one mate's outcomes for the next). The heartbeat beacon (off at
-/// interval 0) is joined before returning, so nothing writes to `fd` after.
-/// Returns 0 orderly (kShutdown or EOF), 2 transport error, 3 protocol error,
-/// 4 body exception.
+/// its upstream outcomes in a worker-local store (mutable: the body
+/// publishes the outcomes that dependents read). For each report the
+/// session sends its violations, then the PEC's outcomes when the store
+/// holds them after the body, then one kTaskDone. The heartbeat beacon (off
+/// at interval 0) is joined before returning, so nothing writes to `fd`
+/// after. Returns 0 orderly (kShutdown or EOF), 2 transport error, 3
+/// protocol error, 4 body exception.
 int run_worker_session(
     int fd, const Network& net, const PecSet& pecs, std::size_t task_count,
     int heartbeat_interval_ms, const WorkerFaults& faults,
-    const std::function<std::vector<ShardPecResult>(
-        std::size_t task, OutcomeStore& upstream)>& body);
+    const std::function<std::vector<PecReport>(std::size_t task,
+                                               OutcomeStore& upstream)>& body);
 
 class WorkerTransport;  // sched/transport.hpp
 
 /// Runs `graph` across `opts.shards` workers from `transport`. Each new
 /// connection gets kBootstrap carrying `bootstrap(slot, generation)`, built
 /// per incarnation, and takes tasks once its ack carries `plan_hash`; a
-/// refusal or mismatch ends the run with ok == false. A forking transport
-/// needs the caller effectively single-threaded (workers start lazily).
+/// refusal or mismatch ends the run with ok == false. A kTaskDone must
+/// report each of the task's PECs and class members once (members may be
+/// absent only behind a violated representative under stop_on_violation),
+/// and may mark a PEC translated only when it is a listed member and both
+/// its entry and its representative's are clean: exhaustive, no budget
+/// trip, no violation. Any other completion poisons the worker like a
+/// malformed frame. A forking transport needs the caller effectively
+/// single-threaded (workers start lazily).
 ShardRunResult run_sharded_task_graph(
     const Network& net, const PecSet& pecs, const ShardRunOptions& opts,
     const TaskGraph& graph, const std::vector<ShardTaskSpec>& tasks,

@@ -260,20 +260,4 @@ void run_task_graph(int workers, const TaskGraph& graph,
   run.run();
 }
 
-void run_task_graph(int workers, const TaskGraph& graph,
-                    const std::function<void(std::size_t, int)>& body) {
-  const auto wrapper = [&body](TaskContext& ctx) {
-    body(ctx.task(), ctx.worker());
-  };
-  // A plain body can never spawn subtasks, so a 0/1-task graph gains nothing
-  // from a worker pool — keep the cheap inline path for it. (Spawn-capable
-  // bodies go through the TaskContext overload, where even a 1-task graph
-  // must be able to parallelize its spawned work.)
-  if (graph.size() <= 1) {
-    run_inline(graph, wrapper);
-    return;
-  }
-  run_task_graph(workers, graph, wrapper);
-}
-
 }  // namespace plankton::sched

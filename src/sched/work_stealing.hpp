@@ -11,14 +11,16 @@
 // every deque is empty.
 //
 // The scheduler is deliberately generic (task indices + dependents lists):
-// the Verifier feeds it SCC tasks; the multi-process shard coordinator
+// the Verifier feeds it the plan's SCC tasks, each running the task body a
+// shard worker runs too; the multi-process shard coordinator
 // (sched/shard.hpp) runs the same TaskGraph across worker processes.
 //
-// Spawn-capable bodies (the TaskContext overload) may additionally inject
-// *dynamic* subtasks mid-run: a spawned job lands on the spawning worker's
-// own deque and is stolen by idle workers like any static task. The
-// Verifier spawns one job per dedup class member that must be re-explored
-// natively after its representative's run.
+// A task body may inject *dynamic* subtasks mid-run (TaskContext::spawn): a
+// spawned job lands on the spawning worker's own deque and is stolen by idle
+// workers like any static task. This is the one place the in-process path
+// differs from a shard worker: the Verifier spawns one job per dedup class
+// member that must be re-explored natively after its representative's run,
+// where a single-threaded worker re-runs the member inline.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,7 @@ struct TaskGraph {
 /// (they have no slot in the static graph).
 inline constexpr std::size_t kDynamicTask = std::numeric_limits<std::size_t>::max();
 
-/// Execution context of one task body under a spawn-capable run.
+/// Execution context of one task body.
 class TaskContext {
  public:
   virtual ~TaskContext() = default;
@@ -58,15 +60,11 @@ class TaskContext {
   virtual void spawn(std::function<void(TaskContext&)> fn) = 0;
 };
 
-/// Runs body(task, worker) once for every task of `graph`, never before all
-/// of the task's dependencies completed, on `workers` threads (worker ids
-/// are 0..workers-1; workers == 1 runs inline on the calling thread). The
-/// graph must be acyclic. `body` must be safe to call concurrently for
-/// distinct tasks.
-void run_task_graph(int workers, const TaskGraph& graph,
-                    const std::function<void(std::size_t task, int worker)>& body);
-
-/// Spawn-capable variant: the body receives a TaskContext and may inject
+/// Runs `body` once for every task of `graph`, never before all of the
+/// task's dependencies completed, on `workers` threads (worker ids are
+/// 0..workers-1; workers == 1 runs inline on the calling thread). The graph
+/// must be acyclic. `body` must be safe to call concurrently for distinct
+/// tasks; it reads its task and worker from the TaskContext and may inject
 /// dynamic subtasks via spawn().
 void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(TaskContext&)>& body);

@@ -21,8 +21,8 @@ namespace plankton::testsupport {
 
 class BodyTransport final : public sched::WorkerTransport {
  public:
-  using Body = std::function<std::vector<sched::ShardPecResult>(
-      std::size_t task, OutcomeStore& upstream)>;
+  using Body = std::function<std::vector<PecReport>(std::size_t task,
+                                                     OutcomeStore& upstream)>;
   static constexpr std::uint64_t kPlanHash = 0x9e3779b97f4a7c15ull;
 
   BodyTransport(const Network& net, const PecSet& pecs, std::size_t task_count,

@@ -351,11 +351,11 @@ TEST(EngineDifferential, SingleExecutionIsSoundOnRandomInstances) {
   for (int seed = 1; seed <= count; ++seed) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind + ")");
-    // Single execution is never a clean hold, so dedup re-explores every
-    // class member natively and the simulation totals count every PEC. The
-    // exhaustive reference runs dedup-off so that its totals count every PEC
-    // too; its verdict and violation multiset do not depend on dedup
-    // (DedupOnMatchesDedupOffOnRandomInstances).
+    // Single execution can never prove a hold, so the verifier skips dedup
+    // classing under it (can_prove) and the simulation totals count every
+    // PEC. The exhaustive reference runs dedup-off so that its totals count
+    // every PEC too; its verdict and violation multiset do not depend on
+    // dedup (DedupOnMatchesDedupOffOnRandomInstances).
     const Fingerprint full = fingerprint(inst, SearchEngineKind::kDfs, false,
                                          true, nullptr, /*pec_dedup=*/false);
     const Fingerprint sim =

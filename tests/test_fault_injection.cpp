@@ -542,7 +542,7 @@ TEST(FaultInjectionUnrecoverable, CoordinatorReportsTheCapError) {
   opts.respawn_backoff_ms = 1;  // keep the exponential backoff sweep fast
   testsupport::BodyTransport tp(net, pecs, graph.size(),
                                 [](std::size_t, OutcomeStore&)
-                                    -> std::vector<sched::ShardPecResult> {
+                                    -> std::vector<PecReport> {
                                   return {};
                                 });
   const sched::ShardRunResult rr = sched::run_sharded_task_graph(

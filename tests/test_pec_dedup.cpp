@@ -1,8 +1,8 @@
 // Batch PEC verification (eqclass/pec_dedup.hpp): fingerprint invariance
 // under node/prefix renaming, collision resistance on near-miss configs,
 // topology validation by value (with and without parallel links), classing
-// on renumbered input, verdict/trail translation, and the singleton
-// fallback on asymmetry.
+// on renumbered input, verdict/trail translation, the singleton fallback on
+// asymmetry, and no classing where no representative can prove a hold.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -407,6 +407,48 @@ TEST(PecDedup, RenumberedFatTreeKeepsOneClassPerPod) {
     EXPECT_EQ(on.verdict, off.verdict);
     EXPECT_EQ(on.reports.size(), off.reports.size());
     EXPECT_EQ(violation_multiset(on), violation_multiset(off));
+  }
+}
+
+TEST(PecDedup, ClassingIsSkippedWhenNoHoldCanTransfer) {
+  // Under single execution or a lossy visited store no representative can
+  // be a clean hold, so every member would re-run natively (sharded: inline
+  // on the representative's worker). The verifier must not class at all
+  // then, and the run must equal the dedup-off run.
+  FatTreeOptions o;
+  o.k = 6;
+  const FatTree ft = make_fat_tree(o);
+  const LoopFreedomPolicy policy;
+  struct Arm {
+    const char* name;
+    SearchEngineKind engine;
+    VisitedKind visited;
+  };
+  const Arm arms[] = {
+      {"single execution", SearchEngineKind::kSingleExecution,
+       VisitedKind::kExact},
+      {"bitstate", SearchEngineKind::kDfs, VisitedKind::kBitstate},
+  };
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    VerifyResult r[2];
+    for (const bool dedup : {false, true}) {
+      VerifyOptions vo;
+      vo.cores = 1;
+      vo.pec_dedup = dedup;
+      vo.explore.engine_kind = arm.engine;
+      vo.explore.visited = arm.visited;
+      r[dedup ? 1 : 0] = Verifier(ft.net, vo).verify(policy);
+    }
+    const VerifyResult& off = r[0];
+    const VerifyResult& on = r[1];
+    EXPECT_EQ(on.verdict, Verdict::kInconclusive);
+    EXPECT_EQ(on.verdict, off.verdict);
+    EXPECT_EQ(violation_multiset(on), violation_multiset(off));
+    EXPECT_EQ(on.total.states_explored, off.total.states_explored);
+    EXPECT_EQ(on.pec_classes, 0u);
+    EXPECT_EQ(on.pecs_deduped, 0u);
+    EXPECT_EQ(on.dedup_reruns, 0u);
   }
 }
 

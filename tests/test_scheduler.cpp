@@ -212,22 +212,21 @@ TEST(WorkStealing, StressDependencyOrderAcrossWorkerCounts) {
     std::vector<std::uint8_t> done(kTasks, 0);
     std::atomic<std::size_t> executions{0};
     bool order_ok = true;
-    sched::run_task_graph(workers, graph,
-                          [&](std::size_t task, int worker) {
-                            ASSERT_GE(worker, 0);
-                            ASSERT_LT(worker, workers);
-                            executions.fetch_add(1);
-                            std::scoped_lock lock(mu);
-                            if (task >= kWidth) {
-                              const std::size_t layer = task / kWidth;
-                              const std::size_t i = task % kWidth;
-                              const std::size_t d1 = (layer - 1) * kWidth + i;
-                              const std::size_t d2 =
-                                  (layer - 1) * kWidth + (i + 1) % kWidth;
-                              order_ok = order_ok && done[d1] && done[d2];
-                            }
-                            done[task] = 1;
-                          });
+    sched::run_task_graph(workers, graph, [&](sched::TaskContext& ctx) {
+      const std::size_t task = ctx.task();
+      ASSERT_GE(ctx.worker(), 0);
+      ASSERT_LT(ctx.worker(), workers);
+      executions.fetch_add(1);
+      std::scoped_lock lock(mu);
+      if (task >= kWidth) {
+        const std::size_t layer = task / kWidth;
+        const std::size_t i = task % kWidth;
+        const std::size_t d1 = (layer - 1) * kWidth + i;
+        const std::size_t d2 = (layer - 1) * kWidth + (i + 1) % kWidth;
+        order_ok = order_ok && done[d1] && done[d2];
+      }
+      done[task] = 1;
+    });
     EXPECT_EQ(executions.load(), kTasks) << "workers=" << workers;
     EXPECT_TRUE(order_ok) << "ran a task before its dependencies, workers="
                           << workers;

@@ -682,10 +682,9 @@ TEST(ShardWorkerSession, NoStrayFramesAfterSessionReturns) {
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
 
   const int heartbeat_ms = 10;  // several beacons fire during the task
-  const auto body = [](std::size_t, OutcomeStore&)
-      -> std::vector<sched::ShardPecResult> {
+  const auto body = [](std::size_t, OutcomeStore&) -> std::vector<PecReport> {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    sched::ShardPecResult r;
+    PecReport r;
     r.pec = 0;
     return {r};
   };
@@ -776,24 +775,23 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
     sched::ShardRunOptions opts;
     opts.shards = shards;
     const auto body = [&](std::size_t task, OutcomeStore& upstream)
-        -> std::vector<sched::ShardPecResult> {
-      sched::ShardPecResult r;
+        -> std::vector<PecReport> {
+      PecReport r;
       r.pec = specs[task].pecs[0];
       if (task == 0) {
         // Contract: the body publishes recorded outcomes into the local
-        // store; the worker ships the store's content when record is set.
+        // store; the worker ships the store's content for a reported PEC.
         std::vector<PecOutcome> outs;
         outs.push_back(make_outcome());
         outs.push_back(make_outcome());
         outs.back().hash = 0xdef;
         upstream.put(producer, std::move(outs));
-        r.record = true;
       } else {
         const auto got = upstream.get(producer);
         // The exhaustive flag travels in PecDone: it carries the check back.
-        r.exhaustive = got.size() == 2 && got[0].hash == 0xabc &&
-                       got[1].hash == 0xdef &&
-                       got[0].igp_cost.size() == net.topo.node_count();
+        r.result.exhaustive = got.size() == 2 && got[0].hash == 0xabc &&
+                              got[1].hash == 0xdef &&
+                              got[0].igp_cost.size() == net.topo.node_count();
       }
       return {r};
     };
@@ -804,8 +802,8 @@ TEST(ShardCoordinator, StreamsOutcomesBetweenTasksAcrossProcesses) {
     ASSERT_TRUE(rr.ok) << rr.error;
     ASSERT_EQ(rr.reports.size(), 2u);
     for (const auto& rep : rr.reports) {
-      EXPECT_TRUE(rep.exhaustive) << "dependent worker did not see the "
-                                  << "outcomes (shards=" << shards << ")";
+      EXPECT_TRUE(rep.result.exhaustive) << "dependent worker did not see the "
+                                         << "outcomes (shards=" << shards << ")";
     }
     // The first dispatch waits for every worker's ack, so each is counted.
     EXPECT_EQ(rr.stats.frames_received, 3u + static_cast<unsigned>(shards))
@@ -834,7 +832,7 @@ TEST(ShardCoordinator, DeterministicallyCrashingTaskErrorsOut) {
   opts.shards = 2;
   opts.max_reassignments_per_task = 2;
   BodyTransport tp(net, pecs, graph.size(), [](std::size_t, OutcomeStore&)
-                       -> std::vector<sched::ShardPecResult> {
+                       -> std::vector<PecReport> {
     throw std::runtime_error("boom");  // worker _exits; coordinator sees EOF
   });
   const sched::ShardRunResult rr = sched::run_sharded_task_graph(
@@ -856,8 +854,8 @@ struct OneTask {
     graph.waiting_on = {0};
     specs[0].pecs = {0};
   }
-  static std::vector<sched::ShardPecResult> body(std::size_t, OutcomeStore&) {
-    sched::ShardPecResult r;
+  static std::vector<PecReport> body(std::size_t, OutcomeStore&) {
+    PecReport r;
     r.pec = 0;
     return {r};
   }
@@ -878,6 +876,85 @@ TEST(ShardCoordinator, WrongPlanHashIsACoordinatorError) {
   EXPECT_FALSE(rr.ok);
   EXPECT_NE(rr.error.find("plan hash"), std::string::npos) << rr.error;
   EXPECT_TRUE(rr.reports.empty());
+}
+
+TEST(ShardCoordinator, ForgedTranslationIsRefused) {
+  // A translated report is a hold nobody explored, so the coordinator takes
+  // one only for a listed class member whose own entry and whose
+  // representative's entry in the same kTaskDone are clean. One task runs
+  // PEC 0, representative of member PEC 1; each forgery below must poison
+  // the worker every time until the reassignment cap ends the run, never
+  // merge a clean hold for PEC 1. The control arm shows the honest
+  // translation passes and derives translated_from.
+  const Network net = make_ring(4);
+  const PecSet pecs = compute_pecs(net);
+  ASSERT_GE(pecs.pecs.size(), 3u);
+  sched::TaskGraph graph;
+  graph.dependents = {{}};
+  graph.waiting_on = {0};
+  std::vector<sched::ShardTaskSpec> specs(1);
+  specs[0].pecs = {0};
+  specs[0].class_members = {{1}};
+
+  struct Arm {
+    const char* name;
+    std::function<void(PecReport& rep, PecReport& member)> forge;
+    PecId member = 1;
+  };
+  const std::vector<Arm> arms = {
+      {"inexhaustive representative",
+       [](PecReport& rep, PecReport&) { rep.result.exhaustive = false; }},
+      {"budget-tripped representative",
+       [](PecReport& rep, PecReport&) {
+         rep.result.budget_tripped = BudgetKind::kStates;
+       }},
+      {"violated representative",
+       [&net](PecReport& rep, PecReport&) {
+         Violation v;
+         v.failures = FailureSet(net.topo.link_count());
+         v.message = "forged";
+         rep.result.violations.push_back(std::move(v));
+       }},
+      {"inexhaustive member",
+       [](PecReport&, PecReport& m) { m.result.exhaustive = false; }},
+      {"representative marked translated",
+       [](PecReport& rep, PecReport&) { rep.translated_from = 1; }},
+      {"unlisted member", [](PecReport&, PecReport&) {}, 2},
+  };
+  const auto run = [&](const Arm* arm) {
+    sched::ShardRunOptions opts;
+    opts.shards = 1;
+    opts.max_reassignments_per_task = 2;
+    opts.respawn_backoff_ms = 1;
+    BodyTransport tp(net, pecs, graph.size(),
+                     [arm](std::size_t, OutcomeStore&) -> std::vector<PecReport> {
+                       PecReport rep;
+                       rep.pec = 0;
+                       PecReport member;
+                       member.pec = arm != nullptr ? arm->member : 1;
+                       member.translated_from = 0;
+                       if (arm != nullptr) arm->forge(rep, member);
+                       return {member, rep};
+                     });
+    return sched::run_sharded_task_graph(net, pecs, opts, graph, specs, tp,
+                                         BodyTransport::payload(opts),
+                                         BodyTransport::kPlanHash);
+  };
+
+  const sched::ShardRunResult honest = run(nullptr);
+  ASSERT_TRUE(honest.ok) << honest.error;
+  ASSERT_EQ(honest.reports.size(), 2u);
+  for (const PecReport& r : honest.reports) {
+    EXPECT_EQ(r.translated_from, r.pec == 1 ? PecId{0} : kNoPec);
+  }
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    const sched::ShardRunResult rr = run(&arm);
+    EXPECT_FALSE(rr.ok);
+    EXPECT_NE(rr.error.find("reassignment cap"), std::string::npos) << rr.error;
+    EXPECT_EQ(rr.stats.decode_errors, 3u) << "every attempt must be refused";
+    EXPECT_TRUE(rr.reports.empty());
+  }
 }
 
 TEST(ShardCoordinator, SilentWorkerIsRefusedWithinTheAckBound) {
@@ -1076,6 +1153,77 @@ TEST(ShardDeterminism, TranslatedVerdictsCrossTheWire) {
       if (rep.translated_from != kNoPec) ++translated;
     }
     EXPECT_EQ(translated, ft.edges.size() - 1) << "shards=" << shards;
+  }
+}
+
+TEST(ShardDeterminism, DedupRerunsMatchAcrossPaths) {
+  // Class members whose representative is not a clean hold re-run natively:
+  // spawned as stealable subtasks in-process, inline in a shard worker. Both
+  // run the same task body, and merge_report counts each native member
+  // report as one re-run on both paths, so every counter below must agree
+  // in-process at 1 and 4 cores and sharded at 1 and 2 workers. The second
+  // arm re-runs members of a budget-tripped representative.
+  struct View {
+    Verdict verdict = Verdict::kHolds;
+    std::multiset<std::string> violations;
+    std::size_t pecs_deduped = 0;
+    std::size_t dedup_reruns = 0;
+    std::size_t pecs_inconclusive = 0;
+    std::uint64_t states_explored = 0;
+    std::size_t translated = 0;
+
+    bool operator==(const View&) const = default;
+  };
+  const auto view = [](const VerifyResult& r) {
+    View v;
+    v.verdict = r.verdict;
+    v.violations = fingerprint(r).violations;
+    v.pecs_deduped = r.pecs_deduped;
+    v.dedup_reruns = r.dedup_reruns;
+    v.pecs_inconclusive = r.pecs_inconclusive;
+    v.states_explored = r.total.states_explored;
+    for (const auto& rep : r.reports) {
+      if (rep.translated_from != kNoPec) ++v.translated;
+    }
+    return v;
+  };
+  struct Arm {
+    const char* name;
+    FatTreeOptions::CoreStatics statics;
+    std::uint64_t max_states;
+    std::size_t classes, reruns, violations, inconclusive;
+    std::uint64_t states;
+  };
+  const Arm arms[] = {
+      {"broken statics, find-all", FatTreeOptions::CoreStatics::kBroken, 0,
+       5, 13, 18, 0, 792},
+      {"matching statics, 5-state budget",
+       FatTreeOptions::CoreStatics::kMatching, 5, 1, 17, 0, 18, 108},
+  };
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    FatTreeOptions o;
+    o.k = 6;
+    o.statics = arm.statics;
+    const FatTree ft = make_fat_tree(o);
+    const LoopFreedomPolicy policy;
+    VerifyOptions vo;
+    vo.explore.find_all_violations = true;
+    vo.explore.budget.max_states = arm.max_states;
+    const VerifyResult ref = run_verify(ft.net, policy, vo);
+    EXPECT_EQ(ref.pec_classes, arm.classes);
+    EXPECT_EQ(ref.dedup_reruns, arm.reruns);
+    EXPECT_EQ(fingerprint(ref).violations.size(), arm.violations);
+    EXPECT_EQ(ref.pecs_inconclusive, arm.inconclusive);
+    EXPECT_EQ(ref.total.states_explored, arm.states);
+    for (const auto& [cores, shards] :
+         {std::pair{4, 0}, std::pair{1, 1}, std::pair{1, 2}}) {
+      VerifyOptions v = vo;
+      v.cores = cores;
+      v.shards = shards;
+      EXPECT_TRUE(view(run_verify(ft.net, policy, v)) == view(ref))
+          << "cores=" << cores << " shards=" << shards;
+    }
   }
 }
 
