@@ -105,6 +105,9 @@ struct VerifyResult {
   std::size_t pec_classes = 0;
   std::size_t pecs_deduped = 0;
   std::size_t dedup_reruns = 0;
+  /// PecDedupStats::search_fallbacks: member comparisons that ran out of
+  /// search steps, so a symmetric input lost dedup to the budget.
+  std::size_t dedup_search_fallbacks = 0;
   std::chrono::nanoseconds dedup_classing_time{0};
   /// Coordinator wire counters (multi-process runs only; empty otherwise).
   sched::ShardStats shard;

@@ -1,6 +1,7 @@
 #include "eqclass/pec_dedup.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -91,18 +92,30 @@ bool loopback_delivers(const Network& net, const Pec& pec, std::size_t pi,
 }
 
 // ---------------------------------------------------------------------------
-// Per-PEC canonical fingerprint via color refinement with hash-valued colors.
+// Classing by individualization–refinement (McKay & Piperno, "Practical graph
+// isomorphism II", 2014).
 //
-// Unlike DecPartition (which renumbers colors densely), the colors here stay
-// raw hashes: a hash color is a pure function of the node's configuration
-// role, its slice of the PEC, the policy salts, and the (recursively hashed)
-// neighborhood — never of the node id — so equal structure yields equal
-// color values across different PECs. That invariance is what makes the
-// color multiset a canonical form, and the (color, id) sort a candidate
-// bijection; its ties break by node id, so unlike the colors the pairing
-// depends on the numbering. Color values are scratch values of one
-// compute_pec_classes call (nothing persists them): only the partitions they
-// induce, within a PEC and across the PECs of the call, are the contract.
+// A PEC is a labelled graph: nodes carry their configuration role, the policy
+// salts and the PEC's slice; arcs are topology links with per-direction
+// costs, plus the PEC's overlay (BGP sessions with footprint-canonical maps,
+// static via relations). An ordered partition of the nodes into cells is
+// refined until it is equitable: every node of a cell sees the same labelled
+// arcs into every cell. Every step is keyed on positions and on invariant
+// values (hashes of labels and order-free sums), never on node ids, so
+// isomorphic PECs produce equal refinement traces and position-aligned
+// cells. The trace is therefore the PEC's fingerprint.
+//
+// Refinement alone cannot tell a symmetric fabric's nodes apart (every edge
+// switch of a fat tree looks alike until one is named). A representative
+// records one individualization–refinement path: it names one node of the
+// first multi-node cell that is not a twin cell, refines, and repeats. A
+// twin cell holds nodes with identical labelled neighbours, so any order of
+// it is as good as any other and naming one buys nothing. A member with an
+// equal fingerprint replays the path: it names each node of its own matching
+// cell in turn, keeps a choice whose trace equals the representative's at
+// that level, and backtracks otherwise, within a fixed step budget. At the
+// leaf, only singletons and twin cells remain, and the position-aligned
+// bijection goes to validate(), which is the only proof of a class.
 // ---------------------------------------------------------------------------
 
 /// One directed topology adjacency by value: neighbor, cost of leaving over
@@ -126,31 +139,116 @@ struct OverlayEdge {
   std::uint64_t label = 0;
 };
 
-/// The refinement and validation machinery of one compute_pec_classes call.
-/// The topology is PEC-independent, so it is flattened once into CSR arrays:
-/// per-node offsets into one array of arc targets, a cost label per arc, and
-/// a per-node "has parallel links" flag. Each PEC adds only its own edges, as
-/// an overlay list. Every buffer is sized once and reused across PECs.
+/// A member may spend this many individualizations beyond the length of the
+/// representative's path before its search gives up. A symmetric fabric
+/// needs none: every choice it makes replays on the first try.
+constexpr std::size_t kSearchSlack = 64;
+
+/// One representative's individualization–refinement path.
+struct IrPath {
+  struct Level {
+    std::uint32_t start = 0;  ///< position of the cell a node was named in
+    std::uint64_t trace = 0;  ///< refinement trace after naming it
+  };
+  std::vector<Level> levels;
+  std::vector<NodeId> leaf;  ///< node order of the leaf partition
+};
+
+enum class Match : std::uint8_t { kFound, kNone, kBudget };
+
+/// The refinement, search and validation machinery of one
+/// compute_pec_classes call. The topology is PEC-independent, so it is
+/// flattened once into CSR arrays (per-node offsets into one array of arc
+/// targets, a key per arc, a per-node "has parallel links" flag), and the
+/// base partition (roles, policy salts, topology) is refined once. Each PEC
+/// restores that partition and adds only its own slice and overlay. Every
+/// buffer is sized once and reused across PECs.
 class Classer {
  public:
   Classer(const Network& net, const Policy& policy);
 
-  /// Refines `pec`'s coloring until its partition is stable and returns the
-  /// PEC's fingerprint; the final colors are left in colors().
-  std::uint64_t refine(const Pec& pec);
-  [[nodiscard]] const std::vector<std::uint64_t>& colors() const { return color_; }
+  /// Restores the base partition, splits off `pec`'s slice, refines over
+  /// its overlay arcs, and returns the PEC's fingerprint: the refinement
+  /// trace plus its prefix lengths. The refined partition is level 0 of
+  /// record_path() and match().
+  std::uint64_t load(const Pec& pec);
 
-  /// Nodes ordered by (color, id): the canonical order used to construct the
-  /// candidate bijection between two PECs with equal fingerprints.
-  void canonical_order(std::span<const std::uint64_t> colors,
-                       std::vector<NodeId>& out);
+  /// Records the loaded PEC's individualization–refinement path.
+  void record_path(IrPath& out);
+
+  /// Searches the loaded PEC (`pec`) for a leaf that replays `path`, the
+  /// path of representative `rep`, and whose position-aligned bijection
+  /// validates. Leaves the partition at level 0 unless the result is kFound.
+  Match match(const IrPath& path, const Pec& rep, const Pec& pec);
 
   /// Proves pi (nodes of `a`'s exploration onto `b`'s) is a configuration
   /// isomorphism.
   bool validate(const Pec& a, const Pec& b, std::span<const NodeId> pi);
 
  private:
-  std::size_t count_distinct(std::span<const std::uint64_t> values);
+  /// A node's place: its position in elems_ and the start of its cell.
+  struct Place {
+    std::uint32_t pos = 0;
+    std::uint32_t cell = 0;
+  };
+  /// What a queued cell still owes as a splitter: its overlay arcs only
+  /// (the partition is already stable over its topology arcs), or every arc.
+  enum Owed : std::uint8_t { kNothing = 0, kOverlayArcs = 1, kAllArcs = 2 };
+  /// Per cell start: one past the cell's end, how many of its nodes the
+  /// current splitter touched (they sit at the cell's end), what it owes as
+  /// a queued splitter, and whether it is a twin cell. No splitter can split
+  /// a twin cell, so refinement does not touch its nodes.
+  struct Cell {
+    std::uint32_t end = 0;
+    std::uint32_t touched = 0;
+    Owed owed = kNothing;
+    std::uint8_t twin = 0;
+  };
+  /// A split, undone by restoring the cell's end and twin flag.
+  struct Split {
+    std::uint32_t start = 0;
+    std::uint32_t end = 0;
+    std::uint8_t twin = 0;
+  };
+  /// An arc as refinement sees it: the far node and the key it adds to its
+  /// invariant when this node is in a splitter.
+  struct KeyedArc {
+    NodeId to = kNoNode;
+    std::uint64_t key = 0;
+  };
+
+  // Incremental cell refinement over an ordered partition. Cells are ranges
+  // of elems_; a cell is named by its start position.
+  void touch(NodeId v, std::uint64_t key);
+  void split_touched(std::uint64_t step);
+  std::uint64_t split_cell(std::uint32_t s);
+  void push_splitter(std::uint32_t s, Owed owed) {
+    if (cells_[s].owed == kNothing) queue_.push_back(s);
+    cells_[s].owed = std::max(cells_[s].owed, owed);
+  }
+  void refine();
+  void individualize(NodeId v);
+  void undo_to(std::size_t mark);
+  /// Whether nodes [b, e) of elems_ form a twin cell: more than one node,
+  /// all with equal twin hashes.
+  bool twins(std::uint32_t b, std::uint32_t e) const {
+    if (e - b < 2) return false;
+    for (std::uint32_t i = b + 1; i < e; ++i) {
+      if (twin_[elems_[i]] != twin_[elems_[b]]) return false;
+    }
+    return true;
+  }
+  /// Start of the first multi-node cell at or after `cursor` that is not a
+  /// twin cell, or n_nodes_ when there is none (a leaf).
+  std::uint32_t next_target(std::uint32_t cursor) const {
+    std::uint32_t s = cursor;
+    while (s < n_nodes_ && (cells_[s].end - s == 1 || cells_[s].twin != 0)) {
+      s = cells_[s].end;
+    }
+    return s;
+  }
+  void build_overlay(const Pec& pec);
+
   bool same_topology(std::span<const NodeId> pi);
   std::uint64_t session_hash(const BgpSession& s, std::uint64_t peer,
                              const Pec& pec) {
@@ -161,30 +259,64 @@ class Classer {
 
   const Network& net_;
   const Policy& policy_;
-  const std::size_t n_nodes_;
+  const std::uint32_t n_nodes_;
   RouteMapCanon map_canon_;
 
-  // Topology CSR: arcs [offset_[n], offset_[n + 1]) leave node n.
+  // Topology CSR: arcs [offset_[n], offset_[n + 1]) leave node n, keyed by
+  // both directions' costs.
   std::vector<std::uint32_t> offset_;
-  std::vector<NodeId> arc_to_;
-  std::vector<std::uint64_t> arc_label_;  ///< per-direction costs, hashed
+  std::vector<KeyedArc> arcs_;
   std::vector<std::uint8_t> parallel_;
-  /// PEC-independent base color: OSPF/BGP role and the policy salts.
-  std::vector<std::uint64_t> base_;
+  /// Per node: an order-free hash of its labelled topology neighbours.
+  /// With the overlay's share added (twin_), equal values across a cell
+  /// mark a twin cell.
+  std::vector<std::uint64_t> twin_base_;
 
-  // Refinement buffers.
+  // The loaded PEC's overlay, as a CSR over both directions of each edge,
+  // and its twin hashes: twin_base_ plus the overlay's share.
   std::vector<OverlayEdge> overlay_;
-  std::vector<std::uint64_t> color_;
-  std::vector<std::uint64_t> mixed_;  ///< this round's hash_mix(color)
-  /// Per-node sums: a prefix's static-route labels, then a round's edges.
-  std::vector<std::uint64_t> sum_;
-  std::vector<std::uint8_t> slice_flags_;
-  std::vector<std::pair<std::uint64_t, NodeId>> order_;
+  std::vector<std::uint32_t> ov_offset_;
+  std::vector<KeyedArc> ov_arcs_;
+  std::vector<std::uint64_t> twin_;
 
-  // count_distinct's open-addressing set, cleared by bumping its epoch.
-  std::vector<std::uint64_t> set_key_;
-  std::vector<std::uint32_t> set_stamp_;
-  std::uint32_t set_epoch_ = 0;
+  // The ordered partition and the refinement's scratch. Between calls the
+  // queue is empty and every touched count, owed splitter and invariant is
+  // 0.
+  std::vector<NodeId> elems_;
+  std::vector<Place> place_;  ///< by node
+  std::vector<Cell> cells_;   ///< by cell start
+  std::vector<std::uint64_t> inv_;
+  std::vector<std::uint32_t> queue_;
+  std::vector<std::uint32_t> touched_cells_;
+  std::vector<std::uint32_t> cuts_;
+  std::vector<NodeId> splitter_;
+  /// One entry per split, undone in reverse.
+  std::vector<Split> trail_;
+  std::uint64_t trace_ = 0;
+
+  // The refined PEC-independent base partition every load() restores.
+  std::vector<NodeId> base_elems_;
+  std::vector<Place> base_place_;
+  std::vector<Cell> base_cells_;
+
+  // load() scratch: per-node slice labels.
+  std::vector<std::uint64_t> slice_;
+  std::vector<std::uint8_t> in_slice_;
+  std::vector<NodeId> slice_nodes_;
+
+  // match() scratch: one frame per level, each level's candidates (its
+  // target cell, copied because undo restores a cell's nodes but not their
+  // order), and the leaf bijection.
+  struct Frame {
+    std::uint32_t start = 0;
+    std::size_t mark = 0;   ///< trail_ size when the level was entered
+    std::size_t begin = 0;  ///< the level's candidates in candidates_
+    std::size_t next = 0;
+    std::size_t end = 0;
+  };
+  std::vector<Frame> frames_;
+  std::vector<NodeId> candidates_;
+  std::vector<NodeId> pi_;
 
   // Validation buffers: the image node's arcs, stamped by neighbor per epoch.
   std::vector<std::uint32_t> adj_stamp_;
@@ -195,69 +327,228 @@ class Classer {
 };
 
 Classer::Classer(const Network& net, const Policy& policy)
-    : net_(net), policy_(policy), n_nodes_(net.topo.node_count()) {
+    : net_(net), policy_(policy),
+      n_nodes_(static_cast<std::uint32_t>(net.topo.node_count())) {
   offset_.assign(n_nodes_ + 1, 0);
-  arc_to_.reserve(2 * net.topo.link_count());
-  arc_label_.reserve(2 * net.topo.link_count());
+  arcs_.reserve(2 * net.topo.link_count());
   parallel_.assign(n_nodes_, 0);
+  twin_base_.assign(n_nodes_, 0);
   adj_stamp_.assign(n_nodes_, 0);
   for (NodeId n = 0; n < n_nodes_; ++n) {
     ++adj_epoch_;
     for (const Adjacency& adj : net.topo.neighbors(n)) {
       const Arc arc = arc_of(net.topo, adj);
-      arc_to_.push_back(arc.to);
-      arc_label_.push_back(
-          hash_combine(hash_combine(0x701070ull, arc.cost), arc.ret));
+      const std::uint64_t key =
+          hash_mix(hash_combine(hash_combine(0x701070ull, arc.cost), arc.ret));
+      arcs_.push_back(KeyedArc{arc.to, key});
+      twin_base_[n] += hash_mix(key ^ hash_mix(arc.to));
       if (adj_stamp_[arc.to] == adj_epoch_) parallel_[n] = 1;
       adj_stamp_[arc.to] = adj_epoch_;
     }
-    offset_[n + 1] = static_cast<std::uint32_t>(arc_to_.size());
+    offset_[n + 1] = static_cast<std::uint32_t>(arcs_.size());
   }
   adj_arc_.resize(n_nodes_);
+  ov_offset_.assign(n_nodes_ + 1, 0);
+  twin_ = twin_base_;
 
-  base_.resize(n_nodes_);
+  // Base colors: OSPF/BGP role. Sources and interesting nodes get
+  // position-unique salts, so they sit alone in their cells and every leaf
+  // bijection maps them to themselves.
+  std::vector<std::pair<std::uint64_t, NodeId>> order(n_nodes_);
   for (NodeId n = 0; n < n_nodes_; ++n) {
     const auto& dev = net.device(n);
-    base_[n] = hash_combine(hash_mix(dev.ospf.enabled ? 2 : 1), dev.bgp ? 2u : 1u);
+    order[n] = {hash_combine(hash_mix(dev.ospf.enabled ? 2 : 1), dev.bgp ? 2u : 1u), n};
   }
-  // Sources and interesting nodes get position-unique salts, so they sit
-  // alone in their color class and the canonical bijection can only map
-  // them to themselves.
   const auto sources = policy.sources();
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    base_[sources[i]] = hash_combine(base_[sources[i]], 0x50AD0000ull + i);
+    auto& color = order[sources[i]].first;
+    color = hash_combine(color, 0x50AD0000ull + i);
   }
   const auto interesting = policy.interesting();
   for (std::size_t i = 0; i < interesting.size(); ++i) {
-    base_[interesting[i]] = hash_combine(base_[interesting[i]], 0x17770000ull + i);
+    auto& color = order[interesting[i]].first;
+    color = hash_combine(color, 0x17770000ull + i);
   }
+  std::sort(order.begin(), order.end());
 
-  color_.resize(n_nodes_);
-  mixed_.resize(n_nodes_);
-  sum_.assign(n_nodes_, 0);
-  slice_flags_.assign(n_nodes_, 0);
-  std::size_t slots = 16;
-  while (slots < 2 * n_nodes_) slots *= 2;
-  set_key_.resize(slots);
-  set_stamp_.assign(slots, 0);
+  // One cell per color, each a splitter, refined over the topology.
+  elems_.resize(n_nodes_);
+  place_.resize(n_nodes_);
+  cells_.resize(n_nodes_);
+  inv_.assign(n_nodes_, 0);
+  for (std::uint32_t i = 0; i < n_nodes_; ++i) {
+    elems_[i] = order[i].second;
+    place_[elems_[i]].pos = i;
+  }
+  for (std::uint32_t s = 0, e = 0; s < n_nodes_; s = e) {
+    while (e < n_nodes_ && order[e].first == order[s].first) ++e;
+    for (std::uint32_t i = s; i < e; ++i) place_[elems_[i]].cell = s;
+    cells_[s].end = e;
+    cells_[s].twin = twins(s, e) ? 1 : 0;
+    push_splitter(s, kAllArcs);
+  }
+  refine();
+  base_elems_ = elems_;
+  base_place_ = place_;
+  base_cells_ = cells_;
+
+  slice_.assign(n_nodes_, 0);
+  in_slice_.assign(n_nodes_, 0);
+  pi_.resize(n_nodes_);
 }
 
-std::size_t Classer::count_distinct(std::span<const std::uint64_t> values) {
-  ++set_epoch_;
-  const std::size_t mask = set_key_.size() - 1;
-  std::size_t distinct = 0;
-  for (const std::uint64_t v : values) {
-    std::size_t i = v & mask;  // colors are hash_mix outputs: low bits spread
-    while (set_stamp_[i] == set_epoch_ && set_key_[i] != v) i = (i + 1) & mask;
-    if (set_stamp_[i] == set_epoch_) continue;
-    set_stamp_[i] = set_epoch_;
-    set_key_[i] = v;
-    ++distinct;
-  }
-  return distinct;
+void Classer::touch(NodeId v, std::uint64_t key) {
+  inv_[v] += key;
+  Place& pv = place_[v];
+  Cell& c = cells_[pv.cell];
+  const std::uint32_t first_touched = c.end - c.touched;
+  if (pv.pos >= first_touched) return;
+  if (c.touched++ == 0) touched_cells_.push_back(pv.cell);
+  // Move v to the front of the cell's touched tail.
+  const std::uint32_t q = first_touched - 1;
+  const NodeId u = elems_[q];
+  elems_[pv.pos] = u;
+  place_[u].pos = pv.pos;
+  elems_[q] = v;
+  pv.pos = q;
 }
 
-std::uint64_t Classer::refine(const Pec& pec) {
+/// Splits every touched cell, in position order (not discovery order: the
+/// splits and the splitters they queue must not depend on node ids), and
+/// folds `step` and the splits into the trace.
+void Classer::split_touched(std::uint64_t step) {
+  std::sort(touched_cells_.begin(), touched_cells_.end());
+  for (const std::uint32_t s : touched_cells_) step += split_cell(s);
+  touched_cells_.clear();
+  trace_ = hash_combine(trace_, step);
+}
+
+/// Splits cell `s` by invariant: its untouched nodes keep the start, then
+/// one cell per touched invariant value, in ascending value order. Returns
+/// an order-free hash of the parts (start, size, value). Hopcroft's rule
+/// queues every new cell but the largest: invariants are sums over a
+/// splitter's arcs, so the largest part's sums follow from the whole's and
+/// the others'. The largest part inherits what `s` still owed (its overlay
+/// arcs), and when `s` owed every arc, so does every part.
+std::uint64_t Classer::split_cell(std::uint32_t s) {
+  const std::uint32_t e = cells_[s].end;
+  const std::uint32_t t = e - cells_[s].touched;
+  cells_[s].touched = 0;
+  const auto value = [this](std::uint32_t i) { return inv_[elems_[i]]; };
+  for (std::uint32_t i = t + 1; i < e; ++i) {
+    if (value(i) == value(t)) continue;
+    std::sort(elems_.begin() + t, elems_.begin() + e,
+              [this](NodeId a, NodeId b) { return inv_[a] < inv_[b]; });
+    for (std::uint32_t j = t; j < e; ++j) place_[elems_[j]].pos = j;
+    break;
+  }
+  std::uint64_t parts = 0;
+  cuts_.clear();
+  if (t > s) {
+    cuts_.push_back(s);
+    parts += hash_mix((std::uint64_t{s} << 32) | (t - s));
+  }
+  for (std::uint32_t g = t; g < e;) {
+    const std::uint64_t v = value(g);
+    std::uint32_t ge = g + 1;
+    while (ge < e && value(ge) == v) ++ge;
+    parts += hash_mix(v ^ ((std::uint64_t{g} << 32) | (ge - g)));
+    cuts_.push_back(g);
+    for (std::uint32_t i = g; i < ge; ++i) inv_[elems_[i]] = 0;
+    g = ge;
+  }
+  if (cuts_.size() == 1) return parts;
+  const std::uint8_t twin = cells_[s].twin;
+  trail_.push_back(Split{s, e, twin});
+  cuts_.push_back(e);
+  std::uint32_t largest = 0;
+  for (std::uint32_t k = 1; k + 1 < cuts_.size(); ++k) {
+    if (cuts_[k + 1] - cuts_[k] > cuts_[largest + 1] - cuts_[largest]) largest = k;
+  }
+  const Owed owed = cells_[s].owed;  // part 0 keeps s's queue entry
+  for (std::uint32_t k = 0; k + 1 < cuts_.size(); ++k) {
+    const std::uint32_t g = cuts_[k];
+    const std::uint32_t ge = cuts_[k + 1];
+    cells_[g].end = ge;
+    cells_[g].twin = ge - g > 1 && (twin != 0 || twins(g, ge)) ? 1 : 0;
+    if (g != s) {
+      for (std::uint32_t i = g; i < ge; ++i) place_[elems_[i]].cell = g;
+    }
+    if (owed == kAllArcs || k != largest) {
+      push_splitter(g, kAllArcs);
+    } else if (owed == kOverlayArcs) {
+      push_splitter(g, kOverlayArcs);
+    }
+  }
+  return parts;
+}
+
+void Classer::refine() {
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::uint32_t ws = queue_[head];
+    const Owed owed = cells_[ws].owed;
+    cells_[ws].owed = kNothing;
+    // Twins reach the same nodes with the same keys, so a twin cell's first
+    // node stands for all of them at `mult` times the key. Otherwise the
+    // nodes are copied: touching moves nodes inside their cells.
+    std::uint64_t mult = 1;
+    if (cells_[ws].twin != 0) {
+      mult = cells_[ws].end - ws;
+      splitter_.assign(1, elems_[ws]);
+    } else {
+      splitter_.assign(elems_.begin() + ws, elems_.begin() + cells_[ws].end);
+    }
+    const auto reach = [this, mult](const KeyedArc& arc) {
+      if (cells_[place_[arc.to].cell].twin == 0) touch(arc.to, arc.key * mult);
+    };
+    for (const NodeId w : splitter_) {
+      if (owed == kAllArcs) {
+        for (std::uint32_t a = offset_[w]; a < offset_[w + 1]; ++a) reach(arcs_[a]);
+      }
+      for (std::uint32_t a = ov_offset_[w]; a < ov_offset_[w + 1]; ++a) {
+        reach(ov_arcs_[a]);
+      }
+    }
+    split_touched(ws);
+  }
+  queue_.clear();
+}
+
+/// Names `v`: it leaves its cell as a singleton placed at the cell's end,
+/// the one new cell Hopcroft's rule queues.
+void Classer::individualize(NodeId v) {
+  const std::uint32_t s = place_[v].cell;
+  const std::uint32_t e = cells_[s].end;
+  const std::uint32_t q = e - 1;
+  const NodeId u = elems_[q];
+  elems_[place_[v].pos] = u;
+  place_[u].pos = place_[v].pos;
+  elems_[q] = v;
+  place_[v] = Place{q, q};
+  trail_.push_back(Split{s, e, cells_[s].twin});
+  cells_[s].end = q;
+  cells_[s].twin = q - s > 1 && (cells_[s].twin != 0 || twins(s, q)) ? 1 : 0;
+  cells_[q].end = e;
+  cells_[q].twin = 0;
+  trace_ = hash_mix(q);
+  push_splitter(q, kAllArcs);
+}
+
+/// Merges back every split made since the trail had `mark` entries. The
+/// cells regain their node sets; the order inside a cell may differ.
+void Classer::undo_to(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const Split split = trail_.back();
+    trail_.pop_back();
+    for (std::uint32_t i = cells_[split.start].end; i < split.end; ++i) {
+      place_[elems_[i]].cell = split.start;
+    }
+    cells_[split.start].end = split.end;
+    cells_[split.start].twin = split.twin;
+  }
+}
+
+void Classer::build_overlay(const Pec& pec) {
   // Relational edges beyond the topology that the refinement (and the
   // exploration) sees: BGP sessions with footprint-canonical maps, and
   // static-route via-neighbor relations from this PEC's slice.
@@ -279,88 +570,159 @@ std::uint64_t Classer::refine(const Pec& pec) {
       overlay_.push_back(OverlayEdge{dev, sr.via_neighbor, hash_combine(0x57A7ull, pi)});
     }
   }
+  std::fill(ov_offset_.begin(), ov_offset_.end(), 0);
+  twin_ = twin_base_;
+  if (overlay_.empty()) return;
+  // Both directions of each edge, keyed by which end the splitter holds.
+  for (const OverlayEdge& e : overlay_) {
+    ++ov_offset_[e.from + 1];
+    ++ov_offset_[e.to + 1];
+  }
+  for (NodeId n = 0; n < n_nodes_; ++n) ov_offset_[n + 1] += ov_offset_[n];
+  ov_arcs_.resize(ov_offset_[n_nodes_]);
+  for (const OverlayEdge& e : overlay_) {
+    const std::uint64_t in = hash_mix(e.label ^ 0x1);   // e.to's key
+    const std::uint64_t out = hash_mix(e.label ^ 0x2);  // e.from's key
+    ov_arcs_[ov_offset_[e.from]++] = KeyedArc{e.to, in};
+    ov_arcs_[ov_offset_[e.to]++] = KeyedArc{e.from, out};
+    twin_[e.from] += hash_mix(out ^ hash_mix(e.to));
+    twin_[e.to] += hash_mix(in ^ hash_mix(e.from));
+  }
+  // The fill advanced each offset to its node's end: shift back.
+  for (NodeId n = n_nodes_; n > 0; --n) ov_offset_[n] = ov_offset_[n - 1];
+  ov_offset_[0] = 0;
+}
 
-  // Base colors: configuration role and policy salts (base_), then the
-  // PEC's slice, prefix by prefix.
-  color_ = base_;
+std::uint64_t Classer::load(const Pec& pec) {
+  elems_ = base_elems_;
+  place_ = base_place_;
+  cells_ = base_cells_;
+  trail_.clear();
+  build_overlay(pec);
+  if (!overlay_.empty()) {
+    // The base twin flags hold for the topology; the overlay may break them.
+    for (std::uint32_t c = 0; c < n_nodes_; c = cells_[c].end) {
+      cells_[c].twin = twins(c, cells_[c].end) ? 1 : 0;
+    }
+  }
+  trace_ = hash_mix(0x511CEull);
+
+  // The PEC's slice, prefix by prefix: origin bits, /32 loopback delivery,
+  // and static-route labels (via_neighbor is a relation, in the overlay;
+  // drop/forward is a label). A node's labels fold as an order-free sum.
+  const auto add = [this](NodeId n, std::uint64_t label) {
+    if (in_slice_[n] == 0) {
+      in_slice_[n] = 1;
+      slice_nodes_.push_back(n);
+    }
+    slice_[n] += hash_mix(label);
+  };
   for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
     const PecPrefix& pp = pec.prefixes[pi];
-    for (const NodeId n : pp.ospf_origins) slice_flags_[n] |= 1;
-    for (const NodeId n : pp.bgp_origins) slice_flags_[n] |= 2;
+    for (const NodeId n : pp.ospf_origins) add(n, 0x10 + pi * 8);
+    for (const NodeId n : pp.bgp_origins) add(n, 0x11 + pi * 8);
     if (pp.prefix.length() == 32) {
       for (NodeId n = 0; n < n_nodes_; ++n) {
-        if (loopback_delivers(net_, pec, pi, n)) slice_flags_[n] |= 4;
+        if (loopback_delivers(net_, pec, pi, n)) add(n, 0x12 + pi * 8);
       }
     }
     for (const auto& [dev, idx] : pp.static_routes) {
-      // via_neighbor is a relation (overlay above); drop/forward is a label.
       const StaticRoute& sr = net_.device(dev).statics[idx];
-      sum_[dev] += hash_combine(0x13 + pi * 8, sr.drop ? 2u : 1u);
-    }
-    for (NodeId n = 0; n < n_nodes_; ++n) {
-      std::uint64_t h = color_[n];
-      const std::uint8_t f = slice_flags_[n];
-      if ((f & 1) != 0) h = hash_combine(h, 0x10 + pi * 8);
-      if ((f & 2) != 0) h = hash_combine(h, 0x11 + pi * 8);
-      if ((f & 4) != 0) h = hash_combine(h, 0x12 + pi * 8);
-      color_[n] = hash_combine(h, sum_[n]);  // order-free multiset sum
-      slice_flags_[n] = 0;
-      sum_[n] = 0;
+      add(dev, hash_combine(0x13 + pi * 8, sr.drop ? 2u : 1u));
     }
   }
-
-  // Refine until the partition stabilizes. Each round's color is a function
-  // of the previous round's, so the partition only ever gets finer; when the
-  // number of distinct colors stops growing, it is stable. A node folds its
-  // edges as an order-free sum, so no round sorts anything.
-  std::size_t distinct = 0;
-  for (std::size_t round = 0; round <= n_nodes_; ++round) {
-    const std::size_t d = count_distinct(color_);
-    if (round > 0 && d == distinct) break;
-    distinct = d;
-    for (NodeId n = 0; n < n_nodes_; ++n) mixed_[n] = hash_mix(color_[n]);
-    for (NodeId n = 0; n < n_nodes_; ++n) {
-      std::uint64_t sum = 0;
-      for (std::uint32_t e = offset_[n]; e < offset_[n + 1]; ++e) {
-        sum += hash_mix(arc_label_[e] ^ mixed_[arc_to_[e]]);
-      }
-      sum_[n] = sum;
-    }
-    for (const OverlayEdge& e : overlay_) {
-      sum_[e.from] += hash_mix(e.label ^ mixed_[e.to]);
-    }
-    for (NodeId n = 0; n < n_nodes_; ++n) {
-      color_[n] = hash_combine(color_[n], sum_[n]);
-      sum_[n] = 0;
-    }
+  for (const NodeId n : slice_nodes_) {
+    touch(n, slice_[n]);
+    slice_[n] = 0;
+    in_slice_[n] = 0;
   }
+  slice_nodes_.clear();
+  split_touched(0);
 
-  // Canonical form: the color multiset (an order-free sum) + prefix
-  // structure. Prefix *values* are deliberately absent — only lengths and
-  // the footprints already folded into the colors matter to the exploration.
-  std::uint64_t fp = 0;
-  for (const std::uint64_t c : color_) fp += hash_mix(c);
-  fp = hash_combine(fp, pec.prefixes.size());
+  // The partition is stable over the topology only: every cell holding an
+  // overlay endpoint still owes its overlay arcs, in position order.
+  if (!overlay_.empty()) {
+    for (NodeId n = 0; n < n_nodes_; ++n) {
+      if (ov_offset_[n + 1] > ov_offset_[n]) touched_cells_.push_back(place_[n].cell);
+    }
+    std::sort(touched_cells_.begin(), touched_cells_.end());
+    for (const std::uint32_t s : touched_cells_) push_splitter(s, kOverlayArcs);
+    touched_cells_.clear();
+  }
+  refine();
+
+  // Prefix *values* are deliberately absent: only lengths and the
+  // footprints already folded into the labels matter to the exploration.
+  std::uint64_t fp = hash_combine(trace_, pec.prefixes.size());
   for (const PecPrefix& pp : pec.prefixes) {
     fp = hash_combine(fp, pp.prefix.length());
   }
   return fp;
 }
 
-void Classer::canonical_order(std::span<const std::uint64_t> colors,
-                              std::vector<NodeId>& out) {
-  order_.clear();
-  for (NodeId n = 0; n < colors.size(); ++n) order_.emplace_back(colors[n], n);
-  std::sort(order_.begin(), order_.end());
-  out.clear();
-  for (const auto& [color, n] : order_) out.push_back(n);
+void Classer::record_path(IrPath& out) {
+  out.levels.clear();
+  for (std::uint32_t s = next_target(0); s < n_nodes_; s = next_target(s)) {
+    individualize(elems_[s]);
+    refine();
+    out.levels.push_back(IrPath::Level{s, trace_});
+  }
+  out.leaf = elems_;
+}
+
+Match Classer::match(const IrPath& path, const Pec& rep, const Pec& pec) {
+  const std::size_t depth = path.levels.size();
+  const std::size_t budget = depth + kSearchSlack;
+  const std::size_t root = trail_.size();
+  std::size_t steps = 0;
+  std::uint32_t cursor = 0;
+  frames_.clear();
+  candidates_.clear();
+  for (;;) {
+    // The partition matches the representative's at level frames_.size().
+    const std::size_t level = frames_.size();
+    const std::uint32_t s = next_target(cursor);
+    if (level == depth) {
+      if (s == n_nodes_) {
+        for (std::uint32_t i = 0; i < n_nodes_; ++i) pi_[path.leaf[i]] = elems_[i];
+        if (validate(rep, pec, pi_)) return Match::kFound;
+      }
+    } else if (s == path.levels[level].start) {
+      const std::size_t begin = candidates_.size();
+      candidates_.insert(candidates_.end(), elems_.begin() + s,
+                         elems_.begin() + cells_[s].end);
+      frames_.push_back(Frame{s, trail_.size(), begin, begin, candidates_.size()});
+    }
+    // Descend through the next candidate whose trace replays the path,
+    // backtracking over exhausted levels.
+    for (;;) {
+      if (frames_.empty()) return Match::kNone;
+      Frame& f = frames_.back();
+      undo_to(f.mark);
+      if (f.next == f.end) {
+        candidates_.resize(f.begin);
+        frames_.pop_back();
+        continue;
+      }
+      if (++steps > budget) {
+        undo_to(root);
+        return Match::kBudget;
+      }
+      individualize(candidates_[f.next++]);
+      refine();
+      if (trace_ == path.levels[frames_.size() - 1].trace) {
+        cursor = f.start;
+        break;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Validation: prove the candidate bijection is a configuration isomorphism.
-// The fingerprint is a hash — collisions and refinement-blind asymmetries
-// both die here, degrading the member to its own class instead of producing
-// an unsound verdict transfer.
+// Validation: prove the leaf bijection is a configuration isomorphism.
+// Traces and twin flags are hashes — a collision dies here: the search
+// backtracks, and a member no leaf validates for keeps its own class
+// instead of producing an unsound verdict transfer.
 // ---------------------------------------------------------------------------
 
 bool sorted_equal(std::vector<std::uint64_t>& a, std::vector<std::uint64_t>& b) {
@@ -664,7 +1026,6 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
                                 std::span<const std::uint8_t> needed,
                                 std::span<const std::uint8_t> is_target) {
   const auto start = std::chrono::steady_clock::now();
-  Classer classer(net, policy);
   PecClassSet out;
   out.rep_of.assign(pecs.pecs.size(), kNoPec);
   out.members_of.resize(pecs.pecs.size());
@@ -689,12 +1050,10 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
 
   struct Class {
     PecId rep = 0;
-    std::vector<std::uint64_t> colors;  ///< representative's refined colors
-    std::vector<NodeId> canon;          ///< representative's canonical order
+    IrPath path;
   };
+  std::optional<Classer> classer;  // built for the first eligible PEC
   std::unordered_map<std::uint64_t, std::vector<Class>> buckets;
-  std::vector<NodeId> pi(net.topo.node_count());
-  std::vector<NodeId> canon;
 
   for (PecId p = 0; p < pecs.pecs.size(); ++p) {
     if (needed[p] == 0) continue;
@@ -703,24 +1062,13 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
       if (is_target[p] != 0) ++out.stats.classes;  // ineligible target: singleton
       continue;
     }
-    auto& bucket = buckets[classer.refine(pecs.pecs[p])];
-    const std::vector<std::uint64_t>& colors = classer.colors();
-    classer.canonical_order(colors, canon);
+    if (!classer) classer.emplace(net, policy);
+    auto& bucket = buckets[classer->load(pecs.pecs[p])];
     bool joined = false;
     for (const Class& cls : bucket) {
-      // Candidate bijection: i-th node in the representative's canonical
-      // (color, id) order maps to the i-th in the member's. Equal color
-      // multisets (same fingerprint) make the pairing color-aligned.
-      bool color_aligned = true;
-      for (std::size_t i = 0; i < canon.size(); ++i) {
-        if (cls.colors[cls.canon[i]] != colors[canon[i]]) {
-          color_aligned = false;
-          break;
-        }
-        pi[cls.canon[i]] = canon[i];
-      }
-      if (!color_aligned) continue;  // hash-collision bucket: not the same shape
-      if (!classer.validate(pecs.pecs[cls.rep], pecs.pecs[p], pi)) continue;
+      const Match m = classer->match(cls.path, pecs.pecs[cls.rep], pecs.pecs[p]);
+      if (m == Match::kBudget) ++out.stats.search_fallbacks;
+      if (m != Match::kFound) continue;
       out.rep_of[p] = cls.rep;
       out.members_of[cls.rep].push_back(p);
       ++out.stats.deduped;
@@ -730,8 +1078,7 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
     if (!joined) {
       Class cls;
       cls.rep = p;
-      cls.colors = colors;
-      cls.canon = canon;
+      classer->record_path(cls.path);
       bucket.push_back(std::move(cls));
       ++out.stats.classes;
     }

@@ -5,11 +5,12 @@
 // slice up to a renaming of devices — the fat-tree all-pairs workloads of
 // Fig. 7a/7b differ per PEC only in which edge switch originates the prefix.
 // Exploring each of those PECs repeats bit-for-bit isomorphic work. This
-// module fingerprints every dedup-eligible PEC's relevant slice with a
-// color-refinement canonical form (the same machinery as DEC/Bonsai, §4.3),
-// groups PECs whose fingerprints coincide, and then *proves* each grouping
-// by constructing an explicit node bijection and validating it as a full
-// configuration isomorphism:
+// module fingerprints every dedup-eligible PEC's relevant slice with the
+// trace of an equitable cell refinement (the colour refinement behind
+// DEC/Bonsai, §4.3), searches PECs whose fingerprints coincide for a node
+// bijection by individualization–refinement (McKay & Piperno, "Practical
+// graph isomorphism II", 2014), and then *proves* each grouping by
+// validating that bijection as a full configuration isomorphism:
 //
 //   · topology automorphism (per-direction link costs, parallel links),
 //   · per-device config equivalence (OSPF role, BGP sessions with
@@ -30,21 +31,28 @@
 // degrades to a singleton class — asymmetric networks pay only the
 // classing cost.
 //
-// Colors are renaming-invariant; the partition is not. The candidate
-// bijection breaks color ties by node id, so one numbering of a fat tree
-// folds it into one class and a shuffled one into one class per pod.
+// The partition does not depend on device numbering. Refinement reads
+// positions and label hashes, never node ids, and a member searches for a
+// bijection instead of trying one: it replays the representative's path of
+// individualized nodes, backtracking over its own cells, until a leaf
+// validates. A search that exhausts its cells finds no isomorphism; one
+// that spends a fixed number of steps beyond the path's length gives up
+// (PecDedupStats::search_fallbacks). Either leaves the member in a class of
+// its own, which is sound. Up to that budget and to 64-bit hash collisions,
+// two PECs share a class exactly when they are isomorphic.
 //
-// Cost: one call flattens the topology once into a CSR arc array (per-node
-// offsets, per-arc costs and refinement labels, a per-node parallel-link
-// flag); each PEC adds only an overlay of its own edges (BGP sessions,
-// static via relations). A refinement round folds a node's edges as an
-// order-free sum, so no round sorts, and validation compares link costs by
-// value through per-neighbor stamp arrays. Color values live for one call:
-// only the partitions they induce are the contract.
+// Cost: one call flattens the topology once into a CSR arc array and
+// refines the PEC-independent base partition (roles, policy salts,
+// topology) once; each PEC restores it and adds only its slice and an
+// overlay of its own edges (BGP sessions, static via relations). Splits
+// re-queue every part but the largest (Hopcroft), twin cells (nodes with
+// identical labelled neighbours) are never split and never individualized,
+// and validation compares link costs by value through per-neighbor stamp
+// arrays. Traces live for one call: only the partitions are the contract.
 //
 // The module also computes the serve cache's per-PEC residue
 // (compute_pec_fingerprints below). That is a plain value hash with no
-// refinement: the colour refinement runs for dedup classing only.
+// refinement: the cell refinement runs for dedup classing only.
 #pragma once
 
 #include <chrono>
@@ -63,6 +71,9 @@ struct PecDedupStats {
   std::size_t classes = 0;     ///< classes over dedup-eligible PECs
   std::size_t deduped = 0;     ///< member PECs riding on a representative
   std::size_t singletons = 0;  ///< classes with exactly one member
+  /// Member comparisons whose isomorphism search hit its step budget. Each
+  /// leaves the member out of that class, which is sound but loses dedup.
+  std::size_t search_fallbacks = 0;
   /// Wall time spent classing: refinement plus validation (the dedup
   /// overhead a fully-asymmetric workload pays for nothing).
   std::chrono::nanoseconds classing_time{0};

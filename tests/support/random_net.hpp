@@ -53,6 +53,14 @@ inline NodeId pick_node(Rng& rng, std::size_t n) {
   return static_cast<NodeId>(rng() % n);
 }
 
+/// "r<i>", built by appending: GCC 12 misreports -Wrestrict when a literal
+/// is prepended to a temporary string.
+inline std::string router_name(std::size_t i) {
+  std::string name = "r";
+  name += std::to_string(i);
+  return name;
+}
+
 /// Connected random graph: spanning tree + `extra` random chords.
 inline void random_edges(Rng& rng, std::size_t n, std::size_t extra,
                          const std::function<void(NodeId, NodeId)>& edge) {
@@ -95,7 +103,7 @@ inline void sprinkle_local_prefs(Rng& rng, Network& net) {
 inline Network random_ospf_net(Rng& rng, std::size_t n) {
   Network net;
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id = net.add_device("r" + std::to_string(i));
+    const NodeId id = net.add_device(router_name(i));
     net.device(id).ospf.enabled = true;
     net.device(id).ospf.advertise_loopback = false;
   }
@@ -112,7 +120,7 @@ inline Network random_ospf_net(Rng& rng, std::size_t n) {
 inline Network random_bgp_net(Rng& rng, std::size_t n, std::vector<NodeId>& origins) {
   Network net;
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId id = net.add_device("r" + std::to_string(i));
+    const NodeId id = net.add_device(router_name(i));
     net.device(id).bgp.emplace();
     net.device(id).bgp->asn = 65000 + static_cast<std::uint32_t>(i);
   }
@@ -131,7 +139,7 @@ inline Network mixed_net(Rng& rng, std::size_t n) {
   Network net;
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id = net.add_device(
-        "r" + std::to_string(i),
+        router_name(i),
         IpAddr(10, 255, static_cast<std::uint8_t>(i), 1));
     net.device(id).ospf.enabled = true;
   }

@@ -1,10 +1,13 @@
 // Batch PEC verification (eqclass/pec_dedup.hpp): fingerprint invariance
 // under node/prefix renaming, collision resistance on near-miss configs,
-// topology validation by value (with and without parallel links), classing
-// on renumbered input, verdict/trail translation, the singleton fallback on
-// asymmetry, and no classing where no representative can prove a hold.
+// topology validation by value (with and without parallel links), a class
+// partition that does not depend on device numbering, a refinement-blind
+// pair that the isomorphism search keeps apart, verdict/trail translation,
+// the singleton fallback on asymmetry, and no classing where no
+// representative can prove a hold.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <random>
 #include <set>
@@ -15,6 +18,7 @@
 #include "core/verifier.hpp"
 #include "eqclass/pec_dedup.hpp"
 #include "serve/serve.hpp"
+#include "support/random_net.hpp"
 #include "workload/fat_tree.hpp"
 
 namespace plankton {
@@ -211,6 +215,55 @@ TEST(PecDedup, RouteMapFootprintDistinguishesPolicyHooks) {
   EXPECT_EQ(classes_of(inert_net, policy).stats.deduped, 1u);
 }
 
+TEST(PecDedup, ValidationCatchesWhatTwinCellsHide) {
+  // eBGP routers o, a1, a2, b1, b2: o links to both a's, each a to both b's.
+  // o originates two prefixes, and each b's import from each a sets local
+  // preference on the first prefix only. a1/a2 and b1/b2 are twin cells
+  // (identical labelled neighbours), which refinement never touches, so
+  // the route maps between them never reach the trace: the two PECs get
+  // equal fingerprints and the member's leaf bijection is tried. Only
+  // validation sees that the b's treat the two prefixes differently.
+  Network net;
+  const NodeId o = net.add_device("o", IpAddr(10, 0, 0, 1));
+  const NodeId as[2] = {net.add_device("a1", IpAddr(10, 0, 0, 2)),
+                        net.add_device("a2", IpAddr(10, 0, 0, 3))};
+  const NodeId bs[2] = {net.add_device("b1", IpAddr(10, 0, 0, 4)),
+                        net.add_device("b2", IpAddr(10, 0, 0, 5))};
+  for (NodeId n = 0; n < 5; ++n) {
+    net.device(n).bgp.emplace();
+    net.device(n).bgp->asn = 100 + n;
+  }
+  RouteMapClause hook;
+  hook.match.prefix = *Prefix::parse("10.1.0.0/24");
+  hook.action.set_local_pref = 200;
+  const auto peer = [&](NodeId x, NodeId y, bool hooked) {
+    net.topo.add_link(x, y);
+    BgpSession to_y;
+    to_y.peer = y;
+    net.device(x).bgp->sessions.push_back(to_y);
+    BgpSession to_x;
+    to_x.peer = x;
+    if (hooked) to_x.import.clauses.push_back(hook);
+    net.device(y).bgp->sessions.push_back(to_x);
+  };
+  for (const NodeId a : as) {
+    peer(o, a, false);
+    for (const NodeId b : bs) peer(a, b, true);
+  }
+  net.device(o).bgp->originated.push_back(*Prefix::parse("10.1.0.0/24"));
+  net.device(o).bgp->originated.push_back(*Prefix::parse("10.2.0.0/24"));
+  const LoopFreedomPolicy policy;
+  ASSERT_EQ(compute_pecs(net).routed().size(), 2u);
+  const PecClassSet cs = classes_of(net, policy);
+  EXPECT_EQ(cs.stats.classes, 2u);
+  EXPECT_EQ(cs.stats.deduped, 0u);
+  EXPECT_EQ(cs.stats.search_fallbacks, 0u);
+  const VerifyResult on = run(net, policy, true);
+  const VerifyResult off = run(net, policy, false);
+  EXPECT_EQ(on.verdict, off.verdict);
+  EXPECT_EQ(violation_multiset(on), violation_multiset(off));
+}
+
 TEST(PecDedup, ViolationFallbackKeepsTrailsBitIdentical) {
   // Broken core statics: forwarding loops. A violated representative must
   // not translate — members re-explore natively, so violation multisets and
@@ -310,13 +363,20 @@ TEST(PecDedup, DependentPecsAreNeverGrouped) {
   }
 }
 
+/// `stem` followed by `i`, built by appending: GCC 12 misreports -Wrestrict
+/// when a literal is prepended to a temporary string.
+std::string numbered(std::string stem, std::size_t i) {
+  stem += std::to_string(i);
+  return stem;
+}
+
 /// An OSPF ring r0-r1-...-r0 of `size` routers at cost 3, each router
 /// originating its own /24. `doubled` ring links (link i joins r<i> and
 /// r<i+1 mod size>) get a second, parallel link at cost 5.
 Network parallel_ring(std::size_t size, const std::vector<NodeId>& doubled) {
   Network net;
   for (std::size_t i = 0; i < size; ++i) {
-    const NodeId n = net.add_device("r" + std::to_string(i),
+    const NodeId n = net.add_device(numbered("r", i),
                                     IpAddr(10, 0, 0, static_cast<std::uint8_t>(1 + i)));
     net.device(n).ospf.enabled = true;
     net.device(n).ospf.advertise_loopback = false;
@@ -357,28 +417,91 @@ TEST(PecDedup, ParallelLinksValidateByValue) {
     SCOPED_TRACE("only r0-r1 doubled: the reflection swapping r0/r1 remains");
     check(parallel_ring(4, {0}), 2);
   }
-  // On a 6-ring the (color, id) pairing of two adjacent origins maps r1-r2
-  // onto r0-r3, which is no link: validation must reject it, through the
-  // sorted arc lists when every node has parallel links and through the
-  // stamped adjacency when none has.
+  // On a 6-ring every rotation is an automorphism, so all six PECs fold
+  // into one class; each member's leaf bijection is a rotation, validated
+  // through the sorted arc lists when every node has parallel links and
+  // through the stamped adjacency when none has.
   {
     SCOPED_TRACE("6-ring, every link doubled");
-    check(parallel_ring(6, {0, 1, 2, 3, 4, 5}), 2);
+    check(parallel_ring(6, {0, 1, 2, 3, 4, 5}), 1);
   }
   {
     SCOPED_TRACE("6-ring, no parallel links");
-    check(parallel_ring(6, {}), 2);
+    check(parallel_ring(6, {}), 1);
   }
 }
 
-TEST(PecDedup, RenumberedFatTreeKeepsOneClassPerPod) {
-  // Inputs renumber devices freely (the e2e bench shuffles declarations).
-  // Colors are renaming-invariant, but the candidate bijection breaks color
-  // ties by node id, so after a shuffle a cross-pod pairing no longer lines
-  // up: the tree folds into one class per pod, never more.
-  FatTreeOptions o;
-  o.k = 8;
-  const std::string text = serve::render_config(make_fat_tree(o).net);
+/// Adds a 16-router OSPF component: router (i, j), i, j in 0..3, links to
+/// (i + di, j + dj) mod 4 for each (di, dj) of the connection set. The 4x4
+/// rook's graph takes {(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)}, the
+/// Shrikhande graph {(0, +-1), (+-1, 0), +-(1, 1)}: both are strongly
+/// regular with parameters (16, 6, 2, 2), and they are not isomorphic.
+/// Router (0, 0) originates 10.<tag>.0.0/24.
+void add_srg_component(Network& net, int tag, bool rook) {
+  const int rook_set[6][2] = {{0, 1}, {0, 2}, {0, 3}, {1, 0}, {2, 0}, {3, 0}};
+  const int shrikhande_set[6][2] = {{0, 1}, {0, 3}, {1, 0}, {3, 0}, {1, 1}, {3, 3}};
+  const auto& set = rook ? rook_set : shrikhande_set;
+  const NodeId first = static_cast<NodeId>(net.topo.node_count());
+  for (int v = 0; v < 16; ++v) {
+    const NodeId n = net.add_device(
+        numbered(numbered("c", tag) + "-", v),
+        IpAddr(10, 200, static_cast<std::uint8_t>(tag), static_cast<std::uint8_t>(v + 1)));
+    net.device(n).ospf.enabled = true;
+    net.device(n).ospf.advertise_loopback = false;
+  }
+  for (int v = 0; v < 16; ++v) {
+    for (const auto& d : set) {
+      const int w = ((v / 4 + d[0]) % 4) * 4 + (v % 4 + d[1]) % 4;
+      if (v < w) net.topo.add_link(first + v, first + w, 10);
+    }
+  }
+  net.device(first).ospf.originated.push_back(
+      *Prefix::parse("10." + std::to_string(tag) + ".0.0/24"));
+}
+
+TEST(PecDedup, RefinementBlindPairStaysApart) {
+  // One network, two components: the rook's graph and the Shrikhande graph,
+  // each originating one prefix. Every router has six neighbours and every
+  // pair has two common ones, so refinement cannot tell the components or
+  // the two PECs apart: their fingerprints match. No isomorphism maps one
+  // PEC onto the other, so the member's search backtracks over its cells
+  // and runs out of steps; the member stays in its own class, and the
+  // fallback is counted. With two rook's graphs the same search replays the
+  // representative's path on its first tries.
+  const LoopFreedomPolicy policy;
+  const auto check = [&](bool second_rook, std::size_t classes,
+                         std::size_t fallbacks) {
+    Network net;
+    add_srg_component(net, 1, true);
+    add_srg_component(net, 2, second_rook);
+    ASSERT_EQ(compute_pecs(net).routed().size(), 2u);
+    const PecClassSet cs = classes_of(net, policy);
+    EXPECT_EQ(cs.stats.classes, classes);
+    EXPECT_EQ(cs.stats.search_fallbacks, fallbacks);
+    const VerifyResult on = run(net, policy, true);
+    const VerifyResult off = run(net, policy, false);
+    EXPECT_EQ(on.verdict, Verdict::kHolds);
+    EXPECT_EQ(on.verdict, off.verdict);
+    EXPECT_EQ(on.reports.size(), off.reports.size());
+    EXPECT_EQ(violation_multiset(on), violation_multiset(off));
+    EXPECT_EQ(on.pec_classes, classes);
+    EXPECT_EQ(on.dedup_search_fallbacks, fallbacks);
+  };
+  {
+    SCOPED_TRACE("rook's graph and Shrikhande graph");
+    check(false, 2, 1);
+  }
+  {
+    SCOPED_TRACE("two rook's graphs");
+    check(true, 1, 0);
+  }
+}
+
+/// `net` rendered with `serve::render_config`, its `node` lines permuted by
+/// `seed`, and parsed back. The parser numbers devices in declaration order,
+/// so the permutation renumbers every device.
+Network renumbered(const Network& net, std::uint64_t seed) {
+  const std::string text = serve::render_config(net);
   std::vector<std::string> lines;
   for (std::size_t pos = 0; pos < text.size();) {
     const std::size_t eol = text.find('\n', pos);
@@ -387,27 +510,86 @@ TEST(PecDedup, RenumberedFatTreeKeepsOneClassPerPod) {
   }
   std::size_t nodes = 0;  // render_config declares every node first
   while (nodes < lines.size() && lines[nodes].starts_with("node ")) ++nodes;
-  ASSERT_EQ(nodes, 80u);
-  const LoopFreedomPolicy policy;
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    SCOPED_TRACE("shuffle seed " + std::to_string(seed));
-    std::mt19937_64 rng(seed);
-    std::vector<std::string> shuffled = lines;
-    for (std::size_t i = nodes; i > 1; --i) {
-      std::swap(shuffled[i - 1], shuffled[rng() % i]);
+  EXPECT_EQ(nodes, net.topo.node_count());
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = nodes; i > 1; --i) std::swap(lines[i - 1], lines[rng() % i]);
+  std::string config;
+  for (const std::string& l : lines) config += l + "\n";
+  return parse_network_config(config).net;
+}
+
+/// Random instances to check: PLANKTON_DIFF_SEEDS, as in the differential
+/// suites, or 220.
+int random_instance_count() {
+  const char* v = std::getenv("PLANKTON_DIFF_SEEDS");
+  if (v != nullptr && std::atoi(v) > 0) return std::atoi(v);
+  return 220;
+}
+
+TEST(PecDedup, RenumberingKeepsTheClassPartition) {
+  // Inputs renumber devices freely (the e2e bench shuffles declarations,
+  // and operator-written configs have no generator order). The classer
+  // searches for an isomorphism instead of pairing nodes by id, so the
+  // partition must not move: every fat tree folds into one class under
+  // any numbering, and a random instance's rep_of is the same under every
+  // shuffle. Verdicts under renumbering are compared on the OSPF trees only
+  // (BGP exploration order depends on numbering: ROADMAP item 1).
+  for (const int k : {4, 8}) {
+    for (const bool bgp : {false, true}) {
+      FatTreeOptions o;
+      o.k = k;
+      o.routing = bgp ? FatTreeOptions::Routing::kBgpRfc7938
+                      : FatTreeOptions::Routing::kOspf;
+      const FatTree ft = make_fat_tree(o);
+      const LoopFreedomPolicy policy;
+      const std::vector<PecId> generator_order = classes_of(ft.net, policy).rep_of;
+      for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + (bgp ? " eBGP" : " OSPF") +
+                     ", shuffle seed " + std::to_string(seed));
+        const Network net = renumbered(ft.net, seed);
+        ASSERT_EQ(compute_pecs(net).routed().size(), ft.edges.size());
+        const PecClassSet cs = classes_of(net, policy);
+        EXPECT_EQ(cs.stats.classes, 1u);
+        EXPECT_EQ(cs.stats.search_fallbacks, 0u);
+        EXPECT_EQ(cs.rep_of, generator_order);
+        if (bgp) continue;
+        const VerifyResult on = run(net, policy, true);
+        const VerifyResult off = run(net, policy, false);
+        EXPECT_EQ(on.verdict, Verdict::kHolds);
+        EXPECT_EQ(on.verdict, off.verdict);
+        EXPECT_EQ(on.reports.size(), off.reports.size());
+        EXPECT_EQ(violation_multiset(on), violation_multiset(off));
+      }
     }
-    std::string config;
-    for (const std::string& l : shuffled) config += l + "\n";
-    const Network net = parse_network_config(config).net;
-    ASSERT_EQ(compute_pecs(net).routed().size(), 32u);
-    EXPECT_LE(classes_of(net, policy).stats.classes, 8u);
-    const VerifyResult on = run(net, policy, true);
-    const VerifyResult off = run(net, policy, false);
-    EXPECT_EQ(on.verdict, Verdict::kHolds);
-    EXPECT_EQ(on.verdict, off.verdict);
-    EXPECT_EQ(on.reports.size(), off.reports.size());
-    EXPECT_EQ(violation_multiset(on), violation_multiset(off));
   }
+  const int count = random_instance_count();
+  std::size_t merged = 0;
+  for (int seed = 1; seed <= count; ++seed) {
+    const testsupport::RandomInstance inst =
+        testsupport::make_random_instance(static_cast<std::uint64_t>(seed));
+    SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind + ")");
+    const std::string spec = inst.policy->spec(inst.net);
+    ASSERT_FALSE(spec.empty());
+    std::vector<PecId> reference;
+    for (const std::uint64_t shuffle : {0u, 1u, 2u, 3u}) {
+      // Shuffle 0 keeps the declaration order: it is the reference.
+      const Network net = shuffle == 0 ? parse_network_config(
+                                             serve::render_config(inst.net)).net
+                                       : renumbered(inst.net, shuffle);
+      std::string error;
+      const std::unique_ptr<Policy> policy = serve::make_policy(net, spec, error);
+      ASSERT_NE(policy, nullptr) << error;
+      const PecClassSet cs = classes_of(net, *policy);
+      if (shuffle == 0) {
+        reference = cs.rep_of;
+        merged += cs.stats.deduped;
+      } else {
+        EXPECT_EQ(cs.rep_of, reference) << "shuffle " << shuffle;
+      }
+    }
+  }
+  // The corpus must merge some PECs, or the random arm checks nothing.
+  EXPECT_GT(merged, 0u);
 }
 
 TEST(PecDedup, ClassingIsSkippedWhenNoHoldCanTransfer) {

@@ -1196,7 +1196,7 @@ TEST(ShardDeterminism, DedupRerunsMatchAcrossPaths) {
   };
   const Arm arms[] = {
       {"broken statics, find-all", FatTreeOptions::CoreStatics::kBroken, 0,
-       5, 13, 18, 0, 792},
+       1, 17, 18, 0, 792},
       {"matching statics, 5-state budget",
        FatTreeOptions::CoreStatics::kMatching, 5, 1, 17, 0, 18, 108},
   };
