@@ -267,11 +267,11 @@ int main(int argc, char** argv) {
     }
     if (opts.pec_dedup && result.pec_classes > 0) {
       std::printf("PEC classes: %zu over %zu target PECs (%zu translated, "
-                  "%zu re-run natively, %zu search fallbacks; classing %.2f "
-                  "ms)\n",
+                  "%zu re-run natively, %zu orbit hits, %zu search fallbacks; "
+                  "classing %.2f ms)\n",
                   result.pec_classes, result.pecs_verified,
                   result.pecs_deduped, result.dedup_reruns,
-                  result.dedup_search_fallbacks,
+                  result.dedup_orbit_hits, result.dedup_search_fallbacks,
                   static_cast<double>(result.dedup_classing_time.count()) / 1e6);
     }
     if (opts.shards > 0) {

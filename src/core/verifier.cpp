@@ -428,6 +428,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   result.pec_classes = plan.classes.stats.classes;
   result.pecs_deduped = plan.classes.stats.deduped;
   result.dedup_search_fallbacks = plan.classes.stats.search_fallbacks;
+  result.dedup_orbit_hits = plan.classes.stats.orbit_hits;
   result.dedup_classing_time = plan.classes.stats.classing_time;
   result.scc_count = plan.tasks.size();
   result.unsupported_scc = !plan.approximated.empty();

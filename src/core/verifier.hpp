@@ -108,6 +108,9 @@ struct VerifyResult {
   /// PecDedupStats::search_fallbacks: member comparisons that ran out of
   /// search steps, so a symmetric input lost dedup to the budget.
   std::size_t dedup_search_fallbacks = 0;
+  /// PecDedupStats::orbit_hits: members placed by a product of earlier
+  /// validated bijections, with no search.
+  std::size_t dedup_orbit_hits = 0;
   std::chrono::nanoseconds dedup_classing_time{0};
   /// Coordinator wire counters (multi-process runs only; empty otherwise).
   sched::ShardStats shard;

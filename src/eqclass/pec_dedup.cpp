@@ -1,6 +1,8 @@
 #include "eqclass/pec_dedup.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -116,6 +118,14 @@ bool loopback_delivers(const Network& net, const Pec& pec, std::size_t pi,
 // that level, and backtracks otherwise, within a fixed step budget. At the
 // leaf, only singletons and twin cells remain, and the position-aligned
 // bijection goes to validate(), which is the only proof of a class.
+//
+// Every validated bijection passed same_topology(), so it is an automorphism
+// of the topology, and it is kept as a generator. Before a member searches,
+// it tries the orbit of its class's anchor under those generators (McKay &
+// Piperno's automorphism pruning): when its own anchor lies in that orbit,
+// the product of generators along the Schreier path maps the
+// representative's anchor onto it, is a topology automorphism by closure,
+// and proves the member once it passes same_config().
 // ---------------------------------------------------------------------------
 
 /// One directed topology adjacency by value: neighbor, cost of leaving over
@@ -156,6 +166,19 @@ struct IrPath {
 
 enum class Match : std::uint8_t { kFound, kNone, kBudget };
 
+/// A class's anchor: the node at the first level-0 position that the
+/// representative's slice made a singleton. A position, not a node id, so
+/// every member with the same fingerprint has its own anchor there. Once
+/// generators exist, `slot` names the Schreier vector of the anchor's orbit,
+/// closed under the first `seen` generators.
+struct Orbit {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::uint32_t pos = kNone;
+  NodeId anchor = kNoNode;
+  std::uint32_t slot = kNone;
+  std::uint32_t seen = 0;
+};
+
 /// The refinement, search and validation machinery of one
 /// compute_pec_classes call. The topology is PEC-independent, so it is
 /// flattened once into CSR arrays (per-node offsets into one array of arc
@@ -170,7 +193,7 @@ class Classer {
   /// Restores the base partition, splits off `pec`'s slice, refines over
   /// its overlay arcs, and returns the PEC's fingerprint: the refinement
   /// trace plus its prefix lengths. The refined partition is level 0 of
-  /// record_path() and match().
+  /// record_path(), match() and the orbit calls.
   std::uint64_t load(const Pec& pec);
 
   /// Records the loaded PEC's individualization–refinement path.
@@ -178,12 +201,25 @@ class Classer {
 
   /// Searches the loaded PEC (`pec`) for a leaf that replays `path`, the
   /// path of representative `rep`, and whose position-aligned bijection
-  /// validates. Leaves the partition at level 0 unless the result is kFound.
+  /// validates; that bijection becomes a generator. Leaves the partition at
+  /// level 0 unless the result is kFound.
   Match match(const IrPath& path, const Pec& rep, const Pec& pec);
 
+  /// The anchor of the loaded PEC as a new representative, at level 0.
+  Orbit anchor() const;
+
+  /// Whether the loaded PEC (`pec`, at level 0) joins the class of `rep`
+  /// through `orbit`: its anchor lies in the orbit, and the product of
+  /// generators that maps the representative's anchor onto it passes
+  /// same_config(). Leaves the partition unchanged.
+  bool orbit_match(Orbit& orbit, const Pec& rep, const Pec& pec);
+
   /// Proves pi (nodes of `a`'s exploration onto `b`'s) is a configuration
-  /// isomorphism.
-  bool validate(const Pec& a, const Pec& b, std::span<const NodeId> pi);
+  /// isomorphism: a topology automorphism that carries `a`'s configuration
+  /// onto `b`'s.
+  bool validate(const Pec& a, const Pec& b, std::span<const NodeId> pi) {
+    return same_topology(pi) && same_config(a, b, pi);
+  }
 
  private:
   /// A node's place: its position in elems_ and the start of its cell.
@@ -249,7 +285,11 @@ class Classer {
   }
   void build_overlay(const Pec& pec);
 
+  /// Closes `orbit` under every generator kept so far.
+  void extend(Orbit& orbit);
+
   bool same_topology(std::span<const NodeId> pi);
+  bool same_config(const Pec& a, const Pec& b, std::span<const NodeId> pi);
   std::uint64_t session_hash(const BgpSession& s, std::uint64_t peer,
                              const Pec& pec) {
     std::uint64_t h = hash_combine(peer, s.ibgp ? 2u : 1u);
@@ -294,10 +334,12 @@ class Classer {
   std::vector<Split> trail_;
   std::uint64_t trace_ = 0;
 
-  // The refined PEC-independent base partition every load() restores.
+  // The refined PEC-independent base partition every load() restores, and
+  // the starts of its multi-node cells in position order.
   std::vector<NodeId> base_elems_;
   std::vector<Place> base_place_;
   std::vector<Cell> base_cells_;
+  std::vector<std::uint32_t> base_multi_;
 
   // load() scratch: per-node slice labels.
   std::vector<std::uint64_t> slice_;
@@ -317,6 +359,22 @@ class Classer {
   std::vector<Frame> frames_;
   std::vector<NodeId> candidates_;
   std::vector<NodeId> pi_;
+
+  // Orbit buffers. Generator g is gens_[g * n_nodes_, (g + 1) * n_nodes_).
+  // Each Schreier vector is n_nodes_ links of schreier_, one per node: the
+  // node it was reached from and the generator that reached it (kOut when
+  // the node is not in the orbit, kRoot for the anchor).
+  struct Link {
+    static constexpr std::uint32_t kOut = ~std::uint32_t{0};
+    static constexpr std::uint32_t kRoot = kOut - 1;
+    NodeId from = kNoNode;
+    std::uint32_t gen = kOut;
+  };
+  std::vector<NodeId> gens_;
+  std::vector<Link> schreier_;
+  std::vector<NodeId> orbit_queue_;
+  std::vector<std::uint32_t> path_gens_;
+  std::vector<NodeId> sigma_;
 
   // Validation buffers: the image node's arcs, stamped by neighbor per epoch.
   std::vector<std::uint32_t> adj_stamp_;
@@ -391,10 +449,14 @@ Classer::Classer(const Network& net, const Policy& policy)
   base_elems_ = elems_;
   base_place_ = place_;
   base_cells_ = cells_;
+  for (std::uint32_t c = 0; c < n_nodes_; c = cells_[c].end) {
+    if (cells_[c].end - c > 1) base_multi_.push_back(c);
+  }
 
   slice_.assign(n_nodes_, 0);
   in_slice_.assign(n_nodes_, 0);
   pi_.resize(n_nodes_);
+  sigma_.resize(n_nodes_);
 }
 
 void Classer::touch(NodeId v, std::uint64_t key) {
@@ -685,7 +747,10 @@ Match Classer::match(const IrPath& path, const Pec& rep, const Pec& pec) {
     if (level == depth) {
       if (s == n_nodes_) {
         for (std::uint32_t i = 0; i < n_nodes_; ++i) pi_[path.leaf[i]] = elems_[i];
-        if (validate(rep, pec, pi_)) return Match::kFound;
+        if (validate(rep, pec, pi_)) {
+          gens_.insert(gens_.end(), pi_.begin(), pi_.end());
+          return Match::kFound;
+        }
       }
     } else if (s == path.levels[level].start) {
       const std::size_t begin = candidates_.size();
@@ -716,6 +781,88 @@ Match Classer::match(const IrPath& path, const Pec& rep, const Pec& pec) {
       }
     }
   }
+}
+
+Orbit Classer::anchor() const {
+  // Level-0 cells subdivide the base cells, so a singleton inside a
+  // multi-node base cell was made by the slice. Base singletons are fixed by
+  // every generator: their orbit is trivial.
+  Orbit o;
+  for (const std::uint32_t base : base_multi_) {
+    for (std::uint32_t s = base; s < base_cells_[base].end; s = cells_[s].end) {
+      if (cells_[s].end != s + 1) continue;
+      o.pos = s;
+      o.anchor = elems_[s];
+      return o;
+    }
+  }
+  return o;
+}
+
+/// Extends the Schreier vector incrementally: points already in the orbit
+/// are closed under the first `seen` generators, so they take only the new
+/// ones; points the new ones reach take every generator.
+void Classer::extend(Orbit& orbit) {
+  const auto count = static_cast<std::uint32_t>(gens_.size() / n_nodes_);
+  if (orbit.seen == count) return;
+  if (orbit.slot == Orbit::kNone) {
+    orbit.slot = static_cast<std::uint32_t>(schreier_.size() / n_nodes_);
+    schreier_.resize(schreier_.size() + n_nodes_);
+    schreier_[std::size_t{orbit.slot} * n_nodes_ + orbit.anchor] =
+        Link{orbit.anchor, Link::kRoot};
+  }
+  Link* links = schreier_.data() + std::size_t{orbit.slot} * n_nodes_;
+  orbit_queue_.clear();
+  for (NodeId x = 0; x < n_nodes_; ++x) {
+    if (links[x].gen != Link::kOut) orbit_queue_.push_back(x);
+  }
+  const std::size_t closed = orbit_queue_.size();
+  for (std::size_t i = 0; i < orbit_queue_.size(); ++i) {
+    const NodeId x = orbit_queue_[i];
+    for (std::uint32_t g = i < closed ? orbit.seen : 0; g < count; ++g) {
+      const NodeId y = gens_[std::size_t{g} * n_nodes_ + x];
+      if (links[y].gen != Link::kOut) continue;
+      links[y] = Link{x, g};
+      orbit_queue_.push_back(y);
+    }
+  }
+  orbit.seen = count;
+}
+
+bool Classer::orbit_match(Orbit& orbit, const Pec& rep, const Pec& pec) {
+  if (orbit.pos == Orbit::kNone) return false;
+  const NodeId target = elems_[orbit.pos];
+  if (place_[target].cell != orbit.pos || cells_[orbit.pos].end != orbit.pos + 1) {
+    return false;  // no singleton there: a fingerprint collision
+  }
+  const auto link = [&](NodeId x) {
+    return orbit.slot == Orbit::kNone
+               ? Link{}
+               : schreier_[std::size_t{orbit.slot} * n_nodes_ + x];
+  };
+  if (target != orbit.anchor && link(target).gen == Link::kOut) {
+    extend(orbit);
+    if (link(target).gen == Link::kOut) return false;
+  }
+  // sigma = g_k o ... o g_1 for the generators g_1 .. g_k on the Schreier
+  // path from the anchor to the target.
+  path_gens_.clear();
+  for (NodeId x = target; x != orbit.anchor; x = link(x).from) {
+    path_gens_.push_back(link(x).gen);
+  }
+  if (path_gens_.empty()) {
+    std::iota(sigma_.begin(), sigma_.end(), NodeId{0});
+  } else {
+    const NodeId* first = gens_.data() + std::size_t{path_gens_.back()} * n_nodes_;
+    std::copy(first, first + n_nodes_, sigma_.begin());
+    for (std::size_t j = path_gens_.size() - 1; j-- > 0;) {
+      const NodeId* g = gens_.data() + std::size_t{path_gens_[j]} * n_nodes_;
+      for (NodeId& v : sigma_) v = g[v];
+    }
+  }
+  // Closure: a product of topology automorphisms is one.
+  assert(same_topology(sigma_));
+  return same_config(rep, pec, sigma_);
 }
 
 // ---------------------------------------------------------------------------
@@ -773,7 +920,9 @@ bool Classer::same_topology(std::span<const NodeId> pi) {
   return true;
 }
 
-bool Classer::validate(const Pec& a, const Pec& b, std::span<const NodeId> pi) {
+/// Configuration equivalence under pi, a topology automorphism: policy fixed
+/// points, prefix structure, device roles and sessions, and the slices.
+bool Classer::same_config(const Pec& a, const Pec& b, std::span<const NodeId> pi) {
   // Policy fixed points: declared special nodes must be preserved exactly —
   // the policy predicate is only renaming-invariant over undeclared nodes
   // (the same contract policy pruning and DEC merging already assume).
@@ -793,8 +942,6 @@ bool Classer::validate(const Pec& a, const Pec& b, std::span<const NodeId> pi) {
       return false;
     }
   }
-
-  if (!same_topology(pi)) return false;
 
   // Device configuration equivalence under pi.
   for (NodeId n = 0; n < n_nodes_; ++n) {
@@ -1051,6 +1198,7 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
   struct Class {
     PecId rep = 0;
     IrPath path;
+    Orbit orbit;
   };
   std::optional<Classer> classer;  // built for the first eligible PEC
   std::unordered_map<std::uint64_t, std::vector<Class>> buckets;
@@ -1065,10 +1213,15 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
     if (!classer) classer.emplace(net, policy);
     auto& bucket = buckets[classer->load(pecs.pecs[p])];
     bool joined = false;
-    for (const Class& cls : bucket) {
-      const Match m = classer->match(cls.path, pecs.pecs[cls.rep], pecs.pecs[p]);
-      if (m == Match::kBudget) ++out.stats.search_fallbacks;
-      if (m != Match::kFound) continue;
+    for (Class& cls : bucket) {
+      const Pec& rep = pecs.pecs[cls.rep];
+      if (classer->orbit_match(cls.orbit, rep, pecs.pecs[p])) {
+        ++out.stats.orbit_hits;
+      } else {
+        const Match m = classer->match(cls.path, rep, pecs.pecs[p]);
+        if (m == Match::kBudget) ++out.stats.search_fallbacks;
+        if (m != Match::kFound) continue;
+      }
       out.rep_of[p] = cls.rep;
       out.members_of[cls.rep].push_back(p);
       ++out.stats.deduped;
@@ -1078,6 +1231,7 @@ PecClassSet compute_pec_classes(const Network& net, const PecSet& pecs,
     if (!joined) {
       Class cls;
       cls.rep = p;
+      cls.orbit = classer->anchor();
       classer->record_path(cls.path);
       bucket.push_back(std::move(cls));
       ++out.stats.classes;

@@ -41,6 +41,19 @@
 // its own, which is sound. Up to that budget and to 64-bit hash collisions,
 // two PECs share a class exactly when they are isomorphic.
 //
+// Validation is two checks: the bijection is a topology automorphism
+// (same_topology), and it carries one PEC's configuration onto the other's
+// (same_config). Automorphisms compose, so every validated bijection is kept
+// as a generator, and a member first tries the orbit of its class's anchor
+// (the first node, by level-0 position, that the representative's slice
+// isolated) under them. When the member's own anchor is in that orbit, the
+// product of generators along the orbit's Schreier vector maps one anchor
+// onto the other; it is an automorphism by closure, so only same_config runs
+// on it (Debug builds assert same_topology too). If it passes, the member
+// joins without a search (PecDedupStats::orbit_hits); otherwise it searches
+// as above. Either way the class is the same, except that an orbit can place
+// a member whose search would have run out of steps.
+//
 // Cost: one call flattens the topology once into a CSR arc array and
 // refines the PEC-independent base partition (roles, policy salts,
 // topology) once; each PEC restores it and adds only its slice and an
@@ -48,7 +61,12 @@
 // re-queue every part but the largest (Hopcroft), twin cells (nodes with
 // identical labelled neighbours) are never split and never individualized,
 // and validation compares link costs by value through per-neighbor stamp
-// arrays. Traces live for one call: only the partitions are the contract.
+// arrays. An orbit member costs one product of generators (O(nodes) per
+// generator on its Schreier path) and one same_config instead of a path
+// replay and a same_topology; a class's Schreier vector is O(nodes) and is
+// extended only when a member's anchor falls outside it. Traces,
+// generators and orbits live for one call: only the partitions are the
+// contract.
 //
 // The module also computes the serve cache's per-PEC residue
 // (compute_pec_fingerprints below). That is a plain value hash with no
@@ -74,6 +92,9 @@ struct PecDedupStats {
   /// Member comparisons whose isomorphism search hit its step budget. Each
   /// leaves the member out of that class, which is sound but loses dedup.
   std::size_t search_fallbacks = 0;
+  /// Members placed by a product of earlier validated bijections, with no
+  /// search (the orbit step).
+  std::size_t orbit_hits = 0;
   /// Wall time spent classing: refinement plus validation (the dedup
   /// overhead a fully-asymmetric workload pays for nothing).
   std::chrono::nanoseconds classing_time{0};

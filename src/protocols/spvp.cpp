@@ -87,7 +87,7 @@ class SpvpExplorer {
       init.best[i] = origin;
       enqueue_exports(init, members_[i], origin);
     }
-    dfs(std::move(init), 0);
+    dfs(std::move(init));
     return std::move(result_);
   }
 
@@ -160,18 +160,41 @@ class SpvpExplorer {
     result_.converged.insert(std::move(cs));
   }
 
-  void dfs(State s, int depth) {
-    if (result_.state_limit_hit) return;
-    if (!visited_.insert({hash_state(s), 0}).second) return;
+  /// Counts `s` as explored unless it was seen before or the state cap is
+  /// spent; false when it is not to be expanded.
+  bool enter(const State& s) {
+    if (result_.state_limit_hit) return false;
+    if (!visited_.insert({hash_state(s), 0}).second) return false;
     if (++result_.states_explored > max_states_) {
       result_.state_limit_hit = true;
-      return;
+      return false;
     }
-    bool any = false;
-    for (std::size_t si = 0; si < sessions_.size(); ++si) {
-      if (s.buffers[si].empty()) continue;
-      any = true;
-      State next = s;
+    return true;
+  }
+
+  /// Depth-first over every delivery order, with an explicit stack: an
+  /// execution can be far deeper than the call stack allows. Children are
+  /// visited in session order, as a recursive walk would.
+  void dfs(State init) {
+    struct Frame {
+      State s;
+      std::size_t next = 0;  ///< the next session to deliver on
+      bool any = false;      ///< some session had a message
+    };
+    std::vector<Frame> stack;
+    if (enter(init)) stack.push_back(Frame{std::move(init)});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      std::size_t si = f.next;
+      while (si < sessions_.size() && f.s.buffers[si].empty()) ++si;
+      if (si == sessions_.size()) {
+        if (!f.any) record_converged(f.s);
+        stack.pop_back();
+        continue;
+      }
+      f.next = si + 1;
+      f.any = true;
+      State next = f.s;
       deliver(next, si);
       // Divergent executions (e.g. DISAGREE oscillation) grow buffers
       // without bound; prune them. Theorem 1 guarantees every converged
@@ -188,9 +211,8 @@ class SpvpExplorer {
         result_.maybe_divergent = true;
         continue;
       }
-      dfs(std::move(next), depth + 1);
+      if (enter(next)) stack.push_back(Frame{std::move(next)});
     }
-    if (!any) record_converged(s);
   }
 
   static constexpr std::size_t kBufferCap = 3;

@@ -2,9 +2,11 @@
 // under node/prefix renaming, collision resistance on near-miss configs,
 // topology validation by value (with and without parallel links), a class
 // partition that does not depend on device numbering, a refinement-blind
-// pair that the isomorphism search keeps apart, verdict/trail translation,
-// the singleton fallback on asymmetry, and no classing where no
-// representative can prove a hold.
+// pair that the isomorphism search keeps apart, members placed by orbit and
+// members whose orbit product fails and who search, refinement-blind
+// networks on which a non-automorphism generator would merge classes,
+// verdict/trail translation, the singleton fallback on asymmetry, and no
+// classing where no representative can prove a hold.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -551,6 +553,7 @@ TEST(PecDedup, RenumberingKeepsTheClassPartition) {
         const PecClassSet cs = classes_of(net, policy);
         EXPECT_EQ(cs.stats.classes, 1u);
         EXPECT_EQ(cs.stats.search_fallbacks, 0u);
+        EXPECT_GT(cs.stats.orbit_hits, 0u);
         EXPECT_EQ(cs.rep_of, generator_order);
         if (bgp) continue;
         const VerifyResult on = run(net, policy, true);
@@ -590,6 +593,143 @@ TEST(PecDedup, RenumberingKeepsTheClassPartition) {
   }
   // The corpus must merge some PECs, or the random arm checks nothing.
   EXPECT_GT(merged, 0u);
+}
+
+TEST(PecDedup, OrbitPlacesMembersWithoutSearch) {
+  // Every validated leaf bijection is a topology automorphism. On a fat tree
+  // a few of them generate an orbit holding every edge switch, so most
+  // members join by a product of earlier bijections and never search. The
+  // first member has no generator yet and must search.
+  const LoopFreedomPolicy policy;
+  struct Arm {
+    int k;
+    bool bgp;
+  };
+  for (const Arm arm : {Arm{8, false}, Arm{8, true}, Arm{20, false}}) {
+    FatTreeOptions o;
+    o.k = arm.k;
+    o.routing = arm.bgp ? FatTreeOptions::Routing::kBgpRfc7938
+                        : FatTreeOptions::Routing::kOspf;
+    const FatTree ft = make_fat_tree(o);
+    const std::vector<PecId> generator_order = classes_of(ft.net, policy).rep_of;
+    SCOPED_TRACE("k=" + std::to_string(arm.k) + (arm.bgp ? " eBGP" : " OSPF"));
+    const Network net = renumbered(ft.net, 7);
+    const PecClassSet cs = classes_of(net, policy);
+    EXPECT_EQ(cs.stats.classes, 1u);
+    EXPECT_EQ(cs.stats.deduped, ft.edges.size() - 1);
+    EXPECT_EQ(cs.stats.search_fallbacks, 0u);
+    EXPECT_GT(cs.stats.orbit_hits, 0u);
+    EXPECT_LT(cs.stats.orbit_hits, cs.stats.deduped);
+    EXPECT_EQ(cs.rep_of, generator_order);
+  }
+}
+
+TEST(PecDedup, OrbitProductThatFailsConfigFallsBackToSearch) {
+  // Edge switch e0 of a fat tree also originates 10.0.0.0/8, which covers
+  // every edge prefix, so each edge prefix's PEC holds the /8 at e0 and its
+  // own /24 at its edge. The classes are e0's own PEC, its pod mates', the
+  // other pods' edges', and the /8 ranges between the /24s (equal slices:
+  // they join by the identity). At k=4, refinement also isolates e0's one
+  // pod mate in every other-pod PEC and it comes first, so it is the anchor
+  // of that class: every member has the representative's anchor, the
+  // product is the identity, it fails same_config() because the /24 sits
+  // elsewhere, and the member searches. At k=8 the anchor is the /24's
+  // origin and the products pass.
+  const LoopFreedomPolicy policy;
+  for (const int k : {4, 8}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    FatTreeOptions o;
+    o.k = k;
+    FatTree ft = make_fat_tree(o);
+    ft.net.device(ft.edges[0]).ospf.originated.push_back(*Prefix::parse("10.0.0.0/8"));
+    for (const std::uint64_t shuffle : {0u, 1u}) {
+      const Network net = shuffle == 0 ? ft.net : renumbered(ft.net, shuffle);
+      const PecSet pecs = compute_pecs(net);
+      const PecClassSet cs = classes_of(net, policy);
+      EXPECT_EQ(cs.stats.classes, 4u);
+      EXPECT_EQ(cs.stats.search_fallbacks, 0u);
+      EXPECT_GT(cs.stats.orbit_hits, 0u);
+      // At k=4 the 5 other-pod members all search; the rest join by orbit.
+      if (k == 4) {
+        EXPECT_EQ(cs.stats.deduped - cs.stats.orbit_hits, 5u);
+      }
+      // Class of each edge prefix's PEC: e0's, its pod mates', or the rest.
+      std::map<PecId, std::set<int>> groups;
+      for (std::size_t i = 0; i < ft.edge_prefixes.size(); ++i) {
+        const PecId p = pecs.find(ft.edge_prefixes[i].addr());
+        const int group = i == 0 ? 0 : i < static_cast<std::size_t>(k / 2) ? 1 : 2;
+        groups[cs.rep_of[p]].insert(group);
+      }
+      ASSERT_EQ(groups.size(), 3u);
+      for (const auto& [rep, members] : groups) EXPECT_EQ(members.size(), 1u);
+      const VerifyResult on = run(net, policy, true);
+      const VerifyResult off = run(net, policy, false);
+      EXPECT_EQ(on.verdict, Verdict::kHolds);
+      EXPECT_EQ(on.verdict, off.verdict);
+      EXPECT_EQ(on.reports.size(), off.reports.size());
+      EXPECT_EQ(on.pec_classes, 4u);
+      EXPECT_EQ(on.dedup_orbit_hits, cs.stats.orbit_hits);
+    }
+  }
+}
+
+/// One OSPF network of refinement-blind components: each entry of `rooks`
+/// adds a 4x4 rook's graph (true) or a Shrikhande graph (false), and every
+/// router originates its own /24.
+Network srg_network(std::initializer_list<bool> rooks) {
+  Network net;
+  int tag = 1;
+  for (const bool rook : rooks) add_srg_component(net, tag++, rook);
+  for (NodeId n = 0; n < net.topo.node_count(); ++n) {
+    auto& originated = net.device(n).ospf.originated;
+    originated.clear();
+    originated.push_back(Prefix(IpAddr(10, static_cast<std::uint8_t>(n / 16 + 1),
+                                       static_cast<std::uint8_t>(n % 16), 0),
+                                24));
+  }
+  return net;
+}
+
+TEST(PecDedup, NonAutomorphismGeneratorWouldMergeAsymmetricPecs) {
+  // Rook's and Shrikhande graphs are both SRG(16, 6, 2, 2): refinement from
+  // any one origin gives every PEC of these networks the same fingerprint,
+  // so all of them share one bucket. Only the PECs of one kind of component
+  // are isomorphic. A single-origin OSPF PEC passes same_config() under any
+  // bijection that maps its origin (the anchor) onto the member's, so the
+  // topology check is all that keeps a Shrikhande PEC out of a rook class:
+  // if a generator that is not a topology automorphism ever carried a rook
+  // anchor into a Shrikhande component, that PEC would join the rook class.
+  // True automorphisms keep each component kind to itself.
+  const LoopFreedomPolicy policy;
+  struct Arm {
+    const char* name;
+    std::initializer_list<bool> rooks;
+  };
+  const Arm arms[] = {
+      {"rook, Shrikhande", {true, false}},
+      {"Shrikhande, rook", {false, true}},
+      {"rook, Shrikhande, rook", {true, false, true}},
+  };
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    const Network net = srg_network(arm.rooks);
+    const PecSet pecs = compute_pecs(net);
+    ASSERT_EQ(pecs.routed().size(), net.topo.node_count());
+    const PecClassSet cs = classes_of(net, policy);
+    EXPECT_EQ(cs.stats.classes, 2u);
+    EXPECT_GT(cs.stats.orbit_hits, 0u);
+    // Each class holds the PECs of one component kind.
+    std::vector<bool> kind_of;  // by component
+    for (const bool rook : arm.rooks) kind_of.push_back(rook);
+    std::map<PecId, std::set<bool>> kinds;
+    for (NodeId n = 0; n < net.topo.node_count(); ++n) {
+      const PecId p = pecs.find(IpAddr(10, static_cast<std::uint8_t>(n / 16 + 1),
+                                       static_cast<std::uint8_t>(n % 16), 0));
+      kinds[cs.rep_of[p]].insert(kind_of[n / 16]);
+    }
+    ASSERT_EQ(kinds.size(), 2u);
+    for (const auto& [rep, members] : kinds) EXPECT_EQ(members.size(), 1u);
+  }
 }
 
 TEST(PecDedup, ClassingIsSkippedWhenNoHoldCanTransfer) {

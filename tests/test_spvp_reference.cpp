@@ -3,6 +3,7 @@
 // reference model — plus cross-validation of the two BGP advertisement
 // transformation implementations.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <random>
 #include <set>
@@ -12,6 +13,7 @@
 #include "protocols/bgp_common.hpp"
 #include "protocols/spvp.hpp"
 #include "rpvp/explorer.hpp"
+#include "support/random_net.hpp"
 
 namespace plankton {
 namespace {
@@ -139,6 +141,40 @@ TEST(SpvpReference, DisagreeGadgetHasTwoStates) {
   ASSERT_FALSE(r.state_limit_hit);
   EXPECT_EQ(r.converged.size(), 2u);
   EXPECT_EQ(r.converged, rpvp_converged(net));
+}
+
+/// Runs `fn` on a thread with a `stack_bytes` call stack.
+template <typename Fn>
+void run_on_stack(std::size_t stack_bytes, Fn fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  const auto body = [](void* arg) -> void* {
+    (*static_cast<Fn*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, body, &fn), 0);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+}
+
+TEST(SpvpReference, DeepExecutionsDoNotOverflowTheStack) {
+  // random_net seed 784 is a pure eBGP instance whose first execution is
+  // thousands of deliveries deep before anything repeats. The explorer
+  // walks it with an explicit stack, so a 256 KiB call stack suffices for
+  // any state cap. A walk that recursed once per state took about 0.6 KB of
+  // stack per state in a Release build and crashed here within 500 states.
+  const testsupport::RandomInstance inst = testsupport::make_random_instance(784);
+  ASSERT_TRUE(inst.spvp_eligible);
+  constexpr std::uint64_t kCap = 5000;
+  spvp::SpvpResult r;
+  run_on_stack(256 << 10, [&] {
+    r = spvp::explore_spvp(inst.net, inst.bgp_prefix, inst.bgp_origins, kCap);
+  });
+  EXPECT_TRUE(r.state_limit_hit);
+  EXPECT_EQ(r.states_explored, kCap + 1);
+  EXPECT_TRUE(r.maybe_divergent);
 }
 
 /// The two advertisement-transformation implementations (hot-path interned
