@@ -7,29 +7,56 @@
 namespace plankton {
 namespace {
 
+/// The next hops of one FIB candidate, referenced instead of copied: a span
+/// into an interned route's ECMP set or into an upstream outcome's FIB (both
+/// outlive the build), or one node.
+struct Hops {
+  std::span<const NodeId> many;
+  NodeId one = kNoNode;
+
+  [[nodiscard]] bool empty() const { return one == kNoNode && many.empty(); }
+  void copy_to(std::vector<NodeId>& out) const {
+    if (one != kNoNode) {
+      out.assign(1, one);
+    } else {
+      out.assign(many.begin(), many.end());
+    }
+  }
+};
+
+/// RouteTable::nexthops without the copy.
+Hops route_hops(const ModelContext& ctx, RouteId r) {
+  const Route& route = ctx.routes.get(r);
+  if (!route.ecmp.empty()) return Hops{route.ecmp, kNoNode};
+  if (route.path != kNoPath && route.path != kEmptyPath) {
+    return Hops{{}, ctx.paths.head(route.path)};
+  }
+  return {};
+}
+
 struct Candidate {
   bool installed = false;
   std::uint8_t ad = 255;
   FwdKind kind = FwdKind::kDrop;
-  std::vector<NodeId> nexthops;
+  Hops hops;
   Protocol source = Protocol::kConnected;
 };
 
-void consider(Candidate& best, std::uint8_t ad, FwdKind kind,
-              std::vector<NodeId> nexthops, Protocol source) {
+void consider(Candidate& best, std::uint8_t ad, FwdKind kind, Hops hops,
+              Protocol source) {
   if (best.installed && best.ad <= ad) return;
   best.installed = true;
   best.ad = ad;
   best.kind = kind;
-  best.nexthops = std::move(nexthops);
+  best.hops = hops;
   best.source = source;
 }
 
 /// Finds the best protocol (non-static) route for node n in this PEC:
 /// used to resolve recursive static next hops that point inside the PEC.
-std::vector<NodeId> protocol_nexthops_in_pec(const Network& net, const Pec& pec,
-                                             NodeId n, std::span<const TaskRib> ribs,
-                                             const ModelContext& ctx) {
+Hops protocol_nexthops_in_pec(const Network& net, const Pec& pec, NodeId n,
+                              std::span<const TaskRib> ribs,
+                              const ModelContext& ctx) {
   for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
     for (const auto& rib : ribs) {
       if (rib.prefix_idx != pi) continue;
@@ -37,13 +64,12 @@ std::vector<NodeId> protocol_nexthops_in_pec(const Network& net, const Pec& pec,
       if (r == kNoRoute) continue;
       const Route& route = ctx.routes.get(r);
       if (route.path == kEmptyPath) return {};  // delivered locally
-      std::vector<NodeId> hops;
+      Hops hops;
       if (route.learned_ibgp && ctx.upstream != nullptr) {
-        const auto span = ctx.upstream->nexthops_towards(
+        hops.many = ctx.upstream->nexthops_towards(
             n, net.device(route.egress).loopback);
-        hops.assign(span.begin(), span.end());
       } else {
-        ctx.routes.nexthops(r, ctx.paths, hops);
+        hops = route_hops(ctx, r);
       }
       if (!hops.empty()) return hops;
     }
@@ -59,14 +85,17 @@ std::size_t DataPlane::bytes() const {
   return total;
 }
 
-DataPlane build_dataplane(const Network& net, const Pec& pec,
-                          const FailureSet& failures, std::span<const TaskRib> ribs,
-                          const ModelContext& ctx) {
-  DataPlane dp;
+void build_dataplane(const Network& net, const Pec& pec, const FailureSet& failures,
+                     std::span<const TaskRib> ribs, const ModelContext& ctx,
+                     DataPlane& dp) {
   dp.entries.resize(net.topo.node_count());
 
   for (NodeId n = 0; n < net.topo.node_count(); ++n) {
-    FibEntry entry;  // default: drop
+    FibEntry& entry = dp.entries[n];  // default: drop
+    entry.kind = FwdKind::kDrop;
+    entry.nexthops.clear();
+    entry.source = Protocol::kConnected;
+    entry.prefix_idx = 0xff;
     // Longest-prefix match: prefixes are sorted most-specific first.
     for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
       const PecPrefix& pp = pec.prefixes[pi];
@@ -97,23 +126,22 @@ DataPlane build_dataplane(const Network& net, const Pec& pec,
           const LinkId l = net.topo.find_link(n, sr.via_neighbor);
           if (l != kNoLink && !failures.is_failed(l)) {
             consider(best, admin_distance(Protocol::kStatic), FwdKind::kForward,
-                     {sr.via_neighbor}, Protocol::kStatic);
+                     Hops{{}, sr.via_neighbor}, Protocol::kStatic);
           }
           continue;
         }
         if (sr.via_ip) {
-          std::vector<NodeId> hops;
+          Hops hops;
           if (*sr.via_ip >= pec.lo && *sr.via_ip <= pec.hi) {
             // Self-loop dependency: resolve through this PEC's own
             // protocol routes (never through statics, avoiding recursion).
             hops = protocol_nexthops_in_pec(net, pec, n, ribs, ctx);
           } else if (ctx.upstream != nullptr) {
-            const auto span = ctx.upstream->nexthops_towards(n, *sr.via_ip);
-            hops.assign(span.begin(), span.end());
+            hops.many = ctx.upstream->nexthops_towards(n, *sr.via_ip);
           }
           if (!hops.empty()) {
             consider(best, admin_distance(Protocol::kStatic), FwdKind::kForward,
-                     std::move(hops), Protocol::kStatic);
+                     hops, Protocol::kStatic);
           }
         }
       }
@@ -127,109 +155,102 @@ DataPlane build_dataplane(const Network& net, const Pec& pec,
         if (route.path == kEmptyPath) continue;  // origin: handled as local
         Protocol proto = rib.proto;
         if (proto == Protocol::kEbgp && route.learned_ibgp) proto = Protocol::kIbgp;
-        std::vector<NodeId> hops;
+        Hops hops;
         if (route.learned_ibgp) {
           if (ctx.upstream != nullptr) {
-            const auto span = ctx.upstream->nexthops_towards(
+            hops.many = ctx.upstream->nexthops_towards(
                 n, net.device(route.egress).loopback);
-            hops.assign(span.begin(), span.end());
           }
           if (hops.empty()) continue;  // unresolvable iBGP next hop
         } else {
-          ctx.routes.nexthops(r, ctx.paths, hops);
+          hops = route_hops(ctx, r);
           if (hops.empty()) continue;
         }
-        consider(best, admin_distance(proto), FwdKind::kForward, std::move(hops),
-                 proto);
+        consider(best, admin_distance(proto), FwdKind::kForward, hops, proto);
       }
 
       if (best.installed) {
         entry.kind = best.kind;
-        entry.nexthops = std::move(best.nexthops);
+        best.hops.copy_to(entry.nexthops);
         entry.source = best.source;
         entry.prefix_idx = static_cast<std::uint8_t>(pi);
         break;  // LPM: most specific installed prefix wins
       }
     }
-    dp.entries[n] = std::move(entry);
   }
+}
+
+DataPlane build_dataplane(const Network& net, const Pec& pec,
+                          const FailureSet& failures, std::span<const TaskRib> ribs,
+                          const ModelContext& ctx) {
+  DataPlane dp;
+  build_dataplane(net, pec, failures, ribs, ctx, dp);
   return dp;
 }
 
-namespace {
-
-/// Per-(node, crossed-a-waypoint) walk summary. Memoized so ECMP fan-out
-/// costs O(nodes), not O(paths).
-struct NodeWalk {
-  bool delivered_all = true;
-  bool delivered_any = false;
-  bool dropped = false;
-  bool looped = false;
-  bool waypoint_ok = true;   ///< every delivered continuation crossed a waypoint
-  std::uint32_t hops = 0;    ///< longest continuation from here
-};
-
-class Walker {
- public:
-  Walker(const DataPlane& dp, std::span<const NodeId> waypoints)
-      : dp_(dp), waypoints_(waypoints) {
-    const std::size_t n = dp.entries.size();
-    memo_[0].resize(n);
-    memo_[1].resize(n);
-    color_[0].assign(n, 0);
-    color_[1].assign(n, 0);
+void WalkMemo::fit(std::size_t nodes) {
+  if (memo_[0].size() == nodes) return;
+  for (int c = 0; c < 2; ++c) {
+    memo_[c].resize(nodes);
+    entered_[c].reset(nodes);
+    finished_[c].reset(nodes);
   }
+  frontier_.reserve(nodes);
+  seen_at_.resize(nodes);
+  queued_.reset(nodes);
+  interesting_.reset(nodes);
+}
 
-  const NodeWalk& run(NodeId n, bool crossed) {
-    if (!crossed && std::find(waypoints_.begin(), waypoints_.end(), n) !=
-                        waypoints_.end()) {
-      crossed = true;
-    }
-    const int c = crossed ? 1 : 0;
-    if (color_[c][n] == 2) return memo_[c][n];
-    NodeWalk& w = memo_[c][n];
-    if (color_[c][n] == 1) {
-      // Back edge: forwarding loop.
-      w.looped = true;
-      w.delivered_all = false;
-      return w;
-    }
-    color_[c][n] = 1;
-    const FibEntry& e = dp_.at(n);
-    if (e.kind == FwdKind::kLocal) {
-      w.delivered_any = true;
-      if (!waypoints_.empty() && !crossed) w.waypoint_ok = false;
-    } else if (e.kind == FwdKind::kDrop || e.nexthops.empty()) {
-      w.dropped = true;
-      w.delivered_all = false;
-    } else {
-      for (const NodeId next : e.nexthops) {
-        const NodeWalk sub = run(next, crossed);  // copy: memo may be the gray self
-        w.delivered_all = w.delivered_all && sub.delivered_all;
-        w.delivered_any = w.delivered_any || sub.delivered_any;
-        w.dropped = w.dropped || sub.dropped;
-        w.looped = w.looped || sub.looped;
-        w.waypoint_ok = w.waypoint_ok && sub.waypoint_ok;
-        w.hops = std::max(w.hops, sub.hops + 1);
-      }
-    }
-    color_[c][n] = 2;
+void WalkMemo::begin(const DataPlane& dp, std::span<const NodeId> waypoints) {
+  fit(dp.entries.size());
+  dp_ = &dp;
+  waypoints_ = waypoints;
+  for (int c = 0; c < 2; ++c) {
+    entered_[c].begin();
+    finished_[c].begin();
+  }
+}
+
+const WalkMemo::NodeWalk& WalkMemo::run(NodeId n, bool crossed) {
+  if (!crossed && std::find(waypoints_.begin(), waypoints_.end(), n) !=
+                      waypoints_.end()) {
+    crossed = true;
+  }
+  const int c = crossed ? 1 : 0;
+  NodeWalk& w = memo_[c][n];
+  if (finished_[c].marked(n)) return w;
+  if (entered_[c].marked(n)) {
+    // Back edge: forwarding loop.
+    w.looped = true;
+    w.delivered_all = false;
     return w;
   }
+  entered_[c].mark(n);
+  w = NodeWalk{};
+  const FibEntry& e = dp_->at(n);
+  if (e.kind == FwdKind::kLocal) {
+    w.delivered_any = true;
+    if (!waypoints_.empty() && !crossed) w.waypoint_ok = false;
+  } else if (e.kind == FwdKind::kDrop || e.nexthops.empty()) {
+    w.dropped = true;
+    w.delivered_all = false;
+  } else {
+    for (const NodeId next : e.nexthops) {
+      const NodeWalk sub = run(next, crossed);  // copy: memo may be the gray self
+      w.delivered_all = w.delivered_all && sub.delivered_all;
+      w.delivered_any = w.delivered_any || sub.delivered_any;
+      w.dropped = w.dropped || sub.dropped;
+      w.looped = w.looped || sub.looped;
+      w.waypoint_ok = w.waypoint_ok && sub.waypoint_ok;
+      w.hops = std::max(w.hops, sub.hops + 1);
+    }
+  }
+  finished_[c].mark(n);
+  return w;
+}
 
- private:
-  const DataPlane& dp_;
-  std::span<const NodeId> waypoints_;
-  std::vector<NodeWalk> memo_[2];
-  std::vector<std::uint8_t> color_[2];  // 0 white, 1 gray, 2 black
-};
-
-}  // namespace
-
-WalkStats walk_from(const DataPlane& dp, NodeId src,
-                    std::span<const NodeId> waypoints) {
-  Walker walker(dp, waypoints);
-  const NodeWalk w = walker.run(src, false);
+WalkStats WalkMemo::walk(NodeId src) {
+  const NodeWalk w = run(src, false);
   WalkStats out;
   out.delivered_all = w.delivered_all && !w.looped;
   out.delivered_any = w.delivered_any;
@@ -240,42 +261,51 @@ WalkStats walk_from(const DataPlane& dp, NodeId src,
   return out;
 }
 
-std::uint64_t policy_signature(const DataPlane& dp, std::span<const NodeId> sources,
-                               std::span<const NodeId> interesting,
-                               std::size_t node_count) {
-  std::vector<std::uint8_t> is_interesting(node_count, interesting.empty() ? 1 : 0);
-  for (const NodeId n : interesting) is_interesting[n] = 1;
+std::uint64_t WalkMemo::signature(const DataPlane& dp,
+                                  std::span<const NodeId> sources,
+                                  std::span<const NodeId> interesting) {
+  fit(dp.entries.size());
+  interesting_.begin();
+  for (const NodeId n : interesting) interesting_.mark(n);
+  const bool all_interesting = interesting.empty();
 
   std::uint64_t sig = 0x2545f4914f6cdd1dull;
   // Per source: BFS the forwarding DAG recording (depth, interesting node)
   // and terminal kinds. Two converged states with equal signatures have the
-  // same source paths lengths and interesting-node positions (§3.5).
-  std::vector<std::pair<NodeId, std::uint32_t>> frontier;
-  std::vector<std::uint32_t> seen_at(node_count, ~std::uint32_t{0});
+  // same source paths lengths and interesting-node positions (§3.5). A node
+  // not stamped in the source's generation is unseen.
   for (const NodeId src : sources) {
-    frontier.clear();
-    std::fill(seen_at.begin(), seen_at.end(), ~std::uint32_t{0});
-    frontier.emplace_back(src, 0);
-    seen_at[src] = 0;
+    frontier_.clear();
+    queued_.begin();
+    frontier_.emplace_back(src, 0);
+    queued_.mark(src);
+    seen_at_[src] = 0;
     sig = hash_combine(sig, src + 1);
     std::size_t cursor = 0;
-    while (cursor < frontier.size()) {
-      const auto [n, depth] = frontier[cursor++];
+    while (cursor < frontier_.size()) {
+      const auto [n, depth] = frontier_[cursor++];
       const FibEntry& e = dp.at(n);
-      if (is_interesting[n]) {
+      if (all_interesting || interesting_.marked(n)) {
         sig = hash_combine(sig, (std::uint64_t{depth} << 32) | n);
       }
       sig = hash_combine(sig, static_cast<std::uint64_t>(e.kind) + (depth << 8));
       if (e.kind != FwdKind::kForward) continue;
       for (const NodeId next : e.nexthops) {
-        if (seen_at[next] == depth + 1) continue;  // already queued at this depth
-        if (seen_at[next] != ~std::uint32_t{0} && seen_at[next] <= depth) continue;
-        seen_at[next] = depth + 1;
-        frontier.emplace_back(next, depth + 1);
+        // Already queued at this depth or an earlier one.
+        if (queued_.marked(next) && seen_at_[next] <= depth + 1) continue;
+        queued_.mark(next);
+        seen_at_[next] = depth + 1;
+        frontier_.emplace_back(next, depth + 1);
       }
     }
   }
   return sig;
+}
+
+WalkStats walk_from(const DataPlane& dp, NodeId src,
+                    std::span<const NodeId> waypoints) {
+  WalkMemo memo;
+  return memo.walk_from(dp, src, waypoints);
 }
 
 }  // namespace plankton

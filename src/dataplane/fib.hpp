@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "config/network.hpp"
+#include "engine/active_set.hpp"
 #include "pec/pec.hpp"
 #include "protocols/process.hpp"
 
@@ -44,6 +45,14 @@ struct TaskRib {
   std::span<const RouteId> routes;  ///< per NodeId best route
 };
 
+/// Fills `dp` with the data plane of one converged state. A `dp` reused
+/// across calls keeps its entries and each entry's next-hop capacity, so a
+/// warm rebuild allocates nothing.
+void build_dataplane(const Network& net, const Pec& pec, const FailureSet& failures,
+                     std::span<const TaskRib> ribs, const ModelContext& ctx,
+                     DataPlane& dp);
+
+/// By-value form for one-off callers (trail replay, tests).
 DataPlane build_dataplane(const Network& net, const Pec& pec,
                           const FailureSet& failures, std::span<const TaskRib> ribs,
                           const ModelContext& ctx);
@@ -58,14 +67,69 @@ struct WalkStats {
   bool hit_waypoint_all = true; ///< every delivered branch crossed `waypoints`
 };
 
+/// Memoized forwarding-graph walks and policy signatures over one data
+/// plane. begin() starts a new generation in O(1) through generation stamps
+/// (StampSet), so nothing is refilled or reallocated per walk: a warm memo
+/// walks without allocating, in O(nodes + forwarding edges) per generation.
+///
+/// Walks in one generation share their memo. That is exact for `looped`:
+/// a node marked gray is always on the current DFS stack, so every back edge
+/// closes a real cycle, and a finished node's flag is final. It is not exact
+/// for the other fields of a node on a cycle, whose memo holds only what was
+/// known when the walk that entered the cycle reached it: with B→A and
+/// A→{B, drop}, walking A first leaves B without `dropped`, while B's own
+/// walk has it. So only loop freedom shares a generation across sources;
+/// every other caller walks each source in its own (walk_from).
+class WalkMemo {
+ public:
+  /// Binds the memo to `dp` and `waypoints` and forgets every earlier walk.
+  void begin(const DataPlane& dp, std::span<const NodeId> waypoints = {});
+  /// Walks from `src`, reusing every node this generation already finished.
+  WalkStats walk(NodeId src);
+  /// One source in a generation of its own: exact for every field.
+  WalkStats walk_from(const DataPlane& dp, NodeId src,
+                      std::span<const NodeId> waypoints = {}) {
+    begin(dp, waypoints);
+    return walk(src);
+  }
+
+  /// Equivalence signature of a converged data plane from the policy's
+  /// point of view (§3.5): per source, path lengths and positions of
+  /// interesting nodes. Used to suppress redundant policy checks.
+  std::uint64_t signature(const DataPlane& dp, std::span<const NodeId> sources,
+                          std::span<const NodeId> interesting);
+
+ private:
+  /// Per-(node, crossed-a-waypoint) walk summary. Memoized so ECMP fan-out
+  /// costs O(nodes), not O(paths).
+  struct NodeWalk {
+    bool delivered_all = true;
+    bool delivered_any = false;
+    bool dropped = false;
+    bool looped = false;
+    bool waypoint_ok = true;   ///< every delivered continuation crossed a waypoint
+    std::uint32_t hops = 0;    ///< longest continuation from here
+  };
+
+  void fit(std::size_t nodes);
+  const NodeWalk& run(NodeId n, bool crossed);
+
+  const DataPlane* dp_ = nullptr;
+  std::span<const NodeId> waypoints_;
+  // Per crossed-a-waypoint layer. In this generation a node is white until
+  // entered, gray until finished, then black.
+  std::vector<NodeWalk> memo_[2];
+  StampSet entered_[2];
+  StampSet finished_[2];
+  // signature() scratch: BFS frontier and per-source depth stamps.
+  std::vector<std::pair<NodeId, std::uint32_t>> frontier_;
+  std::vector<std::uint32_t> seen_at_;
+  StampSet queued_;
+  StampSet interesting_;
+};
+
+/// Walk from one source with a fresh memo, for one-off callers (tests).
 WalkStats walk_from(const DataPlane& dp, NodeId src,
                     std::span<const NodeId> waypoints = {});
-
-/// Equivalence signature of a converged data plane from the policy's point
-/// of view (§3.5): per source, path lengths and positions of interesting
-/// nodes. Used to suppress redundant policy checks.
-std::uint64_t policy_signature(const DataPlane& dp, std::span<const NodeId> sources,
-                               std::span<const NodeId> interesting,
-                               std::size_t node_count);
 
 }  // namespace plankton

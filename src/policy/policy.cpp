@@ -5,16 +5,21 @@
 namespace plankton {
 namespace {
 
-std::vector<NodeId> all_nodes(const ConvergedView& view) {
-  std::vector<NodeId> out(view.net.topo.node_count());
-  for (NodeId n = 0; n < out.size(); ++n) out[n] = n;
-  return out;
-}
-
-std::vector<NodeId> effective_sources(std::span<const NodeId> sources,
-                                      const ConvergedView& view) {
-  if (!sources.empty()) return {sources.begin(), sources.end()};
-  return all_nodes(view);
+/// Runs `ok(s)` for every source, or for every node when `sources` is empty,
+/// until one returns false; returns whether all passed. Allocates nothing.
+template <class Ok>
+bool all_sources(std::span<const NodeId> sources, const ConvergedView& view,
+                 Ok&& ok) {
+  if (!sources.empty()) {
+    for (const NodeId s : sources) {
+      if (!ok(s)) return false;
+    }
+    return true;
+  }
+  for (NodeId s = 0; s < view.net.topo.node_count(); ++s) {
+    if (!ok(s)) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -23,15 +28,15 @@ ReachabilityPolicy::ReachabilityPolicy(std::vector<NodeId> sources)
     : sources_(std::move(sources)) {}
 
 bool ReachabilityPolicy::check(const ConvergedView& view, std::string& why) const {
-  for (const NodeId s : effective_sources(sources_, view)) {
-    const WalkStats w = walk_from(view.dp, s);
+  return all_sources(sources_, view, [&](NodeId s) {
+    const WalkStats w = view.walks.walk_from(view.dp, s);
     if (!w.delivered_all || !w.delivered_any) {
       why = "traffic from " + view.net.topo.name(s) +
             (w.looped ? " loops" : w.dropped ? " is dropped" : " is not delivered");
       return false;
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 WaypointPolicy::WaypointPolicy(std::vector<NodeId> sources,
@@ -39,8 +44,8 @@ WaypointPolicy::WaypointPolicy(std::vector<NodeId> sources,
     : sources_(std::move(sources)), waypoints_(std::move(waypoints)) {}
 
 bool WaypointPolicy::check(const ConvergedView& view, std::string& why) const {
-  for (const NodeId s : effective_sources(sources_, view)) {
-    const WalkStats w = walk_from(view.dp, s, waypoints_);
+  return all_sources(sources_, view, [&](NodeId s) {
+    const WalkStats w = view.walks.walk_from(view.dp, s, waypoints_);
     if (!w.delivered_all || !w.delivered_any) {
       why = "traffic from " + view.net.topo.name(s) + " is not delivered";
       return false;
@@ -49,14 +54,17 @@ bool WaypointPolicy::check(const ConvergedView& view, std::string& why) const {
       why = "a path from " + view.net.topo.name(s) + " bypasses all waypoints";
       return false;
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 bool LoopFreedomPolicy::check(const ConvergedView& view, std::string& why) const {
-  for (const NodeId s : all_nodes(view)) {
-    const WalkStats w = walk_from(view.dp, s);
-    if (w.looped) {
+  // One generation for every node: `looped` is exact under a shared memo
+  // (WalkMemo), so this names the lowest node a loop is reachable from in
+  // O(nodes + forwarding edges).
+  view.walks.begin(view.dp);
+  for (NodeId s = 0; s < view.net.topo.node_count(); ++s) {
+    if (view.walks.walk(s).looped) {
       why = "forwarding loop reachable from " + view.net.topo.name(s);
       return false;
     }
@@ -68,14 +76,13 @@ BlackholeFreedomPolicy::BlackholeFreedomPolicy(std::vector<NodeId> sources)
     : sources_(std::move(sources)) {}
 
 bool BlackholeFreedomPolicy::check(const ConvergedView& view, std::string& why) const {
-  for (const NodeId s : effective_sources(sources_, view)) {
-    const WalkStats w = walk_from(view.dp, s);
-    if (w.dropped) {
+  return all_sources(sources_, view, [&](NodeId s) {
+    if (view.walks.walk_from(view.dp, s).dropped) {
       why = "traffic from " + view.net.topo.name(s) + " hits a black hole";
       return false;
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 BoundedPathLengthPolicy::BoundedPathLengthPolicy(std::vector<NodeId> sources,
@@ -83,8 +90,8 @@ BoundedPathLengthPolicy::BoundedPathLengthPolicy(std::vector<NodeId> sources,
     : sources_(std::move(sources)), limit_(limit) {}
 
 bool BoundedPathLengthPolicy::check(const ConvergedView& view, std::string& why) const {
-  for (const NodeId s : effective_sources(sources_, view)) {
-    const WalkStats w = walk_from(view.dp, s);
+  return all_sources(sources_, view, [&](NodeId s) {
+    const WalkStats w = view.walks.walk_from(view.dp, s);
     if (w.looped) {
       why = "unbounded path (loop) from " + view.net.topo.name(s);
       return false;
@@ -94,8 +101,8 @@ bool BoundedPathLengthPolicy::check(const ConvergedView& view, std::string& why)
             std::to_string(w.max_hops) + " hops (limit " + std::to_string(limit_) + ")";
       return false;
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 MultipathConsistencyPolicy::MultipathConsistencyPolicy(std::vector<NodeId> sources)
@@ -103,15 +110,15 @@ MultipathConsistencyPolicy::MultipathConsistencyPolicy(std::vector<NodeId> sourc
 
 bool MultipathConsistencyPolicy::check(const ConvergedView& view,
                                        std::string& why) const {
-  for (const NodeId s : effective_sources(sources_, view)) {
-    const WalkStats w = walk_from(view.dp, s);
+  return all_sources(sources_, view, [&](NodeId s) {
+    const WalkStats w = view.walks.walk_from(view.dp, s);
     if (w.delivered_any && !w.delivered_all) {
       why = "multipath divergence at " + view.net.topo.name(s) +
             ": some branches deliver, others do not";
       return false;
     }
-  }
-  return true;
+    return true;
+  });
 }
 
 PathConsistencyPolicy::PathConsistencyPolicy(std::vector<NodeId> group)
@@ -146,7 +153,7 @@ bool PathConsistencyPolicy::check(const ConvergedView& view, std::string& why) c
       sig.as_len = route.as_path_len;
       break;  // most specific prefix wins
     }
-    const WalkStats w = walk_from(view.dp, n);
+    const WalkStats w = view.walks.walk_from(view.dp, n);
     sig.delivered = w.delivered_all && w.delivered_any;
     sig.hops = w.max_hops;
     return sig;

@@ -26,6 +26,9 @@ struct ConvergedView {
   const DataPlane& dp;
   std::span<const TaskRib> ribs;  ///< per (prefix, protocol) control-plane state
   const ModelContext& ctx;
+  /// Walk scratch owned by the caller, reused across converged states so a
+  /// check allocates nothing once warm.
+  WalkMemo& walks;
 };
 
 class Policy {

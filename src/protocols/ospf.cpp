@@ -115,6 +115,22 @@ RouteId OspfProcess::merge(NodeId n, std::span<const RouteId> updates,
     }
   }
   if (best == kNoRoute) return kNoRoute;
+  // Fast path: when every best-metric update has the best update's next hop
+  // and that route carries no ECMP set, the merge is the best route itself
+  // (routes are interned by content), with no copy and no table probe.
+  const Route& best_route = ctx.routes.get(best);
+  if (best_route.ecmp.empty()) {
+    const NodeId best_hop = ctx.paths.head(best_route.path);
+    bool one_hop = true;
+    for (const RouteId u : updates) {
+      if (u == kNoRoute || ctx.routes.get(u).metric != best_metric) continue;
+      if (ctx.paths.head(ctx.routes.get(u).path) != best_hop) {
+        one_hop = false;
+        break;
+      }
+    }
+    if (one_hop) return best;
+  }
   std::vector<NodeId>& hops = merge_hops_;
   hops.clear();
   for (const RouteId u : updates) {

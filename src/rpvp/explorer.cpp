@@ -106,12 +106,27 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // turns itself off whenever something enumerates cut states: outcome
   // recording for dependent PECs, find-all duplicate-violation reporting,
   // or inconsistent execution (where even source routes churn).
+  //
+  // It also stays off when no task can branch. Under consistent execution
+  // with deterministic nodes and merged ECMP updates, an OSPF phase is one
+  // SPF-ordered path (§4.1.2): deterministic_node() always names one
+  // enabled node and merging gives it exactly one update. With every task
+  // such a phase no state has two moves, so sleep and source sets prune
+  // nothing and the run uses the exact visited backend, as --no-por does.
+  // The unreduced search is the reference, so a wrong rule here would cost
+  // time, never a state.
   por_mode_ = PorMode::kOff;
   const bool cut_states_observed =
       early_stop_ok_ && (!opts_.consistent_only || opts_.record_outcomes ||
                          opts_.find_all_violations);
+  const bool spf_ordered = opts_.consistent_only && opts_.deterministic_nodes &&
+                           opts_.merge_updates;
+  const bool can_branch =
+      !spf_ordered ||
+      std::any_of(tasks_.begin(), tasks_.end(),
+                  [](const PrefixTask& t) { return t.proto != Protocol::kOspf; });
   if (opts_.por && opts_.visited == VisitedKind::kExact &&
-      !cut_states_observed) {
+      !cut_states_observed && can_branch) {
     const SearchEngineKind ek = opts_.engine_kind;
     if (ek == SearchEngineKind::kDfs) {
       por_mode_ = PorMode::kDfs;
@@ -1083,7 +1098,10 @@ Explorer::Flow Explorer::handle_converged() {
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     ribs.push_back(TaskRib{tasks_[t].prefix_idx, tasks_[t].proto, rib_[t]});
   }
-  const DataPlane dp = build_dataplane(net_, pec_, failures_, ribs, ctx_);
+  // Rebuilt in place: warm, the FIB, the signature and the policy walks
+  // below allocate nothing (tests/test_hot_path_alloc.cpp).
+  build_dataplane(net_, pec_, failures_, ribs, ctx_, dp_);
+  const DataPlane& dp = dp_;
 
   // Outcome recording must happen before equivalence suppression: dependent
   // PECs need every converged state, while suppression only elides redundant
@@ -1126,8 +1144,7 @@ Explorer::Flow Explorer::handle_converged() {
       }
       srcs = all_nodes_;
     }
-    const std::uint64_t sig = policy_signature(dp, srcs, policy_.interesting(),
-                                               net_.topo.node_count());
+    const std::uint64_t sig = walks_.signature(dp, srcs, policy_.interesting());
     if (!signatures_seen_.insert(sig)) {
       ++result_.stats.suppressed_checks;
       return Flow::kContinue;
@@ -1135,7 +1152,7 @@ Explorer::Flow Explorer::handle_converged() {
   }
 
   ++result_.stats.policy_checks;
-  const ConvergedView view{net_, pec_, failures_, dp, ribs, ctx_};
+  const ConvergedView view{net_, pec_, failures_, dp, ribs, ctx_, walks_};
   std::string why;
   if (!policy_.check(view, why)) {
     Violation v;

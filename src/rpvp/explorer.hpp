@@ -81,9 +81,11 @@ struct ExploreOptions {
   /// redundant interleavings only — verdicts and violation sets are
   /// identical to por = false; state counts legitimately drop
   /// (docs/architecture.md "Partial-order reduction"; CLI --no-por).
-  /// Active for exhaustive engines with the exact visited backend; the
+  /// Active for exhaustive engines with the exact visited backend. The
   /// model turns it off itself whenever a composition it cannot prove
-  /// sound would arise (see Explorer's constructor).
+  /// sound would arise, and when no task can branch (every task an OSPF
+  /// phase under consistent_only, deterministic_nodes and merge_updates:
+  /// one SPF-ordered path, nothing to prune); see Explorer's constructor.
   bool por = true;
   /// Consume the incrementally maintained enabled set in expand() instead
   /// of rescanning every process member (engine/active_set.hpp).
@@ -398,6 +400,8 @@ class Explorer final : public SearchModel {
   std::vector<NodeId> bfs_queue_;                   ///< influencer/component BFS
   StampSet in_comp_;                                ///< §4.1.3 component marks
   std::vector<TaskRib> ribs_scratch_;               ///< handle_converged view
+  DataPlane dp_;                                    ///< handle_converged FIB
+  WalkMemo walks_;                                  ///< policy walks, signatures
   std::vector<NodeId> all_nodes_;                   ///< fallback source list
   mutable std::vector<std::uint64_t> dec_sigs_;     ///< cached dec_signatures()
 

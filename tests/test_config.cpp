@@ -152,7 +152,7 @@ TEST(Validate, CatchesEbgpWithoutLink) {
   const NodeId b = net.add_device("b");
   net.device(a).bgp.emplace();
   net.device(b).bgp.emplace();
-  for (const auto [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
     BgpSession s;
     s.peer = y;
     net.device(x).bgp->sessions.push_back(s);

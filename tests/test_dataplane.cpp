@@ -2,7 +2,12 @@
 // forwarding-graph walks behind every policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+
 #include "dataplane/fib.hpp"
+#include "netbase/hash.hpp"
 #include "pec/pec.hpp"
 #include "policy/policy.hpp"
 
@@ -223,10 +228,274 @@ TEST(PolicySignature, DiscriminatesAndMatches) {
   c.entries[1] = {FwdKind::kDrop, {}, Protocol::kOspf, 0};
   const std::vector<NodeId> sources{0};
   const std::vector<NodeId> interesting{1};
-  EXPECT_EQ(policy_signature(a, sources, interesting, 3),
-            policy_signature(b, sources, interesting, 3));
-  EXPECT_NE(policy_signature(a, sources, interesting, 3),
-            policy_signature(c, sources, interesting, 3));
+  WalkMemo memo;
+  const std::uint64_t sig_a = memo.signature(a, sources, interesting);
+  EXPECT_EQ(sig_a, memo.signature(b, sources, interesting));
+  EXPECT_NE(sig_a, memo.signature(c, sources, interesting));
+}
+
+TEST(Fib, InPlaceRebuildMatchesFreshBuild) {
+  // A warm DataPlane reused across converged states must end up exactly as
+  // a fresh build: stale next hops and kinds from the previous state go.
+  LineFixture fx;
+  DataPlane dp;
+  dp.entries.resize(3);
+  dp.entries[0] = {FwdKind::kForward, {2, 1, 0}, Protocol::kStatic, 7};
+  dp.entries[1] = {FwdKind::kLocal, {}, Protocol::kEbgp, 3};
+  dp.entries[2] = {FwdKind::kForward, {0}, Protocol::kIbgp, 1};
+  const TaskRib rib{0, Protocol::kOspf, fx.ospf_rib};
+  build_dataplane(fx.net, fx.pec(), fx.net.topo.no_failures(), {{rib}}, fx.ctx, dp);
+  const DataPlane fresh = fx.build(fx.net.topo.no_failures());
+  ASSERT_EQ(dp.entries.size(), fresh.entries.size());
+  for (NodeId n = 0; n < dp.entries.size(); ++n) {
+    EXPECT_EQ(dp.at(n).kind, fresh.at(n).kind) << "node " << n;
+    EXPECT_EQ(dp.at(n).nexthops, fresh.at(n).nexthops) << "node " << n;
+    EXPECT_EQ(dp.at(n).source, fresh.at(n).source) << "node " << n;
+    EXPECT_EQ(dp.at(n).prefix_idx, fresh.at(n).prefix_idx) << "node " << n;
+  }
+}
+
+// -- Stamped walk memo against the per-source reference ---------------------
+
+/// The per-source walker WalkMemo replaced: four fresh vectors per source.
+/// Kept verbatim as the oracle for the stamped memo.
+class ReferenceWalker {
+ public:
+  struct NodeWalk {
+    bool delivered_all = true;
+    bool delivered_any = false;
+    bool dropped = false;
+    bool looped = false;
+    bool waypoint_ok = true;
+    std::uint32_t hops = 0;
+  };
+
+  ReferenceWalker(const DataPlane& dp, std::span<const NodeId> waypoints)
+      : dp_(dp), waypoints_(waypoints) {
+    const std::size_t n = dp.entries.size();
+    memo_[0].resize(n);
+    memo_[1].resize(n);
+    color_[0].assign(n, 0);
+    color_[1].assign(n, 0);
+  }
+
+  const NodeWalk& run(NodeId n, bool crossed) {
+    if (!crossed && std::find(waypoints_.begin(), waypoints_.end(), n) !=
+                        waypoints_.end()) {
+      crossed = true;
+    }
+    const int c = crossed ? 1 : 0;
+    if (color_[c][n] == 2) return memo_[c][n];
+    NodeWalk& w = memo_[c][n];
+    if (color_[c][n] == 1) {
+      w.looped = true;
+      w.delivered_all = false;
+      return w;
+    }
+    color_[c][n] = 1;
+    const FibEntry& e = dp_.at(n);
+    if (e.kind == FwdKind::kLocal) {
+      w.delivered_any = true;
+      if (!waypoints_.empty() && !crossed) w.waypoint_ok = false;
+    } else if (e.kind == FwdKind::kDrop || e.nexthops.empty()) {
+      w.dropped = true;
+      w.delivered_all = false;
+    } else {
+      for (const NodeId next : e.nexthops) {
+        const NodeWalk sub = run(next, crossed);
+        w.delivered_all = w.delivered_all && sub.delivered_all;
+        w.delivered_any = w.delivered_any || sub.delivered_any;
+        w.dropped = w.dropped || sub.dropped;
+        w.looped = w.looped || sub.looped;
+        w.waypoint_ok = w.waypoint_ok && sub.waypoint_ok;
+        w.hops = std::max(w.hops, sub.hops + 1);
+      }
+    }
+    color_[c][n] = 2;
+    return w;
+  }
+
+ private:
+  const DataPlane& dp_;
+  std::span<const NodeId> waypoints_;
+  std::vector<NodeWalk> memo_[2];
+  std::vector<std::uint8_t> color_[2];
+};
+
+WalkStats reference_walk(const DataPlane& dp, NodeId src,
+                         std::span<const NodeId> waypoints) {
+  ReferenceWalker walker(dp, waypoints);
+  const ReferenceWalker::NodeWalk w = walker.run(src, false);
+  WalkStats out;
+  out.delivered_all = w.delivered_all && !w.looped;
+  out.delivered_any = w.delivered_any;
+  out.dropped = w.dropped;
+  out.looped = w.looped;
+  out.max_hops = w.hops;
+  out.hit_waypoint_all = w.waypoint_ok;
+  return out;
+}
+
+/// The signature before stamps: a per-source std::fill of the depth array.
+std::uint64_t reference_signature(const DataPlane& dp,
+                                  std::span<const NodeId> sources,
+                                  std::span<const NodeId> interesting) {
+  const std::size_t node_count = dp.entries.size();
+  std::vector<std::uint8_t> is_interesting(node_count, interesting.empty() ? 1 : 0);
+  for (const NodeId n : interesting) is_interesting[n] = 1;
+  std::uint64_t sig = 0x2545f4914f6cdd1dull;
+  std::vector<std::pair<NodeId, std::uint32_t>> frontier;
+  std::vector<std::uint32_t> seen_at(node_count, ~std::uint32_t{0});
+  for (const NodeId src : sources) {
+    frontier.clear();
+    std::fill(seen_at.begin(), seen_at.end(), ~std::uint32_t{0});
+    frontier.emplace_back(src, 0);
+    seen_at[src] = 0;
+    sig = hash_combine(sig, src + 1);
+    std::size_t cursor = 0;
+    while (cursor < frontier.size()) {
+      const auto [n, depth] = frontier[cursor++];
+      const FibEntry& e = dp.at(n);
+      if (is_interesting[n]) {
+        sig = hash_combine(sig, (std::uint64_t{depth} << 32) | n);
+      }
+      sig = hash_combine(sig, static_cast<std::uint64_t>(e.kind) + (depth << 8));
+      if (e.kind != FwdKind::kForward) continue;
+      for (const NodeId next : e.nexthops) {
+        if (seen_at[next] == depth + 1) continue;
+        if (seen_at[next] != ~std::uint32_t{0} && seen_at[next] <= depth) continue;
+        seen_at[next] = depth + 1;
+        frontier.emplace_back(next, depth + 1);
+      }
+    }
+  }
+  return sig;
+}
+
+/// Random forwarding graph: local delivery, drops, forward entries with no
+/// next hop, self-loops, cycles, repeated next hops and ECMP fan-out.
+DataPlane random_dataplane(std::mt19937_64& rng) {
+  const std::size_t n = 1 + rng() % 12;
+  DataPlane dp;
+  dp.entries.resize(n);
+  for (auto& e : dp.entries) {
+    const auto roll = rng() % 10;
+    if (roll < 2) {
+      e.kind = FwdKind::kLocal;
+    } else if (roll == 2) {
+      e.kind = FwdKind::kDrop;
+    } else {
+      e.kind = FwdKind::kForward;
+      const std::size_t fan = roll == 3 ? 0 : 1 + rng() % 3;
+      for (std::size_t i = 0; i < fan; ++i) {
+        e.nexthops.push_back(static_cast<NodeId>(rng() % n));
+      }
+    }
+  }
+  return dp;
+}
+
+std::vector<NodeId> random_subset(std::mt19937_64& rng, std::size_t n,
+                                  std::size_t max_size) {
+  std::vector<NodeId> out;
+  const std::size_t size = rng() % (max_size + 1);
+  for (std::size_t i = 0; i < size; ++i) out.push_back(static_cast<NodeId>(rng() % n));
+  return out;
+}
+
+bool same_walk(const WalkStats& a, const WalkStats& b) {
+  return a.delivered_all == b.delivered_all && a.delivered_any == b.delivered_any &&
+         a.dropped == b.dropped && a.looped == b.looped && a.max_hops == b.max_hops &&
+         a.hit_waypoint_all == b.hit_waypoint_all;
+}
+
+/// A network of `n` devices r0..r{n-1}: just enough for a ConvergedView.
+Network named_network(std::size_t n) {
+  Network net;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string name = "r";
+    name += std::to_string(i);
+    net.add_device(name);
+  }
+  return net;
+}
+
+TEST(WalkMemo, MatchesPerSourceReferenceOnRandomGraphs) {
+  // One memo object for the whole corpus: stamps, not refills, must keep
+  // every graph, waypoint set and source apart.
+  std::mt19937_64 rng(0x3a1c);
+  WalkMemo memo;
+  for (int graph = 0; graph < 3000; ++graph) {
+    const DataPlane dp = random_dataplane(rng);
+    const std::size_t n = dp.entries.size();
+    const std::vector<NodeId> waypoints = random_subset(rng, n, 3);
+    for (const bool with_waypoints : {false, true}) {
+      const std::span<const NodeId> wp =
+          with_waypoints ? std::span<const NodeId>(waypoints) : std::span<const NodeId>();
+      for (NodeId s = 0; s < n; ++s) {
+        const WalkStats want = reference_walk(dp, s, wp);
+        EXPECT_TRUE(same_walk(memo.walk_from(dp, s, wp), want))
+            << "graph " << graph << " source " << s << " waypoints " << with_waypoints;
+      }
+    }
+
+    // Shared generation: `looped` stays exact for every node, in any
+    // order of walks, so loop freedom names the lowest looping id.
+    memo.begin(dp);
+    NodeId first_shared = kNoNode;
+    for (NodeId s = 0; s < n; ++s) {
+      const bool looped = memo.walk(s).looped;
+      EXPECT_EQ(looped, reference_walk(dp, s, {}).looped)
+          << "graph " << graph << " node " << s;
+      if (looped && first_shared == kNoNode) first_shared = s;
+    }
+    NodeId first_ref = kNoNode;
+    for (NodeId s = 0; s < n && first_ref == kNoNode; ++s) {
+      if (reference_walk(dp, s, {}).looped) first_ref = s;
+    }
+    EXPECT_EQ(first_shared, first_ref) << "graph " << graph;
+
+    const Network net = named_network(n);
+    const Pec pec;
+    const FailureSet failures(0);
+    ModelContext ctx;
+    const ConvergedView view{net, pec, failures, dp, {}, ctx, memo};
+    std::string why;
+    const bool holds = LoopFreedomPolicy().check(view, why);
+    EXPECT_EQ(holds, first_ref == kNoNode) << "graph " << graph;
+    if (!holds) {
+      EXPECT_EQ(why, "forwarding loop reachable from " + net.topo.name(first_ref))
+          << "graph " << graph;
+    }
+
+    const std::vector<NodeId> sources = random_subset(rng, n, 4);
+    const std::vector<NodeId> interesting = random_subset(rng, n, 3);
+    EXPECT_EQ(memo.signature(dp, sources, interesting),
+              reference_signature(dp, sources, interesting))
+        << "graph " << graph;
+  }
+}
+
+TEST(WalkMemo, SharedGenerationIsExactOnlyForLooped) {
+  // A → {B, C}, B → A, C drops. Walking A first enters the cycle at A, so
+  // B finishes with what A knew then (looped, not yet dropped); B's own
+  // walk reaches C's drop through A. This is why only loop freedom shares
+  // a generation across sources.
+  DataPlane dp;
+  dp.entries.resize(3);
+  dp.entries[0] = {FwdKind::kForward, {1, 2}, Protocol::kStatic, 0};
+  dp.entries[1] = {FwdKind::kForward, {0}, Protocol::kStatic, 0};
+  dp.entries[2] = {FwdKind::kDrop, {}, Protocol::kStatic, 0};
+  WalkMemo memo;
+  memo.begin(dp);
+  EXPECT_TRUE(memo.walk(0).dropped);
+  const WalkStats shared_b = memo.walk(1);
+  EXPECT_TRUE(shared_b.looped);
+  EXPECT_FALSE(shared_b.dropped);
+  const WalkStats own_b = memo.walk_from(dp, 1);
+  EXPECT_TRUE(own_b.looped);
+  EXPECT_TRUE(own_b.dropped);
+  EXPECT_TRUE(same_walk(own_b, reference_walk(dp, 1, {})));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Zero-heap-allocation guarantee for the explorer's steady-state hot path.
 //
-// The acceptance bar for the incremental hot path (PR 2): once an
-// exploration has warmed every arena, table and cache, a full
-// expand/apply/expand/undo cycle performs *zero* heap allocations. The test
+// The acceptance bar for the incremental hot path: once an exploration has
+// warmed every arena, table and cache, a full expand/apply/expand/undo
+// cycle performs *zero* heap allocations, and so does a converged-state
+// check (FIB, equivalence signature, policy walks). The test
 // replaces global operator new/delete with counting versions, runs a
 // complete exploration to reach steady state, then drives the public
 // SearchModel interface directly and asserts the allocation counter does
@@ -87,6 +88,64 @@ void expect_zero_alloc_cycles(const Network& net, ExploreOptions opts) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state expand/apply/undo cycles allocated "
       << (after - before) << " times";
+}
+
+/// Follows the first move of a one-task PEC until its phase converges, then
+/// counts the allocations of 200 converged-state checks: advance(0) runs
+/// handle_converged (FIB rebuild, equivalence signature, policy walks) on
+/// the same state each time. The first check warms the explorer's FIB,
+/// walk memo and signature set and is not counted.
+void expect_zero_alloc_converged_checks(const Network& net, const Pec& pec,
+                                        const Policy& policy,
+                                        ExploreOptions opts) {
+  ASSERT_EQ(make_tasks(net, pec).size(), 1u);
+  Explorer ex(net, pec, make_tasks(net, pec), policy, opts);
+  const ExploreResult warm = ex.run();
+  ASSERT_EQ(warm.verdict(), Verdict::kHolds);
+
+  SearchModel& model = ex;
+  std::vector<SearchMove> moves;
+  moves.reserve(256);
+  for (;;) {
+    moves.clear();
+    const auto step = model.expand(0, moves, SIZE_MAX);
+    if (step == SearchModel::Step::kConverged) break;
+    ASSERT_EQ(step, SearchModel::Step::kBranch);
+    model.apply(0, moves.front());
+  }
+  ASSERT_EQ(model.advance(0), SearchFlow::kContinue);
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int check = 0; check < 200; ++check) {
+    ASSERT_EQ(model.advance(0), SearchFlow::kContinue);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "warm converged-state checks allocated " << (after - before) << " times";
+}
+
+TEST(HotPathAlloc, ConvergedStateChecksAreAllocationFree) {
+  FatTreeOptions o;
+  o.k = 4;
+  const FatTree ft = make_fat_tree(o);
+  const PecSet pecs = compute_pecs(ft.net);
+  const Pec& pec = pecs.pecs[pecs.find(ft.edge_prefixes[0].addr())];
+  const LoopFreedomPolicy loop;
+  // Every path from another pod crosses a core.
+  const WaypointPolicy waypoint({ft.edge_at(1, 0)}, ft.cores);
+  for (const bool suppress : {true, false}) {
+    SCOPED_TRACE(suppress ? "suppress_equivalent on" : "suppress_equivalent off");
+    ExploreOptions opts;
+    opts.suppress_equivalent = suppress;
+    {
+      SCOPED_TRACE("loop freedom");
+      expect_zero_alloc_converged_checks(ft.net, pec, loop, opts);
+    }
+    {
+      SCOPED_TRACE("waypoint");
+      expect_zero_alloc_converged_checks(ft.net, pec, waypoint, opts);
+    }
+  }
 }
 
 TEST(HotPathAlloc, OspfFatTreeSteadyStateIsAllocationFree) {

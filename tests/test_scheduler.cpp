@@ -330,7 +330,7 @@ TEST(SchedulerSpawn, SpawnedWorkIsStolenByIdleWorkers) {
             // Enough work that the spawner alone cannot drain the queue
             // before a thief wakes up.
             volatile std::uint64_t x = 0;
-            for (int i = 0; i < 200000; ++i) x += static_cast<std::uint64_t>(i);
+            for (int i = 0; i < 200000; ++i) x = x + static_cast<std::uint64_t>(i);
           });
         }
       });
