@@ -34,8 +34,8 @@ constexpr SearchEngineKind kEngines[] = {
 
 void apply_engine(VerifyOptions& vo, SearchEngineKind kind) {
   // The matrix measures engine order/replay overhead over one fixed state
-  // set; POR reduces that set differently per engine (DFS runs source sets,
-  // BFS sleep masks), so it is pinned off here.
+  // set. POR reduces DFS's set alone (every other engine explores the
+  // unreduced tree), so it is pinned off here.
   vo.explore.por = false;
   vo.explore.engine_kind = kind;
 }

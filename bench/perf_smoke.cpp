@@ -251,7 +251,8 @@ int main(int argc, char** argv) {
   {
     // The fig9 worst-case single monster PEC under the BFS frontier engine,
     // capped (explore.budget.max_states) so the row tracks frontier snapshot
-    // and replay cost at bounded time.
+    // and replay cost at bounded time. POR is DFS-only, so BFS explores the
+    // unreduced interleavings up to the cap.
     FatTreeOptions o;
     o.k = 4;
     o.routing = FatTreeOptions::Routing::kBgpRfc7938;

@@ -23,13 +23,15 @@
 //                      representative per isomorphic PEC class; on by
 //                      default, verdicts identical either way)
 //   --no-por           disable dynamic partial-order reduction (sleep +
-//                      source sets; on by default for exhaustive engines,
-//                      verdicts identical either way)
+//                      source sets; on by default under --engine dfs, the
+//                      only engine that runs it; verdicts identical either
+//                      way)
 //   --all-violations   keep searching after the first counterexample
 //   --trails           print counterexample event traces
 //   --visited <kind>   visited backend: exact | hash-compact | bitstate
 //   --engine <e>       exploration strategy: dfs (default) | bfs (shortest
-//                      counterexample trails) | single (single-execution
+//                      counterexample trails; explores the unreduced move
+//                      tree, as --no-por does) | single (single-execution
 //                      simulation)
 //   --simulation       follow one execution path (Batfish-style; may miss
 //                      order-dependent violations, so no violation found is

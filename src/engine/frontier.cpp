@@ -17,7 +17,7 @@ void Frontier::enqueue(std::int32_t id) {
   peak_ = std::max(peak_, pending_.size() - head_);
 }
 
-std::int32_t Frontier::push(std::int32_t parent, const SearchMove& move) {
+void Frontier::push(std::int32_t parent, const SearchMove& move) {
   PathNode node;
   node.parent = parent;
   node.depth = depth(parent) + 1;
@@ -25,7 +25,6 @@ std::int32_t Frontier::push(std::int32_t parent, const SearchMove& move) {
   const auto id = static_cast<std::int32_t>(arena_.size());
   arena_.push_back(node);
   enqueue(id);
-  return id;
 }
 
 std::int32_t Frontier::pop() {
@@ -35,8 +34,7 @@ std::int32_t Frontier::pop() {
 
 std::size_t Frontier::bytes() const {
   return arena_.capacity() * sizeof(PathNode) +
-         pending_.capacity() * sizeof(std::int32_t) +
-         sleep_pool_.capacity() * sizeof(std::uint64_t);
+         pending_.capacity() * sizeof(std::int32_t);
 }
 
 }  // namespace plankton

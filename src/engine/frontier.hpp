@@ -38,20 +38,6 @@ class Frontier {
     pending_.clear();
     head_ = 0;
     peak_ = 0;
-    sleep_words_ = 0;
-    sleep_pool_.clear();
-  }
-
-  /// Opts the arena into per-state DPOR sleep masks of `words` 64-bit words
-  /// (call after reset(); 0 disables). sleep_slot() then hands out writable
-  /// storage per pushed node.
-  void enable_sleep(std::size_t words) { sleep_words_ = words; }
-
-  /// Writable sleep mask of arena node `id` (valid until the next push).
-  [[nodiscard]] std::uint64_t* sleep_slot(std::int32_t id) {
-    const std::size_t need = (static_cast<std::size_t>(id) + 1) * sleep_words_;
-    if (sleep_pool_.size() < need) sleep_pool_.resize(need, 0);
-    return &sleep_pool_[static_cast<std::size_t>(id) * sleep_words_];
   }
 
   [[nodiscard]] bool empty() const { return head_ == pending_.size(); }
@@ -59,8 +45,7 @@ class Frontier {
   [[nodiscard]] std::size_t peak() const { return peak_; }
 
   /// Registers the child of `parent` reached by `move` and makes it pending.
-  /// Returns its arena id.
-  std::int32_t push(std::int32_t parent, const SearchMove& move);
+  void push(std::int32_t parent, const SearchMove& move);
 
   /// Makes the phase-entry root pending (start of a search).
   void push_root() { enqueue(kRoot); }
@@ -80,7 +65,7 @@ class Frontier {
     return arena_[static_cast<std::size_t>(id)].move;
   }
 
-  /// Bytes held by the path arena, the pending queue and the sleep masks.
+  /// Bytes held by the path arena and the pending queue.
   [[nodiscard]] std::size_t bytes() const;
 
  private:
@@ -92,8 +77,6 @@ class Frontier {
 
   void enqueue(std::int32_t id);
 
-  std::size_t sleep_words_ = 0;                 ///< 0 = sleep masks off
-  std::vector<std::uint64_t> sleep_pool_;       ///< [arena id][word]
   std::vector<PathNode> arena_;
   /// Pending arena ids, consumed from `head_`; the consumed prefix is
   /// reclaimed wholesale.

@@ -74,7 +74,7 @@ class IndependenceOracle {
   std::vector<std::vector<std::uint64_t>> rows_;  ///< [phase][node * words]
 };
 
-// -- sleep-set mask helpers (shared by the DFS and frontier POR paths) -------
+// -- sleep-set mask helpers (the Explorer's per-depth DFS frames) ------------
 
 inline bool mask_test(const std::uint64_t* m, NodeId n) {
   return ((m[n >> 6] >> (n & 63)) & 1) != 0;

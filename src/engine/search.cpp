@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "engine/frontier.hpp"
-#include "engine/independence.hpp"
 
 namespace plankton {
 namespace {
@@ -100,15 +99,6 @@ class BfsEngine final : public SearchEngine {
     ps.moves.clear();
     Frontier& frontier = ps.frontier;
     std::vector<SearchMove>& moves = ps.moves;
-    // Sleep-set DPOR (when the model opts in): every pending state keeps the
-    // sleep mask it was pushed with; the model gets it re-attached on pop
-    // and computes each child's mask at push time.
-    const std::size_t pw = model.por_words();
-    if (pw != 0) {
-      frontier.enable_sleep(pw);
-      ps.cur_sleep.assign(pw, 0);
-      ps.prior.assign(pw, 0);
-    }
     std::int32_t cur = Frontier::kRoot;
     SearchFlow flow = SearchFlow::kContinue;
     frontier.push_root();
@@ -119,15 +109,6 @@ class BfsEngine final : public SearchEngine {
       }
       const std::int32_t id = frontier.pop();
       cur = goto_state(model, phase, frontier, cur, id);
-      if (pw != 0) {
-        if (id == Frontier::kRoot) {
-          std::fill(ps.cur_sleep.begin(), ps.cur_sleep.end(), 0);
-        } else {
-          const std::uint64_t* m = frontier.sleep_slot(id);
-          std::copy(m, m + pw, ps.cur_sleep.begin());
-        }
-        model.por_attach_sleep(ps.cur_sleep.data());
-      }
       if (!model.mark_visited(phase)) continue;
       moves.clear();
       switch (model.expand(phase, moves, SIZE_MAX)) {
@@ -137,15 +118,7 @@ class BfsEngine final : public SearchEngine {
           flow = model.advance(phase);
           break;
         case SearchModel::Step::kBranch:
-          if (pw != 0) std::fill(ps.prior.begin(), ps.prior.end(), 0);
-          for (const SearchMove& m : moves) {
-            const std::int32_t child = frontier.push(cur, m);
-            if (pw != 0) {
-              model.por_child_sleep(phase, m, ps.prior.data(),
-                                    frontier.sleep_slot(child));
-              mask_set(ps.prior.data(), m.node);
-            }
-          }
+          for (const SearchMove& m : moves) frontier.push(cur, m);
           break;
       }
     }
@@ -190,8 +163,6 @@ class BfsEngine final : public SearchEngine {
   struct PhaseState {
     Frontier frontier;
     std::vector<SearchMove> moves;
-    std::vector<std::uint64_t> cur_sleep;  ///< popped state's sleep mask
-    std::vector<std::uint64_t> prior;      ///< earlier-sibling mask at push
   };
 
   std::uint64_t peak_ = 0;

@@ -15,10 +15,11 @@
 //                     (engine/frontier.hpp): the shortest counterexample
 //                     trails.
 //
-// kBfs visits exactly the same state set as kDfs — it only reorders it — so
-// both exhaustive engines must produce identical violation sets
-// (tests/test_engine_differential.cpp enforces this on randomized
-// topologies).
+// Partial-order reduction is DFS-only, so kBfs always explores the unreduced
+// move tree: it visits exactly the states kDfs visits with POR off — it only
+// reorders them — so the two exhaustive engines must produce identical
+// violation sets (tests/test_engine_differential.cpp enforces this on
+// randomized topologies), and kBfs is the POR-free reference for kDfs.
 #pragma once
 
 #include <cstdint>
@@ -102,34 +103,13 @@ class SearchModel {
   /// engine) or, after the last phase, the converged-state handler.
   virtual SearchFlow advance(std::size_t phase) = 0;
 
-  // -- partial-order reduction hooks (optional) -----------------------------
-  // A model that returns nonzero por_words() runs sleep-set DPOR (see
-  // docs/architecture.md "Partial-order reduction"). DFS engines keep the
-  // sleep sets implicit in the model's LIFO path and only provide the
-  // source-set backtrack hook; the BFS engine stores one sleep mask per
-  // pending state and threads it through attach/child-sleep.
+  // -- partial-order reduction hook (optional) ------------------------------
+  // Source-set DPOR (docs/architecture.md "Partial-order reduction") keeps
+  // its sleep sets in the model, along the LIFO path of the DFS engine. The
+  // Explorer turns it on under kDfs only; every other engine explores the
+  // unreduced move tree.
 
-  /// Mask width (64-bit words) of this model's sleep sets; 0 = POR off.
-  [[nodiscard]] virtual std::size_t por_words() const { return 0; }
-
-  /// BFS engine: hands the model the sleep mask (`por_words()` words,
-  /// engine-owned, valid until the next call) of the pending state just
-  /// restored, before its mark_visited()/expand(). Never called by DFS.
-  virtual void por_attach_sleep(const std::uint64_t* sleep) { (void)sleep; }
-
-  /// BFS engine: computes into `out` the sleep mask of the child reached by
-  /// `m` from the current state — (sleep ∪ prior) ∖ dep(m.node), where
-  /// `prior` marks the siblings pushed before `m` and the state's own sleep
-  /// mask is whatever por_attach_sleep() installed.
-  virtual void por_child_sleep(std::size_t phase, const SearchMove& m,
-                               const std::uint64_t* prior, std::uint64_t* out) {
-    (void)phase;
-    (void)m;
-    (void)prior;
-    (void)out;
-  }
-
-  /// DFS engines: called between sibling subtrees of the current state. The
+  /// DFS engine: called between sibling subtrees of the current state. The
   /// model may append source-set backtrack moves to `moves` — siblings that
   /// races observed inside the explored subtrees proved necessary.
   virtual void por_extend(std::size_t phase, std::vector<SearchMove>& moves) {

@@ -28,11 +28,12 @@ namespace detail {
 
 /// Open-addressing hash set over non-zero integer slots (0 = empty). The
 /// slot width is the compaction knob: 64-bit slots for the exact store,
-/// 32-bit for SPIN-style hash compaction.
+/// 32-bit for SPIN-style hash compaction. It starts at 16 slots and doubles
+/// at 3/4 load, so the many small per-PEC sets of a run stay small.
 template <typename Slot>
 class OpenAddressSet {
  public:
-  explicit OpenAddressSet(std::size_t initial_capacity = 1 << 12) {
+  explicit OpenAddressSet(std::size_t initial_capacity = 16) {
     const std::size_t cap =
         std::bit_ceil(initial_capacity < 16 ? 16 : initial_capacity);
     slots_.assign(cap, 0);
@@ -95,7 +96,7 @@ class OpenAddressSet {
 /// exact dedup sets (failure sets, policy signatures, outcomes).
 class VisitedSet {
  public:
-  explicit VisitedSet(std::size_t initial_capacity = 1 << 12)
+  explicit VisitedSet(std::size_t initial_capacity = 16)
       : set_(initial_capacity) {}
 
   /// Inserts `h`; returns true when the hash was not present before.

@@ -96,16 +96,19 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   is_source_node_.assign(n, 0);
   for (const NodeId s : sources_) is_source_node_[s] = 1;
 
-  // POR applicability. Exhaustive engines only; the exact visited backend
-  // only (the sleep-aware store is exact — pairing it with a lossy backend
-  // would silently change the Fig. 9 ablation semantics). The §4.2 source
-  // early-stop needs care: the sources' routes at the cut are
-  // linearization-invariant under consistent-only execution, so verdicts
-  // survive the reduction — but the cut state itself (non-source RIBs) is
-  // order-dependent, so the cut-state *multiset* shrinks. POR therefore
-  // turns itself off whenever something enumerates cut states: outcome
-  // recording for dependent PECs, find-all duplicate-violation reporting,
-  // or inconsistent execution (where even source routes churn).
+  // POR applicability. The DFS engine only: source sets need its LIFO path
+  // and its por_extend() calls between siblings, and every other engine
+  // explores the unreduced move tree (BFS is the POR-free reference). The
+  // exact visited backend only (the sleep-aware store is exact — pairing it
+  // with a lossy backend would silently change the Fig. 9 ablation
+  // semantics). The §4.2 source early-stop needs care: the sources' routes
+  // at the cut are linearization-invariant under consistent-only
+  // execution, so verdicts survive the reduction — but the cut state itself
+  // (non-source RIBs) is order-dependent, so the cut-state *multiset*
+  // shrinks. POR therefore turns itself off whenever something enumerates
+  // cut states: outcome recording for dependent PECs, find-all
+  // duplicate-violation reporting, or inconsistent execution (where even
+  // source routes churn).
   //
   // It also stays off when no task can branch. Under consistent execution
   // with deterministic nodes and merged ECMP updates, an OSPF phase is one
@@ -115,7 +118,6 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // nothing and the run uses the exact visited backend, as --no-por does.
   // The unreduced search is the reference, so a wrong rule here would cost
   // time, never a state.
-  por_mode_ = PorMode::kOff;
   const bool cut_states_observed =
       early_stop_ok_ && (!opts_.consistent_only || opts_.record_outcomes ||
                          opts_.find_all_violations);
@@ -125,18 +127,12 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
       !spf_ordered ||
       std::any_of(tasks_.begin(), tasks_.end(),
                   [](const PrefixTask& t) { return t.proto != Protocol::kOspf; });
-  if (opts_.por && opts_.visited == VisitedKind::kExact &&
-      !cut_states_observed && can_branch) {
-    const SearchEngineKind ek = opts_.engine_kind;
-    if (ek == SearchEngineKind::kDfs) {
-      por_mode_ = PorMode::kDfs;
-    } else if (ek == SearchEngineKind::kBfs) {
-      por_mode_ = PorMode::kFrontierSleep;
-    }
-  }
+  por_ = opts_.por && opts_.engine_kind == SearchEngineKind::kDfs &&
+         opts_.visited == VisitedKind::kExact && !cut_states_observed &&
+         can_branch;
   // The sleep-aware store replaces the visited backend under POR; build the
   // backend only when it is the store the search probes.
-  if (por_mode_ == PorMode::kOff) {
+  if (!por_) {
     visited_ = make_visited_backend(opts_.visited,
                                     VisitedConfig{opts_.bloom_bits, 4});
   }
@@ -162,7 +158,7 @@ std::size_t Explorer::account_model_bytes() {
   s.bytes_paths = ctx_.paths.bytes();
   s.bytes_routes = ctx_.routes.bytes();
   s.bytes_visited = failure_sets_seen_.bytes() + signatures_seen_.bytes();
-  if (por_mode_ == PorMode::kOff) {
+  if (!por_) {
     s.bytes_visited += visited_->bytes();
   } else {
     s.bytes_visited += por_index_.bytes() +
@@ -183,7 +179,7 @@ bool Explorer::try_degrade_visited() {
   // Migration needs the exact backend's full keys and must not race the POR
   // store (which replaces the visited backend entirely when POR is on).
   if (!opts_.budget.degrade_visited || degraded_visited_) return false;
-  if (por_mode_ != PorMode::kOff) return false;
+  if (por_) return false;
   auto compact = visited_->degrade_to_compact();
   if (!compact) return false;
   visited_ = std::move(compact);
@@ -326,7 +322,7 @@ Explorer::Flow Explorer::check_failure_set() {
   for (std::size_t i = 0; i < ups.size(); ++i) {
     ctx_.upstream = ups[i];
     for (auto& t : tasks_) t.process->prepare(failures_, ctx_);
-    if (por_mode_ != PorMode::kOff) por_prepare();
+    if (por_) por_prepare();
     if (ad_cache_on_) {
       // One cache generation per (failure set, upstream outcome index):
       // prepare() changed the live-peer lists, and upstream-dependent
@@ -373,7 +369,7 @@ Explorer::Flow Explorer::begin_phase(std::size_t task_idx) {
     codec_.record(task_idx, o, kNoRoute, r);
   }
   for (const NodeId m : proc.members()) refresh_node(task_idx, m);
-  if (por_mode_ == PorMode::kDfs) {
+  if (por_) {
     // Fresh phase subtree: empty sleep set at the root, and races never
     // reach past the phase entry (the previous phases' moves are fixed
     // context for this phase, not reorderable events).
@@ -392,7 +388,7 @@ Explorer::Flow Explorer::begin_phase(std::size_t task_idx) {
   trail_.events.push_back(ev);
   const Flow f = engine_->search(*this, task_idx);
   trail_.events.pop_back();
-  if (por_mode_ == PorMode::kDfs) phase_root_stack_.pop_back();
+  if (por_) phase_root_stack_.pop_back();
   return f;
 }
 
@@ -401,7 +397,7 @@ Explorer::Flow Explorer::advance(std::size_t task_idx) {
 }
 
 bool Explorer::mark_visited(std::size_t task_idx) {
-  if (por_mode_ != PorMode::kOff) return por_mark_visited(task_idx);
+  if (por_) return por_mark_visited(task_idx);
   if (!visited_->insert(codec_.state_key(task_idx))) {
     ++result_.stats.revisits_skipped;
     return false;
@@ -554,12 +550,12 @@ void Explorer::apply(std::size_t task_idx, SearchMove& m) {
   for (const NodeId p : peers) status_log_.push_back(status[p]);
   refresh_node(task_idx, m.node);
   for (const NodeId p : peers) refresh_node(task_idx, p);
-  if (por_mode_ == PorMode::kDfs) por_on_apply(task_idx, m);
+  if (por_) por_on_apply(task_idx, m);
   ++result_.stats.states_explored;
 }
 
 void Explorer::undo(std::size_t task_idx, const SearchMove& m) {
-  if (por_mode_ == PorMode::kDfs) por_on_undo(task_idx, m);
+  if (por_) por_on_undo(task_idx, m);
   trail_.events.pop_back();
   rib_[task_idx][m.node] = m.prev;
   codec_.record(task_idx, m.node, m.route, m.prev);
@@ -646,17 +642,6 @@ Explorer::Step Explorer::expand(std::size_t task_idx,
     return Step::kConverged;
   }
 
-  auto push_moves = [&](NodeId n) {
-    for (std::size_t i = 0; i < updates_scratch_.size(); ++i) {
-      SearchMove m;
-      m.kind = SearchMove::Kind::kSelect;
-      m.node = n;
-      m.peer = update_peers_scratch_[i];
-      m.route = updates_scratch_[i];
-      moves.push_back(m);
-    }
-  };
-
   // §4.1.2: deterministic nodes first.
   const bool det_allowed =
       opts_.deterministic_nodes && opts_.consistent_only &&
@@ -675,15 +660,8 @@ Explorer::Step Explorer::expand(std::size_t task_idx,
         } else {
           ++result_.stats.nondet_branches;
         }
-        if (por_mode_ != PorMode::kOff) {
-          // §4.1.2 composes with DPOR: the theorem licenses following dn
-          // alone here, so the enabled/emitted sets both become {dn} and any
-          // race backtrack request at this state resolves to nothing.
-          por_nodes_scratch_.assign(1, dn);
-          return por_emit(task_idx, moves, por_nodes_scratch_, true);
-        }
-        push_moves(dn);
-        return Step::kBranch;
+        enabled.assign(1, dn);
+        return emit_moves(task_idx, moves, enabled, move_budget, true);
       }
     }
   }
@@ -727,30 +705,93 @@ Explorer::Step Explorer::expand(std::size_t task_idx,
     });
   }
 
-  if (por_mode_ != PorMode::kOff) {
-    return por_emit(task_idx, moves, enabled, false);
-  }
+  return emit_moves(task_idx, moves, enabled, move_budget, false);
+}
 
-  bool counted_branch = false;
-  for (const NodeId n : enabled) {
-    if (moves.size() >= move_budget) break;  // engine won't take more
-    collect_updates(task_idx, n);
-    if (updates_scratch_.empty()) {
-      // Invalid node with no usable advertisement: withdraw (naive mode).
-      SearchMove m;
-      m.kind = SearchMove::Kind::kWithdraw;
-      m.node = n;
-      m.route = kNoRoute;
-      moves.push_back(m);
-      continue;
+Explorer::Step Explorer::emit_moves(std::size_t task_idx,
+                                    std::vector<SearchMove>& moves,
+                                    std::vector<NodeId>& nodes,
+                                    std::size_t move_budget,
+                                    bool deterministic) {
+  const std::size_t w = sleep_words_;
+  std::uint64_t* emitted = nullptr;
+  std::size_t emit_n = nodes.size();
+  if (por_) {
+    const std::uint64_t* sleep = &sleep_stack_[por_depth_ * w];
+    std::size_t kept = 0;
+    for (const NodeId n : nodes) {
+      if (mask_test(sleep, n)) continue;  // covered by an earlier sibling
+      if (!por_mask_scratch_.empty() &&
+          !mask_test(por_mask_scratch_.data(), n)) {
+        continue;  // difference rule: covered by the stored visit
+      }
+      nodes[kept++] = n;
     }
-    if (!counted_branch && (enabled.size() > 1 || updates_scratch_.size() > 1)) {
-      ++result_.stats.nondet_branches;
-      counted_branch = true;
+    result_.stats.por_pruned += nodes.size() - kept;
+    nodes.resize(kept);
+    por_mask_scratch_.clear();
+    if (kept == 0) return Step::kPruned;  // not terminal: context-dependent
+    por_ensure_depth(por_depth_);
+    std::uint64_t* enabled = &enabled_stack_[por_depth_ * w];
+    emitted = &emitted_stack_[por_depth_ * w];
+    std::fill_n(enabled, w, 0);
+    std::fill_n(emitted, w, 0);
+    std::fill_n(bt_stack_.begin() + por_depth_ * w, w, 0);
+    std::fill_n(prior_stack_.begin() + por_depth_ * w, w, 0);
+    for (const NodeId n : nodes) mask_set(enabled, n);
+    // Source-set lazy emission: hand the engine only the first awake node's
+    // moves. Races observed inside its subtree request exactly the siblings
+    // whose orderings that subtree does not cover (por_race → por_extend);
+    // everything never requested is never explored. Deterministic states are
+    // the §4.1.2 exception: dn alone is the theorem's choice, and with
+    // enabled = emitted = {dn} race requests here resolve to nothing.
+    if (!deterministic) {
+      emit_n = 1;
+      if (kept > 1) ++result_.stats.por_source_sets;
     }
-    push_moves(n);
   }
+  // A state counts once as a branch point when it offers several nodes or
+  // one node several updates; without POR a withdraw does not set the count
+  // off. The deterministic path counted its own step.
+  bool counted = deterministic;
+  for (std::size_t i = 0; i < emit_n; ++i) {
+    if (moves.size() >= move_budget) break;  // engine won't take more
+    const NodeId n = nodes[i];
+    if (!deterministic) collect_updates(task_idx, n);
+    if (!counted && (nodes.size() > 1 || updates_scratch_.size() > 1) &&
+        (por_ || !updates_scratch_.empty())) {
+      ++result_.stats.nondet_branches;
+      counted = true;
+    }
+    push_node_moves(n, moves);
+    if (por_) mask_set(emitted, n);
+  }
+  // Difference-rule re-visit: the earlier visit's subtree (seeded into this
+  // depth's summary by por_mark_visited) must also file its requests against
+  // the enabled frame that now exists — the sweep in por_mark_visited ran
+  // before it was set.
+  if (por_) por_race_mask(task_idx, &subtree_stack_[por_depth_ * w]);
   return Step::kBranch;
+}
+
+void Explorer::push_node_moves(NodeId n, std::vector<SearchMove>& moves) const {
+  if (updates_scratch_.empty()) {
+    // Invalid node with no usable advertisement: withdraw (naive mode).
+    SearchMove m;
+    m.kind = SearchMove::Kind::kWithdraw;
+    m.node = n;
+    m.route = kNoRoute;
+    moves.push_back(m);
+    return;
+  }
+  for (std::size_t i = 0; i < updates_scratch_.size(); ++i) {
+    SearchMove m;
+    m.kind = SearchMove::Kind::kSelect;
+    m.node = n;
+    m.peer = update_peers_scratch_[i];
+    m.route = updates_scratch_[i];
+    moves.push_back(m);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -799,8 +840,7 @@ void Explorer::por_ensure_depth(std::size_t depth) {
 
 bool Explorer::por_mark_visited(std::size_t task_idx) {
   const std::size_t w = sleep_words_;
-  const bool dfs = por_mode_ == PorMode::kDfs;
-  const std::uint64_t* cur = por_active_sleep();
+  const std::uint64_t* cur = &sleep_stack_[por_depth_ * w];
   // The re-exploration restriction (difference rule below) applies only to
   // the expand() that immediately follows; every visit starts unrestricted.
   por_mask_scratch_.clear();
@@ -815,9 +855,9 @@ bool Explorer::por_mark_visited(std::size_t task_idx) {
     e.off = static_cast<std::uint32_t>(por_pool_.size());
     por_entries_.push_back(e);
     por_pool_.insert(por_pool_.end(), cur, cur + w);  // the arrival sleep set
-    if (dfs) por_pool_.insert(por_pool_.end(), w, 0);  // subtree summary
+    por_pool_.insert(por_pool_.end(), w, 0);          // subtree summary
     por_cur_entry_ = idx;
-    if (dfs) entry_stack_[por_depth_] = idx;
+    entry_stack_[por_depth_] = idx;
     result_.stats.max_depth =
         std::max<std::uint64_t>(result_.stats.max_depth, trail_.events.size());
     return true;
@@ -837,16 +877,14 @@ bool Explorer::por_mark_visited(std::size_t task_idx) {
       break;
     }
   }
-  if (dfs) {
-    // Whether we skip or partially re-explore, the subtree explored from
-    // this state on earlier visits stays part of the current path's
-    // coverage: replay its executed-node summary against the path for
-    // source-set race detection, and seed the live summary with it so
-    // ancestors inherit it (por_on_undo).
-    const std::uint64_t* sum = stored + w;
-    std::copy(sum, sum + w, subtree_stack_.begin() + por_depth_ * w);
-    por_race_mask(task_idx, sum);
-  }
+  // Whether we skip or partially re-explore, the subtree explored from this
+  // state on earlier visits stays part of the current path's coverage:
+  // replay its executed-node summary against the path for source-set race
+  // detection, and seed the live summary with it so ancestors inherit it
+  // (por_on_undo).
+  const std::uint64_t* sum = stored + w;
+  std::copy(sum, sum + w, subtree_stack_.begin() + por_depth_ * w);
+  por_race_mask(task_idx, sum);
   if (subset) {
     // stored ⊆ current: every move awake now was awake then — the earlier
     // exploration covers this visit entirely.
@@ -865,92 +903,15 @@ bool Explorer::por_mark_visited(std::size_t task_idx) {
     stored[i] &= cur[i];
   }
   por_cur_entry_ = idx;
-  if (dfs) entry_stack_[por_depth_] = idx;
+  entry_stack_[por_depth_] = idx;
   result_.stats.max_depth =
       std::max<std::uint64_t>(result_.stats.max_depth, trail_.events.size());
   return true;
 }
 
 void Explorer::por_mark_terminal() {
-  if (por_mode_ == PorMode::kOff || por_cur_entry_ == kPorNoEntry) return;
+  if (!por_ || por_cur_entry_ == kPorNoEntry) return;
   por_entries_[por_cur_entry_].flags |= kPorTerminal;
-}
-
-void Explorer::emit_node_moves(std::size_t task_idx, NodeId n,
-                               std::vector<SearchMove>& moves) {
-  collect_updates(task_idx, n);
-  if (updates_scratch_.empty()) {
-    // Invalid node with no usable advertisement: withdraw (naive mode).
-    SearchMove m;
-    m.kind = SearchMove::Kind::kWithdraw;
-    m.node = n;
-    m.route = kNoRoute;
-    moves.push_back(m);
-    return;
-  }
-  for (std::size_t i = 0; i < updates_scratch_.size(); ++i) {
-    SearchMove m;
-    m.kind = SearchMove::Kind::kSelect;
-    m.node = n;
-    m.peer = update_peers_scratch_[i];
-    m.route = updates_scratch_[i];
-    moves.push_back(m);
-  }
-}
-
-Explorer::Step Explorer::por_emit(std::size_t task_idx,
-                                  std::vector<SearchMove>& moves,
-                                  std::vector<NodeId>& nodes,
-                                  bool deterministic) {
-  const std::size_t w = sleep_words_;
-  const bool dfs = por_mode_ == PorMode::kDfs;
-  const std::uint64_t* sleep = por_active_sleep();
-  std::size_t kept = 0;
-  for (const NodeId n : nodes) {
-    if (mask_test(sleep, n)) continue;  // covered by an earlier sibling
-    if (!por_mask_scratch_.empty() &&
-        !mask_test(por_mask_scratch_.data(), n)) {
-      continue;  // difference rule: covered by the stored visit
-    }
-    nodes[kept++] = n;
-  }
-  result_.stats.por_pruned += nodes.size() - kept;
-  nodes.resize(kept);
-  por_mask_scratch_.clear();
-  if (kept == 0) return Step::kPruned;  // not terminal: context-dependent
-  if (!dfs) {
-    for (const NodeId n : nodes) emit_node_moves(task_idx, n, moves);
-    return Step::kBranch;
-  }
-  por_ensure_depth(por_depth_);
-  std::uint64_t* en = &enabled_stack_[por_depth_ * w];
-  std::uint64_t* em = &emitted_stack_[por_depth_ * w];
-  std::fill_n(en, w, 0);
-  std::fill_n(em, w, 0);
-  std::fill_n(bt_stack_.begin() + por_depth_ * w, w, 0);
-  std::fill_n(prior_stack_.begin() + por_depth_ * w, w, 0);
-  for (const NodeId n : nodes) mask_set(en, n);
-  // Source-set lazy emission: hand the engine only the first awake node's
-  // moves. Races observed inside its subtree request exactly the siblings
-  // whose orderings that subtree does not cover (por_race → por_extend);
-  // everything never requested is never explored. Deterministic states are
-  // the §4.1.2 exception: dn alone is the theorem's choice, and with
-  // enabled = emitted = {dn} race requests here resolve to nothing.
-  const std::size_t emit_n = deterministic ? kept : 1;
-  if (!deterministic && kept > 1) ++result_.stats.por_source_sets;
-  for (std::size_t i = 0; i < emit_n; ++i) {
-    emit_node_moves(task_idx, nodes[i], moves);
-    mask_set(em, nodes[i]);
-  }
-  // Difference-rule re-visit: the earlier visit's subtree (seeded into this
-  // depth's summary by por_mark_visited) must also file its requests against
-  // the enabled frame that now exists — the sweep in por_mark_visited ran
-  // before it was set.
-  por_race_mask(task_idx, &subtree_stack_[por_depth_ * w]);
-  if (!deterministic && (kept > 1 || moves.size() > 1)) {
-    ++result_.stats.nondet_branches;
-  }
-  return Step::kBranch;
 }
 
 void Explorer::por_on_apply(std::size_t task_idx, const SearchMove& m) {
@@ -1052,26 +1013,9 @@ void Explorer::por_race_mask(std::size_t task_idx, const std::uint64_t* mask) {
   }
 }
 
-// -- SearchModel POR hooks ---------------------------------------------------
-
-std::size_t Explorer::por_words() const {
-  return por_mode_ == PorMode::kFrontierSleep ? sleep_words_ : 0;
-}
-
-void Explorer::por_attach_sleep(const std::uint64_t* sleep) {
-  external_sleep_ = sleep;
-}
-
-void Explorer::por_child_sleep(std::size_t task_idx, const SearchMove& m,
-                               const std::uint64_t* prior,
-                               std::uint64_t* out) {
-  sleep_child(out, por_active_sleep(), prior, indep_.row(task_idx, m.node),
-              sleep_words_);
-}
-
 void Explorer::por_extend(std::size_t task_idx,
                           std::vector<SearchMove>& moves) {
-  if (por_mode_ != PorMode::kDfs) return;
+  if (!por_) return;
   const std::size_t w = sleep_words_;
   const std::size_t d = por_depth_;
   std::uint64_t* bt = &bt_stack_[d * w];
@@ -1086,7 +1030,8 @@ void Explorer::por_extend(std::size_t task_idx,
                                          static_cast<std::size_t>(
                                              std::countr_zero(take)));
       take &= take - 1;
-      emit_node_moves(task_idx, n, moves);
+      collect_updates(task_idx, n);
+      push_node_moves(n, moves);
     }
   }
 }

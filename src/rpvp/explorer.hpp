@@ -76,16 +76,17 @@ struct ExploreOptions {
   /// Memoize advertised() per directed live session edge (rpvp/ad_cache.hpp).
   bool ad_cache = true;
   /// Dynamic partial-order reduction over advertisement interleavings:
-  /// sleep sets + (under DFS) source-set backtracking, driven by the
-  /// footprint commutativity oracle (engine/independence.hpp). Prunes
-  /// redundant interleavings only — verdicts and violation sets are
-  /// identical to por = false; state counts legitimately drop
-  /// (docs/architecture.md "Partial-order reduction"; CLI --no-por).
-  /// Active for exhaustive engines with the exact visited backend. The
-  /// model turns it off itself whenever a composition it cannot prove
-  /// sound would arise, and when no task can branch (every task an OSPF
-  /// phase under consistent_only, deterministic_nodes and merge_updates:
-  /// one SPF-ordered path, nothing to prune); see Explorer's constructor.
+  /// sleep sets + source-set backtracking, driven by the footprint
+  /// commutativity oracle (engine/independence.hpp). Prunes redundant
+  /// interleavings only — verdicts and violation sets are identical to
+  /// por = false; state counts legitimately drop (docs/architecture.md
+  /// "Partial-order reduction"; CLI --no-por). Active under the kDfs engine
+  /// with the exact visited backend only: every other engine explores the
+  /// unreduced move tree, as por = false does. The model turns it off
+  /// itself whenever a composition it cannot prove sound would arise, and
+  /// when no task can branch (every task an OSPF phase under
+  /// consistent_only, deterministic_nodes and merge_updates: one
+  /// SPF-ordered path, nothing to prune); see Explorer's constructor.
   bool por = true;
   /// Consume the incrementally maintained enabled set in expand() instead
   /// of rescanning every process member (engine/active_set.hpp).
@@ -103,7 +104,7 @@ struct ExploreOptions {
 
   /// Exploration strategy for the per-prefix move tree (engine/search.hpp):
   /// kDfs (the paper's strategy) or kBfs (shortest counterexample trails).
-  /// Both visit the same state set; kBfs only reorders it
+  /// With por = false both visit the same state set; kBfs only reorders it
   /// (tests/test_engine_differential.cpp). kSingleExecution is
   /// Batfish-style simulation (paper Fig. 1, "all data planes" row): one
   /// non-deterministic execution path instead of all of them. Its violations
@@ -240,10 +241,6 @@ class Explorer final : public SearchModel {
   void apply(std::size_t task_idx, SearchMove& m) override;
   void undo(std::size_t task_idx, const SearchMove& m) override;
   SearchFlow advance(std::size_t task_idx) override;
-  [[nodiscard]] std::size_t por_words() const override;
-  void por_attach_sleep(const std::uint64_t* sleep) override;
-  void por_child_sleep(std::size_t task_idx, const SearchMove& m,
-                       const std::uint64_t* prior, std::uint64_t* out) override;
   void por_extend(std::size_t task_idx, std::vector<SearchMove>& moves) override;
 
  private:
@@ -324,17 +321,14 @@ class Explorer final : public SearchModel {
   bool ad_cache_on_ = false;                        ///< opts_.ad_cache && cacheable
 
   // -- dynamic partial-order reduction (sleep + source sets) ---------------
-  // docs/architecture.md "Partial-order reduction". kDfs mode runs the full
-  // reduction (sleep sets, source-set lazy sibling emission with race-driven
-  // backtracking, subtree summaries); frontier mode (kBfs) runs sleep sets
-  // only, with masks stored per pending state by the engine.
-  enum class PorMode : std::uint8_t { kOff, kDfs, kFrontierSleep };
-  PorMode por_mode_ = PorMode::kOff;
+  // docs/architecture.md "Partial-order reduction": sleep sets, source-set
+  // lazy sibling emission with race-driven backtracking, subtree summaries.
+  // DFS only: the sleep sets live in per-depth frames of the engine's path.
+  bool por_ = false;
   std::size_t sleep_words_ = 0;               ///< ceil(nodes / 64)
   IndependenceOracle indep_;                  ///< footprint commutativity
   std::vector<std::uint8_t> is_source_node_;  ///< policy source membership
-  const std::uint64_t* external_sleep_ = nullptr;  ///< frontier-attached mask
-  std::size_t por_depth_ = 0;                 ///< applied moves on path (dfs)
+  std::size_t por_depth_ = 0;                 ///< applied moves on path
   // Per-depth frames of the DFS path (each sleep_words_ wide):
   std::vector<std::uint64_t> sleep_stack_;    ///< inherited sleep sets
   std::vector<std::uint64_t> prior_stack_;    ///< explored earlier siblings
@@ -356,33 +350,30 @@ class Explorer final : public SearchModel {
   static constexpr std::uint32_t kPorNoEntry = 0xffffffffu;
   FlatIndex por_index_;  ///< state key -> entry index + 1
   std::vector<PorEntry> por_entries_;
-  std::vector<std::uint64_t> por_pool_;  ///< per entry: sleep [+ summary]
+  std::vector<std::uint64_t> por_pool_;  ///< per entry: sleep + summary
   std::uint32_t por_cur_entry_ = kPorNoEntry;  ///< entry of the state being expanded
-  std::vector<NodeId> por_nodes_scratch_;
   /// Difference-rule re-exploration restriction for the expand() that
   /// immediately follows por_mark_visited (empty = unrestricted).
   std::vector<std::uint64_t> por_mask_scratch_;
   std::vector<std::uint64_t> por_dep_scratch_;  ///< replay dep-row union
   [[nodiscard]] std::uint64_t stored_states() const {
-    return por_mode_ == PorMode::kOff ? visited_->stored() : por_entries_.size();
+    return por_ ? por_entries_.size() : visited_->stored();
   }
-  /// collect_updates(n) + emit its moves (or the naive-mode withdraw).
-  void emit_node_moves(std::size_t task_idx, NodeId n,
-                       std::vector<SearchMove>& moves);
+  /// expand()'s one emission step: appends the moves of `nodes`, whose
+  /// first node's updates are already collected when `deterministic`
+  /// (§4.1.2's node, alone). Under POR it drops sleeping nodes and narrows
+  /// the rest to a source set; otherwise it stops once `move_budget` moves
+  /// are out.
+  Step emit_moves(std::size_t task_idx, std::vector<SearchMove>& moves,
+                  std::vector<NodeId>& nodes, std::size_t move_budget,
+                  bool deterministic);
+  /// Appends n's moves from updates_scratch_ (collect_updates(n)): one
+  /// select per update, or the naive-mode withdraw when there is none.
+  void push_node_moves(NodeId n, std::vector<SearchMove>& moves) const;
   void por_prepare();
   void por_ensure_depth(std::size_t depth);
-  [[nodiscard]] std::size_t por_stride() const {
-    return por_mode_ == PorMode::kDfs ? 2 * sleep_words_ : sleep_words_;
-  }
-  [[nodiscard]] const std::uint64_t* por_active_sleep() const {
-    return por_mode_ == PorMode::kFrontierSleep
-               ? external_sleep_
-               : &sleep_stack_[por_depth_ * sleep_words_];
-  }
   bool por_mark_visited(std::size_t task_idx);
   void por_mark_terminal();
-  Step por_emit(std::size_t task_idx, std::vector<SearchMove>& moves,
-                std::vector<NodeId>& nodes, bool deterministic);
   void por_on_apply(std::size_t task_idx, const SearchMove& m);
   void por_on_undo(std::size_t task_idx, const SearchMove& m);
   void por_race(std::size_t task_idx, NodeId node, std::size_t below_depth);

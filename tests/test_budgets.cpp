@@ -262,11 +262,11 @@ TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndShards) {
 }
 
 TEST(BudgetSoundness, MemoryBudgetCountsTheBfsFrontier) {
-  // BFS's largest structure is its frontier: the path arena, the pending
-  // queue and the sleep masks. The model-memory rule counts it, so a byte
-  // budget halfway between DFS's and BFS's footprint on the same capped
-  // state set (the fig_engine_matrix bgp_dc/K=4 row) stops BFS on memory
-  // while DFS still reaches the state cap.
+  // BFS's largest structure is its frontier: the path arena and the pending
+  // queue. The model-memory rule counts it, so a byte budget halfway
+  // between DFS's and BFS's footprint on the same capped state set (the
+  // fig_engine_matrix bgp_dc/K=4 row) stops BFS on memory while DFS still
+  // reaches the state cap.
   const WorstCase wc;
   VerifyOptions vo;
   vo.cores = 1;

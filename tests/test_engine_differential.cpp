@@ -184,9 +184,10 @@ std::optional<FirstTrail> first_trail(const Network& net, const Policy& policy,
 
 TEST(EngineDifferential, BfsTrailIsNeverLongerThanDfs) {
   // BFS stays for one reason: it reports the shortest counterexample. On
-  // every violating instance, in first-violation mode with POR on and off,
-  // it must stop at the same PEC and failure set as DFS with a trail of no
-  // more RPVP moves.
+  // every violating instance, in first-violation mode, it must stop at the
+  // same PEC and failure set as DFS with a trail of no more RPVP moves. POR
+  // is DFS-only, so the por=true arm compares DFS with POR against the
+  // unreduced BFS search.
   const int count = instance_count();
   std::uint64_t violating = 0;
   std::uint64_t shorter = 0;
@@ -301,8 +302,9 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
   // plane is a terminal state of the move tree and keeps exactly one
   // surviving path to it, so verdicts, violation multisets, converged-state
   // counts, failure sets, and policy checks are all invariants — only
-  // states_stored legitimately drops. Checked per engine (kDfs runs the
-  // source-set reduction, kBfs the sleep-mask one).
+  // states_stored legitimately drops. The reduction is DFS-only: under kBfs
+  // por = true must be a no-op, every fingerprint field equal to por = false
+  // and nothing pruned.
   const int count = instance_count();
   std::uint64_t pruned = 0;
   PorRegimes regimes;
@@ -311,20 +313,26 @@ TEST(EngineDifferential, PorOnMatchesPorOffOnRandomInstances) {
     SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
                  ", k=" + std::to_string(inst.max_failures) + ", policy " +
                  inst.policy->name() + ")");
-    for (const SearchEngineKind kind : kExhaustive) {
-      const Fingerprint off = fingerprint(inst, kind, false);
-      Fingerprint on = fingerprint(inst, kind, true, true, &pruned);
-      EXPECT_EQ(on.verdict, off.verdict)
-          << "por changed the verdict under " << to_string(kind);
-      EXPECT_EQ(on.violations, off.violations)
-          << "por changed the violation multiset under " << to_string(kind);
-      EXPECT_EQ(on.converged_states, off.converged_states)
-          << "por lost a converged data plane under " << to_string(kind);
-      EXPECT_EQ(on.failure_sets, off.failure_sets);
-      EXPECT_EQ(on.policy_checks, off.policy_checks);
-      EXPECT_LE(on.states_stored, off.states_stored)
-          << "por stored more states than the unreduced search";
-    }
+    const Fingerprint off = fingerprint(inst, SearchEngineKind::kDfs, false);
+    const Fingerprint on =
+        fingerprint(inst, SearchEngineKind::kDfs, true, true, &pruned);
+    EXPECT_EQ(on.verdict, off.verdict) << "por changed the verdict";
+    EXPECT_EQ(on.violations, off.violations)
+        << "por changed the violation multiset";
+    EXPECT_EQ(on.converged_states, off.converged_states)
+        << "por lost a converged data plane";
+    EXPECT_EQ(on.failure_sets, off.failure_sets);
+    EXPECT_EQ(on.policy_checks, off.policy_checks);
+    EXPECT_LE(on.states_stored, off.states_stored)
+        << "por stored more states than the unreduced search";
+    // BFS explores the unreduced move tree whatever the option says.
+    std::uint64_t bfs_pruned = 0;
+    const Fingerprint bfs_off = fingerprint(inst, SearchEngineKind::kBfs, false);
+    const Fingerprint bfs_on =
+        fingerprint(inst, SearchEngineKind::kBfs, true, true, &bfs_pruned);
+    EXPECT_EQ(bfs_on, bfs_off) << "por changed the bfs search";
+    EXPECT_EQ(bfs_on.frontier_peak, bfs_off.frontier_peak);
+    EXPECT_EQ(bfs_pruned, 0u) << "por pruned a move under bfs";
     // Early-stop + find-all instances self-gate POR off (duplicate violation
     // counts at order-dependent cut states); the first-violation arm keeps
     // the reduction active there, so the corpus also exercises that regime.
