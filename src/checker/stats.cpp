@@ -29,6 +29,7 @@ void SearchStats::absorb(const SearchStats& other) {
   bytes_visited += other.bytes_visited;
   bytes_stack_peak = std::max(bytes_stack_peak, other.bytes_stack_peak);
   bytes_ad_cache += other.bytes_ad_cache;
+  bytes_outcomes += other.bytes_outcomes;
   elapsed = std::max(elapsed, other.elapsed);
 }
 

@@ -38,11 +38,27 @@ struct SearchStats {
   std::size_t bytes_visited = 0;
   std::size_t bytes_stack_peak = 0;     ///< RIBs, statuses, undo log, trail, BFS frontier
   std::size_t bytes_ad_cache = 0;       ///< advertisement memo tables
+  std::size_t bytes_outcomes = 0;       ///< recorded outcomes, dedup table
   std::chrono::nanoseconds elapsed{0};
+
+  /// The counters in wire order: a kTaskDone carries them per PEC
+  /// (sched/wire.hpp), so a new counter goes here too.
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.states_explored, s.states_stored, s.revisits_skipped,
+             s.converged_states, s.policy_checks, s.suppressed_checks,
+             s.pruned_inconsistent, s.det_steps, s.nondet_branches,
+             s.failure_sets, s.ad_cache_hits, s.ad_cache_misses,
+             s.dirty_refreshes, s.por_pruned, s.por_source_sets,
+             s.por_footprint_time, s.frontier_peak, s.budget_checks,
+             s.max_depth, s.bytes_paths, s.bytes_routes, s.bytes_visited,
+             s.bytes_stack_peak, s.bytes_ad_cache, s.bytes_outcomes,
+             s.elapsed);
+  }
 
   [[nodiscard]] std::size_t model_bytes() const {
     return bytes_paths + bytes_routes + bytes_visited + bytes_stack_peak +
-           bytes_ad_cache;
+           bytes_ad_cache + bytes_outcomes;
   }
 
   /// Merges per-PEC stats into whole-run totals (memory maxima, counter sums).

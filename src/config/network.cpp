@@ -20,13 +20,6 @@ std::optional<NodeId> Network::find_device(std::string_view name) const {
   return std::nullopt;
 }
 
-std::optional<NodeId> Network::owner_of(IpAddr a) const {
-  for (NodeId n = 0; n < devices.size(); ++n) {
-    if (devices[n].loopback == a && a != IpAddr()) return n;
-  }
-  return std::nullopt;
-}
-
 std::vector<Prefix> Network::mentioned_prefixes() const {
   std::vector<Prefix> out;
   auto add_route_map = [&out](const RouteMap& rm) {

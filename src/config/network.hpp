@@ -24,9 +24,6 @@ class Network {
 
   [[nodiscard]] std::optional<NodeId> find_device(std::string_view name) const;
 
-  /// Node whose loopback equals `a`, if any.
-  [[nodiscard]] std::optional<NodeId> owner_of(IpAddr a) const;
-
   /// All prefixes that appear anywhere in the configuration: originated
   /// (OSPF/BGP), loopbacks, static destinations, route-map matches. These
   /// seed the PEC trie (§3.1).

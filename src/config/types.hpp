@@ -32,17 +32,6 @@ enum class Protocol : std::uint8_t { kConnected, kStatic, kEbgp, kOspf, kIbgp };
   return 255;
 }
 
-[[nodiscard]] constexpr const char* protocol_name(Protocol p) {
-  switch (p) {
-    case Protocol::kConnected: return "connected";
-    case Protocol::kStatic: return "static";
-    case Protocol::kEbgp: return "ebgp";
-    case Protocol::kOspf: return "ospf";
-    case Protocol::kIbgp: return "ibgp";
-  }
-  return "?";
-}
-
 /// Communities are interned to bit positions; a route carries up to 32.
 using CommunityBits = std::uint32_t;
 

@@ -321,7 +321,7 @@ class ShardExecution {
       eo.budget.deadline = fair_share_slice(
           remaining, scheduled_pecs_.load(std::memory_order_relaxed), started);
     }
-    StoreProvider provider(store, deps_.depends_on[pec_id], has_dependents);
+    StoreProvider provider(store, deps_.depends_on[pec_id]);
     Explorer explorer(
         net_, pec, make_tasks(net_, pec),
         target ? policy_ : static_cast<const Policy&>(true_policy_), eo,

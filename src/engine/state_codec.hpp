@@ -44,11 +44,6 @@ class StateCodec {
     rib_hash_[t] ^= zob(n, old_route) ^ zob(n, new_route);
   }
 
-  /// Order-independent hash of phase `t`'s current RIB.
-  [[nodiscard]] std::uint64_t rib_hash(std::size_t t) const {
-    return rib_hash_[t];
-  }
-
   /// Canonical key of the full search state while phase `t` executes.
   [[nodiscard]] std::uint64_t state_key(std::size_t t) const {
     return hash_combine(ctx_hash_[t], hash_combine(rib_hash_[t], t + 1));

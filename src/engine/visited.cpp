@@ -87,8 +87,7 @@ class HashCompactVisited final : public VisitedBackend {
 
 class BitstateVisited final : public VisitedBackend {
  public:
-  explicit BitstateVisited(const VisitedConfig& config)
-      : bloom_(config.bloom_bits, config.bloom_hashes) {}
+  explicit BitstateVisited(std::size_t bloom_bits) : bloom_(bloom_bits) {}
 
   bool insert(std::uint64_t key) override { return bloom_.insert(key); }
   [[nodiscard]] std::size_t stored() const override {
@@ -114,13 +113,13 @@ std::unique_ptr<VisitedBackend> ExactVisited::degrade_to_compact() const {
 }  // namespace
 
 std::unique_ptr<VisitedBackend> make_visited_backend(VisitedKind kind,
-                                                     const VisitedConfig& config) {
+                                                     std::size_t bloom_bits) {
   switch (kind) {
     case VisitedKind::kExact: return std::make_unique<ExactVisited>();
     case VisitedKind::kHashCompact:
       return std::make_unique<HashCompactVisited>();
     case VisitedKind::kBitstate:
-      return std::make_unique<BitstateVisited>(config);
+      return std::make_unique<BitstateVisited>(bloom_bits);
   }
   return std::make_unique<ExactVisited>();
 }

@@ -177,12 +177,8 @@ class VisitedBackend {
   [[nodiscard]] const char* name() const { return to_string(kind()); }
 };
 
-struct VisitedConfig {
-  std::size_t bloom_bits = std::size_t{1} << 27;  ///< kBitstate filter size
-  int bloom_hashes = 4;
-};
-
+/// `bloom_bits` sizes the kBitstate filter (4 hash functions).
 [[nodiscard]] std::unique_ptr<VisitedBackend> make_visited_backend(
-    VisitedKind kind, const VisitedConfig& config = {});
+    VisitedKind kind, std::size_t bloom_bits = std::size_t{1} << 27);
 
 }  // namespace plankton

@@ -16,7 +16,6 @@ void PrefixTrie::insert(const Prefix& prefix, std::uint32_t value) {
   if (std::find(node->values.begin(), node->values.end(), value) ==
       node->values.end()) {
     node->values.push_back(value);
-    ++prefix_count_;
   }
 }
 

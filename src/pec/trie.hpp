@@ -29,8 +29,6 @@ class PrefixTrie {
   /// stored once.
   void insert(const Prefix& prefix, std::uint32_t value);
 
-  [[nodiscard]] std::size_t prefix_count() const { return prefix_count_; }
-
   /// Partitions the entire 32-bit space into ranges whose covering-prefix set
   /// is constant, sorted by `lo` and back-to-back contiguous. Adjacent ranges
   /// with identical value sets are merged.
@@ -46,7 +44,6 @@ class PrefixTrie {
             std::vector<std::uint32_t>& active, std::vector<Range>& out) const;
 
   std::unique_ptr<Node> root_;
-  std::size_t prefix_count_ = 0;
 };
 
 }  // namespace plankton

@@ -51,11 +51,6 @@ struct ModelContext {
   PathTable paths;
   RouteTable routes;
   const UpstreamResolver* upstream = nullptr;  ///< may be null
-
-  [[nodiscard]] NodeId nexthop(RouteId r) const {
-    const PathId p = routes.get(r).path;
-    return (p == kNoPath || p == kEmptyPath) ? kNoNode : paths.head(p);
-  }
 };
 
 /// Read-only view of the per-node best routes of the running process.

@@ -81,13 +81,13 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
 
   // §4.2 applicability: the paper applies source early-stop and influence
   // pruning only when the policy names sources, no other PEC depends on this
-  // one, and (for influence) a single prefix defines the PEC. We additionally
+  // one (record_outcomes is off: a dependent reads every converged state),
+  // and (for influence) a single prefix defines the PEC. We additionally
   // require protocol-only routing (no statics, one protocol per prefix) so a
   // source's committed control-plane path is guaranteed to coincide with the
   // hop-by-hop data-plane walk (see DESIGN.md).
   early_stop_ok_ = opts_.policy_pruning && !sources_.empty() &&
-                   !(upstream_provider_ != nullptr &&
-                     upstream_provider_->has_dependents());
+                   !opts_.record_outcomes;
   for (const auto& pp : pec_.prefixes) {
     if (!pp.static_routes.empty()) early_stop_ok_ = false;
     if (!pp.ospf_origins.empty() && !pp.bgp_origins.empty()) early_stop_ok_ = false;
@@ -106,9 +106,9 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // execution, so verdicts survive the reduction — but the cut state itself
   // (non-source RIBs) is order-dependent, so the cut-state *multiset*
   // shrinks. POR therefore turns itself off whenever something enumerates
-  // cut states: outcome recording for dependent PECs, find-all
-  // duplicate-violation reporting, or inconsistent execution (where even
-  // source routes churn).
+  // cut states: find-all duplicate-violation reporting, or inconsistent
+  // execution (where even source routes churn). Outcome recording needs no
+  // term here: it turns the early-stop off.
   //
   // It also stays off when no task can branch. Under consistent execution
   // with deterministic nodes and merged ECMP updates, an OSPF phase is one
@@ -119,8 +119,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // The unreduced search is the reference, so a wrong rule here would cost
   // time, never a state.
   const bool cut_states_observed =
-      early_stop_ok_ && (!opts_.consistent_only || opts_.record_outcomes ||
-                         opts_.find_all_violations);
+      early_stop_ok_ && (!opts_.consistent_only || opts_.find_all_violations);
   const bool spf_ordered = opts_.consistent_only && opts_.deterministic_nodes &&
                            opts_.merge_updates;
   const bool can_branch =
@@ -133,8 +132,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // The sleep-aware store replaces the visited backend under POR; build the
   // backend only when it is the store the search probes.
   if (!por_) {
-    visited_ = make_visited_backend(opts_.visited,
-                                    VisitedConfig{opts_.bloom_bits, 4});
+    visited_ = make_visited_backend(opts_.visited, opts_.bloom_bits);
   }
 }
 
@@ -1077,7 +1075,15 @@ Explorer::Flow Explorer::handle_converged() {
       h = hash_span<NodeId>(e.nexthops, h);
     }
     out.hash = h;
-    if (outcomes_seen_.insert(h)) result_.outcomes.push_back(std::move(out));
+    const std::size_t seen_bytes = outcomes_seen_.bytes();
+    if (outcomes_seen_.insert(h)) {
+      // A running total, so the budget check every 256 steps stays O(1):
+      // the outcome, its heap, and any growth of the dedup table.
+      result_.stats.bytes_outcomes +=
+          sizeof(PecOutcome) + out.igp_cost.capacity() * sizeof(std::uint32_t) +
+          out.dp.bytes() + (outcomes_seen_.bytes() - seen_bytes);
+      result_.outcomes.push_back(std::move(out));
+    }
   }
 
   if (opts_.suppress_equivalent && policy_.supports_equivalence()) {

@@ -100,7 +100,9 @@ struct ExploreOptions {
   /// whole-run budget, sliced per PEC.
   ResourceBudget budget;
   bool find_all_violations = false;
-  bool record_outcomes = false;  ///< keep converged states for dependent PECs
+  /// Keep converged states for dependent PECs. Another PEC reads every one,
+  /// so this also turns off the §4.2 source early-stop.
+  bool record_outcomes = false;
 
   /// Exploration strategy for the per-prefix move tree (engine/search.hpp):
   /// kDfs (the paper's strategy) or kBfs (shortest counterexample trails).
@@ -211,9 +213,6 @@ class UpstreamProvider {
   virtual ~UpstreamProvider() = default;
   [[nodiscard]] virtual std::vector<const UpstreamResolver*> outcomes(
       const FailureSet& failures) const = 0;
-  /// True when some other PEC depends on this one (disables policy pruning
-  /// and LEC failure reduction, §4.2/§4.3).
-  [[nodiscard]] virtual bool has_dependents() const { return false; }
 };
 
 class Explorer final : public SearchModel {
@@ -405,16 +404,15 @@ class Explorer final : public SearchModel {
 
   /// The one model-memory rule: fills the bytes_* fields of result_.stats
   /// from the structures the search holds now and returns their sum
-  /// (SearchStats::model_bytes()). The memory-budget check and run()'s
-  /// report both call it.
+  /// (SearchStats::model_bytes()), bytes_outcomes being the running total
+  /// the outcome recorder keeps. The memory-budget check and run()'s report
+  /// both call it.
   std::size_t account_model_bytes();
   /// Memory-pressure relief: migrate exact→hash-compact when permitted.
   /// Returns true when the migration brought usage back under the cap.
   bool try_degrade_visited();
 
-  // policy source bookkeeping
-  std::vector<NodeId> sources_storage_;
-  std::span<const NodeId> sources_;
+  std::span<const NodeId> sources_;  ///< the policy's sources
 };
 
 }  // namespace plankton

@@ -7,9 +7,10 @@
 // outcomes are kept as PecOutcome objects and served to downstream runs as
 // UpstreamResolvers, matched by failure set so topology changes stay
 // coordinated across PECs. serialize()/deserialize() turn an outcome batch
-// into bytes and back — the wire format a future multi-process shard
-// coordinator exchanges — and evict() releases a PEC's outcomes once every
-// dependent has consumed them, bounding the store on long runs.
+// into bytes and back — the PKO1 format that kOutcomeDelivery frames carry
+// between the shard coordinator and its workers (sched/shard.hpp) — and
+// evict() releases a PEC's outcomes once every dependent has consumed them,
+// bounding the store on long runs.
 #pragma once
 
 #include <map>
@@ -70,9 +71,8 @@ class OutcomeStore {
 /// UpstreamProvider adapter over the store for one downstream PEC.
 class StoreProvider final : public UpstreamProvider {
  public:
-  StoreProvider(const OutcomeStore& store, std::vector<PecId> deps,
-                bool has_dependents)
-      : store_(store), deps_(std::move(deps)), has_dependents_(has_dependents) {}
+  StoreProvider(const OutcomeStore& store, std::vector<PecId> deps)
+      : store_(store), deps_(std::move(deps)) {}
 
   [[nodiscard]] std::vector<const UpstreamResolver*> outcomes(
       const FailureSet& failures) const override {
@@ -81,12 +81,10 @@ class StoreProvider final : public UpstreamProvider {
     }
     return store_.combos(deps_, failures);
   }
-  [[nodiscard]] bool has_dependents() const override { return has_dependents_; }
 
  private:
   const OutcomeStore& store_;
   std::vector<PecId> deps_;
-  bool has_dependents_;
 };
 
 }  // namespace plankton

@@ -29,67 +29,8 @@
 namespace plankton::sched {
 namespace {
 
-using wire::fits;
 using wire::get_int;
-using wire::get_string;
 using wire::put_int;
-using wire::put_string;
-
-void put_stats(std::string& out, const SearchStats& s) {
-  put_int(out, s.states_explored);
-  put_int(out, s.states_stored);
-  put_int(out, s.revisits_skipped);
-  put_int(out, s.converged_states);
-  put_int(out, s.policy_checks);
-  put_int(out, s.suppressed_checks);
-  put_int(out, s.pruned_inconsistent);
-  put_int(out, s.det_steps);
-  put_int(out, s.nondet_branches);
-  put_int(out, s.failure_sets);
-  put_int(out, s.ad_cache_hits);
-  put_int(out, s.ad_cache_misses);
-  put_int(out, s.dirty_refreshes);
-  put_int(out, s.por_pruned);
-  put_int(out, s.por_source_sets);
-  put_int(out, static_cast<std::int64_t>(s.por_footprint_time.count()));
-  put_int(out, s.frontier_peak);
-  put_int(out, s.budget_checks);
-  put_int(out, s.max_depth);
-  put_int(out, static_cast<std::uint64_t>(s.bytes_paths));
-  put_int(out, static_cast<std::uint64_t>(s.bytes_routes));
-  put_int(out, static_cast<std::uint64_t>(s.bytes_visited));
-  put_int(out, static_cast<std::uint64_t>(s.bytes_stack_peak));
-  put_int(out, static_cast<std::uint64_t>(s.bytes_ad_cache));
-  put_int(out, static_cast<std::int64_t>(s.elapsed.count()));
-}
-
-bool get_stats(std::string_view& in, SearchStats& s) {
-  std::uint64_t sz[5] = {};
-  std::int64_t ns = 0;
-  std::int64_t por_ns = 0;
-  const bool ok =
-      get_int(in, s.states_explored) && get_int(in, s.states_stored) &&
-      get_int(in, s.revisits_skipped) && get_int(in, s.converged_states) &&
-      get_int(in, s.policy_checks) && get_int(in, s.suppressed_checks) &&
-      get_int(in, s.pruned_inconsistent) && get_int(in, s.det_steps) &&
-      get_int(in, s.nondet_branches) && get_int(in, s.failure_sets) &&
-      get_int(in, s.ad_cache_hits) && get_int(in, s.ad_cache_misses) &&
-      get_int(in, s.dirty_refreshes) && get_int(in, s.por_pruned) &&
-      get_int(in, s.por_source_sets) && get_int(in, por_ns) &&
-      get_int(in, s.frontier_peak) && get_int(in, s.budget_checks) &&
-      get_int(in, s.max_depth) && get_int(in, sz[0]) && get_int(in, sz[1]) &&
-      get_int(in, sz[2]) && get_int(in, sz[3]) && get_int(in, sz[4]) &&
-      get_int(in, ns);
-  if (!ok) return false;
-  s.por_footprint_time = std::chrono::nanoseconds(por_ns);
-  s.bytes_paths = static_cast<std::size_t>(sz[0]);
-  s.bytes_routes = static_cast<std::size_t>(sz[1]);
-  s.bytes_visited = static_cast<std::size_t>(sz[2]);
-  s.bytes_stack_peak = static_cast<std::size_t>(sz[3]);
-  s.bytes_ad_cache = static_cast<std::size_t>(sz[4]);
-  s.elapsed = std::chrono::nanoseconds(ns);
-  return true;
-}
 
 // -- robust fd I/O ----------------------------------------------------------
 
@@ -216,159 +157,34 @@ FrameDecoder::Status FrameDecoder::next(Frame& out) {
 // ---------------------------------------------------------------------------
 
 std::string encode_task_assign(const TaskAssignMsg& m) {
-  std::string out;
-  put_int(out, m.task);
-  put_int(out, static_cast<std::uint32_t>(m.evict.size()));
-  for (const PecId p : m.evict) put_int(out, p);
-  return out;
+  return wire::encode(m);
 }
-
 bool decode_task_assign(std::string_view in, TaskAssignMsg& out) {
-  out = TaskAssignMsg{};
-  const auto fail = [&out] {
-    out = TaskAssignMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_int(in, out.task) || !get_int(in, n) || !fits(in, n, sizeof(PecId))) {
-    return fail();
-  }
-  out.evict.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_int(in, out.evict[i])) return fail();
-  }
-  if (!in.empty()) return fail();
-  return true;
+  return wire::decode(in, out);
 }
-
 std::string encode_outcome_delivery(const OutcomeDeliveryMsg& m) {
-  std::string out;
-  put_int(out, m.pec);
-  put_string(out, m.outcomes_wire);
-  return out;
+  return wire::encode(m);
 }
-
 bool decode_outcome_delivery(std::string_view in, OutcomeDeliveryMsg& out) {
-  out = OutcomeDeliveryMsg{};
-  if (!get_int(in, out.pec) || !get_string(in, out.outcomes_wire) ||
-      !in.empty()) {
-    out = OutcomeDeliveryMsg{};
-    return false;
-  }
-  return true;
+  return wire::decode(in, out);
 }
-
-std::string encode_violation(const ViolationMsg& m) {
-  std::string out;
-  put_int(out, m.pec);
-  put_int(out, static_cast<std::uint32_t>(m.failed_links.size()));
-  for (const LinkId l : m.failed_links) put_int(out, l);
-  put_string(out, m.message);
-  put_string(out, m.trail_text);
-  return out;
-}
-
+std::string encode_violation(const ViolationMsg& m) { return wire::encode(m); }
 bool decode_violation(std::string_view in, ViolationMsg& out) {
-  out = ViolationMsg{};
-  const auto fail = [&out] {
-    out = ViolationMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_int(in, out.pec) || !get_int(in, n) || !fits(in, n, sizeof(LinkId))) {
-    return fail();
-  }
-  out.failed_links.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_int(in, out.failed_links[i])) return fail();
-  }
-  if (!get_string(in, out.message) || !get_string(in, out.trail_text) ||
-      !in.empty()) {
-    return fail();
-  }
-  return true;
+  return wire::decode(in, out);
 }
-
-namespace {
-
-void put_pec_done(std::string& out, const PecDoneMsg& p) {
-  put_int(out, p.pec);
-  put_int(out, p.budget_tripped);
-  put_int(out, p.exhaustive);
-  put_int(out, p.translated);
-  put_stats(out, p.stats);
-}
-
-bool get_pec_done(std::string_view& in, PecDoneMsg& p) {
-  if (!get_int(in, p.pec) || !get_int(in, p.budget_tripped) ||
-      !get_int(in, p.exhaustive) || !get_int(in, p.translated) ||
-      !get_stats(in, p.stats)) {
-    return false;
-  }
-  return p.exhaustive <= 1 && p.translated <= 1 &&
-         p.budget_tripped <= static_cast<std::uint8_t>(BudgetKind::kMemory);
-}
-
-}  // namespace
-
-std::string encode_task_done(const TaskDoneMsg& m) {
-  std::string out;
-  put_int(out, m.task);
-  put_int(out, static_cast<std::uint32_t>(m.pecs.size()));
-  for (const PecDoneMsg& p : m.pecs) put_pec_done(out, p);
-  return out;
-}
-
+std::string encode_task_done(const TaskDoneMsg& m) { return wire::encode(m); }
 bool decode_task_done(std::string_view in, TaskDoneMsg& out) {
-  out = TaskDoneMsg{};
-  const auto fail = [&out] {
-    out = TaskDoneMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_int(in, out.task) || !get_int(in, n) ||
-      !fits(in, n, kPecDoneWireBytes)) {
-    return fail();
-  }
-  out.pecs.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_pec_done(in, out.pecs[i])) return fail();
-  }
-  if (!in.empty()) return fail();
-  return true;
+  return wire::decode(in, out);
 }
-
 std::string encode_bootstrap_ack(const BootstrapAckMsg& m) {
-  std::string out;
-  put_int(out, m.ok);
-  put_string(out, m.error);
-  put_int(out, m.plan_hash);
-  return out;
+  return wire::encode(m);
 }
-
 bool decode_bootstrap_ack(std::string_view in, BootstrapAckMsg& out) {
-  out = BootstrapAckMsg{};
-  if (!get_int(in, out.ok) || out.ok > 1 || !get_string(in, out.error) ||
-      !get_int(in, out.plan_hash) || !in.empty()) {
-    out = BootstrapAckMsg{};
-    return false;
-  }
-  return true;
+  return wire::decode(in, out);
 }
-
-std::string encode_heartbeat(const HeartbeatMsg& m) {
-  std::string out;
-  put_int(out, m.progress);
-  return out;
-}
-
+std::string encode_heartbeat(const HeartbeatMsg& m) { return wire::encode(m); }
 bool decode_heartbeat(std::string_view in, HeartbeatMsg& out) {
-  out = HeartbeatMsg{};
-  if (!get_int(in, out.progress) || !in.empty()) {
-    out = HeartbeatMsg{};
-    return false;
-  }
-  return true;
+  return wire::decode(in, out);
 }
 
 // ---------------------------------------------------------------------------

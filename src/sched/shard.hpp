@@ -55,6 +55,7 @@
 #include "rpvp/explorer.hpp"
 #include "sched/fault.hpp"
 #include "sched/outcome_store.hpp"
+#include "sched/wire.hpp"
 #include "sched/work_stealing.hpp"
 
 namespace plankton::sched {
@@ -93,8 +94,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
 /// Bumped on every payload layout change (2: the three-flag PecDoneMsg; 3:
 /// kBootstrap carries ExploreOptions whole; 4: its explore block drops the
 /// retired engine seed, split and restart fields; 5: kBootstrap ships the
-/// dedup class list in place of the pec_dedup flag).
-inline constexpr std::uint16_t kFrameVersion = 5;
+/// dedup class list in place of the pec_dedup flag; 6: the SearchStats block
+/// of a kTaskDone PEC entry carries bytes_outcomes).
+inline constexpr std::uint16_t kFrameVersion = 6;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
 /// Ceiling for one frame's payload. Anything larger is treated as a corrupt
@@ -153,10 +155,12 @@ class FrameDecoder {
 };
 
 // ---------------------------------------------------------------------------
-// Message payloads. decode_* are the exact inverses of encode_*; they return
-// false on truncated/corrupt/hostile input and leave the output
-// default-initialized, and every length field is validated against the bytes
-// actually present before it sizes an allocation.
+// Message payloads. Each struct's wire_fields lists its fields in wire order;
+// encode_* and decode_* both walk that list (sched/wire.hpp), so decode_* is
+// the exact inverse of encode_*. It returns false on truncated/corrupt/
+// hostile input and leaves the output default-initialized, and every length
+// field is validated against the bytes actually present before it sizes an
+// allocation.
 // ---------------------------------------------------------------------------
 
 struct TaskAssignMsg {
@@ -164,12 +168,22 @@ struct TaskAssignMsg {
   /// PECs whose outcomes the receiving worker may release: no incomplete
   /// task depends on them anymore (coordinator-side refcount hit zero).
   std::vector<PecId> evict;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.task, s.evict);
+  }
 };
 
 struct OutcomeDeliveryMsg {
   PecId pec = 0;
-  /// OutcomeStore::serialize() bytes — the nested PR-3 wire format.
+  /// OutcomeStore::serialize() bytes — the nested PKO1 format.
   std::string outcomes_wire;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.pec, s.outcomes_wire);
+  }
 };
 
 struct ViolationMsg {
@@ -177,6 +191,11 @@ struct ViolationMsg {
   std::vector<LinkId> failed_links;
   std::string message;
   std::string trail_text;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.pec, s.failed_links, s.message, s.trail_text);
+  }
 };
 
 /// Per-PEC completion. "Violated" does not travel here: it is derived from
@@ -193,17 +212,26 @@ struct PecDoneMsg {
   /// representative's and must not be double-counted into run totals.
   std::uint8_t translated = 0;
   SearchStats stats;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.pec, wire::at_most(s.budget_tripped, BudgetKind::kMemory),
+             wire::at_most(s.exhaustive, 1), wire::at_most(s.translated, 1),
+             s.stats);
+  }
 };
 
-/// One PecDoneMsg's exact wire size: pec (4) + 3 flag bytes + the
-/// SearchStats block (25 x 8). The decoder sizes by the full stride: fits()
-/// with a smaller one would let a lying count amplify resize() far past the
-/// bytes present.
-inline constexpr std::size_t kPecDoneWireBytes = 4 + 3 + 25 * 8;
+/// One PecDoneMsg's exact wire size (it has no variable-length field).
+inline constexpr std::size_t kPecDoneWireBytes = wire::min_bytes<PecDoneMsg>;
 
 struct TaskDoneMsg {
   std::uint64_t task = 0;
   std::vector<PecDoneMsg> pecs;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.task, s.pecs);
+  }
 };
 
 [[nodiscard]] std::string encode_task_assign(const TaskAssignMsg& m);
@@ -226,6 +254,11 @@ struct TaskDoneMsg {
 /// holding it goes silent).
 struct HeartbeatMsg {
   std::uint64_t progress = 0;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.progress);
+  }
 };
 
 [[nodiscard]] std::string encode_heartbeat(const HeartbeatMsg& m);
@@ -239,6 +272,11 @@ struct BootstrapAckMsg {
   std::uint8_t ok = 0;
   std::string error;
   std::uint64_t plan_hash = 0;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(wire::at_most(s.ok, 1), s.error, s.plan_hash);
+  }
 };
 
 [[nodiscard]] std::string encode_bootstrap_ack(const BootstrapAckMsg& m);

@@ -48,50 +48,6 @@ class DynSlab {
   std::vector<std::unique_ptr<Body>> slots_;
 };
 
-/// Runs the whole graph on the calling thread, dependencies first. Used for
-/// workers == 1: no thread, no synchronization, deterministic LIFO order
-/// matching the work-stealing owner-pop order.
-void run_inline(const TaskGraph& graph, const Body& body) {
-  std::vector<std::size_t> waiting = graph.waiting_on;
-  std::vector<Job> stack;
-  DynSlab dyn;
-  for (std::size_t i = graph.size(); i > 0; --i) {
-    if (waiting[i - 1] == 0) stack.push_back(static_cast<Job>(i - 1));
-  }
-
-  class Ctx final : public TaskContext {
-   public:
-    Ctx(std::size_t task, std::vector<Job>& stack, DynSlab& dyn)
-        : task_(task), stack_(stack), dyn_(dyn) {}
-    [[nodiscard]] std::size_t task() const override { return task_; }
-    [[nodiscard]] int worker() const override { return 0; }
-    void spawn(Body fn) override {
-      stack_.push_back(encode_dynamic(dyn_.add(std::move(fn))));
-    }
-
-   private:
-    std::size_t task_;
-    std::vector<Job>& stack_;
-    DynSlab& dyn_;
-  };
-
-  while (!stack.empty()) {
-    const Job job = stack.back();
-    stack.pop_back();
-    if (job < 0) {
-      Ctx ctx(kDynamicTask, stack, dyn);
-      dyn.take(decode_dynamic(job))(ctx);
-      continue;
-    }
-    const auto t = static_cast<std::size_t>(job);
-    Ctx ctx(t, stack, dyn);
-    body(ctx);
-    for (const std::size_t d : graph.dependents[t]) {
-      if (--waiting[d] == 0) stack.push_back(static_cast<Job>(d));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Work stealing
 // ---------------------------------------------------------------------------
@@ -117,18 +73,24 @@ class WorkStealingRun {
     for (std::size_t i = 0; i < graph.size(); ++i) {
       waiting_[i].store(graph.waiting_on[i], std::memory_order_relaxed);
     }
-    // Seed ready tasks round-robin so all workers start with work.
+    // Seed ready tasks round-robin so all workers start with work, in
+    // descending index so that each owner pops its lowest one first.
     std::size_t w = 0;
-    for (std::size_t i = 0; i < graph.size(); ++i) {
-      if (graph.waiting_on[i] != 0) continue;
-      deques_[w % deques_.size()].jobs.push_back(static_cast<Job>(i));
+    for (std::size_t i = graph.size(); i > 0; --i) {
+      if (graph.waiting_on[i - 1] != 0) continue;
+      deques_[w % deques_.size()].jobs.push_back(static_cast<Job>(i - 1));
       queued_.fetch_add(1, std::memory_order_relaxed);
       w++;
     }
   }
 
+  /// One worker runs the loop on the calling thread and starts no thread.
   void run() {
     if (remaining_.load(std::memory_order_relaxed) == 0) return;
+    if (deques_.size() == 1) {
+      worker_loop(0);
+      return;
+    }
     std::vector<std::thread> threads;
     threads.reserve(deques_.size());
     for (std::size_t w = 0; w < deques_.size(); ++w) {
@@ -252,11 +214,7 @@ class WorkStealingRun {
 
 void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(TaskContext&)>& body) {
-  if (workers <= 1) {
-    run_inline(graph, body);
-    return;
-  }
-  WorkStealingRun run(workers, graph, body);
+  WorkStealingRun run(workers < 1 ? 1 : workers, graph, body);
   run.run();
 }
 

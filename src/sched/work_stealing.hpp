@@ -21,6 +21,11 @@
 // differs from a shard worker: the Verifier spawns one job per dedup class
 // member that must be re-explored natively after its representative's run,
 // where a single-threaded worker re-runs the member inline.
+//
+// One worker runs the same loop on the calling thread and starts no thread.
+// Its order is then fixed: ready tasks lowest index first, and after each
+// job the jobs it released (spawned subtasks, then unblocked dependents)
+// last in, first out.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +67,10 @@ class TaskContext {
 
 /// Runs `body` once for every task of `graph`, never before all of the
 /// task's dependencies completed, on `workers` threads (worker ids are
-/// 0..workers-1; workers == 1 runs inline on the calling thread). The graph
-/// must be acyclic. `body` must be safe to call concurrently for distinct
-/// tasks; it reads its task and worker from the TaskContext and may inject
-/// dynamic subtasks via spawn().
+/// 0..workers-1; workers <= 1 is one worker on the calling thread, in the
+/// order above). The graph must be acyclic. `body` must be safe to call
+/// concurrently for distinct tasks; it reads its task and worker from the
+/// TaskContext and may inject dynamic subtasks via spawn().
 void run_task_graph(int workers, const TaskGraph& graph,
                     const std::function<void(TaskContext&)>& body);
 

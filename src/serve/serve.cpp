@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <span>
-#include <type_traits>
 
 #include "eqclass/pec_dedup.hpp"
 #include "netbase/hash.hpp"
@@ -11,277 +10,39 @@
 
 namespace plankton::serve {
 
-using wire::fits;
-using wire::get_int;
-using wire::get_string;
-using wire::put_int;
-using wire::put_string;
-
 // ---------------------------------------------------------------------------
-// Codecs — same contract as the shard ones (sched/shard.cpp): reset the
-// output, validate every count against the bytes present, reject trailing
-// garbage.
+// Codecs: each walks its payload's field list (serve/serve.hpp).
 // ---------------------------------------------------------------------------
 
-std::string encode_load_net(const LoadNetMsg& m) {
-  std::string out;
-  put_string(out, m.config_text);
-  return out;
-}
-
+std::string encode_load_net(const LoadNetMsg& m) { return wire::encode(m); }
 bool decode_load_net(std::string_view in, LoadNetMsg& out) {
-  out = LoadNetMsg{};
-  if (!get_string(in, out.config_text) || !in.empty()) {
-    out = LoadNetMsg{};
-    return false;
-  }
-  return true;
+  return wire::decode(in, out);
 }
-
-namespace {
-
-/// The ExploreOptions fields kBootstrap ships, in wire order — one list that
-/// both codec directions walk, so a field cannot be encoded without being
-/// decoded. `field` returns false to abort (decode only).
-template <typename Explore, typename Field>
-bool visit_shipped(Explore& eo, Field&& field) {
-  return field(eo.max_failures) && field(eo.consistent_only) &&
-         field(eo.deterministic_nodes) && field(eo.det_nodes_bgp) &&
-         field(eo.decision_independence) && field(eo.lec_failures) &&
-         field(eo.policy_pruning) && field(eo.suppress_equivalent) &&
-         field(eo.visited) && field(eo.bloom_bits) &&
-         field(eo.merge_updates) && field(eo.ad_cache) && field(eo.por) &&
-         field(eo.incremental_expand) && field(eo.budget.deadline) &&
-         field(eo.budget.max_states) && field(eo.budget.max_bytes) &&
-         field(eo.budget.degrade_visited) && field(eo.find_all_violations) &&
-         field(eo.engine_kind);
-}
-
-// Wire forms: flags and enums ride as one byte, the deadline as int64
-// milliseconds, integers at their own width.
-template <typename T>
-void put_field(std::string& out, const T& v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    put_int(out, static_cast<std::uint8_t>(v ? 1 : 0));
-  } else if constexpr (std::is_enum_v<T>) {
-    put_int(out, static_cast<std::uint8_t>(v));
-  } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
-    put_int(out, static_cast<std::int64_t>(v.count()));
-  } else {
-    put_int(out, v);
-  }
-}
-
-/// Decodes one enum byte, refusing values past `last`.
-template <typename E>
-bool get_enum(std::string_view& in, E& v, E last) {
-  std::uint8_t b = 0;
-  if (!get_int(in, b) || b > static_cast<std::uint8_t>(last)) return false;
-  v = static_cast<E>(b);
-  return true;
-}
-
-// Decoders, with every range check: flags are strictly 0/1, enums within
-// their enumerators, max_failures (the only int) and the deadline >= 0.
-bool get_field(std::string_view& in, bool& v) {
-  std::uint8_t b = 0;
-  if (!get_int(in, b) || b > 1) return false;
-  v = b == 1;
-  return true;
-}
-bool get_field(std::string_view& in, VisitedKind& v) {
-  return get_enum(in, v, VisitedKind::kBitstate);
-}
-bool get_field(std::string_view& in, SearchEngineKind& v) {
-  return get_enum(in, v, SearchEngineKind::kBfs);
-}
-bool get_field(std::string_view& in, std::chrono::milliseconds& v) {
-  std::int64_t ms = 0;
-  if (!get_int(in, ms) || ms < 0) return false;
-  v = std::chrono::milliseconds(ms);
-  return true;
-}
-bool get_field(std::string_view& in, int& v) {
-  return get_int(in, v) && v >= 0;
-}
-bool get_field(std::string_view& in, std::uint64_t& v) {
-  return get_int(in, v);
-}
-
-}  // namespace
-
-std::string encode_bootstrap(const BootstrapMsg& m) {
-  std::string out;
-  put_string(out, m.config_text);
-  put_string(out, m.policy_spec);
-  put_int(out, static_cast<std::uint32_t>(m.targets.size()));
-  for (const std::uint32_t t : m.targets) put_int(out, t);
-  put_int(out, static_cast<std::uint32_t>(m.classes.size()));
-  for (const BootstrapClass& c : m.classes) {
-    put_int(out, c.rep);
-    put_int(out, static_cast<std::uint32_t>(c.members.size()));
-    for (const std::uint32_t p : c.members) put_int(out, p);
-  }
-  (void)visit_shipped(m.explore, [&out](const auto& v) {
-    put_field(out, v);
-    return true;
-  });
-  put_int(out, m.heartbeat_interval_ms);
-  put_string(out, m.fault_plan);
-  return out;
-}
-
+std::string encode_bootstrap(const BootstrapMsg& m) { return wire::encode(m); }
 bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
-  out = BootstrapMsg{};
-  const auto fail = [&out] {
-    out = BootstrapMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_string(in, out.config_text) || !get_string(in, out.policy_spec) ||
-      !get_int(in, n) || !fits(in, n, 4)) {
-    return fail();
-  }
-  out.targets.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_int(in, out.targets[i])) return fail();
-  }
-  // A class is at least its representative and a member count.
-  if (!get_int(in, n) || !fits(in, n, 4 + 4)) return fail();
-  out.classes.resize(n);
-  for (BootstrapClass& c : out.classes) {
-    if (!get_int(in, c.rep) || !get_int(in, n) || !fits(in, n, 4)) {
-      return fail();
-    }
-    c.members.resize(n);
-    for (std::uint32_t& p : c.members) {
-      if (!get_int(in, p)) return fail();
-    }
-  }
-  const bool ok =
-      visit_shipped(out.explore,
-                    [&in](auto& v) { return get_field(in, v); }) &&
-      get_int(in, out.heartbeat_interval_ms) &&
-      out.heartbeat_interval_ms >= 0 && get_string(in, out.fault_plan) &&
-      in.empty();
-  if (!ok) return fail();
-  return true;
+  return wire::decode(in, out);
 }
-
 std::string encode_apply_delta(const ApplyDeltaMsg& m) {
-  std::string out;
-  put_int(out, static_cast<std::uint32_t>(m.ops.size()));
-  for (const DeltaOp& op : m.ops) {
-    put_int(out, static_cast<std::uint8_t>(op.add ? 1 : 0));
-    put_string(out, op.line);
-  }
-  return out;
+  return wire::encode(m);
 }
-
 bool decode_apply_delta(std::string_view in, ApplyDeltaMsg& out) {
-  out = ApplyDeltaMsg{};
-  const auto fail = [&out] {
-    out = ApplyDeltaMsg{};
-    return false;
-  };
-  std::uint32_t n = 0;
-  if (!get_int(in, n) || !fits(in, n, 1 + 8)) return fail();
-  out.ops.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::uint8_t add = 0;
-    if (!get_int(in, add) || add > 1 || !get_string(in, out.ops[i].line)) {
-      return fail();
-    }
-    out.ops[i].add = add == 1;
-  }
-  if (!in.empty()) return fail();
-  return true;
+  return wire::decode(in, out);
 }
-
-std::string encode_query(const QueryMsg& m) {
-  std::string out;
-  put_string(out, m.policy_spec);
-  put_int(out, m.max_failures);
-  return out;
-}
-
+std::string encode_query(const QueryMsg& m) { return wire::encode(m); }
 bool decode_query(std::string_view in, QueryMsg& out) {
-  out = QueryMsg{};
-  if (!get_string(in, out.policy_spec) || !get_int(in, out.max_failures) ||
-      !in.empty()) {
-    out = QueryMsg{};
-    return false;
-  }
-  return true;
+  return wire::decode(in, out);
 }
-
 std::string encode_verdict_reply(const VerdictReplyMsg& m) {
-  std::string out;
-  put_int(out, static_cast<std::uint8_t>(m.ok ? 1 : 0));
-  put_int(out, m.verdict);
-  put_string(out, m.error);
-  put_int(out, m.targets);
-  put_int(out, m.cache_hits);
-  put_int(out, m.reverified);
-  put_int(out, m.moved);
-  put_int(out, m.wall_ns);
-  put_int(out, static_cast<std::uint32_t>(m.violations.size()));
-  for (const ViolationText& v : m.violations) {
-    put_string(out, v.pec);
-    put_string(out, v.message);
-  }
-  return out;
+  return wire::encode(m);
 }
-
 bool decode_verdict_reply(std::string_view in, VerdictReplyMsg& out) {
-  out = VerdictReplyMsg{};
-  const auto fail = [&out] {
-    out = VerdictReplyMsg{};
-    return false;
-  };
-  std::uint8_t ok = 0;
-  std::uint32_t n = 0;
-  if (!get_int(in, ok) || ok > 1 || !get_int(in, out.verdict) ||
-      out.verdict > static_cast<std::uint8_t>(Verdict::kError) ||
-      !get_string(in, out.error) || !get_int(in, out.targets) ||
-      !get_int(in, out.cache_hits) || !get_int(in, out.reverified) ||
-      !get_int(in, out.moved) || !get_int(in, out.wall_ns) ||
-      !get_int(in, n) || !fits(in, n, 8 + 8)) {
-    return fail();
-  }
-  out.ok = ok == 1;
-  out.violations.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!get_string(in, out.violations[i].pec) ||
-        !get_string(in, out.violations[i].message)) {
-      return fail();
-    }
-  }
-  if (!in.empty()) return fail();
-  return true;
+  return wire::decode(in, out);
 }
-
 std::string encode_cache_stats(const CacheStatsMsg& m) {
-  std::string out;
-  put_int(out, m.hits);
-  put_int(out, m.misses);
-  put_int(out, m.nonclean_bypass);
-  put_int(out, m.insertions);
-  put_int(out, m.warm_loaded);
-  put_int(out, m.entries);
-  return out;
+  return wire::encode(m);
 }
-
 bool decode_cache_stats(std::string_view in, CacheStatsMsg& out) {
-  out = CacheStatsMsg{};
-  if (!get_int(in, out.hits) || !get_int(in, out.misses) ||
-      !get_int(in, out.nonclean_bypass) || !get_int(in, out.insertions) ||
-      !get_int(in, out.warm_loaded) || !get_int(in, out.entries) ||
-      !in.empty()) {
-    out = CacheStatsMsg{};
-    return false;
-  }
-  return true;
+  return wire::decode(in, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -760,17 +521,7 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
   return reply;
 }
 
-CacheStatsMsg ServeState::cache_stats() const {
-  const CacheCounters c = cache_.counters();
-  CacheStatsMsg m;
-  m.hits = c.hits;
-  m.misses = c.misses;
-  m.nonclean_bypass = c.nonclean_bypass;
-  m.insertions = c.insertions;
-  m.warm_loaded = c.warm_loaded;
-  m.entries = c.entries;
-  return m;
-}
+CacheStatsMsg ServeState::cache_stats() const { return cache_.counters(); }
 
 bool ServeState::save_cache(std::string& error) {
   if (cache_path_.empty()) return true;

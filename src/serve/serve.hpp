@@ -11,9 +11,10 @@
 // re-verifies exactly the misses through the existing Verifier (budgets,
 // dedup, POR, shards compose unchanged).
 //
-// Frame payloads ride the PKS1 framing (sched/shard.hpp MsgType 7..11); the
-// codecs below follow the same decode contract as the shard ones — false on
-// truncated/corrupt/hostile input, output left default-initialized, every
+// Frame payloads ride the PKS1 framing (sched/shard.hpp MsgType 7..12). Each
+// payload struct lists its fields in wire order and its codecs walk that list
+// through sched/wire.hpp, under the shard payloads' decode contract — false
+// on truncated/corrupt/hostile input, output left default-initialized, every
 // count validated against the bytes present before it sizes an allocation.
 #pragma once
 
@@ -26,6 +27,7 @@
 
 #include "config/parser.hpp"
 #include "core/verifier.hpp"
+#include "sched/wire.hpp"
 #include "serve/journal.hpp"
 #include "serve/verdict_cache.hpp"
 
@@ -38,6 +40,11 @@ namespace plankton::serve {
 /// kLoadNet: full config text replacing any resident network.
 struct LoadNetMsg {
   std::string config_text;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.config_text);
+  }
 };
 
 /// One line-level config edit. `add` appends the line to the resident config;
@@ -45,23 +52,43 @@ struct LoadNetMsg {
 struct DeltaOp {
   bool add = true;
   std::string line;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.add, s.line);
+  }
 };
 
 /// kApplyDelta: ordered edit batch, applied atomically (all-or-nothing — a
 /// batch whose result fails to parse/validate leaves the resident net as-is).
 struct ApplyDeltaMsg {
   std::vector<DeltaOp> ops;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.ops);
+  }
 };
 
 /// kQuery: policy spec (make_policy grammar below) + query knobs.
 struct QueryMsg {
   std::string policy_spec;
   std::uint32_t max_failures = 0;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.policy_spec, s.max_failures);
+  }
 };
 
 struct ViolationText {
   std::string pec;
   std::string message;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.pec, s.message);
+  }
 };
 
 /// kVerdictReply: the daemon's answer to kLoadNet / kApplyDelta / kQuery.
@@ -75,23 +102,43 @@ struct VerdictReplyMsg {
   std::uint64_t moved = 0;        ///< PECs whose cone moved (last delta)
   std::int64_t wall_ns = 0;
   std::vector<ViolationText> violations;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.ok, wire::at_most(s.verdict, Verdict::kError), s.error,
+             s.targets, s.cache_hits, s.reverified, s.moved, s.wall_ns,
+             s.violations);
+  }
 };
 
 /// kCacheStats reply (the request direction carries an empty payload).
-struct CacheStatsMsg {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t nonclean_bypass = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t warm_loaded = 0;
-  std::uint64_t entries = 0;
-};
+using CacheStatsMsg = CacheCounters;
 
 /// One dedup class in kBootstrap: a representative and its other members.
 struct BootstrapClass {
   std::uint32_t rep = 0;
   std::vector<std::uint32_t> members;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.rep, s.members);
+  }
 };
+
+/// The ExploreOptions fields kBootstrap ships, in wire order: every field
+/// but record_outcomes, which run_pec_core sets per PEC.
+template <typename E, typename V>
+constexpr bool shipped_explore_fields(E& eo, V&& v) {
+  return v(wire::non_negative(eo.max_failures), eo.consistent_only,
+           eo.deterministic_nodes, eo.det_nodes_bgp, eo.decision_independence,
+           eo.lec_failures, eo.policy_pruning, eo.suppress_equivalent,
+           wire::at_most(eo.visited, VisitedKind::kBitstate), eo.bloom_bits,
+           eo.merge_updates, eo.ad_cache, eo.por, eo.incremental_expand,
+           wire::non_negative(eo.budget.deadline), eo.budget.max_states,
+           eo.budget.max_bytes, eo.budget.degrade_visited,
+           eo.find_all_violations,
+           wire::at_most(eo.engine_kind, SearchEngineKind::kBfs));
+}
 
 /// kBootstrap: everything a shard worker (forked or plankton_worker) needs to
 /// rebuild the coordinator's verification plan — the network as
@@ -114,6 +161,13 @@ struct BootstrapMsg {
   /// This incarnation's faults, resolved by the coordinator for its slot and
   /// generation (FaultPlan syntax; empty = no faults).
   std::string fault_plan;
+
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.config_text, s.policy_spec, s.targets, s.classes) &&
+           shipped_explore_fields(s.explore, v) &&
+           v(wire::non_negative(s.heartbeat_interval_ms), s.fault_plan);
+  }
 };
 
 std::string encode_bootstrap(const BootstrapMsg& m);
@@ -196,8 +250,6 @@ class ServeState {
   /// Compacts the journal down to one kLoadNet record of the resident
   /// config (no-op without a journal or resident net).
   bool compact_journal(std::string& error);
-
-  [[nodiscard]] bool journal_attached() const { return journal_.is_open(); }
 
   [[nodiscard]] bool loaded() const { return verifier_ != nullptr; }
   [[nodiscard]] const Network& net() const { return parsed_.net; }

@@ -75,6 +75,13 @@ struct CacheCounters {
   std::uint64_t insertions = 0;
   std::uint64_t warm_loaded = 0;      ///< entries restored from disk
   std::uint64_t entries = 0;          ///< current size
+
+  /// Wire order of the kCacheStats reply (serve/serve.hpp).
+  template <typename S, typename V>
+  static constexpr bool wire_fields(S& s, V&& v) {
+    return v(s.hits, s.misses, s.nonclean_bypass, s.insertions,
+             s.warm_loaded, s.entries);
+  }
 };
 
 class VerdictCache {

@@ -21,6 +21,7 @@
 #include "engine/visited.hpp"
 #include "support/thread_worker.hpp"
 #include "workload/fat_tree.hpp"
+#include "workload/ring.hpp"
 
 namespace plankton {
 namespace {
@@ -297,6 +298,37 @@ TEST(BudgetSoundness, MemoryBudgetCountsTheBfsFrontier) {
       << "-byte BFS run";
   EXPECT_EQ(wc.run(dfs).budget_tripped, BudgetKind::kStates)
       << "DFS, at " << dfs_bytes << " bytes, must stay under the budget";
+}
+
+TEST(BudgetSoundness, MemoryBudgetCountsRecordedOutcomes) {
+  // A PEC with dependents keeps every converged state for them. Those
+  // outcomes are model memory too: a byte budget halfway between the run's
+  // footprint without them and with them must stop it. The ring under up to
+  // three link failures records one outcome per failure set (299), which
+  // dominate its bytes.
+  const Network net = make_ring(12);
+  const PecSet pecs = compute_pecs(net);
+  const Pec& pec = pecs.pecs[pecs.routed()[0]];
+  const LoopFreedomPolicy policy;
+  ExploreOptions opts;
+  opts.max_failures = 3;
+  opts.lec_failures = false;
+  opts.record_outcomes = true;
+  const ExploreResult free_run =
+      Explorer(net, pec, make_tasks(net, pec), policy, opts).run();
+  ASSERT_EQ(free_run.verdict(), Verdict::kHolds);
+  ASSERT_GT(free_run.outcomes.size(), 1u);
+  const std::size_t with = free_run.stats.model_bytes();
+  const std::size_t outcomes = free_run.stats.bytes_outcomes;
+  ASSERT_GT(outcomes, free_run.outcomes.size() * sizeof(PecOutcome));
+
+  opts.budget.max_bytes = with - outcomes / 2;
+  const ExploreResult capped =
+      Explorer(net, pec, make_tasks(net, pec), policy, opts).run();
+  EXPECT_EQ(capped.budget_tripped, BudgetKind::kMemory)
+      << "a " << opts.budget.max_bytes << "-byte budget did not bound a "
+      << with << "-byte run (" << outcomes << " of them outcomes)";
+  EXPECT_EQ(capped.verdict(), Verdict::kInconclusive);
 }
 
 TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {

@@ -143,7 +143,7 @@ TEST(VisitedBackends, CompactionReducesMemoryAtScale) {
   const auto exact = make_visited_backend(VisitedKind::kExact);
   const auto compact = make_visited_backend(VisitedKind::kHashCompact);
   const auto bits =
-      make_visited_backend(VisitedKind::kBitstate, VisitedConfig{1 << 20, 4});
+      make_visited_backend(VisitedKind::kBitstate, 1 << 20);
   std::mt19937_64 rng(17);
   for (int i = 0; i < 200000; ++i) {
     const std::uint64_t h = rng();

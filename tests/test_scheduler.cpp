@@ -2,9 +2,14 @@
 // scheduler (paper §3.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
+#include <numeric>
+#include <random>
 #include <set>
+#include <thread>
 
 #include "core/verifier.hpp"
 #include "sched/deps.hpp"
@@ -233,6 +238,86 @@ TEST(WorkStealing, StressDependencyOrderAcrossWorkerCounts) {
     for (std::size_t t = 0; t < kTasks; ++t) {
       ASSERT_TRUE(done[t]) << "task " << t << " never ran";
     }
+  }
+}
+
+TEST(WorkStealing, OneWorkerFollowsTheStackRuleOnTheCallingThread) {
+  // One worker runs the work-stealing loop on the calling thread, in a fixed
+  // order: ready tasks lowest index first; after each job, its spawned
+  // subtasks and then the dependents it released are pushed on one stack,
+  // popped last in, first out. A reference simulation of that rule must give
+  // the same order on random DAGs whose tasks spawn nested subtasks. Jobs
+  // are labelled: task t is t, spawned jobs get n, n+1, ... in spawn order.
+  // Depth 0 (static) jobs spawn 0-2 subtasks, depth 1 jobs spawn label % 2,
+  // depth 2 jobs none.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937_64 rng(seed);
+    const std::size_t n = 1 + rng() % 30;
+    std::vector<std::size_t> rank(n);  // a random topological order
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    std::shuffle(rank.begin(), rank.end(), rng);
+    sched::TaskGraph graph;
+    graph.dependents.resize(n);
+    graph.waiting_on.assign(n, 0);
+    std::vector<int> static_fanout(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      static_fanout[i] = static_cast<int>(rng() % 3);
+      for (std::size_t j = 0; j < n; ++j) {
+        if (rank[i] < rank[j] && rng() % 4 == 0) {
+          graph.dependents[i].push_back(j);
+          ++graph.waiting_on[j];
+        }
+      }
+    }
+    const auto fanout = [&](std::size_t label, int depth) {
+      if (depth == 0) return static_fanout[label];
+      return depth == 1 ? static_cast<int>(label % 2) : 0;
+    };
+
+    std::vector<std::size_t> order;
+    std::size_t next_label = n;
+    bool on_caller = true;
+    std::function<void(sched::TaskContext&, std::size_t, int)> run_job =
+        [&](sched::TaskContext& ctx, std::size_t label, int depth) {
+          on_caller = on_caller && std::this_thread::get_id() == caller;
+          order.push_back(label);
+          for (int c = 0; c < fanout(label, depth); ++c) {
+            const std::size_t child = next_label++;
+            ctx.spawn([&run_job, child, depth](sched::TaskContext& cctx) {
+              run_job(cctx, child, depth + 1);
+            });
+          }
+        };
+    sched::run_task_graph(1, graph, [&](sched::TaskContext& ctx) {
+      run_job(ctx, ctx.task(), 0);
+    });
+
+    struct Job {
+      std::size_t label;
+      int depth;
+    };
+    std::vector<std::size_t> expected;
+    std::vector<Job> stack;
+    std::vector<std::size_t> waiting = graph.waiting_on;
+    for (std::size_t i = n; i > 0; --i) {
+      if (waiting[i - 1] == 0) stack.push_back({i - 1, 0});
+    }
+    std::size_t next = n;
+    while (!stack.empty()) {
+      const Job job = stack.back();
+      stack.pop_back();
+      expected.push_back(job.label);
+      for (int c = 0; c < fanout(job.label, job.depth); ++c) {
+        stack.push_back({next++, job.depth + 1});
+      }
+      if (job.depth != 0) continue;
+      for (const std::size_t d : graph.dependents[job.label]) {
+        if (--waiting[d] == 0) stack.push_back({d, 0});
+      }
+    }
+    EXPECT_EQ(order, expected) << "seed " << seed;
+    EXPECT_TRUE(on_caller) << "seed " << seed << ": a job ran off the caller";
   }
 }
 

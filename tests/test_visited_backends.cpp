@@ -23,7 +23,7 @@ constexpr VisitedKind kAllKinds[] = {
 TEST(VisitedBackends, FactoryAndInsertSemantics) {
   for (const VisitedKind kind : kAllKinds) {
     const auto backend =
-        make_visited_backend(kind, VisitedConfig{1 << 16, 4});
+        make_visited_backend(kind, 1 << 16);
     ASSERT_NE(backend, nullptr);
     EXPECT_EQ(backend->kind(), kind);
     EXPECT_STREQ(backend->name(), to_string(kind));
@@ -42,7 +42,7 @@ TEST(VisitedBackends, NoFalseFreshAfterInsert) {
   // never report an inserted key as new again.
   for (const VisitedKind kind : kAllKinds) {
     const auto backend =
-        make_visited_backend(kind, VisitedConfig{1 << 20, 4});
+        make_visited_backend(kind, 1 << 20);
     std::mt19937_64 rng(23);
     std::vector<std::uint64_t> keys;
     for (int i = 0; i < 20000; ++i) keys.push_back(rng());
