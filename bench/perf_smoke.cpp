@@ -7,6 +7,10 @@
 //
 //   fattree_loop/K=8        fig7a: OSPF fat tree, loop policy, all PECs
 //   as_failures/AS1755      fig7d: OSPF AS topology, reachability, <=1 failure
+//   as_loop_failures/AS1755 the same topology under loop freedom, all PECs,
+//                                  <=1 failure (the unshuffled e2e
+//                                  verify_failures input): its count pins
+//                                  failure relevance's skipped runs
 //   bgp_dc_worstcase/K=4    fig9:  BGP DC waypoint, det-node detection off,
 //                                  the uncapped interleaving explosion with
 //                                  dynamic partial-order reduction on
@@ -123,6 +127,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  {
+    // Loop freedom has no sources, so influence pruning stays off and
+    // failure relevance skips the runs of off-DAG failures
+    // (docs/architecture.md "Failure relevance").
+    const AsTopo topo = make_as_topo("AS1755");
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.max_failures = 1;
+    Verifier verifier(topo.net, bench::assert_unbudgeted(vo));
+    const LoopFreedomPolicy policy;
+    row("as_loop_failures/AS1755", verifier.verify(policy));
+  }
   {
     // Batch PEC verification off: the same all-PEC fat-tree workload without
     // class dedup. The gap between this row and fattree_loop/K=8 (dedup on

@@ -5,32 +5,18 @@
 namespace plankton {
 
 void SearchStats::absorb(const SearchStats& other) {
-  states_explored += other.states_explored;
-  states_stored += other.states_stored;
-  revisits_skipped += other.revisits_skipped;
-  converged_states += other.converged_states;
-  policy_checks += other.policy_checks;
-  suppressed_checks += other.suppressed_checks;
-  pruned_inconsistent += other.pruned_inconsistent;
-  det_steps += other.det_steps;
-  nondet_branches += other.nondet_branches;
-  failure_sets += other.failure_sets;
-  ad_cache_hits += other.ad_cache_hits;
-  ad_cache_misses += other.ad_cache_misses;
-  dirty_refreshes += other.dirty_refreshes;
-  por_pruned += other.por_pruned;
-  por_source_sets += other.por_source_sets;
-  por_footprint_time += other.por_footprint_time;
-  frontier_peak = std::max(frontier_peak, other.frontier_peak);
-  budget_checks += other.budget_checks;
-  max_depth = std::max(max_depth, other.max_depth);
-  bytes_paths += other.bytes_paths;
-  bytes_routes += other.bytes_routes;
-  bytes_visited += other.bytes_visited;
-  bytes_stack_peak = std::max(bytes_stack_peak, other.bytes_stack_peak);
-  bytes_ad_cache += other.bytes_ad_cache;
-  bytes_outcomes += other.bytes_outcomes;
-  elapsed = std::max(elapsed, other.elapsed);
+  // One walk of the wire list over both objects: every counter sums, except
+  // the high-water marks, which keep the larger value.
+  const auto peak = [this](const void* field) {
+    return field == &frontier_peak || field == &max_depth ||
+           field == &bytes_stack_peak || field == &elapsed;
+  };
+  wire_fields(*this, [&](auto&... mine) {
+    return wire_fields(other, [&](const auto&... theirs) {
+      ((mine = peak(&mine) ? std::max(mine, theirs) : mine + theirs), ...);
+      return true;
+    });
+  });
 }
 
 std::string SearchStats::summary() const {

@@ -42,7 +42,8 @@ struct SearchStats {
   std::chrono::nanoseconds elapsed{0};
 
   /// The counters in wire order: a kTaskDone carries them per PEC
-  /// (sched/wire.hpp), so a new counter goes here too.
+  /// (sched/wire.hpp), and absorb() merges exactly these, so a new counter
+  /// goes here too (and, if it is a high-water mark, into absorb's maxima).
   template <typename S, typename V>
   static constexpr bool wire_fields(S& s, V&& v) {
     return v(s.states_explored, s.states_stored, s.revisits_skipped,
@@ -61,7 +62,9 @@ struct SearchStats {
            bytes_ad_cache + bytes_outcomes;
   }
 
-  /// Merges per-PEC stats into whole-run totals (memory maxima, counter sums).
+  /// Merges per-PEC stats into whole-run totals: sums every wire_fields
+  /// counter but frontier_peak, max_depth, bytes_stack_peak and elapsed,
+  /// which take the maximum.
   void absorb(const SearchStats& other);
 
   [[nodiscard]] std::string summary() const;

@@ -264,17 +264,31 @@ WalkStats WalkMemo::walk(NodeId src) {
 std::uint64_t WalkMemo::signature(const DataPlane& dp,
                                   std::span<const NodeId> sources,
                                   std::span<const NodeId> interesting) {
+  std::uint64_t sig = 0x2545f4914f6cdd1dull;
+  if (sources.empty() && interesting.empty()) {
+    // Every node's BFS reads its own kind and next hops at depth 0 and 1,
+    // so the all-sources signature is a function of the entries: hash them
+    // in one pass. The count keeps the stream prefix-free, or {1,2}+{x} and
+    // {1}+{2,x} would hash alike.
+    for (const FibEntry& e : dp.entries) {
+      sig = hash_combine(sig, (static_cast<std::uint64_t>(e.kind) << 32) |
+                                  e.nexthops.size());
+      for (const NodeId next : e.nexthops) sig = hash_combine(sig, next);
+    }
+    return sig;
+  }
   fit(dp.entries.size());
   interesting_.begin();
   for (const NodeId n : interesting) interesting_.mark(n);
   const bool all_interesting = interesting.empty();
 
-  std::uint64_t sig = 0x2545f4914f6cdd1dull;
   // Per source: BFS the forwarding DAG recording (depth, interesting node)
   // and terminal kinds. Two converged states with equal signatures have the
   // same source paths lengths and interesting-node positions (§3.5). A node
   // not stamped in the source's generation is unseen.
-  for (const NodeId src : sources) {
+  const std::size_t walks = sources.empty() ? dp.entries.size() : sources.size();
+  for (std::size_t i = 0; i < walks; ++i) {
+    const NodeId src = sources.empty() ? static_cast<NodeId>(i) : sources[i];
     frontier_.clear();
     queued_.begin();
     frontier_.emplace_back(src, 0);

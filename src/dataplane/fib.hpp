@@ -95,7 +95,11 @@ class WalkMemo {
 
   /// Equivalence signature of a converged data plane from the policy's
   /// point of view (§3.5): per source, path lengths and positions of
-  /// interesting nodes. Used to suppress redundant policy checks.
+  /// interesting nodes. Used to suppress redundant policy checks. Empty
+  /// `sources` means every node, and empty `interesting` every node too;
+  /// when both are empty the signature is one pass over the entries (each
+  /// node's kind, next-hop count and next hops), which tells apart every
+  /// pair of data planes the per-source BFS over all nodes does.
   std::uint64_t signature(const DataPlane& dp, std::span<const NodeId> sources,
                           std::span<const NodeId> interesting);
 

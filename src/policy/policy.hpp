@@ -18,11 +18,12 @@
 
 namespace plankton {
 
-/// Everything a policy callback may inspect about one converged state.
+/// Everything a policy callback may inspect about one converged state. It
+/// holds no failure set: a verdict depends on the data plane and the RIBs
+/// alone, which failure relevance (docs/architecture.md) relies on.
 struct ConvergedView {
   const Network& net;
   const Pec& pec;
-  const FailureSet& failures;
   const DataPlane& dp;
   std::span<const TaskRib> ribs;  ///< per (prefix, protocol) control-plane state
   const ModelContext& ctx;

@@ -120,19 +120,37 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // time, never a state.
   const bool cut_states_observed =
       early_stop_ok_ && (!opts_.consistent_only || opts_.find_all_violations);
-  const bool spf_ordered = opts_.consistent_only && opts_.deterministic_nodes &&
-                           opts_.merge_updates;
-  const bool can_branch =
-      !spf_ordered ||
-      std::any_of(tasks_.begin(), tasks_.end(),
-                  [](const PrefixTask& t) { return t.proto != Protocol::kOspf; });
+  const bool spf_only =
+      opts_.consistent_only && opts_.deterministic_nodes && opts_.merge_updates &&
+      std::all_of(tasks_.begin(), tasks_.end(),
+                  [](const PrefixTask& t) { return t.proto == Protocol::kOspf; });
   por_ = opts_.por && opts_.engine_kind == SearchEngineKind::kDfs &&
          opts_.visited == VisitedKind::kExact && !cut_states_observed &&
-         can_branch;
+         !spf_only;
   // The sleep-aware store replaces the visited backend under POR; build the
   // backend only when it is the store the search probes.
   if (!por_) {
     visited_ = make_visited_backend(opts_.visited, opts_.bloom_bits);
+  }
+
+  // Failure relevance (docs/architecture.md lists the conditions and the
+  // lemma). An SPF-ordered phase is one path under every engine, so the
+  // engine does not matter, but a lossy store can cut F's path short.
+  // Statics and the influence BFS read live links beyond the SPF DAG; the
+  // SPF order argument needs positive costs; and SPF distances equal route
+  // metrics only when one link joins each pair of devices, since
+  // advertised() costs a session through find_link.
+  failure_relevance_ = opts_.max_failures > 0 && opts_.lec_failures &&
+                       opts_.visited == VisitedKind::kExact && spf_only &&
+                       !influence_active_ && !opts_.record_outcomes;
+  for (const auto& pp : pec_.prefixes) {
+    if (!pp.static_routes.empty()) failure_relevance_ = false;
+  }
+  for (LinkId l = 0; failure_relevance_ && l < net_.topo.link_count(); ++l) {
+    const Link& k = net_.topo.link(l);
+    failure_relevance_ = k.cost_ab != 0 && k.cost_ba != 0 &&
+                         net_.topo.find_link(k.a, k.b) == l &&
+                         net_.topo.find_link(k.b, k.a) == l;
   }
 }
 
@@ -140,7 +158,7 @@ ExploreResult Explorer::run() {
   const auto start = std::chrono::steady_clock::now();
   has_deadline_ = opts_.budget.deadline.count() > 0;
   deadline_ = start + opts_.budget.deadline;
-  explore_failures(0);
+  explore_failures(0, nullptr);
   result_.stats.states_stored = stored_states();
   result_.stats.frontier_peak = engine_->frontier_peak();
   account_model_bytes();
@@ -282,16 +300,27 @@ std::vector<LinkId> Explorer::failure_candidates(LinkId next_link) const {
   return out;
 }
 
-Explorer::Flow Explorer::explore_failures(LinkId next_link) {
+Explorer::Flow Explorer::explore_failures(LinkId next_link,
+                                          const std::vector<std::uint8_t>* dag) {
   if (budget_exhausted()) return Flow::kStop;
   // Different LEC pick orders can produce the same failure set; explore each
   // set once. (With ordered enumeration the hash is unique anyway.)
   if (!failure_sets_seen_.insert(hash_combine(failures_.hash(), 0xfee1))) {
     return Flow::kContinue;
   }
-  if (check_failure_set() == Flow::kStop) return Flow::kStop;
+  const std::size_t violations_before = result_.violations.size();
+  if (dag == nullptr && check_failure_set() == Flow::kStop) return Flow::kStop;
   if (static_cast<int>(failures_.count()) >= opts_.max_failures) {
     return Flow::kContinue;
+  }
+  // Failure relevance: below a violation-free run, failing a link that no
+  // route can cross replays the same RIB sequence to the same data plane.
+  std::vector<std::uint8_t> own_dag;
+  if (dag == nullptr && failure_relevance_ && !degraded_visited_ &&
+      result_.violations.size() == violations_before &&
+      unbound_upstream(failures_)) {
+    own_dag = spf_dag_links();
+    dag = &own_dag;
   }
   for (const LinkId l : failure_candidates(next_link)) {
     const FailureSet saved = failures_;
@@ -300,12 +329,39 @@ Explorer::Flow Explorer::explore_failures(LinkId next_link) {
     ev.kind = TrailEvent::Kind::kFailLink;
     ev.link = l;
     trail_.events.push_back(ev);
-    const Flow f = explore_failures(opts_.lec_failures ? 0 : l + 1);
+    const bool same_run =
+        dag != nullptr && (*dag)[l] == 0 && unbound_upstream(failures_);
+    const Flow f =
+        explore_failures(opts_.lec_failures ? 0 : l + 1, same_run ? dag : nullptr);
     trail_.events.pop_back();
     failures_ = saved;
     if (f == Flow::kStop) return Flow::kStop;
   }
   return Flow::kContinue;
+}
+
+std::vector<std::uint8_t> Explorer::spf_dag_links() const {
+  std::vector<std::uint8_t> on_dag(net_.topo.link_count(), 0);
+  for (const PrefixTask& t : tasks_) {
+    // failure_relevance_ admits OSPF tasks only, and make_tasks builds an
+    // OspfProcess for each.
+    const auto& ospf = static_cast<const OspfProcess&>(*t.process);
+    for (LinkId l = 0; l < on_dag.size(); ++l) {
+      if (on_dag[l] != 0 || failures_.is_failed(l)) continue;
+      const Link& k = net_.topo.link(l);
+      const std::uint64_t da = ospf.spf_dist(k.a);
+      const std::uint64_t db = ospf.spf_dist(k.b);
+      if (da == kInfiniteCost || db == kInfiniteCost) continue;
+      if (da + k.cost_ba == db || db + k.cost_ab == da) on_dag[l] = 1;
+    }
+  }
+  return on_dag;
+}
+
+bool Explorer::unbound_upstream(const FailureSet& f) const {
+  if (upstream_provider_ == nullptr) return true;
+  const std::vector<const UpstreamResolver*> ups = upstream_provider_->outcomes(f);
+  return ups.size() == 1 && ups.front() == nullptr;
 }
 
 Explorer::Flow Explorer::check_failure_set() {
@@ -1087,15 +1143,7 @@ Explorer::Flow Explorer::handle_converged() {
   }
 
   if (opts_.suppress_equivalent && policy_.supports_equivalence()) {
-    std::span<const NodeId> srcs = sources_;
-    if (srcs.empty()) {
-      if (all_nodes_.empty()) {
-        all_nodes_.resize(net_.topo.node_count());
-        for (NodeId n = 0; n < all_nodes_.size(); ++n) all_nodes_[n] = n;
-      }
-      srcs = all_nodes_;
-    }
-    const std::uint64_t sig = walks_.signature(dp, srcs, policy_.interesting());
+    const std::uint64_t sig = walks_.signature(dp, sources_, policy_.interesting());
     if (!signatures_seen_.insert(sig)) {
       ++result_.stats.suppressed_checks;
       return Flow::kContinue;
@@ -1103,7 +1151,7 @@ Explorer::Flow Explorer::handle_converged() {
   }
 
   ++result_.stats.policy_checks;
-  const ConvergedView view{net_, pec_, failures_, dp, ribs, ctx_, walks_};
+  const ConvergedView view{net_, pec_, dp, ribs, ctx_, walks_};
   std::string why;
   if (!policy_.check(view, why)) {
     Violation v;

@@ -54,7 +54,10 @@ struct ExploreOptions {
   /// OSPF's SPF ordering).
   bool det_nodes_bgp = true;
   bool decision_independence = true; ///< §4.1.3
-  bool lec_failures = true;          ///< §4.3 (DEC/LEC representative failures)
+  /// §4.3: DEC/LEC representative failures, and failure relevance (a set
+  /// whose newest link is on no SPF DAG of its parent's run takes the
+  /// parent's result; docs/architecture.md "Failure relevance").
+  bool lec_failures = true;
   bool policy_pruning = true;        ///< §4.2
   bool suppress_equivalent = true;   ///< §3.5 equivalence of converged states
 
@@ -77,10 +80,11 @@ struct ExploreOptions {
   bool ad_cache = true;
   /// Dynamic partial-order reduction over advertisement interleavings:
   /// sleep sets + source-set backtracking, driven by the footprint
-  /// commutativity oracle (engine/independence.hpp). Prunes redundant
-  /// interleavings only — verdicts and violation sets are identical to
-  /// por = false; state counts legitimately drop (docs/architecture.md
-  /// "Partial-order reduction"; CLI --no-por). Active under the kDfs engine
+  /// commutativity oracle (engine/independence.hpp). Meant to prune
+  /// redundant interleavings only, but it is known to lose converged states
+  /// where a trace is cut early or influence pruning hides a node
+  /// (docs/architecture.md "Partial-order reduction" names the cases; CLI
+  /// --no-por). Active under the kDfs engine
   /// with the exact visited backend only: every other engine explores the
   /// unreduced move tree, as por = false does. The model turns it off
   /// itself whenever a composition it cannot prove sound would arise, and
@@ -246,8 +250,18 @@ class Explorer final : public SearchModel {
   using Flow = SearchFlow;
 
   // -- failure phase --------------------------------------------------------
-  Flow explore_failures(LinkId next_link);
+  /// `dag` is non-null when the newest link of failures_ lies off the SPF
+  /// DAG of a violation-free ancestor's run (docs/architecture.md "Failure
+  /// relevance"): that run stands for this set's, so the set is recorded but
+  /// not re-run, and its own children inherit the same DAG.
+  Flow explore_failures(LinkId next_link, const std::vector<std::uint8_t>* dag);
   Flow check_failure_set();
+  /// Per link: 1 when it is live and some task's route can cross it, i.e.
+  /// dist(u) + cost(v→u) == dist(v) for an end v, read off the OSPF
+  /// processes as the last check_failure_set() prepared them.
+  [[nodiscard]] std::vector<std::uint8_t> spf_dag_links() const;
+  /// True when the upstream provider binds no outcome under `f` ({nullptr}).
+  [[nodiscard]] bool unbound_upstream(const FailureSet& f) const;
   [[nodiscard]] std::vector<LinkId> failure_candidates(LinkId next_link) const;
   /// Failure-independent DEC node signatures, computed once and cached
   /// (they depend only on config, policy and PEC — not on failures_).
@@ -315,6 +329,9 @@ class Explorer final : public SearchModel {
   StampSet influencer_;                             ///< per node, current task
   bool influence_active_ = false;                   ///< §4.2 influence pruning usable
   bool early_stop_ok_ = false;                      ///< §4.2 source early-stop usable
+  /// Failure relevance usable: a set whose newest link is off its parent's
+  /// SPF DAG takes the parent's result (§4.3, with lec_failures).
+  bool failure_relevance_ = false;
 
   AdCache ad_cache_;                                ///< advertised() memo
   bool ad_cache_on_ = false;                        ///< opts_.ad_cache && cacheable
@@ -392,7 +409,6 @@ class Explorer final : public SearchModel {
   std::vector<TaskRib> ribs_scratch_;               ///< handle_converged view
   DataPlane dp_;                                    ///< handle_converged FIB
   WalkMemo walks_;                                  ///< policy walks, signatures
-  std::vector<NodeId> all_nodes_;                   ///< fallback source list
   mutable std::vector<std::uint64_t> dec_sigs_;     ///< cached dec_signatures()
 
   Trail trail_;

@@ -337,10 +337,14 @@ WalkStats reference_walk(const DataPlane& dp, NodeId src,
 }
 
 /// The signature before stamps: a per-source std::fill of the depth array.
+/// Empty `sources` means every node, as in WalkMemo::signature.
 std::uint64_t reference_signature(const DataPlane& dp,
                                   std::span<const NodeId> sources,
                                   std::span<const NodeId> interesting) {
   const std::size_t node_count = dp.entries.size();
+  std::vector<NodeId> every_node(node_count);
+  for (NodeId n = 0; n < node_count; ++n) every_node[n] = n;
+  if (sources.empty()) sources = every_node;
   std::vector<std::uint8_t> is_interesting(node_count, interesting.empty() ? 1 : 0);
   for (const NodeId n : interesting) is_interesting[n] = 1;
   std::uint64_t sig = 0x2545f4914f6cdd1dull;
@@ -457,9 +461,8 @@ TEST(WalkMemo, MatchesPerSourceReferenceOnRandomGraphs) {
 
     const Network net = named_network(n);
     const Pec pec;
-    const FailureSet failures(0);
     ModelContext ctx;
-    const ConvergedView view{net, pec, failures, dp, {}, ctx, memo};
+    const ConvergedView view{net, pec, dp, {}, ctx, memo};
     std::string why;
     const bool holds = LoopFreedomPolicy().check(view, why);
     EXPECT_EQ(holds, first_ref == kNoNode) << "graph " << graph;
@@ -470,10 +473,112 @@ TEST(WalkMemo, MatchesPerSourceReferenceOnRandomGraphs) {
 
     const std::vector<NodeId> sources = random_subset(rng, n, 4);
     const std::vector<NodeId> interesting = random_subset(rng, n, 3);
-    EXPECT_EQ(memo.signature(dp, sources, interesting),
-              reference_signature(dp, sources, interesting))
-        << "graph " << graph;
+    // With both empty the signature takes its one-pass form, which
+    // OnePassSignatureSplitsPairsLikeAllSourceBfs checks instead.
+    if (!sources.empty() || !interesting.empty()) {
+      EXPECT_EQ(memo.signature(dp, sources, interesting),
+                reference_signature(dp, sources, interesting))
+          << "graph " << graph;
+    }
   }
+}
+
+/// `dp` with each forwarding entry's next hops made distinct and never the
+/// node itself, and no next hops on other entries: the shape of the FIBs
+/// the explorer builds (ECMP sets are sorted and unique).
+DataPlane fib_shaped(DataPlane dp) {
+  for (NodeId n = 0; n < dp.entries.size(); ++n) {
+    FibEntry& e = dp.entries[n];
+    if (e.kind != FwdKind::kForward) {
+      e.nexthops.clear();
+      continue;
+    }
+    std::vector<NodeId> hops;
+    for (const NodeId h : e.nexthops) {
+      if (h != n && std::find(hops.begin(), hops.end(), h) == hops.end()) {
+        hops.push_back(h);
+      }
+    }
+    e.nexthops = std::move(hops);
+  }
+  return dp;
+}
+
+/// `dp` after one small edit (or none): a kind, a next hop, the order of
+/// two next hops, or a next hop moved across the boundary between two
+/// adjacent entries (the shape that collides without the count).
+DataPlane edited(const DataPlane& dp, std::mt19937_64& rng) {
+  DataPlane out = dp;
+  const std::size_t size = out.entries.size();
+  const auto n = static_cast<NodeId>(rng() % size);
+  FibEntry& e = out.entries[n];
+  switch (rng() % 6) {
+    case 0:
+      break;
+    case 1:
+      e.kind = static_cast<FwdKind>((static_cast<int>(e.kind) + 1 + rng() % 2) % 3);
+      break;
+    case 2:
+      if (!e.nexthops.empty()) {
+        e.nexthops[rng() % e.nexthops.size()] = static_cast<NodeId>(rng() % size);
+      }
+      break;
+    case 3:
+      if (e.nexthops.size() > 1) std::swap(e.nexthops.front(), e.nexthops.back());
+      break;
+    case 4:
+      if (!e.nexthops.empty() && n + 1 < size) {
+        std::vector<NodeId>& next = out.entries[n + 1].nexthops;
+        next.insert(next.begin(), e.nexthops.back());
+        e.nexthops.pop_back();
+      }
+      break;
+    default:
+      e.nexthops.push_back(static_cast<NodeId>(rng() % size));
+      break;
+  }
+  return out;
+}
+
+TEST(WalkMemo, OnePassSignatureSplitsPairsLikeAllSourceBfs) {
+  // Sources and interesting nodes both empty (loop freedom): the one-pass
+  // signature must split a pair of FIB-shaped data planes exactly when the
+  // per-source BFS over every node does, and split every pair the BFS
+  // splits on arbitrary forwarding graphs.
+  std::mt19937_64 rng(0x51a7);
+  WalkMemo memo;
+  const auto one_pass = [&](const DataPlane& dp) { return memo.signature(dp, {}, {}); };
+  const auto bfs = [](const DataPlane& dp) { return reference_signature(dp, {}, {}); };
+  std::size_t same = 0;
+  std::size_t split = 0;
+  for (int pair = 0; pair < 20000; ++pair) {
+    const DataPlane raw = random_dataplane(rng);
+    const DataPlane a = fib_shaped(raw);
+    const DataPlane b = fib_shaped(edited(a, rng));
+    const bool bfs_same = bfs(a) == bfs(b);
+    EXPECT_EQ(one_pass(a) == one_pass(b), bfs_same) << "pair " << pair;
+    ++(bfs_same ? same : split);
+    const DataPlane raw_b = edited(raw, rng);
+    if (bfs(raw) != bfs(raw_b)) {
+      EXPECT_NE(one_pass(raw), one_pass(raw_b)) << "raw pair " << pair;
+    }
+  }
+  EXPECT_GT(same, 1000u);
+  EXPECT_GT(split, 1000u);
+
+  // {1,2}+{3} against {1}+{2,3}: kForward is 2, so without the next-hop
+  // count both entries would hash as the stream 2,1,2,2,3.
+  DataPlane x;
+  x.entries.resize(4);
+  x.entries[0] = {FwdKind::kForward, {1, 2}, Protocol::kOspf, 0};
+  x.entries[1] = {FwdKind::kForward, {3}, Protocol::kOspf, 0};
+  x.entries[2] = {FwdKind::kLocal, {}, Protocol::kOspf, 0};
+  x.entries[3] = {FwdKind::kLocal, {}, Protocol::kOspf, 0};
+  DataPlane y = x;
+  y.entries[0].nexthops = {1};
+  y.entries[1].nexthops = {2, 3};
+  EXPECT_NE(bfs(x), bfs(y));
+  EXPECT_NE(one_pass(x), one_pass(y));
 }
 
 TEST(WalkMemo, SharedGenerationIsExactOnlyForLooped) {

@@ -17,6 +17,9 @@
 //   · on pure single-prefix eBGP instances, every exhaustive engine's
 //     converged path set equals the SPVP message-passing oracle's
 //     (Theorem 1, Appendix A);
+//   · failure relevance (skipping a set whose newest link is off its
+//     parent's SPF DAG) keeps every verdict and violation, trail text
+//     included, against record_outcomes runs, which turn it off;
 //   · undo() leaves the model exactly as it was before the move: driven by
 //     hand, every state expands to the same moves and has the same state key
 //     after each apply/expand/undo of each of its moves, and undo interns
@@ -498,6 +501,66 @@ TEST(EngineDifferential, SingleExecutionOutcomesAreSubsetPerPec) {
   }
   EXPECT_GT(checked, 0);
   EXPECT_GT(nonempty, 0) << "simulation never converged on any instance";
+}
+
+TEST(EngineDifferential, FailureRelevanceKeepsViolations) {
+  // Failure relevance (docs/architecture.md) skips the run of a set whose
+  // newest link is off its parent's SPF DAG. record_outcomes turns it off
+  // by rule, so it is the reference arm. It also turns off the §4.2 stop,
+  // which cuts traces at other states, so a policy with sources runs both
+  // arms with policy pruning off: the stop is then off in both. Everything
+  // else is the default options, at one and two failures, find-all on and
+  // off; find-all also runs with §3.5 suppression off, where every
+  // converged state of a violated set reports its own violation. The
+  // verdict and every violation (failure set, message, trail text, in
+  // order) must match; only the run counts may drop.
+  struct Mode {
+    bool find_all;
+    bool suppress;
+  };
+  const int count = instance_count();
+  std::uint64_t runs_saved = 0;
+  for (int seed = 1; seed <= count; ++seed) {
+    const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
+    const PecSet pecs = compute_pecs(inst.net);
+    for (const int k : {1, 2}) {
+      for (const Mode mode : {Mode{false, true}, Mode{true, true}, Mode{true, false}}) {
+        SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
+                     ", k=" + std::to_string(k) + ", find-all " +
+                     std::to_string(mode.find_all) + ", suppression " +
+                     std::to_string(mode.suppress) + ", policy " +
+                     inst.policy->name() + ")");
+        ExploreOptions on;
+        on.max_failures = k;
+        on.find_all_violations = mode.find_all;
+        on.suppress_equivalent = mode.suppress;
+        if (!inst.policy->sources().empty()) on.policy_pruning = false;
+        ExploreOptions off = on;
+        off.record_outcomes = true;
+        for (const PecId p : pecs.routed()) {
+          const Pec& pec = pecs.pecs[p];
+          Explorer with(inst.net, pec, make_tasks(inst.net, pec), *inst.policy, on);
+          const ExploreResult a = with.run();
+          Explorer without(inst.net, pec, make_tasks(inst.net, pec), *inst.policy, off);
+          const ExploreResult b = without.run();
+          ASSERT_EQ(a.verdict(), b.verdict()) << "pec " << pec.str();
+          ASSERT_EQ(a.violations.size(), b.violations.size()) << "pec " << pec.str();
+          for (std::size_t i = 0; i < a.violations.size(); ++i) {
+            const Violation& x = a.violations[i];
+            const Violation& y = b.violations[i];
+            EXPECT_EQ(x.failures.str(), y.failures.str()) << "pec " << pec.str();
+            EXPECT_EQ(x.message, y.message) << "pec " << pec.str();
+            EXPECT_EQ(x.trail_text, y.trail_text) << "pec " << pec.str();
+          }
+          ASSERT_LE(a.stats.failure_sets, b.stats.failure_sets);
+          runs_saved += b.stats.failure_sets - a.stats.failure_sets;
+        }
+      }
+    }
+  }
+  std::printf("failure relevance: %llu failure-set runs skipped\n",
+              static_cast<unsigned long long>(runs_saved));
+  EXPECT_GT(runs_saved, 0u) << "the rule never fired, so nothing was compared";
 }
 
 /// Policy that records each converged state's per-node best paths (the SPVP

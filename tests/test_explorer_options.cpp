@@ -1,10 +1,13 @@
 // Explorer options and edge cases: bitstate verdicts, state/time budgets,
-// naive-mode withdrawals, per-peer OSPF updates, context separation.
+// naive-mode withdrawals, per-peer OSPF updates, context separation, and
+// the failure-relevance rule.
 #include <gtest/gtest.h>
 
 #include "core/verifier.hpp"
 #include "pec/pec.hpp"
 #include "rpvp/explorer.hpp"
+#include "support/random_net.hpp"
+#include "workload/as_topo.hpp"
 #include "workload/fat_tree.hpp"
 #include "workload/ring.hpp"
 
@@ -153,6 +156,133 @@ TEST(ExplorerOptions, EmptyTaskListStillChecksStatics) {
   const ExploreResult r = ex.run();
   EXPECT_EQ(r.verdict(), Verdict::kViolated)
       << "traffic forwarded to b is dropped there";
+}
+
+// -- Failure relevance (docs/architecture.md) --------------------------------
+
+class AcceptAllPolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "accept-all"; }
+  [[nodiscard]] bool check(const ConvergedView&, std::string&) const override {
+    return true;
+  }
+};
+
+/// Per link: 1 when it lies on the shortest-path DAG of one of `pec`'s OSPF
+/// prefixes with no link failed. Computed from SPF distances alone, with no
+/// explorer code, for networks whose every device runs OSPF.
+std::vector<std::uint8_t> spf_dag(const Network& net, const Pec& pec) {
+  std::vector<std::uint8_t> on(net.topo.link_count(), 0);
+  for (const PecPrefix& pp : pec.prefixes) {
+    if (pp.ospf_origins.empty()) continue;
+    const std::vector<std::uint32_t> dist =
+        shortest_path_costs(net.topo, pp.ospf_origins, net.topo.no_failures());
+    for (LinkId l = 0; l < on.size(); ++l) {
+      const Link& k = net.topo.link(l);
+      if (dist[k.a] == kInfiniteCost || dist[k.b] == kInfiniteCost) continue;
+      if (std::uint64_t{dist[k.a]} + k.cost_ba == dist[k.b] ||
+          std::uint64_t{dist[k.b]} + k.cost_ab == dist[k.a]) {
+        on[l] = 1;
+      }
+    }
+  }
+  return on;
+}
+
+bool same_outcomes(const std::vector<const PecOutcome*>& a,
+                   const std::vector<const PecOutcome*>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i]->igp_cost != b[i]->igp_cost) return false;
+    const auto& x = a[i]->dp.entries;
+    const auto& y = b[i]->dp.entries;
+    if (x.size() != y.size()) return false;
+    for (std::size_t n = 0; n < x.size(); ++n) {
+      if (x[n].kind != y[n].kind || x[n].nexthops != y[n].nexthops ||
+          x[n].source != y[n].source || x[n].prefix_idx != y[n].prefix_idx) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(FailureRelevance, OffDagFailureKeepsTheDataPlane) {
+  // The lemma, checked from outside: on the random_net OSPF families (no
+  // statics), failing a link off every SPF DAG leaves each converged data
+  // plane and IGP cost vector exactly as with no failure. record_outcomes
+  // turns the rule off, and lec_failures = false runs every single-link
+  // set, so each outcome below comes from a real run.
+  std::size_t off_dag = 0;
+  std::size_t on_dag_moved = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const testsupport::RandomInstance inst = testsupport::make_random_instance(seed);
+    if (inst.kind.rfind("ring/", 0) != 0 && inst.kind != "fat-tree-ospf/2" &&
+        inst.kind.rfind("ospf-rand/", 0) != 0) {
+      continue;
+    }
+    const PecSet pecs = compute_pecs(inst.net);
+    for (const PecId p : pecs.routed()) {
+      const Pec& pec = pecs.pecs[p];
+      SCOPED_TRACE("seed " + std::to_string(seed) + " (" + inst.kind + "), pec " +
+                   pec.str());
+      ExploreOptions opts;
+      opts.max_failures = 1;
+      opts.record_outcomes = true;
+      opts.lec_failures = false;
+      const AcceptAllPolicy policy;
+      Explorer ex(inst.net, pec, make_tasks(inst.net, pec), policy, opts);
+      const ExploreResult r = ex.run();
+      ASSERT_EQ(r.verdict(), Verdict::kHolds);
+      const auto under = [&](const FailureSet& f) {
+        std::vector<const PecOutcome*> out;
+        for (const PecOutcome& o : r.outcomes) {
+          if (o.failures == f) out.push_back(&o);
+        }
+        return out;
+      };
+      const FailureSet none = inst.net.topo.no_failures();
+      const std::vector<const PecOutcome*> base = under(none);
+      ASSERT_EQ(base.size(), 1u) << "an SPF-ordered run converges once";
+      const std::vector<std::uint8_t> dag = spf_dag(inst.net, pec);
+      for (LinkId l = 0; l < dag.size(); ++l) {
+        FailureSet f = none;
+        f.fail(l);
+        const bool same = same_outcomes(under(f), base);
+        if (dag[l] == 0) {
+          EXPECT_TRUE(same) << "failing off-DAG link " << l << " moved an outcome";
+          ++off_dag;
+        } else if (!same) {
+          ++on_dag_moved;
+        }
+      }
+    }
+  }
+  // Both sides must occur, or the oracle checks nothing.
+  std::printf("lemma oracle: %zu off-DAG failures kept the data plane, %zu "
+              "on-DAG failures moved it\n", off_dag, on_dag_moved);
+  EXPECT_GT(off_dag, 100u);
+  EXPECT_GT(on_dag_moved, 100u);
+}
+
+TEST(FailureRelevance, PinsRunsOnAs1755Loopback) {
+  // Loop freedom under at most one failure on one AS1755 loopback PEC (the
+  // verify_failures input; perf_smoke's as_loop_failures/AS1755 row pins
+  // all 87). With the rule off (record_outcomes) the PEC runs 149 failure
+  // sets and makes the same 91 policy checks: the runs the rule skips would
+  // all have been suppressed (§3.5). One PEC keeps this under a second in
+  // a Debug ASan build.
+  const AsTopo topo = make_as_topo("AS1755");
+  const PecSet pecs = compute_pecs(topo.net);
+  const Pec& pec = pecs.pecs[pecs.find(topo.loopbacks[86].addr())];
+  const LoopFreedomPolicy policy;
+  ExploreOptions opts;
+  opts.max_failures = 1;
+  Explorer ex(topo.net, pec, make_tasks(topo.net, pec), policy, opts);
+  const ExploreResult r = ex.run();
+  EXPECT_EQ(r.verdict(), Verdict::kHolds);
+  EXPECT_EQ(r.stats.failure_sets, 91u);
+  EXPECT_EQ(r.stats.policy_checks, 91u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // to the committed bytes and decode back to them. A field reordered, retyped
 // or dropped from a payload's field list (sched/wire.hpp) changes them; a
 // deliberate layout change updates them together with kFrameVersion.
+// SearchStatsMerge checks that SearchStats::absorb merges the same field list.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -265,6 +266,41 @@ TEST(WireGolden, Bootstrap) {
                 "00000002001000000000000000000000d20400000000000063000000"
                 "000000000000100000000000010102fa000000070000000000000063"
                 "726173684031");
+}
+
+TEST(SearchStatsMerge, AbsorbMovesEveryWireField) {
+  // absorb() walks SearchStats::wire_fields, so a counter on the wire is
+  // merged into VerifyResult::total too. Absorbing the all-nonzero instance
+  // twice into zeros must double every counter and leave each high-water
+  // mark at the instance's value; a field left out of the merge stays 0.
+  const SearchStats one = stats_instance();
+  SearchStats total;
+  total.absorb(one);
+  total.absorb(one);
+  std::size_t fields = 0;
+  std::size_t summed = 0;
+  std::size_t kept = 0;
+  SearchStats::wire_fields(total, [&](const auto&... t) {
+    return SearchStats::wire_fields(one, [&](const auto&... o) {
+      ((++fields, summed += t == o + o ? 1 : 0, kept += t == o ? 1 : 0), ...);
+      return true;
+    });
+  });
+  EXPECT_EQ(fields, 26u);
+  EXPECT_EQ(summed, 22u);
+  EXPECT_EQ(kept, 4u);
+  EXPECT_EQ(total.frontier_peak, one.frontier_peak);
+  EXPECT_EQ(total.max_depth, one.max_depth);
+  EXPECT_EQ(total.bytes_stack_peak, one.bytes_stack_peak);
+  EXPECT_EQ(total.elapsed, one.elapsed);
+
+  // A maximum keeps the larger side whichever object holds it.
+  SearchStats small;
+  small.max_depth = 1;
+  total.absorb(small);
+  EXPECT_EQ(total.max_depth, one.max_depth);
+  small.absorb(total);
+  EXPECT_EQ(small.max_depth, one.max_depth);
 }
 
 }  // namespace
