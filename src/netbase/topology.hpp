@@ -112,8 +112,8 @@ class Topology {
 
 /// Computes single-source shortest-path costs from `sources` over non-failed
 /// links (Dijkstra). Unreachable nodes get kInfiniteCost. This is the
-/// reference IGP computation used by the OSPF deterministic-node heuristic,
-/// by iBGP ranking (IGP cost to next hop), and by tests.
+/// reference IGP computation that tests and benches check against;
+/// OspfProcess::prepare runs its own over the OSPF sessions.
 inline constexpr std::uint32_t kInfiniteCost = std::numeric_limits<std::uint32_t>::max();
 
 std::vector<std::uint32_t> shortest_path_costs(const Topology& topo,

@@ -1,17 +1,38 @@
 #include "protocols/ospf.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace plankton {
 
 OspfProcess::OspfProcess(const Network& net, Prefix prefix,
                          std::vector<NodeId> origins)
-    : net_(net), prefix_(prefix), origins_(std::move(origins)) {
-  for (NodeId n = 0; n < net.devices.size(); ++n) {
-    if (net.device(n).ospf.enabled) members_.push_back(n);
+    : prefix_(prefix), origins_(std::move(origins)) {
+  const std::size_t nodes = net.topo.node_count();
+  // Every link from a member to an OSPF neighbor, in neighbors() order, so
+  // that prepare() only filters by the failure set. Non-members own none.
+  session_begin_.assign(nodes + 1, 0);
+  parallel_.assign(nodes, 0);
+  for (NodeId n = 0; n < nodes; ++n) {
+    session_begin_[n] = static_cast<std::uint32_t>(sessions_.size());
+    if (!net.device(n).ospf.enabled) continue;
+    members_.push_back(n);
+    for (const auto& adj : net.topo.neighbors(n)) {
+      if (!net.device(adj.neighbor).ospf.enabled) continue;
+      const Link& l = net.topo.link(adj.link);
+      for (std::size_t i = session_begin_[n]; i < sessions_.size(); ++i) {
+        if (sessions_[i].peer == adj.neighbor) parallel_[n] = 1;
+      }
+      sessions_.push_back({adj.neighbor, adj.link, l.cost_from(n),
+                           l.cost_from(adj.neighbor)});
+    }
   }
-  up_peers_.resize(net.topo.node_count());
-  dist_.assign(net.topo.node_count(), kInfiniteCost);
+  session_begin_[nodes] = static_cast<std::uint32_t>(sessions_.size());
+  up_peers_.resize(nodes);
+  up_costs_.resize(nodes);
+  dist_.assign(nodes, kInfiniteCost);
+  spf_order_.reserve(nodes);
+  heap_.reserve(nodes);
 }
 
 RouteId OspfProcess::origin_route(NodeId origin, ModelContext& ctx) const {
@@ -24,34 +45,67 @@ RouteId OspfProcess::origin_route(NodeId origin, ModelContext& ctx) const {
 
 void OspfProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
   (void)ctx;
-  for (auto& peers : up_peers_) peers.clear();
   for (const NodeId n : members_) {
-    for (const auto& adj : net_.topo.neighbors(n)) {
-      if (failures.is_failed(adj.link)) continue;
-      if (!net_.device(adj.neighbor).ospf.enabled) continue;
-      up_peers_[n].push_back(adj.neighbor);
+    std::vector<NodeId>& peers = up_peers_[n];
+    std::vector<std::uint32_t>& costs = up_costs_[n];
+    peers.clear();
+    costs.clear();
+    for (std::uint32_t i = session_begin_[n]; i < session_begin_[n + 1]; ++i) {
+      const Session& s = sessions_[i];
+      if (failures.is_failed(s.link)) continue;
+      if (parallel_[n] != 0) {
+        const auto it = std::find(peers.begin(), peers.end(), s.peer);
+        if (it != peers.end()) {
+          std::uint32_t& c = costs[static_cast<std::size_t>(it - peers.begin())];
+          c = std::min(c, s.cost_out);
+          continue;
+        }
+      }
+      peers.push_back(s.peer);
+      costs.push_back(s.cost_out);
     }
   }
-  dist_ = shortest_path_costs(net_.topo, origins_, failures);
-  // Non-OSPF devices must not appear on SPF paths; recompute over the
-  // OSPF-only subgraph when the network mixes protocol domains.
-  bool mixed = false;
-  for (NodeId n = 0; n < net_.devices.size(); ++n) {
-    if (!net_.device(n).ospf.enabled) {
-      mixed = true;
-      break;
-    }
+  // Dijkstra over the live sessions, with a (dist, id) min-heap whose
+  // buffers outlive the failure set. A node is settled when its entry leaves
+  // the heap; entries left behind by a later improvement are skipped. Only
+  // members own sessions, so non-OSPF devices never appear on SPF paths.
+  std::fill(dist_.begin(), dist_.end(), kInfiniteCost);
+  spf_order_.clear();
+  heap_.clear();
+  for (const NodeId o : origins_) {
+    if (dist_[o] == 0) continue;  // anycast origin listed twice
+    dist_[o] = 0;
+    heap_.emplace_back(0u, o);
   }
-  if (mixed) {
-    FailureSet masked = failures;
-    for (LinkId l = 0; l < net_.topo.link_count(); ++l) {
-      const Link& link = net_.topo.link(l);
-      if (!net_.device(link.a).ospf.enabled || !net_.device(link.b).ospf.enabled) {
-        masked.fail(l);
+  const std::greater<> later;
+  std::make_heap(heap_.begin(), heap_.end(), later);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d != dist_[u]) continue;
+    spf_order_.push_back(u);
+    for (std::uint32_t i = session_begin_[u]; i < session_begin_[u + 1]; ++i) {
+      const Session& s = sessions_[i];
+      if (failures.is_failed(s.link)) continue;
+      // Costs accumulate on the forwarding node's outgoing interface: the
+      // peer's cost towards u.
+      const std::uint64_t cand = std::uint64_t{d} + s.cost_in;
+      if (cand < dist_[s.peer]) {
+        dist_[s.peer] = static_cast<std::uint32_t>(cand);
+        heap_.emplace_back(dist_[s.peer], s.peer);
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
-    dist_ = shortest_path_costs(net_.topo, origins_, masked);
   }
+}
+
+std::uint32_t OspfProcess::session_cost(NodeId n, NodeId p) const {
+  const std::vector<NodeId>& peers = up_peers_[n];
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (peers[i] == p) return up_costs_[n][i];
+  }
+  return kInfiniteCost;
 }
 
 RouteId OspfProcess::advertised(NodeId p, NodeId n, RouteId peer_route,
@@ -59,13 +113,10 @@ RouteId OspfProcess::advertised(NodeId p, NodeId n, RouteId peer_route,
   if (peer_route == kNoRoute) return kNoRoute;
   const Route& rp = ctx.routes.get(peer_route);
   if (ctx.paths.contains(rp.path, n)) return kNoRoute;  // loop rejection
-  const LinkId link = net_.topo.find_link(n, p);
-  if (link == kNoLink) return kNoRoute;
+  const std::uint64_t metric = std::uint64_t{rp.metric} + session_cost(n, p);
+  if (metric >= kInfiniteCost) return kNoRoute;  // also: no live session
   Route r;
   r.path = ctx.paths.cons(p, rp.path);
-  const std::uint64_t metric =
-      std::uint64_t{rp.metric} + net_.topo.link(link).cost_from(n);
-  if (metric >= kInfiniteCost) return kNoRoute;
   r.metric = static_cast<std::uint32_t>(metric);
   return ctx.routes.intern(std::move(r));
 }

@@ -54,6 +54,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   in_comp_.reset(n);
   active_.resize(t);
   for (auto& a : active_) a.reset(n);
+  statuses_stale_.assign(t, 0);
   ad_cache_on_ = opts_.ad_cache;
   for (std::size_t i = 0; i < t; ++i) {
     // The incremental expand path replays members() order from a sorted
@@ -133,25 +134,38 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
     visited_ = make_visited_backend(opts_.visited, opts_.bloom_bits);
   }
 
+  // The topology terms of the SPF lemma (docs/architecture.md "Failure
+  // relevance", steps 1-2): every link cost is positive in both directions,
+  // which the SPF order argument needs, and one link joins each pair of
+  // devices. advertised() costs a session by its cheapest live link, so
+  // route metrics equal SPF distances with parallel links too, but no test
+  // corpus has parallel links, so the rules resting on the lemma stay off
+  // for them.
+  bool spf_links = true;
+  for (LinkId l = 0; spf_links && l < net_.topo.link_count(); ++l) {
+    const Link& k = net_.topo.link(l);
+    spf_links = k.cost_ab != 0 && k.cost_ba != 0 &&
+                net_.topo.find_link(k.a, k.b) == l &&
+                net_.topo.find_link(k.b, k.a) == l;
+  }
+
   // Failure relevance (docs/architecture.md lists the conditions and the
   // lemma). An SPF-ordered phase is one path under every engine, so the
   // engine does not matter, but a lossy store can cut F's path short.
-  // Statics and the influence BFS read live links beyond the SPF DAG; the
-  // SPF order argument needs positive costs; and SPF distances equal route
-  // metrics only when one link joins each pair of devices, since
-  // advertised() costs a session through find_link.
+  // Statics and the influence BFS read live links beyond the SPF DAG.
   failure_relevance_ = opts_.max_failures > 0 && opts_.lec_failures &&
                        opts_.visited == VisitedKind::kExact && spf_only &&
-                       !influence_active_ && !opts_.record_outcomes;
+                       spf_links && !influence_active_ && !opts_.record_outcomes;
   for (const auto& pp : pec_.prefixes) {
     if (!pp.static_routes.empty()) failure_relevance_ = false;
   }
-  for (LinkId l = 0; failure_relevance_ && l < net_.topo.link_count(); ++l) {
-    const Link& k = net_.topo.link(l);
-    failure_relevance_ = k.cost_ab != 0 && k.cost_ba != 0 &&
-                         net_.topo.find_link(k.a, k.b) == l &&
-                         net_.topo.find_link(k.b, k.a) == l;
-  }
+
+  // SPF-ordered phases run as one pass (docs/architecture.md "SPF-ordered
+  // phases"): the lemma's path, committed in (dist, id) order. A §4.2 stop
+  // could cut that path, so it keeps the move-by-move search, and so does
+  // incremental_expand = false, the rescan reference path.
+  spf_pass_ = spf_only && spf_links && !early_stop_ok_ &&
+              opts_.visited == VisitedKind::kExact && opts_.incremental_expand;
 }
 
 ExploreResult Explorer::run() {
@@ -413,37 +427,112 @@ Explorer::Flow Explorer::begin_phase(std::size_t task_idx) {
   auto& proc = *tasks_[task_idx].process;
   auto& rib = rib_[task_idx];
   std::fill(rib.begin(), rib.end(), kNoRoute);
-  // Rebuild this phase's status and active set from scratch; from here on
-  // refresh_node maintains both incrementally (dirty-set protocol).
-  active_[task_idx].clear();
-  for (auto& st : status_[task_idx]) st = NodeStatus{};
   for (const NodeId o : proc.origins()) {
     const RouteId r = proc.origin_route(o, ctx_);
     rib[o] = r;
     codec_.record(task_idx, o, kNoRoute, r);
   }
-  for (const NodeId m : proc.members()) refresh_node(task_idx, m);
-  if (por_) {
-    // Fresh phase subtree: empty sleep set at the root, and races never
-    // reach past the phase entry (the previous phases' moves are fixed
-    // context for this phase, not reorderable events).
-    por_ensure_depth(por_depth_);
-    std::fill_n(sleep_stack_.begin() + por_depth_ * sleep_words_, sleep_words_,
-                0);
-    std::fill_n(subtree_stack_.begin() + por_depth_ * sleep_words_,
-                sleep_words_, 0);
-    entry_stack_[por_depth_] = kPorNoEntry;
-    phase_root_stack_.push_back(por_depth_);
-  }
-
   TrailEvent ev;
   ev.kind = TrailEvent::Kind::kBeginPrefix;
   ev.phase = static_cast<std::uint32_t>(task_idx);
   trail_.events.push_back(ev);
-  const Flow f = engine_->search(*this, task_idx);
+  Flow f = Flow::kContinue;
+  if (spf_pass_) {
+    // The pass keeps no statuses; expand() rebuilds them if a caller asks.
+    statuses_stale_[task_idx] = 1;
+    f = spf_pass(task_idx);
+  } else {
+    rebuild_statuses(task_idx);
+    if (por_) {
+      // Fresh phase subtree: empty sleep set at the root, and races never
+      // reach past the phase entry (the previous phases' moves are fixed
+      // context for this phase, not reorderable events).
+      por_ensure_depth(por_depth_);
+      std::fill_n(sleep_stack_.begin() + por_depth_ * sleep_words_,
+                  sleep_words_, 0);
+      std::fill_n(subtree_stack_.begin() + por_depth_ * sleep_words_,
+                  sleep_words_, 0);
+      entry_stack_[por_depth_] = kPorNoEntry;
+      phase_root_stack_.push_back(por_depth_);
+    }
+    f = engine_->search(*this, task_idx);
+    if (por_) phase_root_stack_.pop_back();
+  }
   trail_.events.pop_back();
-  if (por_) phase_root_stack_.pop_back();
   return f;
+}
+
+void Explorer::rebuild_statuses(std::size_t task_idx) {
+  // From scratch; from here on refresh_node maintains the statuses and the
+  // active set incrementally (dirty-set protocol).
+  active_[task_idx].clear();
+  for (auto& st : status_[task_idx]) st = NodeStatus{};
+  for (const NodeId m : tasks_[task_idx].process->members()) {
+    refresh_node(task_idx, m);
+  }
+  statuses_stale_[task_idx] = 0;
+}
+
+Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
+  // The one path of an SPF-ordered phase (docs/architecture.md "SPF-ordered
+  // phases"): each reachable non-origin member adopts the merge of its
+  // peers' advertisements, in (dist, id) order. Each state gets what the
+  // DFS engine and apply() give it: a budget check and a visited mark, and
+  // per commit a deterministic step, a transition and a trail event. No
+  // state on the path is §4.1.1-inconsistent, and the last one has nothing
+  // enabled, so the path ends in advance() unless a check stops it first.
+  // The order comes from the Dijkstra settle order (spf_order()), which
+  // needs no sort: with positive costs a (dist, id) heap settles nodes in
+  // exactly that order.
+  const auto& proc = static_cast<const OspfProcess&>(*tasks_[task_idx].process);
+  const std::span<const NodeId> order = proc.spf_order();
+  const std::vector<std::uint8_t>& is_origin = is_origin_[task_idx];
+  auto& rib = rib_[task_idx];
+  if (budget_exhausted()) return Flow::kStop;
+  if (!mark_visited(task_idx)) return Flow::kContinue;
+  Flow flow = Flow::kContinue;
+  bool converged = true;
+  std::size_t end = 0;  // order[0, end) is committed (or an origin)
+  while (end < order.size()) {
+    const NodeId x = order[end++];
+    if (is_origin[x] != 0) continue;
+    assert(member_[task_idx][x] != 0);
+    advs_scratch_.clear();
+    for (const NodeId p : proc.peers(x)) {
+      advs_scratch_.push_back(proc.advertised(p, x, rib[p], ctx_));
+    }
+    const RouteId r = proc.merge(x, advs_scratch_, ctx_);
+    // A reachable member with no candidate means the lemma does not hold.
+    assert(r != kNoRoute);
+    ++result_.stats.det_steps;
+    rib[x] = r;
+    codec_.record(task_idx, x, kNoRoute, r);
+    TrailEvent ev;
+    ev.kind = TrailEvent::Kind::kSelect;
+    ev.phase = static_cast<std::uint32_t>(task_idx);
+    ev.node = x;
+    ev.route = r;
+    trail_.events.push_back(ev);
+    ++result_.stats.states_explored;
+    if (budget_exhausted()) {
+      flow = Flow::kStop;
+      converged = false;
+      break;
+    }
+    if (!mark_visited(task_idx)) {
+      converged = false;
+      break;
+    }
+  }
+  if (converged) flow = advance(task_idx);
+  while (end > 0) {
+    const NodeId x = order[--end];
+    if (is_origin[x] != 0) continue;
+    trail_.events.pop_back();
+    codec_.record(task_idx, x, rib[x], kNoRoute);
+    rib[x] = kNoRoute;
+  }
+  return flow;
 }
 
 Explorer::Flow Explorer::advance(std::size_t task_idx) {
@@ -642,6 +731,7 @@ Explorer::Step Explorer::expand(std::size_t task_idx,
                                 std::vector<SearchMove>& moves,
                                 std::size_t move_budget) {
   auto& proc = *tasks_[task_idx].process;
+  if (statuses_stale_[task_idx] != 0) rebuild_statuses(task_idx);
   if (influence_active_) compute_influencers(task_idx);
 
   // The active set holds exactly the members whose status is enabled

@@ -75,7 +75,8 @@ struct ExploreOptions {
 
   // Hot-path mechanics (exploration-neutral: these change how states are
   // expanded, never which states are explored — the equivalence tests
-  // assert bit-identical stats across the on/off matrix):
+  // assert identical exploration counts and violations across the on/off
+  // matrix; only the mechanics' own counters move):
   /// Memoize advertised() per directed live session edge (rpvp/ad_cache.hpp).
   bool ad_cache = true;
   /// Dynamic partial-order reduction over advertisement interleavings:
@@ -93,7 +94,11 @@ struct ExploreOptions {
   /// SPF-ordered path, nothing to prune); see Explorer's constructor.
   bool por = true;
   /// Consume the incrementally maintained enabled set in expand() instead
-  /// of rescanning every process member (engine/active_set.hpp).
+  /// of rescanning every process member (engine/active_set.hpp), and run
+  /// each SPF-ordered OSPF phase as one pass that commits its members in
+  /// (dist, id) order, with no expand() at all (docs/architecture.md
+  /// "SPF-ordered phases"). false rescans, and walks those phases move by
+  /// move: the reference path.
   bool incremental_expand = true;
 
   /// Resource governance (checker/budget.hpp) — the only limit. The state
@@ -269,9 +274,13 @@ class Explorer final : public SearchModel {
 
   // -- prefix phases --------------------------------------------------------
   Flow begin_phase(std::size_t task_idx);
+  /// Runs an SPF-ordered phase as one pass instead of a search (spf_pass_).
+  Flow spf_pass(std::size_t task_idx);
   Flow handle_converged();
 
   // per-node status maintenance
+  /// Recomputes every status of the phase and its active set.
+  void rebuild_statuses(std::size_t task_idx);
   void refresh_node(std::size_t task_idx, NodeId n);
   /// Pops the newest status_log_ entry into n's status (undo()).
   void restore_status(std::size_t task_idx, NodeId n);
@@ -326,12 +335,17 @@ class Explorer final : public SearchModel {
   /// Pre-move statuses: apply() pushes one frame (the move's node, then its
   /// peers) and undo() pops it in reverse, restoring instead of recomputing.
   std::vector<NodeStatus> status_log_;
+  /// 1 when the phase was last entered by spf_pass(), which keeps no
+  /// statuses: expand() rebuilds them first.
+  std::vector<std::uint8_t> statuses_stale_;        ///< [task]
   StampSet influencer_;                             ///< per node, current task
   bool influence_active_ = false;                   ///< §4.2 influence pruning usable
   bool early_stop_ok_ = false;                      ///< §4.2 source early-stop usable
   /// Failure relevance usable: a set whose newest link is off its parent's
   /// SPF DAG takes the parent's result (§4.3, with lec_failures).
   bool failure_relevance_ = false;
+  /// Every phase is SPF-ordered and runs as one pass (spf_pass()).
+  bool spf_pass_ = false;
 
   AdCache ad_cache_;                                ///< advertised() memo
   bool ad_cache_on_ = false;                        ///< opts_.ad_cache && cacheable

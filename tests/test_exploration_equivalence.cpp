@@ -3,17 +3,21 @@
 //  * Theorems 1-2: the optimized search (consistent executions only +
 //    deterministic nodes + decision independence) reaches exactly the same
 //    set of converged data planes as naive exhaustive RPVP exploration.
-//  * OSPF's converged state matches the reference Dijkstra computation.
+//  * OSPF's converged state matches the reference Dijkstra computation:
+//    IGP costs and next-hop sets, with and without failures.
 //  * Policy verdicts agree across optimization levels and failure handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
 #include <string>
 
+#include "config/parser.hpp"
 #include "core/verifier.hpp"
 #include "pec/pec.hpp"
 #include "rpvp/explorer.hpp"
+#include "support/random_net.hpp"
 #include "workload/fat_tree.hpp"
 
 namespace plankton {
@@ -170,25 +174,97 @@ TEST_P(SingleOptOff, ConvergedSetUnchanged) {
 
 INSTANTIATE_TEST_SUITE_P(Opts, SingleOptOff, ::testing::Range(0, 4));
 
-TEST(OspfConvergence, MatchesDijkstraMetrics) {
-  std::mt19937 rng(2024);
-  for (int iter = 0; iter < 10; ++iter) {
-    const Network net = random_ospf_network(rng, 6 + static_cast<int>(rng() % 6));
-    const PecSet pecs = compute_pecs(net);
-    const Pec& pec = pecs.pecs[pecs.routed()[0]];
+/// Checks every single-prefix OSPF PEC of `net` against Dijkstra run here:
+/// one recorded outcome per failure set, each node's IGP cost is its SPF
+/// distance, and each reachable non-origin node forwards to exactly its
+/// live peers p with dist(p) + cost(n -> p) == dist(n), over any live link
+/// between them. shortest_path_costs is not the Dijkstra OspfProcess runs,
+/// so the check shares no code with the explorer.
+void expect_outcomes_match_dijkstra(const Network& net, int max_failures) {
+  const PecSet pecs = compute_pecs(net);
+  int checked = 0;
+  for (const PecId p : pecs.routed()) {
+    const Pec& pec = pecs.pecs[p];
+    if (pec.prefixes.size() != 1 || pec.prefixes[0].ospf_origins.empty() ||
+        !pec.prefixes[0].bgp_origins.empty() ||
+        !pec.prefixes[0].static_routes.empty()) {
+      continue;
+    }
+    SCOPED_TRACE("pec " + pec.str());
     ExploreOptions opts;
+    opts.max_failures = max_failures;
     opts.record_outcomes = true;
     const TruePolicy policy;
     Explorer ex(net, pec, make_tasks(net, pec), policy, opts);
     const ExploreResult r = ex.run();
-    ASSERT_EQ(r.outcomes.size(), 1u) << "OSPF must converge deterministically";
+    ASSERT_EQ(r.budget_tripped, BudgetKind::kNone);
+    ASSERT_EQ(r.outcomes.size(), r.stats.failure_sets)
+        << "OSPF must converge to one state per failure set";
     const auto& origins = pec.prefixes[0].ospf_origins;
-    const auto expected =
-        shortest_path_costs(net.topo, origins, net.topo.no_failures());
-    for (NodeId n = 0; n < net.topo.node_count(); ++n) {
-      EXPECT_EQ(r.outcomes[0].igp_cost[n], expected[n]) << "node " << n;
+    for (const PecOutcome& o : r.outcomes) {
+      SCOPED_TRACE("failures " + o.failures.str());
+      const auto dist = shortest_path_costs(net.topo, origins, o.failures);
+      for (NodeId n = 0; n < net.topo.node_count(); ++n) {
+        EXPECT_EQ(o.igp_cost[n], dist[n]) << "node " << n;
+        const FibEntry& e = o.dp.at(n);
+        if (std::find(origins.begin(), origins.end(), n) != origins.end()) {
+          EXPECT_EQ(e.kind, FwdKind::kLocal) << "node " << n;
+          continue;
+        }
+        std::set<NodeId> expected;
+        for (const Adjacency& adj : net.topo.neighbors(n)) {
+          if (o.failures.is_failed(adj.link) || dist[adj.neighbor] == kInfiniteCost) {
+            continue;
+          }
+          const Link& l = net.topo.link(adj.link);
+          if (std::uint64_t{dist[adj.neighbor]} + l.cost_from(n) == dist[n]) {
+            expected.insert(adj.neighbor);
+          }
+        }
+        const std::set<NodeId> got(e.nexthops.begin(), e.nexthops.end());
+        EXPECT_EQ(got, expected) << "node " << n;
+        EXPECT_EQ(e.kind, expected.empty() ? FwdKind::kDrop : FwdKind::kForward)
+            << "node " << n;
+      }
     }
+    ++checked;
   }
+  EXPECT_GT(checked, 0) << "no single-prefix OSPF PEC to check";
+}
+
+TEST(OspfConvergence, MatchesDijkstraMetrics) {
+  std::mt19937 rng(2024);
+  for (int iter = 0; iter < 10; ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    const Network net = random_ospf_network(rng, 6 + static_cast<int>(rng() % 6));
+    expect_outcomes_match_dijkstra(net, 0);
+  }
+  // The fuzz corpus's pure-OSPF families: random graphs, rings, fat trees.
+  int instances = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const testsupport::RandomInstance inst = testsupport::make_random_instance(seed);
+    if (inst.kind.rfind("ospf-rand", 0) != 0 && inst.kind.rfind("ring", 0) != 0 &&
+        inst.kind.rfind("fat-tree-ospf", 0) != 0) {
+      continue;
+    }
+    for (const int k : {0, 1}) {
+      SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
+                   ", k=" + std::to_string(k) + ")");
+      expect_outcomes_match_dijkstra(inst.net, k);
+    }
+    ++instances;
+  }
+  EXPECT_GT(instances, 0);
+  // The topology of examples/ospf_parallel_links.conf without its static
+  // route: two links join r0 and r1, and the session costs the cheaper one.
+  SCOPED_TRACE("parallel links");
+  const ParsedNetwork parallel = parse_network_config(
+      "node r0\nnode r1\nnode r2\nnode r3\n"
+      "ospf r0 enable\nospf r1 enable\nospf r2 enable\nospf r3 enable\n"
+      "link r0 r1 cost 10\nlink r0 r1 cost 1\nlink r0 r2 cost 4\n"
+      "link r2 r1 cost 4\nlink r0 r3 cost 1\n"
+      "ospf r1 originate 10.1.0.0/16\n");
+  for (const int k : {0, 1}) expect_outcomes_match_dijkstra(parallel.net, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,6 +434,21 @@ TEST(HotPathOptMatrix, OspfFailuresIdenticalAcrossMatrix) {
     vo.cores = 1;
     vo.explore.max_failures = 2;
     const ReachabilityPolicy policy({src});
+    expect_matrix_identical(net, policy, vo);
+  }
+}
+
+TEST(HotPathOptMatrix, OspfLoopFreedomIdenticalAcrossMatrix) {
+  // A policy without sources has no §4.2 stop, so with incremental_expand
+  // on every phase runs as one SPF-ordered pass; off, it is walked move by
+  // move.
+  std::mt19937 rng(4243);
+  for (int iter = 0; iter < 3; ++iter) {
+    const Network net = random_ospf_network(rng, 6 + static_cast<int>(rng() % 4));
+    VerifyOptions vo;
+    vo.cores = 1;
+    vo.explore.max_failures = 2;
+    const LoopFreedomPolicy policy;
     expect_matrix_identical(net, policy, vo);
   }
 }

@@ -148,6 +148,78 @@ TEST(HotPathAlloc, ConvergedStateChecksAreAllocationFree) {
   }
 }
 
+/// Counts the converged states it is shown.
+class CountingPolicy final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "counting"; }
+  [[nodiscard]] bool check(const ConvergedView&, std::string&) const override {
+    ++checks;
+    return true;
+  }
+  mutable std::uint64_t checks = 0;
+};
+
+TEST(HotPathAlloc, SpfPassIsAllocationFree) {
+  // A two-prefix OSPF PEC: edge 0's prefix and its more-specific half,
+  // originated at another edge. Both phases are SPF-ordered, so advance(0)
+  // runs phase 1 as one pass (docs/architecture.md "SPF-ordered phases").
+  // Called at each state of phase 0's path, which gives phase 1 a context
+  // the warm-up run never saw, the pass commits every member and ends in a
+  // converged-state check, instead of stopping at a visited root.
+  FatTreeOptions o;
+  o.k = 4;
+  FatTree ft = make_fat_tree(o);
+  const Prefix half(ft.edge_prefixes[0].addr(),
+                    static_cast<std::uint8_t>(ft.edge_prefixes[0].length() + 1));
+  ft.net.device(ft.edges[1]).ospf.originated.push_back(half);
+  const PecSet pecs = compute_pecs(ft.net);
+  const Pec& pec = pecs.pecs[pecs.find(half.addr())];
+  ASSERT_EQ(make_tasks(ft.net, pec).size(), 2u);
+  ExploreOptions opts;
+  opts.suppress_equivalent = false;  // every converged state is checked
+  // Many failure sets fill the visited store, so the sweep below adds far
+  // fewer states than it holds: its table can double at most once.
+  opts.max_failures = 2;
+  opts.lec_failures = false;
+  const CountingPolicy policy;
+  Explorer ex(ft.net, pec, make_tasks(ft.net, pec), policy, opts);
+  ASSERT_EQ(ex.run().verdict(), Verdict::kHolds);
+
+  // Warm the step-path arenas: walk phase 0's one path and back.
+  SearchModel& model = ex;
+  std::vector<SearchMove> path;
+  std::vector<SearchMove> moves;
+  moves.reserve(256);
+  for (;;) {
+    moves.clear();
+    const auto step = model.expand(0, moves, SIZE_MAX);
+    if (step == SearchModel::Step::kConverged) break;
+    ASSERT_EQ(step, SearchModel::Step::kBranch);
+    ASSERT_EQ(moves.size(), 1u) << "an SPF-ordered phase never branches";
+    path.push_back(moves.front());
+    model.apply(0, path.back());
+  }
+  for (std::size_t i = path.size(); i-- > 0;) model.undo(0, path[i]);
+  ASSERT_GT(path.size(), 10u);
+
+  const std::uint64_t checks = policy.checks;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  ASSERT_EQ(model.advance(0), SearchFlow::kContinue);
+  for (SearchMove& m : path) {
+    model.apply(0, m);
+    ASSERT_EQ(model.advance(0), SearchFlow::kContinue);
+  }
+  for (std::size_t i = path.size(); i-- > 0;) model.undo(0, path[i]);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  // Each state before phase 0's converged one was new to phase 1; at the
+  // converged one phase 1's root was visited by the warm-up run.
+  EXPECT_EQ(policy.checks - checks, path.size())
+      << "the passes did not all reach a converged state";
+  EXPECT_LE(after - before, 1u)
+      << path.size() << " passes allocated " << (after - before)
+      << " times; only one doubling of the visited table is allowed";
+}
+
 TEST(HotPathAlloc, OspfFatTreeSteadyStateIsAllocationFree) {
   FatTreeOptions o;
   o.k = 4;

@@ -1,5 +1,6 @@
 // OSPF RPVP adapter: advertisement arithmetic, ranking, ECMP merging,
-// SPF-order deterministic-node selection, protocol-domain masking.
+// SPF-order deterministic-node selection and settle order, protocol-domain
+// masking, parallel links.
 #include <gtest/gtest.h>
 
 #include "protocols/ospf.hpp"
@@ -155,6 +156,57 @@ TEST(OspfProcess, FailuresRemovePeers) {
   EXPECT_EQ(std::vector<NodeId>(peers.begin(), peers.end()),
             (std::vector<NodeId>{fx.c}));
   EXPECT_EQ(proc.spf_dist(fx.a), 2u) << "still reachable via c";
+}
+
+TEST(OspfProcess, ParallelLinksCostTheCheapestLiveLink) {
+  // Two links join a and b, of cost 10 and cost 1: b is a's peer once, and
+  // the session costs whichever live link is cheaper.
+  Network net;
+  const NodeId a = net.add_device("a");
+  const NodeId b = net.add_device("b");
+  const LinkId slow = net.topo.add_link(a, b, 10);
+  const LinkId fast = net.topo.add_link(a, b, 1);
+  net.device(a).ospf.enabled = true;
+  net.device(b).ospf.enabled = true;
+  OspfProcess proc(net, *Prefix::parse("10.0.0.0/24"), {b});
+  ModelContext ctx;
+  ctx.net = &net;
+  const RouteId origin = proc.origin_route(b, ctx);
+  const auto metric_at_a = [&]() -> std::uint32_t {
+    const RouteId r = proc.advertised(b, a, origin, ctx);
+    return r == kNoRoute ? kInfiniteCost : ctx.routes.get(r).metric;
+  };
+  proc.prepare(net.topo.no_failures(), ctx);
+  EXPECT_EQ(std::vector<NodeId>(proc.peers(a).begin(), proc.peers(a).end()),
+            (std::vector<NodeId>{b}));
+  EXPECT_EQ(proc.spf_dist(a), 1u);
+  EXPECT_EQ(metric_at_a(), 1u);
+  FailureSet failures(net.topo.link_count());
+  failures.fail(fast);
+  proc.prepare(failures, ctx);
+  EXPECT_EQ(proc.peers(a).size(), 1u);
+  EXPECT_EQ(proc.spf_dist(a), 10u);
+  EXPECT_EQ(metric_at_a(), 10u);
+  failures.fail(slow);
+  proc.prepare(failures, ctx);
+  EXPECT_TRUE(proc.peers(a).empty());
+  EXPECT_EQ(metric_at_a(), kInfiniteCost) << "no live session, no route";
+}
+
+TEST(OspfProcess, SpfOrderIsDistThenId) {
+  // d originates; b and c tie at distance 1, a is at 2.
+  Square fx;
+  OspfProcess proc(fx.net, *Prefix::parse("10.0.0.0/24"), {fx.d});
+  ModelContext ctx;
+  ctx.net = &fx.net;
+  proc.prepare(fx.net.topo.no_failures(), ctx);
+  EXPECT_EQ(std::vector<NodeId>(proc.spf_order().begin(), proc.spf_order().end()),
+            (std::vector<NodeId>{fx.d, fx.b, fx.c, fx.a}));
+  FailureSet failures(fx.net.topo.link_count());
+  failures.fail(fx.net.topo.find_link(fx.b, fx.d));
+  proc.prepare(failures, ctx);
+  EXPECT_EQ(std::vector<NodeId>(proc.spf_order().begin(), proc.spf_order().end()),
+            (std::vector<NodeId>{fx.d, fx.c, fx.a, fx.b}));
 }
 
 TEST(OspfProcess, AsymmetricCostsEndToEnd) {
