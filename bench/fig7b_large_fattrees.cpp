@@ -6,7 +6,6 @@
 // magnitude cheaper than whole-header-space policies; time and memory grow
 // polynomially with N.
 #include <random>
-#include <thread>
 
 #include "bench_util.hpp"
 #include "config/parser.hpp"
@@ -150,47 +149,6 @@ int main() {
                 "N=" + std::to_string(ft.size()) + " sched=work-stealing",
                 bench::ms(r.wall), r.total.states_explored,
                 r.total.model_bytes());
-  }
-
-  // Multi-process sharding: the same all-PEC loop check across worker
-  // *process* counts (shard coordinator, sched/shard.hpp), plus the wire
-  // traffic the coordinator moved. On a single hardware thread this
-  // brackets the fork/IPC overhead; on a real multicore host it is the
-  // scaling dimension of the ROADMAP's fig7b trajectory
-  // (PLANKTON_BENCH_JSON=fig7b.json ./fig7b_large_fattrees).
-  std::printf("\n%-10s %-10s %16s %10s %12s   (%u hardware threads)\n", "N",
-              "shards", "time", "speedup", "wire KB",
-              std::thread::hardware_concurrency());
-  for (const int k : ks) {
-    FatTreeOptions o;
-    o.k = k;
-    const FatTree ft = make_fat_tree(o);
-    const LoopFreedomPolicy policy;
-    double ms_one_shard = 0;
-    for (const int shards : {1, 2, 4}) {
-      VerifyOptions vo;
-      vo.shards = shards;
-      Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-      const VerifyResult r = verifier.verify(policy);
-      if (shards == 1) ms_one_shard = bench::ms(r.wall);
-      char speedup[32] = "";
-      if (shards > 1 && bench::ms(r.wall) > 0) {
-        std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      ms_one_shard / bench::ms(r.wall));
-      }
-      std::printf("N=%-8zu %-10d %16s %10s %12.2f %s\n", ft.size(), shards,
-                  bench::time_cell(r.wall, r.budget_tripped == BudgetKind::kDeadline)
-                      .c_str(),
-                  speedup,
-                  static_cast<double>(r.shard.bytes_sent +
-                                      r.shard.bytes_received) / 1e3,
-                  r.verdict == Verdict::kHolds ? "" : "VERDICT MISMATCH");
-      bench::emit("fig7b_large_fattrees",
-                  "N=" + std::to_string(ft.size()) + " shards=" +
-                      std::to_string(shards),
-                  bench::ms(r.wall), r.total.states_explored,
-                  r.total.model_bytes());
-    }
   }
 
   std::printf(

@@ -17,9 +17,6 @@
 //   fattree_loop/K=8 bfs    the BFS frontier engine on the first workload —
 //                                  tracks the snapshot-restore overhead of
 //                                  the frontier layer in the trajectory
-//   fattree_loop/K=8 shards=2      the same workload through the 2-shard
-//                                  multi-process coordinator — tracks the
-//                                  fork + wire-protocol overhead
 //   bgp_dc_worstcase/K=4 por-off   the bgp_dc_worstcase/K=4 row with
 //                                  partial-order reduction off — the
 //                                  por-off / default time ratio is the DPOR
@@ -250,19 +247,6 @@ int main(int argc, char** argv) {
       std::printf("  (verdict %s, tripped budget: %s)\n",
                   to_string(r.verdict), to_string(r.budget_tripped));
     }
-  }
-  {
-    // One multi-process row: same workload again through the 2-shard
-    // coordinator (sched/shard.hpp), so the trajectory tracks the
-    // fork + wire-protocol overhead next to the in-process baseline.
-    FatTreeOptions o;
-    o.k = 8;
-    const FatTree ft = make_fat_tree(o);
-    VerifyOptions vo;
-    vo.shards = 2;
-    Verifier verifier(ft.net, bench::assert_unbudgeted(vo));
-    const LoopFreedomPolicy policy;
-    row("fattree_loop/K=8 shards=2", verifier.verify(policy));
   }
   {
     // The fig9 worst-case single monster PEC under the BFS frontier engine,

@@ -5,14 +5,17 @@
 // Commands:
 //   load <config-file>           make the config resident
 //   query <policy-spec...>       e.g. `query loop`, `query reach r1 r2`
-//                                [--failures <n>] anywhere after `query`
+//                                [--failures <k>] anywhere after `query`,
+//                                0 <= k <= 2147483647
 //   delta <delta-file>           apply line edits: `add <line>` / `del <line>`
 //   stats                        print verdict-cache counters
 //   shutdown                     persist the cache and stop the daemon
 //
 // Connection failures are retried with doubling backoff (--retries,
-// --retry-delay-ms) before giving up — a daemon mid-restart is reached by
-// the next attempt instead of failing the script driving this client.
+// --retry-delay-ms, at most 2000) before giving up — a daemon mid-restart
+// is reached by the next attempt instead of failing the script driving this
+// client. A numeric flag that is not a plain decimal integer in its range
+// is a usage error.
 //
 // Exit codes mirror plankton_verify: 0 holds / command ok, 1 violated,
 // 2 inconclusive, 3 usage/config/daemon error, 4 daemon unreachable after
@@ -30,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "netbase/parse_int.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -111,11 +115,11 @@ int main(int argc, char** argv) {
     if (arg == "--socket" && i + 1 < argc) {
       unix_path = argv[++i];
     } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_port = std::atoi(argv[++i]);
+      if (!parse_int(argv[++i], tcp_port, 1, 65535)) return usage();
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::max(0, std::atoi(argv[++i]));
+      if (!parse_int(argv[++i], retries, 0)) return usage();
     } else if (arg == "--retry-delay-ms" && i + 1 < argc) {
-      retry_delay_ms = std::max(1, std::atoi(argv[++i]));
+      if (!parse_int(argv[++i], retry_delay_ms, 1, 2000)) return usage();
     } else {
       return usage();
     }
@@ -188,7 +192,12 @@ int main(int argc, char** argv) {
     std::string spec;
     for (; i < argc; ++i) {
       if (std::strcmp(argv[i], "--failures") == 0 && i + 1 < argc) {
-        m.max_failures = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+        int k = 0;
+        if (!parse_int(argv[++i], k, 0)) {
+          ::close(fd);
+          return usage();
+        }
+        m.max_failures = static_cast<std::uint32_t>(k);
         continue;
       }
       if (!spec.empty()) spec += ' ';

@@ -11,13 +11,18 @@
 // write-ahead journal before it is acked, and a restart replays the journal
 // so a kill -9 loses nothing that was acknowledged.
 //
+// Every numeric flag takes a plain decimal integer in its range (--cores at
+// least 1); anything else is a usage error.
+//
 // Exit codes: 0 clean shutdown (kShutdown frame or SIGTERM/SIGINT drain),
 // 3 setup/usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "netbase/parse_int.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -48,20 +53,32 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Parses the flag's value into `field`, within [lo, hi], or exits 3
+    // with the usage text.
+    const auto number = [&]<typename T>(
+        T& field, T lo, T hi = std::numeric_limits<T>::max()) {
+      const char* text = value();
+      if (!plankton::parse_int(text, field, lo, hi)) {
+        std::fprintf(stderr, "plankton_serve: bad %s '%s'\n", arg.c_str(),
+                     text);
+        usage();
+        std::exit(3);
+      }
+    };
     if (arg == "--socket") {
       opts.unix_path = value();
     } else if (arg == "--tcp") {
-      opts.tcp_port = std::atoi(value());
+      number(opts.tcp_port, 1, 65535);
     } else if (arg == "--cache") {
       opts.cache_path = value();
     } else if (arg == "--journal") {
       opts.journal_path = value();
     } else if (arg == "--max-clients") {
-      opts.max_clients = static_cast<std::size_t>(std::atol(value()));
+      number(opts.max_clients, std::size_t{1});
     } else if (arg == "--read-deadline-ms") {
-      opts.read_deadline_ms = std::atoi(value());
+      number(opts.read_deadline_ms, 0);
     } else if (arg == "--idle-timeout-ms") {
-      opts.idle_timeout_ms = std::atoi(value());
+      number(opts.idle_timeout_ms, 0);
     } else if (arg == "--fault-plan") {
       std::string fault_error;
       if (!plankton::sched::parse_fault_plan(value(), opts.fault_plan,
@@ -70,7 +87,7 @@ int main(int argc, char** argv) {
         return 3;
       }
     } else if (arg == "--cores") {
-      opts.verify.cores = std::atoi(value());
+      number(opts.verify.cores, 1);
     } else if (arg == "--all-violations") {
       opts.verify.explore.find_all_violations = true;
     } else if (arg == "--no-pec-dedup") {
@@ -78,11 +95,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-por") {
       opts.verify.explore.por = false;
     } else if (arg == "--deadline-ms") {
-      opts.verify.explore.budget.deadline =
-          std::chrono::milliseconds(std::atol(value()));
+      std::int64_t ms = 0;
+      number(ms, std::int64_t{0});
+      opts.verify.explore.budget.deadline = std::chrono::milliseconds(ms);
     } else if (arg == "--budget-states") {
-      opts.verify.explore.budget.max_states =
-          std::strtoull(value(), nullptr, 10);
+      number(opts.verify.explore.budget.max_states, std::uint64_t{0});
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

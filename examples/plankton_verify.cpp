@@ -11,13 +11,7 @@
 //
 // Options:
 //   --failures <k>     verify under at most k link failures (default 0)
-//   --cores <n>        worker threads (default 1)
-//   --shards <n>       worker *processes*: start n shard workers (forked, or
-//                      the --tcp-workers daemons), bootstrap each from the
-//                      rendered config and policy spec, and stream PEC
-//                      outcomes/verdicts over the coordinator wire protocol
-//                      (default 0 = in-process). Verdicts are bit-identical
-//                      to the in-process run at any n.
+//   --cores <n>        worker threads, n >= 1 (default 1)
 //   --address <ip>     verify only the PEC containing <ip> (default: all)
 //   --no-pec-dedup     disable batch PEC verification (exploring one
 //                      representative per isomorphic PEC class; on by
@@ -43,12 +37,10 @@
 //   --degrade-visited  under memory pressure, migrate the exact visited set
 //                      to hash-compact instead of stopping (the run then
 //                      self-reports as non-exhaustive)
-//   --fault-plan <p>   deterministic shard fault injection (sched/fault.hpp
-//                      syntax, e.g. 'crash@2;slot=1'); also read from
-//                      PLANKTON_FAULT_PLAN when the flag is absent
-//   --tcp-workers <a>  comma-separated host:port list of pre-started
-//                      plankton_worker daemons; shard workers connect there
-//                      instead of forking
+//
+// Every numeric flag takes a plain decimal integer in its range; anything
+// else (empty, a sign where none fits, trailing characters, overflow) is a
+// usage error.
 //
 // Exit code: 0 = policy holds (exhaustive), 1 = violated,
 //            2 = inconclusive (budget tripped / lossy search /
@@ -56,7 +48,6 @@
 //                no violation found but the search was not a proof),
 //            3 = usage/config error.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -64,6 +55,7 @@
 
 #include "config/parser.hpp"
 #include "core/verifier.hpp"
+#include "netbase/parse_int.hpp"
 
 namespace {
 
@@ -85,14 +77,13 @@ std::vector<NodeId> parse_node_list(const Network& net, const std::string& arg) 
 int usage() {
   std::fprintf(stderr,
                "usage: plankton_verify <config> <policy> [args] [--failures k] "
-               "[--cores n] [--shards n] [--address ip] [--no-pec-dedup] "
+               "[--cores n] [--address ip] [--no-pec-dedup] "
                "[--no-por] [--all-violations] "
                "[--trails] "
                "[--visited exact|hash-compact|bitstate] "
                "[--engine dfs|bfs|single] [--simulation] "
                "[--deadline-ms t] [--budget-states n] [--budget-bytes n] "
-               "[--degrade-visited] [--fault-plan p] "
-               "[--tcp-workers host:port[,...]]\n"
+               "[--degrade-visited]\n"
                "policies: reach <srcs> | loop | blackhole [srcs] | "
                "bounded <limit> <srcs> | waypoint <srcs> <wps>\n");
   return 3;
@@ -109,7 +100,6 @@ int main(int argc, char** argv) {
   }
   std::stringstream buffer;
   buffer << file.rdbuf();
-  bool fault_plan_given = false;
 
   try {
     ParsedNetwork parsed = parse_network_config(buffer.str());
@@ -126,12 +116,9 @@ int main(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--failures" && i + 1 < argc) {
-        opts.explore.max_failures = std::atoi(argv[++i]);
+        if (!parse_int(argv[++i], opts.explore.max_failures, 0)) return usage();
       } else if (arg == "--cores" && i + 1 < argc) {
-        opts.cores = std::atoi(argv[++i]);
-      } else if (arg == "--shards" && i + 1 < argc) {
-        opts.shards = std::atoi(argv[++i]);
-        if (opts.shards < 1) throw std::runtime_error("bad --shards");
+        if (!parse_int(argv[++i], opts.cores, 1)) return usage();
       } else if (arg == "--address" && i + 1 < argc) {
         address = IpAddr::parse(argv[++i]);
         if (!address) throw std::runtime_error("bad --address");
@@ -150,34 +137,21 @@ int main(int argc, char** argv) {
           throw std::runtime_error(std::string("bad --engine '") + argv[i] + "'");
         }
       } else if (arg == "--deadline-ms" && i + 1 < argc) {
-        const long long ms = std::atoll(argv[++i]);
-        if (ms <= 0) throw std::runtime_error("bad --deadline-ms");
+        std::int64_t ms = 0;
+        if (!parse_int<std::int64_t>(argv[++i], ms, 1)) return usage();
         opts.explore.budget.deadline = std::chrono::milliseconds(ms);
       } else if (arg == "--budget-states" && i + 1 < argc) {
-        const long long n = std::atoll(argv[++i]);
-        if (n <= 0) throw std::runtime_error("bad --budget-states");
-        opts.explore.budget.max_states = static_cast<std::uint64_t>(n);
+        if (!parse_int<std::uint64_t>(argv[++i], opts.explore.budget.max_states,
+                                      1)) {
+          return usage();
+        }
       } else if (arg == "--budget-bytes" && i + 1 < argc) {
-        const long long n = std::atoll(argv[++i]);
-        if (n <= 0) throw std::runtime_error("bad --budget-bytes");
-        opts.explore.budget.max_bytes = static_cast<std::size_t>(n);
+        if (!parse_int<std::size_t>(argv[++i], opts.explore.budget.max_bytes,
+                                    1)) {
+          return usage();
+        }
       } else if (arg == "--degrade-visited") {
         opts.explore.budget.degrade_visited = true;
-      } else if (arg == "--tcp-workers" && i + 1 < argc) {
-        std::stringstream ss(argv[++i]);
-        std::string addr;
-        while (std::getline(ss, addr, ',')) {
-          if (!addr.empty()) opts.shard_workers.push_back(addr);
-        }
-        if (opts.shard_workers.empty()) {
-          throw std::runtime_error("bad --tcp-workers");
-        }
-      } else if (arg == "--fault-plan" && i + 1 < argc) {
-        std::string perr;
-        if (!sched::parse_fault_plan(argv[++i], opts.shard_fault_plan, perr)) {
-          throw std::runtime_error("bad --fault-plan: " + perr);
-        }
-        fault_plan_given = true;
       } else if (arg == "--visited" && i + 1 < argc) {
         const std::string kind = argv[++i];
         if (kind == "exact") {
@@ -197,15 +171,6 @@ int main(int argc, char** argv) {
     }
     if (pos.empty()) return usage();
 
-    if (!fault_plan_given) {
-      if (const char* env = std::getenv("PLANKTON_FAULT_PLAN")) {
-        std::string perr;
-        if (!sched::parse_fault_plan(env, opts.shard_fault_plan, perr)) {
-          throw std::runtime_error("bad PLANKTON_FAULT_PLAN: " + perr);
-        }
-      }
-    }
-
     std::unique_ptr<Policy> policy;
     const std::string& kind = pos[0];
     if (kind == "reach" && pos.size() == 2) {
@@ -217,9 +182,10 @@ int main(int argc, char** argv) {
       if (pos.size() == 2) sources = parse_node_list(net, pos[1]);
       policy = std::make_unique<BlackholeFreedomPolicy>(std::move(sources));
     } else if (kind == "bounded" && pos.size() == 3) {
+      std::uint32_t limit = 0;
+      if (!parse_int(pos[1], limit)) return usage();
       policy = std::make_unique<BoundedPathLengthPolicy>(
-          parse_node_list(net, pos[2]),
-          static_cast<std::uint32_t>(std::atoi(pos[1].c_str())));
+          parse_node_list(net, pos[2]), limit);
     } else if (kind == "waypoint" && pos.size() == 3) {
       policy = std::make_unique<WaypointPolicy>(parse_node_list(net, pos[1]),
                                                 parse_node_list(net, pos[2]));
@@ -275,25 +241,6 @@ int main(int argc, char** argv) {
                   result.pecs_deduped, result.dedup_reruns,
                   result.dedup_orbit_hits, result.dedup_search_fallbacks,
                   static_cast<double>(result.dedup_classing_time.count()) / 1e6);
-    }
-    if (opts.shards > 0) {
-      const auto& sh = result.shard;
-      std::printf("shards: %zu workers, %llu frames / %.2f KB sent, "
-                  "%llu frames / %.2f KB received (%.2f KB outcomes), "
-                  "%llu reassigned, %llu respawned\n",
-                  sh.tasks_per_shard.size(),
-                  static_cast<unsigned long long>(sh.frames_sent),
-                  static_cast<double>(sh.bytes_sent) / 1e3,
-                  static_cast<unsigned long long>(sh.frames_received),
-                  static_cast<double>(sh.bytes_received) / 1e3,
-                  static_cast<double>(sh.outcome_bytes_sent +
-                                      sh.outcome_bytes_received) / 1e3,
-                  static_cast<unsigned long long>(sh.tasks_reassigned),
-                  static_cast<unsigned long long>(sh.workers_respawned));
-      for (std::size_t w = 0; w < sh.tasks_per_shard.size(); ++w) {
-        std::printf("  shard %zu: %llu tasks\n", w,
-                    static_cast<unsigned long long>(sh.tasks_per_shard[w]));
-      }
     }
     for (const auto& rep : result.reports) {
       for (const auto& v : rep.result.violations) {

@@ -1,9 +1,10 @@
 #include "config/parser.hpp"
 
-#include <charconv>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "netbase/parse_int.hpp"
 
 namespace plankton {
 namespace {
@@ -78,13 +79,12 @@ class Parser {
   // `max` bounds the accepted value so narrower destination fields
   // (uint8/uint16) get a parse error instead of a silent truncating cast —
   // the daemon feeds this parser from an untrusted socket, so "route-map ...
-  // prepend 256" must be rejected, not become prepend 0. from_chars already
+  // prepend 256" must be rejected, not become prepend 0. parse_int already
   // rejects sign characters, non-digits, and values beyond uint32.
   std::uint32_t uint_of(std::string_view text,
                         std::uint32_t max = UINT32_MAX) const {
     std::uint32_t v = 0;
-    auto [next, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc{} || next != text.data() + text.size())
+    if (!parse_int(text, v))
       throw ConfigParseError(line_no_, "bad number '" + std::string(text) + "'");
     if (v > max) {
       throw ConfigParseError(line_no_, "number '" + std::string(text) +

@@ -1,20 +1,13 @@
 #include "core/verifier.hpp"
 
-#include <signal.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
 #include <memory>
 
 #include "checker/budget.hpp"
-#include "config/parser.hpp"
 #include "eqclass/pec_dedup.hpp"
 #include "sched/outcome_store.hpp"
-#include "sched/transport.hpp"
-#include "serve/serve.hpp"
+#include "sched/work_stealing.hpp"
 
 namespace plankton {
 namespace {
@@ -29,24 +22,32 @@ class TruePolicy final : public Policy {
   }
 };
 
+/// One schedulable task: an SCC of the PEC dependency graph, minus dedup
+/// class members. The plan's TaskGraph carries the dependency edges.
+struct PlanTask {
+  std::vector<PecId> pecs;  ///< run in order by the task body
+  /// Batch PEC verification: class_members[i] lists the PECs whose verdicts
+  /// ride on pecs[i] (the class representative). The task body emits one
+  /// PecReport per member, translated from the representative's clean hold
+  /// or natively re-explored. Empty when no PEC of the task represents a
+  /// multi-member class.
+  std::vector<std::vector<PecId>> class_members;
+};
+
 /// The verification plan: everything downstream of (network, policy,
-/// targets, options) that the coordinator and a bootstrapped worker must
-/// agree on. It is a deterministic function of its inputs and the dedup
-/// classes the coordinator ships in kBootstrap, so a worker that parsed the
-/// same rendered config derives the same plan; shard_plan_hash() proves it.
-/// `tasks` is the one task list: the in-process scheduler, every shard
-/// worker and the coordinator all index it by TaskGraph task id.
-struct ShardPlan {
+/// targets, options) that the scheduler runs. `tasks` is the one task list,
+/// indexed by TaskGraph task id.
+struct VerifyPlan {
   std::vector<std::uint8_t> needed;     ///< dependency closure of targets
   std::vector<std::uint8_t> is_target;  ///< policy-checked PECs
   /// Batch PEC verification classes (empty with dedup off, or when the
   /// options cannot prove a hold: see can_prove).
   PecClassSet classes;
-  std::vector<sched::ShardTaskSpec> tasks;
+  std::vector<PlanTask> tasks;
   sched::TaskGraph graph;
   /// Needed dependents per PEC (how many needed PECs will read its
-  /// outcomes). run_task decides from it which outcomes to record; the
-  /// in-process path also seeds its eviction atomics from it.
+  /// outcomes). run_task decides from it which outcomes to record, and
+  /// verify_pecs seeds its eviction atomics from it.
   std::vector<std::ptrdiff_t> needed_dependents;
   /// Per PEC: its exploration cannot be exhaustive under the RPVP model. Set
   /// for every mate of a cyclic (multi-PEC) SCC task — each mate runs
@@ -60,9 +61,9 @@ struct ShardPlan {
 
 /// The plan's masks: every upstream PEC of a target must be run (for
 /// outcomes) before its dependents.
-ShardPlan plan_closure(const PecSet& pecs, const PecDependencies& deps,
-                       const std::vector<PecId>& targets) {
-  ShardPlan plan;
+VerifyPlan plan_closure(const PecSet& pecs, const PecDependencies& deps,
+                        const std::vector<PecId>& targets) {
+  VerifyPlan plan;
   plan.needed.assign(pecs.pecs.size(), 0);
   plan.is_target.assign(pecs.pecs.size(), 0);
   std::vector<PecId> frontier = targets;
@@ -79,7 +80,7 @@ ShardPlan plan_closure(const PecSet& pecs, const PecDependencies& deps,
 
 /// Completes a plan whose masks and classes are set: the task list and its
 /// graph, eviction counts and approximation flags.
-void finish_plan(ShardPlan& plan, const PecSet& pecs,
+void finish_plan(VerifyPlan& plan, const PecSet& pecs,
                  const PecDependencies& deps) {
   // One task per SCC, restricted to needed PECs, minus class members: batch
   // PEC verification (eqclass/pec_dedup.hpp) schedules one representative
@@ -90,7 +91,7 @@ void finish_plan(ShardPlan& plan, const PecSet& pecs,
   std::vector<std::int32_t> task_of_scc(deps.sccs.size(), -1);
   std::vector<std::uint32_t> scc_of_task;
   for (std::uint32_t s = 0; s < deps.sccs.size(); ++s) {
-    sched::ShardTaskSpec t;
+    PlanTask t;
     for (const PecId p : deps.sccs[s]) {
       if (plan.needed[p] == 0) continue;
       if (plan.classes.is_translated_member(p)) continue;
@@ -103,13 +104,6 @@ void finish_plan(ShardPlan& plan, const PecSet& pecs,
         t.class_members.resize(t.pecs.size());
         t.class_members[i] = members_of[p];
       }
-      for (const PecId d : deps.depends_on[p]) {
-        if (plan.needed[d] == 0) continue;  // outside the closure: never read
-        if (std::find(t.pecs.begin(), t.pecs.end(), d) != t.pecs.end()) continue;
-        if (std::find(t.deps.begin(), t.deps.end(), d) == t.deps.end()) {
-          t.deps.push_back(d);
-        }
-      }
     }
     task_of_scc[s] = static_cast<std::int32_t>(plan.tasks.size());
     scc_of_task.push_back(s);
@@ -117,7 +111,7 @@ void finish_plan(ShardPlan& plan, const PecSet& pecs,
   }
   plan.graph.dependents.resize(plan.tasks.size());
   plan.graph.waiting_on.assign(plan.tasks.size(), 0);
-  std::vector<PecId> approx;  // seeds of ShardPlan::approximated
+  std::vector<PecId> approx;  // seeds of VerifyPlan::approximated
   for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
     for (const std::uint32_t dep : deps.scc_deps[scc_of_task[i]]) {
       const std::int32_t j = task_of_scc[dep];
@@ -149,85 +143,14 @@ void finish_plan(ShardPlan& plan, const PecSet& pecs,
   }
 }
 
-/// Rebuilds the coordinator's classes from their kBootstrap list (sized to
-/// `is_target`), refusing any list compute_pec_classes could never emit.
-bool classes_from_wire(const std::vector<serve::BootstrapClass>& wire,
-                       const std::vector<std::uint8_t>& is_target,
-                       PecClassSet& out, std::string& error) {
-  out = PecClassSet{};
-  if (wire.empty()) return true;
-  out.rep_of.assign(is_target.size(), kNoPec);
-  out.members_of.resize(is_target.size());
-  for (const serve::BootstrapClass& c : wire) {
-    if (c.members.empty()) {
-      error = "class " + std::to_string(c.rep) + " has no members";
-      return false;
-    }
-    for (std::size_t i = 0; i <= c.members.size(); ++i) {
-      const std::uint32_t id = i == 0 ? c.rep : c.members[i - 1];
-      const std::string pec = "pec " + std::to_string(id);
-      if (id >= is_target.size()) {
-        error = pec + " is out of range";
-      } else if (is_target[id] == 0) {
-        error = pec + " is not a target";
-      } else if (i > 0 && id == c.rep) {
-        error = pec + " is listed as its own member";
-      } else if (out.rep_of[id] != kNoPec) {
-        error = pec + " is in two classes";
-      } else {
-        out.rep_of[id] = c.rep;
-        continue;
-      }
-      return false;
-    }
-    out.members_of[c.rep].assign(c.members.begin(), c.members.end());
-  }
-  return true;
-}
-
-/// FNV-1a over the plan structure. Covers everything that must agree between
-/// coordinator and worker for the wire protocol to be meaningful:
-/// PEC count, tasks (pecs + targeting), dependency edges, dedup classing.
-/// Exploration knobs travel in the bootstrap itself and need no cross-check.
-std::uint64_t shard_plan_hash(const ShardPlan& plan, std::size_t pec_count) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(pec_count);
-  mix(plan.tasks.size());
-  for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
-    const sched::ShardTaskSpec& t = plan.tasks[i];
-    mix(t.pecs.size());
-    for (const PecId p : t.pecs) {
-      mix(p);
-      mix(plan.is_target[p]);
-    }
-    mix(t.deps.size());
-    for (const PecId d : t.deps) mix(d);
-    mix(t.class_members.size());
-    for (const auto& members : t.class_members) {
-      mix(members.size());
-      for (const PecId m : members) mix(m);
-    }
-    mix(plan.graph.dependents[i].size());
-    for (const std::size_t d : plan.graph.dependents[i]) mix(d);
-  }
-  return h;
-}
-
-/// The per-task execution engine shared by every scheduling path: the
-/// in-process scheduler and every bootstrapped shard worker run each task
-/// through run_task, which is what keeps their verdicts bit-identical.
-class ShardExecution {
+/// The per-task execution engine: the scheduler runs each task of the plan
+/// through run_task.
+class PlanRunner {
  public:
-  ShardExecution(const Network& net, const PecSet& pecs,
-                 const PecDependencies& deps, const VerifyOptions& opts,
-                 const Policy& policy, const ShardPlan& plan,
-                 std::chrono::steady_clock::time_point start)
+  PlanRunner(const Network& net, const PecSet& pecs,
+             const PecDependencies& deps, const VerifyOptions& opts,
+             const Policy& policy, const VerifyPlan& plan,
+             std::chrono::steady_clock::time_point start)
       : net_(net),
         pecs_(pecs),
         deps_(deps),
@@ -240,13 +163,10 @@ class ShardExecution {
     // Budget deadline fair-sharing: the global deadline is split into
     // per-PEC slices of remaining_time / remaining_unstarted_pecs, so one
     // monster PEC trips its own slice instead of starving everything
-    // scheduled after it. `pecs_started_` is exact in-process; a shard
-    // worker counts only the PECs it started itself, which *under*-counts
-    // started PECs and therefore only makes slices more conservative —
-    // never unfair. `scheduled_pecs_` is atomic because dedup member reruns
-    // are scheduled dynamically.
+    // scheduled after it. `scheduled_pecs_` is atomic because dedup member
+    // reruns are scheduled dynamically.
     std::size_t statically_scheduled = 0;
-    for (const sched::ShardTaskSpec& t : plan.tasks) {
+    for (const PlanTask& t : plan.tasks) {
       statically_scheduled += t.pecs.size();
     }
     scheduled_pecs_.store(statically_scheduled, std::memory_order_relaxed);
@@ -259,11 +179,9 @@ class ShardExecution {
   /// mates of this (cyclic) task that depend on p. Every dependent outside
   /// the task runs after it, so this static count equals what a runtime
   /// counter would read. `rerun` dispatches one class member's native re-run
-  /// (rerun_member) and collects its report: the in-process scheduler spawns
-  /// it as a stealable subtask, a single-threaded shard worker runs it
-  /// inline.
+  /// (rerun_member), which verify_pecs spawns as a stealable subtask.
   template <typename Emit, typename Rerun>
-  void run_task(const sched::ShardTaskSpec& task, OutcomeStore& store,
+  void run_task(const PlanTask& task, OutcomeStore& store,
                 Emit&& emit, Rerun&& rerun) {
     for (std::size_t i = 0; i < task.pecs.size(); ++i) {
       const PecId p = task.pecs[i];
@@ -330,7 +248,7 @@ class ShardExecution {
     rep.pec = pec_id;
     rep.pec_str = pec.str();
     rep.result = explorer.run();
-    // A cyclic-SCC approximation (ShardPlan::approximated) is a coverage
+    // A cyclic-SCC approximation (VerifyPlan::approximated) is a coverage
     // gap, not a proof: the verdict degrades to kInconclusive.
     if (!plan_.approximated.empty() && plan_.approximated[pec_id] != 0) {
       rep.result.exhaustive = false;
@@ -376,7 +294,7 @@ class ShardExecution {
   const PecDependencies& deps_;
   const VerifyOptions& opts_;
   const Policy& policy_;
-  const ShardPlan& plan_;
+  const VerifyPlan& plan_;
   TruePolicy true_policy_;
   const bool cross_deps_;
   const bool has_deadline_;  ///< explore.budget carries a whole-run deadline
@@ -416,10 +334,10 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   VerifyResult result;
   result.pecs_total = pecs_.pecs.size();
 
-  ShardPlan plan = plan_closure(pecs_, deps_, targets);
+  VerifyPlan plan = plan_closure(pecs_, deps_, targets);
   // A representative that cannot end in a clean hold (simulation, a lossy
-  // visited store) transfers nothing: every member would re-run natively,
-  // and sharded, inline on the representative's worker. Skip classing then.
+  // visited store) transfers nothing: every member would re-run natively.
+  // Skip classing then.
   if (opts_.pec_dedup && can_prove(opts_.explore)) {
     plan.classes = compute_pec_classes(net_, pecs_, deps_, policy, plan.needed,
                                        plan.is_target);
@@ -433,128 +351,14 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   result.scc_count = plan.tasks.size();
   result.unsupported_scc = !plan.approximated.empty();
 
-  // Folds one per-PEC report into the aggregate result — the single
-  // definition both execution paths use, so the sharded and in-process
-  // merges cannot drift (the bit-identical invariant the shard tests pin).
-  bool violated = false;
-  auto merge_report = [&](PecReport&& rep) {
-    // Translated reports repeat their representative's stats; the aggregate
-    // counts only exploration that actually happened.
-    if (rep.translated_from == kNoPec) {
-      result.total.absorb(rep.result.stats);
-      if (plan.classes.is_translated_member(rep.pec)) ++result.dedup_reruns;
-      if (rep.result.verdict() == Verdict::kInconclusive) {
-        ++result.pecs_inconclusive;
-      }
-    }
-    if (!rep.result.violations.empty()) violated = true;
-    if (rep.result.budget_tripped != BudgetKind::kNone &&
-        result.budget_tripped == BudgetKind::kNone) {
-      result.budget_tripped = rep.result.budget_tripped;
-    }
-    if (!rep.result.exhaustive) result.exhaustive = false;
-    if (plan.is_target[rep.pec] != 0) {
-      ++result.pecs_verified;
-      result.reports.push_back(std::move(rep));
-    } else {
-      ++result.pecs_support;
-    }
-  };
-
-  // The same classify() every ExploreResult uses, over the merged facts: a
-  // PEC counted in pecs_inconclusive tripped a budget or was not exhaustive,
-  // and both are already folded into the aggregate.
-  auto finalize_verdict = [&]() {
-    std::sort(result.reports.begin(), result.reports.end(),
-              [](const PecReport& x, const PecReport& y) { return x.pec < y.pec; });
-    result.verdict =
-        classify(violated, result.budget_tripped, result.exhaustive);
-    result.wall = std::chrono::steady_clock::now() - start;
-  };
-
-  // ---- multi-process sharding (sched/shard.hpp) ---------------------------
-  // The coordinator bootstraps every worker (forked, or plankton_worker
-  // daemons over TCP) from the same kBootstrap blob, streams upstream
-  // outcomes to them in the OutcomeStore wire format, and merges their
-  // verdicts, bit-identical to the in-process run at any shard count.
-  // Returns false for a policy without a spec form or on a coordinator-level
-  // failure; the in-process path below then recovers the verdict.
-  auto try_sharded = [&]() -> bool {
-    serve::BootstrapMsg bm;
-    bm.policy_spec = policy.spec(net_);
-    if (bm.policy_spec.empty()) {
-      std::fprintf(stderr,
-                   "plankton: policy '%s' has no spec form to bootstrap shard "
-                   "workers from; verifying in-process\n",
-                   policy.name().c_str());
-      return false;
-    }
-    sched::ShardRunOptions so;
-    so.shards = std::max(1, opts_.shards);
-    so.stop_on_violation = !opts_.explore.find_all_violations;
-    so.heartbeat_interval_ms = opts_.shard_heartbeat_interval_ms;
-    so.soft_deadline_ms = opts_.shard_soft_deadline_ms;
-    so.hard_deadline_ms = opts_.shard_hard_deadline_ms;
-
-    bm.config_text = serve::render_config(net_);
-    bm.targets.assign(targets.begin(), targets.end());
-    for (PecId r = 0; r < plan.classes.members_of.size(); ++r) {
-      const auto& members = plan.classes.members_of[r];
-      if (!members.empty()) {
-        bm.classes.push_back({r, {members.begin(), members.end()}});
-      }
-    }
-    bm.explore = opts_.explore;
-    bm.heartbeat_interval_ms = so.heartbeat_interval_ms;
-    // Built per incarnation: a worker started late gets only the time left
-    // of the run-start deadline, and its slot's and generation's faults.
-    const auto bootstrap = [&](std::size_t slot, int generation) {
-      auto& deadline = bm.explore.budget.deadline;
-      if (opts_.explore.budget.deadline.count() > 0) {
-        deadline = std::max(
-            std::chrono::milliseconds(1),
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                start + opts_.explore.budget.deadline -
-                std::chrono::steady_clock::now()));
-      }
-      const sched::WorkerFaults faults =
-          opts_.shard_fault_plan.for_worker(static_cast<int>(slot), generation);
-      bm.fault_plan = sched::FaultPlan{.faults = faults}.str();
-      return serve::encode_bootstrap(bm);
-    };
-    sched::ForkWorkerTransport forked(&serve_shard_worker_session);
-    sched::TcpWorkerTransport remote(opts_.shard_workers,
-                                     opts_.shard_connect_timeout_ms);
-    sched::WorkerTransport* transport = &forked;
-    if (!opts_.shard_workers.empty()) transport = &remote;
-    sched::ShardRunResult rr = sched::run_sharded_task_graph(
-        net_, pecs_, so, plan.graph, plan.tasks, *transport,
-        bootstrap, shard_plan_hash(plan, pecs_.pecs.size()));
-    if (!rr.ok) {
-      std::fprintf(stderr,
-                   "plankton: sharded run failed (%s); retrying in-process\n",
-                   rr.error.c_str());
-      return false;
-    }
-    result.shard = std::move(rr.stats);
-    for (PecReport& rep : rr.reports) merge_report(std::move(rep));
-    return true;
-  };
-
-  if (opts_.shards > 0 && try_sharded()) {
-    finalize_verdict();
-    return result;
-  }
-  // No shards, or the sharded attempt failed: the in-process scheduler below
-  // produces the verdict rather than losing it.
-  ShardExecution ctx(net_, pecs_, deps_, opts_, policy, plan, start);
+  PlanRunner runner(net_, pecs_, deps_, opts_, policy, plan, start);
 
   OutcomeStore store(net_, pecs_);
 
   // Outcome eviction: once the last needed dependent of a PEC completes, its
   // stored outcomes can never be read again — release them so the store stays
-  // bounded on long runs (the shard coordinator does the same per worker).
-  // Counters are atomics: the last finishing task evicts.
+  // bounded on long runs. Counters are atomics: the last finishing task
+  // evicts.
   auto pending_dependents =
       std::make_unique<std::atomic<std::ptrdiff_t>[]>(pecs_.pecs.size());
   for (PecId p = 0; p < pecs_.pecs.size(); ++p) {
@@ -573,9 +377,9 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   sched::run_task_graph(
       threads, plan.graph, [&](sched::TaskContext& tc) {
         if (stop.load(std::memory_order_relaxed)) return;
-        const sched::ShardTaskSpec& task = plan.tasks[tc.task()];
+        const PlanTask& task = plan.tasks[tc.task()];
         auto& buf = buffers[static_cast<std::size_t>(tc.worker())];
-        ctx.run_task(
+        runner.run_task(
             task, store,
             [&](PecReport&& rep) {
               if (!rep.result.violations.empty() &&
@@ -588,10 +392,10 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
               // Member re-runs become dynamic subtasks: they land on this
               // worker's deque and idle workers steal them, matching the
               // parallelism of the dedup-off task graph. Verdict folding
-              // happens in merge_report after the join.
+              // happens after the join.
               tc.spawn([&, m](sched::TaskContext& sub) {
                 buffers[static_cast<std::size_t>(sub.worker())].push_back(
-                    ctx.rerun_member(m, store));
+                    runner.rerun_member(m, store));
               });
             });
         // Every PEC of the task has read its upstream outcomes by now.
@@ -605,122 +409,42 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
         }
       });
 
+  // Fold the per-PEC reports into the aggregate result.
+  bool violated = false;
   for (auto& buf : buffers) {
-    for (auto& rep : buf) merge_report(std::move(rep));
+    for (PecReport& rep : buf) {
+      // Translated reports repeat their representative's stats; the
+      // aggregate counts only exploration that actually happened.
+      if (rep.translated_from == kNoPec) {
+        result.total.absorb(rep.result.stats);
+        if (plan.classes.is_translated_member(rep.pec)) ++result.dedup_reruns;
+        if (rep.result.verdict() == Verdict::kInconclusive) {
+          ++result.pecs_inconclusive;
+        }
+      }
+      if (!rep.result.violations.empty()) violated = true;
+      if (rep.result.budget_tripped != BudgetKind::kNone &&
+          result.budget_tripped == BudgetKind::kNone) {
+        result.budget_tripped = rep.result.budget_tripped;
+      }
+      if (!rep.result.exhaustive) result.exhaustive = false;
+      if (plan.is_target[rep.pec] != 0) {
+        ++result.pecs_verified;
+        result.reports.push_back(std::move(rep));
+      } else {
+        ++result.pecs_support;
+      }
+    }
   }
-  finalize_verdict();
+
+  // The same classify() every ExploreResult uses, over the merged facts: a
+  // PEC counted in pecs_inconclusive tripped a budget or was not exhaustive,
+  // and both are already folded into the aggregate.
+  std::sort(result.reports.begin(), result.reports.end(),
+            [](const PecReport& x, const PecReport& y) { return x.pec < y.pec; });
+  result.verdict = classify(violated, result.budget_tripped, result.exhaustive);
+  result.wall = std::chrono::steady_clock::now() - start;
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Shard worker entry point (forked workers and plankton_worker alike)
-// ---------------------------------------------------------------------------
-
-int serve_shard_worker_session(int fd) {
-  // A coordinator that dies mid-handshake must surface as EPIPE on this
-  // worker, never SIGPIPE (plankton_worker's accept loop serves the next
-  // coordinator).
-  ::signal(SIGPIPE, SIG_IGN);
-
-  sched::FrameDecoder decoder;
-  sched::Frame frame;
-  char buf[1 << 16];
-  for (;;) {
-    const auto st = decoder.next(frame);
-    if (st == sched::FrameDecoder::Status::kFrame) break;
-    if (st == sched::FrameDecoder::Status::kError) return 3;
-    const ssize_t r = read(fd, buf, sizeof buf);
-    if (r > 0) {
-      decoder.feed(buf, static_cast<std::size_t>(r));
-    } else if (r == 0) {
-      return 0;  // dialed and hung up before bootstrapping: not an error
-    } else if (errno != EINTR) {
-      return 2;
-    }
-  }
-  const auto nack = [fd](std::string why) {
-    std::fprintf(stderr, "plankton shard worker: bootstrap refused: %s\n",
-                 why.c_str());
-    sched::BootstrapAckMsg ack;
-    ack.ok = 0;
-    ack.error = std::move(why);
-    std::string out;
-    sched::encode_frame(out, sched::MsgType::kBootstrapAck,
-                        sched::encode_bootstrap_ack(ack));
-    (void)sched::write_all(fd, out);
-    return 3;
-  };
-  if (frame.type != sched::MsgType::kBootstrap) {
-    return nack("expected kBootstrap as the first frame");
-  }
-  serve::BootstrapMsg bm;
-  if (!serve::decode_bootstrap(frame.payload, bm)) {
-    return nack("malformed bootstrap payload");
-  }
-  // Nothing may pipeline past the bootstrap: the coordinator sends its first
-  // task only after the ack.
-  if (decoder.buffered() != 0) return nack("data pipelined past bootstrap");
-
-  ParsedNetwork pn;
-  std::string err;
-  if (!parse_network_config(bm.config_text, pn, err)) {
-    return nack("config: " + err);
-  }
-
-  VerifyOptions vo;
-  vo.explore = bm.explore;
-
-  Verifier verifier(pn.net, vo);
-  const PecSet& pecs = verifier.pecs();
-  const std::unique_ptr<Policy> policy =
-      serve::make_policy(pn.net, bm.policy_spec, err);
-  if (policy == nullptr) return nack("policy: " + err);
-
-  // Resolved by the coordinator for this incarnation: apply as shipped.
-  sched::FaultPlan faults;
-  if (!sched::parse_fault_plan(bm.fault_plan, faults, err)) {
-    return nack("fault plan: " + err);
-  }
-
-  std::vector<PecId> targets;
-  targets.reserve(bm.targets.size());
-  for (const std::uint32_t t : bm.targets) {
-    if (t >= pecs.pecs.size()) {
-      return nack("target pec " + std::to_string(t) +
-                  " out of range (network reconstruction diverged?)");
-    }
-    targets.push_back(t);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  ShardPlan plan = plan_closure(pecs, verifier.deps(), targets);
-  if (!classes_from_wire(bm.classes, plan.is_target, plan.classes, err)) {
-    return nack("classes: " + err);
-  }
-  finish_plan(plan, pecs, verifier.deps());
-  ShardExecution ctx(pn.net, pecs, verifier.deps(), vo, *policy, plan, start);
-
-  sched::BootstrapAckMsg ack;
-  ack.ok = 1;
-  ack.plan_hash = shard_plan_hash(plan, pecs.pecs.size());
-  std::string out;
-  sched::encode_frame(out, sched::MsgType::kBootstrapAck,
-                      sched::encode_bootstrap_ack(ack));
-  if (!sched::write_all(fd, out)) return 2;
-
-  const auto body = [&](std::size_t task_idx, OutcomeStore& upstream) {
-    std::vector<PecReport> reports;
-    const auto emit = [&reports](PecReport&& rep) {
-      reports.push_back(std::move(rep));
-    };
-    // Members re-run inline: the worker process is single-threaded.
-    ctx.run_task(plan.tasks[task_idx], upstream, emit,
-                 [&](PecId m) { emit(ctx.rerun_member(m, upstream)); });
-    return reports;
-  };
-  return sched::run_worker_session(fd, pn.net, pecs, plan.tasks.size(),
-                                   bm.heartbeat_interval_ms, faults.faults,
-                                   body);
 }
 
 }  // namespace plankton

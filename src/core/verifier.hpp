@@ -20,8 +20,6 @@
 #include "policy/policy.hpp"
 #include "rpvp/explorer.hpp"
 #include "sched/deps.hpp"
-#include "sched/shard.hpp"
-#include "sched/work_stealing.hpp"
 
 namespace plankton {
 
@@ -34,14 +32,11 @@ struct VerifyOptions {
   /// exploration. Exhaustion yields Verdict::kInconclusive with the tripped
   /// axis recorded — never a spurious hold.
   ExploreOptions explore;
-  int cores = 1;                             ///< worker threads for PEC runs
-  /// Worker *processes* for the multi-process shard coordinator
-  /// (sched/shard.hpp). 0 = in-process scheduling (the default); N >= 1
-  /// starts N workers, bootstraps each from the kBootstrap blob, and streams
-  /// outcomes/verdicts over the wire protocol. Verdicts, violation
-  /// multisets, and state counts are bit-identical to the in-process run at
-  /// any shard count.
-  int shards = 0;
+  /// Worker threads of the work-stealing scheduler (sched/work_stealing.hpp)
+  /// that run the PEC tasks; 1 runs them on the calling thread. Verdicts,
+  /// violation multisets and state counts are the same at any count when
+  /// explore.find_all_violations is on.
+  int cores = 1;
   /// Batch PEC verification (eqclass/pec_dedup.hpp): group isomorphic PECs
   /// and explore one representative per class, transferring clean "holds"
   /// verdicts to the members. Falls back to native member exploration on any
@@ -49,27 +44,6 @@ struct VerifyOptions {
   /// trail text stay bit-identical to a dedup-off run. Default on;
   /// `plankton_verify --no-pec-dedup` turns it off.
   bool pec_dedup = true;
-
-  /// Shard supervision (sched/shard.hpp): worker heartbeat cadence and the
-  /// coordinator's escalation ladder (soft deadline → progress probe, hard
-  /// deadline → SIGKILL + reassign). Forwarded to ShardRunOptions.
-  int shard_heartbeat_interval_ms = 100;
-  int shard_soft_deadline_ms = 2000;
-  int shard_hard_deadline_ms = 30000;
-  /// Deterministic fault injection for the shard transport and worker loop
-  /// (sched/fault.hpp); empty = no faults. CLI --fault-plan / env
-  /// PLANKTON_FAULT_PLAN. The coordinator resolves it per worker slot and
-  /// generation, and each worker gets its incarnation's faults inside
-  /// kBootstrap.
-  sched::FaultPlan shard_fault_plan;
-
-  /// Worker transport for the shard coordinator: empty = forked workers.
-  /// Otherwise worker slot s connects to shard_workers[s % n] ("host:port"
-  /// plankton_worker listeners). Either kind bootstraps from the same
-  /// rendered-config + policy-spec blob; a policy with no spec() form runs
-  /// in-process instead (with a stderr note).
-  std::vector<std::string> shard_workers;
-  int shard_connect_timeout_ms = 5000;
 };
 
 struct VerifyResult {
@@ -112,8 +86,6 @@ struct VerifyResult {
   /// validated bijections, with no search.
   std::size_t dedup_orbit_hits = 0;
   std::chrono::nanoseconds dedup_classing_time{0};
-  /// Coordinator wire counters (multi-process runs only; empty otherwise).
-  sched::ShardStats shard;
 
   [[nodiscard]] std::string first_violation(const Topology& topo) const;
 };
@@ -136,7 +108,7 @@ class Verifier {
   /// Verifies an explicit set of target PECs. This is the partial
   /// re-verification entry point for the serve daemon: after a config delta,
   /// only the invalidated PECs are passed here; budgets, dedup, POR and
-  /// shards compose exactly as in a full run (dependency-closure PECs are
+  /// cores compose exactly as in a full run (dependency-closure PECs are
   /// still executed for outcomes, but only `targets` are policy-checked).
   VerifyResult verify_pecs(std::vector<PecId> targets, const Policy& policy);
 
@@ -146,15 +118,5 @@ class Verifier {
   PecSet pecs_;
   PecDependencies deps_;
 };
-
-/// The one shard worker entry point: serves a shard-coordinator connection
-/// on an established socket. A forked worker runs it on its end of the
-/// socketpair; the plankton_worker accept loop runs it per TCP connection.
-/// Reads the kBootstrap frame, reconstructs network/policy/plan from it
-/// (taking the dedup classes as shipped), answers kBootstrapAck carrying
-/// the plan hash, then runs the shard worker session until kShutdown/EOF.
-/// Returns the run_worker_session exit code (0 orderly, 2 transport error,
-/// 3 protocol/bootstrap error, 4 body exception).
-int serve_shard_worker_session(int fd);
 
 }  // namespace plankton

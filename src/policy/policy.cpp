@@ -171,9 +171,10 @@ bool PathConsistencyPolicy::check(const ConvergedView& view, std::string& why) c
 }
 
 // -- make_policy spec rendering ----------------------------------------------
-// These must stay in lockstep with the serve-layer grammar: every shard
-// worker rebuilds the policy by feeding this string back through make_policy,
-// and a drifting renderer silently verifies a different property.
+// These must stay in lockstep with the serve-layer grammar: the serve
+// differential and the renumbering tests rebuild each policy by feeding this
+// string back through make_policy, and a drifting renderer silently verifies
+// a different property.
 
 namespace {
 

@@ -55,10 +55,10 @@ class Policy {
   [[nodiscard]] virtual bool supports_equivalence() const { return true; }
 
   /// The policy rendered in the serve-layer `make_policy` grammar ("reach
-  /// <node>...", "loop", ...), so a shard worker can rebuild it from the
-  /// kBootstrap blob. Every built-in policy has one; empty = no spec form
-  /// (only test-defined policies), and Verifier then runs a sharded request
-  /// in-process with a stderr note.
+  /// <node>...", "loop", ...), so a client can send it as a kQuery and a
+  /// test can rebuild it on a renumbered copy of the network. Every
+  /// built-in policy has one; empty = no spec form (only test-defined
+  /// policies).
   [[nodiscard]] virtual std::string spec(const Network& net) const {
     (void)net;
     return "";

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "checker/progress.hpp"
 #include "protocols/bgp.hpp"
 #include "protocols/ospf.hpp"
 
@@ -228,11 +227,10 @@ bool Explorer::budget_exhausted() {
     result_.budget_tripped = BudgetKind::kStates;
     return true;
   }
-  // Clock reads, memory accounting, and the liveness tick amortize over 256
-  // model steps to stay off the hot path.
+  // Clock reads and memory accounting amortize over 256 model steps to stay
+  // off the hot path.
   if ((++limit_check_counter_ & 0xff) != 0) return false;
   ++result_.stats.budget_checks;
-  progress_tick();
   if (has_deadline_ && std::chrono::steady_clock::now() > deadline_) {
     result_.budget_tripped = BudgetKind::kDeadline;
     return true;

@@ -198,10 +198,8 @@ struct ExploreResult {
   }
 };
 
-/// One PEC's result as the verifier merges it. The in-process scheduler and
-/// a shard worker emit it from the same task body; the shard coordinator
-/// rebuilds it from the worker's kTaskDone and kViolationReport frames.
-/// `result.outcomes` is always empty: recorded outcomes go to the
+/// One PEC's result as the verifier merges it, emitted by the scheduler's
+/// task body. `result.outcomes` is always empty: recorded outcomes go to the
 /// OutcomeStore instead.
 struct PecReport {
   PecId pec = 0;

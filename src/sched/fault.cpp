@@ -1,20 +1,9 @@
 #include "sched/fault.hpp"
 
-#include "netbase/hash.hpp"
+#include "netbase/parse_int.hpp"
 
 namespace plankton::sched {
 namespace {
-
-/// Parses a decimal uint64 from `s` in full; false on empty/garbage.
-bool parse_u64(std::string_view s, std::uint64_t& v) {
-  if (s.empty() || s.size() > 19) return false;
-  v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
 
 /// Splits "name@A:B" into its parts; `arg2` stays empty without a colon.
 void split_directive(std::string_view d, std::string_view& name,
@@ -51,60 +40,30 @@ bool parse_fault_plan(std::string_view text, FaultPlan& out,
     }
     std::string_view name, arg1, arg2;
     split_directive(d, name, arg1, arg2);
-    std::uint64_t v1 = 0, v2 = 0;
-    const bool has1 = parse_u64(arg1, v1);
-    const bool has2 = parse_u64(arg2, v2);
+    // F is a 1-based index; MS is any 32-bit count of milliseconds.
+    std::uint64_t frame = 0;
+    std::uint32_t ms = 0;
+    const bool has_frame = parse_int<std::uint64_t>(arg1, frame, 1);
+    const bool has_ms = parse_int(arg2, ms);
     auto fail = [&](const char* why) {
       error = std::string(why) + ": '" + std::string(d) + "'";
       out = FaultPlan{};
       return false;
     };
-    if (name == "crash") {
-      if (!has1 || v1 == 0 || !arg2.empty()) return fail("crash needs @F");
-      out.faults.crash_at_frame = v1;
-    } else if (name == "torn") {
-      if (!has1 || v1 == 0 || !arg2.empty()) return fail("torn needs @F");
-      out.faults.torn_at_frame = v1;
-    } else if (name == "hang") {
-      if (!has1 || v1 == 0 || !has2) return fail("hang needs @F:MS");
-      out.faults.hang_at_frame = v1;
-      out.faults.hang_ms = static_cast<std::uint32_t>(v2);
-    } else if (name == "wedge") {
-      if (!has1 || v1 == 0 || !has2) return fail("wedge needs @F:MS");
-      out.faults.wedge_at_frame = v1;
-      out.faults.wedge_ms = static_cast<std::uint32_t>(v2);
-    } else if (name == "shortw") {
-      if (!arg1.empty()) return fail("shortw takes no argument");
-      out.faults.short_writes = true;
-    } else if (name == "eintr") {
-      if (!has1 || v1 == 0 || !arg2.empty()) return fail("eintr needs @N");
-      out.faults.eintr_burst = static_cast<std::uint32_t>(v1);
-    } else if (name == "stall") {
-      if (!has1 || v1 == 0 || !has2) return fail("stall needs @F:MS");
-      out.faults.stall_at_frame = v1;
-      out.faults.stall_ms = static_cast<std::uint32_t>(v2);
+    if (name == "stall") {
+      if (!has_frame || !has_ms) return fail("stall needs @F:MS");
+      out.stall_at_frame = frame;
+      out.stall_ms = ms;
     } else if (name == "drop-conn") {
-      if (!has1 || v1 == 0 || !arg2.empty()) return fail("drop-conn needs @F");
-      out.faults.drop_conn_at_frame = v1;
+      if (!has_frame || !arg2.empty()) return fail("drop-conn needs @F");
+      out.drop_conn_at_frame = frame;
     } else if (name == "torn-tcp") {
-      if (!has1 || v1 == 0 || !arg2.empty()) return fail("torn-tcp needs @F");
-      out.faults.torn_tcp_at_frame = v1;
+      if (!has_frame || !arg2.empty()) return fail("torn-tcp needs @F");
+      out.torn_tcp_at_frame = frame;
     } else if (name == "slow-read") {
-      if (!has1 || v1 == 0 || !has2) return fail("slow-read needs @F:MS");
-      out.faults.slow_read_at = v1;
-      out.faults.slow_read_ms = static_cast<std::uint32_t>(v2);
-    } else if (name == "gen*") {
-      out.all_generations = true;
-    } else if (d.substr(0, 5) == "slot=") {
-      if (!parse_u64(d.substr(5), v1)) return fail("slot needs =S");
-      out.slot = static_cast<std::int32_t>(v1);
-    } else if (d.substr(0, 5) == "seed=") {
-      if (!parse_u64(d.substr(5), v1)) return fail("seed needs =X");
-      const std::int32_t keep_slot = out.slot;
-      const bool keep_gens = out.all_generations;
-      out = FaultPlan::from_seed(v1);
-      if (keep_slot >= 0) out.slot = keep_slot;
-      out.all_generations = out.all_generations || keep_gens;
+      if (!has_frame || !has_ms) return fail("slow-read needs @F:MS");
+      out.slow_read_at = frame;
+      out.slow_read_ms = ms;
     } else {
       return fail("unknown fault directive");
     }
@@ -119,85 +78,21 @@ std::string FaultPlan::str() const {
     if (!out.empty()) out += ';';
     out += std::move(piece);
   };
-  if (faults.crash_at_frame != 0) {
-    add("crash@" + std::to_string(faults.crash_at_frame));
+  if (stall_at_frame != 0) {
+    add("stall@" + std::to_string(stall_at_frame) + ":" +
+        std::to_string(stall_ms));
   }
-  if (faults.torn_at_frame != 0) {
-    add("torn@" + std::to_string(faults.torn_at_frame));
+  if (drop_conn_at_frame != 0) {
+    add("drop-conn@" + std::to_string(drop_conn_at_frame));
   }
-  if (faults.hang_at_frame != 0) {
-    add("hang@" + std::to_string(faults.hang_at_frame) + ":" +
-        std::to_string(faults.hang_ms));
+  if (torn_tcp_at_frame != 0) {
+    add("torn-tcp@" + std::to_string(torn_tcp_at_frame));
   }
-  if (faults.wedge_at_frame != 0) {
-    add("wedge@" + std::to_string(faults.wedge_at_frame) + ":" +
-        std::to_string(faults.wedge_ms));
+  if (slow_read_at != 0) {
+    add("slow-read@" + std::to_string(slow_read_at) + ":" +
+        std::to_string(slow_read_ms));
   }
-  if (faults.short_writes) add("shortw");
-  if (faults.eintr_burst != 0) {
-    add("eintr@" + std::to_string(faults.eintr_burst));
-  }
-  if (faults.stall_at_frame != 0) {
-    add("stall@" + std::to_string(faults.stall_at_frame) + ":" +
-        std::to_string(faults.stall_ms));
-  }
-  if (faults.drop_conn_at_frame != 0) {
-    add("drop-conn@" + std::to_string(faults.drop_conn_at_frame));
-  }
-  if (faults.torn_tcp_at_frame != 0) {
-    add("torn-tcp@" + std::to_string(faults.torn_tcp_at_frame));
-  }
-  if (faults.slow_read_at != 0) {
-    add("slow-read@" + std::to_string(faults.slow_read_at) + ":" +
-        std::to_string(faults.slow_read_ms));
-  }
-  if (slot >= 0) add("slot=" + std::to_string(slot));
-  if (all_generations) add("gen*");
   return out;
-}
-
-FaultPlan FaultPlan::from_seed(std::uint64_t seed) {
-  FaultPlan plan;
-  plan.seed = seed;
-  const std::uint64_t h = hash_mix(seed + 0xfa17u);
-  // One fault class per seed keeps each swept run attributable; the frame
-  // index stays small so the fault actually fires on tiny test workloads.
-  const std::uint64_t frame = 1 + (hash_mix(h) % 3);
-  switch (h % 6) {
-    case 0: plan.faults.crash_at_frame = frame; break;
-    case 1: plan.faults.torn_at_frame = frame; break;
-    case 2:
-      plan.faults.hang_at_frame = frame;
-      plan.faults.hang_ms = 20;
-      break;
-    case 3: plan.faults.short_writes = true; break;
-    case 4: plan.faults.eintr_burst = 1 + (hash_mix(h) % 4); break;
-    case 5:
-      plan.faults.crash_at_frame = frame;
-      plan.faults.short_writes = true;
-      break;
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::from_seed_socket(std::uint64_t seed) {
-  FaultPlan plan;
-  plan.seed = seed;
-  const std::uint64_t h = hash_mix(seed + 0x50c7e7u);
-  const std::uint64_t frame = 1 + (hash_mix(h) % 3);
-  switch (h % 4) {
-    case 0:
-      plan.faults.stall_at_frame = frame;
-      plan.faults.stall_ms = 20;
-      break;
-    case 1: plan.faults.drop_conn_at_frame = frame; break;
-    case 2: plan.faults.torn_tcp_at_frame = frame; break;
-    case 3:
-      plan.faults.slow_read_at = frame;
-      plan.faults.slow_read_ms = 20;
-      break;
-  }
-  return plan;
 }
 
 }  // namespace plankton::sched

@@ -1,51 +1,26 @@
-// Deterministic fault injection for the shard transport and worker loop.
+// Deterministic socket-fault injection for the serve daemon
+// (plankton_serve --fault-plan, ServerOptions::fault_plan).
 //
 // A FaultPlan is a compact, human-writable description of *exactly when and
-// how* a worker misbehaves, so every recovery path in the coordinator
-// (EOF reap + reassign, torn-frame poison, heartbeat hang detection, bounded
-// write retries) is driven by tests instead of theorized about. Plans are
-// deterministic: the same plan over the same workload produces the same
-// fault at the same frame, so a divergence reproduces from the plan string
-// alone (docs/architecture.md "Resource governance & failure handling").
+// how* the daemon's connection to a client misbehaves while the process
+// survives, so the serve read-deadline and connection-shedding paths are
+// driven by tests instead of theorized about. Plans are deterministic: the
+// same plan over the same request stream produces the same fault at the
+// same frame, so a divergence reproduces from the plan string alone.
 //
 // Syntax: semicolon- or comma-separated directives.
 //
-//   crash@F      _exit immediately before writing outbound data frame F
-//                (1-based; heartbeats are not counted)
-//   torn@F       write the first half of data frame F, then _exit — the
-//                coordinator sees a truncated stream mid-frame
-//   hang@F:MS    sleep MS ms before writing data frame F; heartbeats keep
-//                flowing (a slow-but-alive worker)
-//   wedge@F:MS   hold the frame-write lock for MS ms before data frame F so
-//                heartbeats stall too (MS=0: wedge forever — the worker is
-//                alive but stuck and only the hard-deadline SIGKILL ends it)
-//   shortw       chunk every outbound write into <=7-byte pieces (partial
-//                write exercise for the reassembling decoder)
-//   eintr@N      fail the first N write() attempts of every frame with a
-//                synthetic EINTR (retry-storm exercise for bounded write_all)
-//
-// Socket-level faults — the connection misbehaves but the process survives,
-// so the TCP reconnect/re-bootstrap and serve read-deadline paths are what
-// recovers (a process-fault crash@F exercises respawn instead):
-//
-//   stall@F:MS     sleep MS ms with the connection idle before sending data
-//                  frame F (no heartbeats either on transports that have
-//                  them — a stalled-peer exercise for idle deadlines)
-//   drop-conn@F    shutdown(2) the connection immediately before data frame
-//                  F; the process stays alive to accept a reconnect
-//   torn-tcp@F     write the first half of data frame F, then shutdown(2) —
+//   stall@F:MS     sleep MS ms with the connection idle before sending reply
+//                  frame F (1-based) — a stalled-peer exercise
+//   drop-conn@F    shutdown(2) the connection immediately before reply frame
+//                  F; the daemon keeps serving other connections
+//   torn-tcp@F     write the first half of reply frame F, then shutdown(2) —
 //                  a torn stream whose peer process survives
 //   slow-read@F:MS sleep MS ms before the F-th read from the connection
 //                  (1-based; a slow consumer backing up the peer's writes)
-//   slot=S       scope the plan to worker slot S (default: all workers)
-//   gen*         faults persist across respawns of a slot; without it a
-//                fault fires only at generation 0, so recovery always
-//                succeeds within the reassignment cap
-//   seed=X       derive a deterministic plan from X (from_seed) — used by
-//                the fault-injection sweep to scale diversity
 //
-// Example: "crash@2;slot=1" — worker slot 1's first incarnation dies just
-// before its second result frame; respawns behave normally.
+// Example: "drop-conn@1" — every connection is shut down just before its
+// first reply.
 #pragma once
 
 #include <cstdint>
@@ -54,64 +29,23 @@
 
 namespace plankton::sched {
 
-/// The faults one specific worker incarnation must act out (resolved from a
-/// FaultPlan via for_worker). All-defaults means "behave normally".
-struct WorkerFaults {
-  std::uint64_t crash_at_frame = 0;  ///< 0 = off; 1-based outbound data frame
-  std::uint64_t torn_at_frame = 0;
-  std::uint64_t hang_at_frame = 0;
-  std::uint32_t hang_ms = 0;
-  std::uint64_t wedge_at_frame = 0;
-  std::uint32_t wedge_ms = 0;  ///< 0 = wedge forever (until SIGKILL)
-  bool short_writes = false;
-  std::uint32_t eintr_burst = 0;
-
-  // Socket-level faults (connection dies or stalls, process survives):
-  std::uint64_t stall_at_frame = 0;
+/// The faults the daemon acts out on each client connection. All-defaults
+/// means "behave normally".
+struct FaultPlan {
+  std::uint64_t stall_at_frame = 0;  ///< 0 = off; 1-based reply frame
   std::uint32_t stall_ms = 0;
   std::uint64_t drop_conn_at_frame = 0;
   std::uint64_t torn_tcp_at_frame = 0;
   std::uint64_t slow_read_at = 0;  ///< 1-based read() index on the connection
   std::uint32_t slow_read_ms = 0;
 
-  [[nodiscard]] bool any() const {
-    return crash_at_frame != 0 || torn_at_frame != 0 || hang_at_frame != 0 ||
-           wedge_at_frame != 0 || short_writes || eintr_burst != 0 ||
-           stall_at_frame != 0 || drop_conn_at_frame != 0 ||
-           torn_tcp_at_frame != 0 || slow_read_at != 0;
-  }
-};
-
-struct FaultPlan {
-  WorkerFaults faults;
-  std::int32_t slot = -1;        ///< -1 = every worker slot
-  bool all_generations = false;  ///< gen*: survive respawns
-  std::uint64_t seed = 0;        ///< non-zero when derived via from_seed
-
-  [[nodiscard]] bool empty() const { return !faults.any(); }
-
-  /// The faults worker `slot` at respawn `generation` must act out. By
-  /// default faults fire only at generation 0: the respawned worker is
-  /// healthy and recovery completes within the reassignment cap.
-  [[nodiscard]] WorkerFaults for_worker(int worker_slot,
-                                        int generation) const {
-    if (slot >= 0 && worker_slot != slot) return {};
-    if (generation > 0 && !all_generations) return {};
-    return faults;
+  [[nodiscard]] bool empty() const {
+    return stall_at_frame == 0 && drop_conn_at_frame == 0 &&
+           torn_tcp_at_frame == 0 && slow_read_at == 0;
   }
 
   /// Canonical plan string (parse(str()) round-trips).
   [[nodiscard]] std::string str() const;
-
-  /// Deterministic plan derived from a seed: picks one fault class and a
-  /// small frame index. The sweep tests iterate seeds to cover the matrix.
-  [[nodiscard]] static FaultPlan from_seed(std::uint64_t seed);
-
-  /// Like from_seed, but over the socket-fault classes only (stall,
-  /// drop-conn, torn-tcp, slow-read) — the network-level sweep. Kept
-  /// separate so from_seed stays byte-stable for the pinned process-fault
-  /// matrix.
-  [[nodiscard]] static FaultPlan from_seed_socket(std::uint64_t seed);
 };
 
 /// Parses the directive syntax above. Returns false (and sets `error`)

@@ -6,19 +6,14 @@
 // converged states, and uses them when necessary." This is that store:
 // outcomes are kept as PecOutcome objects and served to downstream runs as
 // UpstreamResolvers, matched by failure set so topology changes stay
-// coordinated across PECs. serialize()/deserialize() turn an outcome batch
-// into bytes and back — the PKO1 format that kOutcomeDelivery frames carry
-// between the shard coordinator and its workers (sched/shard.hpp) — and
-// evict() releases a PEC's outcomes once every dependent has consumed them,
-// bounding the store on long runs.
+// coordinated across PECs. evict() releases a PEC's outcomes once every
+// dependent has consumed them, bounding the store on long runs.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "pec/pec.hpp"
@@ -42,14 +37,6 @@ class OutcomeStore {
 
   /// Heap footprint of the stored outcomes (not the handed-out resolvers).
   [[nodiscard]] std::size_t bytes() const;
-
-  /// Serializes an outcome batch to a self-contained byte string — the wire
-  /// format of the multi-process sharding roadmap item. deserialize() is the
-  /// exact inverse for the same network (link count validated); it returns
-  /// false on truncated or corrupt input and leaves `out` empty.
-  [[nodiscard]] std::string serialize(std::span<const PecOutcome> outcomes) const;
-  [[nodiscard]] bool deserialize(std::string_view data,
-                                 std::vector<PecOutcome>& out) const;
 
   /// All combinations of one outcome per dependency, restricted to outcomes
   /// recorded under exactly `failures`. Returned resolvers are owned by the

@@ -1,7 +1,6 @@
-// Little-endian wire codec shared by every PKS1 payload (sched/shard.hpp,
-// serve/serve.hpp) and the primitives under the hand-written formats: the
-// frame header, the PKO1 outcome batch (sched/outcome_store.cpp), the PKC1
-// cache file and the PKJ1 journal records.
+// Little-endian wire codec shared by every PKS1 payload (serve/serve.hpp)
+// and the primitives under the hand-written formats: the frame header
+// (sched/frame.cpp), the PKC1 cache file and the PKJ1 journal records.
 //
 // A payload struct lists its fields once, in wire order:
 //
@@ -27,7 +26,6 @@
 //   std::vector<T>   u32 count, then the elements
 //   listed struct    its own field list, inline
 //   at_most(f, last) a one-byte field (flag or enum); decode refuses > last
-//   non_negative(f)  f; decode refuses a negative value
 //
 // Decode contract: a truncated, corrupt or hostile input is refused and the
 // output reset to its default; trailing bytes are refused; every count is
@@ -94,16 +92,6 @@ constexpr AtMost<T, L> at_most(T& field, L last) {
   return {field, last};
 }
 
-/// A signed field (an integer or a duration) whose value must be >= 0.
-template <typename T>
-struct NonNegative {
-  T& field;
-};
-template <typename T>
-constexpr NonNegative<T> non_negative(T& field) {
-  return {field};
-}
-
 namespace detail {
 
 template <typename T>
@@ -118,10 +106,6 @@ template <typename T>
 inline constexpr bool is_at_most = false;
 template <typename T, typename L>
 inline constexpr bool is_at_most<AtMost<T, L>> = true;
-template <typename T>
-inline constexpr bool is_non_negative = false;
-template <typename T>
-inline constexpr bool is_non_negative<NonNegative<T>> = true;
 
 struct AnyFields {
   template <typename... F>
@@ -158,7 +142,7 @@ class Writer {
       put_int(out_, static_cast<std::int64_t>(v.count()));
     } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
       put_int(out_, static_cast<std::uint8_t>(v));
-    } else if constexpr (is_at_most<T> || is_non_negative<T>) {
+    } else if constexpr (is_at_most<T>) {
       put(v.field);
     } else {
       static_assert(std::is_integral_v<T>, "no wire form for this field type");
@@ -235,14 +219,6 @@ class Reader {
       }
       v.field = static_cast<Field>(b);
       return true;
-    } else if constexpr (is_non_negative<T>) {
-      using Field = std::remove_reference_t<decltype(v.field)>;
-      if (!get(v.field)) return false;
-      if constexpr (is_duration<Field>) {
-        return v.field.count() >= 0;
-      } else {
-        return v.field >= 0;
-      }
     } else {
       return get_int(in_, v);
     }

@@ -11,16 +11,12 @@
 // every deque is empty.
 //
 // The scheduler is deliberately generic (task indices + dependents lists):
-// the Verifier feeds it the plan's SCC tasks, each running the task body a
-// shard worker runs too; the multi-process shard coordinator
-// (sched/shard.hpp) runs the same TaskGraph across worker processes.
+// the Verifier feeds it the plan's SCC tasks.
 //
 // A task body may inject *dynamic* subtasks mid-run (TaskContext::spawn): a
 // spawned job lands on the spawning worker's own deque and is stolen by idle
-// workers like any static task. This is the one place the in-process path
-// differs from a shard worker: the Verifier spawns one job per dedup class
-// member that must be re-explored natively after its representative's run,
-// where a single-threaded worker re-runs the member inline.
+// workers like any static task. The Verifier spawns one job per dedup class
+// member that must be re-explored natively after its representative's run.
 //
 // One worker runs the same loop on the calling thread and starts no thread.
 // Its order is then fixed: ready tasks lowest index first, and after each

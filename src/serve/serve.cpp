@@ -6,6 +6,7 @@
 
 #include "eqclass/pec_dedup.hpp"
 #include "netbase/hash.hpp"
+#include "netbase/parse_int.hpp"
 #include "sched/wire.hpp"
 
 namespace plankton::serve {
@@ -16,10 +17,6 @@ namespace plankton::serve {
 
 std::string encode_load_net(const LoadNetMsg& m) { return wire::encode(m); }
 bool decode_load_net(std::string_view in, LoadNetMsg& out) {
-  return wire::decode(in, out);
-}
-std::string encode_bootstrap(const BootstrapMsg& m) { return wire::encode(m); }
-bool decode_bootstrap(std::string_view in, BootstrapMsg& out) {
   return wire::decode(in, out);
 }
 std::string encode_apply_delta(const ApplyDeltaMsg& m) {
@@ -114,12 +111,9 @@ std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
       return nullptr;
     }
     std::uint32_t limit = 0;
-    for (const char c : rest[0]) {
-      if (c < '0' || c > '9' || limit > 400000000u) {
-        error = "bad bound '" + std::string(rest[0]) + "'";
-        return nullptr;
-      }
-      limit = limit * 10 + static_cast<std::uint32_t>(c - '0');
+    if (!parse_int(rest[0], limit)) {
+      error = "bad bound '" + std::string(rest[0]) + "'";
+      return nullptr;
     }
     if (!nodes_of(net, rest.subspan(1), nodes, error)) return nullptr;
     return std::make_unique<BoundedPathLengthPolicy>(std::move(nodes), limit);
@@ -461,6 +455,15 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
     finish();
     return reply;
   }
+  // ExploreOptions::max_failures is an int: a larger k would wrap negative
+  // and fail no link at all, so refuse it before any cache lookup or insert.
+  if (q.max_failures > static_cast<std::uint32_t>(INT32_MAX)) {
+    reply.error = "max_failures " + std::to_string(q.max_failures) +
+                  " exceeds the bound " + std::to_string(INT32_MAX);
+    reply.verdict = static_cast<std::uint8_t>(Verdict::kError);
+    finish();
+    return reply;
+  }
   std::string error;
   const std::unique_ptr<Policy> policy =
       make_policy(parsed_.net, q.policy_spec, error);
@@ -500,7 +503,7 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
   }
 
   VerifyOptions qopts = opts_;
-  qopts.explore.max_failures = q.max_failures;
+  qopts.explore.max_failures = static_cast<int>(q.max_failures);
   Verifier verifier(parsed_.net, qopts);
   const VerifyResult result = verifier.verify_pecs(misses, *policy);
   for (const PecReport& rep : result.reports) {

@@ -9,12 +9,12 @@
 // changed, or they appeared/disappeared). Nothing is explicitly invalidated
 // — a moved PEC simply keys to a fresh cache slot, and the next query
 // re-verifies exactly the misses through the existing Verifier (budgets,
-// dedup, POR, shards compose unchanged).
+// dedup, POR, cores compose unchanged).
 //
-// Frame payloads ride the PKS1 framing (sched/shard.hpp MsgType 7..12). Each
+// Frame payloads ride the PKS1 framing (sched/frame.hpp MsgType 7..11). Each
 // payload struct lists its fields in wire order and its codecs walk that list
-// through sched/wire.hpp, under the shard payloads' decode contract — false
-// on truncated/corrupt/hostile input, output left default-initialized, every
+// through sched/wire.hpp, under its decode contract — false on
+// truncated/corrupt/hostile input, output left default-initialized, every
 // count validated against the bytes present before it sizes an allocation.
 #pragma once
 
@@ -113,65 +113,6 @@ struct VerdictReplyMsg {
 
 /// kCacheStats reply (the request direction carries an empty payload).
 using CacheStatsMsg = CacheCounters;
-
-/// One dedup class in kBootstrap: a representative and its other members.
-struct BootstrapClass {
-  std::uint32_t rep = 0;
-  std::vector<std::uint32_t> members;
-
-  template <typename S, typename V>
-  static constexpr bool wire_fields(S& s, V&& v) {
-    return v(s.rep, s.members);
-  }
-};
-
-/// The ExploreOptions fields kBootstrap ships, in wire order: every field
-/// but record_outcomes, which run_pec_core sets per PEC.
-template <typename E, typename V>
-constexpr bool shipped_explore_fields(E& eo, V&& v) {
-  return v(wire::non_negative(eo.max_failures), eo.consistent_only,
-           eo.deterministic_nodes, eo.det_nodes_bgp, eo.decision_independence,
-           eo.lec_failures, eo.policy_pruning, eo.suppress_equivalent,
-           wire::at_most(eo.visited, VisitedKind::kBitstate), eo.bloom_bits,
-           eo.merge_updates, eo.ad_cache, eo.por, eo.incremental_expand,
-           wire::non_negative(eo.budget.deadline), eo.budget.max_states,
-           eo.budget.max_bytes, eo.budget.degrade_visited,
-           eo.find_all_violations,
-           wire::at_most(eo.engine_kind, SearchEngineKind::kBfs));
-}
-
-/// kBootstrap: everything a shard worker (forked or plankton_worker) needs to
-/// rebuild the coordinator's verification plan — the network as
-/// render_config text, the policy in make_policy grammar, the target PECs,
-/// the dedup classes, and the options its session reads. PEC partitioning
-/// and dependency analysis are deterministic functions of the parsed
-/// network; the kBootstrapAck plan hash proves the worker's plan matches.
-struct BootstrapMsg {
-  std::string config_text;            ///< render_config output
-  std::string policy_spec;            ///< make_policy grammar
-  std::vector<std::uint32_t> targets; ///< PecIds the query policy-checks
-  /// The coordinator's multi-member dedup classes (none with dedup off).
-  std::vector<BootstrapClass> classes;
-  /// VerifyOptions::explore, every field but record_outcomes (run_pec_core
-  /// sets that per PEC). The budget deadline travels as the *remaining*
-  /// milliseconds: absolute time points do not survive a host boundary.
-  ExploreOptions explore;
-  /// ShardRunOptions::heartbeat_interval_ms for the worker's session.
-  std::int32_t heartbeat_interval_ms = 0;
-  /// This incarnation's faults, resolved by the coordinator for its slot and
-  /// generation (FaultPlan syntax; empty = no faults).
-  std::string fault_plan;
-
-  template <typename S, typename V>
-  static constexpr bool wire_fields(S& s, V&& v) {
-    return v(s.config_text, s.policy_spec, s.targets, s.classes) &&
-           shipped_explore_fields(s.explore, v) &&
-           v(wire::non_negative(s.heartbeat_interval_ms), s.fault_plan);
-  }
-};
-
-std::string encode_bootstrap(const BootstrapMsg& m);
-bool decode_bootstrap(std::string_view in, BootstrapMsg& out);
 
 std::string encode_load_net(const LoadNetMsg& m);
 bool decode_load_net(std::string_view in, LoadNetMsg& out);

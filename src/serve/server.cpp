@@ -89,19 +89,21 @@ struct ClientConn {
 /// Sends one PKS1 frame to a client, acting out any serve-side socket
 /// faults. Returns false when the connection must be closed (fault fired or
 /// the peer is gone).
-bool send_client_frame(ClientConn& c, const sched::WorkerFaults& wf,
+bool send_client_frame(ClientConn& c, const sched::FaultPlan& faults,
                        sched::MsgType type, std::string_view payload) {
   std::string out;
   sched::encode_frame(out, type, payload);
   ++c.reply_frames;
-  if (wf.stall_at_frame != 0 && c.reply_frames == wf.stall_at_frame) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(wf.stall_ms));
+  if (faults.stall_at_frame != 0 && c.reply_frames == faults.stall_at_frame) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(faults.stall_ms));
   }
-  if (wf.drop_conn_at_frame != 0 && c.reply_frames == wf.drop_conn_at_frame) {
+  if (faults.drop_conn_at_frame != 0 &&
+      c.reply_frames == faults.drop_conn_at_frame) {
     ::shutdown(c.fd, SHUT_RDWR);
     return false;
   }
-  if (wf.torn_tcp_at_frame != 0 && c.reply_frames == wf.torn_tcp_at_frame) {
+  if (faults.torn_tcp_at_frame != 0 &&
+      c.reply_frames == faults.torn_tcp_at_frame) {
     (void)sched::write_all(c.fd, out.data(), out.size() / 2);
     ::shutdown(c.fd, SHUT_RDWR);
     return false;
@@ -119,7 +121,7 @@ enum class Dispatch { kKeep, kClose, kShutdown };
 /// for its duration; the deadlines below are about *stalled sockets*, not
 /// slow verification.
 Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
-                        ServeState& state, const sched::WorkerFaults& wf) {
+                        ServeState& state, const sched::FaultPlan& faults) {
   VerdictReplyMsg reply;
   std::string error;
   switch (frame.type) {
@@ -159,7 +161,7 @@ Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
       break;
     }
     case sched::MsgType::kCacheStats: {
-      return send_client_frame(c, wf, sched::MsgType::kCacheStats,
+      return send_client_frame(c, faults, sched::MsgType::kCacheStats,
                                encode_cache_stats(state.cache_stats()))
                  ? Dispatch::kKeep
                  : Dispatch::kClose;
@@ -177,18 +179,18 @@ Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
                      save_error.c_str());
       }
       reply.ok = true;
-      (void)send_client_frame(c, wf, sched::MsgType::kVerdictReply,
+      (void)send_client_frame(c, faults, sched::MsgType::kVerdictReply,
                               encode_verdict_reply(reply));
       return Dispatch::kShutdown;
     }
     default: {
-      // Shard-side frame types are valid PKS1 but meaningless here.
+      // A daemon → client frame type is valid PKS1 but meaningless here.
       reply.error = "unexpected frame type on serve socket";
       reply.verdict = static_cast<std::uint8_t>(Verdict::kError);
       break;
     }
   }
-  return send_client_frame(c, wf, sched::MsgType::kVerdictReply,
+  return send_client_frame(c, faults, sched::MsgType::kVerdictReply,
                            encode_verdict_reply(reply))
              ? Dispatch::kKeep
              : Dispatch::kClose;
@@ -265,7 +267,7 @@ int run_server(const ServerOptions& opts) {
     return 3;
   }
 
-  const sched::WorkerFaults wf = opts.fault_plan.for_worker(0, 0);
+  const sched::FaultPlan& faults = opts.fault_plan;
   std::list<ClientConn> clients;
   bool shutdown = false;
   char buf[1 << 16];
@@ -325,9 +327,9 @@ int run_server(const ServerOptions& opts) {
       bool close_conn = false;
       if (ready > 0 && FD_ISSET(c.fd, &fds)) {
         ++c.reads;
-        if (wf.slow_read_at != 0 && c.reads == wf.slow_read_at) {
+        if (faults.slow_read_at != 0 && c.reads == faults.slow_read_at) {
           std::this_thread::sleep_for(
-              std::chrono::milliseconds(wf.slow_read_ms));
+              std::chrono::milliseconds(faults.slow_read_ms));
         }
         const ssize_t r = ::read(c.fd, buf, sizeof buf);
         if (r <= 0) {
@@ -345,7 +347,7 @@ int run_server(const ServerOptions& opts) {
               close_conn = true;
               break;
             }
-            const Dispatch d = dispatch_frame(c, frame, state, wf);
+            const Dispatch d = dispatch_frame(c, frame, state, faults);
             if (d == Dispatch::kShutdown) {
               shutdown = true;
               break;

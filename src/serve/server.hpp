@@ -1,5 +1,5 @@
 // Socket transport for plankton_serve: Unix-domain and/or TCP listeners
-// speaking PKS1 frames (sched/shard.hpp), plus the client-side helpers the
+// speaking PKS1 frames (sched/frame.hpp), plus the client-side helpers the
 // CLI uses. The accept loop multiplexes all connections through one
 // select() with a periodic tick — request *processing* is sequential (the
 // resident Verifier is single-threaded state), but a client stalled
@@ -11,7 +11,7 @@
 #include <string_view>
 
 #include "sched/fault.hpp"
-#include "sched/shard.hpp"
+#include "sched/frame.hpp"
 #include "serve/serve.hpp"
 
 namespace plankton::serve {
@@ -24,9 +24,8 @@ struct ServerOptions {
   /// file already holds records the daemon replays them before accepting
   /// connections, rebuilding the pre-crash net state bit-identically.
   std::string journal_path;
-  /// Socket faults (stall/drop-conn/torn-tcp/slow-read) the *server* acts
-  /// out on client connections — the serve-side chaos hook; resolved via
-  /// for_worker(0, 0). Process faults are ignored here.
+  /// Socket faults (stall/drop-conn/torn-tcp/slow-read) the server acts
+  /// out on client connections — the serve-side chaos hook.
   sched::FaultPlan fault_plan;
   /// Accepted connections beyond this are refused with a polite
   /// kVerdictReply error instead of queueing behind select().

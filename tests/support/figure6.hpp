@@ -1,6 +1,6 @@
 // The paper's Figure 6 network, shared between the deterministic-node
-// narrative tests (test_bgp_figure6.cpp) and the shard-coordinator
-// acceptance tests (test_shard_coordinator.cpp).
+// narrative tests (test_bgp_figure6.cpp) and the policy spec tests
+// (test_policies.cpp).
 #pragma once
 
 #include "config/network.hpp"

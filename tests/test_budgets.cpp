@@ -5,7 +5,7 @@
 // The headline guarantees under test:
 //   · a tripped budget (deadline / states / memory) degrades a would-be hold
 //     to Verdict::kInconclusive — NEVER to a spurious kHolds — on every
-//     engine × shard-count combination;
+//     engine × worker-count combination;
 //   · state- and memory-budget trips are deterministic: the same budget on
 //     the same workload twice yields bit-identical partial stats and the
 //     identical kInconclusive report (the budget-determinism satellite);
@@ -19,7 +19,6 @@
 
 #include "core/verifier.hpp"
 #include "engine/visited.hpp"
-#include "support/thread_worker.hpp"
 #include "workload/fat_tree.hpp"
 #include "workload/ring.hpp"
 
@@ -91,20 +90,11 @@ struct WorstCase {
   [[nodiscard]] VerifyResult run(VerifyOptions vo) const {
     return run(vo, policy);
   }
-  /// A sharded run must have run its tasks in workers: a refused bootstrap
-  /// falls back to the in-process scheduler, the very oracle compared
-  /// against.
   [[nodiscard]] VerifyResult run(VerifyOptions vo, const Policy& p) const {
     vo.explore.det_nodes_bgp = false;
     vo.explore.suppress_equivalent = false;
     Verifier verifier(ft.net, vo);
-    VerifyResult r = verifier.verify_address(addr, p);
-    if (vo.shards > 0) {
-      std::uint64_t ran = 0;
-      for (const std::uint64_t n : r.shard.tasks_per_shard) ran += n;
-      EXPECT_GT(ran, 0u) << "the sharded run fell back to in-process";
-    }
-    return r;
+    return verifier.verify_address(addr, p);
   }
 };
 
@@ -238,26 +228,26 @@ TEST(BudgetDeterminism, DeadlineClassifiesIdenticallyAcrossRuns) {
 
 // ---------------------------------------------------------------------------
 // Soundness: exhaustion is never reported as a hold, on every engine x
-// shard-count combination (the acceptance matrix)
+// worker-count combination (the acceptance matrix)
 // ---------------------------------------------------------------------------
 
-TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndShards) {
+TEST(BudgetSoundness, DeadlineNeverReportsHoldAcrossEnginesAndCores) {
   const WorstCase wc;
   for (const SearchEngineKind engine :
        {SearchEngineKind::kDfs, SearchEngineKind::kBfs}) {
-    for (const int shards : {0, 1, 2}) {
+    for (const int cores : {1, 4}) {
       VerifyOptions vo;
+      vo.cores = cores;
       vo.explore.engine_kind = engine;
       vo.explore.budget.deadline = std::chrono::milliseconds(25);
-      if (shards > 0) vo.shards = shards;
       const VerifyResult r = wc.run(vo);
       EXPECT_NE(r.verdict, Verdict::kHolds)
-          << "engine=" << to_string(engine) << " shards=" << shards
+          << "engine=" << to_string(engine) << " cores=" << cores
           << ": a deadline-capped partial search reported a hold";
       EXPECT_EQ(r.verdict, Verdict::kInconclusive)
-          << "engine=" << to_string(engine) << " shards=" << shards;
+          << "engine=" << to_string(engine) << " cores=" << cores;
       EXPECT_EQ(r.budget_tripped, BudgetKind::kDeadline)
-          << "engine=" << to_string(engine) << " shards=" << shards;
+          << "engine=" << to_string(engine) << " cores=" << cores;
     }
   }
 }
@@ -331,49 +321,36 @@ TEST(BudgetSoundness, MemoryBudgetCountsRecordedOutcomes) {
   EXPECT_EQ(capped.verdict(), Verdict::kInconclusive);
 }
 
-TEST(BudgetSoundness, StateBudgetIsInconclusiveThroughShards) {
-  // The new verdict fields must survive the PecDone wire round-trip: a
-  // sharded budget-tripped run reports the same taxonomy as in-process.
+TEST(BudgetSoundness, StateBudgetTripsIdenticallyAcrossCores) {
+  // A budget-tripped run reports the same taxonomy and the same partial
+  // counts whether its tasks run on the calling thread or on 4 workers.
   const WorstCase wc;
   VerifyOptions vo;
   vo.explore.budget.max_states = 5000;
   const Fingerprint ref = fingerprint(wc.run(vo));
-  for (const int shards : {1, 2}) {
-    VerifyOptions sv = vo;
-    sv.shards = shards;
-    const VerifyResult r = wc.run(sv);
-    EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "shards=" << shards;
-    EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "shards=" << shards;
-    EXPECT_EQ(fingerprint(r), ref)
-        << "shards=" << shards
-        << ": budget trip diverged from the in-process run";
-  }
+  EXPECT_EQ(ref.verdict, Verdict::kInconclusive);
+  EXPECT_EQ(ref.budget_tripped, BudgetKind::kStates);
+  VerifyOptions steal = vo;
+  steal.cores = 4;
+  EXPECT_EQ(fingerprint(wc.run(steal)), ref)
+      << "budget trip diverged between 1 and 4 cores";
 }
 
 TEST(BudgetSoundness, ExploreBudgetIsHonoredByVerifier) {
   // VerifyOptions::explore.budget is the one budget: a state cap set there
-  // must reach every PEC exploration in-process and in forked and TCP shard
-  // workers (which all rebuild it from kBootstrap). The whole test checks
-  // loop freedom on the worst-case PEC.
+  // must reach every PEC exploration at any worker count. The whole test
+  // checks loop freedom on the worst-case PEC.
   const WorstCase wc;
   const LoopFreedomPolicy loop;
-  testsupport::ThreadWorker workers[2];
   VerifyOptions vo;
   vo.explore.budget.max_states = 5000;
-  for (const int shards : {0, 2}) {
+  for (const int cores : {1, 4}) {
     VerifyOptions sv = vo;
-    sv.shards = shards;
+    sv.cores = cores;
     const VerifyResult r = wc.run(sv, loop);
-    EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "shards=" << shards;
-    EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "shards=" << shards;
+    EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "cores=" << cores;
+    EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "cores=" << cores;
   }
-  VerifyOptions tcp = vo;
-  tcp.shards = 2;
-  for (const auto& w : workers) tcp.shard_workers.push_back(w.address());
-  const VerifyResult r = wc.run(tcp, loop);
-  EXPECT_GT(r.shard.frames_sent, 0u) << "tcp run fell back to in-process";
-  EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "tcp transport";
-  EXPECT_EQ(r.budget_tripped, BudgetKind::kStates) << "tcp transport";
 }
 
 // ---------------------------------------------------------------------------

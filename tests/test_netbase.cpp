@@ -1,10 +1,13 @@
-// netbase: IPv4 values, prefixes, topology, failure sets, Dijkstra.
+// netbase: IPv4 values, prefixes, topology, failure sets, Dijkstra, and
+// strict integer parsing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 
 #include "netbase/hash.hpp"
 #include "netbase/ip.hpp"
+#include "netbase/parse_int.hpp"
 #include "netbase/topology.hpp"
 
 namespace plankton {
@@ -167,6 +170,38 @@ TEST(Hash, MixAvalanchesAndCombineDiscriminates) {
     const std::uint64_t x = rng();
     EXPECT_NE(hash_mix(x), hash_mix(x + 1));
   }
+}
+
+TEST(ParseInt, AcceptsPlainDecimalsInRange) {
+  int v = -1;
+  EXPECT_TRUE(parse_int("0", v, 0));
+  EXPECT_EQ(v, 0);
+  EXPECT_TRUE(parse_int("2147483647", v, 0));
+  EXPECT_EQ(v, 2147483647);
+  EXPECT_TRUE(parse_int("-3", v));
+  EXPECT_EQ(v, -3);
+  std::uint32_t u = 0;
+  EXPECT_TRUE(parse_int("4294967295", u));
+  EXPECT_EQ(u, 4294967295u);
+  std::uint16_t port = 0;
+  EXPECT_TRUE(parse_int<std::uint16_t>("8080", port, 1, 65535));
+  EXPECT_EQ(port, 8080);
+}
+
+TEST(ParseInt, RejectsMalformedAndOutOfRangeInput) {
+  int v = 7;
+  for (const char* text :
+       {"", " 1", "1 ", "+1", "x", "2x", "0x10", "1.5", "--1", "2147483648"}) {
+    EXPECT_FALSE(parse_int(text, v)) << "'" << text << "'";
+  }
+  EXPECT_FALSE(parse_int("-1", v, 0)) << "below lo";
+  EXPECT_FALSE(parse_int("0", v, 1)) << "below lo";
+  EXPECT_FALSE(parse_int("65536", v, 1, 65535)) << "above hi";
+  EXPECT_EQ(v, 7) << "a refused value leaves the output untouched";
+  std::uint32_t u = 7;
+  EXPECT_FALSE(parse_int("-1", u)) << "no sign for an unsigned type";
+  EXPECT_FALSE(parse_int("4294967296", u));
+  EXPECT_EQ(u, 7u);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
-// Dedicated coverage for sched/outcome_store.*: serialization round-trips
-// (the wire format of the multi-process sharding roadmap item), concurrent
-// writers, and eviction — plus the Verifier's evict-after-last-dependent
-// integration.
+// Dedicated coverage for sched/outcome_store.*: concurrent writers and
+// eviction — plus the Verifier's evict-after-last-dependent integration.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,94 +35,6 @@ std::vector<PecOutcome> ring_outcomes(const Network& net, const PecSet& pecs) {
   ExploreResult r = ex.run();
   EXPECT_GT(r.outcomes.size(), 1u);
   return std::move(r.outcomes);
-}
-
-void expect_outcomes_equal(const PecOutcome& a, const PecOutcome& b) {
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.upstream_hash, b.upstream_hash);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.igp_cost, b.igp_cost);
-  ASSERT_EQ(a.dp.entries.size(), b.dp.entries.size());
-  for (std::size_t i = 0; i < a.dp.entries.size(); ++i) {
-    EXPECT_EQ(a.dp.entries[i].kind, b.dp.entries[i].kind);
-    EXPECT_EQ(a.dp.entries[i].source, b.dp.entries[i].source);
-    EXPECT_EQ(a.dp.entries[i].prefix_idx, b.dp.entries[i].prefix_idx);
-    EXPECT_EQ(a.dp.entries[i].nexthops, b.dp.entries[i].nexthops);
-  }
-}
-
-TEST(OutcomeStoreSerial, RoundTripsRealOutcomes) {
-  const Network net = make_ring(5);
-  const PecSet pecs = compute_pecs(net);
-  OutcomeStore store(net, pecs);
-  const std::vector<PecOutcome> outs = ring_outcomes(net, pecs);
-
-  const std::string wire = store.serialize(outs);
-  EXPECT_FALSE(wire.empty());
-  std::vector<PecOutcome> back;
-  ASSERT_TRUE(store.deserialize(wire, back));
-  ASSERT_EQ(back.size(), outs.size());
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    expect_outcomes_equal(outs[i], back[i]);
-  }
-  // Deserialized outcomes are fully functional store content: combos built
-  // from them resolve like the originals.
-  store.put(pecs.routed()[0], std::move(back));
-  const std::vector<PecId> deps{pecs.routed()[0]};
-  EXPECT_EQ(store.combos(deps, net.topo.no_failures()).size(), 1u);
-}
-
-TEST(OutcomeStoreSerial, RoundTripsEmptyBatch) {
-  const Network net = make_ring(4);
-  const PecSet pecs = compute_pecs(net);
-  OutcomeStore store(net, pecs);
-  std::vector<PecOutcome> back;
-  ASSERT_TRUE(store.deserialize(store.serialize({}), back));
-  EXPECT_TRUE(back.empty());
-}
-
-TEST(OutcomeStoreSerial, RejectsCorruptInput) {
-  const Network net = make_ring(5);
-  const PecSet pecs = compute_pecs(net);
-  OutcomeStore store(net, pecs);
-  const std::string wire = store.serialize(ring_outcomes(net, pecs));
-  std::vector<PecOutcome> back;
-
-  EXPECT_FALSE(store.deserialize("", back)) << "empty input";
-  EXPECT_FALSE(store.deserialize("nonsense", back)) << "bad magic";
-  EXPECT_FALSE(store.deserialize(wire.substr(0, wire.size() / 2), back))
-      << "truncated input";
-  EXPECT_FALSE(store.deserialize(wire + "x", back)) << "trailing garbage";
-
-  // Truncation mid-batch must not hand back a partial batch.
-  EXPECT_TRUE(back.empty()) << "failed deserialize must leave out empty";
-
-  // A batch serialized against a different topology (different link count)
-  // must be rejected rather than misinterpreted.
-  const Network other = make_ring(7);
-  const PecSet other_pecs = compute_pecs(other);
-  OutcomeStore other_store(other, other_pecs);
-  EXPECT_FALSE(other_store.deserialize(wire, back)) << "foreign topology";
-
-  // Hostile length fields: a valid header followed by an absurd element
-  // count must be rejected by the bounds check, not turned into a
-  // multi-gigabyte allocation.
-  std::string hostile;
-  const auto put32 = [&hostile](std::uint32_t v) {
-    hostile.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  const auto put64 = [&hostile](std::uint64_t v) {
-    hostile.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put32(0x504b4f31);                                        // magic
-  put32(static_cast<std::uint32_t>(net.topo.link_count()));  // links
-  put64(1);                                                  // one outcome
-  put64(0);                                                  // upstream_hash
-  put64(0);                                                  // hash
-  put32(0);                                                  // no failures
-  put32(0xffffffffu);                                        // igp count: 4G
-  EXPECT_FALSE(store.deserialize(hostile, back)) << "hostile igp count";
-  EXPECT_TRUE(back.empty());
 }
 
 TEST(OutcomeStoreConcurrency, ParallelWritersAndReaders) {

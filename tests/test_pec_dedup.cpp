@@ -734,9 +734,8 @@ TEST(PecDedup, NonAutomorphismGeneratorWouldMergeAsymmetricPecs) {
 
 TEST(PecDedup, ClassingIsSkippedWhenNoHoldCanTransfer) {
   // Under single execution or a lossy visited store no representative can
-  // be a clean hold, so every member would re-run natively (sharded: inline
-  // on the representative's worker). The verifier must not class at all
-  // then, and the run must equal the dedup-off run.
+  // be a clean hold, so every member would re-run natively. The verifier
+  // must not class at all then, and the run must equal the dedup-off run.
   FatTreeOptions o;
   o.k = 6;
   const FatTree ft = make_fat_tree(o);

@@ -1,8 +1,15 @@
 // The seven built-in policies, exercised end to end on purpose-built
-// networks (each policy both passing and failing).
+// networks (each policy both passing and failing), and their spec forms
+// (Policy::spec), which serve::make_policy turns back into the same policy.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "config/parser.hpp"
 #include "core/verifier.hpp"
+#include "serve/serve.hpp"
+#include "support/figure6.hpp"
 #include "workload/fat_tree.hpp"
 #include "workload/ring.hpp"
 
@@ -171,6 +178,57 @@ TEST(Policies, ViolationCarriesTrailAndFailureSet) {
   EXPECT_EQ(violations[0].failures.count(), 2u);
   EXPECT_FALSE(violations[0].trail_text.empty());
   EXPECT_NE(violations[0].trail_text.find("fail link"), std::string::npos);
+}
+
+/// Verdict plus the violation multiset, trail text included.
+std::multiset<std::string> verdict_and_violations(const VerifyResult& r) {
+  std::multiset<std::string> out{std::string("verdict ") +
+                                 to_string(r.verdict)};
+  for (const auto& rep : r.reports) {
+    for (const auto& v : rep.result.violations) {
+      out.insert(rep.pec_str + "|" + std::to_string(v.failures.hash()) + "|" +
+                 v.message + "|" + v.trail_text);
+    }
+  }
+  return out;
+}
+
+TEST(Policies, SpecFormsRebuildThroughMakePolicy) {
+  // Every built-in policy renders to a spec line that serve::make_policy
+  // parses back, on the rendered and re-parsed network, into a policy with
+  // the same spec and the same verdict and violations, trails included.
+  const testsupport::Figure6 fx;
+  const ReachabilityPolicy reach({fx.r5, fx.r6});
+  const LoopFreedomPolicy loop;
+  const BlackholeFreedomPolicy blackhole({fx.r6});
+  const BoundedPathLengthPolicy bounded({fx.r6}, 2);
+  const WaypointPolicy waypoint({fx.r6}, {fx.r2, fx.r3});
+  const MultipathConsistencyPolicy multipath({fx.r6});
+  const PathConsistencyPolicy consistency({fx.r5, fx.r6});
+  const std::pair<const Policy*, const char*> cases[] = {
+      {&reach, "reach R5 R6"},
+      {&loop, "loop"},
+      {&blackhole, "blackhole R6"},
+      {&bounded, "bounded 2 R6"},
+      {&waypoint, "waypoint R2,R3 R6"},
+      {&multipath, "multipath R6"},
+      {&consistency, "consistency R5 R6"},
+  };
+  const ParsedNetwork parsed =
+      parse_network_config(serve::render_config(fx.net));
+  VerifyOptions vo;
+  vo.explore.find_all_violations = true;
+  for (const auto& [policy, spec] : cases) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(policy->spec(fx.net), spec);
+    std::string error;
+    const std::unique_ptr<Policy> rebuilt =
+        serve::make_policy(parsed.net, spec, error);
+    ASSERT_NE(rebuilt, nullptr) << error;
+    EXPECT_EQ(rebuilt->spec(parsed.net), spec);
+    EXPECT_EQ(verdict_and_violations(Verifier(parsed.net, vo).verify(*rebuilt)),
+              verdict_and_violations(Verifier(fx.net, vo).verify(*policy)));
+  }
 }
 
 }  // namespace

@@ -401,6 +401,44 @@ TEST(ServeStateCache, CacheHitNeverMasksViolation) {
   EXPECT_EQ(restored.reverified, 0u);
 }
 
+TEST(ServeStateCache, FailureBoundAboveIntMaxIsRefused) {
+  // ExploreOptions::max_failures is an int. A wire k above INT32_MAX used to
+  // wrap negative, fail no link, and cache HOLDS under the key of the
+  // original k. On this line only a failure of link b-c blackholes a.
+  ServeState state{VerifyOptions{}};
+  std::string error;
+  ASSERT_TRUE(state.load("node a\nnode b\nnode c\n"
+                         "link a b cost 10\nlink b c cost 10\n"
+                         "ospf a enable\nospf b enable\nospf c enable\n"
+                         "ospf c originate 10.3.0.0/24\n",
+                         error))
+      << error;
+  QueryMsg q;
+  q.policy_spec = "blackhole a";
+  for (const std::uint32_t k : {1u, 0x7fffffffu}) {
+    q.max_failures = k;
+    const VerdictReplyMsg r = state.query(q);
+    ASSERT_TRUE(r.ok) << "k=" << k << ": " << r.error;
+    EXPECT_EQ(static_cast<Verdict>(r.verdict), Verdict::kViolated)
+        << "k=" << k;
+  }
+  const CacheStatsMsg before = state.cache_stats();
+  for (const std::uint32_t k : {0x80000000u, 0xffffffffu}) {
+    q.max_failures = k;
+    const VerdictReplyMsg r = state.query(q);
+    EXPECT_FALSE(r.ok) << "k=" << k;
+    EXPECT_EQ(static_cast<Verdict>(r.verdict), Verdict::kError) << "k=" << k;
+    EXPECT_NE(r.error.find("2147483647"), std::string::npos)
+        << "the reply names the bound: " << r.error;
+    EXPECT_EQ(r.reverified, 0u) << "k=" << k;
+  }
+  const CacheStatsMsg after = state.cache_stats();
+  EXPECT_EQ(after.hits, before.hits) << "a refused query does no lookup";
+  EXPECT_EQ(after.misses, before.misses) << "a refused query does no lookup";
+  EXPECT_EQ(after.insertions, before.insertions)
+      << "a refused query inserts nothing";
+}
+
 TEST(ServeStateCache, InconclusiveIsNeverServedAsHold) {
   VerifyOptions opts;
   opts.explore.budget.max_states = 1;  // every PEC trips immediately

@@ -2,8 +2,9 @@
 // loop. A client stalled mid-frame must never block the others (the old
 // null-timeout select() wedge), connections beyond the cap are refused with
 // a parseable reply, SIGTERM drains gracefully (cache saved, journal
-// compacted, exit 0), and the serve-side socket-fault hooks shed exactly the
-// faulted connection while the daemon keeps serving.
+// compacted, exit 0), the serve-side socket-fault hooks shed exactly the
+// faulted connection while the daemon keeps serving, and a client that
+// disconnects mid-reply never kills the daemon.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -331,6 +332,131 @@ TEST(ServeResilience, StallFaultDelaysButDeliversIntactReply) {
   ::close(fd);
   server.join();
   std::remove(sock.c_str());
+}
+
+TEST(ServeResilience, SlowReadFaultDelaysButDeliversIntactReply) {
+  const std::string sock = tmp_path("resil_slowread.sock");
+  ServerOptions so;
+  so.unix_path = sock;
+  std::string err;
+  ASSERT_TRUE(sched::parse_fault_plan("slow-read@1:150", so.fault_plan, err))
+      << err;
+  std::thread server([&] { run_server(so); });
+
+  const int fd = connect_retry(sock);
+  ASSERT_GE(fd, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(stats_roundtrip(fd, err)) << err;
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  EXPECT_GE(elapsed, 100) << "the armed slow read must delay the request";
+
+  request_shutdown(fd);
+  ::close(fd);
+  server.join();
+  std::remove(sock.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Fault-plan syntax (sched/fault.hpp)
+// ---------------------------------------------------------------------------
+
+sched::FaultPlan parse_plan(const std::string& text) {
+  sched::FaultPlan plan;
+  std::string error;
+  EXPECT_TRUE(sched::parse_fault_plan(text, plan, error))
+      << "'" << text << "': " << error;
+  return plan;
+}
+
+TEST(ServeFaultPlan, ParsesDirectivesAndRoundTrips) {
+  const char* plans[] = {
+      "stall@2:40",  "drop-conn@1",
+      "torn-tcp@3",  "slow-read@2:15",
+      "stall@1:10;drop-conn@4;torn-tcp@2;slow-read@3:0",
+  };
+  for (const char* text : plans) {
+    const sched::FaultPlan plan = parse_plan(text);
+    EXPECT_FALSE(plan.empty()) << text;
+    EXPECT_EQ(plan.str(), text) << "canonical render must round-trip";
+    EXPECT_EQ(parse_plan(plan.str()).str(), plan.str());
+  }
+  // Comma separation and whitespace are accepted; render is canonical.
+  EXPECT_EQ(parse_plan("drop-conn@2, stall@1:5").str(),
+            "stall@1:5;drop-conn@2");
+  EXPECT_TRUE(parse_plan("").empty());
+}
+
+TEST(ServeFaultPlan, RejectsMalformedAndRetiredDirectives) {
+  const char* bad[] = {
+      "stall@1",     "stall@0:10",   "stall@1:x",     "stall@1:4294967296",
+      "drop-conn",   "drop-conn@0",  "drop-conn@1:5", "drop-conn@+1",
+      "torn-tcp@x",  "torn-tcp@1 2", "slow-read@2",   "frobnicate@1",
+      // The retired worker-process directives.
+      "crash@2",     "torn@1",       "hang@3:50",     "wedge@1:0",
+      "shortw",      "eintr@4",      "slot=1",        "gen*",
+      "seed=7",
+  };
+  for (const char* text : bad) {
+    sched::FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(sched::parse_fault_plan(text, plan, error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+    EXPECT_TRUE(plan.empty()) << "a failed parse must not leave partial state";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Client disconnect mid-reply must not kill the process
+// ---------------------------------------------------------------------------
+
+TEST(ServeDaemon, SurvivesClientDisconnectMidReply) {
+  // The regression: the reply writer used plain write(); a client that closed
+  // its socket while replies were still being flushed raised SIGPIPE in the
+  // daemon, whose default disposition kills the process. With the fix
+  // (MSG_NOSIGNAL + SIG_IGN) the daemon sheds the connection and keeps
+  // serving — this test dies on pre-fix code.
+  const int port = 20000 + (getpid() % 20000);
+  ServerOptions so;
+  so.tcp_port = port;
+  std::thread server([&] { run_server(so); });
+
+  std::string err;
+  int fd = -1;
+  for (int attempt = 0; attempt < 100 && fd < 0; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    fd = connect_tcp(port, err);
+  }
+  ASSERT_GE(fd, 0) << err;
+
+  // Pipeline a burst of requests, then vanish without reading a byte. The
+  // daemon keeps writing replies into a socket whose peer is gone; once the
+  // client kernel answers with RST, further sends hit EPIPE.
+  std::string burst;
+  for (int i = 0; i < 64; ++i) {
+    sched::encode_frame(burst, sched::MsgType::kCacheStats, "");
+  }
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  ::close(fd);  // no reads: replies pile into a dead peer
+
+  // The daemon must still be alive and serving fresh connections.
+  int fd2 = -1;
+  for (int attempt = 0; attempt < 100 && fd2 < 0; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    fd2 = connect_tcp(port, err);
+  }
+  ASSERT_GE(fd2, 0) << "daemon died after the disconnect: " << err;
+  ASSERT_TRUE(send_frame(fd2, sched::MsgType::kCacheStats, ""));
+  sched::FrameDecoder dec;
+  sched::Frame f;
+  ASSERT_TRUE(recv_frame(fd2, dec, f, err)) << err;
+  EXPECT_EQ(f.type, sched::MsgType::kCacheStats);
+  ASSERT_TRUE(send_frame(fd2, sched::MsgType::kShutdown, ""));
+  ASSERT_TRUE(recv_frame(fd2, dec, f, err)) << err;
+  ::close(fd2);
+  server.join();
 }
 
 }  // namespace

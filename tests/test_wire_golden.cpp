@@ -1,16 +1,17 @@
-// Golden bytes for every PKS1 payload. One fixed instance of each, with
-// every field non-default and every vector holding two elements, must encode
-// to the committed bytes and decode back to them. A field reordered, retyped
-// or dropped from a payload's field list (sched/wire.hpp) changes them; a
-// deliberate layout change updates them together with kFrameVersion.
-// SearchStatsMerge checks that SearchStats::absorb merges the same field list.
+// Golden bytes for every PKS1 payload and the frame header. One fixed
+// instance of each payload, with every field non-default and every vector
+// holding two elements, must encode to the committed bytes and decode back
+// to them. A field reordered, retyped or dropped from a payload's field list
+// (sched/wire.hpp) changes them; a deliberate layout change updates them
+// together with kFrameVersion. SearchStatsMerge checks that
+// SearchStats::absorb merges every field of SearchStats' field list.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <string>
 #include <string_view>
 
-#include "sched/shard.hpp"
+#include "sched/frame.hpp"
 #include "serve/serve.hpp"
 
 namespace plankton {
@@ -68,39 +69,6 @@ SearchStats stats_instance() {
   return s;
 }
 
-sched::TaskAssignMsg task_assign() {
-  return {7, {3, 0x01020304}};
-}
-
-sched::OutcomeDeliveryMsg outcome_delivery() {
-  return {5, std::string("PKO1\x00\xff", 6)};
-}
-
-sched::ViolationMsg violation() {
-  return {9, {1, 4}, "loop at r1", "r1 -> r2 -> r1"};
-}
-
-sched::TaskDoneMsg task_done() {
-  sched::TaskDoneMsg m;
-  m.task = 11;
-  sched::PecDoneMsg a;
-  a.pec = 2;
-  a.budget_tripped = 3;
-  a.exhaustive = 0;
-  a.translated = 1;
-  a.stats = stats_instance();
-  sched::PecDoneMsg b = a;
-  b.pec = 4;
-  b.budget_tripped = 1;
-  b.stats.states_explored = 201;
-  m.pecs = {a, b};
-  return m;
-}
-
-sched::HeartbeatMsg heartbeat() { return {0x1122334455667788ull}; }
-
-sched::BootstrapAckMsg bootstrap_ack() { return {1, "plan hash", 42}; }
-
 serve::LoadNetMsg load_net() { return {"node r1\nnode r2\n"}; }
 
 serve::ApplyDeltaMsg apply_delta() {
@@ -134,90 +102,6 @@ serve::CacheStatsMsg cache_stats() {
   m.warm_loaded = 5;
   m.entries = 6;
   return m;
-}
-
-serve::BootstrapMsg bootstrap() {
-  serve::BootstrapMsg m;
-  m.config_text = "node r1\n";
-  m.policy_spec = "loop";
-  m.targets = {1, 2};
-  m.classes = {{1, {5, 6}}, {2, {7, 8}}};
-  ExploreOptions& eo = m.explore;
-  eo.max_failures = 2;
-  eo.consistent_only = false;
-  eo.deterministic_nodes = false;
-  eo.det_nodes_bgp = false;
-  eo.decision_independence = false;
-  eo.lec_failures = false;
-  eo.policy_pruning = false;
-  eo.suppress_equivalent = false;
-  eo.visited = VisitedKind::kBitstate;
-  eo.bloom_bits = 4096;
-  eo.merge_updates = false;
-  eo.ad_cache = false;
-  eo.por = false;
-  eo.incremental_expand = false;
-  eo.budget.deadline = std::chrono::milliseconds(1234);
-  eo.budget.max_states = 99;
-  eo.budget.max_bytes = 1 << 20;
-  eo.budget.degrade_visited = true;
-  eo.find_all_violations = true;
-  eo.engine_kind = SearchEngineKind::kBfs;
-  m.heartbeat_interval_ms = 250;
-  m.fault_plan = "crash@1";
-  return m;
-}
-
-TEST(WireGolden, TaskAssign) {
-  expect_golden(task_assign(), sched::encode_task_assign,
-                sched::decode_task_assign,
-                "0700000000000000020000000300000004030201");
-}
-
-TEST(WireGolden, OutcomeDelivery) {
-  expect_golden(outcome_delivery(), sched::encode_outcome_delivery,
-                sched::decode_outcome_delivery,
-                "050000000600000000000000504b4f3100ff");
-}
-
-TEST(WireGolden, Violation) {
-  expect_golden(violation(), sched::encode_violation,
-                sched::decode_violation,
-                "090000000200000001000000040000000a000000000000006c6f6f70"
-                "2061742072310e000000000000007231202d3e207232202d3e207231");
-}
-
-TEST(WireGolden, TaskDone) {
-  expect_golden(task_done(), sched::encode_task_done,
-                sched::decode_task_done,
-                "0b000000000000000200000002000000030001650000000000000066"
-                "00000000000000670000000000000068000000000000006900000000"
-                "0000006a000000000000006b000000000000006c000000000000006d"
-                "000000000000006e000000000000006f000000000000007000000000"
-                "00000071000000000000007200000000000000730000000000000074"
-                "00000000000000750000000000000076000000000000007700000000"
-                "000000780000000000000079000000000000007a000000000000007b"
-                "000000000000007c000000000000007d000000000000007e00000000"
-                "00000004000000010001c90000000000000066000000000000006700"
-                "000000000000680000000000000069000000000000006a0000000000"
-                "00006b000000000000006c000000000000006d000000000000006e00"
-                "0000000000006f000000000000007000000000000000710000000000"
-                "00007200000000000000730000000000000074000000000000007500"
-                "00000000000076000000000000007700000000000000780000000000"
-                "000079000000000000007a000000000000007b000000000000007c00"
-                "0000000000007d000000000000007e00000000000000");
-}
-
-TEST(WireGolden, Heartbeat) {
-  expect_golden(heartbeat(), sched::encode_heartbeat,
-                sched::decode_heartbeat,
-                "8877665544332211");
-}
-
-TEST(WireGolden, BootstrapAck) {
-  expect_golden(bootstrap_ack(), sched::encode_bootstrap_ack,
-                sched::decode_bootstrap_ack,
-                "010900000000000000706c616e20686173682a00000000000000");
 }
 
 TEST(WireGolden, LoadNet) {
@@ -257,15 +141,11 @@ TEST(WireGolden, CacheStats) {
                 "0000000005000000000000000600000000000000");
 }
 
-TEST(WireGolden, Bootstrap) {
-  expect_golden(bootstrap(), serve::encode_bootstrap,
-                serve::decode_bootstrap,
-                "08000000000000006e6f64652072310a04000000000000006c6f6f70"
-                "02000000010000000200000002000000010000000200000005000000"
-                "06000000020000000200000007000000080000000200000000000000"
-                "00000002001000000000000000000000d20400000000000063000000"
-                "000000000000100000000000010102fa000000070000000000000063"
-                "726173684031");
+TEST(WireGolden, FrameHeader) {
+  // magic "PKS1", version 6, type kQuery (9), payload length, payload.
+  std::string frame;
+  sched::encode_frame(frame, sched::MsgType::kQuery, "abc");
+  EXPECT_EQ(to_hex(frame), "31534b50060009000300000000000000616263");
 }
 
 TEST(SearchStatsMerge, AbsorbMovesEveryWireField) {
