@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the state-hashing substrate —
 // the data structures behind §4.4: hash-consed path/route tables, the
-// hash-compacted visited set and the bitstate Bloom filter.
+// exact visited set and the bitstate Bloom filter.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"

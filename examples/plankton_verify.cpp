@@ -18,11 +18,14 @@
 //                      default, verdicts identical either way)
 //   --no-por           disable dynamic partial-order reduction (sleep +
 //                      source sets; on by default under --engine dfs, the
-//                      only engine that runs it; verdicts identical either
-//                      way)
+//                      only engine that runs it). POR is known to lose
+//                      converged states on some inputs, so it can report a
+//                      hold that the unreduced search refutes: --no-por is
+//                      the reference
 //   --all-violations   keep searching after the first counterexample
 //   --trails           print counterexample event traces
-//   --visited <kind>   visited backend: exact | hash-compact | bitstate
+//   --visited <kind>   visited store: exact (default) | bitstate (Bloom
+//                      filter; no run over it is a proof)
 //   --engine <e>       exploration strategy: dfs (default) | bfs (shortest
 //                      counterexample trails; explores the unreduced move
 //                      tree, as --no-por does) | single (single-execution
@@ -34,16 +37,13 @@
 //                      INCONCLUSIVE verdict (exit 2), never a spurious hold
 //   --budget-states <n> cap stored states per PEC exploration
 //   --budget-bytes <n>  approximate model-memory cap per PEC exploration
-//   --degrade-visited  under memory pressure, migrate the exact visited set
-//                      to hash-compact instead of stopping (the run then
-//                      self-reports as non-exhaustive)
 //
 // Every numeric flag takes a plain decimal integer in its range; anything
 // else (empty, a sign where none fits, trailing characters, overflow) is a
 // usage error.
 //
 // Exit code: 0 = policy holds (exhaustive), 1 = violated,
-//            2 = inconclusive (budget tripped / lossy search /
+//            2 = inconclusive (budget tripped / bitstate store /
 //                --simulation or --engine single / approximated cyclic SCC;
 //                no violation found but the search was not a proof),
 //            3 = usage/config error.
@@ -80,10 +80,9 @@ int usage() {
                "[--cores n] [--address ip] [--no-pec-dedup] "
                "[--no-por] [--all-violations] "
                "[--trails] "
-               "[--visited exact|hash-compact|bitstate] "
+               "[--visited exact|bitstate] "
                "[--engine dfs|bfs|single] [--simulation] "
-               "[--deadline-ms t] [--budget-states n] [--budget-bytes n] "
-               "[--degrade-visited]\n"
+               "[--deadline-ms t] [--budget-states n] [--budget-bytes n]\n"
                "policies: reach <srcs> | loop | blackhole [srcs] | "
                "bounded <limit> <srcs> | waypoint <srcs> <wps>\n");
   return 3;
@@ -150,14 +149,10 @@ int main(int argc, char** argv) {
                                     1)) {
           return usage();
         }
-      } else if (arg == "--degrade-visited") {
-        opts.explore.budget.degrade_visited = true;
       } else if (arg == "--visited" && i + 1 < argc) {
         const std::string kind = argv[++i];
         if (kind == "exact") {
           opts.explore.visited = VisitedKind::kExact;
-        } else if (kind == "hash-compact") {
-          opts.explore.visited = VisitedKind::kHashCompact;
         } else if (kind == "bitstate") {
           opts.explore.visited = VisitedKind::kBitstate;
         } else {

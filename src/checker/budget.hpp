@@ -73,17 +73,23 @@ struct ResourceBudget {
   std::chrono::milliseconds deadline{0};
   std::uint64_t max_states = 0;
   std::size_t max_bytes = 0;
-  /// Graceful degradation: on memory pressure, migrate an exact visited set
-  /// to hash-compacted storage (half the bytes) instead of tripping the
-  /// budget immediately. Opt-in, because the degraded run loses
-  /// exhaustiveness — the result self-reports it (ExploreResult::exhaustive
-  /// turns false) so a "holds" can be read as probabilistic coverage.
-  bool degrade_visited = false;
 
   [[nodiscard]] bool any() const {
     return deadline.count() > 0 || max_states != 0 || max_bytes != 0;
   }
 };
+
+/// The instant `deadline` after `start`, saturated at the clock's last
+/// instant: a deadline too far out for the clock's nanoseconds (about 292
+/// years) never trips, where the plain sum would wrap into the past.
+[[nodiscard]] inline std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::steady_clock::time_point start,
+    std::chrono::milliseconds deadline) {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      TimePoint::max() - start);
+  return deadline < room ? start + deadline : TimePoint::max();
+}
 
 /// Per-PEC fair share of the remaining deadline: remaining / (scheduled -
 /// started), clamped so the result is always a positive slice. `started` can

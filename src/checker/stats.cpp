@@ -5,8 +5,8 @@
 namespace plankton {
 
 void SearchStats::absorb(const SearchStats& other) {
-  // One walk of the wire list over both objects: every counter sums, except
-  // the high-water marks, which keep the larger value.
+  // One walk of the field list over both objects: every counter sums,
+  // except the high-water marks, which keep the larger value.
   const auto peak = [this](const void* field) {
     return field == &frontier_peak || field == &max_depth ||
            field == &bytes_stack_peak || field == &elapsed;

@@ -41,9 +41,10 @@ struct SearchStats {
   std::size_t bytes_outcomes = 0;       ///< recorded outcomes, dedup table
   std::chrono::nanoseconds elapsed{0};
 
-  /// The counters in wire order: a kTaskDone carries them per PEC
-  /// (sched/wire.hpp), and absorb() merges exactly these, so a new counter
-  /// goes here too (and, if it is a high-water mark, into absorb's maxima).
+  /// Every counter, listed once in the field-list shape of sched/wire.hpp.
+  /// No payload carries SearchStats: absorb() walks this list over both
+  /// objects and merges exactly these fields, so a new counter goes here too
+  /// (and, if it is a high-water mark, into absorb's maxima).
   template <typename S, typename V>
   static constexpr bool wire_fields(S& s, V&& v) {
     return v(s.states_explored, s.states_stored, s.revisits_skipped,

@@ -159,7 +159,7 @@ class PlanRunner {
         plan_(plan),
         cross_deps_(deps.has_cross_pec_deps()),
         has_deadline_(opts.explore.budget.deadline.count() > 0),
-        deadline_(start + opts.explore.budget.deadline) {
+        deadline_(deadline_after(start, opts.explore.budget.deadline)) {
     // Budget deadline fair-sharing: the global deadline is split into
     // per-PEC slices of remaining_time / remaining_unstarted_pecs, so one
     // monster PEC trips its own slice instead of starving everything
@@ -221,8 +221,8 @@ class PlanRunner {
     // §4.3: DEC-based failure choice only without cross-PEC dependencies
     // (failure sets must coordinate exactly across PEC runs).
     if (cross_deps_ && (has_deps || has_dependents)) eo.lec_failures = false;
-    // State/memory caps and the degradation opt-in apply per exploration;
-    // the whole-run deadline is replaced by this PEC's fair-share slice.
+    // State/memory caps apply per exploration; the whole-run deadline is
+    // replaced by this PEC's fair-share slice.
     if (has_deadline_) {
       const std::size_t started =
           pecs_started_.fetch_add(1, std::memory_order_relaxed);

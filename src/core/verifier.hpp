@@ -54,12 +54,13 @@ struct VerifyResult {
   /// First budget axis that ended a PEC search early (kNone = none did).
   BudgetKind budget_tripped = BudgetKind::kNone;
   /// Native PEC runs whose ExploreResult::verdict() is kInconclusive: ended
-  /// by a budget, or not exhaustive (lossy visited backend, memory-pressure
-  /// degradation, approximated cyclic SCC).
+  /// by a budget, or not exhaustive (single execution, bitstate visited
+  /// store, approximated cyclic SCC).
   std::size_t pecs_inconclusive = 0;
-  /// False when any PEC's coverage was not a proof: probabilistic (lossy
-  /// visited backend or the memory-pressure exact→compact degradation) or
-  /// approximated (a cyclic SCC or a dependent of one).
+  /// False when any PEC's coverage was not a proof: partial (single
+  /// execution), probabilistic (the bitstate visited store) or approximated
+  /// (a cyclic SCC or a dependent of one). Fixed before each run starts, by
+  /// can_prove() and the cyclic-SCC flag.
   bool exhaustive = true;
   std::vector<PecReport> reports;   ///< one per verified (target) PEC
   SearchStats total;                ///< aggregated over all runs

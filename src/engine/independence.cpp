@@ -1,7 +1,5 @@
 #include "engine/independence.hpp"
 
-#include <algorithm>
-
 namespace plankton {
 
 void IndependenceOracle::reset(std::size_t phases, std::size_t nodes) {
@@ -19,10 +17,6 @@ void IndependenceOracle::add_transition(std::size_t phase, NodeId node,
     set(row, node, r);
     set(row, r, node);
   }
-}
-
-void IndependenceOracle::set_all_dependent(std::size_t phase) {
-  std::fill(rows_[phase].begin(), rows_[phase].end(), ~std::uint64_t{0});
 }
 
 std::size_t IndependenceOracle::bytes() const {

@@ -12,11 +12,9 @@
 // reaches the same state, and neither changes the other's candidate set
 // (tests/test_independence.cpp checks this against the real protocol
 // processes). The oracle stores the relation as one bitmask row per node so
-// the sleep-set hot path is a handful of word operations.
-//
-// Processes with impure advertisement (hidden route-map state that
-// cacheable() == false flags) get the conservative all-dependent relation:
-// sleep sets then never populate and exploration is unchanged for that task.
+// the sleep-set hot path is a handful of word operations. The footprint is
+// complete only because advertised() is pure (the contract in
+// protocols/process.hpp, which every process keeps).
 #pragma once
 
 #include <cstdint>
@@ -46,9 +44,6 @@ class IndependenceOracle {
   /// (node-granularity: the reader's own transition writes its node).
   void add_transition(std::size_t phase, NodeId node,
                       std::span<const NodeId> reads);
-
-  /// Conservative fallback: every pair of moves in `phase` conflicts.
-  void set_all_dependent(std::size_t phase);
 
   /// The dependence bitmask row of `node` (`words()` words).
   [[nodiscard]] const std::uint64_t* row(std::size_t phase, NodeId node) const {

@@ -37,14 +37,11 @@ class BgpProcess final : public RoutingProcess {
     return up_peers_[n];
   }
 
-  [[nodiscard]] RouteId advertised(NodeId p, NodeId n, RouteId peer_route,
-                                   ModelContext& ctx) const override;
-
   /// Pure in (p, n, peer_route) given the prepared failure set and the
   /// ctx.upstream binding (route maps are static config; iBGP metrics come
-  /// from ctx.upstream only, which keys the cache generation) — safe to
-  /// memoize.
-  [[nodiscard]] bool cacheable() const override { return true; }
+  /// from ctx.upstream only, which keys the cache generation).
+  [[nodiscard]] RouteId advertised(NodeId p, NodeId n, RouteId peer_route,
+                                   ModelContext& ctx) const override;
 
   [[nodiscard]] int compare(NodeId n, RouteId a, RouteId b,
                             const ModelContext& ctx) const override;

@@ -41,12 +41,10 @@ class OspfProcess final : public RoutingProcess {
 
   /// The peer's route plus the session cost from n: the cheapest live link
   /// between n and p, as prepare() recorded it.
+  /// Pure in (p, n, peer_route) given the prepared failure set: link costs
+  /// and loop rejection only.
   [[nodiscard]] RouteId advertised(NodeId p, NodeId n, RouteId peer_route,
                                    ModelContext& ctx) const override;
-
-  /// Pure in (p, n, peer_route) given the prepared failure set: link costs
-  /// and loop rejection only — safe to memoize.
-  [[nodiscard]] bool cacheable() const override { return true; }
 
   [[nodiscard]] int compare(NodeId n, RouteId a, RouteId b,
                             const ModelContext& ctx) const override;

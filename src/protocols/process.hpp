@@ -93,28 +93,21 @@ class RoutingProcess {
   /// importₙ,ₚ(exportₚ,ₙ(peer_route)) — the route `n` would adopt from peer
   /// `p`, or kNoRoute when filtered/rejected.
   ///
-  /// Purity contract (relied on by the explorer's AdCache memoization,
-  /// rpvp/ad_cache.hpp, and by its undo(), which restores the node statuses
-  /// logged at apply() instead of recomputing them; that is exact only
-  /// because, under this contract, a status is a function of the RIB
-  /// entries alone): between two prepare() calls and for a fixed
-  /// ctx.upstream binding, the result is a pure function of
-  /// (p, n, peer_route) — same inputs, same interned RouteId, no observable
-  /// side effects beyond interning that same route/path. In particular
-  /// advertised(p, n, kNoRoute) must be kNoRoute (⊥ in, ⊥ out), and any
-  /// dependence on upstream PEC outcomes (e.g. iBGP IGP costs / next-hop
-  /// resolvability) must go through ctx.upstream only, so that a cache
-  /// keyed per (failure set, upstream outcome) generation is sound.
-  /// Implementations whose result depends on anything else must not be
-  /// memoized — they should override cacheable() to return false.
+  /// Purity contract, binding on every process (relied on by the
+  /// explorer's AdCache memoization, rpvp/ad_cache.hpp, by the POR
+  /// footprints built from peers(), engine/independence.hpp, and by its
+  /// undo(), which restores the node statuses logged at apply() instead of
+  /// recomputing them; that is exact only because, under this contract, a
+  /// status is a function of the RIB entries alone): between two prepare()
+  /// calls and for a fixed ctx.upstream binding, the result is a pure
+  /// function of (p, n, peer_route) — same inputs, same interned RouteId, no
+  /// observable side effects beyond interning that same route/path. In
+  /// particular advertised(p, n, kNoRoute) must be kNoRoute (⊥ in, ⊥ out),
+  /// and any dependence on upstream PEC outcomes (e.g. iBGP IGP costs /
+  /// next-hop resolvability) must go through ctx.upstream only, so that a
+  /// cache keyed per (failure set, upstream outcome) generation is sound.
   [[nodiscard]] virtual RouteId advertised(NodeId p, NodeId n, RouteId peer_route,
                                            ModelContext& ctx) const = 0;
-
-  /// Opt-in to advertisement memoization: overriding to true asserts the
-  /// purity contract on advertised() holds for this implementation. The
-  /// default is false so a protocol written without the AdCache in mind is
-  /// never silently memoized.
-  [[nodiscard]] virtual bool cacheable() const { return false; }
 
   /// Ranking at n: >0 if `a` is preferred over `b`, <0 if `b` over `a`,
   /// 0 when tied (non-deterministic, e.g. BGP age-based tie-breaking).

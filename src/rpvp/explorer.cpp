@@ -54,7 +54,6 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   active_.resize(t);
   for (auto& a : active_) a.reset(n);
   statuses_stale_.assign(t, 0);
-  ad_cache_on_ = opts_.ad_cache;
   for (std::size_t i = 0; i < t; ++i) {
     // The incremental expand path replays members() order from a sorted
     // active set; the documented ascending-order contract must hold.
@@ -62,7 +61,6 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
                           tasks_[i].process->members().end()));
     for (const NodeId o : tasks_[i].process->origins()) is_origin_[i][o] = 1;
     for (const NodeId m : tasks_[i].process->members()) member_[i][m] = 1;
-    if (!tasks_[i].process->cacheable()) ad_cache_on_ = false;
   }
   ad_cache_.reset(t);
   sleep_words_ = (n + 63) / 64;
@@ -99,8 +97,8 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // POR applicability. The DFS engine only: source sets need its LIFO path
   // and its por_extend() calls between siblings, and every other engine
   // explores the unreduced move tree (BFS is the POR-free reference). The
-  // exact visited backend only (the sleep-aware store is exact — pairing it
-  // with a lossy backend would silently change the Fig. 9 ablation
+  // exact visited store only (the sleep-aware store is exact — pairing it
+  // with the bitstate store would silently change the Fig. 9 ablation
   // semantics). The §4.2 source early-stop needs care: the sources' routes
   // at the cut are linearization-invariant under consistent-only
   // execution, so verdicts survive the reduction — but the cut state itself
@@ -115,7 +113,7 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // SPF-ordered path (§4.1.2): deterministic_node() always names one
   // enabled node and merging gives it exactly one update. With every task
   // such a phase no state has two moves, so sleep and source sets prune
-  // nothing and the run uses the exact visited backend, as --no-por does.
+  // nothing and the run uses the exact visited store, as --no-por does.
   // The unreduced search is the reference, so a wrong rule here would cost
   // time, never a state.
   const bool cut_states_observed =
@@ -127,11 +125,9 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   por_ = opts_.por && opts_.engine_kind == SearchEngineKind::kDfs &&
          opts_.visited == VisitedKind::kExact && !cut_states_observed &&
          !spf_only;
-  // The sleep-aware store replaces the visited backend under POR; build the
-  // backend only when it is the store the search probes.
-  if (!por_) {
-    visited_ = make_visited_backend(opts_.visited, opts_.bloom_bits);
-  }
+  // The visited store is fixed here for the whole run. The sleep-aware
+  // store replaces it under POR; build it only when the search probes it.
+  if (!por_) visited_.emplace(opts_.visited, opts_.bloom_bits);
 
   // The topology terms of the SPF lemma (docs/architecture.md "Failure
   // relevance", steps 1-2): every link cost is positive in both directions,
@@ -150,8 +146,9 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
 
   // Failure relevance (docs/architecture.md lists the conditions and the
   // lemma). An SPF-ordered phase is one path under every engine, so the
-  // engine does not matter, but a lossy store can cut F's path short.
-  // Statics and the influence BFS read live links beyond the SPF DAG.
+  // engine does not matter, but the bitstate store can cut a move-by-move
+  // walk of F's path short. Statics and the influence BFS read live links
+  // beyond the SPF DAG.
   failure_relevance_ = opts_.max_failures > 0 && opts_.lec_failures &&
                        opts_.visited == VisitedKind::kExact && spf_only &&
                        spf_links && !influence_active_ && !opts_.record_outcomes;
@@ -162,23 +159,23 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // SPF-ordered phases run as one pass (docs/architecture.md "SPF-ordered
   // phases"): the lemma's path, committed in (dist, id) order. A §4.2 stop
   // could cut that path, so it keeps the move-by-move search, and so does
-  // incremental_expand = false, the rescan reference path.
+  // incremental_expand = false, the rescan reference path. The pass never
+  // probes the visited store, so the store's kind does not matter.
   spf_pass_ = spf_only && spf_links && !early_stop_ok_ &&
-              opts_.visited == VisitedKind::kExact && opts_.incremental_expand;
+              opts_.incremental_expand;
 }
 
 ExploreResult Explorer::run() {
   const auto start = std::chrono::steady_clock::now();
   has_deadline_ = opts_.budget.deadline.count() > 0;
-  deadline_ = start + opts_.budget.deadline;
+  deadline_ = deadline_after(start, opts_.budget.deadline);
+  // The bitstate store or a single followed execution covers only part of
+  // the state space: no violation then is not a proof.
+  result_.exhaustive = can_prove(opts_);
   explore_failures(0, nullptr);
-  result_.stats.states_stored = stored_states();
   result_.stats.frontier_peak = engine_->frontier_peak();
   account_model_bytes();
   result_.stats.elapsed = std::chrono::steady_clock::now() - start;
-  // A lossy visited store or a single followed execution covers only part
-  // of the state space: no violation then is not a proof.
-  if (!can_prove(opts_)) result_.exhaustive = false;
   return std::move(result_);
 }
 
@@ -187,7 +184,7 @@ std::size_t Explorer::account_model_bytes() {
   s.bytes_paths = ctx_.paths.bytes();
   s.bytes_routes = ctx_.routes.bytes();
   s.bytes_visited = failure_sets_seen_.bytes() + signatures_seen_.bytes();
-  if (!por_) {
+  if (visited_) {
     s.bytes_visited += visited_->bytes();
   } else {
     s.bytes_visited += por_index_.bytes() +
@@ -204,26 +201,13 @@ std::size_t Explorer::account_model_bytes() {
   return s.model_bytes();
 }
 
-bool Explorer::try_degrade_visited() {
-  // Migration needs the exact backend's full keys and must not race the POR
-  // store (which replaces the visited backend entirely when POR is on).
-  if (!opts_.budget.degrade_visited || degraded_visited_) return false;
-  if (por_) return false;
-  auto compact = visited_->degrade_to_compact();
-  if (!compact) return false;
-  visited_ = std::move(compact);
-  degraded_visited_ = true;
-  result_.exhaustive = false;  // self-reported loss of exhaustiveness
-  return account_model_bytes() <= opts_.budget.max_bytes;
-}
-
 bool Explorer::budget_exhausted() {
   if (result_.budget_tripped != BudgetKind::kNone) return true;
   // The state cap is checked on every call: trip points are a deterministic
   // function of the exploration order, so two runs with the same budget stop
   // at the same state (the budget-determinism tests pin this down).
   if (opts_.budget.max_states != 0 &&
-      stored_states() > opts_.budget.max_states) {
+      result_.stats.states_stored > opts_.budget.max_states) {
     result_.budget_tripped = BudgetKind::kStates;
     return true;
   }
@@ -237,10 +221,8 @@ bool Explorer::budget_exhausted() {
   }
   if (opts_.budget.max_bytes != 0 &&
       account_model_bytes() > opts_.budget.max_bytes) {
-    if (!try_degrade_visited()) {
-      result_.budget_tripped = BudgetKind::kMemory;
-      return true;
-    }
+    result_.budget_tripped = BudgetKind::kMemory;
+    return true;
   }
   return false;
 }
@@ -328,7 +310,7 @@ Explorer::Flow Explorer::explore_failures(LinkId next_link,
   // Failure relevance: below a violation-free run, failing a link that no
   // route can cross replays the same RIB sequence to the same data plane.
   std::vector<std::uint8_t> own_dag;
-  if (dag == nullptr && failure_relevance_ && !degraded_visited_ &&
+  if (dag == nullptr && failure_relevance_ &&
       result_.violations.size() == violations_before &&
       unbound_upstream(failures_)) {
     own_dag = spf_dag_links();
@@ -389,7 +371,7 @@ Explorer::Flow Explorer::check_failure_set() {
     ctx_.upstream = ups[i];
     for (auto& t : tasks_) t.process->prepare(failures_, ctx_);
     if (por_) por_prepare();
-    if (ad_cache_on_) {
+    if (opts_.ad_cache) {
       // One cache generation per (failure set, upstream outcome index):
       // prepare() changed the live-peer lists, and upstream-dependent
       // advertised() results (iBGP IGP costs, next-hop resolvability) must
@@ -475,21 +457,31 @@ Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
   // The one path of an SPF-ordered phase (docs/architecture.md "SPF-ordered
   // phases"): each reachable non-origin member adopts the merge of its
   // peers' advertisements, in (dist, id) order. Each state gets what the
-  // DFS engine and apply() give it: a budget check and a visited mark, and
-  // per commit a deterministic step, a transition and a trail event. No
+  // DFS engine and apply() give it: a budget check and a stored-state count,
+  // and per commit a deterministic step, a transition and a trail event. No
   // state on the path is §4.1.1-inconsistent, and the last one has nothing
-  // enabled, so the path ends in advance() unless a check stops it first.
+  // enabled, so the path ends in advance() unless the budget stops it.
   // The order comes from the Dijkstra settle order (spf_order()), which
   // needs no sort: with positive costs a (dist, id) heap settles nodes in
   // exactly that order.
+  //
+  // The pass counts its states instead of probing the visited store, since
+  // none can repeat within run(): a phase's pass runs once per (failure set,
+  // upstream outcome), as every phase before it is one pass with one end
+  // state; the state key mixes in both; and each commit adds a route at a
+  // node that had none.
   const auto& proc = static_cast<const OspfProcess&>(*tasks_[task_idx].process);
   const std::span<const NodeId> order = proc.spf_order();
   const std::vector<std::uint8_t>& is_origin = is_origin_[task_idx];
   auto& rib = rib_[task_idx];
+  const auto store = [this] {
+    ++result_.stats.states_stored;
+    result_.stats.max_depth =
+        std::max<std::uint64_t>(result_.stats.max_depth, trail_.events.size());
+  };
   if (budget_exhausted()) return Flow::kStop;
-  if (!mark_visited(task_idx)) return Flow::kContinue;
+  store();
   Flow flow = Flow::kContinue;
-  bool converged = true;
   std::size_t end = 0;  // order[0, end) is committed (or an origin)
   while (end < order.size()) {
     const NodeId x = order[end++];
@@ -514,15 +506,11 @@ Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
     ++result_.stats.states_explored;
     if (budget_exhausted()) {
       flow = Flow::kStop;
-      converged = false;
       break;
     }
-    if (!mark_visited(task_idx)) {
-      converged = false;
-      break;
-    }
+    store();
   }
-  if (converged) flow = advance(task_idx);
+  if (flow != Flow::kStop) flow = advance(task_idx);
   while (end > 0) {
     const NodeId x = order[--end];
     if (is_origin[x] != 0) continue;
@@ -543,6 +531,7 @@ bool Explorer::mark_visited(std::size_t task_idx) {
     ++result_.stats.revisits_skipped;
     return false;
   }
+  ++result_.stats.states_stored;
   result_.stats.max_depth =
       std::max<std::uint64_t>(result_.stats.max_depth, trail_.events.size());
   return true;
@@ -948,14 +937,6 @@ void Explorer::por_prepare() {
   indep_.reset(tasks_.size(), net_.topo.node_count());
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     const auto& proc = *tasks_[t].process;
-    if (!proc.cacheable()) {
-      // Conservative fallback: a process with impure advertisement (hidden
-      // route-map state) has no reliable footprint — make every pair of its
-      // moves conflict, so sleep sets never populate for this task and its
-      // exploration is unchanged.
-      indep_.set_all_dependent(t);
-      continue;
-    }
     for (const NodeId m : proc.members()) {
       indep_.add_transition(t, m, proc.peers(m));
     }
@@ -998,6 +979,7 @@ bool Explorer::por_mark_visited(std::size_t task_idx) {
     por_entries_.push_back(e);
     por_pool_.insert(por_pool_.end(), cur, cur + w);  // the arrival sleep set
     por_pool_.insert(por_pool_.end(), w, 0);          // subtree summary
+    ++result_.stats.states_stored;
     por_cur_entry_ = idx;
     entry_stack_[por_depth_] = idx;
     result_.stats.max_depth =

@@ -11,11 +11,11 @@
 //               · deterministic-node execution        (§4.1.2, Theorem 2)
 //               · decision independence (ample sets)  (§4.1.3)
 //               · policy-based pruning + influence    (§4.2)
-//               · pluggable visited backends          (§4.4, Fig. 9)
+//               · exact or bitstate visited store     (§4.4, Fig. 9)
 //                  └─ FIB assembly + policy callback  (§3.5)
 //
 // The Explorer is the SearchModel: it owns protocol semantics and pruning.
-// State identity lives in the StateCodec, visited storage behind the
+// State identity lives in the StateCodec, visited storage in the
 // VisitedBackend, and search order in the SearchEngine (src/engine/) — each
 // replaceable without touching the protocols.
 //
@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "checker/stats.hpp"
@@ -61,8 +62,8 @@ struct ExploreOptions {
   bool policy_pruning = true;        ///< §4.2
   bool suppress_equivalent = true;   ///< §3.5 equivalence of converged states
 
-  /// Visited-set storage policy (§4.4, Fig. 9): exact, hash-compacted, or
-  /// bitstate/Bloom. `bloom_bits` sizes the kBitstate filter.
+  /// Visited-set storage (§4.4, Fig. 9): exact, or bitstate/Bloom.
+  /// `bloom_bits` sizes the kBitstate filter.
   VisitedKind visited = VisitedKind::kExact;
   std::size_t bloom_bits = std::size_t{1} << 27;
 
@@ -140,8 +141,9 @@ struct ExploreOptions {
 /// True when a run under `o` can end in a proof: an exhaustive engine
 /// (is_exhaustive) over the exact visited store. Otherwise no run is
 /// exhaustive, so none is a hold and none can transfer to a dedup class
-/// member. Budgets and the memory-pressure degradation can still cost a run
-/// its proof; this rule is the part known before it starts.
+/// member. With the verifier's cyclic-SCC flag this fixes each run's
+/// ExploreResult::exhaustive before the run starts; only a budget trip can
+/// still cost a run its proof.
 [[nodiscard]] inline bool can_prove(const ExploreOptions& o) {
   return is_exhaustive(o.engine_kind) && o.visited == VisitedKind::kExact;
 }
@@ -181,11 +183,10 @@ struct ExploreResult {
   /// Which budget axis ended the search early (kNone = ran to completion).
   BudgetKind budget_tripped = BudgetKind::kNone;
   /// False when coverage was not a proof: the single-execution engine
-  /// followed one path, a lossy visited backend was selected up front, the
-  /// memory-pressure degradation migrated the exact store to hash
-  /// compaction mid-run, or (set by the verifier) the PEC belongs to or
-  /// depends on an approximated cyclic SCC. A violation-free
-  /// search with exhaustive == false is a coverage claim, not a hold.
+  /// followed one path, the bitstate visited store was selected, or (set by
+  /// the verifier) the PEC belongs to or depends on an approximated cyclic
+  /// SCC. A violation-free search with exhaustive == false is a coverage
+  /// claim, not a hold.
   bool exhaustive = true;
   /// Every counterexample found (the first only, unless
   /// find_all_violations). Non-empty means violated.
@@ -292,7 +293,7 @@ class Explorer final : public SearchModel {
   RouteId adv(const RoutingProcess& proc, std::size_t task_idx, NodeId n,
               std::size_t peer_idx, NodeId p) {
     const RouteId in = rib_[task_idx][p];
-    if (ad_cache_on_) {
+    if (opts_.ad_cache) {
       return ad_cache_.advertised(proc, task_idx, n, peer_idx, p, in, ctx_,
                                   result_.stats);
     }
@@ -309,9 +310,8 @@ class Explorer final : public SearchModel {
   ModelContext ctx_;
   FailureSet failures_;
   StateCodec codec_;                        ///< canonical state identity
-  /// Pluggable visited storage; null under POR, whose sleep-aware store
-  /// replaces it.
-  std::unique_ptr<VisitedBackend> visited_;
+  /// Visited storage; empty under POR, whose sleep-aware store replaces it.
+  std::optional<VisitedBackend> visited_;
   std::unique_ptr<SearchEngine> engine_;    ///< pluggable search strategy
   VisitedSet failure_sets_seen_;
   VisitedSet signatures_seen_;
@@ -346,7 +346,6 @@ class Explorer final : public SearchModel {
   bool spf_pass_ = false;
 
   AdCache ad_cache_;                                ///< advertised() memo
-  bool ad_cache_on_ = false;                        ///< opts_.ad_cache && cacheable
 
   // -- dynamic partial-order reduction (sleep + source sets) ---------------
   // docs/architecture.md "Partial-order reduction": sleep sets, source-set
@@ -384,9 +383,6 @@ class Explorer final : public SearchModel {
   /// immediately follows por_mark_visited (empty = unrestricted).
   std::vector<std::uint64_t> por_mask_scratch_;
   std::vector<std::uint64_t> por_dep_scratch_;  ///< replay dep-row union
-  [[nodiscard]] std::uint64_t stored_states() const {
-    return por_ ? por_entries_.size() : visited_->stored();
-  }
   /// expand()'s one emission step: appends the moves of `nodes`, whose
   /// first node's updates are already collected when `deterministic`
   /// (§4.1.2's node, alone). Under POR it drops sleeping nodes and narrows
@@ -428,7 +424,6 @@ class Explorer final : public SearchModel {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   std::uint64_t limit_check_counter_ = 0;
-  bool degraded_visited_ = false;           ///< exact→compact migration done
 
   /// The one model-memory rule: fills the bytes_* fields of result_.stats
   /// from the structures the search holds now and returns their sum
@@ -436,9 +431,6 @@ class Explorer final : public SearchModel {
   /// the outcome recorder keeps. The memory-budget check and run()'s report
   /// both call it.
   std::size_t account_model_bytes();
-  /// Memory-pressure relief: migrate exact→hash-compact when permitted.
-  /// Returns true when the migration brought usage back under the cap.
-  bool try_degrade_visited();
 
   std::span<const NodeId> sources_;  ///< the policy's sources
 };

@@ -21,7 +21,6 @@
 //   integer          its own width
 //   bool, enum       one byte; decode refuses a bool byte above 1, and an
 //                    enum must be listed as at_most(field, last enumerator)
-//   chrono duration  int64 count
 //   std::string      u64 length, then the bytes
 //   std::vector<T>   u32 count, then the elements
 //   listed struct    its own field list, inline
@@ -35,7 +34,6 @@
 
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -99,10 +97,6 @@ inline constexpr bool is_vector = false;
 template <typename T, typename A>
 inline constexpr bool is_vector<std::vector<T, A>> = true;
 template <typename T>
-inline constexpr bool is_duration = false;
-template <typename R, typename P>
-inline constexpr bool is_duration<std::chrono::duration<R, P>> = true;
-template <typename T>
 inline constexpr bool is_at_most = false;
 template <typename T, typename L>
 inline constexpr bool is_at_most<AtMost<T, L>> = true;
@@ -138,8 +132,6 @@ class Writer {
       for (const auto& e : v) put(e);
     } else if constexpr (std::is_same_v<T, std::string>) {
       put_string(out_, v);
-    } else if constexpr (is_duration<T>) {
-      put_int(out_, static_cast<std::int64_t>(v.count()));
     } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
       put_int(out_, static_cast<std::uint8_t>(v));
     } else if constexpr (is_at_most<T>) {
@@ -200,11 +192,6 @@ class Reader {
       return true;
     } else if constexpr (std::is_same_v<T, std::string>) {
       return get_string(in_, v);
-    } else if constexpr (is_duration<T>) {
-      std::int64_t count = 0;
-      if (!get_int(in_, count)) return false;
-      v = T(count);
-      return true;
     } else if constexpr (std::is_same_v<T, bool>) {
       std::uint8_t b = 0;
       if (!get_int(in_, b) || b > 1) return false;

@@ -1,6 +1,6 @@
 // Resource governance (checker/budget.hpp): budget taxonomy, sound
-// kInconclusive verdicts, deterministic trip points, and graceful visited
-// degradation.
+// kInconclusive verdicts, deterministic trip points, and deadline
+// arithmetic.
 //
 // The headline guarantees under test:
 //   · a tripped budget (deadline / states / memory) degrades a would-be hold
@@ -8,17 +8,17 @@
 //     engine × worker-count combination;
 //   · state- and memory-budget trips are deterministic: the same budget on
 //     the same workload twice yields bit-identical partial stats and the
-//     identical kInconclusive report (the budget-determinism satellite);
-//   · opt-in exact→hash-compact visited degradation under memory pressure
-//     preserves every previously seen key and self-reports the loss of
-//     exhaustiveness (exhaustive == false).
+//     identical kInconclusive report (the budget-determinism satellite),
+//     and a state cap stops an SPF-ordered pass where the move-by-move walk
+//     stops;
+//   · a deadline past the steady clock's range never trips.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
 #include "core/verifier.hpp"
-#include "engine/visited.hpp"
+#include "workload/as_topo.hpp"
 #include "workload/fat_tree.hpp"
 #include "workload/ring.hpp"
 
@@ -201,8 +201,8 @@ TEST(BudgetDeterminism, MemoryBudgetTripsIdenticallyTwice) {
   const VerifyResult first = wc.run(vo);
   ASSERT_EQ(first.verdict, Verdict::kInconclusive);
   EXPECT_EQ(first.budget_tripped, BudgetKind::kMemory);
-  EXPECT_TRUE(first.exhaustive) << "without the degradation opt-in the "
-                                   "exact backend stays exact";
+  EXPECT_TRUE(first.exhaustive) << "a memory-cap stop with the exact store "
+                                   "is partial, not lossy";
   EXPECT_GT(first.total.budget_checks, 0u);
 
   const VerifyResult second = wc.run(vo);
@@ -223,6 +223,50 @@ TEST(BudgetDeterminism, DeadlineClassifiesIdenticallyAcrossRuns) {
     const VerifyResult r = wc.run(vo);
     EXPECT_EQ(r.verdict, Verdict::kInconclusive) << "run " << run;
     EXPECT_EQ(r.budget_tripped, BudgetKind::kDeadline) << "run " << run;
+  }
+}
+
+TEST(BudgetDeterminism, StateCapStopsTheSpfPassWhereTheWalkStops) {
+  // Loop freedom under at most one failure on one AS1755 loopback PEC: every
+  // phase is SPF-ordered, so with incremental_expand on each failure set's
+  // phase runs as one pass that counts its states without a visited store,
+  // and with it off the DFS engine walks the same path move by move through
+  // the exact store (docs/architecture.md "SPF-ordered phases"). Each cap
+  // must stop both at the same state, with the same counts and verdict. The
+  // explored counts are pinned too: the state cap trips one stored state
+  // past the cap, and each failure set's root is stored without a move.
+  const AsTopo topo = make_as_topo("AS1755");
+  const PecSet pecs = compute_pecs(topo.net);
+  const Pec& pec = pecs.pecs[pecs.find(topo.loopbacks[86].addr())];
+  const LoopFreedomPolicy policy;
+  struct Row {
+    std::uint64_t cap;
+    std::uint64_t explored;
+  };
+  for (const Row row : {Row{1, 2}, Row{7, 8}, Row{50, 51}, Row{400, 397},
+                        Row{3000, 2967}}) {
+    SCOPED_TRACE("cap " + std::to_string(row.cap));
+    ExploreResult runs[2];
+    for (const bool pass : {true, false}) {
+      ExploreOptions opts;
+      opts.max_failures = 1;
+      opts.incremental_expand = pass;
+      opts.budget.max_states = row.cap;
+      Explorer ex(topo.net, pec, make_tasks(topo.net, pec), policy, opts);
+      runs[pass ? 0 : 1] = ex.run();
+    }
+    const ExploreResult& a = runs[0];
+    const ExploreResult& b = runs[1];
+    EXPECT_EQ(a.stats.states_explored, row.explored);
+    EXPECT_EQ(b.stats.states_explored, row.explored);
+    EXPECT_EQ(a.stats.states_stored, row.cap + 1);
+    EXPECT_EQ(b.stats.states_stored, row.cap + 1);
+    EXPECT_EQ(a.stats.dirty_refreshes, 0u) << "the pass refreshes no status";
+    EXPECT_GT(b.stats.dirty_refreshes, 0u);
+    EXPECT_EQ(a.budget_tripped, BudgetKind::kStates);
+    EXPECT_EQ(b.budget_tripped, BudgetKind::kStates);
+    EXPECT_EQ(a.verdict(), Verdict::kInconclusive);
+    EXPECT_EQ(b.verdict(), Verdict::kInconclusive);
   }
 }
 
@@ -404,61 +448,33 @@ TEST(FairShareSlice, DedupRerunsDoNotStarveTheFinalPec) {
 }
 
 // ---------------------------------------------------------------------------
-// Graceful visited degradation (exact -> hash-compact under memory pressure)
+// Deadline arithmetic
 // ---------------------------------------------------------------------------
 
-TEST(VisitedDegradation, MigrationPreservesSeenKeysAndDropsExhaustiveness) {
-  const auto exact = make_visited_backend(VisitedKind::kExact);
-  ASSERT_TRUE(exact->exhaustive());
-  for (std::uint64_t k = 1; k <= 1000; ++k) {
-    ASSERT_TRUE(exact->insert(k * 0x9e3779b97f4a7c15ull));
-  }
-  const auto compact = exact->degrade_to_compact();
-  ASSERT_NE(compact, nullptr);
-  EXPECT_EQ(compact->kind(), VisitedKind::kHashCompact);
-  EXPECT_FALSE(compact->exhaustive())
-      << "hash compaction is lossy; the migrated set must say so";
-  EXPECT_LT(compact->bytes(), exact->bytes());
-  for (std::uint64_t k = 1; k <= 1000; ++k) {
-    EXPECT_FALSE(compact->insert(k * 0x9e3779b97f4a7c15ull))
-        << "key " << k << " was forgotten by the migration";
-  }
+TEST(DeadlineAfter, SaturatesPastTheClockRange) {
+  using std::chrono::milliseconds;
+  using TimePoint = std::chrono::steady_clock::time_point;
+  const TimePoint now = std::chrono::steady_clock::now();
+  EXPECT_EQ(deadline_after(now, milliseconds(5)), now + milliseconds(5));
+  // 10^13 ms is about 317 years: past 2^63 ns, where the plain sum wraps.
+  EXPECT_EQ(deadline_after(now, milliseconds(10'000'000'000'000)),
+            TimePoint::max());
+  EXPECT_EQ(deadline_after(now, milliseconds::max()), TimePoint::max());
 }
 
-TEST(VisitedDegradation, LossyBackendsRefuseToMigrate) {
-  EXPECT_EQ(make_visited_backend(VisitedKind::kHashCompact)->degrade_to_compact(),
-            nullptr);
-  EXPECT_EQ(make_visited_backend(VisitedKind::kBitstate)->degrade_to_compact(),
-            nullptr);
-}
-
-TEST(VisitedDegradation, DegradedRunSelfReportsNonExhaustive) {
-  // With the opt-in, memory pressure first migrates the visited set (POR off:
-  // the sleep-set store needs full keys) and the run self-reports
-  // exhaustive == false; the budget is small enough that the trimmed model
-  // still trips kMemory later. Either way the verdict must be inconclusive
-  // and the loss of exhaustiveness visible — and deterministic across runs.
-  const WorstCase wc;
+TEST(BudgetSoundness, DeadlinePastTheClockRangeNeverTrips) {
+  // plankton_verify --deadline-ms 10000000000000: the whole-run deadline and
+  // each PEC's slice saturate instead of wrapping into the past, so the run
+  // completes and holds.
+  const Network net = make_ring(8);
+  const LoopFreedomPolicy policy;
   VerifyOptions vo;
-  vo.explore.por = false;
-  vo.explore.budget.max_bytes = 2u << 20;
-  vo.explore.budget.degrade_visited = true;
-  const VerifyResult first = wc.run(vo);
-  ASSERT_EQ(first.verdict, Verdict::kInconclusive);
-  EXPECT_FALSE(first.exhaustive)
-      << "degradation happened but the run still claims exhaustive coverage";
-  EXPECT_EQ(first.budget_tripped, BudgetKind::kMemory);
-
-  const VerifyResult second = wc.run(vo);
-  EXPECT_EQ(fingerprint(first), fingerprint(second));
-
-  // Contrast: without the opt-in the same budget trips earlier but the
-  // search stays exact (partial, not lossy).
-  VerifyOptions plain = vo;
-  plain.explore.budget.degrade_visited = false;
-  const VerifyResult r = wc.run(plain);
-  EXPECT_EQ(r.verdict, Verdict::kInconclusive);
-  EXPECT_TRUE(r.exhaustive);
+  vo.explore.budget.deadline = std::chrono::milliseconds(10'000'000'000'000);
+  Verifier verifier(net, vo);
+  const VerifyResult r = verifier.verify(policy);
+  EXPECT_EQ(r.verdict, Verdict::kHolds);
+  EXPECT_EQ(r.budget_tripped, BudgetKind::kNone);
+  EXPECT_GT(r.total.converged_states, 0u);
 }
 
 }  // namespace

@@ -163,9 +163,8 @@ TEST(HotPathAlloc, SpfPassIsAllocationFree) {
   // A two-prefix OSPF PEC: edge 0's prefix and its more-specific half,
   // originated at another edge. Both phases are SPF-ordered, so advance(0)
   // runs phase 1 as one pass (docs/architecture.md "SPF-ordered phases").
-  // Called at each state of phase 0's path, which gives phase 1 a context
-  // the warm-up run never saw, the pass commits every member and ends in a
-  // converged-state check, instead of stopping at a visited root.
+  // Called at each state of phase 0's path, the pass commits every member
+  // and ends in a converged-state check: it probes no visited store.
   FatTreeOptions o;
   o.k = 4;
   FatTree ft = make_fat_tree(o);
@@ -177,10 +176,6 @@ TEST(HotPathAlloc, SpfPassIsAllocationFree) {
   ASSERT_EQ(make_tasks(ft.net, pec).size(), 2u);
   ExploreOptions opts;
   opts.suppress_equivalent = false;  // every converged state is checked
-  // Many failure sets fill the visited store, so the sweep below adds far
-  // fewer states than it holds: its table can double at most once.
-  opts.max_failures = 2;
-  opts.lec_failures = false;
   const CountingPolicy policy;
   Explorer ex(ft.net, pec, make_tasks(ft.net, pec), policy, opts);
   ASSERT_EQ(ex.run().verdict(), Verdict::kHolds);
@@ -211,13 +206,10 @@ TEST(HotPathAlloc, SpfPassIsAllocationFree) {
   }
   for (std::size_t i = path.size(); i-- > 0;) model.undo(0, path[i]);
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
-  // Each state before phase 0's converged one was new to phase 1; at the
-  // converged one phase 1's root was visited by the warm-up run.
-  EXPECT_EQ(policy.checks - checks, path.size())
+  EXPECT_EQ(policy.checks - checks, path.size() + 1)
       << "the passes did not all reach a converged state";
-  EXPECT_LE(after - before, 1u)
-      << path.size() << " passes allocated " << (after - before)
-      << " times; only one doubling of the visited table is allowed";
+  EXPECT_EQ(after - before, 0u)
+      << path.size() + 1 << " passes allocated " << (after - before) << " times";
 }
 
 TEST(HotPathAlloc, OspfFatTreeSteadyStateIsAllocationFree) {

@@ -68,18 +68,6 @@ TEST(IndependenceOracle, DeclaredTransitionsConflictSymmetrically) {
   }
 }
 
-TEST(IndependenceOracle, AllDependentFallbackKillsEveryPair) {
-  IndependenceOracle o;
-  o.reset(2, 10);
-  o.set_all_dependent(0);
-  for (NodeId a = 0; a < 10; ++a) {
-    for (NodeId b = 0; b < 10; ++b) {
-      EXPECT_TRUE(o.dependent(0, a, b));
-      EXPECT_TRUE(o.independent(1, a, b)) << "fallback leaked across phases";
-    }
-  }
-}
-
 TEST(IndependenceOracle, SleepChildMaskAlgebra) {
   // child = (sleep ∪ prior) ∖ dep, bit-exact across word boundaries.
   std::uint64_t sleep[2] = {0x5, 0x1};
@@ -129,12 +117,8 @@ void fuzz_instance_pairs(const RandomInstance& inst, std::uint64_t& pairs) {
   // node-granularity footprints from the *prepared* process.
   IndependenceOracle oracle;
   oracle.reset(1, inst.net.topo.node_count());
-  if (proc->cacheable()) {
-    for (const NodeId n : proc->members()) {
-      oracle.add_transition(0, n, proc->peers(n));
-    }
-  } else {
-    oracle.set_all_dependent(0);
+  for (const NodeId n : proc->members()) {
+    oracle.add_transition(0, n, proc->peers(n));
   }
 
   SearchModel& model = ex;

@@ -1,7 +1,6 @@
-// Visited-backend parity (§4.4, Fig. 9): the exact, hash-compacted, and
-// bitstate backends are interchangeable storage policies behind the
-// VisitedBackend interface — on the Fig. 9 workloads all three must explore
-// the same violation set.
+// Visited-store parity (§4.4, Fig. 9): the exact and bitstate stores are
+// the two kinds of VisitedBackend — on the Fig. 9 workloads both must
+// explore the same violation set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,44 +16,38 @@
 namespace plankton {
 namespace {
 
-constexpr VisitedKind kAllKinds[] = {
-    VisitedKind::kExact, VisitedKind::kHashCompact, VisitedKind::kBitstate};
+constexpr VisitedKind kAllKinds[] = {VisitedKind::kExact,
+                                     VisitedKind::kBitstate};
 
-TEST(VisitedBackends, FactoryAndInsertSemantics) {
+TEST(VisitedBackends, InsertSemantics) {
   for (const VisitedKind kind : kAllKinds) {
-    const auto backend =
-        make_visited_backend(kind, 1 << 16);
-    ASSERT_NE(backend, nullptr);
-    EXPECT_EQ(backend->kind(), kind);
-    EXPECT_STREQ(backend->name(), to_string(kind));
-    EXPECT_TRUE(backend->insert(42));
-    EXPECT_FALSE(backend->insert(42)) << to_string(kind);
-    EXPECT_TRUE(backend->insert(43));
-    EXPECT_EQ(backend->stored(), 2u) << to_string(kind);
-    backend->clear();
-    EXPECT_EQ(backend->stored(), 0u);
-    EXPECT_TRUE(backend->insert(42)) << "clear() must forget " << to_string(kind);
+    VisitedBackend store(kind, 1 << 16);
+    EXPECT_TRUE(store.insert(42)) << to_string(kind);
+    EXPECT_FALSE(store.insert(42)) << to_string(kind);
+    EXPECT_TRUE(store.insert(43)) << to_string(kind);
+    EXPECT_GT(store.bytes(), 0u);
   }
+  EXPECT_STREQ(to_string(VisitedKind::kExact), "exact");
+  EXPECT_STREQ(to_string(VisitedKind::kBitstate), "bitstate");
 }
 
 TEST(VisitedBackends, NoFalseFreshAfterInsert) {
-  // All backends may over-approximate "seen" (lossy compaction) but must
-  // never report an inserted key as new again.
+  // The Bloom store may over-approximate "seen" but neither store may ever
+  // report an inserted key as new again.
   for (const VisitedKind kind : kAllKinds) {
-    const auto backend =
-        make_visited_backend(kind, 1 << 20);
+    VisitedBackend store(kind, 1 << 20);
     std::mt19937_64 rng(23);
     std::vector<std::uint64_t> keys;
     for (int i = 0; i < 20000; ++i) keys.push_back(rng());
-    for (const auto k : keys) backend->insert(k);
+    for (const auto k : keys) store.insert(k);
     for (const auto k : keys) {
-      ASSERT_FALSE(backend->insert(k)) << to_string(kind);
+      ASSERT_FALSE(store.insert(k)) << to_string(kind);
     }
   }
 }
 
 /// The distinct (pec, failure-set, message) triples of a run, sorted: the
-/// observable violation set. Lossy backends may reach the same violating
+/// observable violation set. The bitstate store may reach the same violating
 /// converged state through fewer interleavings (duplicates collapse), but
 /// the *set* must match the exact backend's.
 std::vector<std::string> violation_set(const VerifyResult& r) {
@@ -93,15 +86,13 @@ TEST(VisitedBackends, ParityOnFig9DcWaypoint) {
     verdicts.push_back(r.verdict);
   }
   ASSERT_FALSE(sets[0].empty()) << "workload must produce violations";
-  EXPECT_EQ(verdicts[0], verdicts[1]) << "hash-compact";
-  EXPECT_EQ(verdicts[0], verdicts[2]) << "bitstate";
-  EXPECT_EQ(sets[0], sets[1]) << "hash-compact";
-  EXPECT_EQ(sets[0], sets[2]) << "bitstate";
+  EXPECT_EQ(verdicts[0], verdicts[1]);
+  EXPECT_EQ(sets[0], sets[1]);
 }
 
 TEST(VisitedBackends, ParityOnFailureEnumeration) {
   // Fig. 9's uncapped agreement check, scaled down: reachability under all
-  // 1-failure scenarios; every backend reports the identical violation set.
+  // 1-failure scenarios; both stores report the identical violation set.
   const Network net = make_ring(8);
   const ReachabilityPolicy policy({4});
   std::vector<std::vector<std::string>> sets;
@@ -117,7 +108,6 @@ TEST(VisitedBackends, ParityOnFailureEnumeration) {
   }
   ASSERT_FALSE(sets[0].empty()) << "workload must produce violations";
   EXPECT_EQ(sets[0], sets[1]);
-  EXPECT_EQ(sets[0], sets[2]);
 }
 
 TEST(StateCodec, MoveOrderIndependence) {

@@ -149,7 +149,7 @@ TEST(WireGolden, FrameHeader) {
 }
 
 TEST(SearchStatsMerge, AbsorbMovesEveryWireField) {
-  // absorb() walks SearchStats::wire_fields, so a counter on the wire is
+  // absorb() walks SearchStats::wire_fields, so a counter in that list is
   // merged into VerifyResult::total too. Absorbing the all-nonzero instance
   // twice into zeros must double every counter and leave each high-water
   // mark at the instance's value; a field left out of the merge stays 0.
