@@ -16,10 +16,11 @@
 //     verifications of the same config (the differential arms);
 //   · cached verdicts equal fresh verification bit-for-bit: re-querying the
 //     warm cache and fresh arms agree on every probe;
-//   · crash durability: a simulated kill -9 (no compaction, no shutdown
-//     save) followed by a PKJ1 journal replay rebuilds every dependency-cone
-//     fingerprint bit-identically, warm-starts from the persisted cache, and
-//     reproduces the delta-replay hit ratio (17/18 ≈ 94.4%) post-crash.
+//   · crash durability: a journal compaction (the graceful-shutdown
+//     snapshot of config text and clean-hold keys) then a simulated kill -9
+//     followed by a PKJ1 journal replay rebuilds every dependency-cone
+//     fingerprint bit-identically, warm-starts the cache from the snapshot,
+//     and reproduces the delta-replay hit ratio (17/18 ≈ 94.4%) post-crash.
 //
 // Output: BENCH_serve.json (override with argv[1] or PLANKTON_BENCH_JSON).
 // Exit code 0 when every claim holds, 1 otherwise.
@@ -91,16 +92,14 @@ int main(int argc, char** argv) {
   const std::string config = render_config(ft.net);
   const int half = o.k / 2;
 
-  // Cache + journal live for the crash-recovery arm at the end: the journal
-  // records every accepted load/delta, the cache file is the warm-start
-  // source the revived daemon hits against.
+  // The journal lives for the crash-recovery arm at the end: it records
+  // every accepted load/delta, and its compaction snapshot carries the
+  // clean-hold keys the revived daemon hits against.
   const std::string tag = std::to_string(::getpid());
-  const std::string cache_path = "/tmp/plankton_serve_bench_" + tag + ".pkc";
   const std::string journal_path = "/tmp/plankton_serve_bench_" + tag + ".pkj";
-  std::remove(cache_path.c_str());
   std::remove(journal_path.c_str());
 
-  ServeState state{bench_opts(), cache_path};
+  ServeState state{bench_opts()};
   std::string error;
   if (!state.attach_journal(journal_path, error)) {
     std::printf("FAIL: journal: %s\n", error.c_str());
@@ -257,13 +256,13 @@ int main(int argc, char** argv) {
               restored.reverified);
 
   // ------------------------------------------------------------------
-  // Crash-recovery arm: persist the cache, record every cone fingerprint,
-  // then "kill -9" the daemon (drop the ServeState with no compaction and no
-  // shutdown save — exactly what SIGKILL leaves behind) and rebuild a fresh
-  // one from journal replay + cache warm start.
+  // Crash-recovery arm: compact the journal (what a graceful shutdown does),
+  // record every cone fingerprint, then "kill -9" the daemon (drop the
+  // ServeState with no further step — exactly what SIGKILL leaves behind)
+  // and rebuild a fresh one from journal replay alone.
   // ------------------------------------------------------------------
-  if (!state.save_cache(error)) {
-    std::printf("FAIL: cache save: %s\n", error.c_str());
+  if (!state.compact_journal(error)) {
+    std::printf("FAIL: journal compaction: %s\n", error.c_str());
     return 1;
   }
   const std::string pre_crash_config = state.config_text();
@@ -272,7 +271,7 @@ int main(int argc, char** argv) {
     pre_crash_cones.push_back(state.cone_of(p));
   }
 
-  ServeState revived{bench_opts(), cache_path};
+  ServeState revived{bench_opts()};
   if (!revived.attach_journal(journal_path, error)) {
     std::printf("FAIL: revived journal: %s\n", error.c_str());
     return 1;
@@ -290,8 +289,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(replayed.applied));
   bench::emit("fig_serve_deltas", "crash_journal_replay", replay_ms,
               replayed.applied, replayed.torn_tail ? 1 : 0);
-  check(replayed.applied >= 1 && !replayed.torn_tail,
-        "journal replay applies the full acked history");
+  check(replayed.applied == 2 && !replayed.torn_tail,
+        "journal replay applies the compacted config and clean holds");
   check(revived.config_text() == pre_crash_config,
         "replayed config text is byte-identical to pre-crash");
   check(revived.verifier().pecs().pecs.size() == pre_crash_cones.size(),
@@ -304,8 +303,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Warm re-query against the persisted cache: the replayed cones must key
-  // straight into the pre-crash entries — all hits, nothing re-explored.
+  // Warm re-query against the replayed clean holds: the replayed cones must
+  // key straight into the pre-crash keys — all hits, nothing re-explored.
   check(revived.cache_stats().warm_loaded > 0, "revived cache warm-started");
   const VerdictReplyMsg post = revived.query(loop);
   check(post.ok && static_cast<Verdict>(post.verdict) == Verdict::kHolds &&
@@ -352,7 +351,6 @@ int main(int argc, char** argv) {
               crash_hits, crash_targets);
   check(crash_ratio >= 94.4, "post-crash replay hit ratio >= 94.4%");
 
-  std::remove(cache_path.c_str());
   std::remove(journal_path.c_str());
   std::remove((journal_path + ".tmp").c_str());
 

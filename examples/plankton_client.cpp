@@ -5,11 +5,12 @@
 // Commands:
 //   load <config-file>           make the config resident
 //   query <policy-spec...>       e.g. `query loop`, `query reach r1 r2`
+//                                (plankton_verify's policy grammar)
 //                                [--failures <k>] anywhere after `query`,
 //                                0 <= k <= 2147483647
 //   delta <delta-file>           apply line edits: `add <line>` / `del <line>`
 //   stats                        print verdict-cache counters
-//   shutdown                     persist the cache and stop the daemon
+//   shutdown                     compact the daemon's journal and stop it
 //
 // Connection failures are retried with doubling backoff (--retries,
 // --retry-delay-ms, at most 2000) before giving up — a daemon mid-restart
@@ -245,12 +246,11 @@ int main(int argc, char** argv) {
       if (reply.type == sched::MsgType::kCacheStats &&
           decode_cache_stats(reply.payload, m)) {
         std::printf(
-            "entries=%llu hits=%llu misses=%llu nonclean_bypass=%llu "
-            "insertions=%llu warm_loaded=%llu\n",
+            "entries=%llu hits=%llu misses=%llu insertions=%llu "
+            "warm_loaded=%llu\n",
             static_cast<unsigned long long>(m.entries),
             static_cast<unsigned long long>(m.hits),
             static_cast<unsigned long long>(m.misses),
-            static_cast<unsigned long long>(m.nonclean_bypass),
             static_cast<unsigned long long>(m.insertions),
             static_cast<unsigned long long>(m.warm_loaded));
         rc = 0;

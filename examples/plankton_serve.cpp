@@ -3,13 +3,16 @@
 // through the fingerprint-keyed verdict cache, and re-verifies only the PECs
 // a config delta moved. Drive it with plankton_client.
 //
-//   plankton_serve --socket /tmp/plankton.sock --cache /tmp/plankton.cache
-//   plankton_serve --tcp 7411 --all-violations
 //   plankton_serve --socket /tmp/p.sock --journal /tmp/p.journal
+//   plankton_serve --tcp 7411 --all-violations
 //
-// With --journal every accepted load/delta is appended + fsync'd to a PKJ1
-// write-ahead journal before it is acked, and a restart replays the journal
-// so a kill -9 loses nothing that was acknowledged.
+// The journal is the daemon's one state file. With --journal every accepted
+// load/delta is appended + fsync'd to a PKJ1 write-ahead journal before it
+// is acked, and a restart replays the journal so a kill -9 loses nothing
+// that was acknowledged. A load and the kShutdown/SIGTERM drain compact it
+// to the resident config plus the verdict cache's clean-hold keys, so a
+// daemon restarted after a graceful stop answers unchanged queries from a
+// warm cache. Without --journal the cache lives in memory only.
 //
 // Every numeric flag takes a plain decimal integer in its range (--cores at
 // least 1); anything else is a usage error.
@@ -31,7 +34,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: plankton_serve [--socket <path>] [--tcp <port>]\n"
-      "                      [--cache <path>] [--journal <path>] [--cores <n>]\n"
+      "                      [--journal <path>] [--cores <n>]\n"
       "                      [--all-violations] [--no-pec-dedup] [--no-por]\n"
       "                      [--deadline-ms <n>] [--budget-states <n>]\n"
       "                      [--max-clients <n>] [--read-deadline-ms <n>]\n"
@@ -69,8 +72,6 @@ int main(int argc, char** argv) {
       opts.unix_path = value();
     } else if (arg == "--tcp") {
       number(opts.tcp_port, 1, 65535);
-    } else if (arg == "--cache") {
-      opts.cache_path = value();
     } else if (arg == "--journal") {
       opts.journal_path = value();
     } else if (arg == "--max-clients") {

@@ -2,12 +2,16 @@
 //
 //   plankton_verify <config-file> <policy> [options]
 //
-// Policies:
-//   reach <src,...>                 every source delivers (all ECMP branches)
+// Policies (the make_policy grammar of policy/policy.hpp, shared with
+// plankton_client; node lists are separated by spaces or commas):
+//   reach <src>...                  every source delivers (all ECMP branches)
 //   loop                            no forwarding loop anywhere
-//   blackhole [<src,...>]           no source traffic hits a drop
-//   bounded <limit> <src,...>       all paths within <limit> hops
-//   waypoint <src,...> <wp,...>     all paths cross one of the waypoints
+//   blackhole [<src>...]            no source traffic hits a drop
+//   bounded <limit> <src>...        all paths within <limit> hops
+//   waypoint <via>[,<via>...] <src>...
+//                                   all paths cross one of the waypoints
+//   multipath [<src>...]            all ECMP branches share one fate
+//   consistency <node>...           the group's routes and paths agree
 //
 // Options:
 //   --failures <k>     verify under at most k link failures (default 0)
@@ -61,19 +65,6 @@ namespace {
 
 using namespace plankton;
 
-std::vector<NodeId> parse_node_list(const Network& net, const std::string& arg) {
-  std::vector<NodeId> out;
-  std::stringstream ss(arg);
-  std::string name;
-  while (std::getline(ss, name, ',')) {
-    const auto id = net.find_device(name);
-    if (!id) throw std::runtime_error("unknown device '" + name + "'");
-    out.push_back(*id);
-  }
-  if (out.empty()) throw std::runtime_error("empty device list");
-  return out;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: plankton_verify <config> <policy> [args] [--failures k] "
@@ -83,8 +74,11 @@ int usage() {
                "[--visited exact|bitstate] "
                "[--engine dfs|bfs|single] [--simulation] "
                "[--deadline-ms t] [--budget-states n] [--budget-bytes n]\n"
-               "policies: reach <srcs> | loop | blackhole [srcs] | "
-               "bounded <limit> <srcs> | waypoint <srcs> <wps>\n");
+               "policies: reach <src>... | loop | blackhole [<src>...] | "
+               "bounded <limit> <src>... | "
+               "waypoint <via>[,<via>...] <src>... | multipath [<src>...] | "
+               "consistency <node>...\n"
+               "node lists take spaces or commas\n");
   return 3;
 }
 
@@ -107,8 +101,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "config warning: %s\n", warning.c_str());
     }
 
-    // Split positional policy args from options.
-    std::vector<std::string> pos;
+    // Positional arguments are the policy spec; the rest are options.
+    std::string spec;
     VerifyOptions opts;
     std::optional<IpAddr> address;
     bool trails = false;
@@ -161,30 +155,14 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--", 0) == 0) {
         return usage();
       } else {
-        pos.push_back(arg);
+        if (!spec.empty()) spec += ' ';
+        spec += arg;
       }
     }
-    if (pos.empty()) return usage();
-
-    std::unique_ptr<Policy> policy;
-    const std::string& kind = pos[0];
-    if (kind == "reach" && pos.size() == 2) {
-      policy = std::make_unique<ReachabilityPolicy>(parse_node_list(net, pos[1]));
-    } else if (kind == "loop" && pos.size() == 1) {
-      policy = std::make_unique<LoopFreedomPolicy>();
-    } else if (kind == "blackhole") {
-      std::vector<NodeId> sources;
-      if (pos.size() == 2) sources = parse_node_list(net, pos[1]);
-      policy = std::make_unique<BlackholeFreedomPolicy>(std::move(sources));
-    } else if (kind == "bounded" && pos.size() == 3) {
-      std::uint32_t limit = 0;
-      if (!parse_int(pos[1], limit)) return usage();
-      policy = std::make_unique<BoundedPathLengthPolicy>(
-          parse_node_list(net, pos[2]), limit);
-    } else if (kind == "waypoint" && pos.size() == 3) {
-      policy = std::make_unique<WaypointPolicy>(parse_node_list(net, pos[1]),
-                                                parse_node_list(net, pos[2]));
-    } else {
+    std::string policy_error;
+    const std::unique_ptr<Policy> policy = make_policy(net, spec, policy_error);
+    if (policy == nullptr) {
+      std::fprintf(stderr, "error: %s\n", policy_error.c_str());
       return usage();
     }
 

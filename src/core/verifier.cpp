@@ -330,7 +330,14 @@ VerifyResult Verifier::verify_address(IpAddr addr, const Policy& policy) {
 }
 
 VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& policy) {
+  return verify_pecs(std::move(targets), policy, opts_.explore.max_failures);
+}
+
+VerifyResult Verifier::verify_pecs(std::vector<PecId> targets,
+                                   const Policy& policy, int max_failures) {
   const auto start = std::chrono::steady_clock::now();
+  VerifyOptions opts = opts_;
+  opts.explore.max_failures = max_failures;
   VerifyResult result;
   result.pecs_total = pecs_.pecs.size();
 
@@ -338,7 +345,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // A representative that cannot end in a clean hold (simulation, a lossy
   // visited store) transfers nothing: every member would re-run natively.
   // Skip classing then.
-  if (opts_.pec_dedup && can_prove(opts_.explore)) {
+  if (opts.pec_dedup && can_prove(opts.explore)) {
     plan.classes = compute_pec_classes(net_, pecs_, deps_, policy, plan.needed,
                                        plan.is_target);
   }
@@ -351,7 +358,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   result.scc_count = plan.tasks.size();
   result.unsupported_scc = !plan.approximated.empty();
 
-  PlanRunner runner(net_, pecs_, deps_, opts_, policy, plan, start);
+  PlanRunner runner(net_, pecs_, deps_, opts, policy, plan, start);
 
   OutcomeStore store(net_, pecs_);
 
@@ -371,7 +378,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
   // Result aggregation is lock-free: each worker appends to its own buffer
   // (the scheduler never runs two bodies on one worker concurrently) and the
   // buffers are merged after the join. Only the early-stop flag is shared.
-  const int threads = std::max(1, opts_.cores);
+  const int threads = std::max(1, opts.cores);
   std::vector<std::vector<PecReport>> buffers(static_cast<std::size_t>(threads));
 
   sched::run_task_graph(
@@ -383,7 +390,7 @@ VerifyResult Verifier::verify_pecs(std::vector<PecId> targets, const Policy& pol
             task, store,
             [&](PecReport&& rep) {
               if (!rep.result.violations.empty() &&
-                  !opts_.explore.find_all_violations) {
+                  !opts.explore.find_all_violations) {
                 stop.store(true, std::memory_order_relaxed);
               }
               buf.push_back(std::move(rep));

@@ -113,6 +113,12 @@ class Verifier {
   /// still executed for outcomes, but only `targets` are policy-checked).
   VerifyResult verify_pecs(std::vector<PecId> targets, const Policy& policy);
 
+  /// The same under at most `max_failures` link failures in place of
+  /// `explore.max_failures`: the serve daemon's resident Verifier answers
+  /// every query's failure bound.
+  VerifyResult verify_pecs(std::vector<PecId> targets, const Policy& policy,
+                           int max_failures);
+
  private:
   const Network& net_;
   VerifyOptions opts_;

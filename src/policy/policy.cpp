@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "netbase/parse_int.hpp"
+
 namespace plankton {
 namespace {
 
@@ -170,54 +172,163 @@ bool PathConsistencyPolicy::check(const ConvergedView& view, std::string& why) c
   return true;
 }
 
-// -- make_policy spec rendering ----------------------------------------------
-// These must stay in lockstep with the serve-layer grammar: the serve
-// differential and the renumbering tests rebuild each policy by feeding this
-// string back through make_policy, and a drifting renderer silently verifies
-// a different property.
+// -- make_policy and the spec renderers -------------------------------------
+// The renderers must stay in lockstep with make_policy: the serve
+// differential and the renumbering tests rebuild each policy by feeding
+// spec() back through it, and a drifting renderer silently verifies a
+// different property.
 
 namespace {
 
-/// " name name ...".
-std::string names(const Network& net, std::span<const NodeId> nodes) {
-  std::string out;
-  for (const NodeId n : nodes) out += ' ' + net.topo.name(n);
+std::vector<std::string_view> split_tokens(std::string_view s, char sep) {
+  std::vector<std::string_view> out;
+  std::size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && s[i] == sep) ++i;
+    const std::size_t start = i;
+    while (i < s.size() && s[i] != sep) ++i;
+    if (i > start) out.push_back(s.substr(start, i - start));
+  }
   return out;
+}
+
+/// Appends the nodes named by `tokens`, each a comma-separated list that
+/// names at least one node.
+bool nodes_of(const Network& net, std::span<const std::string_view> tokens,
+              std::vector<NodeId>& out, std::string& error) {
+  for (const std::string_view token : tokens) {
+    const auto list = split_tokens(token, ',');
+    if (list.empty()) {
+      error = "empty node list '" + std::string(token) + "'";
+      return false;
+    }
+    for (const std::string_view name : list) {
+      const auto id = net.find_device(name);
+      if (!id) {
+        error = "unknown node '" + std::string(name) + "'";
+        return false;
+      }
+      out.push_back(*id);
+    }
+  }
+  return true;
+}
+
+/// `head` followed by " name name ...", or "" when a name holds a comma,
+/// which make_policy reads as a separator: such a policy has no spec form.
+std::string spec_of(std::string head, const Network& net,
+                    std::span<const NodeId> nodes) {
+  for (const NodeId n : nodes) {
+    const std::string& name = net.topo.name(n);
+    if (name.find(',') != std::string::npos) return "";
+    head += ' ' + name;
+  }
+  return head;
 }
 
 }  // namespace
 
-// Reach and bounded take the all-nodes empty source list only implicitly,
-// and waypoint names are comma-joined: those cases have no spec form.
+std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
+                                    std::string& error) {
+  const auto t = split_tokens(spec, ' ');
+  if (t.empty()) {
+    error = "empty policy spec";
+    return nullptr;
+  }
+  const std::string_view kind = t[0];
+  const std::span<const std::string_view> rest(t.data() + 1, t.size() - 1);
+  std::vector<NodeId> nodes;
+  if (kind == "loop") {
+    if (!rest.empty()) {
+      error = "loop takes no arguments";
+      return nullptr;
+    }
+    return std::make_unique<LoopFreedomPolicy>();
+  }
+  if (kind == "reach") {
+    if (rest.empty()) {
+      error = "reach needs at least one source node";
+      return nullptr;
+    }
+    if (!nodes_of(net, rest, nodes, error)) return nullptr;
+    return std::make_unique<ReachabilityPolicy>(std::move(nodes));
+  }
+  if (kind == "blackhole") {
+    if (!nodes_of(net, rest, nodes, error)) return nullptr;
+    return std::make_unique<BlackholeFreedomPolicy>(std::move(nodes));
+  }
+  if (kind == "bounded") {
+    if (rest.size() < 2) {
+      error = "usage: bounded <limit> <node>...";
+      return nullptr;
+    }
+    std::uint32_t limit = 0;
+    if (!parse_int(rest[0], limit)) {
+      error = "bad bound '" + std::string(rest[0]) + "'";
+      return nullptr;
+    }
+    if (!nodes_of(net, rest.subspan(1), nodes, error)) return nullptr;
+    return std::make_unique<BoundedPathLengthPolicy>(std::move(nodes), limit);
+  }
+  if (kind == "waypoint") {
+    std::vector<NodeId> via;
+    if (rest.size() < 2) {
+      error = "usage: waypoint <via>[,<via>...] <source>...";
+      return nullptr;
+    }
+    if (!nodes_of(net, rest.first(1), via, error) ||
+        !nodes_of(net, rest.subspan(1), nodes, error)) {
+      return nullptr;
+    }
+    return std::make_unique<WaypointPolicy>(std::move(nodes), std::move(via));
+  }
+  if (kind == "multipath") {
+    if (!nodes_of(net, rest, nodes, error)) return nullptr;
+    return std::make_unique<MultipathConsistencyPolicy>(std::move(nodes));
+  }
+  if (kind == "consistency") {
+    if (rest.empty()) {
+      error = "consistency needs at least one node";
+      return nullptr;
+    }
+    if (!nodes_of(net, rest, nodes, error)) return nullptr;
+    return std::make_unique<PathConsistencyPolicy>(std::move(nodes));
+  }
+  error = "unknown policy '" + std::string(kind) + "'";
+  return nullptr;
+}
+
+// Reach, bounded and consistency take the all-nodes empty list only
+// implicitly: those cases have no spec form.
 std::string ReachabilityPolicy::spec(const Network& net) const {
-  return sources_.empty() ? "" : "reach" + names(net, sources_);
+  return sources_.empty() ? "" : spec_of("reach", net, sources_);
 }
 
 std::string WaypointPolicy::spec(const Network& net) const {
   if (waypoints_.empty() || sources_.empty()) return "";
-  std::string via = names(net, waypoints_);
-  if (via.find(',') != std::string::npos) return "";
+  std::string via = spec_of("", net, waypoints_);
+  if (via.empty()) return "";
   std::replace(via.begin() + 1, via.end(), ' ', ',');
-  return "waypoint" + via + names(net, sources_);
+  return spec_of("waypoint" + via, net, sources_);
 }
 
 std::string LoopFreedomPolicy::spec(const Network&) const { return "loop"; }
 
 std::string BlackholeFreedomPolicy::spec(const Network& net) const {
-  return "blackhole" + names(net, sources_);
+  return spec_of("blackhole", net, sources_);
 }
 
 std::string BoundedPathLengthPolicy::spec(const Network& net) const {
   if (sources_.empty()) return "";
-  return "bounded " + std::to_string(limit_) + names(net, sources_);
+  return spec_of("bounded " + std::to_string(limit_), net, sources_);
 }
 
 std::string MultipathConsistencyPolicy::spec(const Network& net) const {
-  return "multipath" + names(net, sources_);
+  return spec_of("multipath", net, sources_);
 }
 
 std::string PathConsistencyPolicy::spec(const Network& net) const {
-  return group_.empty() ? "" : "consistency" + names(net, group_);
+  return group_.empty() ? "" : spec_of("consistency", net, group_);
 }
 
 }  // namespace plankton

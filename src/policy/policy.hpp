@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataplane/fib.hpp"
@@ -54,11 +55,11 @@ class Policy {
   /// attributes (e.g. Path Consistency) must return false.
   [[nodiscard]] virtual bool supports_equivalence() const { return true; }
 
-  /// The policy rendered in the serve-layer `make_policy` grammar ("reach
+  /// The policy rendered in the make_policy grammar below ("reach
   /// <node>...", "loop", ...), so a client can send it as a kQuery and a
   /// test can rebuild it on a renumbered copy of the network. Every
-  /// built-in policy has one; empty = no spec form (only test-defined
-  /// policies).
+  /// built-in policy has one unless a node name holds a comma; empty = no
+  /// spec form.
   [[nodiscard]] virtual std::string spec(const Network& net) const {
     (void)net;
     return "";
@@ -160,5 +161,15 @@ class PathConsistencyPolicy final : public Policy {
  private:
   std::vector<NodeId> group_;
 };
+
+/// Builds a policy from a one-line spec, the one grammar behind
+/// plankton_verify's positional arguments, plankton_client's queries and
+/// Policy::spec(): `reach <node>...`, `loop`, `blackhole [<node>...]`,
+/// `bounded <limit> <node>...`, `waypoint <via>[,<via>...] <source>...`,
+/// `multipath [<node>...]`, `consistency <node>...`. Tokens are separated
+/// by spaces, and node lists take commas as well (`reach r1,r2`). Returns
+/// nullptr and fills `error` on an unknown form or node name.
+std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
+                                    std::string& error);
 
 }  // namespace plankton

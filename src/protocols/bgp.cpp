@@ -201,8 +201,8 @@ int BgpProcess::compare(NodeId n, RouteId a, RouteId b,
   if (a == b) return 0;
   if (a == kNoRoute) return -1;
   if (b == kNoRoute) return 1;
-  const Rank ra = rank_of(ctx.routes.get(a));
-  const Rank rb = rank_of(ctx.routes.get(b));
+  const BgpRank ra = bgp_rank(ctx.routes.get(a));
+  const BgpRank rb = bgp_rank(ctx.routes.get(b));
   if (ra == rb) return 0;  // age-based tie: non-deterministic
   return ra > rb ? 1 : -1;
 }
@@ -214,9 +214,9 @@ bool BgpProcess::can_transmit(NodeId from, NodeId to) const {
   return can_source_[from] != 0;  // iBGP-learned routes are not re-advertised
 }
 
-BgpProcess::Rank BgpProcess::optimistic_rank(NodeId n, NodeId p) const {
+BgpRank BgpProcess::optimistic_rank(NodeId n, NodeId p) const {
   const auto* sn = net_.device(n).bgp->session_with(p);
-  Rank r;
+  BgpRank r;
   if (sn->ibgp && can_source_[p] == 0) {
     return r;  // default rank (local_pref -1): p can never advertise to n
   }
@@ -251,13 +251,13 @@ NodeId BgpProcess::deterministic_node(std::span<const NodeId> enabled,
   for (const NodeId n : enabled) {
     const RouteId cur = s.best(n);
     // Current best updates and their shared top rank.
-    Rank best_rank;
+    BgpRank best_rank;
     bool have = false;
     int winners = 0;
     for (const NodeId p : up_peers_[n]) {
       const RouteId adv = advertised(p, n, s.best(p), ctx);
       if (adv == kNoRoute || compare(n, adv, cur, ctx) <= 0) continue;
-      const Rank rk = rank_of(ctx.routes.get(adv));
+      const BgpRank rk = bgp_rank(ctx.routes.get(adv));
       if (!have || rk > best_rank) {
         best_rank = rk;
         have = true;
@@ -272,7 +272,7 @@ NodeId BgpProcess::deterministic_node(std::span<const NodeId> enabled,
     bool tied_future = false;
     for (const NodeId p : up_peers_[n]) {
       if (s.committed(p)) continue;  // §4.1.1: committed peers never change
-      const Rank opt = optimistic_rank(n, p);
+      const BgpRank opt = optimistic_rank(n, p);
       if (opt > best_rank) {
         beaten = true;
         break;

@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "protocols/bgp_common.hpp"
 #include "protocols/process.hpp"
 
 namespace plankton {
@@ -53,22 +54,8 @@ class BgpProcess final : public RoutingProcess {
   [[nodiscard]] bool can_transmit(NodeId from, NodeId to) const override;
 
  private:
-  /// Lexicographic decision tuple; bigger is better.
-  struct Rank {
-    std::int64_t local_pref = -1;
-    std::int64_t neg_as_len = 0;
-    std::int64_t ebgp = 0;  // 1 = learned over eBGP
-    std::int64_t neg_metric = 0;
-
-    friend auto operator<=>(const Rank&, const Rank&) = default;
-  };
-  [[nodiscard]] Rank rank_of(const Route& r) const {
-    return Rank{static_cast<std::int64_t>(r.local_pref), -std::int64_t{r.as_path_len},
-                r.learned_ibgp ? 0 : 1, -std::int64_t{r.metric}};
-  }
-
   /// Most optimistic rank an *uncommitted* peer `p` could ever deliver to `n`.
-  [[nodiscard]] Rank optimistic_rank(NodeId n, NodeId p) const;
+  [[nodiscard]] BgpRank optimistic_rank(NodeId n, NodeId p) const;
 
   [[nodiscard]] bool session_up(NodeId a, NodeId b, const FailureSet& failures,
                                 const ModelContext& ctx, bool ibgp) const;

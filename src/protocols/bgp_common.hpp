@@ -38,15 +38,18 @@ std::optional<BgpAdvert> bgp_transform(const Network& net, const Prefix& prefix,
 struct BgpRank {
   std::int64_t local_pref = -1;
   std::int64_t neg_as_len = 0;
-  std::int64_t ebgp = 0;
+  std::int64_t ebgp = 0;  ///< 1 = learned over eBGP
   std::int64_t neg_metric = 0;
   friend auto operator<=>(const BgpRank&, const BgpRank&) = default;
 };
 
-[[nodiscard]] inline BgpRank bgp_rank(const BgpAdvert& a) {
-  return BgpRank{static_cast<std::int64_t>(a.local_pref),
-                 -std::int64_t{a.as_path_len}, a.learned_ibgp ? 0 : 1,
-                 -std::int64_t{a.metric}};
+/// Ranks a BgpAdvert (the SPVP model) or an interned Route (the RPVP
+/// adapter): both carry the four fields the decision process reads.
+template <typename R>
+[[nodiscard]] inline BgpRank bgp_rank(const R& r) {
+  return BgpRank{static_cast<std::int64_t>(r.local_pref),
+                 -std::int64_t{r.as_path_len}, r.learned_ibgp ? 0 : 1,
+                 -std::int64_t{r.metric}};
 }
 
 }  // namespace plankton

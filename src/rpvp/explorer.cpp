@@ -16,14 +16,12 @@ std::vector<PrefixTask> make_tasks(const Network& net, const Pec& pec) {
     if (!pp.ospf_origins.empty()) {
       PrefixTask t;
       t.prefix_idx = static_cast<std::uint8_t>(pi);
-      t.proto = Protocol::kOspf;
       t.process = std::make_unique<OspfProcess>(net, pp.prefix, pp.ospf_origins);
       tasks.push_back(std::move(t));
     }
     if (!pp.bgp_origins.empty()) {
       PrefixTask t;
       t.prefix_idx = static_cast<std::uint8_t>(pi);
-      t.proto = Protocol::kEbgp;
       t.process = std::make_unique<BgpProcess>(net, pp.prefix, pp.bgp_origins);
       tasks.push_back(std::move(t));
     }
@@ -121,13 +119,12 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   const bool spf_only =
       opts_.consistent_only && opts_.deterministic_nodes && opts_.merge_updates &&
       std::all_of(tasks_.begin(), tasks_.end(),
-                  [](const PrefixTask& t) { return t.proto == Protocol::kOspf; });
+                  [](const PrefixTask& t) {
+                    return t.process->protocol() == Protocol::kOspf;
+                  });
   por_ = opts_.por && opts_.engine_kind == SearchEngineKind::kDfs &&
          opts_.visited == VisitedKind::kExact && !cut_states_observed &&
          !spf_only;
-  // The visited store is fixed here for the whole run. The sleep-aware
-  // store replaces it under POR; build it only when the search probes it.
-  if (!por_) visited_.emplace(opts_.visited, opts_.bloom_bits);
 
   // The topology terms of the SPF lemma (docs/architecture.md "Failure
   // relevance", steps 1-2): every link cost is positive in both directions,
@@ -163,6 +160,11 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // probes the visited store, so the store's kind does not matter.
   spf_pass_ = spf_only && spf_links && !early_stop_ok_ &&
               opts_.incremental_expand;
+
+  // The visited store is fixed here for the whole run. The sleep-aware
+  // store replaces it under POR, and an SPF pass never probes one; build it
+  // only when the search probes it.
+  if (!por_ && !spf_pass_) visited_.emplace(opts_.visited, opts_.bloom_bits);
 }
 
 ExploreResult Explorer::run() {
@@ -186,7 +188,7 @@ std::size_t Explorer::account_model_bytes() {
   s.bytes_visited = failure_sets_seen_.bytes() + signatures_seen_.bytes();
   if (visited_) {
     s.bytes_visited += visited_->bytes();
-  } else {
+  } else if (por_) {
     s.bytes_visited += por_index_.bytes() +
                        por_entries_.capacity() * sizeof(PorEntry) +
                        por_pool_.capacity() * sizeof(std::uint64_t) +
@@ -776,7 +778,7 @@ Explorer::Step Explorer::expand(std::size_t task_idx,
   // §4.1.2: deterministic nodes first.
   const bool det_allowed =
       opts_.deterministic_nodes && opts_.consistent_only &&
-      (tasks_[task_idx].proto != Protocol::kEbgp || opts_.det_nodes_bgp);
+      (tasks_[task_idx].process->protocol() != Protocol::kEbgp || opts_.det_nodes_bgp);
   if (det_allowed) {
     bool tie_ok = false;
     const NodeId dn = proc.deterministic_node(enabled, StateView(rib_[task_idx]),
@@ -1165,7 +1167,8 @@ Explorer::Flow Explorer::handle_converged() {
   ribs_scratch_.clear();
   std::vector<TaskRib>& ribs = ribs_scratch_;
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    ribs.push_back(TaskRib{tasks_[t].prefix_idx, tasks_[t].proto, rib_[t]});
+    ribs.push_back(TaskRib{tasks_[t].prefix_idx, tasks_[t].process->protocol(),
+                           rib_[t]});
   }
   // Rebuilt in place: warm, the FIB, the signature and the policy walks
   // below allocate nothing (tests/test_hot_path_alloc.cpp).
@@ -1186,7 +1189,7 @@ Explorer::Flow Explorer::handle_converged() {
     out.igp_cost.assign(net_.topo.node_count(), kInfiniteCost);
     for (NodeId n = 0; n < net_.topo.node_count(); ++n) {
       for (std::size_t t = 0; t < tasks_.size(); ++t) {
-        if (tasks_[t].proto != Protocol::kOspf) continue;
+        if (tasks_[t].process->protocol() != Protocol::kOspf) continue;
         const RouteId r = rib_[t][n];
         if (r == kNoRoute) continue;
         out.igp_cost[n] = ctx_.routes.get(r).metric;

@@ -152,7 +152,6 @@ struct ExploreOptions {
 /// plane for each prefix in the PEC separately").
 struct PrefixTask {
   std::uint8_t prefix_idx = 0;
-  Protocol proto = Protocol::kOspf;
   std::unique_ptr<RoutingProcess> process;
 };
 
@@ -310,7 +309,8 @@ class Explorer final : public SearchModel {
   ModelContext ctx_;
   FailureSet failures_;
   StateCodec codec_;                        ///< canonical state identity
-  /// Visited storage; empty under POR, whose sleep-aware store replaces it.
+  /// Visited storage; empty under POR, whose sleep-aware store replaces it,
+  /// and for an SPF pass, which never probes one.
   std::optional<VisitedBackend> visited_;
   std::unique_ptr<SearchEngine> engine_;    ///< pluggable search strategy
   VisitedSet failure_sets_seen_;

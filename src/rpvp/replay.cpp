@@ -99,7 +99,8 @@ ReplayResult replay_trail(const Network& net, const Pec& pec, const Trail& trail
   std::vector<TaskRib> task_ribs;
   task_ribs.reserve(tasks.size());
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    task_ribs.push_back(TaskRib{tasks[t].prefix_idx, tasks[t].proto, ribs[t]});
+    task_ribs.push_back(TaskRib{tasks[t].prefix_idx,
+                                tasks[t].process->protocol(), ribs[t]});
   }
   result.dp = build_dataplane(net, pec, result.failures, task_ribs, ctx);
   result.ok = true;

@@ -16,7 +16,7 @@ namespace plankton::sched {
 /// Message types. Numbers 1-4, 6, 12 and 13 belonged to retired payloads;
 /// the decoder refuses them as unknown, and no new type may reuse them.
 enum class MsgType : std::uint16_t {
-  kShutdown = 5,         ///< client → daemon: persist the cache and stop
+  kShutdown = 5,         ///< client → daemon: compact the journal and stop
   kLoadNet = 7,          ///< client → daemon: config text to make resident
   kApplyDelta = 8,       ///< client → daemon: add/del config-line delta ops
   kQuery = 9,            ///< client → daemon: policy spec to verify
@@ -26,9 +26,11 @@ enum class MsgType : std::uint16_t {
 
 inline constexpr std::uint32_t kFrameMagic = 0x504b5331;  // "PKS1"
 /// Bumped on every payload layout change. Versions 2-6 changed payloads that
-/// have since been retired; the surviving payloads encode the same bytes
-/// under each of them (tests/test_wire_golden.cpp pins them).
-inline constexpr std::uint16_t kFrameVersion = 6;
+/// have since been retired; version 7 dropped the kCacheStats counter of
+/// non-clean entries, which a cache of clean holds cannot have. The other
+/// surviving payloads encode the same bytes under each version
+/// (tests/test_wire_golden.cpp pins them).
+inline constexpr std::uint16_t kFrameVersion = 7;
 /// magic + version + type + payload length.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2 + 2 + 8;
 /// Ceiling for one frame's payload. Anything larger is treated as a corrupt

@@ -1,6 +1,7 @@
 // Little-endian wire codec shared by every PKS1 payload (serve/serve.hpp)
-// and the primitives under the hand-written formats: the frame header
-// (sched/frame.cpp), the PKC1 cache file and the PKJ1 journal records.
+// and the PKJ1 journal's kCleanHolds record, and the primitives under the
+// hand-written formats: the frame header (sched/frame.cpp) and the PKJ1
+// journal framing.
 //
 // A payload struct lists its fields once, in wire order:
 //

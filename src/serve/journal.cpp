@@ -87,9 +87,10 @@ bool read_file(const std::string& path, std::string& out, bool& missing,
   return true;
 }
 
-bool check_header(std::string_view& in, std::string& error) {
+/// Validates the header and reports its version (1 or kJournalVersion).
+bool check_header(std::string_view& in, std::uint16_t& version,
+                  std::string& error) {
   std::uint32_t magic = 0;
-  std::uint16_t version = 0;
   std::uint16_t reserved = 0;
   if (!wire::get_int(in, magic) || !wire::get_int(in, version) ||
       !wire::get_int(in, reserved)) {
@@ -100,11 +101,17 @@ bool check_header(std::string_view& in, std::string& error) {
     error = "journal bad magic";
     return false;
   }
-  if (version != kJournalVersion) {
+  if (version < 1 || version > kJournalVersion) {
     error = "journal unsupported version";
     return false;
   }
   return true;
+}
+
+/// The highest record type a journal of `version` can hold.
+std::uint16_t last_record_type(std::uint16_t version) {
+  return static_cast<std::uint16_t>(version == 1 ? JournalRecord::kApplyDelta
+                                                 : JournalRecord::kCleanHolds);
 }
 
 }  // namespace
@@ -144,7 +151,8 @@ bool Journal::open(const std::string& path, std::string& error) {
     char hdr[kHeaderBytes];
     ssize_t n = ::pread(fd, hdr, sizeof(hdr), 0);
     std::string_view view(hdr, n > 0 ? static_cast<std::size_t>(n) : 0);
-    if (!check_header(view, error)) {
+    std::uint16_t version = 0;
+    if (!check_header(view, version, error)) {
       ::close(fd);
       return false;
     }
@@ -168,7 +176,8 @@ bool Journal::append(JournalRecord type, std::string_view payload,
   return true;
 }
 
-bool Journal::rewrite(std::string_view config_text, std::string& error) {
+bool Journal::rewrite(std::string_view config_text,
+                      std::string_view clean_holds, std::string& error) {
   if (fd_ < 0) {
     error = "journal not open";
     return false;
@@ -182,6 +191,7 @@ bool Journal::rewrite(std::string_view config_text, std::string& error) {
   }
   std::string blob = encode_header();
   blob += encode_record(JournalRecord::kLoadNet, config_text);
+  blob += encode_record(JournalRecord::kCleanHolds, clean_holds);
   if (!write_all_fd(fd, blob, error) || ::fsync(fd) != 0) {
     if (error.empty()) error = errno_str("journal tmp fsync");
     ::close(fd);
@@ -235,7 +245,8 @@ bool Journal::replay(
   if (missing || data.empty()) return true;  // no journal yet — empty state
 
   std::string_view in(data);
-  if (!check_header(in, error)) return false;
+  std::uint16_t version = 0;
+  if (!check_header(in, version, error)) return false;
 
   while (!in.empty()) {
     std::string_view record_start = in;
@@ -255,8 +266,8 @@ bool Journal::replay(
     std::uint64_t checksum = 0;
     wire::get_int(in, checksum);
     if (checksum != record_checksum(type, payload) ||
-        (type != static_cast<std::uint16_t>(JournalRecord::kLoadNet) &&
-         type != static_cast<std::uint16_t>(JournalRecord::kApplyDelta))) {
+        type < static_cast<std::uint16_t>(JournalRecord::kLoadNet) ||
+        type > last_record_type(version)) {
       // A corrupt record is only droppable as a *tail*: anything after it
       // has no trustworthy framing, so everything from here on is dropped.
       out.torn_tail = true;

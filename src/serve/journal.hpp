@@ -19,11 +19,19 @@
 // tail is reported, and recovery truncates it away (truncate_tail) so later
 // appends extend a clean journal instead of hiding behind unparseable bytes.
 //
-// Compaction rewrites the journal as a single kLoadNet record of the current
-// resident config text (tmp + fsync + rename, like the PKC1 cache save):
-// sound because replaying that one record reconstructs the identical state
-// the full history would. It runs on every accepted kLoadNet (prior history
-// is dead) and on graceful shutdown next to the cache save.
+// Compaction rewrites the journal as a snapshot of the daemon (tmp + fsync +
+// rename): one kLoadNet record of the current resident config text, then
+// one kCleanHolds record of the verdict cache's keys. Replaying the pair
+// reconstructs the state the full history would, with a warm cache. It runs
+// on every accepted kLoadNet (prior history is dead) and at the kShutdown /
+// SIGTERM drain, and it is the only way the cache reaches the disk.
+//
+// Versions. Version 2 added kCleanHolds. Version-1 journals still open and
+// replay: they cannot hold a type-3 record (replay reads one as a corrupt
+// tail), and appends only ever add kApplyDelta, so an upgraded daemon keeps
+// their acked deltas. Compaction writes a version-2 header, which an older
+// binary refuses outright instead of dropping every record after the first
+// kCleanHolds as a torn tail.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +42,12 @@
 namespace plankton::serve {
 
 inline constexpr std::uint32_t kJournalMagic = 0x504b4a31;  // "1JKP" on disk
-inline constexpr std::uint16_t kJournalVersion = 1;
+inline constexpr std::uint16_t kJournalVersion = 2;
 
 enum class JournalRecord : std::uint16_t {
   kLoadNet = 1,     ///< payload: raw config text
   kApplyDelta = 2,  ///< payload: encode_apply_delta bytes
+  kCleanHolds = 3,  ///< payload: wire-encoded std::vector<CacheKey> (v2)
 };
 
 class Journal {
@@ -49,7 +58,8 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   /// Opens `path` for appending, creating it (with a fresh header) when
-  /// absent or empty. An existing file must carry a valid PKJ1 header.
+  /// absent or empty. An existing file must carry a valid PKJ1 header of
+  /// version 1 or 2.
   bool open(const std::string& path, std::string& error);
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
@@ -59,10 +69,12 @@ class Journal {
   /// the ack-after-append contract rests on.
   bool append(JournalRecord type, std::string_view payload, std::string& error);
 
-  /// Compaction: atomically replaces the journal with a single kLoadNet
-  /// record of `config_text` (tmp + fsync + rename), then reopens for
+  /// Compaction: atomically replaces the journal with a kLoadNet record of
+  /// `config_text` and a kCleanHolds record of `clean_holds` under a
+  /// current-version header (tmp + fsync + rename), then reopens for
   /// appending.
-  bool rewrite(std::string_view config_text, std::string& error);
+  bool rewrite(std::string_view config_text, std::string_view clean_holds,
+               std::string& error);
 
   /// Chops `dropped_bytes` off the end of the open journal — the torn tail
   /// replay reported. Without this, the next append would land *after* the

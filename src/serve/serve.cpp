@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 
 #include "eqclass/pec_dedup.hpp"
 #include "netbase/hash.hpp"
-#include "netbase/parse_int.hpp"
 #include "sched/wire.hpp"
 
 namespace plankton::serve {
@@ -40,108 +38,6 @@ std::string encode_cache_stats(const CacheStatsMsg& m) {
 }
 bool decode_cache_stats(std::string_view in, CacheStatsMsg& out) {
   return wire::decode(in, out);
-}
-
-// ---------------------------------------------------------------------------
-// Policy specs
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::vector<std::string_view> split_tokens(std::string_view s,
-                                           char sep = ' ') {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && s[i] == sep) ++i;
-    const std::size_t start = i;
-    while (i < s.size() && s[i] != sep) ++i;
-    if (i > start) out.push_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-bool nodes_of(const Network& net, std::span<const std::string_view> names,
-              std::vector<NodeId>& out, std::string& error) {
-  for (const std::string_view name : names) {
-    const auto id = net.find_device(name);
-    if (!id) {
-      error = "unknown node '" + std::string(name) + "'";
-      return false;
-    }
-    out.push_back(*id);
-  }
-  return true;
-}
-
-}  // namespace
-
-std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
-                                    std::string& error) {
-  const auto t = split_tokens(spec);
-  if (t.empty()) {
-    error = "empty policy spec";
-    return nullptr;
-  }
-  const std::string_view kind = t[0];
-  const std::span<const std::string_view> rest(t.data() + 1, t.size() - 1);
-  std::vector<NodeId> nodes;
-  if (kind == "loop") {
-    if (!rest.empty()) {
-      error = "loop takes no arguments";
-      return nullptr;
-    }
-    return std::make_unique<LoopFreedomPolicy>();
-  }
-  if (kind == "reach") {
-    if (rest.empty()) {
-      error = "reach needs at least one source node";
-      return nullptr;
-    }
-    if (!nodes_of(net, rest, nodes, error)) return nullptr;
-    return std::make_unique<ReachabilityPolicy>(std::move(nodes));
-  }
-  if (kind == "blackhole") {
-    if (!nodes_of(net, rest, nodes, error)) return nullptr;
-    return std::make_unique<BlackholeFreedomPolicy>(std::move(nodes));
-  }
-  if (kind == "bounded") {
-    if (rest.size() < 2) {
-      error = "usage: bounded <limit> <node>...";
-      return nullptr;
-    }
-    std::uint32_t limit = 0;
-    if (!parse_int(rest[0], limit)) {
-      error = "bad bound '" + std::string(rest[0]) + "'";
-      return nullptr;
-    }
-    if (!nodes_of(net, rest.subspan(1), nodes, error)) return nullptr;
-    return std::make_unique<BoundedPathLengthPolicy>(std::move(nodes), limit);
-  }
-  if (kind == "waypoint") {
-    if (rest.size() < 2) {
-      error = "usage: waypoint <via>[,<via>...] <source>...";
-      return nullptr;
-    }
-    std::vector<NodeId> via;
-    if (!nodes_of(net, split_tokens(rest[0], ','), via, error)) return nullptr;
-    if (!nodes_of(net, rest.subspan(1), nodes, error)) return nullptr;
-    return std::make_unique<WaypointPolicy>(std::move(nodes), std::move(via));
-  }
-  if (kind == "multipath") {
-    if (!nodes_of(net, rest, nodes, error)) return nullptr;
-    return std::make_unique<MultipathConsistencyPolicy>(std::move(nodes));
-  }
-  if (kind == "consistency") {
-    if (rest.empty()) {
-      error = "consistency needs at least one node";
-      return nullptr;
-    }
-    if (!nodes_of(net, rest, nodes, error)) return nullptr;
-    return std::make_unique<PathConsistencyPolicy>(std::move(nodes));
-  }
-  error = "unknown policy '" + std::string(kind) + "'";
-  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -298,8 +194,7 @@ constexpr std::uint64_t kCtxSalt = 0x53455256'00000001ull;  // "SERV" v1
 
 }  // namespace
 
-ServeState::ServeState(VerifyOptions opts, std::string cache_path)
-    : opts_(std::move(opts)), cache_path_(std::move(cache_path)) {}
+ServeState::ServeState(VerifyOptions opts) : opts_(std::move(opts)) {}
 
 bool ServeState::make_resident(std::string config_text, std::string& error) {
   ParsedNetwork parsed;
@@ -359,20 +254,11 @@ void ServeState::recompute_cones() {
 bool ServeState::load(const std::string& config_text, std::string& error) {
   if (!make_resident(config_text, error)) return false;
   last_moved_ = 0;
-  if (!warm_started_ && !cache_path_.empty()) {
-    warm_started_ = true;
-    std::string load_error;
-    (void)cache_.load(cache_path_, load_error);  // absent/corrupt = cold start
-  }
-  // A full load obsoletes the journal history: compact to one kLoadNet
-  // record (fsync'd inside rewrite — the caller's ack stays behind the
-  // durability point). A journal failure fails the request so no ack can
-  // ever claim durability the disk doesn't have.
-  if (journal_.is_open() && !replaying_ &&
-      !journal_.rewrite(config_text_, error)) {
-    return false;
-  }
-  return true;
+  // A full load obsoletes the journal history: compact to the new snapshot
+  // (fsync'd inside rewrite — the caller's ack stays behind the durability
+  // point). A journal failure fails the request so no ack can ever claim
+  // durability the disk doesn't have.
+  return replaying_ || compact_journal(error);
 }
 
 bool ServeState::apply_delta(const ApplyDeltaMsg& delta, std::string& error) {
@@ -486,9 +372,7 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
   reply.targets = targets.size();
   std::vector<PecId> misses;
   for (const PecId p : targets) {
-    const CacheKey key{cones_[p], hash_str(ctx_base, pecs.pecs[p].str())};
-    CacheEntry hit;
-    if (cache_.lookup(key, hit)) {
+    if (cache_.lookup({cones_[p], hash_str(ctx_base, pecs.pecs[p].str())})) {
       ++reply.cache_hits;
     } else {
       misses.push_back(p);
@@ -502,10 +386,8 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
     return reply;
   }
 
-  VerifyOptions qopts = opts_;
-  qopts.explore.max_failures = static_cast<int>(q.max_failures);
-  Verifier verifier(parsed_.net, qopts);
-  const VerifyResult result = verifier.verify_pecs(misses, *policy);
+  const VerifyResult result = verifier_->verify_pecs(
+      std::move(misses), *policy, static_cast<int>(q.max_failures));
   for (const PecReport& rep : result.reports) {
     for (const Violation& viol : rep.result.violations) {
       if (!viol.message.empty() || !viol.trail_text.empty()) {
@@ -515,9 +397,8 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
         }
       }
     }
-    const CacheKey key{cones_[rep.pec], hash_str(ctx_base, rep.pec_str)};
-    cache_.insert(key,
-                  CacheEntry{static_cast<std::uint8_t>(rep.result.verdict())});
+    cache_.insert({cones_[rep.pec], hash_str(ctx_base, rep.pec_str)},
+                  rep.result.verdict());
   }
   reply.verdict = static_cast<std::uint8_t>(result.verdict);
   finish();
@@ -525,11 +406,6 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
 }
 
 CacheStatsMsg ServeState::cache_stats() const { return cache_.counters(); }
-
-bool ServeState::save_cache(std::string& error) {
-  if (cache_path_.empty()) return true;
-  return cache_.save(cache_path_, error);
-}
 
 bool ServeState::attach_journal(const std::string& path, std::string& error) {
   return journal_.open(path, error);
@@ -546,15 +422,28 @@ bool ServeState::replay_journal(Journal::ReplayResult& stats,
   const bool ok = Journal::replay(
       journal_.path(),
       [this, &apply_error](JournalRecord type, std::string_view payload) {
-        if (type == JournalRecord::kLoadNet) {
-          return load(std::string(payload), apply_error);
+        switch (type) {
+          case JournalRecord::kLoadNet:
+            return load(std::string(payload), apply_error);
+          case JournalRecord::kApplyDelta: {
+            ApplyDeltaMsg delta;
+            if (!decode_apply_delta(payload, delta)) {
+              apply_error = "undecodable kApplyDelta record";
+              return false;
+            }
+            return apply_delta(delta, apply_error);
+          }
+          case JournalRecord::kCleanHolds: {
+            std::vector<CacheKey> keys;
+            if (!wire::decode(payload, keys)) {
+              apply_error = "undecodable kCleanHolds record";
+              return false;
+            }
+            cache_.restore(keys);
+            return true;
+          }
         }
-        ApplyDeltaMsg delta;
-        if (!decode_apply_delta(payload, delta)) {
-          apply_error = "undecodable kApplyDelta record";
-          return false;
-        }
-        return apply_delta(delta, apply_error);
+        return false;
       },
       stats, error);
   replaying_ = false;
@@ -570,7 +459,7 @@ bool ServeState::replay_journal(Journal::ReplayResult& stats,
 
 bool ServeState::compact_journal(std::string& error) {
   if (!journal_.is_open() || !loaded()) return true;
-  return journal_.rewrite(config_text_, error);
+  return journal_.rewrite(config_text_, wire::encode(cache_.keys()), error);
 }
 
 }  // namespace plankton::serve

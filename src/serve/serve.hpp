@@ -8,7 +8,7 @@
 // cone fingerprint, and counts how many PECs *moved* (their cone hash
 // changed, or they appeared/disappeared). Nothing is explicitly invalidated
 // — a moved PEC simply keys to a fresh cache slot, and the next query
-// re-verifies exactly the misses through the existing Verifier (budgets,
+// re-verifies exactly the misses through the resident Verifier (budgets,
 // dedup, POR, cores compose unchanged).
 //
 // Frame payloads ride the PKS1 framing (sched/frame.hpp MsgType 7..11). Each
@@ -70,7 +70,8 @@ struct ApplyDeltaMsg {
   }
 };
 
-/// kQuery: policy spec (make_policy grammar below) + query knobs.
+/// kQuery: policy spec (make_policy grammar, policy/policy.hpp) + query
+/// knobs.
 struct QueryMsg {
   std::string policy_spec;
   std::uint32_t max_failures = 0;
@@ -126,17 +127,8 @@ std::string encode_cache_stats(const CacheStatsMsg& m);
 bool decode_cache_stats(std::string_view in, CacheStatsMsg& out);
 
 // ---------------------------------------------------------------------------
-// Policy specs and config rendering
+// Config rendering
 // ---------------------------------------------------------------------------
-
-/// Builds a policy from a one-line spec: `reach <node>...`, `loop`,
-/// `blackhole [<node>...]`, `bounded <limit> <node>...`,
-/// `waypoint <via>[,<via>...] <source>...`, `multipath [<node>...]`,
-/// `consistency <node>...`. Returns nullptr and fills `error` on an unknown
-/// form or node name. Policy::spec() renders every built-in policy back
-/// into this grammar.
-std::unique_ptr<Policy> make_policy(const Network& net, std::string_view spec,
-                                    std::string& error);
 
 /// Renders a network back into parser syntax, deterministically (node-id
 /// order). Idempotent through the parser: render(parse(render(net))) ==
@@ -157,12 +149,10 @@ std::unordered_map<std::uint8_t, std::string> community_names_of(
 
 class ServeState {
  public:
-  /// `cache_path` empty = in-memory only; otherwise load() warm-starts from
-  /// it when present and save_cache() persists back.
-  explicit ServeState(VerifyOptions opts, std::string cache_path = "");
+  explicit ServeState(VerifyOptions opts);
 
-  /// Parses + validates `config_text` and makes it resident. Warm-starts the
-  /// verdict cache from `cache_path` on the first successful load.
+  /// Parses + validates `config_text` and makes it resident, then compacts
+  /// the journal when one is attached.
   bool load(const std::string& config_text, std::string& error);
 
   /// Applies a line-edit batch. On success recomputes fingerprint cones and
@@ -171,11 +161,11 @@ class ServeState {
 
   /// Answers a policy query over every routed PEC: cache hits (clean holds
   /// under the current cone hash) are served without exploration, the misses
-  /// re-verify through the Verifier and their outcomes are inserted.
+  /// re-verify through the resident Verifier under the query's failure
+  /// bound, and the clean holds among them are inserted.
   VerdictReplyMsg query(const QueryMsg& q);
 
   [[nodiscard]] CacheStatsMsg cache_stats() const;
-  bool save_cache(std::string& error);
 
   /// Attaches the PKJ1 write-ahead journal at `path`: every subsequent
   /// accepted load()/apply_delta() is appended + fsync'd before returning,
@@ -184,12 +174,14 @@ class ServeState {
 
   /// Replays an existing journal at the attached path through the normal
   /// load/apply_delta paths (appends suppressed), rebuilding the pre-crash
-  /// resident state bit-identically. Torn/corrupt tails are dropped cleanly
-  /// and reported via `stats`; call before serving traffic.
+  /// resident state bit-identically; a kCleanHolds record restores its keys
+  /// into the verdict cache. Torn/corrupt tails are dropped cleanly and
+  /// reported via `stats`; call before serving traffic.
   bool replay_journal(Journal::ReplayResult& stats, std::string& error);
 
-  /// Compacts the journal down to one kLoadNet record of the resident
-  /// config (no-op without a journal or resident net).
+  /// Compacts the journal down to a kLoadNet record of the resident config
+  /// and a kCleanHolds record of the cache's keys (no-op without a journal
+  /// or resident net).
   bool compact_journal(std::string& error);
 
   [[nodiscard]] bool loaded() const { return verifier_ != nullptr; }
@@ -207,8 +199,6 @@ class ServeState {
   void recompute_cones();
 
   VerifyOptions opts_;
-  std::string cache_path_;
-  bool warm_started_ = false;
   std::string config_text_;
   ParsedNetwork parsed_;
   std::unique_ptr<Verifier> verifier_;

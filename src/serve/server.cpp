@@ -24,7 +24,7 @@ namespace {
 /// SIGTERM/SIGINT request a graceful drain: the loop notices the flag at the
 /// next tick (or EINTR), finishes whatever request is in flight (dispatch is
 /// synchronous, so "in flight" always completes before the flag is checked),
-/// saves the cache, compacts the journal, and returns 0.
+/// compacts the journal, and returns 0.
 volatile std::sig_atomic_t g_drain_requested = 0;
 
 void on_drain_signal(int) { g_drain_requested = 1; }
@@ -167,13 +167,9 @@ Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
                  : Dispatch::kClose;
     }
     case sched::MsgType::kShutdown: {
-      // Persist before acking so a client that saw ok=true can rely on the
-      // cache + compacted journal being on disk.
+      // Compact before acking so a client that saw ok=true can rely on the
+      // snapshot, the cache's keys included, being on disk.
       std::string save_error;
-      if (!state.save_cache(save_error)) {
-        std::fprintf(stderr, "plankton_serve: cache save failed: %s\n",
-                     save_error.c_str());
-      }
       if (!state.compact_journal(save_error)) {
         std::fprintf(stderr, "plankton_serve: journal compaction failed: %s\n",
                      save_error.c_str());
@@ -225,7 +221,7 @@ int run_server(const ServerOptions& opts) {
   ::sigaction(SIGINT, &sa, nullptr);
 
   std::string error;
-  ServeState state(opts.verify, opts.cache_path);
+  ServeState state(opts.verify);
   if (!opts.journal_path.empty()) {
     if (!state.attach_journal(opts.journal_path, error)) {
       std::fprintf(stderr, "plankton_serve: %s\n", error.c_str());
@@ -381,13 +377,9 @@ int run_server(const ServerOptions& opts) {
     }
   }
 
-  // Drain: identical for kShutdown (already persisted in dispatch, the
-  // repeats are idempotent) and SIGTERM/SIGINT.
+  // Drain: identical for kShutdown (already compacted in dispatch, the
+  // repeat is idempotent) and SIGTERM/SIGINT.
   std::string drain_error;
-  if (!state.save_cache(drain_error)) {
-    std::fprintf(stderr, "plankton_serve: cache save failed: %s\n",
-                 drain_error.c_str());
-  }
   if (!state.compact_journal(drain_error)) {
     std::fprintf(stderr, "plankton_serve: journal compaction failed: %s\n",
                  drain_error.c_str());

@@ -19,10 +19,11 @@ namespace plankton::serve {
 struct ServerOptions {
   std::string unix_path;  ///< empty = no Unix listener
   int tcp_port = 0;       ///< 0 = no TCP listener (binds 127.0.0.1)
-  std::string cache_path; ///< warm-start/persist path; empty = in-memory only
-  /// PKJ1 write-ahead journal path; empty = no crash durability. When the
-  /// file already holds records the daemon replays them before accepting
-  /// connections, rebuilding the pre-crash net state bit-identically.
+  /// PKJ1 write-ahead journal path; empty = no crash durability and an
+  /// in-memory cache. When the file already holds records the daemon
+  /// replays them before accepting connections, rebuilding the pre-crash
+  /// net state bit-identically and the verdict cache as of the last
+  /// compaction.
   std::string journal_path;
   /// Socket faults (stall/drop-conn/torn-tcp/slow-read) the server acts
   /// out on client connections — the serve-side chaos hook.
@@ -41,7 +42,7 @@ struct ServerOptions {
 
 /// Runs the daemon loop: accept → decode frames → dispatch → reply, until a
 /// kShutdown frame arrives or SIGTERM/SIGINT lands (either way the in-flight
-/// request finishes, the cache is persisted, the journal is compacted, and 0
+/// request finishes, the journal is compacted with the cache's keys, and 0
 /// is returned) or socket setup fails (message on stderr, non-zero return).
 /// Malformed frames poison the connection (it is closed); the daemon itself
 /// keeps serving.

@@ -580,7 +580,7 @@ TEST(PecDedup, RenumberingKeepsTheClassPartition) {
                                              serve::render_config(inst.net)).net
                                        : renumbered(inst.net, shuffle);
       std::string error;
-      const std::unique_ptr<Policy> policy = serve::make_policy(net, spec, error);
+      const std::unique_ptr<Policy> policy = make_policy(net, spec, error);
       ASSERT_NE(policy, nullptr) << error;
       const PecClassSet cs = classes_of(net, *policy);
       if (shuffle == 0) {

@@ -1,6 +1,6 @@
 // The seven built-in policies, exercised end to end on purpose-built
 // networks (each policy both passing and failing), and their spec forms
-// (Policy::spec), which serve::make_policy turns back into the same policy.
+// (Policy::spec), which make_policy turns back into the same policy.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -194,7 +194,7 @@ std::multiset<std::string> verdict_and_violations(const VerifyResult& r) {
 }
 
 TEST(Policies, SpecFormsRebuildThroughMakePolicy) {
-  // Every built-in policy renders to a spec line that serve::make_policy
+  // Every built-in policy renders to a spec line that make_policy
   // parses back, on the rendered and re-parsed network, into a policy with
   // the same spec and the same verdict and violations, trails included.
   const testsupport::Figure6 fx;
@@ -222,13 +222,52 @@ TEST(Policies, SpecFormsRebuildThroughMakePolicy) {
     SCOPED_TRACE(spec);
     EXPECT_EQ(policy->spec(fx.net), spec);
     std::string error;
-    const std::unique_ptr<Policy> rebuilt =
-        serve::make_policy(parsed.net, spec, error);
+    const std::unique_ptr<Policy> rebuilt = make_policy(parsed.net, spec, error);
     ASSERT_NE(rebuilt, nullptr) << error;
     EXPECT_EQ(rebuilt->spec(parsed.net), spec);
     EXPECT_EQ(verdict_and_violations(Verifier(parsed.net, vo).verify(*rebuilt)),
               verdict_and_violations(Verifier(fx.net, vo).verify(*policy)));
   }
+}
+
+TEST(Policies, NodeListsTakeCommasAndSpaces) {
+  // plankton_verify joins its positional arguments into one spec, so
+  // `reach r1,r2` and `reach r1 r2` must name the same sources; a waypoint
+  // spec names its via list first.
+  const testsupport::Figure6 fx;
+  const std::pair<const char*, const char*> same[] = {
+      {"reach R5,R6", "reach R5 R6"},
+      {"reach R5, R6", "reach R5 R6"},
+      {"blackhole R5,R6", "blackhole R5 R6"},
+      {"bounded 2 R5,R6", "bounded 2 R5 R6"},
+      {"waypoint R2,R3 R5,R6", "waypoint R2,R3 R5 R6"},
+      {"consistency R5,R6", "consistency R5 R6"},
+  };
+  for (const auto& [spec, canonical] : same) {
+    SCOPED_TRACE(spec);
+    std::string error;
+    const std::unique_ptr<Policy> p = make_policy(fx.net, spec, error);
+    ASSERT_NE(p, nullptr) << error;
+    EXPECT_EQ(p->spec(fx.net), canonical);
+  }
+  std::string error;
+  const auto wp = make_policy(fx.net, "waypoint R2 R6", error);
+  ASSERT_NE(wp, nullptr) << error;
+  ASSERT_EQ(wp->interesting().size(), 1u);
+  EXPECT_EQ(wp->interesting()[0], fx.r2) << "the first token is the via list";
+  ASSERT_EQ(wp->sources().size(), 1u);
+  EXPECT_EQ(wp->sources()[0], fx.r6);
+  for (const char* bad : {"", "reach", "reach ,", "waypoint R2", "waypoint , R6",
+                          "bounded x R6", "loop R6", "reach R9", "teleport R6"}) {
+    EXPECT_EQ(make_policy(fx.net, bad, error), nullptr) << bad;
+  }
+
+  // A comma is a separator, so a node name holding one has no spec form.
+  const ParsedNetwork odd = parse_network_config("node a,b\nnode c\n");
+  const ReachabilityPolicy reach({0, 1});
+  EXPECT_EQ(reach.spec(odd.net), "");
+  EXPECT_EQ(WaypointPolicy({1}, {0}).spec(odd.net), "");
+  EXPECT_EQ(ReachabilityPolicy({1}).spec(odd.net), "reach c");
 }
 
 }  // namespace

@@ -1,18 +1,17 @@
 // Serve-layer verdict cache (src/serve/): fingerprint stability and scoping,
-// the clean-hold-only lookup contract, disk round-trips and corrupt-file
-// rejection, warm starts across daemon restarts, delta invalidation
-// exactness, and the wire codecs' hostile-input behaviour.
+// the clean-hold-only key set, delta invalidation exactness, and the wire
+// codecs' hostile-input behaviour. Warm starts through the journal's
+// compaction snapshot are in test_serve_journal.cpp.
 //
-// The two contracts the satellite pins:
+// The two contracts pinned here:
 //   · fingerprints are bit-identical across independently parsed copies of
 //     the same config (serialize -> deserialize -> recompute), which is what
-//     makes a disk-persisted cache meaningful across restarts;
-//   · a cache hit never masks a non-clean verdict — violated or inconclusive
-//     outcomes are stored for stats but every lookup of one re-verifies.
+//     makes a journal-persisted cache meaningful across restarts;
+//   · a cache hit never masks a non-clean verdict — violated, inconclusive
+//     and approximated outcomes are never stored, so every query re-verifies
+//     them.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,12 +42,6 @@ ospf r2 originate 10.3.0.0/24
 ospf r3 originate 10.4.0.0/24
 )";
 
-std::string tmp_path(const std::string& name) {
-  const std::string p = ::testing::TempDir() + "/" + name;
-  std::remove(p.c_str());
-  return p;
-}
-
 /// ServeState owns mutexes (not movable), so tests construct in place and
 /// load through this helper.
 void load_ring(ServeState& state, const std::string& extra = "") {
@@ -70,7 +63,7 @@ TEST(ServeFingerprints, BitIdenticalAcrossIndependentParses) {
   // serialize -> deserialize -> recompute: two ServeStates built from the
   // same text (and a third from the rendered round-trip) must agree on every
   // residue and every dependency-cone hash. This is the property that lets
-  // a disk-persisted cache warm-start a fresh process.
+  // a journal-persisted cache warm-start a fresh process.
   ServeState a{VerifyOptions{}};
   ServeState b{VerifyOptions{}};
   load_ring(a);
@@ -165,140 +158,25 @@ TEST(ServeFingerprints, ResidueScopedToIntersectingRanges) {
 // VerdictCache unit behaviour
 // ---------------------------------------------------------------------------
 
-CacheEntry entry_of(Verdict v) {
-  return CacheEntry{static_cast<std::uint8_t>(v)};
-}
-
 TEST(VerdictCache, LookupServesOnlyCleanHolds) {
   VerdictCache cache;
   const CacheKey hold_key{1, 2};
-  const CacheKey viol_key{3, 4};
-  const CacheKey inc_key{5, 6};
-  cache.insert(hold_key, entry_of(Verdict::kHolds));
-  cache.insert(viol_key, entry_of(Verdict::kViolated));
-  cache.insert(inc_key, entry_of(Verdict::kInconclusive));
-  EXPECT_EQ(cache.size(), 3u);
+  cache.insert(hold_key, Verdict::kHolds);
+  cache.insert(CacheKey{3, 4}, Verdict::kViolated);
+  cache.insert(CacheKey{5, 6}, Verdict::kInconclusive);
+  cache.insert(CacheKey{7, 8}, Verdict::kError);
+  EXPECT_EQ(cache.size(), 1u) << "only the hold is stored";
 
-  CacheEntry out;
-  EXPECT_TRUE(cache.lookup(hold_key, out));
-  EXPECT_EQ(out, entry_of(Verdict::kHolds));
-
-  // Present non-clean entries: contains() sees them, lookup() refuses — the
-  // caller must re-verify (cache never masks a violation).
-  EXPECT_TRUE(cache.contains(viol_key));
-  EXPECT_FALSE(cache.lookup(viol_key, out));
-  EXPECT_TRUE(cache.contains(inc_key));
-  EXPECT_FALSE(cache.lookup(inc_key, out));
-  EXPECT_FALSE(cache.lookup(CacheKey{7, 8}, out));
+  EXPECT_TRUE(cache.lookup(hold_key));
+  EXPECT_FALSE(cache.lookup(CacheKey{3, 4}));
+  EXPECT_FALSE(cache.lookup(CacheKey{5, 6}));
+  EXPECT_FALSE(cache.lookup(CacheKey{7, 8}));
 
   const CacheCounters c = cache.counters();
   EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ(c.nonclean_bypass, 2u);
-  EXPECT_EQ(c.misses, 1u) << "only the truly absent key is a plain miss";
-  EXPECT_EQ(c.insertions, 3u);
-}
-
-TEST(VerdictCache, DiskRoundTripPreservesEntries) {
-  const std::string path = tmp_path("cache_roundtrip.pkc");
-  VerdictCache cache;
-  std::vector<std::pair<CacheKey, CacheEntry>> entries;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    const CacheKey key{i * 7919, i * 104729};
-    const CacheEntry e = entry_of(i % 3 == 0 ? Verdict::kHolds
-                                  : i % 3 == 1 ? Verdict::kViolated
-                                               : Verdict::kInconclusive);
-    entries.emplace_back(key, e);
-    cache.insert(key, e);
-  }
-  std::string error;
-  ASSERT_TRUE(cache.save(path, error)) << error;
-  {
-    // Header (16 bytes) plus 17 bytes per entry: cone, ctx, verdict.
-    std::ifstream f(path, std::ios::binary | std::ios::ate);
-    EXPECT_EQ(static_cast<std::size_t>(f.tellg()), 16 + 17 * entries.size());
-  }
-
-  VerdictCache restored;
-  ASSERT_TRUE(restored.load(path, error)) << error;
-  EXPECT_EQ(restored.size(), entries.size());
-  EXPECT_EQ(restored.counters().warm_loaded, entries.size());
-  for (const auto& [key, e] : entries) {
-    CacheEntry out;
-    if (e.clean_hold()) {
-      ASSERT_TRUE(restored.lookup(key, out));
-      EXPECT_EQ(out, e) << "entry fields must survive the disk round trip";
-    } else {
-      EXPECT_TRUE(restored.contains(key));
-      EXPECT_FALSE(restored.lookup(key, out));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(VerdictCache, RejectsCorruptFiles) {
-  const std::string good_path = tmp_path("cache_good.pkc");
-  VerdictCache cache;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    cache.insert(CacheKey{i, i + 1}, entry_of(Verdict::kHolds));
-  }
-  std::string error;
-  ASSERT_TRUE(cache.save(good_path, error)) << error;
-  std::string blob;
-  {
-    std::ifstream f(good_path, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    blob = ss.str();
-  }
-  ASSERT_EQ(blob.size(), 16u + 5 * 17u);
-
-  const auto rejects = [&](std::string bytes, const char* what) {
-    const std::string path = tmp_path("cache_corrupt.pkc");
-    std::ofstream(path, std::ios::binary).write(bytes.data(),
-                                                static_cast<std::streamsize>(bytes.size()));
-    VerdictCache fresh;
-    fresh.insert(CacheKey{999, 999}, entry_of(Verdict::kHolds));
-    std::string err;
-    EXPECT_FALSE(fresh.load(path, err)) << what;
-    EXPECT_FALSE(err.empty()) << what;
-    EXPECT_EQ(fresh.size(), 1u)
-        << what << ": a failed load must leave the cache unchanged";
-    std::remove(path.c_str());
-  };
-
-  rejects("", "empty file");
-  rejects(blob.substr(0, 10), "truncated header");
-  rejects(blob.substr(0, blob.size() - 7), "truncated entry");
-  rejects(blob + "x", "trailing bytes");
-  {
-    std::string bad = blob;
-    bad[0] ^= 0xff;
-    rejects(bad, "bad magic");
-  }
-  {
-    std::string bad = blob;
-    bad[4] ^= 0xff;
-    rejects(bad, "bad version");
-  }
-  {
-    // A version-1 file (58-byte entries with a stats digest) is refused like
-    // any other unknown version.
-    std::string v1 = blob.substr(0, 8);  // magic, version, reserved
-    v1[4] = 1;
-    v1[5] = 0;
-    v1 += std::string("\x01\0\0\0\0\0\0\0", 8);  // one entry
-    v1 += std::string(58, '\0');
-    rejects(v1, "version 1");
-  }
-  {
-    std::string bad = blob;
-    bad[16 + 16] = 17;  // first entry's verdict byte: > kError
-    rejects(bad, "out-of-range verdict");
-  }
-  std::string err;
-  VerdictCache fresh;
-  EXPECT_FALSE(fresh.load(tmp_path("cache_never_written.pkc"), err));
-  std::remove(good_path.c_str());
+  EXPECT_EQ(c.misses, 3u);
+  EXPECT_EQ(c.insertions, 1u);
+  EXPECT_EQ(c.entries, 1u);
 }
 
 TEST(VerdictCache, ConcurrentHammerKeepsCountsCoherent) {
@@ -312,9 +190,8 @@ TEST(VerdictCache, ConcurrentHammerKeepsCountsCoherent) {
         // Overlapping key ranges across threads: inserts race with lookups
         // on the same stripes.
         const CacheKey key{i, static_cast<std::uint64_t>(t % 2)};
-        cache.insert(key, entry_of(Verdict::kHolds));
-        CacheEntry out;
-        ASSERT_TRUE(cache.lookup(key, out));
+        cache.insert(key, Verdict::kHolds);
+        ASSERT_TRUE(cache.lookup(key));
       }
     });
   }
@@ -324,7 +201,7 @@ TEST(VerdictCache, ConcurrentHammerKeepsCountsCoherent) {
 }
 
 // ---------------------------------------------------------------------------
-// ServeState end-to-end: hits, re-verification, warm starts, deltas
+// ServeState end-to-end: hits, re-verification, deltas
 // ---------------------------------------------------------------------------
 
 TEST(ServeStateCache, RepeatQueryServesFromCache) {
@@ -372,22 +249,25 @@ TEST(ServeStateCache, CacheHitNeverMasksViolation) {
   ASSERT_TRUE(state.apply_delta(delta, error)) << error;
   EXPECT_EQ(state.last_moved(), 1u) << "only the 10.3.0.0/24 PEC moved";
 
+  const std::size_t size_before = state.cache().size();
   const VerdictReplyMsg first = state.query(loop_query());
   ASSERT_TRUE(first.ok);
   EXPECT_EQ(static_cast<Verdict>(first.verdict), Verdict::kViolated);
   EXPECT_EQ(first.cache_hits, 3u) << "unmoved PECs stay warm";
   EXPECT_EQ(first.reverified, 1u) << "exactly the moved PEC re-verifies";
   ASSERT_FALSE(first.violations.empty());
+  EXPECT_EQ(state.cache().size(), size_before)
+      << "a violated verdict must not be stored";
 
-  // The violated verdict is now *in* the cache — and must still re-verify on
-  // every subsequent query instead of being served as a hit.
+  // The violated PEC must re-verify on every subsequent query instead of
+  // being served as a hit.
   const VerdictReplyMsg again = state.query(loop_query());
   ASSERT_TRUE(again.ok);
   EXPECT_EQ(static_cast<Verdict>(again.verdict), Verdict::kViolated);
   EXPECT_EQ(again.cache_hits, 3u);
   EXPECT_EQ(again.reverified, 1u)
-      << "a cached violation must never satisfy a lookup";
-  EXPECT_GT(state.cache_stats().nonclean_bypass, 0u);
+      << "a violation must never satisfy a lookup";
+  EXPECT_EQ(state.cache().size(), size_before);
 
   // Reverting the delta restores the original cone hashes: everything hits.
   ApplyDeltaMsg revert;
@@ -439,6 +319,46 @@ TEST(ServeStateCache, FailureBoundAboveIntMaxIsRefused) {
       << "a refused query inserts nothing";
 }
 
+TEST(ServeStateCache, OneVerifierAnswersEveryFailureBound) {
+  // The resident Verifier verifies each query's misses under that query's
+  // own k, so a bound must never stick to the next query. On this line only
+  // a failure of link b-c cuts a off: "reach a" after a k=1 query would read
+  // VIOLATED if k stuck.
+  const std::string line =
+      "node a\nnode b\nnode c\n"
+      "link a b cost 10\nlink b c cost 10\n"
+      "ospf a enable\nospf b enable\nospf c enable\n"
+      "ospf c originate 10.3.0.0/24\n";
+  ServeState state{VerifyOptions{}};
+  std::string error;
+  ASSERT_TRUE(state.load(line, error)) << error;
+  const ParsedNetwork parsed = parse_network_config(line);
+  for (const char* spec : {"blackhole a", "reach a"}) {
+    for (const std::uint32_t k : {0u, 1u, 0u}) {
+      SCOPED_TRACE(std::string(spec) + " k=" + std::to_string(k));
+      QueryMsg q;
+      q.policy_spec = spec;
+      q.max_failures = k;
+      const VerdictReplyMsg r = state.query(q);
+      ASSERT_TRUE(r.ok) << r.error;
+
+      VerifyOptions vo;
+      vo.explore.max_failures = static_cast<int>(k);
+      const std::unique_ptr<Policy> policy =
+          make_policy(parsed.net, spec, error);
+      ASSERT_NE(policy, nullptr) << error;
+      const VerifyResult fresh = Verifier(parsed.net, vo).verify(*policy);
+      EXPECT_EQ(static_cast<Verdict>(r.verdict), fresh.verdict);
+      EXPECT_EQ(fresh.verdict, k == 0 ? Verdict::kHolds : Verdict::kViolated);
+      std::size_t fresh_violations = 0;
+      for (const PecReport& rep : fresh.reports) {
+        fresh_violations += rep.result.violations.size();
+      }
+      EXPECT_EQ(r.violations.size(), fresh_violations);
+    }
+  }
+}
+
 TEST(ServeStateCache, InconclusiveIsNeverServedAsHold) {
   VerifyOptions opts;
   opts.explore.budget.max_states = 1;  // every PEC trips immediately
@@ -450,13 +370,32 @@ TEST(ServeStateCache, InconclusiveIsNeverServedAsHold) {
   ASSERT_TRUE(first.ok);
   ASSERT_EQ(static_cast<Verdict>(first.verdict), Verdict::kInconclusive);
   EXPECT_EQ(first.reverified, 4u);
+  EXPECT_EQ(state.cache().size(), 0u) << "a tripped budget stores nothing";
 
   const VerdictReplyMsg second = state.query(loop_query());
   ASSERT_TRUE(second.ok);
   EXPECT_EQ(static_cast<Verdict>(second.verdict), Verdict::kInconclusive);
   EXPECT_EQ(second.cache_hits, 0u)
-      << "an inconclusive entry must not short-circuit to a hold";
+      << "an inconclusive PEC must not short-circuit to a hold";
   EXPECT_EQ(second.reverified, 4u);
+  EXPECT_EQ(state.cache().size(), 0u);
+}
+
+TEST(ServeStateCache, BitstateRunIsNeverCachedAsHold) {
+  // The Bloom-filter store can miss states, so no run over it is a proof:
+  // every PEC ends inconclusive, nothing is stored, every query re-verifies.
+  VerifyOptions opts;
+  opts.explore.visited = VisitedKind::kBitstate;
+  ServeState state{opts};
+  load_ring(state);
+  for (int round = 0; round < 2; ++round) {
+    const VerdictReplyMsg r = state.query(loop_query());
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(static_cast<Verdict>(r.verdict), Verdict::kInconclusive);
+    EXPECT_EQ(r.cache_hits, 0u) << "round " << round;
+    EXPECT_EQ(r.reverified, 4u) << "round " << round;
+    EXPECT_EQ(state.cache().size(), 0u) << "round " << round;
+  }
 }
 
 TEST(ServeStateCache, ApproximatedCyclicSccIsNeverCachedAsHold) {
@@ -489,6 +428,8 @@ static c 10.0.0.0/17 via-ip 20.0.0.1
   EXPECT_EQ(static_cast<Verdict>(first.verdict), Verdict::kInconclusive);
   EXPECT_EQ(first.cache_hits, 0u);
   ASSERT_EQ(first.targets, 8u);
+  EXPECT_EQ(state.cache().size(), 2u)
+      << "only the two clean holds outside the SCC's cone are stored";
 
   const VerdictReplyMsg second = state.query(loop_query());
   ASSERT_TRUE(second.ok) << second.error;
@@ -497,31 +438,7 @@ static c 10.0.0.0/17 via-ip 20.0.0.1
       << "approximated PECs must re-verify, never hit the cache";
   EXPECT_EQ(second.cache_hits, 2u)
       << "the PECs outside the SCC's cone are clean holds and stay warm";
-}
-
-TEST(ServeStateCache, WarmStartsFromDiskAcrossRestart) {
-  const std::string path = tmp_path("serve_warm.pkc");
-  {
-    ServeState state{VerifyOptions{}, path};
-    load_ring(state);
-    const VerdictReplyMsg cold = state.query(loop_query());
-    ASSERT_TRUE(cold.ok);
-    EXPECT_EQ(cold.reverified, 4u);
-    std::string error;
-    ASSERT_TRUE(state.save_cache(error)) << error;
-  }
-  // "Restart": a brand-new ServeState re-parses the same config and must
-  // serve the whole query from the persisted cache without exploring.
-  ServeState revived{VerifyOptions{}, path};
-  load_ring(revived);
-  EXPECT_GT(revived.cache_stats().warm_loaded, 0u);
-  const VerdictReplyMsg warm = revived.query(loop_query());
-  ASSERT_TRUE(warm.ok);
-  EXPECT_EQ(static_cast<Verdict>(warm.verdict), Verdict::kHolds);
-  EXPECT_EQ(warm.cache_hits, 4u);
-  EXPECT_EQ(warm.reverified, 0u)
-      << "fingerprints drifted across the restart: warm start is broken";
-  std::remove(path.c_str());
+  EXPECT_EQ(state.cache().size(), 2u);
 }
 
 TEST(ServeStateCache, DeltaFailuresAreAtomic) {
@@ -632,15 +549,13 @@ TEST(ServeCodecs, RoundTripsAndRejectsTruncation) {
   CacheStatsMsg stats;
   stats.hits = 1;
   stats.misses = 2;
-  stats.nonclean_bypass = 3;
-  stats.insertions = 4;
-  stats.warm_loaded = 5;
-  stats.entries = 6;
+  stats.insertions = 3;
+  stats.warm_loaded = 4;
+  stats.entries = 5;
   check_codec<CacheStatsMsg>(
       stats, encode_cache_stats, decode_cache_stats,
       [](const CacheStatsMsg& a, const CacheStatsMsg& b) {
         return a.hits == b.hits && a.misses == b.misses &&
-               a.nonclean_bypass == b.nonclean_bypass &&
                a.insertions == b.insertions &&
                a.warm_loaded == b.warm_loaded && a.entries == b.entries;
       });

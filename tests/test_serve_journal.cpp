@@ -1,8 +1,9 @@
 // PKJ1 write-ahead journal (src/serve/journal.*): on-disk format round trips,
-// torn/corrupt tail handling, compaction, and the crash-recovery contract the
-// plankton_serve daemon rests on — a ServeState rebuilt by replaying the
-// journal is bit-identical (per-PEC dependency-cone hashes, config text,
-// violation sets) to the pre-crash resident state.
+// torn/corrupt tail handling, compaction, version-1 journals, and the
+// crash-recovery contract the plankton_serve daemon rests on — a ServeState
+// rebuilt by replaying the journal is bit-identical (per-PEC dependency-cone
+// hashes, config text, violation sets) to the pre-crash resident state, and
+// a compacted journal carries the verdict cache's clean holds with it.
 //
 // The kill -9 coverage forks a child that journals a load + delta stream and
 // _exit(9)s mid-append, leaving a genuinely torn final record; the parent
@@ -221,21 +222,57 @@ TEST(JournalFormat, RewriteCompactsToASingleLoad) {
   ASSERT_TRUE(j.open(path, error)) << error;
   ASSERT_TRUE(j.append(JournalRecord::kLoadNet, "old config", error));
   ASSERT_TRUE(j.append(JournalRecord::kApplyDelta, "old delta", error));
-  ASSERT_TRUE(j.rewrite("current config", error)) << error;
+  ASSERT_TRUE(j.rewrite("current config", "holds", error)) << error;
 
   Replayed records;
   Journal::ReplayResult stats;
   ASSERT_TRUE(replay_into(path, records, stats, error)) << error;
-  ASSERT_EQ(records.size(), 1u) << "compaction must collapse the history";
+  ASSERT_EQ(records.size(), 2u)
+      << "compaction must collapse the history to one load and its holds";
   EXPECT_EQ(records[0].first, JournalRecord::kLoadNet);
   EXPECT_EQ(records[0].second, "current config");
+  EXPECT_EQ(records[1].first, JournalRecord::kCleanHolds);
+  EXPECT_EQ(records[1].second, "holds");
+  EXPECT_EQ(static_cast<unsigned char>(slurp(path)[4]), kJournalVersion)
+      << "compaction writes a current-version header";
 
   // The compacted journal must still be appendable — rewrite reopens it.
   ASSERT_TRUE(j.append(JournalRecord::kApplyDelta, "new delta", error));
   ASSERT_TRUE(replay_into(path, records, stats, error)) << error;
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[1].second, "new delta");
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[2].second, "new delta");
   j.close();
+  std::remove(path.c_str());
+}
+
+TEST(JournalFormat, VersionOneCannotHoldCleanHolds) {
+  // A version-1 journal predates kCleanHolds: a type-3 record there is
+  // corruption, dropped as a tail like a bad checksum.
+  const std::string path = tmp_path("journal_v1_type3.pkj");
+  std::string error;
+  {
+    Journal j;
+    ASSERT_TRUE(j.open(path, error)) << error;
+    ASSERT_TRUE(j.append(JournalRecord::kLoadNet, "config", error));
+    ASSERT_TRUE(j.append(JournalRecord::kCleanHolds, "holds", error));
+  }
+  std::string bytes = slurp(path);
+  bytes[4] = 1;  // version u16, little-endian
+  bytes[5] = 0;
+  dump(path, bytes);
+
+  Replayed records;
+  Journal::ReplayResult stats;
+  ASSERT_TRUE(replay_into(path, records, stats, error)) << error;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first, JournalRecord::kLoadNet);
+  EXPECT_TRUE(stats.torn_tail);
+
+  bytes[4] = 3;  // a version from the future is refused outright
+  dump(path, bytes);
+  EXPECT_FALSE(replay_into(path, records, stats, error));
+  Journal j;
+  EXPECT_FALSE(j.open(path, error));
   std::remove(path.c_str());
 }
 
@@ -262,7 +299,8 @@ TEST(ServeJournal, ReplayRebuildsBitIdenticalState) {
   ASSERT_TRUE(revived.attach_journal(path, error)) << error;
   Journal::ReplayResult stats;
   ASSERT_TRUE(revived.replay_journal(stats, error)) << error;
-  EXPECT_EQ(stats.applied, 2u) << "one kLoadNet + one kApplyDelta";
+  EXPECT_EQ(stats.applied, 3u)
+      << "the load's snapshot (kLoadNet + kCleanHolds) + one kApplyDelta";
   EXPECT_FALSE(stats.torn_tail);
 
   EXPECT_EQ(revived.config_text(), state.config_text());
@@ -316,9 +354,10 @@ TEST(ServeJournal, LoadCompactsAwayPriorHistory) {
   Replayed records;
   Journal::ReplayResult stats;
   ASSERT_TRUE(replay_into(path, records, stats, error)) << error;
-  ASSERT_EQ(records.size(), 1u)
+  ASSERT_EQ(records.size(), 2u)
       << "an accepted kLoadNet must compact the journal";
   EXPECT_EQ(records[0].first, JournalRecord::kLoadNet);
+  EXPECT_EQ(records[1].first, JournalRecord::kCleanHolds);
   std::remove(path.c_str());
 }
 
@@ -335,13 +374,126 @@ TEST(ServeJournal, CompactedJournalReplaysToTheSameState) {
   ASSERT_TRUE(revived.attach_journal(path, error)) << error;
   Journal::ReplayResult stats;
   ASSERT_TRUE(revived.replay_journal(stats, error)) << error;
-  EXPECT_EQ(stats.applied, 1u) << "compaction folds the history into one load";
+  EXPECT_EQ(stats.applied, 2u)
+      << "compaction folds the history into one load and its clean holds";
   const std::size_t n = state.verifier().pecs().pecs.size();
   ASSERT_EQ(revived.verifier().pecs().pecs.size(), n);
   for (std::size_t p = 0; p < n; ++p) {
     EXPECT_EQ(revived.cone_of(p), state.cone_of(p)) << "PEC " << p;
   }
   std::remove(path.c_str());
+}
+
+TEST(ServeJournal, CompactionCarriesAWarmCacheAcrossRestart) {
+  const std::string path = tmp_path("serve_journal_warm.pkj");
+  std::string error;
+  {
+    ServeState state{VerifyOptions{}};
+    ASSERT_TRUE(state.attach_journal(path, error)) << error;
+    load_ring(state);
+    const VerdictReplyMsg cold = state.query(loop_query());
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(cold.reverified, 4u);
+    ASSERT_TRUE(state.compact_journal(error)) << error;
+  }
+  // "Restart": a brand-new ServeState replays the journal and, with no
+  // load, serves the whole query from the restored clean holds.
+  ServeState revived{VerifyOptions{}};
+  ASSERT_TRUE(revived.attach_journal(path, error)) << error;
+  Journal::ReplayResult stats;
+  ASSERT_TRUE(revived.replay_journal(stats, error)) << error;
+  EXPECT_EQ(revived.cache_stats().warm_loaded, 4u);
+  EXPECT_EQ(revived.cache_stats().insertions, 0u);
+  const VerdictReplyMsg warm = revived.query(loop_query());
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(static_cast<Verdict>(warm.verdict), Verdict::kHolds);
+  EXPECT_EQ(warm.cache_hits, warm.targets);
+  EXPECT_EQ(warm.reverified, 0u)
+      << "fingerprints drifted across the restart: warm start is broken";
+  std::remove(path.c_str());
+}
+
+TEST(ServeJournal, VersionOneJournalStillReplays) {
+  // A journal written before kCleanHolds existed: header version 1, a load
+  // and a delta. It must open, replay to the same state, and keep taking
+  // appends; the first compaction then moves it to the current version.
+  const std::string path = tmp_path("serve_journal_v1.pkj");
+  std::string error;
+  {
+    Journal j;
+    ASSERT_TRUE(j.open(path, error)) << error;
+    ASSERT_TRUE(j.append(JournalRecord::kLoadNet, kRing, error));
+    ASSERT_TRUE(j.append(JournalRecord::kApplyDelta,
+                         encode_apply_delta(loop_delta()), error));
+  }
+  std::string bytes = slurp(path);
+  bytes[4] = 1;  // version u16, little-endian
+  bytes[5] = 0;
+  dump(path, bytes);
+
+  ServeState oracle{VerifyOptions{}};
+  load_ring(oracle);
+  ASSERT_TRUE(oracle.apply_delta(loop_delta(), error)) << error;
+
+  ServeState revived{VerifyOptions{}};
+  ASSERT_TRUE(revived.attach_journal(path, error)) << error;
+  Journal::ReplayResult stats;
+  ASSERT_TRUE(revived.replay_journal(stats, error)) << error;
+  EXPECT_EQ(stats.applied, 2u);
+  EXPECT_FALSE(stats.torn_tail);
+  EXPECT_EQ(revived.config_text(), oracle.config_text());
+  EXPECT_EQ(revived.cache_stats().warm_loaded, 0u);
+  const VerdictReplyMsg got = revived.query(loop_query());
+  const VerdictReplyMsg want = oracle.query(loop_query());
+  ASSERT_TRUE(got.ok && want.ok) << got.error << want.error;
+  EXPECT_EQ(got.verdict, want.verdict);
+  EXPECT_EQ(violation_multiset(got), violation_multiset(want));
+
+  // An append keeps the version-1 header and stays replayable.
+  ApplyDeltaMsg revert;
+  revert.ops.push_back({false, "static r0 10.3.0.0/24 via r1"});
+  ASSERT_TRUE(revived.apply_delta(revert, error)) << error;
+  EXPECT_EQ(slurp(path)[4], 1);
+  Replayed records;
+  ASSERT_TRUE(replay_into(path, records, stats, error)) << error;
+  EXPECT_EQ(records.size(), 3u);
+  EXPECT_FALSE(stats.torn_tail);
+
+  ASSERT_TRUE(revived.compact_journal(error)) << error;
+  EXPECT_EQ(static_cast<unsigned char>(slurp(path)[4]), kJournalVersion);
+  std::remove(path.c_str());
+}
+
+TEST(ServeJournal, UndecodableRecordsFailReplay) {
+  // An intact record (its checksum matches) whose payload does not decode
+  // is not a torn tail: replay fails instead of guessing. A kCleanHolds
+  // count above what its bytes hold is refused by the codec's count guard
+  // before it sizes an allocation, the same way as a garbage kApplyDelta.
+  std::string lying_count;
+  wire::put_int(lying_count, std::uint32_t{1000});
+  lying_count.append(16, '\x01');  // one key's worth of bytes
+  const std::pair<JournalRecord, std::string> bad[] = {
+      {JournalRecord::kCleanHolds, lying_count},
+      {JournalRecord::kApplyDelta, std::string("\xff\xff\xff\xff", 4)},
+  };
+  for (const auto& [type, payload] : bad) {
+    SCOPED_TRACE(static_cast<int>(type));
+    const std::string path = tmp_path("serve_journal_undecodable.pkj");
+    std::string error;
+    {
+      Journal j;
+      ASSERT_TRUE(j.open(path, error)) << error;
+      ASSERT_TRUE(j.append(JournalRecord::kLoadNet, kRing, error));
+      ASSERT_TRUE(j.append(type, payload, error));
+    }
+    ServeState revived{VerifyOptions{}};
+    ASSERT_TRUE(revived.attach_journal(path, error)) << error;
+    Journal::ReplayResult stats;
+    EXPECT_FALSE(revived.replay_journal(stats, error));
+    EXPECT_NE(error.find("undecodable"), std::string::npos) << error;
+    EXPECT_EQ(revived.cache().size(), 0u);
+    std::remove(path.c_str());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -404,7 +556,8 @@ TEST(ServeJournal, KillNineMidDeltaStreamRecoversAcknowledgedPrefix) {
   ASSERT_TRUE(revived.attach_journal(path, error)) << error;
   Journal::ReplayResult stats;
   ASSERT_TRUE(revived.replay_journal(stats, error)) << error;
-  EXPECT_EQ(stats.applied, 3u) << "load + the two acknowledged deltas";
+  EXPECT_EQ(stats.applied, 4u)
+      << "the load's snapshot (2 records) + the two acknowledged deltas";
   EXPECT_TRUE(stats.torn_tail) << "the half-written third delta must be torn";
   EXPECT_GT(stats.dropped_bytes, 0u);
 
@@ -435,7 +588,7 @@ TEST(ServeJournal, KillNineMidDeltaStreamRecoversAcknowledgedPrefix) {
   Journal::ReplayResult again;
   ASSERT_TRUE(replay_into(path, records, again, error)) << error;
   EXPECT_FALSE(again.torn_tail);
-  EXPECT_EQ(again.applied, 4u)
+  EXPECT_EQ(again.applied, 5u)
       << "the post-recovery delta must be reachable to the next replay";
   std::remove(path.c_str());
 }

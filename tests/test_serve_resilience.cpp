@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
@@ -170,12 +172,11 @@ TEST(ServeResilience, ConnectionCapRefusesGracefully) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGTERM drain: cache persisted, journal compacted, exit 0
+// SIGTERM drain: journal compacted with the cache's keys, exit 0
 // ---------------------------------------------------------------------------
 
 TEST(ServeResilience, SigtermDrainsGracefully) {
   const std::string sock = tmp_path("resil_drain.sock");
-  const std::string cache = tmp_path("resil_drain.pkc");
   const std::string journal = tmp_path("resil_drain.pkj");
 
   const pid_t pid = fork();
@@ -183,7 +184,6 @@ TEST(ServeResilience, SigtermDrainsGracefully) {
   if (pid == 0) {
     ServerOptions so;
     so.unix_path = sock;
-    so.cache_path = cache;
     so.journal_path = journal;
     _exit(run_server(so));
   }
@@ -208,6 +208,15 @@ TEST(ServeResilience, SigtermDrainsGracefully) {
   ASSERT_TRUE(recv_frame(fd, dec, f, err)) << err;
   ASSERT_TRUE(decode_verdict_reply(f.payload, reply));
   ASSERT_TRUE(reply.ok) << reply.error;
+  // A cold query fills the cache, so the drain has clean holds to keep.
+  QueryMsg loop;
+  loop.policy_spec = "loop";
+  ASSERT_TRUE(send_frame(fd, sched::MsgType::kQuery, encode_query(loop)));
+  ASSERT_TRUE(recv_frame(fd, dec, f, err)) << err;
+  ASSERT_TRUE(decode_verdict_reply(f.payload, reply));
+  ASSERT_TRUE(reply.ok) << reply.error;
+  ASSERT_EQ(static_cast<Verdict>(reply.verdict), Verdict::kHolds);
+  ASSERT_EQ(reply.reverified, reply.targets);
   ::close(fd);
 
   ASSERT_EQ(kill(pid, SIGTERM), 0);
@@ -216,36 +225,38 @@ TEST(ServeResilience, SigtermDrainsGracefully) {
   ASSERT_TRUE(WIFEXITED(status)) << "daemon must drain, not die of the signal";
   EXPECT_EQ(WEXITSTATUS(status), 0);
 
-  // The drain compacted the journal: one kLoadNet record holding the
-  // post-delta resident config.
+  // The drain compacted the journal: a kLoadNet record holding the
+  // post-delta resident config, then the cache's clean holds.
   Journal::ReplayResult stats;
-  std::size_t records = 0;
-  JournalRecord only_type{};
-  std::string only_payload;
+  std::vector<std::pair<JournalRecord, std::string>> records;
   ASSERT_TRUE(Journal::replay(
       journal,
       [&](JournalRecord type, std::string_view payload) {
-        ++records;
-        only_type = type;
-        only_payload = std::string(payload);
+        records.emplace_back(type, std::string(payload));
         return true;
       },
       stats, err))
       << err;
-  EXPECT_EQ(records, 1u) << "drain must compact the load+delta history";
-  EXPECT_EQ(only_type, JournalRecord::kLoadNet);
-  EXPECT_NE(only_payload.find("static r0 10.3.0.0/24 via r1"),
+  ASSERT_EQ(records.size(), 2u) << "drain must compact the load+delta history";
+  EXPECT_EQ(records[0].first, JournalRecord::kLoadNet);
+  EXPECT_NE(records[0].second.find("static r0 10.3.0.0/24 via r1"),
             std::string::npos)
       << "compacted config must carry the applied delta";
+  EXPECT_EQ(records[1].first, JournalRecord::kCleanHolds);
 
-  // And the replayed journal rebuilds the drained daemon's state.
+  // And the replayed journal rebuilds the drained daemon's state with a
+  // warm cache: the same query, with no load, explores nothing.
   ServeState revived{VerifyOptions{}};
   ASSERT_TRUE(revived.attach_journal(journal, err)) << err;
   ASSERT_TRUE(revived.replay_journal(stats, err)) << err;
   EXPECT_TRUE(revived.loaded());
+  const VerdictReplyMsg warm = revived.query(loop);
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(static_cast<Verdict>(warm.verdict), Verdict::kHolds);
+  EXPECT_EQ(warm.cache_hits, warm.targets);
+  EXPECT_EQ(warm.reverified, 0u);
 
   std::remove(sock.c_str());
-  std::remove(cache.c_str());
   std::remove(journal.c_str());
 }
 

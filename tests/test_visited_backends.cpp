@@ -110,6 +110,29 @@ TEST(VisitedBackends, ParityOnFailureEnumeration) {
   EXPECT_EQ(sets[0], sets[1]);
 }
 
+TEST(VisitedBackends, SpfPassBuildsNoStore) {
+  // Loop freedom on an all-OSPF ring runs every phase as one SPF-ordered
+  // pass, which never probes a visited store, so the explorer builds none:
+  // the bitstate kind must not allocate its (default 2^27-bit) filter, and
+  // both kinds report the same model memory and stored states.
+  const Network net = make_ring(8);
+  const LoopFreedomPolicy policy;
+  std::vector<VerifyResult> runs;
+  for (const VisitedKind kind : kAllKinds) {
+    VerifyOptions vo;
+    vo.explore.visited = kind;
+    vo.explore.max_failures = 1;
+    runs.push_back(Verifier(net, vo).verify(policy));
+  }
+  EXPECT_GT(runs[0].total.states_stored, 0u);
+  EXPECT_EQ(runs[0].total.states_stored, runs[1].total.states_stored);
+  EXPECT_EQ(runs[0].total.bytes_visited, runs[1].total.bytes_visited);
+  EXPECT_LT(runs[1].total.bytes_visited, std::size_t{1} << 20);
+  EXPECT_EQ(runs[0].verdict, Verdict::kHolds);
+  EXPECT_EQ(runs[1].verdict, Verdict::kInconclusive)
+      << "no run over the bitstate kind is a proof, store or not";
+}
+
 TEST(StateCodec, MoveOrderIndependence) {
   // Zobrist encoding: the same RIB reached through different move orders
   // has the same key; different RIBs differ.

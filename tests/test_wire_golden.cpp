@@ -1,7 +1,7 @@
-// Golden bytes for every PKS1 payload and the frame header. One fixed
-// instance of each payload, with every field non-default and every vector
-// holding two elements, must encode to the committed bytes and decode back
-// to them. A field reordered, retyped or dropped from a payload's field list
+// Golden bytes for every PKS1 payload, the frame header and the PKJ1
+// journal's kCleanHolds record. One fixed instance of each payload, with
+// every field non-default and every vector holding two elements, must
+// encode to the committed bytes and decode back to them. A field reordered, retyped or dropped from a payload's field list
 // (sched/wire.hpp) changes them; a deliberate layout change updates them
 // together with kFrameVersion. SearchStatsMerge checks that
 // SearchStats::absorb merges every field of SearchStats' field list.
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sched/frame.hpp"
 #include "serve/serve.hpp"
@@ -97,10 +98,9 @@ serve::CacheStatsMsg cache_stats() {
   serve::CacheStatsMsg m;
   m.hits = 1;
   m.misses = 2;
-  m.nonclean_bypass = 3;
-  m.insertions = 4;
-  m.warm_loaded = 5;
-  m.entries = 6;
+  m.insertions = 3;
+  m.warm_loaded = 4;
+  m.entries = 5;
   return m;
 }
 
@@ -138,14 +138,27 @@ TEST(WireGolden, CacheStats) {
   expect_golden(cache_stats(), serve::encode_cache_stats,
                 serve::decode_cache_stats,
                 "01000000000000000200000000000000030000000000000004000000"
-                "0000000005000000000000000600000000000000");
+                "000000000500000000000000");
+}
+
+TEST(WireGolden, CleanHolds) {
+  // The kCleanHolds journal payload: a u32 count, then each key's cone and
+  // ctx.
+  const std::vector<serve::CacheKey> keys = {{1, 2}, {3, 4}};
+  const std::string wire = wire::encode(keys);
+  EXPECT_EQ(to_hex(wire),
+            "02000000010000000000000002000000000000000300000000000000"
+            "0400000000000000");
+  std::vector<serve::CacheKey> back;
+  ASSERT_TRUE(wire::decode(wire, back));
+  EXPECT_EQ(back, keys);
 }
 
 TEST(WireGolden, FrameHeader) {
-  // magic "PKS1", version 6, type kQuery (9), payload length, payload.
+  // magic "PKS1", version 7, type kQuery (9), payload length, payload.
   std::string frame;
   sched::encode_frame(frame, sched::MsgType::kQuery, "abc");
-  EXPECT_EQ(to_hex(frame), "31534b50060009000300000000000000616263");
+  EXPECT_EQ(to_hex(frame), "31534b50070009000300000000000000616263");
 }
 
 TEST(SearchStatsMerge, AbsorbMovesEveryWireField) {
