@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.total.converged_states),
                 static_cast<double>(result.wall.count()) / 1e6,
                 static_cast<double>(result.total.model_bytes()) / 1e6);
+    std::printf("search: %s\n", result.total.summary().c_str());
     if (result.verdict == Verdict::kInconclusive) {
       std::printf("inconclusive: budget tripped = %s, %zu PEC(s) partial, "
                   "search %s%s%s, %llu budget checks\n",

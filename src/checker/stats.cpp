@@ -25,6 +25,7 @@ std::string SearchStats::summary() const {
   out += ", stored: " + std::to_string(states_stored);
   out += ", converged: " + std::to_string(converged_states);
   out += ", policy checks: " + std::to_string(policy_checks);
+  out += ", pruned inconsistent: " + std::to_string(pruned_inconsistent);
   out += ", det steps: " + std::to_string(det_steps);
   out += ", branches: " + std::to_string(nondet_branches);
   if (ad_cache_hits + ad_cache_misses > 0) {

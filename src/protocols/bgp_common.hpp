@@ -1,7 +1,10 @@
-// BGP advertisement transformation shared by the RPVP adapter (bgp.cpp) and
-// the reference SPVP model (spvp.cpp): export filter at the sender, AS-path
-// bookkeeping, loop rejection and import filter at the receiver — the
-// extended-SPVP abstractions of Appendix A/B.
+// BGP advertisement transformation of the reference SPVP model (spvp.cpp):
+// export filter at the sender, AS-path bookkeeping, loop rejection and import
+// filter at the receiver — the extended-SPVP abstractions of Appendix A/B.
+// The RPVP adapter (bgp.cpp) keeps its own copy of the transformation over
+// interned routes and shares only bgp_rank() below, so the SPVP oracle checks
+// the explorer's BGP semantics with code of its own;
+// tests/test_spvp_reference.cpp cross-checks the two transformations.
 #pragma once
 
 #include <optional>

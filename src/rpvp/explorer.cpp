@@ -656,8 +656,7 @@ void Explorer::compute_influencers(std::size_t task_idx) {
   }
 }
 
-bool Explorer::influence_allows(std::size_t task_idx, NodeId n) const {
-  (void)task_idx;
+bool Explorer::influence_allows(NodeId n) const {
   return !influence_active_ || influencer_.marked(n);
 }
 
@@ -721,46 +720,36 @@ Explorer::Step Explorer::expand(std::size_t task_idx,
                                 std::size_t move_budget) {
   auto& proc = *tasks_[task_idx].process;
   if (statuses_stale_[task_idx] != 0) rebuild_statuses(task_idx);
-  if (influence_active_) compute_influencers(task_idx);
 
   // The active set holds exactly the members whose status is enabled
   // (conflict implies enabled), maintained incrementally by refresh_node and
   // iterated in ascending id order — the same nodes, in the same order, the
   // O(members) rescan below visits. The rescan is kept as the reference
   // path (opt matrix, tests/test_exploration_equivalence.cpp).
+  const std::span<const NodeId> scan =
+      opts_.incremental_expand ? active_[task_idx].items()
+                               : std::span<const NodeId>(proc.members());
   enabled_scratch_.clear();
   std::vector<NodeId>& enabled = enabled_scratch_;
-  const auto classify = [&](NodeId n) -> bool {  // false = prune
+  for (const NodeId n : scan) {
     const NodeStatus& st = status_[task_idx][n];
     if (st.conflict) {
-      // §4.1.1: a committed node wants to change — no converged state is
-      // consistent with this execution. Frozen non-influencers are exempt:
-      // their changes cannot affect the sources (§4.2).
-      if (influence_allows(task_idx, n)) {
-        ++result_.stats.pruned_inconsistent;
-        return false;
-      }
-      return true;
+      // §4.1.1: a committed node wants to change. Only committed peers
+      // advertise, an invalid route's next hop is committed, and a committed
+      // node never changes, so the conflict persists on every consistent
+      // extension: no converged state extends this execution.
+      ++result_.stats.pruned_inconsistent;
+      por_mark_terminal();  // inconsistency is sleep-set-independent
+      return Step::kPruned;
     }
-    if (!st.enabled) return true;
-    if (!influence_allows(task_idx, n)) return true;
-    enabled.push_back(n);
-    return true;
-  };
-  if (opts_.incremental_expand) {
-    for (const NodeId n : active_[task_idx].items()) {
-      if (!classify(n)) {
-        por_mark_terminal();  // inconsistency is sleep-set-independent
-        return Step::kPruned;
-      }
-    }
-  } else {
-    for (const NodeId n : proc.members()) {
-      if (!classify(n)) {
-        por_mark_terminal();
-        return Step::kPruned;
-      }
-    }
+    if (st.enabled) enabled.push_back(n);
+  }
+
+  // §4.2 influence pruning only narrows the enabled set: a node that cannot
+  // reach an uncommitted source through uncommitted nodes need not move.
+  if (influence_active_) {
+    compute_influencers(task_idx);
+    std::erase_if(enabled, [&](NodeId n) { return !influence_allows(n); });
   }
 
   if (enabled.empty()) {

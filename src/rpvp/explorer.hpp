@@ -283,7 +283,7 @@ class Explorer final : public SearchModel {
   /// Pops the newest status_log_ entry into n's status (undo()).
   void restore_status(std::size_t task_idx, NodeId n);
   void collect_updates(std::size_t task_idx, NodeId n);
-  [[nodiscard]] bool influence_allows(std::size_t task_idx, NodeId n) const;
+  [[nodiscard]] bool influence_allows(NodeId n) const;
   void compute_influencers(std::size_t task_idx);
   [[nodiscard]] bool sources_all_committed(std::size_t task_idx) const;
 

@@ -16,7 +16,8 @@
 //     execution per (failure set × upstream outcome) root;
 //   · on pure single-prefix eBGP instances, every exhaustive engine's
 //     converged path set equals the SPVP message-passing oracle's
-//     (Theorem 1, Appendix A);
+//     (Theorem 1, Appendix A), and the default search's verdict equals the
+//     policy evaluated on the oracle's converged states;
 //   · failure relevance (skipping a set whose newest link is off its
 //     parent's SPF DAG) keeps every verdict and violation, trail text
 //     included, against record_outcomes runs, which turn it off;
@@ -650,9 +651,35 @@ class CollectorPolicy final : public Policy {
   mutable std::set<spvp::ConvergedState> collected;
 };
 
+/// The data plane of one SPVP converged state, built without explorer or
+/// FIB code: an origin delivers, a node with a path forwards to its head,
+/// and a node holding ⊥ drops.
+DataPlane spvp_dataplane(const spvp::ConvergedState& cs,
+                         std::span<const NodeId> origins) {
+  DataPlane dp;
+  dp.entries.resize(cs.size());
+  for (NodeId n = 0; n < cs.size(); ++n) {
+    FibEntry& e = dp.entries[n];
+    if (std::find(origins.begin(), origins.end(), n) != origins.end()) {
+      e.kind = FwdKind::kLocal;
+    } else if (!cs[n].empty()) {
+      e.kind = FwdKind::kForward;
+      e.nexthops = {cs[n].front()};
+    }
+  }
+  return dp;
+}
+
 TEST(EngineDifferential, AllEnginesMatchSpvpOracleOnPureBgp) {
+  // Two arms per instance. The converged-state arm runs every exhaustive
+  // engine find-all with a collector policy. The verdict arm runs the
+  // instance's policy under default options (POR, the §4.2 stop, influence
+  // pruning and the §4.1.1 prune all on) and compares the verdict with the
+  // policy evaluated on every SPVP converged state. random_net's policies
+  // read only the data plane.
   const int count = instance_count();
   int checked = 0;
+  int oracle_violated = 0;
   for (int seed = 1; seed <= count && checked < 25; ++seed) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
     if (!inst.spvp_eligible) continue;
@@ -675,8 +702,26 @@ TEST(EngineDifferential, AllEnginesMatchSpvpOracleOnPureBgp) {
       EXPECT_EQ(collector.collected, oracle.converged)
           << "engine " << to_string(kind) << " disagrees with the SPVP oracle";
     }
+    ModelContext ctx;
+    ctx.net = &inst.net;
+    WalkMemo walks;
+    bool oracle_holds = true;
+    for (const spvp::ConvergedState& cs : oracle.converged) {
+      const DataPlane dp = spvp_dataplane(cs, inst.bgp_origins);
+      const ConvergedView view{inst.net, pec, dp, {}, ctx, walks};
+      std::string why;
+      oracle_holds = oracle_holds && inst.policy->check(view, why);
+    }
+    if (!oracle_holds) ++oracle_violated;
+    Explorer ex(inst.net, pec, make_tasks(inst.net, pec), *inst.policy, {});
+    EXPECT_EQ(ex.run().verdict(),
+              oracle_holds ? Verdict::kHolds : Verdict::kViolated)
+        << "default options disagree with the SPVP oracle on "
+        << inst.policy->spec(inst.net);
     ++checked;
   }
+  std::printf("spvp oracle: %d instances, %d violated on some converged state\n",
+              checked, oracle_violated);
   EXPECT_GT(checked, 0);
 }
 

@@ -1,6 +1,7 @@
 // Explorer options and edge cases: bitstate verdicts, state/time budgets,
-// naive-mode withdrawals, per-peer OSPF updates, context separation, and
-// the failure-relevance rule.
+// naive-mode withdrawals, per-peer OSPF updates, context separation, the
+// §4.1.1 conflict prune under influence pruning, and the failure-relevance
+// rule.
 #include <gtest/gtest.h>
 
 #include "core/verifier.hpp"
@@ -156,6 +157,45 @@ TEST(ExplorerOptions, EmptyTaskListStillChecksStatics) {
   const ExploreResult r = ex.run();
   EXPECT_EQ(r.verdict(), Verdict::kViolated)
       << "traffic forwarded to b is dropped there";
+}
+
+TEST(ExplorerOptions, ConflictPruneFiresUnderInfluencePruning) {
+  // §4.1.1 cuts every execution in which a committed node wants to change,
+  // also where §4.2 influence pruning runs: influence only narrows the
+  // enabled set. Committed nodes are never influencers, so an exemption for
+  // non-influencers switched the prune off wherever influence pruning ran.
+  // Each input runs under default options and holds.
+  for (const std::uint64_t seed : {2191u, 5372u}) {
+    // bgp-rand/6 with `reach r5` (2 prunes, 7 states) and `blackhole r4`
+    // (1 prune, 4 states).
+    const testsupport::RandomInstance inst = testsupport::make_random_instance(seed);
+    SCOPED_TRACE("instance seed " + std::to_string(seed) + " (" + inst.kind +
+                 ", " + inst.policy->spec(inst.net) + ")");
+    VerifyOptions vo;
+    vo.explore.max_failures = inst.max_failures;
+    const VerifyResult r = Verifier(inst.net, vo).verify(*inst.policy);
+    EXPECT_EQ(r.verdict, Verdict::kHolds);
+    EXPECT_GT(r.total.pruned_inconsistent, 0u);
+  }
+  // The Fig. 9 worst case (bench/e2e's verify_spvp input, first target):
+  // 179,342 explored states without a prune, 101,630 with it.
+  FatTreeOptions o;
+  o.k = 4;
+  o.routing = FatTreeOptions::Routing::kBgpRfc7938;
+  const FatTree ft = make_fat_tree(o);
+  std::vector<NodeId> aggs;
+  for (NodeId n = 0; n < ft.net.topo.node_count(); ++n) {
+    if (ft.net.topo.name(n).starts_with("agg-")) aggs.push_back(n);
+  }
+  const WaypointPolicy policy({*ft.net.find_device("edge-3-1")}, aggs);
+  VerifyOptions vo;
+  vo.explore.det_nodes_bgp = false;
+  vo.explore.suppress_equivalent = false;
+  const VerifyResult r =
+      Verifier(ft.net, vo).verify_address(ft.edge_prefixes[0].addr(), policy);
+  EXPECT_EQ(r.verdict, Verdict::kHolds);
+  EXPECT_GT(r.total.pruned_inconsistent, 0u);
+  EXPECT_LT(r.total.states_explored, 179342u);
 }
 
 // -- Failure relevance (docs/architecture.md) --------------------------------
