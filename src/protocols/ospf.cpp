@@ -7,7 +7,7 @@ namespace plankton {
 
 OspfProcess::OspfProcess(const Network& net, Prefix prefix,
                          std::vector<NodeId> origins)
-    : prefix_(prefix), origins_(std::move(origins)) {
+    : topo_(net.topo), prefix_(prefix), origins_(std::move(origins)) {
   const std::size_t nodes = net.topo.node_count();
   // Every link from a member to an OSPF neighbor, in neighbors() order, so
   // that prepare() only filters by the failure set. Non-members own none.
@@ -25,14 +25,31 @@ OspfProcess::OspfProcess(const Network& net, Prefix prefix,
       }
       sessions_.push_back({adj.neighbor, adj.link, l.cost_from(n),
                            l.cost_from(adj.neighbor)});
+      if (sessions_.back().cost_out == 0 || sessions_.back().cost_in == 0) {
+        zero_cost_ = true;
+      }
     }
   }
   session_begin_[nodes] = static_cast<std::uint32_t>(sessions_.size());
+
+  // The no-failure SPF, the snapshot prepare() starts from.
+  const FailureSet none;
   up_peers_.resize(nodes);
   up_costs_.resize(nodes);
-  dist_.assign(nodes, kInfiniteCost);
-  spf_order_.reserve(nodes);
-  heap_.reserve(nodes);
+  for (const NodeId n : members_) list_peers(n, none);
+  dist_.resize(nodes);
+  full_spf(none);
+  parent_span_.assign(nodes, {0, 0});
+  base_begin_.assign(nodes + 1, 0);
+  for (NodeId n = 0; n < nodes; ++n) {
+    base_begin_[n] = static_cast<std::uint32_t>(arcs_.size());
+    if (dist_[n] != kInfiniteCost && !is_origin(n)) collect_parents(n);
+  }
+  base_begin_[nodes] = static_cast<std::uint32_t>(arcs_.size());
+  base_arcs_ = base_begin_[nodes];
+  base_dist_ = dist_;
+  base_order_ = spf_order_;
+  mark_.assign(nodes, 0);
 }
 
 RouteId OspfProcess::origin_route(NodeId origin, ModelContext& ctx) const {
@@ -43,40 +60,48 @@ RouteId OspfProcess::origin_route(NodeId origin, ModelContext& ctx) const {
   return ctx.routes.intern(std::move(r));
 }
 
-void OspfProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
-  (void)ctx;
-  for (const NodeId n : members_) {
-    std::vector<NodeId>& peers = up_peers_[n];
-    std::vector<std::uint32_t>& costs = up_costs_[n];
-    peers.clear();
-    costs.clear();
-    for (std::uint32_t i = session_begin_[n]; i < session_begin_[n + 1]; ++i) {
-      const Session& s = sessions_[i];
-      if (failures.is_failed(s.link)) continue;
-      if (parallel_[n] != 0) {
-        const auto it = std::find(peers.begin(), peers.end(), s.peer);
-        if (it != peers.end()) {
-          std::uint32_t& c = costs[static_cast<std::size_t>(it - peers.begin())];
-          c = std::min(c, s.cost_out);
-          continue;
-        }
+void OspfProcess::list_peers(NodeId n, const FailureSet& failures) {
+  std::vector<NodeId>& peers = up_peers_[n];
+  std::vector<std::uint32_t>& costs = up_costs_[n];
+  peers.clear();
+  costs.clear();
+  for (std::uint32_t i = session_begin_[n]; i < session_begin_[n + 1]; ++i) {
+    const Session& s = sessions_[i];
+    if (failures.is_failed(s.link)) continue;
+    if (parallel_[n] != 0) {
+      const auto it = std::find(peers.begin(), peers.end(), s.peer);
+      if (it != peers.end()) {
+        std::uint32_t& c = costs[static_cast<std::size_t>(it - peers.begin())];
+        c = std::min(c, s.cost_out);
+        continue;
       }
-      peers.push_back(s.peer);
-      costs.push_back(s.cost_out);
     }
+    peers.push_back(s.peer);
+    costs.push_back(s.cost_out);
   }
-  // Dijkstra over the live sessions, with a (dist, id) min-heap whose
-  // buffers outlive the failure set. A node is settled when its entry leaves
-  // the heap; entries left behind by a later improvement are skipped. Only
-  // members own sessions, so non-OSPF devices never appear on SPF paths.
+}
+
+bool OspfProcess::is_origin(NodeId n) const {
+  return std::find(origins_.begin(), origins_.end(), n) != origins_.end();
+}
+
+void OspfProcess::full_spf(const FailureSet& failures) {
   std::fill(dist_.begin(), dist_.end(), kInfiniteCost);
-  spf_order_.clear();
   heap_.clear();
   for (const NodeId o : origins_) {
     if (dist_[o] == 0) continue;  // anycast origin listed twice
     dist_[o] = 0;
     heap_.emplace_back(0u, o);
   }
+  spf_order_.clear();
+  settle(failures, spf_order_);
+}
+
+void OspfProcess::settle(const FailureSet& failures, std::vector<NodeId>& out) {
+  // A (dist, id) min-heap whose buffers outlive the failure set. A node is
+  // settled when its entry leaves the heap; entries left behind by a later
+  // improvement are skipped. Only members own sessions, so non-OSPF devices
+  // never appear on SPF paths.
   const std::greater<> later;
   std::make_heap(heap_.begin(), heap_.end(), later);
   while (!heap_.empty()) {
@@ -84,7 +109,7 @@ void OspfProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
     const auto [d, u] = heap_.back();
     heap_.pop_back();
     if (d != dist_[u]) continue;
-    spf_order_.push_back(u);
+    out.push_back(u);
     for (std::uint32_t i = session_begin_[u]; i < session_begin_[u + 1]; ++i) {
       const Session& s = sessions_[i];
       if (failures.is_failed(s.link)) continue;
@@ -96,6 +121,159 @@ void OspfProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
         heap_.emplace_back(dist_[s.peer], s.peer);
         std::push_heap(heap_.begin(), heap_.end(), later);
       }
+    }
+  }
+}
+
+void OspfProcess::collect_parents(NodeId n) {
+  const auto begin = static_cast<std::uint32_t>(arcs_.size());
+  const std::vector<NodeId>& peers = up_peers_[n];
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    const NodeId p = peers[i];
+    if (dist_[p] != kInfiniteCost &&
+        std::uint64_t{dist_[p]} + up_costs_[n][i] == dist_[n]) {
+      arcs_.push_back(p);
+    }
+  }
+  parent_span_[n] = {begin, static_cast<std::uint32_t>(arcs_.size())};
+}
+
+void OspfProcess::prepare(const FailureSet& failures, ModelContext& ctx) {
+  (void)ctx;
+  // Back to the snapshot: undo what the previous set changed.
+  const FailureSet none;
+  for (const NodeId n : touched_) {
+    list_peers(n, none);
+    mark_[n] = 0;
+  }
+  for (const NodeId n : moved_) {
+    dist_[n] = base_dist_[n];
+    mark_[n] = 0;
+  }
+  for (const NodeId n : patched_) {
+    parent_span_[n] = {base_begin_[n], base_begin_[n + 1]};
+  }
+  touched_.clear();
+  moved_.clear();
+  patched_.clear();
+  arcs_.resize(base_arcs_);
+
+  // Only the ends of a failed link lose peers.
+  for (const LinkId l : failures.ids()) {
+    const Link& k = topo_.link(l);
+    for (const NodeId n : {k.a, k.b}) {
+      if (mark_[n] != 0) continue;
+      mark_[n] = kEndpoint;
+      touched_.push_back(n);
+      list_peers(n, failures);
+    }
+  }
+  if (failures.empty()) {
+    spf_order_.assign(base_order_.begin(), base_order_.end());
+    return;
+  }
+
+  if (zero_cost_) {
+    // Zero-cost sessions: the whole computation, seeded from the origins
+    // (docs/architecture.md "Incremental SPF" names this exception).
+    full_spf(failures);
+    for (NodeId n = 0; n < dist_.size(); ++n) {
+      if (dist_[n] != base_dist_[n]) moved_.push_back(n);
+      patched_.push_back(n);
+      if (dist_[n] != kInfiniteCost && !is_origin(n)) {
+        collect_parents(n);
+      } else {
+        parent_span_[n] = {0, 0};
+      }
+    }
+    return;
+  }
+
+  // A node is cut off when none of its parent arcs survives: an arc dies
+  // with its parent's distance (the parent is cut off) or with the live
+  // session cost that realized it (a failed link, or the cheaper of two
+  // parallel links). Parents settle before their children, so one scan of
+  // the no-failure order decides every node. The others keep their
+  // distances; those that lost an arc, and the endpoints, get new parent
+  // lists below.
+  for (const NodeId x : base_order_) {
+    const std::uint32_t begin = base_begin_[x];
+    const std::uint32_t end = base_begin_[x + 1];
+    if (begin == end) continue;  // an origin
+    const bool endpoint = mark_[x] == kEndpoint;
+    bool kept = false;
+    bool dropped = false;
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const NodeId p = arcs_[i];
+      const bool alive =
+          mark_[p] != kMoved &&
+          (!endpoint ||
+           std::uint64_t{base_dist_[p]} + session_cost(x, p) == base_dist_[x]);
+      kept = kept || alive;
+      dropped = dropped || !alive;
+    }
+    if (!kept) {
+      mark_[x] = kMoved;
+      moved_.push_back(x);
+      dist_[x] = kInfiniteCost;
+    } else if (dropped || endpoint) {
+      patched_.push_back(x);
+    }
+  }
+
+  // Re-settle the cut-off nodes: Dijkstra seeded from the final distances
+  // of their other live peers, a super-source. None of them can undercut a
+  // node outside the set, so the relaxations change only set members.
+  heap_.clear();
+  for (const NodeId a : moved_) {
+    std::uint64_t best = kInfiniteCost;
+    for (std::uint32_t i = session_begin_[a]; i < session_begin_[a + 1]; ++i) {
+      const Session& s = sessions_[i];
+      if (failures.is_failed(s.link) || mark_[s.peer] == kMoved) continue;
+      best = std::min(best, std::uint64_t{dist_[s.peer]} + s.cost_out);
+    }
+    if (best >= kInfiniteCost) continue;
+    dist_[a] = static_cast<std::uint32_t>(best);
+    heap_.emplace_back(dist_[a], a);
+  }
+  resettled_.clear();
+  settle(failures, resettled_);
+
+  // Both orders are ascending (dist, id): merge them.
+  spf_order_.clear();
+  std::size_t next = 0;
+  const auto before = [this](NodeId a, NodeId b) {
+    return dist_[a] != dist_[b] ? dist_[a] < dist_[b] : a < b;
+  };
+  for (const NodeId x : base_order_) {
+    if (mark_[x] == kMoved) continue;
+    while (next < resettled_.size() && before(resettled_[next], x)) {
+      spf_order_.push_back(resettled_[next++]);
+    }
+    spf_order_.push_back(x);
+  }
+  spf_order_.insert(spf_order_.end(),
+                    resettled_.begin() + static_cast<std::ptrdiff_t>(next),
+                    resettled_.end());
+
+  for (const NodeId x : patched_) {
+    if (mark_[x] == kEndpoint) {
+      collect_parents(x);  // its live peers may have changed order too
+      continue;
+    }
+    const auto begin = static_cast<std::uint32_t>(arcs_.size());
+    for (std::uint32_t i = base_begin_[x]; i < base_begin_[x + 1]; ++i) {
+      const NodeId p = arcs_[i];
+      if (mark_[p] != kMoved) arcs_.push_back(p);
+    }
+    parent_span_[x] = {begin, static_cast<std::uint32_t>(arcs_.size())};
+  }
+  for (const NodeId a : moved_) {
+    patched_.push_back(a);
+    if (dist_[a] != kInfiniteCost) {
+      collect_parents(a);
+    } else {
+      parent_span_[a] = {0, 0};
     }
   }
 }

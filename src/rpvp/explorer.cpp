@@ -340,15 +340,13 @@ std::vector<std::uint8_t> Explorer::spf_dag_links() const {
   std::vector<std::uint8_t> on_dag(net_.topo.link_count(), 0);
   for (const PrefixTask& t : tasks_) {
     // failure_relevance_ admits OSPF tasks only, and make_tasks builds an
-    // OspfProcess for each.
+    // OspfProcess for each. It also requires one link per pair of devices,
+    // so each parent arc is one link.
     const auto& ospf = static_cast<const OspfProcess&>(*t.process);
-    for (LinkId l = 0; l < on_dag.size(); ++l) {
-      if (on_dag[l] != 0 || failures_.is_failed(l)) continue;
-      const Link& k = net_.topo.link(l);
-      const std::uint64_t da = ospf.spf_dist(k.a);
-      const std::uint64_t db = ospf.spf_dist(k.b);
-      if (da == kInfiniteCost || db == kInfiniteCost) continue;
-      if (da + k.cost_ba == db || db + k.cost_ab == da) on_dag[l] = 1;
+    for (const NodeId x : ospf.spf_order()) {
+      for (const NodeId p : ospf.spf_parents(x)) {
+        on_dag[net_.topo.find_link(x, p)] = 1;
+      }
     }
   }
   return on_dag;
@@ -373,11 +371,12 @@ Explorer::Flow Explorer::check_failure_set() {
     ctx_.upstream = ups[i];
     for (auto& t : tasks_) t.process->prepare(failures_, ctx_);
     if (por_) por_prepare();
-    if (opts_.ad_cache) {
+    if (opts_.ad_cache && !spf_pass_) {
       // One cache generation per (failure set, upstream outcome index):
       // prepare() changed the live-peer lists, and upstream-dependent
       // advertised() results (iBGP IGP costs, next-hop resolvability) must
-      // never be reused across ctx_.upstream bindings.
+      // never be reused across ctx_.upstream bindings. A pass never reads
+      // the cache; rebuild_statuses() binds it if expand() is called later.
       ad_cache_.invalidate();
       for (std::size_t t = 0; t < tasks_.size(); ++t) {
         ad_cache_.bind(t, *tasks_[t].process, net_.topo.node_count());
@@ -447,6 +446,12 @@ Explorer::Flow Explorer::begin_phase(std::size_t task_idx) {
 void Explorer::rebuild_statuses(std::size_t task_idx) {
   // From scratch; from here on refresh_node maintains the statuses and the
   // active set incrementally (dirty-set protocol).
+  if (spf_pass_ && opts_.ad_cache) {
+    // check_failure_set() left the cache unbound for the pass.
+    ad_cache_.invalidate();
+    ad_cache_.bind(task_idx, *tasks_[task_idx].process,
+                   net_.topo.node_count());
+  }
   active_[task_idx].clear();
   for (auto& st : status_[task_idx]) st = NodeStatus{};
   for (const NodeId m : tasks_[task_idx].process->members()) {
@@ -458,11 +463,15 @@ void Explorer::rebuild_statuses(std::size_t task_idx) {
 Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
   // The one path of an SPF-ordered phase (docs/architecture.md "SPF-ordered
   // phases"): each reachable non-origin member adopts the merge of its
-  // peers' advertisements, in (dist, id) order. Each state gets what the
-  // DFS engine and apply() give it: a budget check and a stored-state count,
-  // and per commit a deterministic step, a transition and a trail event. No
-  // state on the path is §4.1.1-inconsistent, and the last one has nothing
-  // enabled, so the path ends in advance() unless the budget stops it.
+  // shortest-path parents' advertisements, in (dist, id) order. Any other
+  // committed peer's advertisement costs more than dist(x), so merge() would
+  // drop it; the parents come in peers() order, so merge() picks the same
+  // first best update and the same representative path. Each state gets
+  // what the DFS engine and apply() give it: a budget check and a
+  // stored-state count, and per commit a deterministic step, a transition
+  // and a trail event. No state on the path is §4.1.1-inconsistent, and the
+  // last one has nothing enabled, so the path ends in advance() unless the
+  // budget stops it.
   // The order comes from the Dijkstra settle order (spf_order()), which
   // needs no sort: with positive costs a (dist, id) heap settles nodes in
   // exactly that order.
@@ -490,7 +499,7 @@ Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
     if (is_origin[x] != 0) continue;
     assert(member_[task_idx][x] != 0);
     advs_scratch_.clear();
-    for (const NodeId p : proc.peers(x)) {
+    for (const NodeId p : proc.spf_parents(x)) {
       advs_scratch_.push_back(proc.advertised(p, x, rib[p], ctx_));
     }
     const RouteId r = proc.merge(x, advs_scratch_, ctx_);

@@ -260,7 +260,7 @@ class Explorer final : public SearchModel {
   Flow explore_failures(LinkId next_link, const std::vector<std::uint8_t>* dag);
   Flow check_failure_set();
   /// Per link: 1 when it is live and some task's route can cross it, i.e.
-  /// dist(u) + cost(v→u) == dist(v) for an end v, read off the OSPF
+  /// it joins a node to one of its shortest-path parents, read off the OSPF
   /// processes as the last check_failure_set() prepared them.
   [[nodiscard]] std::vector<std::uint8_t> spf_dag_links() const;
   /// True when the upstream provider binds no outcome under `f` ({nullptr}).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_set>
 
 #include "eqclass/pec_dedup.hpp"
 #include "netbase/hash.hpp"
@@ -189,8 +190,10 @@ std::uint64_t hash_str(std::uint64_t h, std::string_view s) {
 }
 
 /// Format-version salt for cache ctx hashes: bump when the meaning of a
-/// cached verdict changes (policy semantics, explorer fixes, ...).
-constexpr std::uint64_t kCtxSalt = 0x53455256'00000001ull;  // "SERV" v1
+/// cached verdict or the key formula changes (policy semantics, explorer
+/// fixes, ...), so that keys an older binary wrote never hit. v2: the PEC
+/// part of ctx is the identity hash recompute_cones() keeps per PEC.
+constexpr std::uint64_t kCtxSalt = 0x53455256'00000002ull;  // "SERV" v2
 
 }  // namespace
 
@@ -221,6 +224,7 @@ void ServeState::recompute_cones() {
   const std::vector<std::uint64_t> residues =
       compute_pec_fingerprints(parsed_.net, pecs);
   cones_.assign(pecs.pecs.size(), 0);
+  ids_.assign(pecs.pecs.size(), 0);
   std::vector<std::uint8_t> seen(pecs.pecs.size(), 0);
   std::vector<PecId> frontier;
   std::vector<std::uint64_t> cone_residues;
@@ -248,6 +252,7 @@ void ServeState::recompute_cones() {
     for (const std::uint64_t r : cone_residues) h = hash_combine(h, r);
     h = hash_combine(h, deps.self_loop[p] != 0 ? 2u : 1u);
     cones_[p] = h;
+    ids_[p] = hash_str(0, pecs.pecs[p].str());
   }
 }
 
@@ -367,12 +372,11 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
   const std::uint64_t ctx_base =
       hash_combine(hash_str(kCtxSalt, q.policy_spec), q.max_failures);
 
-  const PecSet& pecs = verifier_->pecs();
-  const std::vector<PecId> targets = pecs.routed();
+  const std::vector<PecId> targets = verifier_->pecs().routed();
   reply.targets = targets.size();
   std::vector<PecId> misses;
   for (const PecId p : targets) {
-    if (cache_.lookup({cones_[p], hash_str(ctx_base, pecs.pecs[p].str())})) {
+    if (cache_.lookup({cones_[p], hash_combine(ctx_base, ids_[p])})) {
       ++reply.cache_hits;
     } else {
       misses.push_back(p);
@@ -397,7 +401,7 @@ VerdictReplyMsg ServeState::query(const QueryMsg& q) {
         }
       }
     }
-    cache_.insert({cones_[rep.pec], hash_str(ctx_base, rep.pec_str)},
+    cache_.insert({cones_[rep.pec], hash_combine(ctx_base, ids_[rep.pec])},
                   rep.result.verdict());
   }
   reply.verdict = static_cast<std::uint8_t>(result.verdict);
@@ -459,7 +463,15 @@ bool ServeState::replay_journal(Journal::ReplayResult& stats,
 
 bool ServeState::compact_journal(std::string& error) {
   if (!journal_.is_open() || !loaded()) return true;
-  return journal_.rewrite(config_text_, wire::encode(cache_.keys()), error);
+  // Only keys of the resident config can hit after a replay: a key whose
+  // cone no PEC has now belongs to a config a delta has since replaced. The
+  // in-memory cache keeps them, since a delta that reverts can hit them.
+  const std::unordered_set<std::uint64_t> resident(cones_.begin(),
+                                                   cones_.end());
+  std::vector<CacheKey> keys = cache_.keys();
+  std::erase_if(keys,
+                [&](const CacheKey& k) { return !resident.contains(k.cone); });
+  return journal_.rewrite(config_text_, wire::encode(keys), error);
 }
 
 }  // namespace plankton::serve

@@ -180,8 +180,8 @@ class ServeState {
   bool replay_journal(Journal::ReplayResult& stats, std::string& error);
 
   /// Compacts the journal down to a kLoadNet record of the resident config
-  /// and a kCleanHolds record of the cache's keys (no-op without a journal
-  /// or resident net).
+  /// and a kCleanHolds record of the cache's keys whose cone some resident
+  /// PEC has (no-op without a journal or resident net).
   bool compact_journal(std::string& error);
 
   [[nodiscard]] bool loaded() const { return verifier_ != nullptr; }
@@ -203,6 +203,7 @@ class ServeState {
   ParsedNetwork parsed_;
   std::unique_ptr<Verifier> verifier_;
   std::vector<std::uint64_t> cones_;  ///< per-PEC dependency-cone hash
+  std::vector<std::uint64_t> ids_;    ///< per-PEC hash of Pec::str()
   std::uint64_t last_moved_ = 0;
   VerdictCache cache_;
   Journal journal_;

@@ -12,8 +12,9 @@
 //     under the new key. Invalidation is implicit in the key, which is what
 //     makes the scheme sound under crashes: there is no separate
 //     invalidation step to lose.
-//   · `ctx` is the question half — the PEC identity string, the policy spec,
-//     and the query knobs that can change a verdict (max failures). Options
+//   · `ctx` is the question half — the PEC identity (a hash of its string,
+//     kept per PEC with the cones), the policy spec, and the query knobs
+//     that can change a verdict (max failures). Options
 //     that are verdict-invariant by construction (POR, dedup, engine kind,
 //     core count — each pinned by its own differential suite) are
 //     deliberately excluded so a dedup-off differential run hits the same
@@ -26,8 +27,9 @@
 // query, per the cache-never-masks-a-violation contract.
 //
 // The cache has no file of its own. Journal compaction (serve/journal.hpp)
-// writes keys() into a kCleanHolds record after the resident config, and
-// replay hands them back through restore().
+// writes the keys() whose cone belongs to the resident config into a
+// kCleanHolds record after that config, and replay hands them back through
+// restore().
 #pragma once
 
 #include <array>

@@ -2,13 +2,17 @@
 // recomputation would, hit only when the peer's best route is unchanged
 // within a generation, and drop everything on invalidation — in particular
 // across upstream-outcome changes, where iBGP advertised() results differ
-// for the same (edge, route) inputs.
+// for the same (edge, route) inputs. A run whose phases all take the SPF
+// pass never reads the memo, so it never builds one.
 #include <gtest/gtest.h>
 
 #include "config/network.hpp"
+#include "pec/pec.hpp"
 #include "protocols/bgp.hpp"
 #include "protocols/ospf.hpp"
 #include "rpvp/ad_cache.hpp"
+#include "rpvp/explorer.hpp"
+#include "workload/fat_tree.hpp"
 
 namespace plankton {
 namespace {
@@ -143,6 +147,27 @@ TEST(AdCache, UpstreamOutcomeChangeIsNotReusedAcrossGenerations) {
   EXPECT_EQ(ctx.routes.get(results[1]).metric, 9u);
   EXPECT_EQ(stats.ad_cache_hits, 0u);
   EXPECT_EQ(stats.ad_cache_misses, 2u);
+}
+
+TEST(AdCache, SpfPassRunsBindNoCache) {
+  // Loop freedom on the K=4 OSPF fat tree under at most one failure: every
+  // phase is SPF-ordered and runs as one pass (docs/architecture.md
+  // "SPF-ordered phases"), which computes each advertisement once and never
+  // consults the memo, so no failure set binds it.
+  FatTreeOptions o;
+  o.k = 4;
+  const FatTree ft = make_fat_tree(o);
+  const PecSet pecs = compute_pecs(ft.net);
+  const Pec& pec = pecs.pecs[pecs.find(ft.edge_prefixes[0].addr())];
+  const LoopFreedomPolicy loop;
+  ExploreOptions opts;
+  opts.max_failures = 1;
+  Explorer ex(ft.net, pec, make_tasks(ft.net, pec), loop, opts);
+  const ExploreResult r = ex.run();
+  ASSERT_EQ(r.verdict(), Verdict::kHolds);
+  ASSERT_GT(r.stats.failure_sets, 1u);
+  EXPECT_EQ(r.stats.ad_cache_hits + r.stats.ad_cache_misses, 0u);
+  EXPECT_EQ(r.stats.bytes_ad_cache, 0u);
 }
 
 }  // namespace

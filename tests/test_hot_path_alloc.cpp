@@ -15,7 +15,9 @@
 #include <new>
 
 #include "pec/pec.hpp"
+#include "protocols/ospf.hpp"
 #include "rpvp/explorer.hpp"
+#include "workload/as_topo.hpp"
 #include "workload/fat_tree.hpp"
 
 namespace {
@@ -210,6 +212,43 @@ TEST(HotPathAlloc, SpfPassIsAllocationFree) {
       << "the passes did not all reach a converged state";
   EXPECT_EQ(after - before, 0u)
       << path.size() + 1 << " passes allocated " << (after - before) << " times";
+}
+
+TEST(HotPathAlloc, IncrementalSpfPrepareIsAllocationFree) {
+  // Every single-link failure set on AS1755, toward one backbone router's
+  // loopback: the first sweep grows the process's buffers to their
+  // high-water marks, the second re-prepares each set without allocating.
+  const AsTopo topo = make_as_topo("AS1755");
+  const NodeId origin = topo.backbone[0];
+  OspfProcess proc(topo.net, topo.loopbacks[origin], {origin});
+  ModelContext ctx;
+  ctx.net = &topo.net;
+  std::vector<FailureSet> sets(1, topo.net.topo.no_failures());
+  for (LinkId l = 0; l < topo.net.topo.link_count(); ++l) {
+    sets.push_back(topo.net.topo.no_failures());
+    sets.back().fail(l);
+  }
+  std::vector<std::uint32_t> no_failure_dist;
+  proc.prepare(sets.front(), ctx);
+  for (NodeId n = 0; n < topo.net.topo.node_count(); ++n) {
+    no_failure_dist.push_back(proc.spf_dist(n));
+  }
+  std::size_t moving = 0;  // sets that re-settle some node
+  for (const FailureSet& f : sets) {
+    proc.prepare(f, ctx);
+    for (NodeId n = 0; n < no_failure_dist.size(); ++n) {
+      if (proc.spf_dist(n) != no_failure_dist[n]) {
+        ++moving;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(moving, 10u);
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const FailureSet& f : sets) proc.prepare(f, ctx);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << sets.size() << " warm prepares allocated " << (after - before) << " times";
 }
 
 TEST(HotPathAlloc, OspfFatTreeSteadyStateIsAllocationFree) {

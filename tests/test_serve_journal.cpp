@@ -3,7 +3,8 @@
 // crash-recovery contract the plankton_serve daemon rests on — a ServeState
 // rebuilt by replaying the journal is bit-identical (per-PEC dependency-cone
 // hashes, config text, violation sets) to the pre-crash resident state, and
-// a compacted journal carries the verdict cache's clean holds with it.
+// a compacted journal carries the verdict cache's clean holds of the
+// resident config with it.
 //
 // The kill -9 coverage forks a child that journals a load + delta stream and
 // _exit(9)s mid-append, leaving a genuinely torn final record; the parent
@@ -19,11 +20,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "serve/journal.hpp"
 #include "serve/serve.hpp"
+#include "workload/fat_tree.hpp"
 
 namespace plankton::serve {
 namespace {
@@ -410,6 +413,65 @@ TEST(ServeJournal, CompactionCarriesAWarmCacheAcrossRestart) {
   EXPECT_EQ(warm.cache_hits, warm.targets);
   EXPECT_EQ(warm.reverified, 0u)
       << "fingerprints drifted across the restart: warm start is broken";
+  std::remove(path.c_str());
+}
+
+TEST(ServeJournal, SnapshotKeepsOnlyTheResidentConfigsCleanHolds) {
+  // bench/fig_serve_deltas.cpp's replay: a K=6 fat tree with perturbed costs
+  // (18 PECs, each its own class) and one benign static delta per edge
+  // prefix, each followed by a loop query that re-verifies the moved PEC.
+  // The cache then holds a key for every PEC's cone before and after its
+  // delta; only the latter can hit under the resident config.
+  FatTreeOptions o;
+  o.k = 6;
+  FatTree ft = make_fat_tree(o);
+  for (LinkId l = 0; l < ft.net.topo.link_count(); ++l) {
+    const std::uint32_t c = 10 + (l * 7) % 11;
+    ft.net.topo.set_link_cost(l, c, c);
+  }
+  const std::string path = tmp_path("serve_journal_resident.pkj");
+  std::string error;
+  std::uint64_t targets = 0;
+  std::uint64_t resident_holds = 0;
+  {
+    ServeState state{VerifyOptions{}};
+    ASSERT_TRUE(state.attach_journal(path, error)) << error;
+    ASSERT_TRUE(state.load(render_config(ft.net), error)) << error;
+    ASSERT_EQ(state.query(loop_query()).reverified, ft.edge_prefixes.size());
+    const int half = o.k / 2;
+    for (std::size_t r = 0; r < ft.edge_prefixes.size(); ++r) {
+      const std::string pod = std::to_string(static_cast<int>(r) / half);
+      const std::string edge = std::to_string(static_cast<int>(r) % half);
+      ApplyDeltaMsg delta;
+      delta.ops.push_back({true, "static agg-" + pod + "-0 " +
+                                     ft.edge_prefixes[r].str() + " via edge-" +
+                                     pod + "-" + edge});
+      ASSERT_TRUE(state.apply_delta(delta, error)) << error;
+      const VerdictReplyMsg reply = state.query(loop_query());
+      ASSERT_EQ(static_cast<Verdict>(reply.verdict), Verdict::kHolds);
+      ASSERT_EQ(reply.reverified, 1u) << "delta " << r;
+      targets = reply.targets;
+    }
+    std::unordered_set<std::uint64_t> cones;
+    for (PecId p = 0; p < state.verifier().pecs().pecs.size(); ++p) {
+      cones.insert(state.cone_of(p));
+    }
+    for (const CacheKey& k : state.cache().keys()) {
+      resident_holds += cones.contains(k.cone) ? 1 : 0;
+    }
+    EXPECT_GT(state.cache().size(), resident_holds)
+        << "the replay left no key of an earlier config to drop";
+    ASSERT_TRUE(state.compact_journal(error)) << error;
+  }
+  ServeState revived{VerifyOptions{}};
+  ASSERT_TRUE(revived.attach_journal(path, error)) << error;
+  Journal::ReplayResult stats;
+  ASSERT_TRUE(revived.replay_journal(stats, error)) << error;
+  EXPECT_EQ(resident_holds, targets);
+  EXPECT_EQ(revived.cache_stats().warm_loaded, resident_holds);
+  const VerdictReplyMsg warm = revived.query(loop_query());
+  EXPECT_EQ(warm.cache_hits, warm.targets);
+  EXPECT_EQ(warm.reverified, 0u);
   std::remove(path.c_str());
 }
 
