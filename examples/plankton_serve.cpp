@@ -14,6 +14,11 @@
 // daemon restarted after a graceful stop answers unchanged queries from a
 // warm cache. Without --journal the cache lives in memory only.
 //
+// --max-clients caps concurrent connections (one past the cap gets an error
+// reply and a close); --read-deadline-ms drops a client stalled mid-frame.
+// A connection that is merely idle stays open for as long as its client
+// holds it.
+//
 // Every numeric flag takes a plain decimal integer in its range (--cores at
 // least 1); anything else is a usage error.
 //
@@ -38,7 +43,6 @@ void usage() {
       "                      [--all-violations] [--no-pec-dedup] [--no-por]\n"
       "                      [--deadline-ms <n>] [--budget-states <n>]\n"
       "                      [--max-clients <n>] [--read-deadline-ms <n>]\n"
-      "                      [--idle-timeout-ms <n>] [--fault-plan <plan>]\n"
       "at least one of --socket/--tcp is required\n");
 }
 
@@ -78,15 +82,6 @@ int main(int argc, char** argv) {
       number(opts.max_clients, std::size_t{1});
     } else if (arg == "--read-deadline-ms") {
       number(opts.read_deadline_ms, 0);
-    } else if (arg == "--idle-timeout-ms") {
-      number(opts.idle_timeout_ms, 0);
-    } else if (arg == "--fault-plan") {
-      std::string fault_error;
-      if (!plankton::sched::parse_fault_plan(value(), opts.fault_plan,
-                                             fault_error)) {
-        std::fprintf(stderr, "plankton_serve: %s\n", fault_error.c_str());
-        return 3;
-      }
     } else if (arg == "--cores") {
       number(opts.verify.cores, 1);
     } else if (arg == "--all-violations") {

@@ -1,5 +1,5 @@
 // Strict decimal integer parsing, shared by the command-line tools and the
-// small text grammars (fault plans, config numbers).
+// small text grammars (config numbers, policy bounds).
 #pragma once
 
 #include <charconv>

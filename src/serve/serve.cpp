@@ -302,18 +302,15 @@ bool ServeState::apply_delta(const ApplyDeltaMsg& delta, std::string& error) {
   }
 
   // Snapshot the old cone map before the rebuild, then count moved PECs by
-  // identity string — a PEC whose cone hash changed, appeared, or vanished.
-  std::unordered_map<std::string, std::uint64_t> before;
-  const PecSet& old_pecs = verifier_->pecs();
-  for (PecId p = 0; p < old_pecs.pecs.size(); ++p) {
-    before.emplace(old_pecs.pecs[p].str(), cones_[p]);
-  }
+  // identity hash — a PEC whose cone hash changed, appeared, or vanished.
+  std::unordered_map<std::uint64_t, std::uint64_t> before;
+  before.reserve(ids_.size());
+  for (PecId p = 0; p < ids_.size(); ++p) before.emplace(ids_[p], cones_[p]);
   if (!make_resident(std::move(next_text), error)) return false;
   std::uint64_t moved = 0;
-  const PecSet& new_pecs = verifier_->pecs();
   std::size_t matched = 0;
-  for (PecId p = 0; p < new_pecs.pecs.size(); ++p) {
-    const auto it = before.find(new_pecs.pecs[p].str());
+  for (PecId p = 0; p < ids_.size(); ++p) {
+    const auto it = before.find(ids_[p]);
     if (it == before.end()) {
       ++moved;  // new PEC
     } else {

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <list>
-#include <thread>
 
 namespace plankton::serve {
 
@@ -79,49 +78,18 @@ using Clock = std::chrono::steady_clock;
 /// One multiplexed client connection.
 struct ClientConn {
   int fd = -1;
-  bool tcp = false;
   sched::FrameDecoder decoder;
   Clock::time_point last_activity;
-  std::uint64_t reply_frames = 0;  ///< replies sent (socket-fault counter)
-  std::uint64_t reads = 0;         ///< reads performed (slow-read counter)
 };
-
-/// Sends one PKS1 frame to a client, acting out any serve-side socket
-/// faults. Returns false when the connection must be closed (fault fired or
-/// the peer is gone).
-bool send_client_frame(ClientConn& c, const sched::FaultPlan& faults,
-                       sched::MsgType type, std::string_view payload) {
-  std::string out;
-  sched::encode_frame(out, type, payload);
-  ++c.reply_frames;
-  if (faults.stall_at_frame != 0 && c.reply_frames == faults.stall_at_frame) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(faults.stall_ms));
-  }
-  if (faults.drop_conn_at_frame != 0 &&
-      c.reply_frames == faults.drop_conn_at_frame) {
-    ::shutdown(c.fd, SHUT_RDWR);
-    return false;
-  }
-  if (faults.torn_tcp_at_frame != 0 &&
-      c.reply_frames == faults.torn_tcp_at_frame) {
-    (void)sched::write_all(c.fd, out.data(), out.size() / 2);
-    ::shutdown(c.fd, SHUT_RDWR);
-    return false;
-  }
-  // sched::write_all sends with MSG_NOSIGNAL: a client that disconnected
-  // mid-reply surfaces as EPIPE (drop the connection, keep the daemon), not
-  // SIGPIPE (whose default disposition kills the whole process).
-  return sched::write_all(c.fd, out);
-}
 
 enum class Dispatch { kKeep, kClose, kShutdown };
 
 /// One decoded frame: dispatch + reply. Processing is synchronous — the
 /// resident Verifier is single-threaded state — so a kQuery blocks the loop
-/// for its duration; the deadlines below are about *stalled sockets*, not
-/// slow verification.
-Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
-                        ServeState& state, const sched::FaultPlan& faults) {
+/// for its duration; the read deadline below is about *stalled sockets*,
+/// not slow verification. A reply that cannot be written closes the
+/// connection and keeps the daemon.
+Dispatch dispatch_frame(int fd, const sched::Frame& frame, ServeState& state) {
   VerdictReplyMsg reply;
   std::string error;
   switch (frame.type) {
@@ -161,8 +129,8 @@ Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
       break;
     }
     case sched::MsgType::kCacheStats: {
-      return send_client_frame(c, faults, sched::MsgType::kCacheStats,
-                               encode_cache_stats(state.cache_stats()))
+      return send_frame(fd, sched::MsgType::kCacheStats,
+                        encode_cache_stats(state.cache_stats()))
                  ? Dispatch::kKeep
                  : Dispatch::kClose;
     }
@@ -175,8 +143,8 @@ Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
                      save_error.c_str());
       }
       reply.ok = true;
-      (void)send_client_frame(c, faults, sched::MsgType::kVerdictReply,
-                              encode_verdict_reply(reply));
+      (void)send_frame(fd, sched::MsgType::kVerdictReply,
+                       encode_verdict_reply(reply));
       return Dispatch::kShutdown;
     }
     default: {
@@ -186,8 +154,8 @@ Dispatch dispatch_frame(ClientConn& c, const sched::Frame& frame,
       break;
     }
   }
-  return send_client_frame(c, faults, sched::MsgType::kVerdictReply,
-                           encode_verdict_reply(reply))
+  return send_frame(fd, sched::MsgType::kVerdictReply,
+                    encode_verdict_reply(reply))
              ? Dispatch::kKeep
              : Dispatch::kClose;
 }
@@ -263,7 +231,6 @@ int run_server(const ServerOptions& opts) {
     return 3;
   }
 
-  const sched::FaultPlan& faults = opts.fault_plan;
   std::list<ClientConn> clients;
   bool shutdown = false;
   char buf[1 << 16];
@@ -279,7 +246,7 @@ int run_server(const ServerOptions& opts) {
     if (tcp_fd >= 0) arm(tcp_fd);
     for (const ClientConn& c : clients) arm(c.fd);
     // The periodic tick: even with every client silent, the loop wakes to
-    // enforce read/idle deadlines (the old null-timeout select slept forever
+    // enforce the read deadline (the old null-timeout select slept forever
     // with a client stalled mid-frame, wedging everyone else).
     timeval tick{};
     tick.tv_usec = 50 * 1000;
@@ -296,24 +263,20 @@ int run_server(const ServerOptions& opts) {
       if (ready <= 0 || listener < 0 || !FD_ISSET(listener, &fds)) continue;
       const int conn = ::accept(listener, nullptr, nullptr);
       if (conn < 0) continue;
-      const bool is_tcp = listener == tcp_fd;
       if (clients.size() >= opts.max_clients) {
         // Graceful refusal: a parseable error reply, then close — the
         // client sees "capacity", not a hang or a RST.
         VerdictReplyMsg refuse;
         refuse.error = "server at connection capacity";
         refuse.verdict = static_cast<std::uint8_t>(Verdict::kError);
-        std::string out;
-        sched::encode_frame(out, sched::MsgType::kVerdictReply,
-                            encode_verdict_reply(refuse));
-        (void)sched::write_all(conn, out);
+        (void)send_frame(conn, sched::MsgType::kVerdictReply,
+                         encode_verdict_reply(refuse));
         ::close(conn);
         continue;
       }
-      if (is_tcp) enable_keepalive(conn);
+      if (listener == tcp_fd) enable_keepalive(conn);
       ClientConn c;
       c.fd = conn;
-      c.tcp = is_tcp;
       c.last_activity = now;
       clients.push_back(std::move(c));
     }
@@ -322,11 +285,6 @@ int run_server(const ServerOptions& opts) {
       ClientConn& c = *it;
       bool close_conn = false;
       if (ready > 0 && FD_ISSET(c.fd, &fds)) {
-        ++c.reads;
-        if (faults.slow_read_at != 0 && c.reads == faults.slow_read_at) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(faults.slow_read_ms));
-        }
         const ssize_t r = ::read(c.fd, buf, sizeof buf);
         if (r <= 0) {
           close_conn = !(r < 0 && errno == EINTR);
@@ -343,7 +301,7 @@ int run_server(const ServerOptions& opts) {
               close_conn = true;
               break;
             }
-            const Dispatch d = dispatch_frame(c, frame, state, faults);
+            const Dispatch d = dispatch_frame(c.fd, frame, state);
             if (d == Dispatch::kShutdown) {
               shutdown = true;
               break;
@@ -355,18 +313,12 @@ int run_server(const ServerOptions& opts) {
           }
         }
       }
-      if (!close_conn && !shutdown) {
-        const auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             now - c.last_activity)
-                             .count();
-        // Mid-frame stall: bytes are buffered but the frame never finishes.
-        if (opts.read_deadline_ms > 0 && c.decoder.buffered() > 0 &&
-            age > opts.read_deadline_ms) {
-          close_conn = true;
-        }
-        if (opts.idle_timeout_ms > 0 && age > opts.idle_timeout_ms) {
-          close_conn = true;
-        }
+      // Mid-frame stall: bytes are buffered but the frame never finishes.
+      if (!close_conn && !shutdown && opts.read_deadline_ms > 0 &&
+          c.decoder.buffered() > 0 &&
+          now - c.last_activity >
+              std::chrono::milliseconds(opts.read_deadline_ms)) {
+        close_conn = true;
       }
       if (close_conn || shutdown) {
         ::close(c.fd);

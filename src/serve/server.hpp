@@ -1,16 +1,16 @@
 // Socket transport for plankton_serve: Unix-domain and/or TCP listeners
 // speaking PKS1 frames (sched/frame.hpp), plus the client-side helpers the
-// CLI uses. The accept loop multiplexes all connections through one
+// CLI uses (the daemon writes its replies through the same send_frame). The
+// accept loop multiplexes all connections through one
 // select() with a periodic tick — request *processing* is sequential (the
 // resident Verifier is single-threaded state), but a client stalled
-// mid-frame can never block the others: overdue mid-frame reads and idle
-// connections are closed by per-client deadlines.
+// mid-frame can never block the others: an overdue mid-frame read closes
+// that connection by a per-client deadline.
 #pragma once
 
 #include <string>
 #include <string_view>
 
-#include "sched/fault.hpp"
 #include "sched/frame.hpp"
 #include "serve/serve.hpp"
 
@@ -25,18 +25,12 @@ struct ServerOptions {
   /// net state bit-identically and the verdict cache as of the last
   /// compaction.
   std::string journal_path;
-  /// Socket faults (stall/drop-conn/torn-tcp/slow-read) the server acts
-  /// out on client connections — the serve-side chaos hook.
-  sched::FaultPlan fault_plan;
   /// Accepted connections beyond this are refused with a polite
   /// kVerdictReply error instead of queueing behind select().
   std::size_t max_clients = 64;
-  /// A client stalled mid-frame longer than this is disconnected (the
-  /// satellite fix for the stalled-writer wedge). 0 disables.
+  /// A client stalled mid-frame longer than this is disconnected, so it
+  /// cannot wedge the others. 0 disables.
   int read_deadline_ms = 5000;
-  /// A fully idle connection older than this is disconnected. 0 disables
-  /// (default: clients may legitimately hold connections open).
-  int idle_timeout_ms = 0;
   VerifyOptions verify;
 };
 
@@ -54,6 +48,9 @@ int run_server(const ServerOptions& opts);
 int connect_unix(const std::string& path, std::string& error);
 int connect_tcp(int port, std::string& error);
 
+/// Encodes one frame and writes it whole through sched::write_all, so a
+/// dead peer is EPIPE, never SIGPIPE. The daemon sends its replies through
+/// it too. False when the peer is gone.
 bool send_frame(int fd, sched::MsgType type, std::string_view payload);
 
 /// Blocks until one full frame arrives on `fd` (reading through `dec`).

@@ -12,6 +12,7 @@
 //     them.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,6 +280,77 @@ TEST(ServeStateCache, CacheHitNeverMasksViolation) {
   EXPECT_EQ(static_cast<Verdict>(restored.verdict), Verdict::kHolds);
   EXPECT_EQ(restored.cache_hits, 4u);
   EXPECT_EQ(restored.reverified, 0u);
+}
+
+/// Pec::str() → cone hash of every resident PEC, read through the public
+/// API, so a test can recount moved PECs without apply_delta's bookkeeping.
+std::map<std::string, std::uint64_t> cone_snapshot(const ServeState& state) {
+  std::map<std::string, std::uint64_t> out;
+  const PecSet& pecs = state.verifier().pecs();
+  for (PecId p = 0; p < pecs.pecs.size(); ++p) {
+    out.emplace(pecs.pecs[p].str(), state.cone_of(p));
+  }
+  return out;
+}
+
+struct MovedRecount {
+  std::size_t changed = 0;   ///< in both snapshots, under another cone hash
+  std::size_t appeared = 0;  ///< only after
+  std::size_t vanished = 0;  ///< only before
+  [[nodiscard]] std::size_t total() const {
+    return changed + appeared + vanished;
+  }
+};
+
+MovedRecount recount_moved(const std::map<std::string, std::uint64_t>& before,
+                           const std::map<std::string, std::uint64_t>& after) {
+  MovedRecount n;
+  for (const auto& [id, cone] : after) {
+    const auto it = before.find(id);
+    if (it == before.end()) {
+      ++n.appeared;
+    } else if (it->second != cone) {
+      ++n.changed;
+    }
+  }
+  for (const auto& [id, cone] : before) n.vanished += after.count(id) == 0;
+  return n;
+}
+
+TEST(ServeStateCache, MovedCountsChangedAppearedAndVanishedPecs) {
+  // last_moved() counts the PECs a delta moved: the cone hash changed, or
+  // the PEC appeared or vanished. Three deltas exercise each kind, and
+  // after each the count must equal a recount from snapshots of
+  // (Pec::str(), cone_of(p)) taken here.
+  ServeState state{VerifyOptions{}};
+  load_ring(state);
+  const auto apply = [&state](bool add, const std::string& line) {
+    const auto before = cone_snapshot(state);
+    ApplyDeltaMsg delta;
+    delta.ops.push_back({add, line});
+    std::string error;
+    EXPECT_TRUE(state.apply_delta(delta, error)) << error;
+    const MovedRecount n = recount_moved(before, cone_snapshot(state));
+    EXPECT_EQ(state.last_moved(), n.total()) << (add ? "add " : "del ") << line;
+    return n;
+  };
+
+  // A static over a whole originated range edits that one PEC's cone.
+  const MovedRecount edit = apply(true, "static r0 10.3.0.0/24 via r1");
+  EXPECT_EQ(edit.changed, 1u);
+  EXPECT_EQ(edit.appeared, 0u);
+  EXPECT_EQ(edit.vanished, 0u);
+
+  // A /32 inside it splits the range: the /24's PEC vanishes, and the /32
+  // and the two pieces around it appear.
+  const MovedRecount split = apply(true, "static r2 10.3.0.5/32 via r1");
+  EXPECT_EQ(split.vanished, 1u);
+  EXPECT_EQ(split.appeared, 3u);
+
+  // Removing the /32 merges the pieces back into the one /24 PEC.
+  const MovedRecount merge = apply(false, "static r2 10.3.0.5/32 via r1");
+  EXPECT_EQ(merge.appeared, split.vanished);
+  EXPECT_EQ(merge.vanished, split.appeared);
 }
 
 TEST(ServeStateCache, FailureBoundAboveIntMaxIsRefused) {
