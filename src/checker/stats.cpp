@@ -28,6 +28,12 @@ std::string SearchStats::summary() const {
   out += ", pruned inconsistent: " + std::to_string(pruned_inconsistent);
   out += ", det steps: " + std::to_string(det_steps);
   out += ", branches: " + std::to_string(nondet_branches);
+  if (routes_reused > 0) {
+    out += ", routes reused: " + std::to_string(routes_reused);
+  }
+  if (fib_entries_rebuilt > 0) {
+    out += ", fib entries rebuilt: " + std::to_string(fib_entries_rebuilt);
+  }
   if (ad_cache_hits + ad_cache_misses > 0) {
     out += ", ad cache: " + std::to_string(ad_cache_hits) + "/" +
            std::to_string(ad_cache_hits + ad_cache_misses) + " hits";

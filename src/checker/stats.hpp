@@ -24,6 +24,8 @@ struct SearchStats {
   std::uint64_t det_steps = 0;          ///< deterministic-node executions (§4.1.2)
   std::uint64_t nondet_branches = 0;    ///< branch points explored
   std::uint64_t failure_sets = 0;       ///< failure combinations explored
+  std::uint64_t routes_reused = 0;      ///< SPF-pass routes taken from the no-failure run
+  std::uint64_t fib_entries_rebuilt = 0;///< FIB entries built for converged states
   std::uint64_t ad_cache_hits = 0;      ///< advertisement memo hits
   std::uint64_t ad_cache_misses = 0;    ///< advertisement memo fills
   std::uint64_t dirty_refreshes = 0;    ///< incremental node-status refreshes
@@ -50,7 +52,8 @@ struct SearchStats {
     return v(s.states_explored, s.states_stored, s.revisits_skipped,
              s.converged_states, s.policy_checks, s.suppressed_checks,
              s.pruned_inconsistent, s.det_steps, s.nondet_branches,
-             s.failure_sets, s.ad_cache_hits, s.ad_cache_misses,
+             s.failure_sets, s.routes_reused, s.fib_entries_rebuilt,
+             s.ad_cache_hits, s.ad_cache_misses,
              s.dirty_refreshes, s.por_pruned, s.por_source_sets,
              s.por_footprint_time, s.frontier_peak, s.budget_checks,
              s.max_depth, s.bytes_paths, s.bytes_routes, s.bytes_visited,

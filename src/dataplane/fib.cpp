@@ -85,98 +85,102 @@ std::size_t DataPlane::bytes() const {
   return total;
 }
 
+void build_entry(const Network& net, const Pec& pec, const FailureSet& failures,
+                 std::span<const TaskRib> ribs, const ModelContext& ctx, NodeId n,
+                 FibEntry& entry) {
+  entry.kind = FwdKind::kDrop;  // default: drop
+  entry.nexthops.clear();
+  entry.source = Protocol::kConnected;
+  entry.prefix_idx = 0xff;
+  // Longest-prefix match: prefixes are sorted most-specific first.
+  for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
+    const PecPrefix& pp = pec.prefixes[pi];
+    Candidate best;
+
+    // Local delivery: the node originates the prefix (or owns the loopback).
+    const bool origin =
+        std::find(pp.ospf_origins.begin(), pp.ospf_origins.end(), n) !=
+            pp.ospf_origins.end() ||
+        std::find(pp.bgp_origins.begin(), pp.bgp_origins.end(), n) !=
+            pp.bgp_origins.end() ||
+        (pp.prefix.length() == 32 && net.device(n).loopback == pp.prefix.addr());
+    if (origin) {
+      consider(best, admin_distance(Protocol::kConnected), FwdKind::kLocal, {},
+               Protocol::kConnected);
+    }
+
+    // Static routes targeting exactly this prefix.
+    for (const auto& [dev, idx] : pp.static_routes) {
+      if (dev != n) continue;
+      const StaticRoute& sr = net.device(n).statics[idx];
+      if (sr.drop) {
+        consider(best, admin_distance(Protocol::kStatic), FwdKind::kDrop, {},
+                 Protocol::kStatic);
+        continue;
+      }
+      if (sr.via_neighbor != kNoNode) {
+        const LinkId l = net.topo.find_link(n, sr.via_neighbor);
+        if (l != kNoLink && !failures.is_failed(l)) {
+          consider(best, admin_distance(Protocol::kStatic), FwdKind::kForward,
+                   Hops{{}, sr.via_neighbor}, Protocol::kStatic);
+        }
+        continue;
+      }
+      if (sr.via_ip) {
+        Hops hops;
+        if (*sr.via_ip >= pec.lo && *sr.via_ip <= pec.hi) {
+          // Self-loop dependency: resolve through this PEC's own
+          // protocol routes (never through statics, avoiding recursion).
+          hops = protocol_nexthops_in_pec(net, pec, n, ribs, ctx);
+        } else if (ctx.upstream != nullptr) {
+          hops.many = ctx.upstream->nexthops_towards(n, *sr.via_ip);
+        }
+        if (!hops.empty()) {
+          consider(best, admin_distance(Protocol::kStatic), FwdKind::kForward,
+                   hops, Protocol::kStatic);
+        }
+      }
+    }
+
+    // Protocol routes from the per-prefix RPVP phases.
+    for (const auto& rib : ribs) {
+      if (rib.prefix_idx != pi) continue;
+      const RouteId r = rib.routes[n];
+      if (r == kNoRoute) continue;
+      const Route& route = ctx.routes.get(r);
+      if (route.path == kEmptyPath) continue;  // origin: handled as local
+      Protocol proto = rib.proto;
+      if (proto == Protocol::kEbgp && route.learned_ibgp) proto = Protocol::kIbgp;
+      Hops hops;
+      if (route.learned_ibgp) {
+        if (ctx.upstream != nullptr) {
+          hops.many = ctx.upstream->nexthops_towards(
+              n, net.device(route.egress).loopback);
+        }
+        if (hops.empty()) continue;  // unresolvable iBGP next hop
+      } else {
+        hops = route_hops(ctx, r);
+        if (hops.empty()) continue;
+      }
+      consider(best, admin_distance(proto), FwdKind::kForward, hops, proto);
+    }
+
+    if (best.installed) {
+      entry.kind = best.kind;
+      best.hops.copy_to(entry.nexthops);
+      entry.source = best.source;
+      entry.prefix_idx = static_cast<std::uint8_t>(pi);
+      break;  // LPM: most specific installed prefix wins
+    }
+  }
+}
+
 void build_dataplane(const Network& net, const Pec& pec, const FailureSet& failures,
                      std::span<const TaskRib> ribs, const ModelContext& ctx,
                      DataPlane& dp) {
   dp.entries.resize(net.topo.node_count());
-
   for (NodeId n = 0; n < net.topo.node_count(); ++n) {
-    FibEntry& entry = dp.entries[n];  // default: drop
-    entry.kind = FwdKind::kDrop;
-    entry.nexthops.clear();
-    entry.source = Protocol::kConnected;
-    entry.prefix_idx = 0xff;
-    // Longest-prefix match: prefixes are sorted most-specific first.
-    for (std::size_t pi = 0; pi < pec.prefixes.size(); ++pi) {
-      const PecPrefix& pp = pec.prefixes[pi];
-      Candidate best;
-
-      // Local delivery: the node originates the prefix (or owns the loopback).
-      const bool origin =
-          std::find(pp.ospf_origins.begin(), pp.ospf_origins.end(), n) !=
-              pp.ospf_origins.end() ||
-          std::find(pp.bgp_origins.begin(), pp.bgp_origins.end(), n) !=
-              pp.bgp_origins.end() ||
-          (pp.prefix.length() == 32 && net.device(n).loopback == pp.prefix.addr());
-      if (origin) {
-        consider(best, admin_distance(Protocol::kConnected), FwdKind::kLocal, {},
-                 Protocol::kConnected);
-      }
-
-      // Static routes targeting exactly this prefix.
-      for (const auto& [dev, idx] : pp.static_routes) {
-        if (dev != n) continue;
-        const StaticRoute& sr = net.device(n).statics[idx];
-        if (sr.drop) {
-          consider(best, admin_distance(Protocol::kStatic), FwdKind::kDrop, {},
-                   Protocol::kStatic);
-          continue;
-        }
-        if (sr.via_neighbor != kNoNode) {
-          const LinkId l = net.topo.find_link(n, sr.via_neighbor);
-          if (l != kNoLink && !failures.is_failed(l)) {
-            consider(best, admin_distance(Protocol::kStatic), FwdKind::kForward,
-                     Hops{{}, sr.via_neighbor}, Protocol::kStatic);
-          }
-          continue;
-        }
-        if (sr.via_ip) {
-          Hops hops;
-          if (*sr.via_ip >= pec.lo && *sr.via_ip <= pec.hi) {
-            // Self-loop dependency: resolve through this PEC's own
-            // protocol routes (never through statics, avoiding recursion).
-            hops = protocol_nexthops_in_pec(net, pec, n, ribs, ctx);
-          } else if (ctx.upstream != nullptr) {
-            hops.many = ctx.upstream->nexthops_towards(n, *sr.via_ip);
-          }
-          if (!hops.empty()) {
-            consider(best, admin_distance(Protocol::kStatic), FwdKind::kForward,
-                     hops, Protocol::kStatic);
-          }
-        }
-      }
-
-      // Protocol routes from the per-prefix RPVP phases.
-      for (const auto& rib : ribs) {
-        if (rib.prefix_idx != pi) continue;
-        const RouteId r = rib.routes[n];
-        if (r == kNoRoute) continue;
-        const Route& route = ctx.routes.get(r);
-        if (route.path == kEmptyPath) continue;  // origin: handled as local
-        Protocol proto = rib.proto;
-        if (proto == Protocol::kEbgp && route.learned_ibgp) proto = Protocol::kIbgp;
-        Hops hops;
-        if (route.learned_ibgp) {
-          if (ctx.upstream != nullptr) {
-            hops.many = ctx.upstream->nexthops_towards(
-                n, net.device(route.egress).loopback);
-          }
-          if (hops.empty()) continue;  // unresolvable iBGP next hop
-        } else {
-          hops = route_hops(ctx, r);
-          if (hops.empty()) continue;
-        }
-        consider(best, admin_distance(proto), FwdKind::kForward, hops, proto);
-      }
-
-      if (best.installed) {
-        entry.kind = best.kind;
-        best.hops.copy_to(entry.nexthops);
-        entry.source = best.source;
-        entry.prefix_idx = static_cast<std::uint8_t>(pi);
-        break;  // LPM: most specific installed prefix wins
-      }
-    }
+    build_entry(net, pec, failures, ribs, ctx, n, dp.entries[n]);
   }
 }
 
@@ -186,6 +190,13 @@ DataPlane build_dataplane(const Network& net, const Pec& pec,
   DataPlane dp;
   build_dataplane(net, pec, failures, ribs, ctx, dp);
   return dp;
+}
+
+std::uint64_t fib_entry_term(NodeId n, const FibEntry& e) {
+  std::uint64_t h = hash_combine(
+      hash_mix(n), (static_cast<std::uint64_t>(e.kind) << 32) | e.nexthops.size());
+  for (const NodeId next : e.nexthops) h = hash_combine(h, next);
+  return h;
 }
 
 void WalkMemo::fit(std::size_t nodes) {
@@ -264,19 +275,17 @@ WalkStats WalkMemo::walk(NodeId src) {
 std::uint64_t WalkMemo::signature(const DataPlane& dp,
                                   std::span<const NodeId> sources,
                                   std::span<const NodeId> interesting) {
-  std::uint64_t sig = 0x2545f4914f6cdd1dull;
   if (sources.empty() && interesting.empty()) {
     // Every node's BFS reads its own kind and next hops at depth 0 and 1,
-    // so the all-sources signature is a function of the entries: hash them
-    // in one pass. The count keeps the stream prefix-free, or {1,2}+{x} and
-    // {1}+{2,x} would hash alike.
-    for (const FibEntry& e : dp.entries) {
-      sig = hash_combine(sig, (static_cast<std::uint64_t>(e.kind) << 32) |
-                                  e.nexthops.size());
-      for (const NodeId next : e.nexthops) sig = hash_combine(sig, next);
+    // so the all-sources signature is a function of the entries: sum their
+    // terms in one pass.
+    std::uint64_t sum = 0;
+    for (NodeId n = 0; n < dp.entries.size(); ++n) {
+      sum += fib_entry_term(n, dp.entries[n]);
     }
-    return sig;
+    return sum;
   }
+  std::uint64_t sig = 0x2545f4914f6cdd1dull;
   fit(dp.entries.size());
   interesting_.begin();
   for (const NodeId n : interesting) interesting_.mark(n);

@@ -28,6 +28,8 @@ struct FibEntry {
   std::vector<NodeId> nexthops;          ///< kForward only (ECMP allowed)
   Protocol source = Protocol::kConnected;
   std::uint8_t prefix_idx = 0xff;        ///< index into Pec::prefixes, 0xff = none
+
+  friend bool operator==(const FibEntry&, const FibEntry&) = default;
 };
 
 /// Per-node forwarding behaviour for one PEC under one converged state.
@@ -36,6 +38,8 @@ struct DataPlane {
 
   [[nodiscard]] const FibEntry& at(NodeId n) const { return entries[n]; }
   [[nodiscard]] std::size_t bytes() const;
+
+  friend bool operator==(const DataPlane&, const DataPlane&) = default;
 };
 
 /// One (prefix, protocol) RIB produced by an RPVP phase.
@@ -45,9 +49,18 @@ struct TaskRib {
   std::span<const RouteId> routes;  ///< per NodeId best route
 };
 
-/// Fills `dp` with the data plane of one converged state. A `dp` reused
-/// across calls keeps its entries and each entry's next-hop capacity, so a
-/// warm rebuild allocates nothing.
+/// Fills `entry` with node n's forwarding behaviour. It reads only n's
+/// routes in `ribs`, the PEC's config at n and, for iBGP routes and
+/// recursive statics, `ctx.upstream`; only n's static routes read
+/// `failures`. So an entry whose inputs did not change needs no rebuild
+/// (Explorer::update_dataplane patches its plane that way). The entry keeps
+/// its next-hop capacity, so a warm rebuild allocates nothing.
+void build_entry(const Network& net, const Pec& pec, const FailureSet& failures,
+                 std::span<const TaskRib> ribs, const ModelContext& ctx, NodeId n,
+                 FibEntry& entry);
+
+/// Fills `dp` with the data plane of one converged state: build_entry for
+/// every node. A `dp` reused across calls allocates nothing once warm.
 void build_dataplane(const Network& net, const Pec& pec, const FailureSet& failures,
                      std::span<const TaskRib> ribs, const ModelContext& ctx,
                      DataPlane& dp);
@@ -56,6 +69,13 @@ void build_dataplane(const Network& net, const Pec& pec, const FailureSet& failu
 DataPlane build_dataplane(const Network& net, const Pec& pec,
                           const FailureSet& failures, std::span<const TaskRib> ribs,
                           const ModelContext& ctx);
+
+/// Node n's term of the one-pass signature (WalkMemo::signature with no
+/// sources and no interesting nodes): a hash of n, the entry's kind, its
+/// next-hop count and its next hops. The signature is the sum of the terms,
+/// so a caller that rebuilds some entries keeps it current by subtracting
+/// their old terms and adding their new ones.
+[[nodiscard]] std::uint64_t fib_entry_term(NodeId n, const FibEntry& e);
 
 /// Exhaustive walk of the forwarding graph from one source.
 struct WalkStats {
@@ -97,9 +117,9 @@ class WalkMemo {
   /// point of view (§3.5): per source, path lengths and positions of
   /// interesting nodes. Used to suppress redundant policy checks. Empty
   /// `sources` means every node, and empty `interesting` every node too;
-  /// when both are empty the signature is one pass over the entries (each
-  /// node's kind, next-hop count and next hops), which tells apart every
-  /// pair of data planes the per-source BFS over all nodes does.
+  /// when both are empty the signature is the sum of every entry's
+  /// fib_entry_term, which tells apart every pair of data planes the
+  /// per-source BFS over all nodes does.
   std::uint64_t signature(const DataPlane& dp, std::span<const NodeId> sources,
                           std::span<const NodeId> interesting);
 

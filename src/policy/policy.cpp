@@ -1,6 +1,7 @@
 #include "policy/policy.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "netbase/parse_int.hpp"
 
@@ -60,18 +61,44 @@ bool WaypointPolicy::check(const ConvergedView& view, std::string& why) const {
   });
 }
 
-bool LoopFreedomPolicy::check(const ConvergedView& view, std::string& why) const {
-  // One generation for every node: `looped` is exact under a shared memo
-  // (WalkMemo), so this names the lowest node a loop is reachable from in
-  // O(nodes + forwarding edges).
+namespace {
+
+/// The lowest node a forwarding loop is reachable from, or kNoNode. One
+/// generation for every node: `looped` is exact under a shared memo
+/// (WalkMemo), so this is O(nodes + forwarding edges).
+NodeId lowest_looping_node(const ConvergedView& view) {
   view.walks.begin(view.dp);
   for (NodeId s = 0; s < view.net.topo.node_count(); ++s) {
-    if (view.walks.walk(s).looped) {
-      why = "forwarding loop reachable from " + view.net.topo.name(s);
-      return false;
+    if (view.walks.walk(s).looped) return s;
+  }
+  return kNoNode;
+}
+
+}  // namespace
+
+bool LoopFreedomPolicy::check(const ConvergedView& view, std::string& why) const {
+  if (view.previous_held) {
+    // The previous plane had no cycle, so a cycle of this one runs through
+    // an entry that changed, and a walk from that entry finds it.
+    view.walks.begin(view.dp);
+    bool looped = false;
+    for (const NodeId n : view.changed) {
+      if (view.walks.walk(n).looped) {
+        looped = true;
+        break;
+      }
+    }
+    if (!looped) {
+      assert(lowest_looping_node(view) == kNoNode);
+      return true;
     }
   }
-  return true;
+  // Walk every node, so the message names the lowest node a loop is
+  // reachable from whichever entries changed.
+  const NodeId s = lowest_looping_node(view);
+  if (s == kNoNode) return true;
+  why = "forwarding loop reachable from " + view.net.topo.name(s);
+  return false;
 }
 
 BlackholeFreedomPolicy::BlackholeFreedomPolicy(std::vector<NodeId> sources)

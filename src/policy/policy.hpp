@@ -31,6 +31,14 @@ struct ConvergedView {
   /// Walk scratch owned by the caller, reused across converged states so a
   /// check allocates nothing once warm.
   WalkMemo& walks;
+  /// The entries that differ from the previous data plane the caller
+  /// built. Meaningful only when `previous_held`.
+  std::span<const NodeId> changed = {};
+  /// The previous built data plane held: it was checked against this
+  /// policy and held, or its check was suppressed (§3.5) as a repeat of a
+  /// plane that held. Then every forwarding loop of `dp` passes through a
+  /// changed entry. A policy may ignore both fields.
+  bool previous_held = false;
 };
 
 class Policy {
@@ -96,7 +104,9 @@ class WaypointPolicy final : public Policy {
 };
 
 /// No forwarding cycle reachable from any node ("a loop policy can't
-/// optimize as aggressively: it has to consider all sources", §3.5).
+/// optimize as aggressively: it has to consider all sources", §3.5). When
+/// the view's previous plane held, the check walks only from the changed
+/// entries, and walks every node only to name a loop it found.
 class LoopFreedomPolicy final : public Policy {
  public:
   [[nodiscard]] std::string name() const override { return "loop-freedom"; }

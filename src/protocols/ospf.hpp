@@ -82,6 +82,12 @@ class OspfProcess final : public RoutingProcess {
     return {arcs_.data() + begin, end - begin};
   }
 
+  /// The nodes prepare() re-settled or re-parented for the prepared failure
+  /// set. Every other reachable non-origin node keeps its no-failure
+  /// distance, its no-failure spf_parents() in the same order, and its live
+  /// peers at the same costs. Empty under no failures.
+  [[nodiscard]] std::span<const NodeId> spf_changed() const { return patched_; }
+
  private:
   /// Cost of the session n -> p (cheapest live link), or kInfiniteCost when
   /// p is not a live peer of n.

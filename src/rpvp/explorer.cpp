@@ -165,6 +165,25 @@ Explorer::Explorer(const Network& net, const Pec& pec, std::vector<PrefixTask> t
   // store replaces it under POR, and an SPF pass never probes one; build it
   // only when the search probes it.
   if (!por_ && !spf_pass_) visited_.emplace(opts_.visited, opts_.bloom_bits);
+
+  // Failure-set reuse and the patched FIB (docs/architecture.md
+  // "Failure-set runs reuse the no-failure run"): every buffer sized here.
+  base_rib_.resize(t);
+  if (spf_pass_) {
+    for (auto& b : base_rib_) b.reserve(n);
+    spf_changed_.reset(n);
+  }
+  fib_rib_.assign(t, std::vector<RouteId>(n, kNoRoute));
+  static_node_.assign(n, 0);
+  for (const auto& pp : pec_.prefixes) {
+    for (const auto& [dev, idx] : pp.static_routes) static_node_[dev] = 1;
+  }
+  changed_.reserve(n);
+  old_entry_.nexthops.reserve(n);
+  dp_.entries.resize(n);
+  one_pass_sig_ = opts_.suppress_equivalent && policy_.supports_equivalence() &&
+                  sources_.empty() && policy_.interesting().empty();
+  fib_sig_ = walks_.signature(dp_, {}, {});
 }
 
 ExploreResult Explorer::run() {
@@ -368,6 +387,9 @@ Explorer::Flow Explorer::check_failure_set() {
     ups.push_back(nullptr);
   }
   for (std::size_t i = 0; i < ups.size(); ++i) {
+    // An upstream outcome resolves iBGP and recursive static next hops, so
+    // the FIB starts over under every binding but none-after-none.
+    if (ups[i] != nullptr || ctx_.upstream != nullptr) fib_full_ = true;
     ctx_.upstream = ups[i];
     for (auto& t : tasks_) t.process->prepare(failures_, ctx_);
     if (por_) por_prepare();
@@ -481,10 +503,29 @@ Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
   // upstream outcome), as every phase before it is one pass with one end
   // state; the state key mixes in both; and each commit adds a route at a
   // node that had none.
+  //
+  // After the no-failure run, whose RIB base_rib_ keeps, a node takes its
+  // no-failure route without advertised() or merge() when prepare() left
+  // its parents and their sessions as they were and each parent holds its
+  // no-failure route: by induction over the order, both merge inputs are
+  // those of the no-failure run, and routes are interned by content
+  // (docs/architecture.md "Failure-set runs reuse the no-failure run").
   const auto& proc = static_cast<const OspfProcess&>(*tasks_[task_idx].process);
   const std::span<const NodeId> order = proc.spf_order();
   const std::vector<std::uint8_t>& is_origin = is_origin_[task_idx];
   auto& rib = rib_[task_idx];
+  const std::vector<RouteId>& base = base_rib_[task_idx];
+  if (!base.empty()) {
+    spf_changed_.begin();
+    for (const NodeId x : proc.spf_changed()) spf_changed_.mark(x);
+  }
+  const auto keeps_base_route = [&](NodeId x) {
+    if (base.empty() || spf_changed_.marked(x)) return false;
+    for (const NodeId p : proc.spf_parents(x)) {
+      if (rib[p] != base[p]) return false;
+    }
+    return true;
+  };
   const auto store = [this] {
     ++result_.stats.states_stored;
     result_.stats.max_depth =
@@ -498,11 +539,17 @@ Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
     const NodeId x = order[end++];
     if (is_origin[x] != 0) continue;
     assert(member_[task_idx][x] != 0);
-    advs_scratch_.clear();
-    for (const NodeId p : proc.spf_parents(x)) {
-      advs_scratch_.push_back(proc.advertised(p, x, rib[p], ctx_));
+    RouteId r = kNoRoute;
+    if (keeps_base_route(x)) {
+      r = base[x];
+      ++result_.stats.routes_reused;
+    } else {
+      advs_scratch_.clear();
+      for (const NodeId p : proc.spf_parents(x)) {
+        advs_scratch_.push_back(proc.advertised(p, x, rib[p], ctx_));
+      }
+      r = proc.merge(x, advs_scratch_, ctx_);
     }
-    const RouteId r = proc.merge(x, advs_scratch_, ctx_);
     // A reachable member with no candidate means the lemma does not hold.
     assert(r != kNoRoute);
     ++result_.stats.det_steps;
@@ -521,7 +568,10 @@ Explorer::Flow Explorer::spf_pass(std::size_t task_idx) {
     }
     store();
   }
-  if (flow != Flow::kStop) flow = advance(task_idx);
+  if (flow != Flow::kStop) {
+    if (failures_.empty() && base.empty()) base_rib_[task_idx] = rib;
+    flow = advance(task_idx);
+  }
   while (end > 0) {
     const NodeId x = order[--end];
     if (is_origin[x] != 0) continue;
@@ -1168,9 +1218,11 @@ Explorer::Flow Explorer::handle_converged() {
     ribs.push_back(TaskRib{tasks_[t].prefix_idx, tasks_[t].process->protocol(),
                            rib_[t]});
   }
-  // Rebuilt in place: warm, the FIB, the signature and the policy walks
+  // Patched in place: warm, the FIB, the signature and the policy walks
   // below allocate nothing (tests/test_hot_path_alloc.cpp).
-  build_dataplane(net_, pec_, failures_, ribs, ctx_, dp_);
+  update_dataplane(ribs);
+  assert(dataplane_is_fresh(ribs));
+  assert(!one_pass_sig_ || fib_sig_ == walks_.signature(dp_, {}, {}));
   const DataPlane& dp = dp_;
 
   // Outcome recording must happen before equivalence suppression: dependent
@@ -1214,17 +1266,24 @@ Explorer::Flow Explorer::handle_converged() {
   }
 
   if (opts_.suppress_equivalent && policy_.supports_equivalence()) {
-    const std::uint64_t sig = walks_.signature(dp, sources_, policy_.interesting());
+    const std::uint64_t sig =
+        one_pass_sig_ ? fib_sig_
+                      : walks_.signature(dp, sources_, policy_.interesting());
     if (!signatures_seen_.insert(sig)) {
       ++result_.stats.suppressed_checks;
+      // This plane repeats a checked plane's signature. Until a violation
+      // is found every checked plane held, so this one holds too: the
+      // premise of suppression itself. After one, it may repeat that one.
+      plane_held_ = result_.violations.empty();
       return Flow::kContinue;
     }
   }
 
   ++result_.stats.policy_checks;
-  const ConvergedView view{net_, pec_, dp, ribs, ctx_, walks_};
+  const ConvergedView view{net_, pec_, dp, ribs, ctx_, walks_, changed_, plane_held_};
   std::string why;
-  if (!policy_.check(view, why)) {
+  plane_held_ = policy_.check(view, why);
+  if (!plane_held_) {
     Violation v;
     v.failures = failures_;
     v.trail = trail_;
@@ -1234,6 +1293,40 @@ Explorer::Flow Explorer::handle_converged() {
     if (!opts_.find_all_violations) return Flow::kStop;
   }
   return Flow::kContinue;
+}
+
+void Explorer::update_dataplane(std::span<const TaskRib> ribs) {
+  // An entry reads its node's routes, the PEC's config at the node, and,
+  // through a static route or an iBGP route, the failure set and the
+  // upstream outcome (build_entry). So a node whose routes are those the
+  // plane was built from and that has no static route keeps its entry.
+  // check_failure_set() sets fib_full_ whenever an upstream outcome is
+  // bound, since a new binding may move any iBGP entry.
+  changed_.clear();
+  const bool all = fib_full_;
+  fib_full_ = false;
+  for (NodeId n = 0; n < dp_.entries.size(); ++n) {
+    bool stale = all || static_node_[n] != 0;
+    for (std::size_t t = 0; t < tasks_.size() && !stale; ++t) {
+      stale = rib_[t][n] != fib_rib_[t][n];
+    }
+    if (!stale) continue;
+    for (std::size_t t = 0; t < tasks_.size(); ++t) fib_rib_[t][n] = rib_[t][n];
+    FibEntry& entry = dp_.entries[n];
+    old_entry_ = entry;
+    build_entry(net_, pec_, failures_, ribs, ctx_, n, entry);
+    ++result_.stats.fib_entries_rebuilt;
+    if (entry == old_entry_) continue;
+    if (one_pass_sig_) {
+      fib_sig_ += fib_entry_term(n, entry) - fib_entry_term(n, old_entry_);
+    }
+    changed_.push_back(n);
+  }
+}
+
+bool Explorer::dataplane_is_fresh(std::span<const TaskRib> ribs) {
+  build_dataplane(net_, pec_, failures_, ribs, ctx_, oracle_dp_);
+  return oracle_dp_ == dp_;
 }
 
 }  // namespace plankton

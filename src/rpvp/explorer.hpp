@@ -275,6 +275,12 @@ class Explorer final : public SearchModel {
   /// Runs an SPF-ordered phase as one pass instead of a search (spf_pass_).
   Flow spf_pass(std::size_t task_idx);
   Flow handle_converged();
+  /// Brings dp_ to the current RIBs, rebuilding only the entries whose
+  /// inputs can have changed since its last build, lists in changed_ the
+  /// entries that differ, and keeps fib_sig_ current.
+  void update_dataplane(std::span<const TaskRib> ribs);
+  /// Debug oracle: dp_ equals a build of every entry from scratch.
+  [[nodiscard]] bool dataplane_is_fresh(std::span<const TaskRib> ribs);
 
   // per-node status maintenance
   /// Recomputes every status of the phase and its active set.
@@ -417,6 +423,30 @@ class Explorer final : public SearchModel {
   std::vector<TaskRib> ribs_scratch_;               ///< handle_converged view
   DataPlane dp_;                                    ///< handle_converged FIB
   WalkMemo walks_;                                  ///< policy walks, signatures
+
+  // Failure-set reuse (docs/architecture.md "Failure-set runs reuse the
+  // no-failure run"). Sized once per Explorer.
+  /// [task][node]: the RIB each SPF pass ended with under no failures, the
+  /// first run; empty until that pass completes.
+  std::vector<std::vector<RouteId>> base_rib_;
+  StampSet spf_changed_;  ///< per node: OspfProcess::spf_changed() of the pass
+  /// [task][node]: the routes dp_ was last built from.
+  std::vector<std::vector<RouteId>> fib_rib_;
+  /// Per node: 1 when it has a static route in this PEC, whose entry reads
+  /// the failure set and the upstream outcome, so it is rebuilt every time.
+  std::vector<std::uint8_t> static_node_;
+  bool fib_full_ = true;  ///< the next build rebuilds every entry
+  std::vector<NodeId> changed_;  ///< entries the last build changed
+  FibEntry old_entry_;  ///< update_dataplane scratch, next hops sized once
+  /// The one-pass signature of dp_ (sum of fib_entry_term), kept current
+  /// when one_pass_sig_: the policy names no sources and no interesting
+  /// nodes, and suppression is on.
+  std::uint64_t fib_sig_ = 0;
+  bool one_pass_sig_ = false;
+  /// The plane dp_ showed before its last update satisfied the policy: its
+  /// check held, or the check was suppressed before any violation.
+  bool plane_held_ = false;
+  DataPlane oracle_dp_;  ///< dataplane_is_fresh() scratch (Debug builds)
   mutable std::vector<std::uint64_t> dec_sigs_;     ///< cached dec_signatures()
 
   Trail trail_;

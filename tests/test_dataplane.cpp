@@ -10,6 +10,8 @@
 #include "netbase/hash.hpp"
 #include "pec/pec.hpp"
 #include "policy/policy.hpp"
+#include "rpvp/explorer.hpp"
+#include "support/random_net.hpp"
 
 namespace plankton {
 namespace {
@@ -234,6 +236,27 @@ TEST(PolicySignature, DiscriminatesAndMatches) {
   EXPECT_NE(sig_a, memo.signature(c, sources, interesting));
 }
 
+/// Records the RIBs of the first 64 converged states it is shown.
+class RibRecorder final : public Policy {
+ public:
+  [[nodiscard]] std::string name() const override { return "rib-recorder"; }
+  [[nodiscard]] bool check(const ConvergedView& view, std::string&) const override {
+    if (states.size() < 64) {
+      std::vector<std::vector<RouteId>> ribs;
+      for (const TaskRib& rib : view.ribs) {
+        ribs.emplace_back(rib.routes.begin(), rib.routes.end());
+      }
+      states.push_back(std::move(ribs));
+      layout.assign(view.ribs.begin(), view.ribs.end());
+    }
+    return true;
+  }
+  [[nodiscard]] bool supports_equivalence() const override { return false; }
+
+  mutable std::vector<std::vector<std::vector<RouteId>>> states;  ///< [state][task]
+  mutable std::vector<TaskRib> layout;  ///< prefix and protocol per task
+};
+
 TEST(Fib, InPlaceRebuildMatchesFreshBuild) {
   // A warm DataPlane reused across converged states must end up exactly as
   // a fresh build: stale next hops and kinds from the previous state go.
@@ -253,6 +276,86 @@ TEST(Fib, InPlaceRebuildMatchesFreshBuild) {
     EXPECT_EQ(dp.at(n).source, fresh.at(n).source) << "node " << n;
     EXPECT_EQ(dp.at(n).prefix_idx, fresh.at(n).prefix_idx) << "node " << n;
   }
+
+  // Patched in part, by the rule Explorer::update_dataplane applies between
+  // converged states: rebuild the entries whose routes changed and every
+  // entry with a static route, which alone reads the failure set. Patching
+  // a warm plane at any superset of those nodes, under any failure set,
+  // must give a fresh build, and the running one-pass signature, updated
+  // only at the patched entries, must equal the sum from scratch. The
+  // converged RIBs come from real explorations of the random corpus (OSPF,
+  // eBGP, statics, several prefixes per PEC).
+  std::mt19937_64 rng(0xf1b);
+  WalkMemo memo;
+  std::size_t patches = 0;
+  std::size_t kept = 0;  // entries a patch did not rebuild
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const testsupport::RandomInstance inst = testsupport::make_random_instance(seed);
+    const Network& net = inst.net;
+    const std::size_t nodes = net.topo.node_count();
+    const PecSet pecs = compute_pecs(net);
+    for (const PecId id : pecs.routed()) {
+      const Pec& pec = pecs.pecs[id];
+      const RibRecorder recorder;
+      ExploreOptions opts;
+      opts.max_failures = 1;
+      opts.budget.max_states = 20000;
+      Explorer ex(net, pec, make_tasks(net, pec), recorder, opts);
+      (void)ex.run();
+      if (recorder.states.empty()) continue;
+      const ModelContext& ctx = ex.context();
+      std::vector<std::uint8_t> has_static(nodes, 0);
+      for (const PecPrefix& pp : pec.prefixes) {
+        for (const auto& [dev, idx] : pp.static_routes) has_static[dev] = 1;
+      }
+      const auto ribs_of = [&](std::size_t state) {
+        std::vector<TaskRib> ribs = recorder.layout;
+        for (std::size_t t = 0; t < ribs.size(); ++t) {
+          ribs[t].routes = recorder.states[state][t];
+        }
+        return ribs;
+      };
+      const auto random_failures = [&] {
+        FailureSet f = net.topo.no_failures();
+        if (net.topo.link_count() > 0 && rng() % 2 == 0) {
+          f.fail(static_cast<LinkId>(rng() % net.topo.link_count()));
+        }
+        return f;
+      };
+
+      DataPlane warm;
+      warm.entries.resize(nodes);
+      std::uint64_t sig = memo.signature(warm, {}, {});
+      std::size_t built_from = recorder.states.size();  // none yet
+      for (int step = 0; step < 40; ++step) {
+        const std::size_t state = rng() % recorder.states.size();
+        const std::vector<TaskRib> ribs = ribs_of(state);
+        const FailureSet failures = random_failures();
+        for (NodeId n = 0; n < nodes; ++n) {
+          bool stale = built_from == recorder.states.size() || has_static[n] != 0 ||
+                       rng() % 5 == 0;
+          for (std::size_t t = 0; t < ribs.size() && !stale; ++t) {
+            stale = recorder.states[built_from][t][n] != ribs[t].routes[n];
+          }
+          if (!stale) {
+            ++kept;
+            continue;
+          }
+          sig -= fib_entry_term(n, warm.entries[n]);
+          build_entry(net, pec, failures, ribs, ctx, n, warm.entries[n]);
+          sig += fib_entry_term(n, warm.entries[n]);
+        }
+        built_from = state;
+        ++patches;
+        ASSERT_EQ(warm, build_dataplane(net, pec, failures, ribs, ctx))
+            << "seed " << seed << " pec " << pec.str() << " step " << step;
+        ASSERT_EQ(sig, memo.signature(warm, {}, {}))
+            << "seed " << seed << " pec " << pec.str() << " step " << step;
+      }
+    }
+  }
+  EXPECT_GT(patches, 1000u);
+  EXPECT_GT(kept, 1000u) << "the patches rebuilt nearly every entry";
 }
 
 // -- Stamped walk memo against the per-source reference ---------------------

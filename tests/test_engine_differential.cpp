@@ -575,10 +575,12 @@ TEST(EngineDifferential, SpfPassMatchesRescanOnRandomInstances) {
   // step path, take the pass too. Everything the pass claims to keep must
   // match: verdicts, exploration counts, and every violation with its trail
   // text. A run took the pass when it refreshed fewer statuses: the pass
-  // refreshes none.
+  // refreshes none. Under failures a pass reuses no-failure routes, and
+  // some run must, or the reuse rule went unchecked.
   const int count = instance_count();
   std::uint64_t runs = 0;
   std::uint64_t took_pass = 0;
+  std::uint64_t reused = 0;
   for (int seed = 1; seed <= count; ++seed) {
     const RandomInstance inst = make_random_instance(static_cast<std::uint64_t>(seed));
     for (const int k : {inst.max_failures, 1, 2}) {
@@ -621,13 +623,17 @@ TEST(EngineDifferential, SpfPassMatchesRescanOnRandomInstances) {
         if (::testing::Test::HasFailure()) return;
         ++runs;
         if (a.total.dirty_refreshes < b.total.dirty_refreshes) ++took_pass;
+        if (k >= 1 && a.total.routes_reused > 0) ++reused;
       }
     }
   }
-  std::printf("spf pass: %llu runs matched the rescan path, %llu took the pass\n",
+  std::printf("spf pass: %llu runs matched the rescan path, %llu took the pass, "
+              "%llu reused no-failure routes\n",
               static_cast<unsigned long long>(runs),
-              static_cast<unsigned long long>(took_pass));
+              static_cast<unsigned long long>(took_pass),
+              static_cast<unsigned long long>(reused));
   EXPECT_GT(took_pass, 0u) << "no run took the pass, so nothing was compared";
+  EXPECT_GT(reused, 0u) << "no run reused a no-failure route";
 }
 
 /// Policy that records each converged state's per-node best paths (the SPVP

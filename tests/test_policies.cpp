@@ -3,6 +3,9 @@
 // (Policy::spec), which make_policy turns back into the same policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <set>
 #include <string>
 
@@ -162,6 +165,88 @@ TEST(Policies, LoopPolicyConsidersAllSources) {
   const LoopFreedomPolicy p;
   const VerifyResult r = v.verify(p);
   EXPECT_EQ(r.verdict, Verdict::kViolated);
+}
+
+TEST(Policies, LoopCheckFromChangedEntriesMatchesFullWalk) {
+  // When the previous plane held, the loop check walks only from the
+  // changed entries: the previous plane had no cycle, so every cycle of the
+  // new one runs through an entry that changed. Take a random loop-free
+  // plane, perturb a few entries, and check it both ways: the verdict and
+  // the message must match the full check's, which names the lowest node a
+  // loop is reachable from, a node that is often not a perturbed entry.
+  std::mt19937_64 rng(0x100f);
+  const LoopFreedomPolicy loop;
+  WalkMemo memo;
+  const Pec pec;
+  ModelContext ctx;
+  std::size_t held = 0;
+  std::size_t violated = 0;
+  std::size_t named_elsewhere = 0;  // the named node was not perturbed
+  for (int trial = 0; trial < 5000; ++trial) {
+    const std::size_t n = 2 + rng() % 10;
+    Network net;
+    for (std::size_t i = 0; i < n; ++i) net.add_device("r" + std::to_string(i));
+    // Loop-free: a node forwards only to nodes of a higher random rank.
+    std::vector<NodeId> by_rank(n);
+    std::iota(by_rank.begin(), by_rank.end(), NodeId{0});
+    std::shuffle(by_rank.begin(), by_rank.end(), rng);
+    DataPlane dp;
+    dp.entries.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      FibEntry& e = dp.entries[by_rank[r]];
+      if (r + 1 == n || rng() % 4 == 0) {
+        e.kind = rng() % 2 == 0 ? FwdKind::kLocal : FwdKind::kDrop;
+        continue;
+      }
+      e.kind = FwdKind::kForward;
+      for (std::size_t k = 1 + rng() % 2; k > 0; --k) {
+        const NodeId next = by_rank[r + 1 + rng() % (n - r - 1)];
+        if (std::find(e.nexthops.begin(), e.nexthops.end(), next) == e.nexthops.end()) {
+          e.nexthops.push_back(next);
+        }
+      }
+    }
+    std::string why;
+    ASSERT_TRUE(loop.check(ConvergedView{net, pec, dp, {}, ctx, memo}, why));
+
+    std::vector<NodeId> perturbed;
+    for (std::size_t k = 1 + rng() % 3; k > 0; --k) {
+      const auto x = static_cast<NodeId>(rng() % n);
+      if (std::find(perturbed.begin(), perturbed.end(), x) != perturbed.end()) continue;
+      perturbed.push_back(x);
+      FibEntry& e = dp.entries[x];
+      e.nexthops.clear();
+      e.kind = rng() % 4 == 0 ? FwdKind::kDrop : FwdKind::kForward;
+      if (e.kind == FwdKind::kForward) e.nexthops.push_back(static_cast<NodeId>(rng() % n));
+    }
+    std::sort(perturbed.begin(), perturbed.end());
+
+    std::string why_changed;
+    std::string why_full;
+    const bool holds_changed = loop.check(
+        ConvergedView{net, pec, dp, {}, ctx, memo, perturbed, true}, why_changed);
+    const bool holds_full = loop.check(
+        ConvergedView{net, pec, dp, {}, ctx, memo, perturbed, false}, why_full);
+    ASSERT_EQ(holds_changed, holds_full) << "trial " << trial;
+    ASSERT_EQ(why_changed, why_full) << "trial " << trial;
+    NodeId lowest = kNoNode;
+    for (NodeId s = 0; s < n && lowest == kNoNode; ++s) {
+      if (walk_from(dp, s).looped) lowest = s;
+    }
+    ASSERT_EQ(holds_full, lowest == kNoNode) << "trial " << trial;
+    if (holds_full) {
+      ++held;
+      continue;
+    }
+    ++violated;
+    EXPECT_EQ(why_full, "forwarding loop reachable from " + net.topo.name(lowest));
+    if (!std::binary_search(perturbed.begin(), perturbed.end(), lowest)) {
+      ++named_elsewhere;
+    }
+  }
+  EXPECT_GT(held, 500u);
+  EXPECT_GT(violated, 500u);
+  EXPECT_GT(named_elsewhere, 100u);
 }
 
 TEST(Policies, ViolationCarriesTrailAndFailureSet) {

@@ -51,6 +51,8 @@ SearchStats stats_instance() {
   s.det_steps = 108;
   s.nondet_branches = 109;
   s.failure_sets = 110;
+  s.routes_reused = 127;
+  s.fib_entries_rebuilt = 128;
   s.ad_cache_hits = 111;
   s.ad_cache_misses = 112;
   s.dirty_refreshes = 113;
@@ -179,8 +181,8 @@ TEST(SearchStatsMerge, AbsorbMovesEveryWireField) {
       return true;
     });
   });
-  EXPECT_EQ(fields, 26u);
-  EXPECT_EQ(summed, 22u);
+  EXPECT_EQ(fields, 28u);
+  EXPECT_EQ(summed, 24u);
   EXPECT_EQ(kept, 4u);
   EXPECT_EQ(total.frontier_peak, one.frontier_peak);
   EXPECT_EQ(total.max_depth, one.max_depth);
